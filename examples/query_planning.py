@@ -41,7 +41,7 @@ def build_stream():
 
 def collect_statistics(stream, prefix_edges):
     graph = DynamicGraph(TimeWindow(None))
-    summarizer = StreamSummarizer(track_triads=True, triad_sample_cap=16)
+    summarizer = StreamSummarizer(track_triads=True)
     for record in list(stream)[:prefix_edges]:
         edge = graph.ingest(record.source, record.target, record.label, record.timestamp,
                             record.attrs, source_label=record.source_label,

@@ -151,9 +151,9 @@ class EngineConfig:
     * **storage/semantics**: ``default_window`` (fallback query window,
       drives graph retention), ``dedupe_structural``,
       ``store_complete_matches``;
-    * **planning**: ``collect_statistics`` / ``track_triads`` /
-      ``triad_sample_cap`` (the statistics the planner consumes),
-      ``plan_strategy``, ``primitive_size``, ``auto_replan_interval``;
+    * **planning**: ``collect_statistics`` / ``track_triads`` (the
+      statistics the planner consumes), ``plan_strategy``,
+      ``primitive_size``, ``auto_replan_interval``;
     * **ingest**: ``use_dispatch_index`` (label-indexed dispatch + the
       batched fast path), ``record_latency`` / ``latency_sample_cap``;
     * **event time**: ``allowed_lateness`` (float, ``"adaptive"``, or
@@ -169,7 +169,6 @@ class EngineConfig:
         default_window: Optional[float] = None,
         collect_statistics: bool = True,
         track_triads: bool = True,
-        triad_sample_cap: Optional[int] = 32,
         dedupe_structural: bool = False,
         store_complete_matches: bool = True,
         plan_strategy: str = Strategy.SELECTIVITY,
@@ -193,7 +192,6 @@ class EngineConfig:
         self.default_window = self.validate_default_window(default_window)
         self.collect_statistics = collect_statistics
         self.track_triads = track_triads
-        self.triad_sample_cap = triad_sample_cap
         self.dedupe_structural = dedupe_structural
         self.store_complete_matches = store_complete_matches
         self.plan_strategy = plan_strategy
@@ -486,9 +484,9 @@ class StreamWorksEngine:
         if config.collect_statistics:
             self.summarizer = StreamSummarizer(
                 track_triads=config.track_triads,
-                triad_sample_cap=config.triad_sample_cap,
                 sketch_stats=config.sketch_stats,
             )
+            self.summarizer.follow(self.graph)
         self.queries: Dict[str, RegisteredQuery] = {}
         self.dispatch = DispatchIndex(sketch=config.sketch_dispatch)
         #: Stream-boundary intern table: vertex/edge labels and predicate
@@ -1581,7 +1579,8 @@ class StreamWorksEngine:
         window store (index iteration orders included), every matcher's
         partial-match collections and duplicate-suppression memory, the
         reorder buffer (contents, watermark, late counters), the stream
-        summarizer (sampler RNG state included), registered queries with
+        summarizer (its live triad legs are not stored: restore recounts
+        them from the window store), registered queries with
         their exact plans, collected events, and all deterministic
         counters.  The write is atomic (temp file + fsync + rename) with a
         monotone ``epoch`` in the manifest, so a crash mid-checkpoint

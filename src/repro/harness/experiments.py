@@ -126,7 +126,7 @@ def _netflow_with_attacks(
 def _summary_from_stream(stream: EdgeStream, window: Optional[float] = None) -> GraphSummary:
     """Build planning statistics by replaying a stream prefix through a summarizer."""
     graph = DynamicGraph(TimeWindow(window) if window else TimeWindow(None))
-    summarizer = StreamSummarizer(track_triads=True, triad_sample_cap=16)
+    summarizer = StreamSummarizer(track_triads=True)
     for record in stream:
         edge = graph.ingest(
             record.source,
@@ -657,7 +657,7 @@ def experiment_tab4_summarization(scale: float = 1.0, seed: int = 43) -> Dict[st
     for name, stream in workloads:
         for triads in (True, False):
             graph = DynamicGraph(TimeWindow(None))
-            summarizer = StreamSummarizer(track_triads=triads, triad_sample_cap=16)
+            summarizer = StreamSummarizer(track_triads=triads)
             stopwatch = Stopwatch()
             stopwatch.start()
             for record in stream:

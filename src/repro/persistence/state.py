@@ -15,7 +15,9 @@ join candidate enumeration), the duplicate-suppression memory, the reorder
 buffer's pending tail and watermark (including every per-source clock,
 lateness estimate and the monotone watermark floor of the multi-source
 buffer -- the ``kind`` tag in its payload picks the right class on load),
-sampler RNG states, and every deterministic counter.  An engine fed
+and every deterministic counter.  State that is a pure function of other
+sections is recounted instead -- the expiry queue, and the summarizer's
+label memo and live triad legs, all from the window store.  An engine fed
 through an :class:`~repro.streaming.async_ingest.AsyncIngestFrontend`
 checkpoints via ``frontend.checkpoint``, which quiesces admission first so
 the buffer's pending tail here is exact.  Two things are deliberately
@@ -89,7 +91,6 @@ _CONFIG_FIELDS = (
     "default_window",
     "collect_statistics",
     "track_triads",
-    "triad_sample_cap",
     "dedupe_structural",
     "store_complete_matches",
     "plan_strategy",
@@ -111,6 +112,10 @@ _CONFIG_FIELDS = (
     "columnar",
 )
 
+#: Knobs that earlier versions persisted and that no longer exist; a
+#: snapshot carrying them loads with the key ignored.
+_RETIRED_CONFIG_FIELDS = ("triad_sample_cap",)
+
 
 # ----------------------------------------------------------------------
 # small shared codecs
@@ -120,7 +125,9 @@ def _config_state(config: EngineConfig) -> Dict[str, Any]:
 
 
 def _config_from_state(state: Mapping[str, Any]) -> EngineConfig:
-    return EngineConfig(**dict(state))
+    return EngineConfig(
+        **{name: value for name, value in state.items() if name not in _RETIRED_CONFIG_FIELDS}
+    )
 
 
 def _window_state(window: TimeWindow) -> Dict[str, Any]:
@@ -280,11 +287,14 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         config = _config_from_state(sections["config"])
         engine = StreamWorksEngine(config=config)
         engine.graph = DynamicGraph.from_state(sections["graph"])
-        engine.summarizer = (
-            StreamSummarizer.from_state(sections["summarizer"])
-            if sections["summarizer"] is not None
-            else None
-        )
+        engine.summarizer = None
+        if sections["summarizer"] is not None:
+            # live legs are recounted from the restored store, and the
+            # store does not restore listeners: hook the eviction again
+            engine.summarizer = StreamSummarizer.from_state(
+                sections["summarizer"], engine.graph
+            )
+            engine.summarizer.follow(engine.graph)
         engine.reorder = (
             # dispatch on the payload's "kind"; pre-multisource snapshots
             # are upgraded so the restored engine owns the multi-source

@@ -17,9 +17,15 @@ columnar path.  This module packages the machinery the conformance suite
   oracle REJECTS the faulty engine.  A harness that cannot catch the bugs
   it exists for proves nothing.
 
+* :func:`assert_live_legs_exact` — the statistics-side invariant every
+  stream shape must leave behind: the triad census's live leg counters equal
+  a from-scratch recount over the window store's live edges.
+
 Everything here is deterministic: same records + same config = same
 canonical event list, byte for byte.
 """
+
+from collections import Counter
 
 from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
     canonical,
@@ -151,6 +157,33 @@ def differential(records, query_specs, *, candidate_kwargs=None, **shared_kwargs
 # ----------------------------------------------------------------------
 # deliberate faults (meta-tests: the oracle must catch these)
 # ----------------------------------------------------------------------
+def recount_live_legs(graph):
+    """``{centre: {(edge label, orientation, leaf label): live edges}}`` of a store.
+
+    Recounted from the stored edges and the store's own vertex labels alone
+    -- nothing the summarizer remembers takes part.
+    """
+    incidences = Counter()
+    for edge in graph.edges():
+        source_label = graph.vertex(edge.source).label
+        target_label = graph.vertex(edge.target).label
+        incidences[edge.source, (edge.label, "out", target_label)] += 1
+        if edge.target != edge.source:
+            incidences[edge.target, (edge.label, "in", source_label)] += 1
+    legs = {}
+    for (center, leg), live in incidences.items():
+        legs.setdefault(center, {})[leg] = live
+    return legs
+
+
+def assert_live_legs_exact(engine, context=""):
+    """Every (shard) engine's live legs equal the recount; no counter is <= 0."""
+    for shard in getattr(engine, "shards", None) or [engine]:
+        live = shard.summarizer.triads.live_legs()
+        assert live == recount_live_legs(shard.graph), context
+        assert all(count > 0 for legs in live.values() for count in legs.values()), context
+
+
 def skew_expiry(delta=0.05):
     """Fault: every matcher sweeps window expiry at ``now + delta``.
 

@@ -32,6 +32,7 @@ import os
 import random
 
 import pytest
+from differential import assert_live_legs_exact
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.persistence import (
@@ -155,6 +156,23 @@ def deterministic_metrics(engine):
     return {key: metrics[key] for key in DETERMINISTIC_METRICS}
 
 
+def statistics_state(engine):
+    """The statistics *as serialised*, per (shard) engine.
+
+    The census's live legs are recounted from the restored window store, so
+    the resumed run holds them in another dict order than the run that
+    never stopped -- which is why ``TriadCensus.state_dict`` emits its
+    counts in key order, and why this compares the serialised form.
+    ``None`` for a pooled sharded engine: its shard state lives in the
+    worker processes.
+    """
+    if isinstance(engine, StreamWorksEngine):
+        return [engine.summarizer.state_dict()]
+    if engine.config.workers > 0:
+        return None
+    return [shard.summarizer.state_dict() for shard in engine.shards]
+
+
 def assert_resumed_equals_oracle(oracle, resumed, context):
     assert canonical(resumed.events()) == canonical(oracle.events()), (
         f"{context}: resumed event history diverged from the uninterrupted run"
@@ -165,6 +183,10 @@ def assert_resumed_equals_oracle(oracle, resumed, context):
     else:
         assert resumed.edges_processed == oracle.edges_processed, context
         assert resumed._sequence == oracle._sequence, context
+    statistics = statistics_state(resumed)
+    assert statistics == statistics_state(oracle), context
+    if statistics is not None:
+        assert_live_legs_exact(resumed, context)
 
 
 # ----------------------------------------------------------------------
@@ -816,6 +838,61 @@ def test_restore_preserves_registration_and_replan_surface(tmp_path):
     assert "new" in resumed.queries
     resumed.replan_query("new")
     resumed.unregister_query("new")
+
+
+def test_snapshot_from_before_the_exact_census_restores(tmp_path):
+    """A snapshot written when the census was sampled still loads and runs.
+
+    ``tests/fixtures/persistence/`` holds a real one (see its README): the
+    config section carries the retired ``triad_sample_cap`` knob, the census
+    section the sampler's ``sample_cap`` / ``rng_state`` and float weights,
+    and there is no ``observed_through`` mark.  All three are ignored or
+    derived; the rest of the stream then behaves like a run that never
+    stopped, and eviction retracts the legs recounted from the old graph.
+    """
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "persistence", "engine_pre_exact_census.snap"
+    )
+    _, sections = read_snapshot(path)
+    assert sections["config"]["triad_sample_cap"] == 4
+    assert "rng_state" in sections["summarizer"]["triads"]
+
+    records = []
+    for index in range(12):
+        t = float(index)
+        leaf, host = f"leaf{index % 7}", f"host{index % 3}"
+        records += [
+            StreamEdge("hub", leaf, "link", t, source_label="Hub", target_label="Leaf"),
+            StreamEdge(leaf, host, "rel_a", t + 0.25, source_label="Leaf", target_label="Host"),
+            StreamEdge(host, "hub", "rel_b", t + 0.5, source_label="Host", target_label="Hub"),
+        ]
+    query = QueryGraph("ab")
+    query.add_vertex("x", "Leaf")
+    query.add_vertex("y", "Host")
+    query.add_vertex("z", "Hub")
+    query.add_edge("x", "y", "rel_a")
+    query.add_edge("y", "z", "rel_b")
+    oracle = StreamWorksEngine(config=EngineConfig())
+    oracle.register_query(query, name="ab", window=4.0)
+    for start in range(0, len(records), 6):
+        oracle.process_batch(records[start : start + 6])
+
+    resumed = StreamWorksEngine.restore(path)
+    assert not hasattr(resumed.config, "triad_sample_cap")
+    assert_live_legs_exact(resumed, "restored from the pre-exact-census snapshot")
+    wedges_at_restore = resumed.summarizer.triads.total_wedges()
+    for start in range(18, len(records), 6):  # the fixture was cut after 18 records
+        resumed.process_batch(records[start : start + 6])
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert resumed.graph.edges_evicted == oracle.graph.edges_evicted > 12
+    assert_live_legs_exact(resumed, "resumed from the pre-exact-census snapshot")
+    assert resumed.summarizer.triads.total_wedges() > wedges_at_restore
+    # and it checkpoints again, in today's format
+    again = str(tmp_path / "again.snap")
+    resumed.checkpoint(again)
+    _, sections = read_snapshot(again)
+    assert "triad_sample_cap" not in sections["config"]
+    assert set(sections["summarizer"]["triads"]) == {"wedges_observed", "leg_sweep_steps", "counts"}
 
 
 def test_restore_rejects_missing_file(tmp_path):

@@ -111,7 +111,7 @@ class TestStatisticsDrivenPipeline:
 
         # phase 1: collect statistics on a prefix
         graph = DynamicGraph(TimeWindow(None))
-        summarizer = StreamSummarizer(track_triads=True, triad_sample_cap=16)
+        summarizer = StreamSummarizer(track_triads=True)
         prefix = list(stream)[: len(stream) // 4]
         for record in prefix:
             edge = graph.ingest(record.source, record.target, record.label, record.timestamp,

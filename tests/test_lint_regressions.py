@@ -6,13 +6,14 @@ gets a behavioural pin here, so the bugs stay dead even if the lint rule
 that caught them is ever loosened:
 
 * ``GraphSummary.__init__`` used ``x or Default()`` on five Optional
-  components that define ``__len__`` -- an *empty but configured*
-  component (e.g. an exact ``TriadCensus(sample_cap=None)``) was falsy
-  and silently replaced by a default-configured one.
-* ``TriadCensus.observe_new_edge`` iterated ``set(edge.endpoints)``:
-  the endpoint visit order fed the sampling RNG, so with sampling
-  active the census (and everything planned from it) depended on
-  ``PYTHONHASHSEED``.
+  components that define ``__len__`` -- an *empty* component the caller
+  passed (a census it is still folding into, say) was falsy and
+  silently replaced by a fresh one.
+* The sampled ``TriadCensus`` iterated ``set(edge.endpoints)``: the
+  endpoint visit order fed the sampling RNG, so the census (and
+  everything planned from it) depended on ``PYTHONHASHSEED``.  The
+  sampler is gone -- the census is exact -- and the same subprocess
+  check now pins the exact census's serialised counts.
 * ``DispatchIndex.unregister`` iterated a set of the dropped owner's
   labels while rewriting ``_by_label`` buckets.
 * ``AsyncIngestFrontend`` bumped/read its admission counters outside
@@ -30,7 +31,6 @@ from types import SimpleNamespace
 
 from repro.core import EngineConfig, StreamWorksEngine
 from repro.core.dispatch import DispatchIndex
-from repro.graph import PropertyGraph
 from repro.query.query_graph import QueryGraph
 from repro.stats import GraphSummary, TriadCensus
 from repro.stats.labels import LabelDistribution
@@ -43,51 +43,39 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # GraphSummary: empty-but-configured components must be kept
 # ----------------------------------------------------------------------
 def test_graph_summary_keeps_empty_components_passed_by_the_caller():
-    census = TriadCensus(sample_cap=None)
+    census = TriadCensus()
     labels = LabelDistribution()
     summary = GraphSummary(vertex_labels=labels, triads=census)
     assert summary.triads is census
     assert summary.vertex_labels is labels
 
 
-def test_from_graph_without_triads_keeps_the_exact_census_configuration():
-    graph = PropertyGraph()
-    graph.add_vertex("a", "A")
-    summary = GraphSummary.from_graph(graph, with_triads=False)
-    # the empty census from_graph builds is configured exact (sample_cap
-    # None); `triads or TriadCensus()` used to swap in a sampling default
-    assert summary.triads._sample_cap is None
-
-
 # ----------------------------------------------------------------------
-# TriadCensus: sampled census must not depend on PYTHONHASHSEED
+# TriadCensus: the serialised census must not depend on PYTHONHASHSEED
 # ----------------------------------------------------------------------
 _TRIAD_SCRIPT = """
 import json
-from repro.graph import PropertyGraph
-from repro.stats import TriadCensus
+from repro.core import EngineConfig, StreamWorksEngine
+from repro.streaming import StreamEdge
 
-graph = PropertyGraph()
-census = TriadCensus(sample_cap=2, seed=7)
 hubs = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
-for hub in hubs:
-    graph.add_vertex(hub, "Hub")
+records = []
 clock = 0.0
-for hub in hubs:                      # grow every hub past the sample cap;
-    for spoke in range(4):            # distinct spoke labels so any change in
-        leaf = f"{hub}-s{spoke}"      # which edges get sampled shows up in keys
-        graph.add_vertex(leaf, f"Leaf{spoke}")
-        clock += 1.0
-        census.observe_new_edge(
-            graph, graph.add_edge(hub, leaf, f"spoke{spoke}", clock)
-        )
-for left, right in zip(hubs, hubs[1:]):   # hub-hub edges: sampling at BOTH ends
+for hub in hubs:                      # four leg types per hub, string vertex
+    for spoke in range(4):            # ids throughout: any set/hash-ordered
+        clock += 1.0                  # walk on the way to the counts shows up
+        records.append(StreamEdge(hub, f"{hub}-s{spoke}", f"spoke{spoke}", clock,
+                                  source_label="Hub", target_label=f"Leaf{spoke}"))
+for left, right in zip(hubs, hubs[1:]):   # hub-hub edges: a sweep at BOTH ends
     clock += 1.0
-    census.observe_new_edge(graph, graph.add_edge(left, right, "link", clock))
-print(json.dumps({
-    "total": census.total_wedges(),
-    "counts": sorted((repr(key), count) for key, count in census.most_common()),
-}))
+    records.append(StreamEdge(left, right, "link", clock,
+                              source_label="Hub", target_label="Hub"))
+engine = StreamWorksEngine(config=EngineConfig(default_window=12.0))
+engine.process_batch(records[:10])    # batched fold, then the per-record path,
+for record in records[10:]:           # with the window evicting under both
+    engine.process_record(record)
+assert engine.graph.edges_evicted > 0
+print(json.dumps(engine.summarizer.state_dict()["triads"]))
 """
 
 
@@ -107,11 +95,9 @@ def _run_triad_script(hash_seed):
     return json.loads(result.stdout)
 
 
-def test_sampled_triad_census_is_hash_seed_invariant():
-    # pre-fix (`set(edge.endpoints)`) this workload produced 6 distinct
-    # censuses across hash seeds 0-7; post-fix all seeds must agree
+def test_exact_triad_census_is_hash_seed_invariant():
     baseline = _run_triad_script(0)
-    assert baseline["total"] > 0
+    assert baseline["wedges_observed"] > 0
     for hash_seed in (1, 2, 3, 4242):
         assert _run_triad_script(hash_seed) == baseline
 
