@@ -764,9 +764,7 @@ class StreamWorksEngine:
                 ):
                     dropped += 1
         if new_matcher.store_complete_matches:
-            new_root = new_matcher.tree.root
-            for match in old_matcher.tree.root.all_matches():
-                new_root.store_match(match)
+            new_matcher.adopt_complete_matches(old_matcher.tree.root.all_matches())
         leaves = new_matcher.tree.leaves()
         for edge in self.graph.edges():
             new_matcher.process_edge_leaves(edge, leaves)

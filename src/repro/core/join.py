@@ -32,11 +32,12 @@ def try_join(left: Match, right: Match, window: Optional[TimeWindow] = None) -> 
 
     The window check is performed *before* building the merged match so that
     incompatible candidates are rejected at the cost of a couple of float
-    comparisons.
+    comparisons.  Compatibility is checked exactly once: the merge that
+    follows is the unchecked one.
     """
     if window is not None and window.bounded:
         if not window.admits_span(joined_span(left, right)):
             return None
     if not left.is_compatible(right):
         return None
-    return left.merge(right)
+    return left._merge_unchecked(right)

@@ -13,20 +13,24 @@ waste time and create duplicates.
 
 The enumeration seeds the generic backtracking matcher with a binding of the
 new edge onto each query edge of the primitive it can legally play, then lets
-the matcher complete the rest of the primitive within the window.
+the matcher complete the rest of the primitive within the window.  On the
+compiled path, primitives of one or two directed, labelled edges are lowered
+once, at construction, into straight-line probes (:mod:`repro.core.probe`)
+that return the same list without running the generic machinery.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional
 
-from ..graph.types import Edge
+from ..graph.types import Edge, VertexId
 from ..graph.window import TimeWindow
 from ..isomorphism.candidates import edge_orientations, edge_satisfies, vertex_satisfies
 from ..isomorphism.match import Match, MatchConflictError
 from ..isomorphism.vf2 import SubgraphMatcher
 from ..query.compile import CompiledQuery
 from ..query.query_graph import QueryGraph, QueryVertex
+from .probe import Probe, compile_probe, run_role
 
 __all__ = ["LocalSearcher", "find_primitive_matches"]
 
@@ -38,14 +42,17 @@ class LocalSearcher:
     (the columnar hot path); ``None`` keeps the interpreted path verbatim.
     The primitives searched here share the original query's ``QueryVertex``
     / ``QueryEdge`` objects, so one compiled table serves every primitive.
+    ``primitives`` names the ones :meth:`find` will be asked for (the owning
+    SJ-tree's leaves): each lowerable one gets its probe here, once.
     """
 
     def __init__(
         self,
-        graph,
+        graph: Any,
         window: Optional[TimeWindow] = None,
         compiled: Optional[CompiledQuery] = None,
-    ):
+        primitives: Iterable[QueryGraph] = (),
+    ) -> None:
         self.graph = graph
         self.window = window if window is not None else TimeWindow(None)
         self.compiled = compiled
@@ -54,9 +61,20 @@ class LocalSearcher:
         self.searches_started = 0
         #: Number of primitive matches produced (benchmark counter).
         self.matches_found = 0
+        #: Partner-edge candidates the compiled probes have looked at: what
+        #: one ``find`` adds must depend on the window, not on how much
+        #: history the anchor vertex retains.
+        self.candidates_examined = 0
+        # keyed by the primitive object itself: the owning tree keeps it alive
+        self._probes: Dict[QueryGraph, Probe] = {}
+        for primitive in primitives:
+            probe = compile_probe(self, primitive)
+            if probe is not None:
+                self._probes[primitive] = probe
 
-    def _vertex_ok(self, query_vertex: QueryVertex, vertex_id) -> bool:
+    def _vertex_ok(self, query_vertex: QueryVertex, vertex_id: VertexId) -> bool:
         """Compiled-table vertex check (only called when ``compiled`` is set)."""
+        assert self.compiled is not None
         if not self.graph.has_vertex(vertex_id):
             return False
         vertex = self.graph.vertex(vertex_id)
@@ -96,27 +114,28 @@ class LocalSearcher:
     def find(self, primitive: QueryGraph, new_edge: Edge) -> List[Match]:
         """Return all embeddings of ``primitive`` that include ``new_edge``.
 
-        Results are deduplicated by binding identity: a primitive with
-        repeated edge types can reach the same complete binding from two
-        different seeds (the new edge seeded onto either query edge), and the
-        downstream SJ-Tree insert must see each embedding once.
+        No two results share a binding identity, without any bookkeeping:
+        seeds differ in the query edge ``new_edge`` plays (or in its
+        orientation), the completions of one seed differ in a data edge (or
+        its orientation), and candidate enumeration lists every data edge
+        once.
         """
         results: List[Match] = []
-        seen = set()
+        probe = self._probes.get(primitive)
+        if probe is not None:
+            for spec in probe.get(new_edge.label, ()):
+                run_role(self, spec, new_edge, results)
+            return results
         for seed in self.seeds(primitive, new_edge):
             self.searches_started += 1
             for match in self._matcher.find_matches(primitive, seed=seed):
-                identity = match.identity()
-                if identity in seen:
-                    continue
-                seen.add(identity)
                 results.append(match)
                 self.matches_found += 1
         return results
 
 
 def find_primitive_matches(
-    graph,
+    graph: Any,
     primitive: QueryGraph,
     new_edge: Edge,
     window: Optional[TimeWindow] = None,

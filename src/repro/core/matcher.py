@@ -31,7 +31,7 @@ been evicted can never be probed again and its memory can be reclaimed.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from ..graph.types import Edge
 from ..graph.window import TimeWindow
@@ -183,8 +183,19 @@ class ContinuousQueryMatcher:
         )
         self.tree: SJTree = decomposition.build_tree()
         self.tree.validate()
-        self.local_searcher = LocalSearcher(graph, self.window, compiled=self.compiled)
+        # the leaves' primitives are lowered into compiled probes here, so
+        # registration, replan and restore all get probes for the current plan
+        self.local_searcher = LocalSearcher(
+            graph,
+            self.window,
+            compiled=self.compiled,
+            primitives=[leaf.subgraph for leaf in self.tree.leaves()],
+        )
         self.stats = MatcherStats()
+        #: Matches stored across all tree nodes, kept in step with every
+        #: store / expiry / clear so the peak needs no whole-tree recount;
+        #: rebuilt from the restored tree on :meth:`load_state`.
+        self._tree_stored = 0
         self._dedup_identities = DedupMemory(budget=dedup_memory_budget, seed=31)
         self._dedup_edge_sets = DedupMemory(budget=dedup_memory_budget, seed=37)
 
@@ -203,6 +214,7 @@ class ContinuousQueryMatcher:
             return 0
         dropped = self.tree.expire_matches(self.window, now, self.expiry_min_interval)
         self.stats.partial_matches_expired += dropped
+        self._tree_stored -= dropped
         # Reclaim dedup memory on the same cadence, but against the *graph
         # retention* window: an identity whose earliest edge is no longer
         # retained cannot be re-derived by any path (same-run re-discovery
@@ -233,13 +245,11 @@ class ContinuousQueryMatcher:
             self.stats.leaf_matches_found += len(primitive_matches)
             for match in primitive_matches:
                 self._insert(leaf, match, new_matches)
-        # stored counts only grow inside _insert, and expiry between calls
-        # only shrinks them, so a call that found nothing cannot set a new
-        # peak -- skip the whole-tree recount on the (dominant) miss path
-        if found_any:
-            stored = self.tree.total_stored_matches()
-            if stored > self.stats.peak_stored_matches:
-                self.stats.peak_stored_matches = stored
+        # the stored count only grows inside _insert (expiry runs between
+        # calls), so its value here is this call's maximum; history adopted
+        # at a re-plan or restore counts from the first insert that follows
+        if found_any and self._tree_stored > self.stats.peak_stored_matches:
+            self.stats.peak_stored_matches = self._tree_stored
         return new_matches
 
     def process_edge(self, edge: Edge) -> List[Match]:
@@ -278,6 +288,7 @@ class ContinuousQueryMatcher:
         if not node.store_match(match):
             self.stats.duplicate_matches_suppressed += 1
             return
+        self._tree_stored += 1
         parent = self.tree.parent(node)
         sibling = self.tree.sibling(node)
         if parent is None or sibling is None:  # pragma: no cover - defensive
@@ -305,8 +316,8 @@ class ContinuousQueryMatcher:
                 return
             self._dedup_edge_sets.add(edge_set_key, match.earliest)
         self._dedup_identities.add(identity_key, match.earliest)
-        if self.store_complete_matches:
-            root.store_match(match)
+        if self.store_complete_matches and root.store_match(match):
+            self._tree_stored += 1
         self.stats.complete_matches += 1
         out.append(match)
 
@@ -347,6 +358,7 @@ class ContinuousQueryMatcher:
     def reset(self) -> None:
         """Drop all partial matches and reported-match memory (keeps the plan)."""
         self.tree.clear_matches()
+        self._tree_stored = 0
         self._dedup_edge_sets.clear()
         self._dedup_identities.clear()
         self.stats = MatcherStats()
@@ -364,6 +376,17 @@ class ContinuousQueryMatcher:
         """Take ownership of another matcher's duplicate-suppression stores."""
         self._dedup_identities = identities
         self._dedup_edge_sets = edge_sets
+
+    def adopt_complete_matches(self, matches: Iterable[Match]) -> None:
+        """Store another matcher's complete-match history at this tree's root.
+
+        The root subgraph is the full query under every plan, so a re-plan
+        copies the old root collection across verbatim.
+        """
+        root = self.tree.root
+        for match in matches:
+            if root.store_match(match):
+                self._tree_stored += 1
 
     # ------------------------------------------------------------------
     # persistence support
@@ -397,6 +420,7 @@ class ContinuousQueryMatcher:
         :meth:`~repro.sketch.dedup.DedupMemory.load_legacy_keys`).
         """
         self.tree.load_state(state["tree"])
+        self._tree_stored = self.tree.total_stored_matches()
         self.stats = MatcherStats.from_dict(state["stats"])
         self.expiry_min_interval = state["expiry_min_interval"]
         if "dedup_identities" in state:

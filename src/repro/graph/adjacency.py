@@ -252,8 +252,8 @@ class AdjacencyIndex:
         enumeration: per (direction, label) slot a lazily-built
         :class:`EdgeTimeRuns` sidecar answers the range with binary search
         over one contiguous slice, preserving the slot's insertion order
-        exactly.  ``Direction.BOTH`` concatenates OUT then IN -- the same
-        order :meth:`incident_edge_ids` enumerates.  Returns ``None`` when
+        exactly.  ``Direction.BOTH`` concatenates OUT then IN, listing a
+        self loop (filed under both slots) once, with OUT.  Returns ``None`` when
         any touched sidecar is unsorted (heavily disordered ingest at this
         slot); the caller must fall back to the plain enumeration.
         ``resolve_ts`` resolves an edge id to its timestamp for the lazy
@@ -264,6 +264,7 @@ class AdjacencyIndex:
         else:
             directions = (direction,)
         result: List[EdgeId] = []
+        listed: Optional[Dict[EdgeId, None]] = None
         for d in directions:
             bucket = self._bucket(vertex_id, d, label)
             if not bucket:
@@ -276,7 +277,14 @@ class AdjacencyIndex:
             ids = runs.range_ids(low, high)
             if ids is None:
                 return None
-            result.extend(edge_id for edge_id in ids if edge_id in bucket)
+            if listed is None:
+                result.extend(edge_id for edge_id in ids if edge_id in bucket)
+            else:
+                # second (IN) pass of BOTH: the OUT slot already gave the loops
+                result.extend(
+                    edge_id for edge_id in ids if edge_id in bucket and edge_id not in listed
+                )
+            listed = bucket
         return result
 
     def degree(self, vertex_id: VertexId) -> int:

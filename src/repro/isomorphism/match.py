@@ -16,7 +16,7 @@ timestamps even after the underlying edge is evicted from the window store.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from ..graph.types import Edge, EdgeId, VertexId
 
@@ -25,6 +25,10 @@ __all__ = ["Match", "MatchConflictError"]
 
 class MatchConflictError(ValueError):
     """Raised when merging two matches whose bindings disagree."""
+
+
+#: ``dict.get`` default distinguishing "query vertex unbound" from any binding.
+_UNBOUND: Any = object()
 
 
 class Match:
@@ -36,7 +40,7 @@ class Match:
         self,
         vertex_map: Optional[Mapping[str, VertexId]] = None,
         edge_map: Optional[Mapping[int, Edge]] = None,
-    ):
+    ) -> None:
         self.vertex_map: Dict[str, VertexId] = dict(vertex_map or {})
         self.edge_map: Dict[int, Edge] = dict(edge_map or {})
         timestamps = [edge.timestamp for edge in self.edge_map.values()]
@@ -44,6 +48,27 @@ class Match:
         # this constructor, so not snapshotted
         self.earliest: float = min(timestamps) if timestamps else float("inf")  # repro-lint: ignore[snapshot-coverage]
         self.latest: float = max(timestamps) if timestamps else float("-inf")  # repro-lint: ignore[snapshot-coverage]
+
+    @classmethod
+    def _from_parts(
+        cls,
+        vertex_map: Dict[str, VertexId],
+        edge_map: Dict[int, Edge],
+        earliest: float,
+        latest: float,
+    ) -> "Match":
+        """Adopt already-validated maps and a known extent: no copy, no rescan.
+
+        Internal to the compiled probes and the join: the caller owns
+        ``vertex_map`` / ``edge_map`` (fresh dicts nobody else holds) and
+        guarantees ``(earliest, latest)`` is the min / max bound timestamp.
+        """
+        match = cls.__new__(cls)
+        match.vertex_map = vertex_map
+        match.edge_map = edge_map
+        match.earliest = earliest
+        match.latest = latest
+        return match
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -136,7 +161,13 @@ class Match:
                 )
         new_edge_map = dict(self.edge_map)
         new_edge_map[query_edge_id] = data_edge
-        return Match(new_vertex_map, new_edge_map)
+        timestamp = data_edge.timestamp
+        return Match._from_parts(
+            new_vertex_map,
+            new_edge_map,
+            timestamp if timestamp < self.earliest else self.earliest,
+            timestamp if timestamp > self.latest else self.latest,
+        )
 
     def is_compatible(self, other: "Match") -> bool:
         """Return ``True`` when two matches can be merged into a valid larger match.
@@ -148,45 +179,58 @@ class Match:
           data vertices used by the other (injectivity of the merged map);
         * query edges bound in both matches map to the same data edge;
         * data edges are not shared across *different* query edges.
+
+        The maps are a handful of entries, so membership is tested by scanning
+        the other side's values directly instead of materialising sets.
         """
-        # shared query vertices must agree
-        for query_vertex, data_vertex in self.vertex_map.items():
-            other_binding = other.vertex_map.get(query_vertex)
-            if other_binding is not None and other_binding != data_vertex:
+        mine, theirs = self.vertex_map, other.vertex_map
+        their_values = theirs.values()
+        only: list = []
+        for query_vertex, data_vertex in mine.items():
+            other_binding = theirs.get(query_vertex, _UNBOUND)
+            if other_binding is _UNBOUND:
+                # bound here only: must not collide with anything over there,
+                # nor with another vertex bound here only
+                if data_vertex in their_values or data_vertex in only:
+                    return False
+                only.append(data_vertex)
+            elif other_binding is not None and other_binding != data_vertex:
                 return False
-        # injectivity of the merged vertex map
-        self_only = {
-            qv: dv for qv, dv in self.vertex_map.items() if qv not in other.vertex_map
-        }
-        other_only = {
-            qv: dv for qv, dv in other.vertex_map.items() if qv not in self.vertex_map
-        }
-        other_values = set(other.vertex_map.values())
-        for data_vertex in self_only.values():
-            if data_vertex in other_values:
-                return False
-        self_values = set(self.vertex_map.values())
-        for data_vertex in other_only.values():
-            if data_vertex in self_values:
-                return False
-        if len(set(self_only.values())) != len(self_only):
-            return False
-        if len(set(other_only.values())) != len(other_only):
-            return False
+        if len(theirs) + len(only) > len(mine):  # some vertex is bound there only
+            my_values = mine.values()
+            only = []
+            for query_vertex, data_vertex in theirs.items():
+                if query_vertex not in mine:
+                    if data_vertex in my_values or data_vertex in only:
+                        return False
+                    only.append(data_vertex)
         # shared query edges must agree; distinct query edges need distinct data edges
-        for query_edge_id, data_edge in self.edge_map.items():
-            other_edge = other.edge_map.get(query_edge_id)
-            if other_edge is not None and other_edge.id != data_edge.id:
-                return False
-        self_edge_ids = {
-            edge.id for qe, edge in self.edge_map.items() if qe not in other.edge_map
-        }
-        other_edge_ids = {
-            edge.id for qe, edge in other.edge_map.items() if qe not in self.edge_map
-        }
-        if self_edge_ids & other_edge_ids:
-            return False
+        my_edges, their_edges = self.edge_map, other.edge_map
+        for query_edge_id, data_edge in my_edges.items():
+            other_edge = their_edges.get(query_edge_id)
+            if other_edge is not None:
+                if other_edge.id != data_edge.id:
+                    return False
+                continue
+            edge_id = data_edge.id
+            for other_query_edge_id, candidate in their_edges.items():
+                if candidate.id == edge_id and other_query_edge_id not in my_edges:
+                    return False
         return True
+
+    def _merge_unchecked(self, other: "Match") -> "Match":
+        """Merge with a match the caller has already found compatible.
+
+        The merged extent is derived from the two inputs' extents, so no
+        timestamp is re-read; map orders are ``self``'s entries followed by
+        ``other``'s new ones, as :meth:`merge` has always produced.
+        """
+        return Match._from_parts(
+            {**self.vertex_map, **other.vertex_map},
+            {**self.edge_map, **other.edge_map},
+            self.earliest if self.earliest < other.earliest else other.earliest,
+            self.latest if self.latest > other.latest else other.latest,
+        )
 
     def merge(self, other: "Match") -> "Match":
         """Merge two compatible matches into a larger one.
@@ -198,11 +242,7 @@ class Match:
         """
         if not self.is_compatible(other):
             raise MatchConflictError("matches are not compatible")
-        vertex_map = dict(self.vertex_map)
-        vertex_map.update(other.vertex_map)
-        edge_map = dict(self.edge_map)
-        edge_map.update(other.edge_map)
-        return Match(vertex_map, edge_map)
+        return self._merge_unchecked(other)
 
     # ------------------------------------------------------------------
     # keys, identity and presentation

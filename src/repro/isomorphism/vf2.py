@@ -274,7 +274,10 @@ class SubgraphMatcher:
         for edge in self.graph.incident_edges(source, Direction.OUT, query_edge.label):
             if edge.target == target:
                 yield edge
-        if not query_edge.directed:
+        # source == target asks for self loops, which the OUT pass has
+        # already listed in full: the store files a loop under both
+        # directions, so an IN pass would yield each one a second time
+        if not query_edge.directed and source != target:
             for edge in self.graph.incident_edges(source, Direction.IN, query_edge.label):
                 if edge.source == target:
                     yield edge
@@ -301,7 +304,15 @@ class SubgraphMatcher:
                 if scanned is not None:
                     yield from scanned
                     return
-        yield from self.graph.incident_edges(anchor, direction, query_edge.label)
+        if direction != Direction.BOTH:
+            yield from self.graph.incident_edges(anchor, direction, query_edge.label)
+            return
+        # every candidate once: a data self loop sits in the anchor's OUT
+        # and IN slots alike, so the IN pass skips the ones OUT listed
+        yield from self.graph.incident_edges(anchor, Direction.OUT, query_edge.label)
+        for edge in self.graph.incident_edges(anchor, Direction.IN, query_edge.label):
+            if edge.source != anchor:
+                yield edge
 
     def _all_label_edges(self, query_edge: QueryEdge, match: Match) -> Iterator[Edge]:
         if self._compiled is not None and query_edge.label is not None:

@@ -29,6 +29,21 @@ def ingest(graph, source, target, label, timestamp, src_label="node", dst_label=
                         source_label=src_label, target_label=dst_label)
 
 
+def random_article_edges(graph, count, seed=3):
+    """Ingest and yield a random alternating mentions / locatedIn stream."""
+    import random
+
+    rng = random.Random(seed)
+    timestamp = 0.0
+    for index in range(count):
+        timestamp += rng.random()
+        article = f"art{rng.randrange(6)}"
+        if index % 2 == 0:
+            yield ingest(graph, article, f"kw{rng.randrange(2)}", "mentions", timestamp, "Article", "Keyword")
+        else:
+            yield ingest(graph, article, f"loc{rng.randrange(2)}", "locatedIn", timestamp, "Article", "Location")
+
+
 class TestBasicIncrementalMatching:
     def test_match_reported_exactly_when_last_edge_arrives(self, pair_query):
         graph, matcher = build_matcher(pair_query)
@@ -108,18 +123,8 @@ class TestWindowSemantics:
     def test_reported_spans_always_below_window(self, pair_query):
         window = 5.0
         graph, matcher = build_matcher(pair_query, window=window)
-        import random
-
-        rng = random.Random(3)
-        timestamp = 0.0
         reported = []
-        for index in range(120):
-            timestamp += rng.random()
-            article = f"art{rng.randrange(6)}"
-            if index % 2 == 0:
-                edge = ingest(graph, article, f"kw{rng.randrange(2)}", "mentions", timestamp, "Article", "Keyword")
-            else:
-                edge = ingest(graph, article, f"loc{rng.randrange(2)}", "locatedIn", timestamp, "Article", "Location")
+        for edge in random_article_edges(graph, 120):
             reported.extend(matcher.process_edge(edge))
         assert reported, "expected at least one match in the random stream"
         assert all(match.span < window for match in reported)
@@ -199,6 +204,29 @@ class TestIntrospection:
         matcher.reset()
         assert matcher.stored_partial_matches() == 0
         assert matcher.stats.edges_processed == 0
+
+    def test_peak_follows_a_running_count_equal_to_the_recount(self, pair_query):
+        graph, matcher = build_matcher(pair_query, window=5.0)
+        peak = 0
+        for edge in random_article_edges(graph, 120):
+            found_before = matcher.stats.leaf_matches_found
+            if matcher.process_edge(edge):
+                # a re-planned matcher adopts the old root's history
+                _, replanned = build_matcher(pair_query, window=5.0, graph=graph)
+                replanned.adopt_complete_matches(matcher.tree.root.all_matches())
+                assert replanned._tree_stored == matcher.tree.root.match_count() > 0
+            assert matcher._tree_stored == matcher.tree.total_stored_matches()
+            if matcher.stats.leaf_matches_found > found_before:
+                peak = max(peak, matcher.tree.total_stored_matches())
+        assert matcher.stats.partial_matches_expired > 0
+        assert matcher.stats.peak_stored_matches == peak > 0
+
+        # a restored matcher recounts
+        _, restored = build_matcher(pair_query, window=5.0, graph=graph)
+        restored.load_state(matcher.state_dict())
+        assert restored._tree_stored == matcher._tree_stored > 0
+        matcher.reset()
+        assert matcher._tree_stored == 0
 
     def test_stats_to_dict_keys(self, pair_query):
         graph, matcher = build_matcher(pair_query)

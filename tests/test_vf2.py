@@ -136,6 +136,49 @@ class TestMultigraphAndDirections:
         assert matches[0].vertex_binding("x") == "a"
 
 
+class TestSelfLoopCandidatesListedOnce:
+    """A data self loop is filed under its vertex's OUT and IN slots alike."""
+
+    def loop_graph(self):
+        graph = PropertyGraph()
+        graph.add_vertex("x", "H")
+        graph.add_vertex("y", "H")
+        graph.add_edge("x", "x", "l", 1.0)
+        graph.add_edge("x", "y", "m", 2.0)
+        return graph
+
+    def test_undirected_loop_bound_from_anchored_vertex_matches_once(self):
+        # a is bound through a -m- b first, then a -l- a is completed
+        # between (x, x): the loop used to come back from both directions
+        query = (
+            QueryBuilder("q")
+            .undirected_edge("a", "b", "m")
+            .undirected_edge("a", "a", "l")
+            .build()
+        )
+        matches = SubgraphMatcher(self.loop_graph()).find_all(query)
+        assert len(matches) == 1
+        assert matches[0].vertex_map == {"a": "x", "b": "y"}
+        assert sorted(edge.id for edge in matches[0].edge_map.values()) == [0, 1]
+
+    @pytest.mark.parametrize("columnar", [False, True])
+    def test_anchor_enumeration_lists_a_loop_once(self, columnar):
+        from repro.query.compile import CompiledQuery
+
+        graph = self.loop_graph()
+        graph.add_edge("y", "x", "l", 3.0)
+        query = QueryBuilder("q").undirected_edge("a", "b", "m").undirected_edge("a", "c", "l").build()
+        compiled = CompiledQuery(query) if columnar else None
+        matcher = SubgraphMatcher(graph, TimeWindow(10.0), compiled=compiled)
+        seed = Match().with_binding(0, graph.edge(1), {"a": "x", "b": "y"})
+        before = graph.range_scan_stats()["range_scans"]
+        listed = list(matcher._edges_from_anchor("x", query.edge(1), True, seed))
+        # the compiled path answers from the sorted-array scan, the
+        # interpreted one from the plain enumeration: same list either way
+        assert graph.range_scan_stats()["range_scans"] - before == int(columnar)
+        assert [edge.id for edge in listed] == [0, 2]
+
+
 class TestWindowAndSeeds:
     def test_window_prunes_wide_spans(self, news_graph, pair_query):
         # edges of the matching pair are at t=1..4 -> span 3
