@@ -35,10 +35,13 @@ under updates (only touch the work an update can affect).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..query.query_graph import QueryGraph
 from ..sketch import CountingBloomFilter
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .route_plan import RoutePlan
 
 __all__ = ["LeafDispatchEntry", "DispatchIndex"]
 
@@ -72,7 +75,7 @@ class LeafDispatchEntry:
         self.owner = owner
         self.leaf_id = leaf_id
         self.order = order
-        labels = set()
+        labels: Set[str] = set()
         self.has_wildcard = False
         #: ``(edge label, source vertex label, target vertex label, directed)``
         #: per query edge; ``None`` components are wildcards.
@@ -169,6 +172,15 @@ class DispatchIndex:
         self._front: Optional[CountingBloomFilter] = (
             CountingBloomFilter(bits=sketch_bits, seed=sketch_seed) if sketch else None
         )
+        #: Bumped by every :meth:`register` / :meth:`unregister` (a replan
+        #: re-registers), each of which also empties ``plans``.
+        self.version = 0
+        #: Route plans by ``(edge, source, target)`` label id, built lazily
+        #: by the engine's hot path and valid for exactly one ``version``.
+        #: Derived from the index and the matchers' compiled checks: rebuilt
+        #: on demand, never stored in a snapshot.
+        self.plans: Dict[Tuple[int, int, int], "RoutePlan"] = {}
+        self.plans_built = 0
         self.lookups = 0
         self.entries_matched = 0
         self.entries_skipped = 0
@@ -179,7 +191,7 @@ class DispatchIndex:
     # ------------------------------------------------------------------
     # registration
     # ------------------------------------------------------------------
-    def register(self, owner: str, leaves: Iterable) -> None:
+    def register(self, owner: str, leaves: Iterable[Any]) -> None:
         """Index every SJ-Tree leaf of a query.
 
         ``leaves`` is an iterable of SJ-Tree leaf nodes (objects with ``id``
@@ -210,6 +222,7 @@ class DispatchIndex:
             if entry.has_wildcard:
                 self._wildcard.append(entry)
         self._by_owner[owner] = entries
+        self._invalidate_plans()
 
     def unregister(self, owner: str) -> None:
         """Drop every entry belonging to ``owner`` (no-op when unknown)."""
@@ -235,6 +248,12 @@ class DispatchIndex:
                 del self._by_label[label]
         if any(entry.has_wildcard for entry in entries):
             self._wildcard = [e for e in self._wildcard if id(e) not in dropped]
+        self._invalidate_plans()
+
+    def _invalidate_plans(self) -> None:
+        """The index changed: every cached route plan describes the old one."""
+        self.version += 1
+        self.plans.clear()
 
     def registered_owners(self) -> List[str]:
         """Return the names of the queries currently indexed."""
@@ -247,6 +266,16 @@ class DispatchIndex:
     # ------------------------------------------------------------------
     # hot-path lookup
     # ------------------------------------------------------------------
+    def binds(self, edge_label: str) -> bool:
+        """Return ``True`` when some registered leaf has a query edge for the label.
+
+        The exact, counter-free form of the question :meth:`front_rejects`
+        answers approximately: a label that binds nothing needs neither its
+        endpoint labels resolved nor a route plan.  A wildcard query edge
+        binds every label.
+        """
+        return edge_label in self._by_label or bool(self._wildcard)
+
     def front_rejects(self, edge_label: str) -> bool:
         """Return ``True`` when the sketch front proves ``edge_label`` binds nothing.
 
@@ -297,7 +326,7 @@ class DispatchIndex:
         if self._wildcard:
             # an entry can sit in both a label bucket and the wildcard list
             # (primitive with one labelled and one wildcard edge) -- dedupe
-            seen: set = set()
+            seen: Set[int] = set()
             for bucket in (labelled or ()), self._wildcard:
                 for entry in bucket:
                     key = id(entry)
@@ -309,7 +338,7 @@ class DispatchIndex:
                     else:
                         self.entries_skipped += 1
         else:
-            for entry in labelled:
+            for entry in labelled or ():
                 if entry.admits(edge_label, source_label, target_label):
                     matched.append(entry)
                 else:

@@ -45,7 +45,7 @@ Typical use::
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..graph.dynamic_graph import DynamicGraph
 from ..graph.interning import InternTable
@@ -72,6 +72,7 @@ from .decomposition import Decomposition, Strategy
 from .dispatch import DispatchIndex
 from .matcher import ContinuousQueryMatcher
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
+from .route_plan import RoutePlan, build_route_plan
 
 __all__ = ["EngineConfig", "RegisteredQuery", "StreamWorksEngine", "required_retention"]
 
@@ -356,10 +357,11 @@ class EngineConfig:
                 "sketch_stats requires collect_statistics=True: there is no "
                 "summarizer to back with sketches otherwise"
             )
-        #: Compiled, columnar ingest hot path.  Labels are interned to dense
-        #: ints at the stream boundary, each batch run is decomposed into
-        #: struct-of-arrays columns whose label-id column drives a vectorized
-        #: leaf prefilter (with per-run dispatch memoisation), registered
+        #: Compiled ingest hot path.  Labels are interned to dense ints at
+        #: the stream boundary, each record is routed through a route plan
+        #: keyed on its label ids and kept for as long as the dispatch index
+        #: is unchanged (``core/route_plan.py``: candidate leaves, their
+        #: compiled checks, an interval index in front of them), registered
         #: predicates are compiled once into flat closures, and window-expiry
         #: / adjacency enumeration use sorted-timestamp range scans.  Purely
         #: an execution-strategy switch: ``False`` restores the interpreted
@@ -497,10 +499,10 @@ class StreamWorksEngine:
         #: -- snapshots persist the table, and pre-columnar snapshots
         #: rebuild it deterministically from registration + insertion order.
         self.interning = InternTable()
-        #: Columnar hot-path observability: ordered runs decomposed into
-        #: struct-of-arrays columns, records rejected by the label-id
-        #: prefilter before any matcher work, and per-run dispatch-memo
-        #: replays that skipped a full routing probe.
+        #: Columnar hot-path observability: ordered runs routed through
+        #: route plans, records no registered leaf could bind (dropped before
+        #: any matcher work), and records whose route plan was already in
+        #: the cache, i.e. that skipped the dispatch-index probe.
         self.batches_vectorized = 0
         self.records_prefiltered = 0
         self.dispatch_memo_hits = 0
@@ -1037,6 +1039,7 @@ class StreamWorksEngine:
         return sum(
             registration.matcher.expire_partials(now)
             for registration in self.queries.values()
+            if not registration.matcher.idle
         )
 
     def process_record(self, record: StreamEdge) -> List[MatchEvent]:
@@ -1327,221 +1330,22 @@ class StreamWorksEngine:
         if expiry_anchor is not None:
             batch_start = min(batch_start, expiry_anchor)
         for registration in self.queries.values():
-            registration.matcher.expire_partials(batch_start)
-        record_latency = self.config.record_latency
-        # Emission anchoring: the run is pre-ingested, so a completion whose
-        # edges all lie inside the run is *discovered* at whichever of its
-        # edges happens to be dispatched first -- and which edge that is
-        # depends on the active plan's leaf partition.  To keep detection
-        # plan-independent (and equal to the per-record path), every
-        # completion's emission is deferred to the dispatch of its LAST
-        # in-run edge -- exactly the edge the per-record path would have
-        # completed it on.  Deferral is safe within a run: nothing is
-        # evicted mid-run (dead-on-arrival records are removed before any
-        # later record is dispatched and can belong to no completion), and
-        # the duplicate-suppression memory prevents a deferred match from
-        # being rediscovered at its later edges.
-        positions: Dict[int, int] = {}
-        for index, edge in enumerate(ingested):
-            if edge is not None:
-                positions[edge.id] = index
-        deferred: Dict[int, List] = {}
+            if not registration.matcher.idle:  # nothing stored: nothing to sweep
+                registration.matcher.expire_partials(batch_start)
         start_edges_processed = self.edges_processed
-        columnar = self.config.columnar
-        if columnar:
-            self.batches_vectorized += 1
-            interner = self.interning
-            graph = self.graph
-            dispatch = self.dispatch
-            # Struct-of-arrays decomposition of the run: parallel source /
-            # target / label-id / timestamp columns (dead-on-arrival slots
-            # hold sentinels).  The label-id column drives the leaf
-            # prefilter: dispatch fate is resolved once per distinct label
-            # id (admitting unseen stream labels into the intern table),
-            # then replayed per record.
-            src_col: List[Optional[VertexId]] = []
-            dst_col: List[Optional[VertexId]] = []
-            lid_col: List[int] = []
-            ts_col: List[Timestamp] = []
-            for edge in ingested:
-                if edge is None:
-                    src_col.append(None)
-                    dst_col.append(None)
-                    lid_col.append(-1)
-                    ts_col.append(0.0)
-                else:
-                    src_col.append(edge.source)
-                    dst_col.append(edge.target)
-                    lid_col.append(interner.intern(edge.label))
-                    ts_col.append(edge.timestamp)
-            # Per-run dispatch memos, all keyed on dense ints.  Safe because
-            # everything they cache is constant between run boundaries:
-            # registrations and replans happen only between runs, matching
-            # never mutates the graph, and dead-on-arrival evictions all
-            # precede the match loop.  Each entry carries the
-            # dispatch-counter deltas of the probe it replaces and a hit
-            # replays them, so ``metrics()["dispatch"]`` stays byte-identical
-            # to the interpreted path.
-            front_memo: Dict[int, tuple] = {}
-            route_memo: Dict[tuple, tuple] = {}
-            vertex_memo: Dict[Optional[VertexId], tuple] = {}
-        for index, edge in enumerate(ingested):
-            if edge is None:  # dead on arrival: counted, never matched
-                self.edges_processed += 1
-                continue
-            stopwatch_start = perf_counter() if record_latency else None
-            found: List = []
-            if columnar:
-                lid = lid_col[index]
-                fate = front_memo.get(lid)
-                if fate is None:
-                    probes0 = dispatch.front_probes
-                    rejections0 = dispatch.front_rejections
-                    lookups0 = dispatch.lookups
-                    rejected = dispatch.front_rejects(edge.label)
-                    fate = (
-                        rejected,
-                        dispatch.front_probes - probes0,
-                        dispatch.front_rejections - rejections0,
-                        dispatch.lookups - lookups0,
-                    )
-                    front_memo[lid] = fate
-                else:
-                    self.dispatch_memo_hits += 1
-                    dispatch.front_probes += fate[1]
-                    dispatch.front_rejections += fate[2]
-                    dispatch.lookups += fate[3]
-                if fate[0]:
-                    self.records_prefiltered += 1
-                else:
-                    src_vertex = src_col[index]
-                    entry = vertex_memo.get(src_vertex)
-                    if entry is None:
-                        if src_vertex is not None and graph.has_vertex(src_vertex):
-                            label = graph.vertex(src_vertex).label
-                            entry = (
-                                interner.intern(label) if label is not None else -1,
-                                label,
-                            )
-                        else:
-                            entry = (-1, None)
-                        vertex_memo[src_vertex] = entry
-                    sid, source_label = entry
-                    dst_vertex = dst_col[index]
-                    entry = vertex_memo.get(dst_vertex)
-                    if entry is None:
-                        if dst_vertex is not None and graph.has_vertex(dst_vertex):
-                            label = graph.vertex(dst_vertex).label
-                            entry = (
-                                interner.intern(label) if label is not None else -1,
-                                label,
-                            )
-                        else:
-                            entry = (-1, None)
-                        vertex_memo[dst_vertex] = entry
-                    tid, target_label = entry
-                    route_key = (lid, sid, tid)
-                    route = route_memo.get(route_key)
-                    if route is None:
-                        lookups0 = dispatch.lookups
-                        matched0 = dispatch.entries_matched
-                        skipped0 = dispatch.entries_skipped
-                        false0 = dispatch.front_false_positives
-                        groups: List = []
-                        for owner, leaf_ids in dispatch.candidates(
-                            edge.label, source_label, target_label
-                        ):
-                            owner_registration = self.queries.get(owner)
-                            if owner_registration is None:  # pragma: no cover - defensive
-                                continue
-                            matcher = owner_registration.matcher
-                            tree = matcher.tree
-                            compiled = matcher.compiled
-                            # Per-leaf compiled prefilter plan: the checks of
-                            # the leaf's label-compatible query edges.  Local
-                            # search only finds embeddings *containing* the
-                            # new edge, so a leaf where every such check
-                            # rejects the edge's attrs provably yields no
-                            # primitive and can be skipped per record.
-                            # ``None`` in place of the list = never prunable
-                            # (an always-true check, or no compiled table).
-                            leaf_checks: List = []
-                            for leaf_id in leaf_ids:
-                                leaf = tree.node(leaf_id)
-                                checks: Optional[List] = None
-                                if compiled is not None:
-                                    checks = []
-                                    for query_edge in leaf.subgraph.edges():
-                                        if (
-                                            query_edge.label is None
-                                            or query_edge.label == edge.label
-                                        ):
-                                            check = compiled.edge_checks[query_edge.id]
-                                            if check is None:
-                                                checks = None
-                                                break
-                                            checks.append(check)
-                                leaf_checks.append((leaf, checks))
-                            groups.append((owner_registration, leaf_checks))
-                        route = (
-                            groups,
-                            dispatch.lookups - lookups0,
-                            dispatch.entries_matched - matched0,
-                            dispatch.entries_skipped - skipped0,
-                            dispatch.front_false_positives - false0,
-                        )
-                        route_memo[route_key] = route
-                    else:
-                        self.dispatch_memo_hits += 1
-                        dispatch.lookups += route[1]
-                        dispatch.entries_matched += route[2]
-                        dispatch.entries_skipped += route[3]
-                        dispatch.front_false_positives += route[4]
-                    route_groups = route[0]
-                    if not route_groups:
-                        self.records_prefiltered += 1
-                    for owner_registration, leaf_checks in route_groups:
-                        matcher = owner_registration.matcher
-                        survivors: List = []
-                        for leaf, checks in leaf_checks:
-                            if checks is None:
-                                survivors.append(leaf)
-                                continue
-                            attrs = edge.attrs
-                            for check in checks:
-                                if check(attrs):
-                                    survivors.append(leaf)
-                                    break
-                            else:
-                                self.leaves_pruned += 1
-                        if survivors:
-                            for match in matcher.process_edge_leaves(edge, survivors):
-                                found.append((owner_registration, match))
-                        else:
-                            # a fully-pruned visit's only observable effect
-                            # is the per-matcher edge counter; replay it so
-                            # matcher stats stay byte-identical
-                            matcher.stats.edges_processed += 1
-            else:
-                self._collect_matches(edge, found, expire=False)
-            for registration, match in found:
-                target = index  # every completion contains the current edge
-                for match_edge in match.edge_map.values():
-                    position = positions.get(match_edge.id)
-                    if position is not None and position > target:
-                        target = position
-                deferred.setdefault(target, []).append((registration, match))
-            due = deferred.pop(index, None)
-            if due:
-                self._emit_trigger(
-                    due,
-                    ts_col[index] if columnar else edge.timestamp,
-                    self.edges_processed,
-                    events,
-                )
-            self.edges_processed += 1
-            if stopwatch_start is not None:
-                self.latency.record(perf_counter() - stopwatch_start)
+        # What a route plan stands for per record -- one dispatch probe, one
+        # visit of each owner's matcher -- is counted in bulk when the run
+        # ends (also when it ends in an exception: a plan outlives the run,
+        # its tallies must not), so ``metrics()["dispatch"]`` and the
+        # per-matcher edge counters stay byte-identical to the interpreted path.
+        used: List[RoutePlan] = []
+        try:
+            self._dispatch_run(ingested, events, used)
+        finally:
+            for plan in used:
+                if not plan.entries:
+                    self.records_prefiltered += plan.uses
+                self.dispatch_memo_hits += plan.settle(self.dispatch)
         self.graph.evict_expired()
         # replans happen at run boundaries only: the replay-based migration
         # assumes quiescence, and a mid-run replay would mark the run's
@@ -1554,6 +1358,145 @@ class StreamWorksEngine:
             and self.edges_processed // interval > start_edges_processed // interval
         ):
             self.replan_all()
+
+    def _dispatch_run(
+        self,
+        ingested: Sequence[Optional[Edge]],
+        events: List[MatchEvent],
+        used: List[RoutePlan],
+    ) -> None:
+        """Step 4: route every live edge of a pre-ingested run and emit.
+
+        Emission anchoring: the run is pre-ingested, so a completion whose
+        edges all lie inside the run is *discovered* at whichever of its
+        edges happens to be dispatched first -- and which edge that is
+        depends on the active plan's leaf partition.  To keep detection
+        plan-independent (and equal to the per-record path), every
+        completion's emission is deferred to the dispatch of its LAST in-run
+        edge -- exactly the edge the per-record path would have completed it
+        on.  Deferral is safe within a run: nothing is evicted mid-run
+        (dead-on-arrival records are removed before any later record is
+        dispatched and can belong to no completion), and the
+        duplicate-suppression memory prevents a deferred match from being
+        rediscovered at its later edges.
+
+        On the columnar path a record is routed through its *route plan*
+        (:mod:`repro.core.route_plan`): found in ``dispatch.plans`` by
+        ``(label id, source label id, target label id)``, built on first
+        use, valid until the dispatch index next changes -- which happens
+        between runs only.  Plans touched are appended to ``used``; the
+        caller settles their per-run tallies.
+        """
+        positions: Dict[int, int] = {}
+        for index, edge in enumerate(ingested):
+            if edge is not None:
+                positions[edge.id] = index
+        deferred: Dict[int, List] = {}
+        record_latency = self.config.record_latency
+        columnar = self.config.columnar
+        if columnar:
+            self.batches_vectorized += 1
+            intern = self.interning.intern
+            dispatch = self.dispatch
+            binds = dispatch.binds
+            sketch_front = dispatch.sketch_enabled
+            plans = dispatch.plans
+            # endpoint label ids: constant within a run (matching never
+            # mutates the graph, dead-on-arrival evictions precede the loop)
+            endpoint_memo: Dict[VertexId, int] = {}
+        for index, edge in enumerate(ingested):
+            if edge is None:  # dead on arrival: counted, never matched
+                self.edges_processed += 1
+                continue
+            stopwatch_start = perf_counter() if record_latency else None
+            found: List = []
+            if not columnar:
+                self._collect_matches(edge, found, expire=False)
+            elif not binds(edge.label):
+                # no registered leaf has a query edge for this label: admit
+                # it to the intern table, count the lookup the oracle makes,
+                # and skip endpoint resolution and routing altogether
+                intern(edge.label)
+                self.records_prefiltered += 1
+                if not sketch_front:
+                    dispatch.lookups += 1
+                elif not dispatch.front_rejects(edge.label):  # counts its own probe
+                    dispatch.candidates(edge.label)
+            else:
+                sid = endpoint_memo.get(edge.source)
+                if sid is None:
+                    sid = endpoint_memo[edge.source] = self._endpoint_label_id(edge.source)
+                tid = endpoint_memo.get(edge.target)
+                if tid is None:
+                    tid = endpoint_memo[edge.target] = self._endpoint_label_id(edge.target)
+                route_key = (intern(edge.label), sid, tid)
+                plan = plans.get(route_key)
+                if plan is None:
+                    plan = self._build_route_plan(route_key, edge)
+                if not plan.uses:
+                    used.append(plan)
+                plan.uses += 1
+                attrs = edge.attrs
+                survivors = 0
+                searches: List = []
+                last_owner = None
+                for owner, leaf, checks in (
+                    plan.entries if plan.index is None else plan.index.select(attrs)
+                ):
+                    if checks is not None:
+                        for check in checks:
+                            if check(attrs):
+                                break
+                        else:
+                            continue
+                    survivors += 1
+                    if owner is last_owner:
+                        leaves.append(leaf)
+                    else:
+                        last_owner = owner
+                        leaves = [leaf]
+                        searches.append((owner, leaves))
+                self.leaves_pruned += len(plan.entries) - survivors
+                for owner, leaves in searches:
+                    owner.searched += 1
+                    registration = owner.registration
+                    for match in registration.matcher.process_edge_leaves(edge, leaves):
+                        found.append((registration, match))
+            for registration, match in found:
+                target = index  # every completion contains the current edge
+                for match_edge in match.edge_map.values():
+                    position = positions.get(match_edge.id)
+                    if position is not None and position > target:
+                        target = position
+                deferred.setdefault(target, []).append((registration, match))
+            due = deferred.pop(index, None)
+            if due:
+                self._emit_trigger(due, edge.timestamp, self.edges_processed, events)
+            self.edges_processed += 1
+            if stopwatch_start is not None:
+                self.latency.record(perf_counter() - stopwatch_start)
+
+    def _endpoint_label(self, vertex: VertexId) -> Optional[str]:
+        """Stored label of an edge endpoint (``None`` when it is not retained)."""
+        return self.graph.vertex(vertex).label if self.graph.has_vertex(vertex) else None
+
+    def _endpoint_label_id(self, vertex: VertexId) -> int:
+        """Intern id of an endpoint's stored label (``-1`` = no label to guard on)."""
+        label = self._endpoint_label(vertex)
+        return -1 if label is None else self.interning.intern(label)
+
+    def _build_route_plan(self, route_key: Tuple[int, int, int], edge: Edge) -> RoutePlan:
+        """Probe the dispatch index for ``edge``'s route and cache the plan."""
+        plan = build_route_plan(
+            self.dispatch,
+            self.queries,
+            edge.label,
+            self._endpoint_label(edge.source),
+            self._endpoint_label(edge.target),
+        )
+        self.dispatch.plans[route_key] = plan
+        self.dispatch.plans_built += 1
+        return plan
 
     def process_stream(self, stream: Iterable[StreamEdge]) -> List[MatchEvent]:
         """Ingest an entire stream; returns all events (also kept in ``collector``).

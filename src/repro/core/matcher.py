@@ -202,6 +202,16 @@ class ContinuousQueryMatcher:
     # ------------------------------------------------------------------
     # main entry points
     # ------------------------------------------------------------------
+    @property
+    def idle(self) -> bool:
+        """``True`` when :meth:`expire_partials` would find nothing to visit.
+
+        No stored match and no duplicate-suppression entry: the engine's
+        batched path skips the sweep call for such a matcher (most of a large
+        query set, most of the time, on short watermark-released runs).
+        """
+        return not (self._tree_stored or self._dedup_identities or self._dedup_edge_sets)
+
     def expire_partials(self, now: float) -> int:
         """Sweep partial matches that can no longer complete; return the count dropped.
 

@@ -1344,7 +1344,7 @@ class ShardedStreamEngine:
             "stats_backend": "countmin" if self.config.engine.sketch_stats else "exact",
         }
         # columnar rollup: the hot-path counters sum cleanly over shards
-        # (each shard owns a private intern table and dispatch memos);
+        # (each shard owns a private intern table and route-plan cache);
         # interned_labels reports the PARENT table -- the registered
         # vocabulary every shard agrees on -- not a sum, because the same
         # label interned on four shards is one label, not four

@@ -202,8 +202,7 @@ class DynamicGraph:
             self._edges_evicted += 1
             if self.evict_isolated_vertices:
                 for endpoint in edge.endpoints:
-                    if self.graph.has_vertex(endpoint) and self.graph.degree(endpoint) == 0:
-                        self.graph.remove_vertex(endpoint)
+                    self.graph.remove_isolated_vertex(endpoint)
         if evicted:
             for listener in self._eviction_listeners:
                 for edge in evicted:

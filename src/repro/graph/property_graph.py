@@ -149,6 +149,25 @@ class PropertyGraph:
         self._adjacency.remove_vertex(vertex_id)
         return vertex
 
+    def remove_isolated_vertex(self, vertex_id: VertexId) -> bool:
+        """Remove ``vertex_id`` if it is stored with no incident edge; say whether.
+
+        Window eviction's path: it has just removed the vertex's last edge,
+        so there is nothing to cascade to and :meth:`remove_vertex`'s
+        incident-edge sweep would only re-prove that.
+        """
+        if self._adjacency.degree(vertex_id):
+            return False
+        vertex = self._vertices.pop(vertex_id, None)
+        if vertex is None:
+            return False
+        labelled = self._vertices_by_label[vertex.label]
+        del labelled[vertex_id]
+        if not labelled:
+            del self._vertices_by_label[vertex.label]
+        self._adjacency.remove_vertex(vertex_id)
+        return True
+
     # ------------------------------------------------------------------
     # edges
     # ------------------------------------------------------------------

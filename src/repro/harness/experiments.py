@@ -2168,14 +2168,14 @@ def experiment_columnar_hot_path(
 
     * ``interpreted`` -- ``EngineConfig(columnar=False)``: per-record
       predicate-tree walks, the pre-columnar semantics verbatim;
-    * ``columnar`` -- ``columnar=True`` (the default): struct-of-arrays
-      batches, memoised label prefiltering, compiled predicate closures.
+    * ``columnar`` -- ``columnar=True`` (the default): cached route plans
+      with an interval index over the bands, compiled predicate closures.
 
-    **Asserted at every scale** (deterministic, so the CI smoke checks it
-    too): both runs emit byte-for-byte identical events -- same matches,
-    order, detection timestamps and sequence numbers.  The wall-clock
-    multiple (``speedup_columnar``) is reported at every scale but only
-    *thresholded* at full scale, by ``benchmarks/bench_columnar.py``.
+    **Asserted at every scale** (deterministic): both runs emit
+    byte-for-byte identical events -- same matches, order, detection
+    timestamps and sequence numbers.  The wall-clock multiple
+    (``speedup_columnar``) is reported, never thresholded: speed claims
+    are ``bench/run.py --compare`` diffs.
     """
     edge_count = max(600, int(8000 * scale))
     queries = _predicate_banded_chain_queries(query_count, chain_length)

@@ -15,7 +15,7 @@ replicates the interpreted semantics bit for bit:
   / ``AttrCompare``), ``AttrExists`` is pure key presence;
 * ``AttrRange`` / ``AttrCompare`` treat a ``TypeError`` from the comparison
   (mixed-type attribute values) as ``False``, with the same bound and
-  exclusivity logic;
+  exclusivity logic; ``AttrIn`` does the same for an unhashable value;
 * an empty ``And`` is true, an empty ``Or`` is false;
 * :class:`~repro.query.predicates.CustomPredicate` (and any unknown
   ``Predicate`` subclass) is opaque and used as its own compiled form --
@@ -39,7 +39,7 @@ may simultaneously drive a columnar and an interpreted engine.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .predicates import (
     _COMPARATORS,
@@ -56,7 +56,15 @@ from .predicates import (
 )
 from .query_graph import QueryEdge, QueryGraph, QueryVertex
 
-__all__ = ["AttrCheck", "CompiledQuery", "compile_predicate", "referenced_attr_names"]
+__all__ = [
+    "AttrCheck",
+    "CompiledQuery",
+    "Interval",
+    "compile_predicate",
+    "key_intervals",
+    "referenced_attr_names",
+    "union_intervals",
+]
 
 #: A compiled attribute test: same call shape as ``Predicate.__call__``.
 AttrCheck = Callable[[Mapping[str, Any]], bool]
@@ -75,7 +83,12 @@ def _compile_in(predicate: AttrIn) -> AttrCheck:
     key, values = predicate.key, predicate.values
 
     def check(attrs: Mapping[str, Any]) -> bool:
-        return key in attrs and attrs[key] in values
+        if key not in attrs:
+            return False
+        try:
+            return attrs[key] in values
+        except TypeError:  # unhashable value: a member of no frozenset
+            return False
 
     return check
 
@@ -246,6 +259,137 @@ def referenced_attr_names(predicate: Predicate) -> List[str]:
 
     walk(predicate)
     return names
+
+
+#: Necessary numeric interval ``(low, low_exclusive, high, high_exclusive)``
+#: for one attribute key; a ``None`` bound is unbounded on that side.
+Interval = Tuple[Optional[float], bool, Optional[float], bool]
+
+
+def _numeric_bound(value: Any) -> Optional[float]:
+    """``value`` when it is a plain, non-NaN ``int`` / ``float``, else ``None``."""
+    kind = type(value)
+    if (kind is int or kind is float) and value == value:
+        return value  # type: ignore[no-any-return]
+    return None
+
+
+def _intersect(first: Interval, second: Interval) -> Interval:
+    low, low_exclusive, high, high_exclusive = first
+    other_low, other_low_exclusive, other_high, other_high_exclusive = second
+    if other_low is not None:
+        if low is None or other_low > low:
+            low, low_exclusive = other_low, other_low_exclusive
+        elif other_low == low:
+            low_exclusive = low_exclusive or other_low_exclusive
+    if other_high is not None:
+        if high is None or other_high < high:
+            high, high_exclusive = other_high, other_high_exclusive
+        elif other_high == high:
+            high_exclusive = high_exclusive or other_high_exclusive
+    return low, low_exclusive, high, high_exclusive
+
+
+def _hull(first: Interval, second: Interval) -> Interval:
+    low, low_exclusive, high, high_exclusive = first
+    other_low, other_low_exclusive, other_high, other_high_exclusive = second
+    if low is not None:
+        if other_low is None or other_low < low:
+            low, low_exclusive = other_low, other_low_exclusive
+        elif other_low == low:
+            low_exclusive = low_exclusive and other_low_exclusive
+    if high is not None:
+        if other_high is None or other_high > high:
+            high, high_exclusive = other_high, other_high_exclusive
+        elif other_high == high:
+            high_exclusive = high_exclusive and other_high_exclusive
+    return low, low_exclusive, high, high_exclusive
+
+
+def union_intervals(alternatives: Iterable[Mapping[str, Interval]]) -> Dict[str, Interval]:
+    """Intervals necessary for *any one* of ``alternatives`` to hold.
+
+    A key stays constrained only when every alternative constrains it (the
+    hull of their intervals); no alternatives at all constrain nothing.
+    """
+    merged: Optional[Dict[str, Interval]] = None
+    for intervals in alternatives:
+        if merged is None:
+            merged = dict(intervals)
+        else:
+            merged = {
+                key: _hull(interval, intervals[key])
+                for key, interval in merged.items()
+                if key in intervals
+            }
+        if not merged:
+            return {}
+    return merged or {}
+
+
+def _range_interval(predicate: AttrRange) -> Dict[str, Interval]:
+    low = _numeric_bound(predicate.low)
+    high = _numeric_bound(predicate.high)
+    if low is None and high is None:
+        return {}
+    return {
+        predicate.key: (
+            low,
+            low is not None and bool(predicate.low_exclusive),
+            high,
+            high is not None and bool(predicate.high_exclusive),
+        )
+    }
+
+
+def _compare_interval(key: str, op: str, value: Any) -> Dict[str, Interval]:
+    bound = _numeric_bound(value)
+    if bound is None or op == "!=":
+        return {}
+    if op == "==":
+        return {key: (bound, False, bound, False)}
+    if op == "<" or op == "<=":
+        return {key: (None, False, bound, op == "<")}
+    return {key: (bound, op == ">", None, False)}
+
+
+def _and_intervals(predicate: And) -> Dict[str, Interval]:
+    merged: Dict[str, Interval] = {}
+    for child in predicate.predicates:
+        for key, interval in key_intervals(child).items():
+            known = merged.get(key)
+            merged[key] = interval if known is None else _intersect(known, interval)
+    return merged
+
+
+def key_intervals(predicate: Predicate) -> Dict[str, Interval]:
+    """Return the numeric interval each attribute key *must* fall in.
+
+    ``key -> interval`` promises: whenever ``predicate`` accepts ``attrs``,
+    ``key`` is present, and if ``attrs[key]`` is a plain non-NaN ``int`` /
+    ``float`` it lies inside the interval.  It is a necessary condition
+    only -- route plans use it to skip leaves whose compiled check would
+    certainly fail, and the check itself still decides.  ``AttrRange``,
+    ``AttrCompare`` (all but ``!=``) and ``AttrEquals`` with plain numeric
+    constants constrain their key; ``And`` intersects, ``Or`` takes the
+    hull when every disjunct constrains the key; everything else (``Not``,
+    ``AttrIn``, ``AttrExists``, opaque predicates) constrains nothing.
+    Exact-type dispatch, for the reason :func:`compile_predicate` gives.
+    """
+    kind = type(predicate)
+    if kind is AttrRange:
+        return _range_interval(predicate)  # type: ignore[arg-type]
+    if kind is AttrCompare:
+        return _compare_interval(predicate.key, predicate.op, predicate.value)  # type: ignore[attr-defined]
+    if kind is AttrEquals:
+        return _compare_interval(predicate.key, "==", predicate.value)  # type: ignore[attr-defined]
+    if kind is And:
+        return _and_intervals(predicate)  # type: ignore[arg-type]
+    if kind is Or:
+        return union_intervals(
+            key_intervals(child) for child in predicate.predicates  # type: ignore[attr-defined]
+        )
+    return {}
 
 
 class CompiledQuery:

@@ -97,14 +97,19 @@ class AttrEquals(Predicate):
 
 
 class AttrIn(Predicate):
-    """``attrs[key] in values``; missing keys fail."""
+    """``attrs[key] in values``; missing keys and unhashable values fail."""
 
     def __init__(self, key: str, values: Iterable[Any]):
         self.key = key
         self.values = frozenset(values)
 
     def __call__(self, attrs: Mapping[str, Any]) -> bool:
-        return key_present(attrs, self.key) and attrs[self.key] in self.values
+        if not key_present(attrs, self.key):
+            return False
+        try:
+            return attrs[self.key] in self.values
+        except TypeError:  # unhashable value: a member of no frozenset
+            return False
 
     def describe(self) -> str:
         return f"{self.key} in {sorted(map(repr, self.values))}"

@@ -62,6 +62,27 @@ class TestEviction:
         assert not graph.has_vertex("b")
         assert graph.vertex_count() == 2
 
+    def test_eviction_leaves_the_store_as_vertex_removal_would(self):
+        """The eviction path removes isolated endpoints directly; the result
+        (vertices, label buckets, adjacency, snapshot) must be what the
+        cascading ``remove_vertex`` leaves behind."""
+        def stream(graph):
+            graph.ingest("a", "a", "loop", 0.0, source_label="Host", target_label="Host")
+            graph.ingest("a", "b", "link", 0.5, source_label="Host", target_label="User")
+            graph.ingest("b", "c", "link", 3.0, source_label="User", target_label="Host")
+            graph.ingest("c", "d", "link", 7.0, source_label="Host", target_label="Host")
+
+        fast = DynamicGraph(window=TimeWindow(5.0))
+        stream(fast)
+        slow = DynamicGraph(window=TimeWindow(5.0), evict_isolated_vertices=False)
+        stream(slow)
+        for vertex in [v.id for v in slow.vertices() if slow.degree(v.id) == 0]:
+            slow.graph.remove_vertex(vertex)
+        assert fast.edges_evicted == slow.edges_evicted == 2
+        assert {v.id for v in fast.vertices()} == {"b", "c", "d"}
+        assert fast.graph.state_dict() == slow.graph.state_dict()
+        assert fast.graph.vertex_labels() == {"User", "Host"}
+
     def test_isolated_vertex_retention_can_be_disabled(self):
         graph = DynamicGraph(window=TimeWindow(5.0), evict_isolated_vertices=False)
         graph.ingest("a", "b", "link", 0.0)

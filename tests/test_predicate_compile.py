@@ -132,6 +132,27 @@ def test_fuzzed_comparisons_match_typeerror_semantics(attrs, key, bound, op):
     assert evaluate_compiled(range_pred, attrs) == bool(range_pred(attrs))
 
 
+@given(
+    value=st.recursive(
+        st.one_of(st.sampled_from(["tcp", "udp", 80, None]), st.integers(0, 3)),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=3),
+            st.dictionaries(st.sampled_from(["tcp", "k"]), inner, max_size=2),
+        ),
+        max_leaves=6,
+    )
+)
+@settings(max_examples=80, deadline=None, suppress_health_check=SUPPRESS)
+def test_attr_in_unhashable_values_fail_in_both_forms(value):
+    """Lists and dicts (at any depth) are members of no frozenset: both the
+    interpreted and the compiled ``AttrIn`` answer False instead of raising."""
+    for predicate in (AttrIn("proto", ["tcp", "udp"]), AttrIn("proto", [80, "8080", None])):
+        interpreted = predicate({"proto": value})
+        assert evaluate_compiled(predicate, {"proto": value}) is interpreted
+        if isinstance(value, (list, dict)):
+            assert interpreted is False
+
+
 # ----------------------------------------------------------------------
 # referenced_attr_names: the interning contract
 # ----------------------------------------------------------------------

@@ -35,6 +35,15 @@ class TestBasicPredicates:
         assert not predicate({"proto": "icmp"})
         assert not predicate({})
 
+    def test_attr_in_treats_an_unhashable_value_as_not_in(self):
+        """Regression: a list/dict/set attribute raised ``TypeError: unhashable
+        type`` out of the frozenset probe (AttrRange / AttrCompare already map
+        a TypeError to False), tearing whatever batch carried the record."""
+        predicate = AttrIn("proto", ["tcp", "udp"])
+        for value in (["tcp"], {"tcp": 1}, {"tcp"}, [["tcp"]]):
+            assert predicate({"proto": value}) is False
+        assert (~predicate)({"proto": ["tcp"]})
+
     def test_attr_exists(self):
         predicate = AttrExists("flag")
         assert predicate({"flag": None})

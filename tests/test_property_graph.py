@@ -58,6 +58,25 @@ class TestVertices:
         assert graph.edge_count() == 0
         assert graph.degree("b") == 0
 
+    def test_remove_isolated_vertex_only_removes_edgeless_stored_vertices(self):
+        graph = PropertyGraph()
+        graph.add_vertex("a", "Host")
+        graph.add_vertex("b", "Host")
+        graph.add_vertex("u", "User")
+        edge = graph.add_edge("a", "b", "link", 1.0)
+        assert not graph.remove_isolated_vertex("a")  # still has an edge
+        assert not graph.remove_isolated_vertex("ghost")  # never stored
+        assert graph.remove_isolated_vertex("u")
+        assert not graph.has_vertex("u")
+        assert graph.vertex_labels() == {"Host"}  # the emptied label bucket went too
+        graph.remove_edge(edge.id)
+        assert graph.remove_isolated_vertex("a") and graph.remove_isolated_vertex("b")
+        assert not graph.remove_isolated_vertex("a")  # a self loop names its vertex twice
+        assert graph.vertex_count() == 0 and graph.vertex_labels() == set()
+        # the vertex can come back with a different label afterwards
+        graph.add_vertex("a", "User")
+        assert graph.vertex("a").label == "User" and graph.degree("a") == 0
+
 
 class TestEdges:
     def test_add_edge_requires_existing_endpoints(self):

@@ -120,6 +120,9 @@ EDGE_CASE_ATTRS = SAMPLE_ATTRS + [
     {"maybe": None},
     {"ratio": 0.25, "bytes": 100, "port": 1024, "proto": "tcp"},
     {"bytes": "not-a-number"},
+    # unhashable values: a malformed record must fail AttrIn, not raise
+    {"proto": ["tcp"], "port": [80]},
+    {"proto": {"name": "tcp"}, "port": {443}},
 ]
 
 
