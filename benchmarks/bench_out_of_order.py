@@ -16,12 +16,10 @@ Assertions, deliberately separated:
   sharded) must emit exactly the sorted-stream oracle's match multiset, with
   zero late records, and every record must ride the batched fast path (the
   deterministic ``ingest_paths`` counters, asserted at every scale).
-* **Throughput is asserted at full scale only**: the reordered path must be
-  >= 2x the engine's slowest standing out-of-order path (the dispatch-off
-  per-record scan, the same baseline E11 uses) and must at least match the
-  indexed per-record fallback -- which it beats while *also* closing the
-  fallback's silent recall gap (the per-record path loses matches whenever
-  disorder approaches a query window).
+* **Throughput is asserted at full scale only**: the reordered path must at
+  least match the per-record fallback -- which it beats while *also*
+  closing the fallback's silent recall gap (the per-record path loses
+  matches whenever disorder approaches a query window).
 
 Runnable standalone (CI smoke)::
 
@@ -31,9 +29,7 @@ Runnable standalone (CI smoke)::
 from repro.harness.experiments import experiment_out_of_order_throughput
 from repro.harness.reporting import format_report
 
-#: Reordered-vs-seed-scan wall-clock threshold (full scale only).
-REQUIRED_SPEEDUP_SEED_SCAN = 2.0
-#: The reordered path must not lose to the indexed per-record fallback.
+#: The reordered path must not lose to the per-record fallback.
 REQUIRED_SPEEDUP_PER_RECORD = 1.0
 
 
@@ -47,13 +43,9 @@ def check_result(result, assert_speedup=True):
         "shuffled records fell off the batched fast path despite the reorder buffer"
     )
     if assert_speedup:
-        assert result["speedup_vs_seed_scan"] >= REQUIRED_SPEEDUP_SEED_SCAN, (
-            f"reordered speedup {result['speedup_vs_seed_scan']:.2f}x vs the "
-            f"out-of-order seed scan is below {REQUIRED_SPEEDUP_SEED_SCAN}x"
-        )
         assert result["speedup_vs_per_record"] >= REQUIRED_SPEEDUP_PER_RECORD, (
             f"reordered speedup {result['speedup_vs_per_record']:.2f}x vs the "
-            f"indexed per-record fallback is below {REQUIRED_SPEEDUP_PER_RECORD}x"
+            f"per-record fallback is below {REQUIRED_SPEEDUP_PER_RECORD}x"
         )
 
 
@@ -97,8 +89,7 @@ if __name__ == "__main__":
     print("conformance OK; fast path retained", end="")
     if not args.tiny:
         print(
-            f"; reordered {result['speedup_vs_seed_scan']:.2f}x vs seed scan, "
-            f"{result['speedup_vs_per_record']:.2f}x vs per-record fallback "
+            f"; reordered {result['speedup_vs_per_record']:.2f}x vs per-record fallback "
             f"(recall {result['fallback_recall']:.3f} -> 1.000)"
         )
     else:

@@ -122,7 +122,6 @@ def check_metrics_coverage(errors: list) -> None:
     single = StreamWorksEngine(
         config=EngineConfig(
             allowed_lateness=1.0,
-            sketch_dispatch=True,
             dedup_memory_budget=16,
             sketch_stats=True,
         )
@@ -144,11 +143,7 @@ def check_metrics_coverage(errors: list) -> None:
         "async front-end stats": frontend.stats(),
         # the sketch surface is nested one level; flatten so every leaf
         # counter (and the sub-surface names themselves) is enforced
-        "sketch stats": {
-            **sketch,
-            **sketch["dispatch_front"],
-            **sketch["dedup_memory"],
-        },
+        "sketch stats": {**sketch, **sketch["dedup_memory"]},
         # flat already, but enforced as its own surface so a new columnar
         # counter cannot ship undocumented
         "columnar stats": single.metrics()["columnar"],

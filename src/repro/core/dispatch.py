@@ -23,8 +23,10 @@ At ingest time :meth:`DispatchIndex.candidates` looks up
 guards against the *stored* endpoint labels of the new edge, and returns
 the (query, leaf) pairs that can possibly match -- grouped by query in
 registration order and, within a query, in SJ-Tree leaf order, so the
-engine's event order is bit-identical to the unindexed loop.  An edge
-whose label appears in no registered primitive skips matching entirely.
+engine's event order is that of a loop over every leaf of every query.  An
+edge whose label appears in no registered primitive is turned away by
+:meth:`DispatchIndex.front_rejects` before its endpoints are even looked
+up.
 
 The guards are deliberately *necessary but not sufficient*: attribute
 predicates are dynamic and stay in the local search.  Filtering here can
@@ -38,7 +40,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from ..query.query_graph import QueryGraph
-from ..sketch import CountingBloomFilter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .route_plan import RoutePlan
@@ -58,7 +59,7 @@ class LeafDispatchEntry:
         point).
     order:
         ``(registration sequence, leaf index)`` -- total order preserving
-        the unindexed loop's iteration order.
+        the every-leaf loop's iteration order.
     primitive:
         The leaf's query subgraph; its edges are compiled into guards.
     """
@@ -146,32 +147,13 @@ class DispatchIndex:
     Counters (``lookups``, ``entries_matched``, ``entries_skipped``) expose
     how much work the index saved; the engine surfaces them in
     :meth:`~repro.core.engine.StreamWorksEngine.metrics`.
-
-    With ``sketch=True`` a counting Bloom front guards the negative path:
-    :meth:`front_rejects` answers "this label binds nothing" from a few
-    cache-resident counter cells *before* the caller resolves endpoint
-    vertex labels or probes the dict, which is where the high-cardinality
-    negative-lookup win comes from.  The front is exact-by-construction in
-    the reject direction (a label is only rejected when its counting cells
-    are empty, and every registered entry-label pair increments its cells),
-    so sketch-on routing returns byte-identical candidates.  Unregistration
-    decrements the same cells; skipping a decrement leaves stale cells that
-    show up as ``front_false_positives`` instead of ``front_rejections``.
     """
 
-    def __init__(
-        self,
-        sketch: bool = False,
-        sketch_bits: int = 2048,
-        sketch_seed: int = 47,
-    ) -> None:
+    def __init__(self) -> None:
         self._by_label: Dict[str, List[LeafDispatchEntry]] = {}
         self._wildcard: List[LeafDispatchEntry] = []
         self._by_owner: Dict[str, List[LeafDispatchEntry]] = {}
         self._registration_seq = 0
-        self._front: Optional[CountingBloomFilter] = (
-            CountingBloomFilter(bits=sketch_bits, seed=sketch_seed) if sketch else None
-        )
         #: Bumped by every :meth:`register` / :meth:`unregister` (a replan
         #: re-registers), each of which also empties ``plans``.
         self.version = 0
@@ -184,9 +166,6 @@ class DispatchIndex:
         self.lookups = 0
         self.entries_matched = 0
         self.entries_skipped = 0
-        self.front_probes = 0
-        self.front_rejections = 0
-        self.front_false_positives = 0
 
     # ------------------------------------------------------------------
     # registration
@@ -197,8 +176,8 @@ class DispatchIndex:
         ``leaves`` is an iterable of SJ-Tree leaf nodes (objects with ``id``
         and ``subgraph`` attributes) in decomposition order.  Re-registering
         an owner (after a re-plan) replaces its entries but keeps the owner's
-        original position in the dispatch order, so indexed and unindexed
-        event order stay identical across re-plans.
+        original position in the dispatch order, so event order stays that
+        of the every-leaf loop across re-plans.
         """
         existing = self._by_owner.get(owner)
         if existing:
@@ -208,17 +187,11 @@ class DispatchIndex:
             seq = self._registration_seq
             self._registration_seq += 1
         entries: List[LeafDispatchEntry] = []
-        front = self._front
         for index, leaf in enumerate(leaves):
             entry = LeafDispatchEntry(owner, leaf.id, (seq, index), leaf.subgraph)
             entries.append(entry)
             for label in entry.labels:
                 self._by_label.setdefault(label, []).append(entry)
-                if front is not None:
-                    # one counting-cell increment per (entry, label) pair,
-                    # mirroring the _by_label appends so unregister's
-                    # decrements restore the cells exactly
-                    front.add(label.encode("utf-8"))
             if entry.has_wildcard:
                 self._wildcard.append(entry)
         self._by_owner[owner] = entries
@@ -229,13 +202,6 @@ class DispatchIndex:
         entries = self._by_owner.pop(owner, None)
         if not entries:
             return
-        front = self._front
-        if front is not None:
-            # symmetric counting-cell decrements: one per (entry, label)
-            # pair added at registration time
-            for entry in entries:
-                for label in entry.labels:
-                    front.remove(label.encode("utf-8"))
         dropped = set(id(entry) for entry in entries)
         # insertion-ordered dedupe: bucket rewrites below mutate _by_label,
         # whose key order is observable (stats, wildcard rebuilds), so the
@@ -266,41 +232,19 @@ class DispatchIndex:
     # ------------------------------------------------------------------
     # hot-path lookup
     # ------------------------------------------------------------------
-    def binds(self, edge_label: str) -> bool:
-        """Return ``True`` when some registered leaf has a query edge for the label.
-
-        The exact, counter-free form of the question :meth:`front_rejects`
-        answers approximately: a label that binds nothing needs neither its
-        endpoint labels resolved nor a route plan.  A wildcard query edge
-        binds every label.
-        """
-        return edge_label in self._by_label or bool(self._wildcard)
-
     def front_rejects(self, edge_label: str) -> bool:
-        """Return ``True`` when the sketch front proves ``edge_label`` binds nothing.
+        """Return ``True`` when no registered leaf can bind ``edge_label``.
 
-        Called by the engine *before* it resolves the edge's endpoint vertex
-        labels: a front rejection skips both graph probes and the full
-        :meth:`candidates` call.  Rejection is only claimed when the label's
-        counting cells are empty -- impossible for any registered label -- so
-        the short-circuit is exact.  Wildcard entries disable the front
-        (every label can bind), and a rejected probe still counts as a
-        ``lookups`` tick so sketch-on and sketch-off counter streams agree.
+        The gate in front of routing: a label no leaf has a query edge for
+        (and no wildcard query edge exists) needs neither its endpoint
+        labels resolved nor a :meth:`candidates` probe.  A rejection counts
+        the ``lookups`` tick that probe would have, so the counter reads the
+        same whichever way a caller asks.
         """
-        front = self._front
-        if front is None or self._wildcard:
+        if edge_label in self._by_label or self._wildcard:
             return False
-        self.front_probes += 1
-        if front.might_contain(edge_label.encode("utf-8")):
-            return False
-        self.front_rejections += 1
         self.lookups += 1
         return True
-
-    @property
-    def sketch_enabled(self) -> bool:
-        """``True`` when the counting Bloom front is active."""
-        return self._front is not None
 
     def candidates(
         self,
@@ -311,16 +255,12 @@ class DispatchIndex:
         """Return ``[(owner, [leaf ids])]`` that could bind the described edge.
 
         Owners appear in registration order and leaf ids in SJ-Tree leaf
-        order, matching the iteration order of the unindexed per-edge loop so
-        the engine's event order is unchanged.
+        order, matching the iteration order of a loop over every leaf of
+        every query, so the engine's event order is unchanged.
         """
         self.lookups += 1
         labelled = self._by_label.get(edge_label)
         if not labelled and not self._wildcard:
-            if self._front is not None:
-                # the front said "maybe" (otherwise front_rejects would have
-                # short-circuited this call) but the exact table disagrees
-                self.front_false_positives += 1
             return []
         matched: List[LeafDispatchEntry] = []
         if self._wildcard:
@@ -363,9 +303,6 @@ class DispatchIndex:
             "lookups": self.lookups,
             "entries_matched": self.entries_matched,
             "entries_skipped": self.entries_skipped,
-            "front_probes": self.front_probes,
-            "front_rejections": self.front_rejections,
-            "front_false_positives": self.front_false_positives,
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -13,11 +13,10 @@ role played by the C++ query engine plus UI in the demo).  It owns
 The ingest hot path is indexed: a shared
 :class:`~repro.core.dispatch.DispatchIndex` maps edge labels (plus endpoint
 vertex-label guards) to the (query, SJ-Tree leaf) pairs that can possibly
-bind them, so an edge only pays for the primitives it can affect --
-``EngineConfig(use_dispatch_index=False)`` restores the exhaustive
-every-leaf-every-edge loop (the two are match-for-match equivalent).
-:meth:`StreamWorksEngine.process_batch` additionally amortises work across a
-batch: the whole batch is ingested (with eviction deferred), expiry is swept
+bind them, so an edge only pays for the primitives it can affect; a label
+no registered leaf can bind is turned away before its endpoints are even
+looked up.  :meth:`StreamWorksEngine.process_batch` additionally amortises
+work across a batch: the whole batch is ingested (with eviction deferred), expiry is swept
 once per matcher instead of once per edge, and each edge is then dispatched
 through the index.  Internally out-of-order batches are split at their
 inversion points so the ordered runs keep that fast path, and
@@ -154,9 +153,10 @@ class EngineConfig:
       ``store_complete_matches``;
     * **planning**: ``collect_statistics`` / ``track_triads`` (the
       statistics the planner consumes), ``plan_strategy``,
-      ``primitive_size``, ``auto_replan_interval``;
-    * **ingest**: ``use_dispatch_index`` (label-indexed dispatch + the
-      batched fast path), ``record_latency`` / ``latency_sample_cap``;
+      ``primitive_size``, ``replan_threshold`` / ``replan_check_every``
+      (error-driven replanning);
+    * **ingest**: ``columnar`` (the compiled hot path),
+      ``record_latency`` / ``latency_sample_cap``;
     * **event time**: ``allowed_lateness`` (float, ``"adaptive"``, or
       ``None``), ``late_policy``, ``idle_source_timeout`` -- see the
       per-attribute comments below and
@@ -175,8 +175,6 @@ class EngineConfig:
         plan_strategy: str = Strategy.SELECTIVITY,
         primitive_size: int = 2,
         record_latency: bool = True,
-        auto_replan_interval: Optional[int] = None,
-        use_dispatch_index: bool = True,
         latency_sample_cap: Optional[int] = LatencyRecorder.DEFAULT_CAP,
         allowed_lateness: Optional[Union[float, str]] = None,
         late_policy: str = LatePolicy.DROP,
@@ -185,7 +183,6 @@ class EngineConfig:
         checkpoint_path: Optional[str] = None,
         replan_threshold: Optional[float] = None,
         replan_check_every: Optional[int] = None,
-        sketch_dispatch: bool = False,
         dedup_memory_budget: Optional[int] = None,
         sketch_stats: bool = False,
         columnar: bool = True,
@@ -198,24 +195,9 @@ class EngineConfig:
         self.plan_strategy = plan_strategy
         self.primitive_size = primitive_size
         self.record_latency = record_latency
-        #: Route each edge through the shared label dispatch index so only the
-        #: (query, leaf) pairs that can bind it are searched.  ``False``
-        #: restores the exhaustive per-edge loop over every registered leaf;
-        #: the two paths produce identical matches in identical order.  The
-        #: flag also gates the :meth:`StreamWorksEngine.process_batch` fast
-        #: path (batch ingest + one expiry sweep per matcher per batch).
-        self.use_dispatch_index = use_dispatch_index
         #: Reservoir size for the engine's per-edge latency recorder
         #: (``None`` retains every sample -- unbounded, diagnostics only).
         self.latency_sample_cap = latency_sample_cap
-        #: Re-plan every registered query after this many ingested edges, using
-        #: the statistics collected so far.  ``None`` (default) disables the
-        #: behaviour.  This implements the paper's stated future work of
-        #: "continuously collecting the statistics information from the data
-        #: stream and updating the query decomposition and search strategy".
-        if auto_replan_interval is not None and auto_replan_interval <= 0:
-            raise ValueError("auto_replan_interval must be positive or None")
-        self.auto_replan_interval = auto_replan_interval
         #: Event-time ingestion: when set, the engine owns a
         #: :class:`~repro.streaming.sources.MultiSourceReorderBuffer` with
         #: this lateness horizon (one watermark per record ``source_id``,
@@ -278,9 +260,12 @@ class EngineConfig:
                 raise ValueError("checkpoint_every requires a checkpoint_path to save to")
         self.checkpoint_every = checkpoint_every
         self.checkpoint_path = checkpoint_path
-        #: Adaptive replanning: maximum tolerated relative error between a
-        #: plan's recorded selectivity estimates and the live estimates the
-        #: current statistics would produce (per primitive; the plan's worst
+        #: Adaptive replanning -- the paper's stated future work of
+        #: "continuously collecting the statistics information from the data
+        #: stream and updating the query decomposition and search strategy":
+        #: maximum tolerated relative error between a plan's recorded
+        #: selectivity estimates and the live estimates the current
+        #: statistics would produce (per primitive; the plan's worst
         #: primitive is scored).  When a query's error exceeds the threshold
         #: at a replan check, the query is re-planned at that quiescent
         #: boundary with live partial-match state migrated -- the match set
@@ -318,19 +303,6 @@ class EngineConfig:
             if replan_check_every <= 0:
                 raise ValueError("replan_check_every must be a positive edge count or None")
         self.replan_check_every = replan_check_every
-        #: Front the dispatch index with a counting Bloom filter so edges
-        #: whose label binds no registered leaf are rejected before endpoint
-        #: vertex labels are resolved or the routing dict is probed.  The
-        #: front is exact in the reject direction, so routing -- and
-        #: therefore every event -- is byte-identical with the flag on or
-        #: off (``tests/test_sketch.py`` differential suite).  Requires
-        #: ``use_dispatch_index``.
-        self.sketch_dispatch = bool(sketch_dispatch)
-        if self.sketch_dispatch and not use_dispatch_index:
-            raise ValueError(
-                "sketch_dispatch requires use_dispatch_index=True: the Bloom "
-                "front guards the dispatch index's negative-lookup path"
-            )
         #: Bound each matcher's duplicate-suppression stores to this many
         #: entries (``None`` = unbounded, the historical behaviour).  Entries
         #: expire against the graph retention window regardless; the budget
@@ -490,7 +462,7 @@ class StreamWorksEngine:
             )
             self.summarizer.follow(self.graph)
         self.queries: Dict[str, RegisteredQuery] = {}
-        self.dispatch = DispatchIndex(sketch=config.sketch_dispatch)
+        self.dispatch = DispatchIndex()
         #: Stream-boundary intern table: vertex/edge labels and predicate
         #: attribute names to dense ints.  Query vocabulary is interned at
         #: registration (deterministic: label order within the query, then
@@ -886,10 +858,8 @@ class StreamWorksEngine:
     ) -> List[MatchEvent]:
         """Ingest one raw edge and run the affected registered queries against it.
 
-        With the dispatch index enabled (the default) only the (query, leaf)
-        pairs whose primitives can bind the edge's label and endpoint labels
-        are searched; with it disabled every leaf of every query is searched.
-        Both paths yield identical events in identical order.
+        Only the (query, leaf) pairs whose primitives can bind the edge's
+        label and endpoint labels are searched (see :meth:`_collect_matches`).
 
         An edge so late that it falls outside the retention horizon on
         arrival (``timestamp <= stream clock - retention``) is evicted by
@@ -933,7 +903,6 @@ class StreamWorksEngine:
             # nothing coherent to match it against
             self.records_dead_on_arrival += 1
         self.edges_processed += 1
-        self._maybe_auto_replan()
         self.throughput.add(1)
         self.throughput.stop()
         if stopwatch_start is not None:
@@ -950,36 +919,22 @@ class StreamWorksEngine:
         :meth:`_emit_trigger`).  ``expire=False`` skips the per-matcher
         expiry sweep (the batched path sweeps once per batch instead).
         """
-        if self.config.use_dispatch_index:
-            if self.dispatch.front_rejects(edge.label):
-                # sketch front proved no registered leaf can bind this label;
-                # skip endpoint-label resolution and the dict probe entirely
-                return
-            source_label = (
-                self.graph.vertex(edge.source).label if self.graph.has_vertex(edge.source) else None
-            )
-            target_label = (
-                self.graph.vertex(edge.target).label if self.graph.has_vertex(edge.target) else None
-            )
-            for owner, leaf_ids in self.dispatch.candidates(edge.label, source_label, target_label):
-                registration = self.queries.get(owner)
-                if registration is None:  # pragma: no cover - defensive
-                    continue
-                matcher = registration.matcher
-                if expire:
-                    matcher.expire_partials(edge.timestamp)
-                leaves = [matcher.tree.node(leaf_id) for leaf_id in leaf_ids]
-                for match in matcher.process_edge_leaves(edge, leaves):
-                    found.append((registration, match))
-        else:
-            for registration in self.queries.values():
-                matcher = registration.matcher
-                if expire:
-                    matches = matcher.process_edge(edge)
-                else:
-                    matches = matcher.process_edge_leaves(edge, matcher.tree.leaves())
-                for match in matches:
-                    found.append((registration, match))
+        if self.dispatch.front_rejects(edge.label):
+            # no registered leaf can bind this label: skip endpoint-label
+            # resolution and the candidates probe entirely
+            return
+        source_label = self._endpoint_label(edge.source)
+        target_label = self._endpoint_label(edge.target)
+        for owner, leaf_ids in self.dispatch.candidates(edge.label, source_label, target_label):
+            registration = self.queries.get(owner)
+            if registration is None:  # pragma: no cover - defensive
+                continue
+            matcher = registration.matcher
+            if expire:
+                matcher.expire_partials(edge.timestamp)
+            leaves = [matcher.tree.node(leaf_id) for leaf_id in leaf_ids]
+            for match in matcher.process_edge_leaves(edge, leaves):
+                found.append((registration, match))
 
     def _emit_trigger(
         self,
@@ -1017,13 +972,6 @@ class StreamWorksEngine:
             registration.match_count += 1
             self._sinks.deliver(event)
             events.append(event)
-
-    def _maybe_auto_replan(self) -> None:
-        if (
-            self.config.auto_replan_interval is not None
-            and self.edges_processed % self.config.auto_replan_interval == 0
-        ):
-            self.replan_all()
 
     def expire_all_partials(self, now: float) -> int:
         """Sweep every matcher's stored partial matches against ``now``.
@@ -1089,8 +1037,8 @@ class StreamWorksEngine:
         single engine keeps, which matters when later batches may still
         carry late records that could complete them.
 
-        With the dispatch index enabled this takes the batched fast path
-        (the paper's section 2.1 formulation is batch-oriented):
+        This takes the batched fast path (the paper's section 2.1
+        formulation is batch-oriented):
 
         1. the whole batch is ingested into the graph with eviction deferred
            (evicting against the batch's latest timestamp up front could
@@ -1125,8 +1073,7 @@ class StreamWorksEngine:
         internally out-of-order batch is therefore split at its inversion
         points into maximal non-decreasing runs, and steps 1-5 execute once
         per run -- the ordered stretches keep the fast path instead of the
-        whole batch demoting to the per-record loop (which remains only as
-        the ``use_dispatch_index=False`` path).  The contract is
+        whole batch demoting to the per-record loop.  The contract is
         compositional: processing a disordered batch is *exactly* (event
         for event) processing each of its maximal ordered runs as its own
         batch, in arrival order.  Batch boundaries already carry semantic
@@ -1261,13 +1208,8 @@ class StreamWorksEngine:
         expiry_anchor: Optional[float] = None,
     ) -> List[MatchEvent]:
         """Process a batch immediately: fast path per ordered run (see above)."""
-        if not self.config.use_dispatch_index:
-            events: List[MatchEvent] = []
-            for record in records:
-                events.extend(self._process_record_direct(record))
-            return events
         self.throughput.start()
-        events = []
+        events: List[MatchEvent] = []
         for start, end in ordered_run_slices(records):
             self._run_fast_path(records[start:end], expiry_anchor, events)
         self.throughput.add(len(records))
@@ -1332,7 +1274,6 @@ class StreamWorksEngine:
         for registration in self.queries.values():
             if not registration.matcher.idle:  # nothing stored: nothing to sweep
                 registration.matcher.expire_partials(batch_start)
-        start_edges_processed = self.edges_processed
         # What a route plan stands for per record -- one dispatch probe, one
         # visit of each owner's matcher -- is counted in bulk when the run
         # ends (also when it ends in an exception: a plan outlives the run,
@@ -1347,17 +1288,6 @@ class StreamWorksEngine:
                     self.records_prefiltered += plan.uses
                 self.dispatch_memo_hits += plan.settle(self.dispatch)
         self.graph.evict_expired()
-        # replans happen at run boundaries only: the replay-based migration
-        # assumes quiescence, and a mid-run replay would mark the run's
-        # still-deferred completions as reported without delivering them.
-        # One catch-up replan covers however many cadence marks the run
-        # crossed (replanning is idempotent over unchanged statistics).
-        interval = self.config.auto_replan_interval
-        if (
-            interval is not None
-            and self.edges_processed // interval > start_edges_processed // interval
-        ):
-            self.replan_all()
 
     def _dispatch_run(
         self,
@@ -1397,10 +1327,8 @@ class StreamWorksEngine:
         if columnar:
             self.batches_vectorized += 1
             intern = self.interning.intern
-            dispatch = self.dispatch
-            binds = dispatch.binds
-            sketch_front = dispatch.sketch_enabled
-            plans = dispatch.plans
+            front_rejects = self.dispatch.front_rejects
+            plans = self.dispatch.plans
             # endpoint label ids: constant within a run (matching never
             # mutates the graph, dead-on-arrival evictions precede the loop)
             endpoint_memo: Dict[VertexId, int] = {}
@@ -1412,16 +1340,12 @@ class StreamWorksEngine:
             found: List = []
             if not columnar:
                 self._collect_matches(edge, found, expire=False)
-            elif not binds(edge.label):
+            elif front_rejects(edge.label):
                 # no registered leaf has a query edge for this label: admit
-                # it to the intern table, count the lookup the oracle makes,
-                # and skip endpoint resolution and routing altogether
+                # it to the intern table and skip endpoint resolution and
+                # routing altogether
                 intern(edge.label)
                 self.records_prefiltered += 1
-                if not sketch_front:
-                    dispatch.lookups += 1
-                elif not dispatch.front_rejects(edge.label):  # counts its own probe
-                    dispatch.candidates(edge.label)
             else:
                 sid = endpoint_memo.get(edge.source)
                 if sid is None:
@@ -1691,12 +1615,6 @@ class StreamWorksEngine:
                         continue
                     dedup[key] += stats[key]
         return {
-            "dispatch_front": {
-                "enabled": self.dispatch.sketch_enabled,
-                "probes": self.dispatch.front_probes,
-                "rejections": self.dispatch.front_rejections,
-                "false_positives": self.dispatch.front_false_positives,
-            },
             "dedup_memory": dedup,
             "stats_backend": "countmin" if self.config.sketch_stats else "exact",
         }

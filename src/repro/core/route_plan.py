@@ -199,7 +199,7 @@ class RoutePlan:
         entries: List[RouteEntry],
         owners: List[RouteOwner],
         intervals: Sequence[Mapping[str, Interval]],
-        counter_deltas: Tuple[int, int, int, int],
+        counter_deltas: Tuple[int, int, int],
     ) -> None:
         #: Every candidate leaf, owners in registration order, leaves in
         #: SJ-tree order -- the plain path's loop, and the index's fallback.
@@ -207,8 +207,8 @@ class RoutePlan:
         self.owners = owners
         #: ``None`` = loop over ``entries``; else ``index.select(attrs)`` first.
         self.index = _best_index(entries, intervals)
-        #: ``(lookups, entries_matched, entries_skipped, front_probes)`` one
-        #: uncached probe of this route adds to the dispatch counters.
+        #: ``(lookups, entries_matched, entries_skipped)`` one uncached probe
+        #: of this route adds to the dispatch counters.
         self.counter_deltas = counter_deltas
         #: Records routed through the plan in the current run, and whether
         #: the first of them paid the real dispatch probe (the build).
@@ -227,11 +227,10 @@ class RoutePlan:
         hits = uses - self.fresh
         self.fresh = 0
         if hits:
-            lookups, matched, skipped, front_probes = self.counter_deltas
+            lookups, matched, skipped = self.counter_deltas
             dispatch.lookups += lookups * hits
             dispatch.entries_matched += matched * hits
             dispatch.entries_skipped += skipped * hits
-            dispatch.front_probes += front_probes * hits
         for owner in self.owners:
             owner.registration.matcher.stats.edges_processed += uses - owner.searched
             owner.searched = 0
@@ -253,22 +252,12 @@ def build_route_plan(
     edge's attrs provably yields no primitive and can be skipped per record;
     a leaf with an always-true check (or no compiled table) never can.
     """
-    before = (
-        dispatch.lookups,
-        dispatch.entries_matched,
-        dispatch.entries_skipped,
-        dispatch.front_probes,
-    )
-    grouped = (
-        []
-        if dispatch.front_rejects(edge_label)
-        else dispatch.candidates(edge_label, source_label, target_label)
-    )
+    before = (dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped)
+    grouped = dispatch.candidates(edge_label, source_label, target_label)
     counter_deltas = (
         dispatch.lookups - before[0],
         dispatch.entries_matched - before[1],
         dispatch.entries_skipped - before[2],
-        dispatch.front_probes - before[3],
     )
     entries: List[RouteEntry] = []
     owners: List[RouteOwner] = []

@@ -125,13 +125,11 @@ class ShardConfig:
         the module docstring for the conformance envelope of each.
     engine:
         :class:`EngineConfig` template applied to every shard engine (each
-        shard gets its own shallow copy).  ``auto_replan_interval`` must be
-        unset: per-shard re-planning would be driven by shard-local edge
-        counts and silently diverge from the single-engine event order.
-        ``replan_threshold`` / ``replan_check_every`` (selectivity-drift
-        replanning) ARE supported: the parent paces the checks on the
-        global record count and each shard applies them at its post-batch
-        boundary (see :class:`~repro.streaming.partition.ShardBatch`).
+        shard gets its own shallow copy).  ``replan_threshold`` /
+        ``replan_check_every`` (selectivity-drift replanning) are supported:
+        the parent paces the checks on the global record count and each
+        shard applies them at its post-batch boundary (see
+        :class:`~repro.streaming.partition.ShardBatch`).
     default_window:
         Convenience override for ``engine.default_window``.
     """
@@ -157,12 +155,6 @@ class ShardConfig:
             # unrelated engine
             engine = copy.copy(engine)
             engine.default_window = EngineConfig.validate_default_window(default_window)
-        if engine.auto_replan_interval is not None:
-            raise ValueError(
-                "auto_replan_interval is not supported on sharded engines: "
-                "per-shard replans trigger on shard-local edge counts and would "
-                "diverge from the single-engine event order"
-            )
         self.shard_count = shard_count
         self.workers = workers
         self.routing = routing
@@ -452,12 +444,7 @@ class ShardedStreamEngine:
             StreamWorksEngine(config=copy.copy(shard_engine_config))
             for _ in range(config.shard_count)
         ]
-        # with the dispatch index off, the single engine's exhaustive loop
-        # touches (and expires) every matcher on every record; mirroring
-        # that exactly requires every shard to see the full stream, so
-        # label routing is forced to broadcast in that configuration
-        routing_mode = config.routing if config.engine.use_dispatch_index else Routing.BROADCAST
-        self.router = BatchRouter(config.shard_count, mode=routing_mode)
+        self.router = BatchRouter(config.shard_count, mode=config.routing)
         self.queries: Dict[str, ShardedQuery] = {}
         #: Parent intern table: the full registered vocabulary, pushed to
         #: every shard at registration (:meth:`InternTable.adopt`) so the
@@ -859,14 +846,9 @@ class ShardedStreamEngine:
         Mirrors the single engine exactly.  An internally out-of-order
         batch is split at its *global* inversion points and each shard runs
         the batched fast path over its per-run segments (see
-        :func:`_execute_sub_batch`); the parent-level per-record path
-        remains only for ``use_dispatch_index=False``, where the single
-        engine's exhaustive loop runs per record anyway and routing
-        per_record=True through the parent keeps the per-record global
-        eviction clocks in play (a shard's own clock lags the stream
-        whenever newer records were routed elsewhere).  With event-time
-        ingestion configured the batch is admitted into the parent's
-        reorder buffer instead, exactly as the single engine does.
+        :func:`_execute_sub_batch`).  With event-time ingestion configured
+        the batch is admitted into the parent's reorder buffer instead,
+        exactly as the single engine does.
         """
         records = list(records)
         if self.reorder is not None:
@@ -874,8 +856,7 @@ class ShardedStreamEngine:
         elif not records:
             events = []
         else:
-            per_record = not self.config.engine.use_dispatch_index
-            events = self._run_batch(records, per_record=per_record)
+            events = self._run_batch(records, per_record=False)
         self.batches_processed += 1
         self._maybe_autosave()
         return events
@@ -932,13 +913,7 @@ class ShardedStreamEngine:
         """
         events: List[MatchEvent] = []
         if ready:
-            events.extend(
-                self._run_batch(
-                    list(ready),
-                    per_record=not self.config.engine.use_dispatch_index,
-                    watermark=watermark,
-                )
-            )
+            events.extend(self._run_batch(list(ready), per_record=False, watermark=watermark))
         for record in late:
             events.extend(self._run_batch([record], per_record=True, watermark=watermark))
         return events
@@ -955,11 +930,7 @@ class ShardedStreamEngine:
         admissions.  The synchronous path passes ``None`` and keeps its
         read-at-dispatch behaviour.
         """
-        return self._run_batch(
-            remainder,
-            per_record=not self.config.engine.use_dispatch_index,
-            watermark=watermark,
-        )
+        return self._run_batch(remainder, per_record=False, watermark=watermark)
 
     def flush(self) -> List[MatchEvent]:
         """Release and process the reorder buffer's tail (end of stream).
@@ -1312,8 +1283,8 @@ class ShardedStreamEngine:
             "plan_versions": plan_versions,
         }
         # sketch rollup: every counter sums cleanly over shards (each shard
-        # owns a private dispatch front and its matchers' dedup memories);
-        # configuration facts come from the shared engine config
+        # owns its matchers' dedup memories); configuration facts come from
+        # the shared engine config
         shard_sketches = [m["sketch"] for m in shard_metrics.values()]
         dedup_keys = (
             "entries",
@@ -1326,14 +1297,6 @@ class ShardedStreamEngine:
             "evictions_horizon",
         )
         sketch = {
-            "dispatch_front": {
-                "enabled": self.config.engine.sketch_dispatch,
-                "probes": sum(s["dispatch_front"]["probes"] for s in shard_sketches),
-                "rejections": sum(s["dispatch_front"]["rejections"] for s in shard_sketches),
-                "false_positives": sum(
-                    s["dispatch_front"]["false_positives"] for s in shard_sketches
-                ),
-            },
             "dedup_memory": dict(
                 {"budget": self.config.engine.dedup_memory_budget},
                 **{

@@ -16,10 +16,8 @@ from __future__ import annotations
 
 import os
 import random
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..baselines.naive_incremental import NaiveIncrementalEngine
 from ..baselines.repeated_search import RepeatedSearchEngine
 from ..core.decomposition import Strategy
 from ..core.engine import EngineConfig, StreamWorksEngine
@@ -52,9 +50,7 @@ from ..streaming.sources import (
 )
 from ..viz.geo import EventGrid, location_of_match, subnet_of_vertex
 from ..viz.snapshots import EmergingMatchTracker
-from ..sketch import DedupMemory
-from ..workloads.attacks import AttackInjector, high_cardinality_flood
-from ..workloads.drifting import DriftingConfig, DriftingGenerator
+from ..workloads.attacks import AttackInjector
 from ..workloads.netflow import NetflowConfig, NetflowGenerator
 from ..workloads.nyt import NewsStreamConfig, NewsStreamGenerator
 from ..workloads.rmat import RmatConfig, RmatGenerator
@@ -70,14 +66,10 @@ __all__ = [
     "experiment_tab3_selectivity_ablation",
     "experiment_tab4_summarization",
     "experiment_tab5_window_sweep",
-    "experiment_multiquery_dispatch",
     "experiment_sharded_scaling",
     "experiment_out_of_order_throughput",
     "experiment_checkpoint_recovery",
     "experiment_multisource_ingest",
-    "experiment_adaptive_replan",
-    "experiment_sketch_membership",
-    "experiment_columnar_hot_path",
     "ALL_EXPERIMENTS",
 ]
 
@@ -774,7 +766,7 @@ def experiment_tab5_window_sweep(scale: float = 1.0, seed: int = 47) -> Dict[str
 
 
 # ----------------------------------------------------------------------
-# E11: cross-query dispatch index under heavy multi-query registration
+# shared multi-query workload (E12-E15): label-disjoint chain queries
 # ----------------------------------------------------------------------
 def _label_disjoint_chain_queries(query_count: int, chain_length: int) -> List[QueryGraph]:
     """Build ``query_count`` path queries over mutually disjoint edge labels."""
@@ -838,119 +830,6 @@ def _multiquery_dispatch_stream(
                 )
             )
     return records[:edge_count]
-
-
-def experiment_multiquery_dispatch(
-    scale: float = 1.0,
-    seed: int = 53,
-    query_count: int = 20,
-    chain_length: int = 6,
-    batch_size: int = 200,
-    columnar: bool = True,
-) -> Dict[str, object]:
-    """Measure the cross-query dispatch index under heavy multi-query load.
-
-    ``query_count`` label-disjoint chain queries are registered, so any edge
-    can seed the leaves of exactly one query.  The same stream is replayed
-    through three configurations:
-
-    * ``seed_scan`` -- dispatch index disabled: every leaf of every query is
-      searched per edge (the pre-index hot loop, per-edge cost linear in the
-      total number of registered primitives);
-    * ``indexed`` -- dispatch index enabled, edge-at-a-time ingest;
-    * ``indexed_batched`` -- dispatch index plus the batched ingest fast path.
-
-    All three must report the identical set of complete matches; the indexed
-    configurations should be several times faster since they only touch the
-    one query an edge can affect.  ``columnar`` selects the ingest execution
-    strategy for every mode (compiled columnar vs. interpreted, identical
-    events either way), so baseline tooling can record both.
-    """
-    edge_count = max(400, int(4000 * scale))
-    window = 10.0
-    queries = _label_disjoint_chain_queries(query_count, chain_length)
-    records = _multiquery_dispatch_stream(query_count, edge_count, seed, chain_length)
-
-    def build_engine(use_index: bool) -> StreamWorksEngine:
-        engine = StreamWorksEngine(
-            config=EngineConfig(
-                collect_statistics=False,
-                record_latency=False,
-                use_dispatch_index=use_index,
-                columnar=columnar,
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    modes = [
-        ("seed_scan", False, "single"),
-        ("indexed", True, "single"),
-        ("indexed_batched", True, "batched"),
-    ]
-    rows = []
-    match_sets: Dict[str, set] = {}
-    event_orders: Dict[str, List[tuple]] = {}
-    dispatch_stats: Dict[str, object] = {}
-    for mode_name, use_index, ingest_mode in modes:
-        engine = build_engine(use_index)
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        if ingest_mode == "batched":
-            for start in range(0, len(records), batch_size):
-                engine.process_batch(records[start : start + batch_size])
-        else:
-            for record in records:
-                engine.process_record(record)
-        elapsed = stopwatch.stop()
-        keyed = [
-            (event.query_name, event.match.identity()) for event in engine.collector.events
-        ]
-        match_sets[mode_name] = set(keyed)
-        event_orders[mode_name] = keyed
-        if use_index and ingest_mode == "single":
-            dispatch_stats = engine.dispatch.stats()
-        rows.append(
-            {
-                "mode": mode_name,
-                "edges": len(records),
-                "elapsed_s": elapsed,
-                "edges_per_s": len(records) / elapsed if elapsed > 0 else float("inf"),
-                "events": len(keyed),
-                # deterministic work measure: how many (edge, matcher) visits
-                # actually ran (the seed scan visits every matcher per edge)
-                "matcher_edge_visits": sum(
-                    registration.matcher.stats.edges_processed
-                    for registration in engine.queries.values()
-                ),
-            }
-        )
-    by_mode = {row["mode"]: row for row in rows}
-    seed_elapsed = by_mode["seed_scan"]["elapsed_s"]
-    for row in rows:
-        row["speedup_vs_seed"] = (
-            seed_elapsed / row["elapsed_s"] if row["elapsed_s"] > 0 else float("inf")
-        )
-    return {
-        "experiment": "E11_multiquery_dispatch",
-        "query_count": query_count,
-        "registered_leaves": query_count * -(-chain_length // 2),
-        "stream_edges": len(records),
-        "batch_size": batch_size,
-        "match_sets_identical": (
-            match_sets["seed_scan"] == match_sets["indexed"] == match_sets["indexed_batched"]
-        ),
-        "event_order_identical": event_orders["seed_scan"] == event_orders["indexed"],
-        "speedup_indexed": by_mode["indexed"]["speedup_vs_seed"],
-        "speedup_batched": by_mode["indexed_batched"]["speedup_vs_seed"],
-        "work_reduction": (
-            by_mode["seed_scan"]["matcher_edge_visits"]
-            / max(1, by_mode["indexed"]["matcher_edge_visits"])
-        ),
-        "dispatch": dispatch_stats,
-        "rows": rows,
-    }
 
 
 # ----------------------------------------------------------------------
@@ -1111,19 +990,16 @@ def experiment_out_of_order_throughput(
 ) -> Dict[str, object]:
     """Measure event-time ingestion (reorder buffer + watermark) under disorder.
 
-    The same multi-query stream as E11/E12 (``query_count`` label-disjoint
+    The same multi-query stream as E12 (``query_count`` label-disjoint
     chains) is shuffled with bounded positional displacement
     (``max_displacement``) -- the shape of a feed assembled from
     slightly-skewed parallel collectors -- and replayed through:
 
     * ``sorted_oracle`` -- the sorted stream on the batched fast path: the
       reference match set/order and the throughput ceiling;
-    * ``fallback_seed_scan`` -- the shuffled stream per record with the
-      dispatch index off: the engine's slowest standing out-of-order path
-      (every leaf of every query per record), E11's baseline;
-    * ``fallback_per_record`` -- the shuffled stream per record with the
-      index on: exactly what ``process_batch`` used to silently demote
-      out-of-order batches to;
+    * ``fallback_per_record`` -- the shuffled stream per record: exactly
+      what ``process_batch`` used to silently demote out-of-order batches
+      to;
     * ``runsplit_batched`` -- the shuffled stream through ``process_batch``
       directly: disordered batches split at inversion points, ordered runs
       keep the fast path;
@@ -1153,12 +1029,11 @@ def experiment_out_of_order_throughput(
     lateness = max_time_displacement(shuffled)
     sorted_records = sorted(shuffled, key=lambda record: record.timestamp)
 
-    def build_engine(use_index: bool = True, allowed_lateness: Optional[float] = None):
+    def build_engine(allowed_lateness: Optional[float] = None):
         engine = StreamWorksEngine(
             config=EngineConfig(
                 collect_statistics=False,
                 record_latency=False,
-                use_dispatch_index=use_index,
                 allowed_lateness=allowed_lateness,
                 columnar=columnar,
             )
@@ -1205,7 +1080,6 @@ def experiment_out_of_order_throughput(
 
     modes = [
         ("sorted_oracle", lambda: (build_engine(), replay_batched, sorted_records)),
-        ("fallback_seed_scan", lambda: (build_engine(use_index=False), replay_per_record, shuffled)),
         ("fallback_per_record", lambda: (build_engine(), replay_per_record, shuffled)),
         ("runsplit_batched", lambda: (build_engine(), replay_batched, shuffled)),
         ("reordered", lambda: (build_engine(allowed_lateness=lateness), replay_batched, shuffled)),
@@ -1248,11 +1122,10 @@ def experiment_out_of_order_throughput(
         found = multisets[row["mode"]]
         correct = sum(min(count, oracle.get(key, 0)) for key, count in found.items())
         row["recall"] = correct / oracle_total if oracle_total else 1.0
-        for baseline in ("fallback_seed_scan", "fallback_per_record"):
-            baseline_elapsed = by_mode[baseline]["elapsed_s"]
-            row[f"speedup_vs_{baseline.removeprefix('fallback_')}"] = (
-                baseline_elapsed / row["elapsed_s"] if row["elapsed_s"] > 0 else float("inf")
-            )
+        baseline_elapsed = by_mode["fallback_per_record"]["elapsed_s"]
+        row["speedup_vs_per_record"] = (
+            baseline_elapsed / row["elapsed_s"] if row["elapsed_s"] > 0 else float("inf")
+        )
     reordered_sharded = f"reordered sharded x{shard_count}"
     return {
         "experiment": "E13_out_of_order_throughput",
@@ -1272,7 +1145,6 @@ def experiment_out_of_order_throughput(
             and ingest_paths.get("per_record_path") == 0
             and reorder_stats.get("records_late") == 0
         ),
-        "speedup_vs_seed_scan": by_mode["reordered"]["speedup_vs_seed_scan"],
         "speedup_vs_per_record": by_mode["reordered"]["speedup_vs_per_record"],
         "reorder": reorder_stats,
         "ingest_paths": ingest_paths,
@@ -1294,7 +1166,7 @@ def experiment_checkpoint_recovery(
 ) -> Dict[str, object]:
     """Measure checkpoint/restore against replaying the stream from scratch.
 
-    Two claims are measured on the E11/E12 multi-query workload:
+    Two claims are measured on the E12 multi-query workload:
 
     * **Exact resume** (the correctness half, asserted at every scale):
       process half the stream, ``checkpoint()``, ``restore()`` into a fresh
@@ -1438,7 +1310,7 @@ def experiment_multisource_ingest(
 ) -> Dict[str, object]:
     """Measure per-source watermarks against a single global watermark.
 
-    The E11/E12 multi-query stream is split round-robin across
+    The E12 multi-query stream is split round-robin across
     ``source_count`` collectors, and each collector's records arrive with a
     *time-varying* delivery lag (small at the edges of the stream, spiking
     in the middle third) -- the shape of real per-collector feeds whose
@@ -1709,543 +1581,6 @@ def experiment_multisource_ingest(
     }
 
 
-# ----------------------------------------------------------------------
-# E16: online adaptive replanning from live selectivity
-# ----------------------------------------------------------------------
-def experiment_adaptive_replan(
-    scale: float = 1.0,
-    seed: int = 7,
-    batch_size: int = 50,
-    replan_threshold: float = 0.5,
-    replan_check_every: int = 100,
-    shard_count: int = 2,
-) -> Dict[str, object]:
-    """Measure the closed plan-adaptation loop on a drifting-selectivity stream.
-
-    The paper leaves plan adaptation from continuously collected statistics
-    as future work; this experiment exercises the implemented loop end to
-    end.  A :class:`DriftingGenerator` stream inverts its edge-label mix one
-    third of the way in, so the selectivity ordering a static plan locked in
-    at registration is wrong for the remaining two thirds.  Three runs see
-    the identical stream:
-
-    * ``static`` -- plans fixed at registration, the baseline;
-    * ``adaptive`` -- ``replan_threshold``/``replan_check_every`` armed, so
-      the engine re-decomposes drifted plans mid-stream and migrates the
-      live partial-match state;
-    * ``adaptive_sharded`` -- the same loop under the ``shard_count``-sharded
-      engine (parent-paced cadence).
-
-    Asserted at every scale (all deterministic):
-
-    * **conformance** -- both adaptive runs emit byte-for-byte the static
-      run's events (same matches, order, sequence numbers): replanning
-      changes only the cost of detection, never the answer;
-    * **liveness** -- replans demonstrably fired (``triggers_fired > 0``),
-      so the conformance claim is not vacuous;
-    * **work** -- total matcher work (leaf matches found + joins attempted,
-      the deterministic proxy wall-clock throughput follows) does not
-      exceed the static baseline: adapting to the drift never costs match
-      work.
-
-    Wall-clock throughput for the static and adaptive runs is reported for
-    context; it is not asserted (interpreter noise dwarfs the margin at
-    smoke scale).
-    """
-    record_count = max(600, int(6000 * scale))
-    drift_at = record_count // 3
-    records = list(
-        DriftingGenerator(DriftingConfig(seed=seed, drift_at=drift_at)).stream(record_count)
-    )
-
-    def chain(name: str, labels: Sequence[Optional[str]]) -> QueryGraph:
-        query = QueryGraph(name)
-        for position in range(len(labels) + 1):
-            query.add_vertex(f"v{position}")
-        for position, label in enumerate(labels):
-            query.add_edge(f"v{position}", f"v{position + 1}", label)
-        return query
-
-    query_specs = [
-        ("long", chain("long", ["alpha", "gamma", "alpha", "alpha"]), 1.0),
-        ("ggg", chain("ggg", ["gamma", "gamma", "gamma"]), 0.5),
-        ("ab", chain("ab", ["alpha", "beta"]), 0.5),
-    ]
-
-    def adaptive_engine_config() -> EngineConfig:
-        return EngineConfig(
-            replan_threshold=replan_threshold, replan_check_every=replan_check_every
-        )
-
-    def run(engine) -> Tuple[List[Tuple], float, Dict[str, object]]:
-        for name, query, window in query_specs:
-            engine.register_query(query, name=name, window=window)
-        events: List[object] = []
-        with Stopwatch() as watch:
-            for start in range(0, len(records), batch_size):
-                events.extend(engine.process_batch(records[start : start + batch_size]))
-        metrics = engine.metrics()
-        canonical = [
-            (event.query_name, event.match.portable_identity(), event.sequence)
-            for event in events
-        ]
-        return canonical, watch.elapsed, metrics
-
-    def matcher_work(metrics: Dict[str, object]) -> int:
-        if "shards" in metrics:  # sharded metrics nest the per-engine sections
-            return sum(
-                stats["joins_attempted"] + stats["leaf_matches_found"]
-                for shard in metrics["shards"].values()
-                for stats in shard["queries"].values()
-            )
-        return sum(
-            stats["joins_attempted"] + stats["leaf_matches_found"]
-            for stats in metrics["queries"].values()
-        )
-
-    static_events, static_elapsed, static_metrics = run(StreamWorksEngine())
-    adaptive_events, adaptive_elapsed, adaptive_metrics = run(
-        StreamWorksEngine(config=adaptive_engine_config())
-    )
-    sharded_events, sharded_elapsed, sharded_metrics = run(
-        ShardedStreamEngine(
-            config=ShardConfig(shard_count=shard_count, engine=adaptive_engine_config())
-        )
-    )
-
-    replan = adaptive_metrics["replan"]
-    sharded_replan = sharded_metrics["replan"]
-    static_work = matcher_work(static_metrics)
-    adaptive_work = matcher_work(adaptive_metrics)
-    rows = [
-        {
-            "mode": mode,
-            "events": len(events),
-            "elapsed_s": round(elapsed, 4),
-            "records_per_s": round(len(records) / elapsed, 1) if elapsed else 0.0,
-        }
-        for mode, events, elapsed in (
-            ("static", static_events, static_elapsed),
-            ("adaptive", adaptive_events, adaptive_elapsed),
-            (f"adaptive_sharded_x{shard_count}", sharded_events, sharded_elapsed),
-        )
-    ]
-    return {
-        "experiment": "E16_adaptive_replan",
-        "records": record_count,
-        "drift_at": drift_at,
-        "replan_threshold": replan_threshold,
-        "replan_check_every": replan_check_every,
-        "adaptive_conformant": adaptive_events == static_events,
-        "sharded_conformant": sharded_events == static_events,
-        "triggers_fired": replan["triggers_fired"],
-        "plans_applied": replan["plans_applied"],
-        "partials_migrated": replan["partials_migrated"],
-        "plan_versions": replan["plan_versions"],
-        "sharded_triggers_fired": sharded_replan["triggers_fired"],
-        "static_matcher_work": static_work,
-        "adaptive_matcher_work": adaptive_work,
-        "work_ratio": round(adaptive_work / static_work, 4) if static_work else 1.0,
-        "rows": rows,
-    }
-
-
-# ----------------------------------------------------------------------
-# E17: sketch-accelerated membership (Bloom-fronted dispatch + bounded dedup)
-# ----------------------------------------------------------------------
-def experiment_sketch_membership(
-    scale: float = 1.0,
-    seed: int = 41,
-    batch_size: int = 50,
-    signal_every: int = 12,
-    dedup_budget: int = 2048,
-    window: float = 5.0,
-) -> Dict[str, object]:
-    """Measure the sketch layer on its design-point workload and pin exactness.
-
-    An adversarial high-cardinality flood (every record a brand-new edge
-    label) is the dispatch index's worst case: each record misses the
-    entry dict only after the engine has resolved both endpoint vertices.
-    The counting-Bloom front answers the same misses from two CRC probes
-    before any graph access.  Two engines see the identical stream with
-    statistics collection off (so the timed loop is the dispatch path):
-
-    * ``sketch_off`` -- the exact dispatch index, the baseline;
-    * ``sketch_on`` -- ``sketch_dispatch`` + ``dedup_memory_budget`` armed.
-
-    Asserted at every scale (deterministic):
-
-    * **exactness** -- both runs emit byte-for-byte identical events;
-    * **liveness** -- the front rejected exactly the flood records (the
-      unique labels), so the throughput claim is about real rejections;
-    * **bounded memory** -- the dedup store's *measured* high-water mark
-      stays within ``dedup_budget`` while a second, pure-DedupMemory phase
-      pushes ``>= 1M * scale`` distinct keys through a retention horizon
-      and checks in-horizon suppression recall stays exact.
-
-    Wall-clock speedup of the negative-lookup path is reported for context
-    (``dispatch_speedup``); it is not asserted (interpreter noise).
-    """
-    record_count = max(6_000, int(60_000 * scale))
-    records = high_cardinality_flood(record_count, seed=seed, signal_every=signal_every)
-    flood_records = sum(1 for record in records if record.label != "signal")
-
-    def signal_query() -> QueryGraph:
-        query = QueryGraph("sig")
-        query.add_vertex("v0")
-        query.add_vertex("v1")
-        query.add_edge("v0", "v1", "signal")
-        return query
-
-    def run(config: EngineConfig) -> Tuple[List[object], float, Dict[str, object], StreamWorksEngine]:
-        engine = StreamWorksEngine(config=config)
-        engine.register_query(signal_query(), name="sig", window=window)
-        events: List[object] = []
-        with Stopwatch() as watch:
-            for start in range(0, len(records), batch_size):
-                events.extend(engine.process_batch(records[start : start + batch_size]))
-        canonical = [
-            (event.query_name, event.match.portable_identity(), event.sequence)
-            for event in events
-        ]
-        return canonical, watch.elapsed, engine.metrics(), engine
-
-    off_config = EngineConfig(collect_statistics=False)
-    on_config = EngineConfig(
-        collect_statistics=False,
-        sketch_dispatch=True,
-        dedup_memory_budget=dedup_budget,
-    )
-    off_events, off_elapsed, _, off_engine = run(off_config)
-    on_events, on_elapsed, on_metrics, on_engine = run(on_config)
-
-    # isolated negative-lookup timing: the exact path pays two endpoint
-    # resolutions plus the candidates() probe for every unbindable label;
-    # the front answers the same question from its counting cells.  Runs
-    # against the post-stream engines (metrics above were already captured).
-    probe_count = max(100_000, int(1_000_000 * scale))
-    probe_labels = [f"miss{index}" for index in range(probe_count)]
-
-    def negative_lookup_elapsed(engine: StreamWorksEngine) -> float:
-        graph, dispatch = engine.graph, engine.dispatch
-        if dispatch.sketch_enabled:
-            with Stopwatch() as watch:
-                for label in probe_labels:
-                    dispatch.front_rejects(label)
-            return watch.elapsed
-        with Stopwatch() as watch:
-            for label in probe_labels:
-                source_label = (
-                    graph.vertex("S0").label if graph.has_vertex("S0") else None
-                )
-                target_label = (
-                    graph.vertex("T0").label if graph.has_vertex("T0") else None
-                )
-                dispatch.candidates(label, source_label, target_label)
-        return watch.elapsed
-
-    exact_lookup_elapsed = negative_lookup_elapsed(off_engine)
-    front_lookup_elapsed = negative_lookup_elapsed(on_engine)
-
-    sketch = on_metrics["sketch"]
-    front = sketch["dispatch_front"]
-    dedup = sketch["dedup_memory"]
-    assert on_events == off_events, (
-        "sketch-fronted run diverged from the exact dispatch baseline"
-    )
-    assert len(off_events) > 0, "flood carried no detectable signal -- vacuous"
-    assert front["rejections"] == flood_records, (
-        f"front rejected {front['rejections']} of {flood_records} flood records"
-    )
-    assert dedup["peak_entries"] <= dedup_budget
-
-    # phase 2: bounded dedup memory under >= 1M * scale distinct keys.
-    # The horizon holds 10k live keys, the budget double that: horizon
-    # expiry is the active bound, the regime where suppression stays exact.
-    key_count = max(105_000, int(1_050_000 * scale))
-    memory_budget = 20_000
-    horizon = TimeWindow(1_000.0)
-    memory = DedupMemory(budget=memory_budget, front_buckets=4096, seed=seed)
-    step = 0.1
-    recall_failures = 0
-    for index in range(key_count):
-        now = index * step
-        memory.add(f"key{index}", now)
-        if index % 4096 == 0:
-            memory.expire(horizon, now)
-        if index % 25_000 == 0 and index >= 5_000:
-            # 5k steps ago = 500 time units: comfortably inside the horizon
-            if not memory.seen(f"key{index - 5_000}"):
-                recall_failures += 1
-    memory.expire(horizon, key_count * step)
-    memory_stats = memory.stats()
-    assert memory_stats["peak_entries"] <= memory_budget, (
-        f"dedup store peaked at {memory_stats['peak_entries']} entries "
-        f"(budget {memory_budget})"
-    )
-    assert recall_failures == 0, (
-        f"{recall_failures} in-horizon keys were forgotten -- suppression broke"
-    )
-
-    rows = [
-        {
-            "mode": mode,
-            "events": len(events),
-            "elapsed_s": round(elapsed, 4),
-            "records_per_s": round(len(records) / elapsed, 1) if elapsed else 0.0,
-        }
-        for mode, events, elapsed in (
-            ("sketch_off", off_events, off_elapsed),
-            ("sketch_on", on_events, on_elapsed),
-        )
-    ]
-    return {
-        "experiment": "E17_sketch_membership",
-        "records": record_count,
-        "flood_records": flood_records,
-        "events": len(on_events),
-        "events_identical": on_events == off_events,
-        "front_rejections": front["rejections"],
-        "front_false_positives": front["false_positives"],
-        "dedup_budget": dedup_budget,
-        "dedup_peak_entries": dedup["peak_entries"],
-        "dispatch_speedup": round(off_elapsed / on_elapsed, 4) if on_elapsed else 1.0,
-        "negative_lookups": probe_count,
-        "negative_lookup_speedup": (
-            round(exact_lookup_elapsed / front_lookup_elapsed, 4)
-            if front_lookup_elapsed
-            else 1.0
-        ),
-        "memory_keys": key_count,
-        "memory_budget": memory_budget,
-        "memory_peak_entries": memory_stats["peak_entries"],
-        "memory_bound_held": memory_stats["peak_entries"] <= memory_budget,
-        "memory_evictions_horizon": memory_stats["evictions_horizon"],
-        "memory_evictions_budget": memory_stats["evictions_budget"],
-        "memory_recall_failures": recall_failures,
-        "rows": rows,
-    }
-
-
-# ----------------------------------------------------------------------
-# E18: compiled columnar hot path vs. the interpreted per-record path
-# ----------------------------------------------------------------------
-def _predicate_banded_chain_queries(query_count: int, chain_length: int) -> List[QueryGraph]:
-    """Chain queries sharing one hot label alphabet, separated by predicates.
-
-    Every query uses the same edge labels ``hot_0..hot_{L-1}``, so label
-    routing alone cannot tell them apart: each hot record reaches a leaf of
-    every query and the *predicate* decides.  Query ``i`` accepts only
-    ``bytes`` inside its private band ``[i*1000, i*1000+60]``, wrapped in a
-    composition deep enough that the interpreted walk pays generator and
-    dispatch overhead per node -- the exact work the compiler flattens.
-    """
-    from ..query.predicates import And, AttrCompare, AttrExists, AttrIn, AttrRange, Or
-
-    queries = []
-    for index in range(query_count):
-        low = index * 1000
-        query = QueryGraph(f"band{index}")
-        for position in range(chain_length + 1):
-            query.add_vertex(f"v{position}", "Host")
-        for position in range(chain_length):
-            predicate = And(
-                [
-                    AttrExists("bytes"),
-                    AttrIn("proto", ["tcp", "udp"]),
-                    AttrCompare("port", ">=", 1),
-                    AttrRange("port", low=0, high=65535),
-                    Or(
-                        [
-                            AttrRange("bytes", low=low, high=low + 60),
-                            AttrCompare("port", "<", 0),
-                        ]
-                    ),
-                    AttrCompare("port", "<=", 1024),
-                ]
-            )
-            query.add_edge(f"v{position}", f"v{position + 1}", f"hot_{position}", predicate=predicate)
-        queries.append(query)
-    return queries
-
-
-def _columnar_hot_path_stream(
-    query_count: int,
-    edge_count: int,
-    seed: int,
-    chain_length: int,
-    vertex_pool: int = 60,
-    plant_probability: float = 0.02,
-    noise_label_probability: float = 0.25,
-    interarrival: float = 0.002,
-) -> List[StreamEdge]:
-    """Generate the stream E18's predicate-heavy design point calls for.
-
-    Three record populations, all deterministic from ``seed``:
-
-    * **inert noise** -- labels no query references (``cold*``): the
-      vectorized prefilter answers these from the memoised label column;
-    * **predicate misses** -- hot labels with ``bytes`` outside every
-      query's band: they reach a leaf of every query and die in the
-      predicate, the compiled-check win;
-    * **plants** -- complete chain instances with in-band ``bytes`` for one
-      query: real matches, keeping the conformance check non-vacuous.
-    """
-    rng = random.Random(seed)
-    records: List[StreamEdge] = []
-    timestamp = 0.0
-    miss_low = query_count * 1000 + 500  # above every band
-    while len(records) < edge_count:
-        timestamp += interarrival
-        roll = rng.random()
-        if roll < plant_probability:
-            query_index = rng.randrange(query_count)
-            vertices = [f"p{rng.randrange(vertex_pool)}" for _ in range(chain_length + 1)]
-            band_low = query_index * 1000
-            for position in range(chain_length):
-                timestamp += interarrival
-                records.append(
-                    StreamEdge(
-                        vertices[position],
-                        vertices[position + 1],
-                        f"hot_{position}",
-                        timestamp,
-                        attrs={
-                            "bytes": band_low + rng.randrange(61),
-                            "proto": "tcp",
-                            "port": rng.randrange(1, 1025),
-                        },
-                        source_label="Host",
-                        target_label="Host",
-                    )
-                )
-        elif roll < plant_probability + noise_label_probability:
-            records.append(
-                StreamEdge(
-                    f"n{rng.randrange(vertex_pool)}",
-                    f"n{rng.randrange(vertex_pool)}",
-                    f"cold{rng.randrange(40)}",
-                    timestamp,
-                    attrs={"bytes": rng.randrange(1_000_000), "proto": "udp"},
-                    source_label="Host",
-                    target_label="Host",
-                )
-            )
-        else:
-            records.append(
-                StreamEdge(
-                    f"h{rng.randrange(vertex_pool)}",
-                    f"h{rng.randrange(vertex_pool)}",
-                    f"hot_{rng.randrange(chain_length)}",
-                    timestamp,
-                    attrs={
-                        "bytes": miss_low + rng.randrange(1_000_000),
-                        "proto": rng.choice(["tcp", "udp"]),
-                        "port": rng.randrange(1, 1025),
-                    },
-                    source_label="Host",
-                    target_label="Host",
-                )
-            )
-    return records[:edge_count]
-
-
-def experiment_columnar_hot_path(
-    scale: float = 1.0,
-    seed: int = 71,
-    query_count: int = 24,
-    chain_length: int = 4,
-    batch_size: int = 200,
-    window: float = 2.0,
-) -> Dict[str, object]:
-    """Measure the compiled columnar hot path on its design-point workload.
-
-    ``query_count`` chain queries share one hot label alphabet and differ
-    only in per-edge predicate bands, so every hot record reaches a leaf of
-    every query and predicate evaluation dominates the per-record cost --
-    the work the one-time compiler (and the vectorized prefilter in front
-    of it) exists to remove.  The identical stream is replayed through:
-
-    * ``interpreted`` -- ``EngineConfig(columnar=False)``: per-record
-      predicate-tree walks, the pre-columnar semantics verbatim;
-    * ``columnar`` -- ``columnar=True`` (the default): cached route plans
-      with an interval index over the bands, compiled predicate closures.
-
-    **Asserted at every scale** (deterministic): both runs emit
-    byte-for-byte identical events -- same matches, order, detection
-    timestamps and sequence numbers.  The wall-clock multiple
-    (``speedup_columnar``) is reported, never thresholded: speed claims
-    are ``bench/run.py --compare`` diffs.
-    """
-    edge_count = max(600, int(8000 * scale))
-    queries = _predicate_banded_chain_queries(query_count, chain_length)
-    records = _columnar_hot_path_stream(query_count, edge_count, seed, chain_length)
-
-    def build_engine(columnar: bool) -> StreamWorksEngine:
-        engine = StreamWorksEngine(
-            config=EngineConfig(
-                collect_statistics=False,
-                record_latency=False,
-                columnar=columnar,
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"band{index}", window=window)
-        return engine
-
-    def canonical(events) -> List[tuple]:
-        return [
-            (event.query_name, event.match.portable_identity(), event.detected_at, event.sequence)
-            for event in events
-        ]
-
-    rows = []
-    event_lists: Dict[str, List[tuple]] = {}
-    columnar_stats: Dict[str, object] = {}
-    for mode_name, columnar in (("interpreted", False), ("columnar", True)):
-        engine = build_engine(columnar)
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        for start in range(0, len(records), batch_size):
-            engine.process_batch(records[start : start + batch_size])
-        elapsed = stopwatch.stop()
-        event_lists[mode_name] = canonical(engine.collector.events)
-        if columnar:
-            columnar_stats = engine.metrics()["columnar"]
-        rows.append(
-            {
-                "mode": mode_name,
-                "edges": len(records),
-                "elapsed_s": elapsed,
-                "edges_per_s": len(records) / elapsed if elapsed > 0 else float("inf"),
-                "events": len(event_lists[mode_name]),
-            }
-        )
-    by_mode = {row["mode"]: row for row in rows}
-    interpreted_elapsed = by_mode["interpreted"]["elapsed_s"]
-    columnar_elapsed = by_mode["columnar"]["elapsed_s"]
-    return {
-        "experiment": "E18_columnar_hot_path",
-        "query_count": query_count,
-        "chain_length": chain_length,
-        "stream_edges": len(records),
-        "batch_size": batch_size,
-        "events": len(event_lists["columnar"]),
-        "events_identical": event_lists["interpreted"] == event_lists["columnar"],
-        "speedup_columnar": (
-            interpreted_elapsed / columnar_elapsed if columnar_elapsed > 0 else float("inf")
-        ),
-        "compiled_queries": columnar_stats.get("compiled_queries", 0),
-        "compiled_checks": columnar_stats.get("compiled_checks", 0),
-        "batches_vectorized": columnar_stats.get("batches_vectorized", 0),
-        "records_prefiltered": columnar_stats.get("records_prefiltered", 0),
-        "dispatch_memo_hits": columnar_stats.get("dispatch_memo_hits", 0),
-        "leaves_pruned": columnar_stats.get("leaves_pruned", 0),
-        "range_scans": columnar_stats.get("range_scans", 0),
-        "rows": rows,
-    }
-
-
 #: Experiment id -> callable, used by the CLI runner and the benchmarks.
 ALL_EXPERIMENTS = {
     "E1": experiment_fig2_news_decomposition,
@@ -2258,12 +1593,8 @@ ALL_EXPERIMENTS = {
     "E8": experiment_tab3_selectivity_ablation,
     "E9": experiment_tab4_summarization,
     "E10": experiment_tab5_window_sweep,
-    "E11": experiment_multiquery_dispatch,
     "E12": experiment_sharded_scaling,
     "E13": experiment_out_of_order_throughput,
     "E14": experiment_checkpoint_recovery,
     "E15": experiment_multisource_ingest,
-    "E16": experiment_adaptive_replan,
-    "E17": experiment_sketch_membership,
-    "E18": experiment_columnar_hot_path,
 }

@@ -96,25 +96,30 @@ _CONFIG_FIELDS = (
     "plan_strategy",
     "primitive_size",
     "record_latency",
-    "auto_replan_interval",
     "replan_threshold",
     "replan_check_every",
-    "use_dispatch_index",
     "latency_sample_cap",
     "allowed_lateness",
     "late_policy",
     "idle_source_timeout",
     "checkpoint_every",
     "checkpoint_path",
-    "sketch_dispatch",
     "dedup_memory_budget",
     "sketch_stats",
     "columnar",
 )
 
 #: Knobs that earlier versions persisted and that no longer exist; a
-#: snapshot carrying them loads with the key ignored.
-_RETIRED_CONFIG_FIELDS = ("triad_sample_cap",)
+#: snapshot carrying them loads with the key ignored.  A snapshot written
+#: on the retired exhaustive scan therefore resumes on the dispatch index,
+#: and one written with blind periodic replanning resumes without it
+#: (``tests/fixtures/persistence/README.md``).
+_RETIRED_CONFIG_FIELDS = (
+    "triad_sample_cap",
+    "auto_replan_interval",
+    "use_dispatch_index",
+    "sketch_dispatch",
+)
 
 
 # ----------------------------------------------------------------------
@@ -206,17 +211,12 @@ def _event_from_state(state: Mapping[str, Any]) -> MatchEvent:
 
 
 def _dispatch_counters(dispatch: DispatchIndex) -> Dict[str, int]:
-    # Only the counters travel: the sketch front's counting cells are
-    # rebuilt exactly by the register() calls the loader replays (same
-    # queries, same insertion order), so future false-positive patterns --
-    # and therefore the restored counter stream -- stay byte-identical.
+    # Only the counters travel: the index itself is rebuilt by the
+    # register() calls the loader replays (same queries, same order).
     return {
         "lookups": dispatch.lookups,
         "entries_matched": dispatch.entries_matched,
         "entries_skipped": dispatch.entries_skipped,
-        "front_probes": dispatch.front_probes,
-        "front_rejections": dispatch.front_rejections,
-        "front_false_positives": dispatch.front_false_positives,
     }
 
 
@@ -364,13 +364,7 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         engine.dispatch.lookups = dispatch_counters["lookups"]
         engine.dispatch.entries_matched = dispatch_counters["entries_matched"]
         engine.dispatch.entries_skipped = dispatch_counters["entries_skipped"]
-        # pre-sketch snapshots carry no front counters: the front started
-        # from zero there too (sketch_dispatch defaulted off)
-        engine.dispatch.front_probes = dispatch_counters.get("front_probes", 0)
-        engine.dispatch.front_rejections = dispatch_counters.get("front_rejections", 0)
-        engine.dispatch.front_false_positives = dispatch_counters.get(
-            "front_false_positives", 0
-        )
+        # the retired Bloom front's front_* counters, if present, are ignored
         # pre-replan snapshots: keep the fresh monitor / constructor cadence
         if "plan_monitor" in counters:
             engine.plan_monitor = PlanMonitor.from_state(counters["plan_monitor"])

@@ -1,11 +1,9 @@
 """Probabilistic membership sketches with exactness-preserving fronts.
 
-This package accelerates the engine's hot membership questions -- "does this
-edge label bind anything?", "have we reported this match?", "how often does
-this label/signature occur?" -- with small, deterministic sketches:
+This package accelerates the engine's hot membership questions -- "have we
+reported this match?", "how often does this label/signature occur?" -- with
+small, deterministic sketches:
 
-* :class:`CountingBloomFilter` -- fronts the dispatch index; counting cells
-  make unregistration exact.
 * :class:`CuckooFilter` -- fronts the bounded dedup store; fingerprints
   support exact deletion on eviction.
 * :class:`CountMinSketch` -- bounded-memory label/signature counters behind
@@ -21,13 +19,11 @@ suite in ``tests/test_sketch.py`` pins the governing contract: sketch-on
 engine runs are byte-for-byte identical to sketch-off runs.
 """
 
-from .bloom import CountingBloomFilter
 from .countmin import CountMinSketch
 from .cuckoo import CuckooFilter
 from .dedup import DedupMemory
 
 __all__ = [
-    "CountingBloomFilter",
     "CountMinSketch",
     "CuckooFilter",
     "DedupMemory",

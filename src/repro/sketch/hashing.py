@@ -8,7 +8,7 @@ banned here (repro-lint enforces this for the whole ``sketch`` scope); the
 helpers below derive every index from either
 
 * :func:`zlib.crc32` seeded through its running-value parameter -- one C call
-  per probe, cheap enough for the per-edge dispatch front, or
+  per probe, cheap enough for the per-match dedup front, or
 * ``hashlib.blake2b`` keyed with the seed -- slower but with independent
   output slices, used where multiple decorrelated rows are required
   (count-min).
@@ -23,7 +23,7 @@ import hashlib
 import zlib
 from typing import Tuple
 
-__all__ = ["crc_hash", "crc_pair", "blake_row_indexes", "seed_key"]
+__all__ = ["crc_hash", "blake_row_indexes", "seed_key"]
 
 _MASK32 = 0xFFFFFFFF
 
@@ -31,19 +31,6 @@ _MASK32 = 0xFFFFFFFF
 def crc_hash(data: bytes, seed: int) -> int:
     """Return a deterministic 32-bit hash of ``data`` under ``seed``."""
     return zlib.crc32(data, seed & _MASK32) & _MASK32
-
-
-def crc_pair(data: bytes, seed: int) -> Tuple[int, int]:
-    """Return two 16-bit values derived from one CRC pass.
-
-    A single CRC is computed and split into its low and high halves.  The
-    halves are not independent hash functions, but for the small element
-    counts fronting the dispatch index the combined false-positive rate is
-    far below the exact-confirm cost they guard, and one C call per probe
-    keeps the negative-lookup path cheaper than the work it skips.
-    """
-    value = zlib.crc32(data, seed & _MASK32) & _MASK32
-    return value & 0xFFFF, (value >> 16) & 0xFFFF
 
 
 def seed_key(seed: int) -> bytes:

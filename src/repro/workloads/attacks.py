@@ -44,8 +44,8 @@ def high_cardinality_flood(
     endless distinct edge labels blow up any per-key state the engine keeps.
     Every flood record here uses a fresh label and fresh endpoint vertices,
     so each one is (a) a guaranteed dispatch-index miss -- the workload the
-    Bloom front must answer from its counting cells -- and (b) a distinct
-    key in any per-label statistics structure.
+    label gate in front of routing must turn away -- and (b) a distinct key
+    in any per-label statistics structure.
 
     ``signal_every`` interleaves one matchable record (fixed ``signal``
     label over a small host pool) every N records, keeping registered

@@ -10,6 +10,9 @@ columnar path.  This module packages the machinery the conformance suite
   ``tests/test_sharded_conformance.py``) and replay a record stream in
   batches, optionally crashing at chosen batch boundaries (checkpoint +
   restore + continue) to exercise the resume contract mid-differential.
+* :class:`ExhaustiveReferenceEngine` — the routing-free specification: every
+  leaf of every matcher runs on every record, so a dispatch-index or
+  route-plan bug that skips a bindable leaf shows up as a missing event.
 * :func:`skew_expiry` and :func:`sabotage_recompile` — deliberate faults
   for the *meta*-tests: each simulates a realistic implementation bug (an
   off-by-one window-expiry sweep; a replan that installs stale/corrupted
@@ -77,7 +80,6 @@ def build_engine(
     """
     engine_config = EngineConfig(
         columnar=columnar,
-        sketch_dispatch=sketch,
         dedup_memory_budget=4096 if sketch else None,
         sketch_stats=sketch,
         replan_threshold=0.4 if replan else None,
@@ -152,6 +154,27 @@ def differential(records, query_specs, *, candidate_kwargs=None, **shared_kwargs
     )
     oracle, _ = run(records, query_specs, columnar=False, **shared_kwargs)
     return candidate, oracle
+
+
+class ExhaustiveReferenceEngine(StreamWorksEngine):
+    """Runs every leaf of every registered matcher on every record.
+
+    The dispatch index and the route plans built on it may only skip leaves
+    that cannot bind a record; this engine skips none, so its events are
+    what routing must reproduce.  Batches run record by record, each through
+    the per-record path.
+    """
+
+    def _collect_matches(self, edge, found, expire):
+        for registration in self.queries.values():
+            matches = registration.matcher.process_edge(edge)
+            found.extend((registration, match) for match in matches)
+
+    def _process_batch_direct(self, records, expiry_anchor=None):
+        events = []
+        for record in records:
+            events.extend(self._process_record_direct(record))
+        return events
 
 
 # ----------------------------------------------------------------------

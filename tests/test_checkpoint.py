@@ -15,9 +15,8 @@ and the full event history plus deterministic metrics are diffed against
 the uninterrupted oracle.  A sampled set of *intra-batch* boundaries is
 crashed the same way through the per-record path.  The matrix covers the
 single engine and the sharded engine at shard counts 1/2/4, both
-schedulers (serial and worker pool), both dispatch-index settings, and
-event-time (reorder-buffer) configurations whose buffered tail must
-survive the crash.
+schedulers (serial and worker pool), and event-time (reorder-buffer)
+configurations whose buffered tail must survive the crash.
 
 Torn-snapshot robustness rides along: every section of a snapshot file is
 truncated and bit-flipped in turn, and ``restore`` must raise a typed
@@ -193,16 +192,13 @@ def assert_resumed_equals_oracle(oracle, resumed, context):
 # single engine: crash at EVERY batch boundary
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-@pytest.mark.parametrize("use_dispatch_index", [True, False], ids=["indexed", "unindexed"])
-def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload, use_dispatch_index):
+def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload):
     make_records, query_specs = WORKLOADS[workload]
     records = make_records()
     batches = batches_of(records)
 
     def build():
-        engine = StreamWorksEngine(
-            config=EngineConfig(use_dispatch_index=use_dispatch_index)
-        )
+        engine = StreamWorksEngine(config=EngineConfig())
         register_all(engine, query_specs())
         return engine
 
@@ -222,8 +218,7 @@ def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload, use_dis
         for batch in batches[crash_after + 1 :]:
             resumed.process_batch(batch)
         assert_resumed_equals_oracle(
-            oracle, resumed, f"{workload}/{'indexed' if use_dispatch_index else 'unindexed'}, "
-            f"crash after batch {crash_after}"
+            oracle, resumed, f"{workload}, crash after batch {crash_after}"
         )
 
 
@@ -388,31 +383,23 @@ def test_sharded_replan_crash_at_every_batch_boundary(tmp_path):
 # ----------------------------------------------------------------------
 # sharded engine: shards 1/2/4 x serial/pool schedulers
 # ----------------------------------------------------------------------
-def _sharded_config(shard_count, workers, use_dispatch_index=True, allowed_lateness=None):
+def _sharded_config(shard_count, workers, allowed_lateness=None):
     return ShardConfig(
         shard_count=shard_count,
         workers=workers,
-        engine=EngineConfig(
-            use_dispatch_index=use_dispatch_index,
-            allowed_lateness=allowed_lateness,
-        ),
+        engine=EngineConfig(allowed_lateness=allowed_lateness),
     )
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("shard_count", [1, 2, 4])
-@pytest.mark.parametrize("use_dispatch_index", [True, False], ids=["indexed", "unindexed"])
-def test_sharded_serial_crash_at_every_batch_boundary(
-    tmp_path, workload, shard_count, use_dispatch_index
-):
+def test_sharded_serial_crash_at_every_batch_boundary(tmp_path, workload, shard_count):
     make_records, query_specs = WORKLOADS[workload]
     records = make_records()
     batches = batches_of(records)
 
     def build():
-        engine = ShardedStreamEngine(
-            config=_sharded_config(shard_count, 0, use_dispatch_index)
-        )
+        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 0))
         register_all(engine, query_specs())
         return engine
 
@@ -749,8 +736,8 @@ class TestDeadOnArrivalUnification:
         StreamEdge("y", "w", "b", 6.0),    # dead on arrival; would chain with the above
     ]
 
-    def build(self, use_dispatch_index=True):
-        engine = StreamWorksEngine(config=EngineConfig(use_dispatch_index=use_dispatch_index))
+    def build(self):
+        engine = StreamWorksEngine(config=EngineConfig())
         engine.register_query(chain_query("ab", ["a", "b"]), name="ab", window=10.0)
         engine.register_query(chain_query("zz", ["z"]), name="zz", window=10.0)
         return engine
@@ -893,6 +880,88 @@ def test_snapshot_from_before_the_exact_census_restores(tmp_path):
     _, sections = read_snapshot(again)
     assert "triad_sample_cap" not in sections["config"]
     assert set(sections["summarizer"]["triads"]) == {"wedges_observed", "leg_sweep_steps", "counts"}
+
+
+def retired_knob_records():
+    rows = []
+    for index in range(24):
+        t = float(index)
+        leaf, host = f"leaf{index % 7}", f"host{index % 3}"
+        rows += [
+            StreamEdge("hub", leaf, "link", t, source_label="Hub", target_label="Leaf"),
+            StreamEdge(leaf, host, "rel_a", t + 0.25, source_label="Leaf", target_label="Host"),
+            StreamEdge(host, "hub", "rel_b", t + 0.5, source_label="Host", target_label="Hub"),
+            StreamEdge(host, leaf, f"noise{index % 5}", t + 0.75,
+                       source_label="Host", target_label="Leaf"),
+        ]
+    return rows
+
+
+def retired_knob_engine():
+    ab = QueryGraph("ab")
+    ab.add_vertex("x", "Leaf")
+    ab.add_vertex("y", "Host")
+    ab.add_vertex("z", "Hub")
+    ab.add_edge("x", "y", "rel_a")
+    ab.add_edge("y", "z", "rel_b")
+    la = QueryGraph("la")
+    la.add_vertex("h", "Hub")
+    la.add_vertex("x", "Leaf")
+    la.add_vertex("y", "Host")
+    la.add_edge("h", "x", "link")
+    la.add_edge("x", "y", "rel_a")
+    engine = StreamWorksEngine(config=EngineConfig())
+    engine.register_query(ab, name="ab", window=4.0)
+    engine.register_query(la, name="la", window=2.0)
+    return engine
+
+
+@pytest.mark.parametrize(
+    "fixture, retired, plan_version",
+    [
+        (
+            "engine_sketch_dispatch_auto_replan.snap",
+            {"sketch_dispatch": True, "auto_replan_interval": 50},
+            1,
+        ),
+        ("engine_unindexed.snap", {"use_dispatch_index": False}, 0),
+    ],
+)
+def test_snapshot_with_a_retired_routing_knob_resumes_on_the_index(
+    fixture, retired, plan_version
+):
+    """Snapshots written with the deleted routing knobs restore and resume.
+
+    ``tests/fixtures/persistence/`` holds one written with the Bloom dispatch
+    front and blind periodic replanning on (cut after its first replan), and
+    one written on the exhaustive every-leaf scan.  The knobs are ignored on
+    load, as are the Bloom front's ``front_*`` dispatch counters; the
+    remainder then runs on the dispatch index and the batched fast path, with
+    no periodic replans, and the event history equals an uninterrupted run
+    of today's engine.
+    """
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "persistence", fixture)
+    records = retired_knob_records()
+    cut = 56  # the fixtures were written after seven batches of 8
+    _, sections = read_snapshot(path)
+    assert {name: sections["config"][name] for name in retired} == retired
+    oracle = retired_knob_engine()
+    for start in range(0, len(records), 8):
+        oracle.process_batch(records[start : start + 8])
+
+    resumed = StreamWorksEngine.restore(path)
+    assert not any(hasattr(resumed.config, name) for name in retired)
+    assert set(resumed.metrics()["dispatch"]) == set(oracle.metrics()["dispatch"])
+    batched_at_restore = resumed.records_batched
+    for start in range(cut, len(records), 8):
+        resumed.process_batch(records[start : start + 8])
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert resumed.match_counts() == oracle.match_counts() != {"ab": 0, "la": 0}
+    assert resumed.records_batched - batched_at_restore == len(records) - cut
+    assert {r.plan_version for r in resumed.queries.values()} == {plan_version}
+    if "sketch_dispatch" in retired:
+        assert sections["counters"]["dispatch"]["front_rejections"] > 0
+        assert resumed.dispatch.lookups == oracle.dispatch.lookups
 
 
 def test_restore_rejects_missing_file(tmp_path):

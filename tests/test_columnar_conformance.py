@@ -4,8 +4,9 @@ The compiled columnar path (``EngineConfig(columnar=True)``, the default)
 must be a pure execution strategy: every event -- query name, portable
 match identity, detection timestamp, sequence number -- byte-identical to
 the interpreted per-record path (``columnar=False``), across workloads,
-shard counts, schedulers, feature switches (sketch dispatch, adaptive
-replanning), and crash-at-boundary resume cuts.  The harness lives in
+shard counts, schedulers, feature switches (bounded dedup memory and
+count-min statistics, adaptive replanning), and crash-at-boundary resume
+cuts.  The harness lives in
 ``tests/differential.py``; the meta-tests at the bottom prove the oracle
 actually *catches* the bug classes this suite exists to prevent.
 """

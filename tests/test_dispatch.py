@@ -1,10 +1,15 @@
 """Tests for the cross-query dispatch index and the batched ingest fast path."""
 
+import random
+
 import pytest
+from differential import ExhaustiveReferenceEngine
 
 from repro.core import DispatchIndex, EngineConfig, StreamWorksEngine
-from repro.harness.experiments import experiment_multiquery_dispatch
+from repro.core.dispatch import LeafDispatchEntry
+from repro.core.matcher import ContinuousQueryMatcher
 from repro.query.query_graph import QueryGraph
+from repro.streaming import StreamEdge
 from repro.workloads import RmatConfig, RmatGenerator
 
 
@@ -94,16 +99,26 @@ class TestDispatchIndex:
         assert index.candidates("a_lbl") == [("q", [0])]
         assert index.candidates("b_lbl") == [("q", [0])]
 
+    def test_front_rejects_exactly_the_labels_nothing_binds(self):
+        index = DispatchIndex()
+        index.register("q", [single_edge_leaf(0, "x")])
+        assert not index.front_rejects("x")
+        assert index.front_rejects("y")
+        # a rejection counts the lookup the candidates probe would have
+        assert index.lookups == 1
+        index.register("any", [single_edge_leaf(0, None)])
+        assert not index.front_rejects("y")  # a wildcard binds every label
+        index.unregister("any")
+        assert index.front_rejects("y")
+
 
 def rmat_records(count, seed=29):
     generator = RmatGenerator(RmatConfig(seed=seed, scale=6))
     return list(generator.stream(count))
 
 
-def engine_with_queries(use_index):
-    engine = StreamWorksEngine(
-        config=EngineConfig(collect_statistics=False, use_dispatch_index=use_index)
-    )
+def engine_with_queries(engine_cls=StreamWorksEngine):
+    engine = engine_cls(config=EngineConfig(collect_statistics=False))
     engine.register_query(
         chain_query("ab_chain", ["rel_a", "rel_b", "rel_a", "rel_b"]), name="ab", window=0.5
     )
@@ -119,24 +134,50 @@ def engine_with_queries(use_index):
     return engine
 
 
-class TestDispatchEquivalence:
-    def test_index_on_off_identical_events_on_rmat_stream(self):
-        records = rmat_records(400)
-        with_index = engine_with_queries(use_index=True)
-        without_index = engine_with_queries(use_index=False)
+def indexed_and_exhaustive_events(records):
+    """Per-record events of the real engine and of the exhaustive reference."""
+    keyed = []
+    for engine_cls in (StreamWorksEngine, ExhaustiveReferenceEngine):
+        engine = engine_with_queries(engine_cls)
         for record in records:
-            with_index.process_record(record)
-            without_index.process_record(record)
-        keyed_on = [(e.query_name, e.match.identity()) for e in with_index.collector.events]
-        keyed_off = [(e.query_name, e.match.identity()) for e in without_index.collector.events]
-        assert keyed_on == keyed_off
-        assert len(keyed_on) > 0  # the stream must actually exercise the queries
-        assert with_index.match_counts() == without_index.match_counts()
+            engine.process_record(record)
+        keyed.append([(e.query_name, e.match.identity()) for e in engine.collector.events])
+    return keyed
+
+
+class TestDispatchEquivalence:
+    def test_indexed_events_equal_exhaustive_reference_on_rmat_stream(self):
+        indexed, exhaustive = indexed_and_exhaustive_events(rmat_records(400))
+        assert indexed == exhaustive
+        assert len(indexed) > 0  # the stream must actually exercise the queries
+        assert {name for name, _ in indexed} >= {"ab", "wild"}
+
+    def test_a_guard_that_rejects_an_admissible_edge_is_caught(self, monkeypatch):
+        """Mutation: an index that forgets wildcard query edges must diverge.
+
+        The mutant ``admits`` ignores every guard whose query edge has no
+        label, so a record reaches the ``wild`` leaf only through its
+        labelled ``rel_a`` edge -- matches completed by the wildcard edge are
+        lost, and the differential against the exhaustive reference sees it.
+        """
+        original = LeafDispatchEntry.admits
+
+        def labelled_guards_only(self, edge_label, source_label, target_label):
+            guards = self.guards
+            self.guards = tuple(guard for guard in guards if guard[0] is not None)
+            try:
+                return original(self, edge_label, source_label, target_label)
+            finally:
+                self.guards = guards
+
+        monkeypatch.setattr(LeafDispatchEntry, "admits", labelled_guards_only)
+        indexed, exhaustive = indexed_and_exhaustive_events(rmat_records(400))
+        assert indexed != exhaustive
 
     def test_batched_ingest_matches_single_edge_ingest(self):
         records = rmat_records(400, seed=31)
-        single = engine_with_queries(use_index=True)
-        batched = engine_with_queries(use_index=True)
+        single = engine_with_queries()
+        batched = engine_with_queries()
         for record in records:
             single.process_record(record)
         for start in range(0, len(records), 64):
@@ -151,7 +192,7 @@ class TestDispatchEquivalence:
         assert batched.graph.edge_count() <= single.graph.edge_count() + 1
 
     def test_unmatchable_label_skips_label_bound_matchers(self):
-        engine = engine_with_queries(use_index=True)
+        engine = engine_with_queries()
         engine.process_edge("a", "b", "unknown_label", 1.0)
         # only the query with a wildcard edge label can bind the edge; every
         # label-bound matcher is skipped entirely
@@ -161,7 +202,7 @@ class TestDispatchEquivalence:
         assert engine.edges_processed == 1
 
     def test_dispatch_stats_exposed_in_metrics(self):
-        engine = engine_with_queries(use_index=True)
+        engine = engine_with_queries()
         engine.process_edge("a", "b", "rel_a", 1.0, source_label="TypeA", target_label="TypeB")
         stats = engine.metrics()["dispatch"]
         assert stats["indexed_queries"] == 4
@@ -191,22 +232,20 @@ class TestDispatchEquivalence:
 
     def test_replan_preserves_event_order_between_paths(self):
         # regression: re-planning used to move the query to the end of the
-        # dispatch order, diverging from the unindexed loop's dict order
-        def build(use_index):
-            engine = StreamWorksEngine(
-                config=EngineConfig(collect_statistics=False, use_dispatch_index=use_index)
-            )
+        # dispatch order, diverging from the every-leaf loop's dict order
+        def build(engine_cls):
+            engine = engine_cls(config=EngineConfig(collect_statistics=False))
             engine.register_query(chain_query("first", ["rel"]), name="A", window=10.0)
             engine.register_query(chain_query("second", ["rel"]), name="B", window=10.0)
             engine.replan_query("A")
             return engine
 
-        indexed, unindexed = build(True), build(False)
+        indexed, exhaustive = build(StreamWorksEngine), build(ExhaustiveReferenceEngine)
         indexed.process_edge("x", "y", "rel", 1.0)
-        unindexed.process_edge("x", "y", "rel", 1.0)
+        exhaustive.process_edge("x", "y", "rel", 1.0)
         order_indexed = [(e.sequence, e.query_name) for e in indexed.collector.events]
-        order_unindexed = [(e.sequence, e.query_name) for e in unindexed.collector.events]
-        assert order_indexed == order_unindexed == [(0, "A"), (1, "B")]
+        order_exhaustive = [(e.sequence, e.query_name) for e in exhaustive.collector.events]
+        assert order_indexed == order_exhaustive == [(0, "A"), (1, "B")]
 
     def test_replan_keeps_index_current(self):
         engine = StreamWorksEngine(config=EngineConfig(collect_statistics=True))
@@ -222,20 +261,68 @@ class TestDispatchEquivalence:
             assert set(leaf_ids) <= new_leaf_ids
 
     def test_unregister_removes_dispatch_entries(self):
-        engine = engine_with_queries(use_index=True)
+        engine = engine_with_queries()
         engine.unregister_query("ab")
         assert all(owner != "ab" for owner, _ in engine.dispatch.candidates("rel_b"))
 
 
-class TestMultiqueryDispatchSmoke:
-    """Tier-1 smoke of the E11 benchmark so perf regressions are visible."""
+def disjoint_chain_workload(query_count, record_count=300, seed=53):
+    """``query_count`` two-edge chains over private labels; each record binds one."""
+    queries = [chain_query(f"chain{index}", [f"rel{index}_0", f"rel{index}_1"])
+               for index in range(query_count)]
+    rng = random.Random(seed)
+    records = []
+    for position in range(record_count):
+        index = rng.randrange(query_count)
+        records.append(StreamEdge(
+            f"q{index}v{rng.randrange(8)}", f"q{index}v{rng.randrange(8)}",
+            f"rel{index}_{rng.randrange(2)}", position * 0.01,
+        ))
+    return queries, records
 
-    def test_small_scale_equivalence_and_work_reduction(self):
-        result = experiment_multiquery_dispatch(scale=0.15)
-        assert result["match_sets_identical"]
-        assert result["event_order_identical"]
-        # assert on deterministic work counters rather than wall-clock so the
-        # tier-1 run cannot flake on loaded machines; the full-scale bench
-        # (benchmarks/bench_multiquery_dispatch.py) asserts the >= 3x
-        # wall-clock speedup
-        assert result["work_reduction"] >= 5.0
+
+def dispatch_work_per_record(engine_cls, query_count, monkeypatch):
+    """``(index entries examined, matcher searches)`` per record, batched ingest."""
+    queries, records = disjoint_chain_workload(query_count)
+    engine = engine_cls(config=EngineConfig(collect_statistics=False, record_latency=False))
+    for query in queries:
+        engine.register_query(query, window=1.0)
+    searches = []
+    search = ContinuousQueryMatcher.process_edge_leaves
+    monkeypatch.setattr(
+        ContinuousQueryMatcher, "process_edge_leaves",
+        lambda self, edge, leaves: searches.append(1) or search(self, edge, leaves),
+    )
+    for start in range(0, len(records), 50):
+        engine.process_batch(records[start : start + 50])
+    monkeypatch.undo()
+    stats = engine.dispatch.stats()
+    examined = stats["entries_matched"] + stats["entries_skipped"]
+    return examined / len(records), len(searches) / len(records)
+
+
+def assert_dispatch_work_flat(engine_cls, monkeypatch):
+    baseline = dispatch_work_per_record(engine_cls, 2, monkeypatch)
+    for query_count in (20, 200):
+        assert dispatch_work_per_record(engine_cls, query_count, monkeypatch) == baseline, (
+            f"dispatch work per record moved between 2 and {query_count} queries"
+        )
+    return baseline
+
+
+class TestDispatchWorkPin:
+    """Work-complexity pin: an edge pays only for the queries it can bind.
+
+    With 2, 20 and 200 label-disjoint chain queries registered, the index
+    entries a record examines and the matcher searches it triggers stay
+    exactly flat -- a 100x larger query set costs a record nothing.
+    """
+
+    def test_dispatch_work_per_record_is_flat_in_query_count(self, monkeypatch):
+        examined, searches = assert_dispatch_work_flat(StreamWorksEngine, monkeypatch)
+        assert examined >= 1 and searches == 1
+
+    def test_pin_fails_against_the_exhaustive_reference(self, monkeypatch):
+        # every matcher per record: searches grow with the query count
+        with pytest.raises(AssertionError, match="moved between 2 and 20"):
+            assert_dispatch_work_flat(ExhaustiveReferenceEngine, monkeypatch)

@@ -100,26 +100,3 @@ class TestReplanQuery:
         assert engine.queries["a"].plan.summary_edge_count > 0
         assert engine.queries["b"].plan.summary_edge_count > 0
 
-
-class TestAutoReplan:
-    def test_auto_replan_interval_triggers(self):
-        engine = StreamWorksEngine(
-            config=EngineConfig(dedupe_structural=True, auto_replan_interval=50)
-        )
-        engine.register_query(common_topic_location_query(2), name="q", window=60.0)
-        engine.process_stream(list(news_stream(40)))
-        # after >=50 edges the plan must have been rebuilt from live statistics
-        assert engine.queries["q"].plan.summary_edge_count >= 50
-
-    def test_invalid_interval_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(auto_replan_interval=0)
-
-    def test_auto_replan_preserves_event_uniqueness(self):
-        engine = StreamWorksEngine(
-            config=EngineConfig(dedupe_structural=True, auto_replan_interval=25)
-        )
-        engine.register_query(common_topic_location_query(2), name="q", window=60.0)
-        events = engine.process_stream(list(news_stream(60)))
-        identities = [event.match.identity() for event in events]
-        assert len(identities) == len(set(identities))

@@ -10,7 +10,7 @@ pins that differentially:
 * **Conformance matrix** — auto-replan on vs. off must produce byte-identical
   event lists (same matches, order, detection times, sequence numbers) across
   rmat / netflow / drifting-selectivity workloads × shard counts 1/2/4 × both
-  schedulers × both ``use_dispatch_index`` settings.  Every adaptive run also
+  schedulers.  Every adaptive run also
   asserts ``triggers_fired > 0`` (plans are stats-blind at registration, so
   the first cadence check always replans) — the suite cannot pass vacuously
   with replanning never firing.
@@ -124,24 +124,17 @@ def replay_batched(engine, records):
     return events
 
 
-def static_config(use_dispatch_index=True):
-    return EngineConfig(use_dispatch_index=use_dispatch_index)
+def static_config():
+    return EngineConfig()
 
 
-def adaptive_config(
-    use_dispatch_index=True, threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False
-):
-    # sketch=True turns on every sketch switch at once: the Bloom-fronted
-    # dispatch, the bounded dedup memory, and count-min planner statistics.
-    # The latter changes what the replan loop *reads* (one-sided estimates),
-    # so replanning under sketches is exactly the interaction this axis pins.
-    sketch_kwargs = (
-        {"sketch_dispatch": True, "dedup_memory_budget": 4096, "sketch_stats": True}
-        if sketch
-        else {}
-    )
+def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False):
+    # sketch=True turns on every sketch switch at once: the bounded dedup
+    # memory and count-min planner statistics.  The latter changes what the
+    # replan loop *reads* (one-sided estimates), so replanning under
+    # sketches is exactly the interaction this axis pins.
+    sketch_kwargs = {"dedup_memory_budget": 4096, "sketch_stats": True} if sketch else {}
     return EngineConfig(
-        use_dispatch_index=use_dispatch_index,
         replan_threshold=threshold,
         replan_check_every=check_every,
         **sketch_kwargs,
@@ -174,17 +167,16 @@ def assert_quiescent_recheck_idempotent(engine):
 # single-engine conformance matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("use_dispatch_index", [True, False], ids=["indexed", "unindexed"])
 class TestSingleEngineReplanConformance:
-    def test_batched_conformance(self, case, use_dispatch_index):
+    def test_batched_conformance(self, case):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config(use_dispatch_index))
+        oracle = StreamWorksEngine(config=static_config())
         register_all(oracle, query_specs())
         reference = canonical(replay_batched(oracle, records))
         assert reference, f"case {case} produced no events -- not exercising the engines"
 
-        adaptive = StreamWorksEngine(config=adaptive_config(use_dispatch_index))
+        adaptive = StreamWorksEngine(config=adaptive_config())
         register_all(adaptive, query_specs())
         events = replay_batched(adaptive, records)
         assert_adaptive_run_conformant(
@@ -193,17 +185,17 @@ class TestSingleEngineReplanConformance:
         assert adaptive.match_counts() == oracle.match_counts()
         assert_quiescent_recheck_idempotent(adaptive)
 
-    def test_per_record_conformance(self, case, use_dispatch_index):
+    def test_per_record_conformance(self, case):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config(use_dispatch_index))
+        oracle = StreamWorksEngine(config=static_config())
         register_all(oracle, query_specs())
         reference = canonical(
             [event for record in records for event in oracle.process_record(record)]
         )
         assert reference
 
-        adaptive = StreamWorksEngine(config=adaptive_config(use_dispatch_index))
+        adaptive = StreamWorksEngine(config=adaptive_config())
         register_all(adaptive, query_specs())
         adaptive_events = [
             event for record in records for event in adaptive.process_record(record)
@@ -330,24 +322,6 @@ def test_sketch_worker_pool_scheduler_conformance(case):
         sketch = pooled.metrics()["sketch"]
         assert_adaptive_run_conformant(events, reference, replan, f"{case}/sketch-pooled")
         assert sketch["dedup_memory"]["probes"] > 0
-
-
-def test_sharded_dispatch_off_conformance():
-    # dispatch off forces broadcast routing + the parent per-record path;
-    # replan checks must still fan out on the global cadence
-    records = drifting_records()
-    oracle = StreamWorksEngine(config=static_config(use_dispatch_index=False))
-    register_all(oracle, drifting_queries())
-    reference = canonical(replay_batched(oracle, records))
-
-    sharded = ShardedStreamEngine(
-        config=ShardConfig(shard_count=2, engine=adaptive_config(use_dispatch_index=False))
-    )
-    register_all(sharded, drifting_queries())
-    events = replay_batched(sharded, records)
-    assert_adaptive_run_conformant(
-        events, reference, sharded.metrics()["replan"], "drifting/unindexed-sharded"
-    )
 
 
 # ----------------------------------------------------------------------

@@ -627,13 +627,6 @@ def test_plans_are_rebuilt_not_restored_across_checkpoint(tmp_path):
     assert plans["engine"].dispatch.plans_built == 3
 
 
-def test_sketch_front_counters_survive_plan_caching(tmp_path):
-    records = banded_records(600, BANDS_REGISTERED)
-    plans, _ = assert_lifetime_contract(batches(records), tmp_path, sketch_dispatch=True)
-    front = plans["dispatch"]
-    assert front["front_probes"] > 0 and front["front_rejections"] > 0
-
-
 def test_a_wildcard_query_switches_the_label_gate_off(tmp_path):
     records = banded_records(400, BANDS_REGISTERED, cold_share=0.3)
     wildcard = (
@@ -645,12 +638,12 @@ def test_a_wildcard_query_switches_the_label_gate_off(tmp_path):
     plans, _ = assert_lifetime_contract(script, tmp_path)
     engine = plans["engine"]
     assert any(name == "any_big" for name, *_ in plans["events"])
-    assert engine.dispatch.binds("cold_never_seen")
+    assert not engine.dispatch.front_rejects("cold_never_seen")
     # every label now has a plan: cold ones hold just the wildcard leaf
     labels = {record.label for record in records[120:]}
     assert len(engine.dispatch.plans) == len(labels) > 3
     engine.unregister_query("any_big")
-    assert not engine.dispatch.binds("cold_never_seen") and not engine.dispatch.plans
+    assert engine.dispatch.front_rejects("cold_never_seen") and not engine.dispatch.plans
 
 
 def test_short_watermark_released_runs_share_plans(tmp_path):

@@ -17,8 +17,8 @@ diverge:
   id-based identities are ambiguous and enumeration order is fragile),
 * eviction-heavy streams (tiny windows, constant expiry/recreation),
 
-for shard counts 1, 2 and 4, both ``use_dispatch_index`` settings, label
-and broadcast routing, and the serial and multiprocessing schedulers.
+for shard counts 1, 2 and 4, label and broadcast routing, and the serial
+and multiprocessing schedulers.
 
 Events are compared on ``(query, portable match identity, detection time,
 sequence)`` as ordered lists -- :meth:`Match.portable_identity` keys edges
@@ -163,29 +163,23 @@ def replay_batched(engine, records):
     return events
 
 
-def single_engine_reference(records, query_specs, use_dispatch_index):
-    engine = StreamWorksEngine(
-        config=EngineConfig(collect_statistics=False, use_dispatch_index=use_dispatch_index)
-    )
+def single_engine_reference(records, query_specs):
+    engine = StreamWorksEngine(config=EngineConfig(collect_statistics=False))
     register_all(engine, query_specs())
     return engine, canonical(replay_batched(engine, records))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("use_dispatch_index", [True, False], ids=["indexed", "unindexed"])
 class TestShardedConformance:
-    def test_batched_identical_across_shard_counts(self, case, use_dispatch_index):
+    def test_batched_identical_across_shard_counts(self, case):
         make_records, query_specs = CASES[case]
         records = make_records()
-        single, reference = single_engine_reference(records, query_specs, use_dispatch_index)
+        single, reference = single_engine_reference(records, query_specs)
         assert reference, f"case {case} produced no events -- not exercising the engines"
         for shard_count in SHARD_COUNTS:
             sharded = ShardedStreamEngine(
                 config=ShardConfig(
-                    shard_count=shard_count,
-                    engine=EngineConfig(
-                        collect_statistics=False, use_dispatch_index=use_dispatch_index
-                    ),
+                    shard_count=shard_count, engine=EngineConfig(collect_statistics=False)
                 )
             )
             register_all(sharded, query_specs())
@@ -195,12 +189,10 @@ class TestShardedConformance:
             assert sharded.match_counts() == single.match_counts()
             assert sharded.edges_processed == single.edges_processed
 
-    def test_per_record_identical_across_shard_counts(self, case, use_dispatch_index):
+    def test_per_record_identical_across_shard_counts(self, case):
         make_records, query_specs = CASES[case]
         records = make_records()
-        single = StreamWorksEngine(
-            config=EngineConfig(collect_statistics=False, use_dispatch_index=use_dispatch_index)
-        )
+        single = StreamWorksEngine(config=EngineConfig(collect_statistics=False))
         register_all(single, query_specs())
         reference = canonical(
             [event for record in records for event in single.process_record(record)]
@@ -209,10 +201,7 @@ class TestShardedConformance:
         for shard_count in SHARD_COUNTS:
             sharded = ShardedStreamEngine(
                 config=ShardConfig(
-                    shard_count=shard_count,
-                    engine=EngineConfig(
-                        collect_statistics=False, use_dispatch_index=use_dispatch_index
-                    ),
+                    shard_count=shard_count, engine=EngineConfig(collect_statistics=False)
                 )
             )
             register_all(sharded, query_specs())
@@ -226,7 +215,7 @@ class TestShardedConformance:
 def test_broadcast_routing_identical(case):
     make_records, query_specs = CASES[case]
     records = make_records()
-    _, reference = single_engine_reference(records, query_specs, use_dispatch_index=True)
+    _, reference = single_engine_reference(records, query_specs)
     for shard_count in (2, 4):
         sharded = ShardedStreamEngine(
             config=ShardConfig(
@@ -246,7 +235,7 @@ def test_broadcast_routing_identical(case):
 )
 def test_worker_pool_identical_to_serial_and_single():
     records = rmat_records(250)
-    _, reference = single_engine_reference(records, rmat_queries, use_dispatch_index=True)
+    _, reference = single_engine_reference(records, rmat_queries)
     with ShardedStreamEngine(
         config=ShardConfig(shard_count=3, workers=2, engine=EngineConfig(collect_statistics=False))
     ) as pooled:
@@ -345,7 +334,7 @@ SKETCH_CASES = {
 
 
 def sketch_config():
-    return EngineConfig(sketch_dispatch=True, dedup_memory_budget=4096, sketch_stats=True)
+    return EngineConfig(dedup_memory_budget=4096, sketch_stats=True)
 
 
 @pytest.mark.parametrize("case", sorted(SKETCH_CASES))
@@ -353,8 +342,8 @@ class TestSketchShardedConformance:
     """Sketch axis: every sketch switch on vs. the sketch-off single engine.
 
     The reference runs with exact statistics and no sketches; the candidate
-    runs with the Bloom-fronted dispatch, bounded dedup memory, and count-min
-    statistics all enabled -- at every shard count and under both schedulers.
+    runs with bounded dedup memory and count-min statistics both enabled --
+    at every shard count and under both schedulers.
     Byte-identical events prove the sketch layer is pure acceleration.
     """
 
@@ -566,18 +555,14 @@ class TestShardedEngineBehaviour:
         )
         assert run(sharded) == reference
 
-    @pytest.mark.parametrize("use_dispatch_index", [True, False], ids=["indexed", "unindexed"])
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_record"])
-    def test_sweep_sequence_mirrored_for_cross_batch_late_records(
-        self, use_dispatch_index, batched
-    ):
+    def test_sweep_sequence_mirrored_for_cross_batch_late_records(self, batched):
         # regression (confirmed divergence): with late records the SEQUENCE
         # of partial-expiry sweeps decides what survives, not just the final
         # clock.  The single engine's batched path sweeps every matcher per
-        # batch (even on irrelevant records) and its unindexed loop touches
-        # every matcher per record; shards must replay exactly those sweeps
-        # (empty-batch sweep delivery resp. forced broadcast routing), or a
-        # late completion is kept on one side and dropped on the other.
+        # batch (even on irrelevant records); shards must replay exactly
+        # those sweeps (empty-batch sweep delivery), or a late completion is
+        # kept on one side and dropped on the other.
         records = [
             StreamEdge("a", "b", "p", 0.0),
             StreamEdge("b", "c", "q", 1.0),   # completes leaf 1 -> stored partial
@@ -599,7 +584,7 @@ class TestShardedEngineBehaviour:
                     events.extend(engine.process_record(record))
             return canonical(events)
 
-        config = EngineConfig(collect_statistics=False, use_dispatch_index=use_dispatch_index)
+        config = EngineConfig(collect_statistics=False)
         reference = run(StreamWorksEngine(config=config))
         sharded = ShardedStreamEngine(config=ShardConfig(shard_count=2, engine=config))
         assert run(sharded) == reference
@@ -626,10 +611,6 @@ class TestShardedEngineBehaviour:
         assert all(engine.graph.window.duration == 9.0 for engine in sharded.shards)
         sharded.unregister_query("long")
         assert all(engine.graph.window.duration == 0.5 for engine in sharded.shards)
-
-    def test_auto_replan_rejected(self):
-        with pytest.raises(ValueError):
-            ShardConfig(shard_count=2, engine=EngineConfig(auto_replan_interval=10))
 
     def test_shard_config_does_not_mutate_caller_engine_config(self):
         # regression: the default_window override used to write through to

@@ -1,10 +1,9 @@
 """Sketch-exactness differential suite: sketches accelerate, never change answers.
 
-The sketch layer (``repro.sketch``) fronts three hot membership paths: a
-counting-Bloom front on the dispatch index, a cuckoo-fronted bounded
-duplicate-suppression memory in every matcher, and count-min planner
+The sketch layer (``repro.sketch``) fronts two hot paths: a cuckoo-fronted
+bounded duplicate-suppression memory in every matcher, and count-min planner
 statistics.  Its contract is absolute: with every sketch switch on -- at any
-filter geometry, including degenerate 8-bit filters built to force
+filter geometry, including degenerate 2-bucket filters built to force
 false-positive storms -- the emitted event stream is byte-for-byte the
 exact-path stream.  This suite pins that contract:
 
@@ -22,8 +21,8 @@ exact-path stream.  This suite pins that contract:
   measured entry count never exceeds ``dedup_memory_budget`` while
   in-horizon suppression recall stays 100%.
 * **Mutation meta-tests** -- delete the confirm-against-exact-store step,
-  skip the counting-cell decrement on ``unregister_query``, drop a sketch
-  snapshot section: each must fail the suite (the oracle has teeth).
+  drop a sketch snapshot section: each must fail the suite (the oracle has
+  teeth).
 """
 
 from __future__ import annotations
@@ -37,12 +36,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import EngineConfig, StreamWorksEngine
-from repro.core.dispatch import DispatchIndex
 from repro.graph.window import TimeWindow
 from repro.persistence.state import engine_sections, load_engine_sections
 from repro.persistence.snapshot import SnapshotCorruptError
 from repro.query.query_graph import QueryGraph
-from repro.sketch import CountingBloomFilter, CountMinSketch, CuckooFilter, DedupMemory
+from repro.sketch import CountMinSketch, CuckooFilter, DedupMemory
 from repro.streaming import StreamEdge
 from repro.workloads import high_cardinality_flood
 
@@ -63,7 +61,6 @@ def chain_query(name, labels, vertex_labels=None):
 
 
 def query_specs():
-    # no wildcard-labelled edges: a wildcard disables the dispatch front
     return [
         ("xy", chain_query("xy", ["x", "y"]), 8.0),
         ("yy", chain_query("yy", ["y", "y"]), 8.0),
@@ -103,16 +100,12 @@ def register_all(engine, query_specs):
 
 
 def sketch_config(budget=4096):
-    return EngineConfig(
-        sketch_dispatch=True, dedup_memory_budget=budget, sketch_stats=True
-    )
+    return EngineConfig(dedup_memory_budget=budget, sketch_stats=True)
 
 
 def degenerate_sketch_engine(budget=4096):
     """Sketch-on engine with filters sized to guarantee false-positive storms."""
     engine = StreamWorksEngine(config=sketch_config(budget))
-    # swap in an 8-cell Bloom front BEFORE registering (register fills it)
-    engine.dispatch = DispatchIndex(sketch=True, sketch_bits=8)
     register_all(engine, query_specs())
     # swap every matcher's dedup memory for 2-bucket/2-bit-fingerprint fronts
     # (they are empty right after registration, so adoption is lossless)
@@ -129,53 +122,6 @@ def run_stream(engine, records):
     for record in records:
         events.extend(engine.process_record(record))
     return events
-
-
-# ----------------------------------------------------------------------
-# structure properties: counting Bloom filter
-# ----------------------------------------------------------------------
-class TestCountingBloomFilter:
-    @settings(max_examples=60, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=0, max_size=12), max_size=40),
-        bits=st.sampled_from([8, 64, 2048]),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_no_false_negatives_and_counting_removal(self, keys, bits, seed):
-        bloom = CountingBloomFilter(bits=bits, seed=seed)
-        for key in keys:
-            bloom.add(key)
-        assert all(bloom.might_contain(key) for key in keys)
-        # removing one copy of duplicated keys must keep the rest visible
-        half = keys[: len(keys) // 2]
-        for key in half:
-            bloom.remove(key)
-        for key in keys[len(keys) // 2 :]:
-            assert bloom.might_contain(key)
-        # removing every addition empties the cells entirely
-        for key in keys[len(keys) // 2 :]:
-            bloom.remove(key)
-        assert len(bloom) == 0
-        assert bloom.fill_ratio() == 0.0
-
-    @settings(max_examples=30, deadline=None)
-    @given(
-        keys=st.lists(st.binary(min_size=0, max_size=8), max_size=30),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    def test_state_roundtrip_cell_for_cell(self, keys, seed):
-        bloom = CountingBloomFilter(bits=64, seed=seed)
-        for key in keys:
-            bloom.add(key)
-        state = bloom.state_dict()
-        clone = CountingBloomFilter.from_state(state)
-        assert clone.state_dict() == state
-        assert all(clone.might_contain(key) for key in keys)
-
-    def test_bits_rounded_to_power_of_two(self):
-        assert CountingBloomFilter(bits=1000).bits == 1024
-        with pytest.raises(ValueError):
-            CountingBloomFilter(bits=1)
 
 
 # ----------------------------------------------------------------------
@@ -404,9 +350,6 @@ def test_engine_flood_bounded_memory_and_exact_events():
     register_all(engine, signal_query)
     assert canonical(run_stream(engine, records)) == reference
     sketch = engine.metrics()["sketch"]
-    # the front answered the flood's unique labels before any graph access
-    flood_records = sum(1 for record in records if record.label != "signal")
-    assert sketch["dispatch_front"]["rejections"] == flood_records
     assert sketch["dedup_memory"]["peak_entries"] <= 1024
 
 
@@ -426,20 +369,14 @@ def test_degenerate_sketches_emit_exact_event_stream(seed, noise_ratio):
 
     engine = degenerate_sketch_engine()
     assert canonical(run_stream(engine, records)) == reference
-    # the front was genuinely consulted (not silently disabled)
-    if any(record.label not in ("x", "y") for record in records):
-        assert engine.dispatch.front_probes > 0
 
 
 def test_degenerate_geometry_forces_false_positive_storms():
-    """The 8-bit/2-bit filters actually storm -- the property above is not vacuous."""
+    """The 2-bit filters actually storm -- the property above is not vacuous."""
     records = mixed_stream(400, seed=99, noise_ratio=0.5)
     engine = degenerate_sketch_engine()
     events = run_stream(engine, records)
     assert events
-    # an 8-cell Bloom saturates after a handful of labels: noise labels now
-    # pass the front and get caught by the exact dict instead
-    assert engine.dispatch.front_false_positives > 0
     dedup_fps = sum(
         memory.front_false_positives
         for registration in engine.queries.values()
@@ -458,27 +395,9 @@ def test_default_geometry_sketch_on_equals_off_with_metrics_shape():
     register_all(engine, query_specs())
     assert canonical(run_stream(engine, records)) == reference
     sketch = engine.metrics()["sketch"]
-    assert sketch["dispatch_front"]["enabled"]
-    assert sketch["dispatch_front"]["rejections"] > 0  # noise labels rejected
-    assert sketch["dispatch_front"]["false_positives"] == 0  # 2048 bits, 3 labels
     assert sketch["dedup_memory"]["probes"] > 0
-    # lookups counter parity with the sketch-off engine: a front rejection
-    # ticks the same counter the dict probe would have
-    assert engine.dispatch.lookups == oracle.dispatch.lookups
-
-
-def test_wildcard_query_disables_front_but_stays_exact():
-    records = mixed_stream(200, seed=12, noise_ratio=0.5)
-    wildcard_specs = [("wild", chain_query("wild", [None, "x"]), 8.0)]
-    oracle = StreamWorksEngine(config=EngineConfig())
-    register_all(oracle, wildcard_specs)
-    reference = canonical(run_stream(oracle, records))
-
-    engine = StreamWorksEngine(config=sketch_config())
-    register_all(engine, wildcard_specs)
-    assert canonical(run_stream(engine, records)) == reference
-    # every label can bind a wildcard leaf: the front must stand down
-    assert engine.dispatch.front_rejections == 0
+    assert sketch["stats_backend"] == "countmin"
+    assert engine.metrics()["dispatch"] == oracle.metrics()["dispatch"]
 
 
 # ----------------------------------------------------------------------
@@ -527,8 +446,6 @@ def _legacy_sections(engine):
             ast.literal_eval(key)
             for key, _, _ in matcher_state.pop("dedup_edge_sets")["entries"]
         ]
-    for counter in ("front_probes", "front_rejections", "front_false_positives"):
-        del sections["counters"]["dispatch"][counter]
     return sections
 
 
@@ -596,39 +513,6 @@ class TestMutations:
         mutant = degenerate_sketch_engine()
         assert canonical(run_stream(mutant, records)) != reference
 
-    def test_skipping_unregister_decrement_is_caught(self, monkeypatch):
-        """A no-op counting-cell decrement leaves stale front bits behind.
-
-        After ``unregister_query`` the correct front rejects the dead query's
-        label outright; a mutant whose ``CountingBloomFilter.remove`` does
-        nothing keeps answering *maybe*, so every such record shows up as a
-        front false positive instead of a rejection.
-        """
-
-        def run(mutate):
-            engine = StreamWorksEngine(config=sketch_config())
-            register_all(engine, query_specs())
-            engine.register_query(chain_query("tmp", ["zzz"]), name="tmp", window=8.0)
-            if mutate:
-                monkeypatch.setattr(
-                    CountingBloomFilter, "remove", lambda self, key: None
-                )
-            engine.unregister_query("tmp")
-            for index in range(50):
-                engine.process_record(
-                    StreamEdge(f"a{index}", f"b{index}", "zzz", index * 0.1)
-                )
-            monkeypatch.undo()
-            return engine.dispatch
-
-        sane = run(mutate=False)
-        assert sane.front_rejections == 50
-        assert sane.front_false_positives == 0
-
-        mutant = run(mutate=True)
-        assert mutant.front_rejections == 0
-        assert mutant.front_false_positives == 50
-
     def test_dropped_dedup_snapshot_section_is_caught(self):
         """A snapshot missing the dedup sections (and legacy lists) must not load."""
         engine = StreamWorksEngine(config=sketch_config())
@@ -643,32 +527,10 @@ class TestMutations:
         with pytest.raises(SnapshotCorruptError):
             load_engine_sections(sections)
 
-    def test_dropped_front_counters_break_counter_parity(self):
-        """Losing the dispatch-front counters makes resume observably diverge."""
-        records = mixed_stream(200, seed=4, noise_ratio=0.5)
-        engine = StreamWorksEngine(config=sketch_config())
-        register_all(engine, query_specs())
-        run_stream(engine, records)
-        assert engine.dispatch.front_probes > 0
-
-        sections = engine_sections(engine)
-        intact = load_engine_sections(sections)
-        assert intact.metrics()["sketch"] == engine.metrics()["sketch"]
-
-        for counter in ("front_probes", "front_rejections"):
-            sections["counters"]["dispatch"].pop(counter)
-        mutant = load_engine_sections(sections)
-        assert mutant.metrics()["sketch"] != engine.metrics()["sketch"]
-
-
 # ----------------------------------------------------------------------
 # config validation
 # ----------------------------------------------------------------------
 class TestEngineConfigValidation:
-    def test_sketch_dispatch_requires_dispatch_index(self):
-        with pytest.raises(ValueError, match="use_dispatch_index"):
-            EngineConfig(sketch_dispatch=True, use_dispatch_index=False)
-
     def test_dedup_budget_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             EngineConfig(dedup_memory_budget=0)
