@@ -15,8 +15,10 @@ and the full event history plus deterministic metrics are diffed against
 the uninterrupted oracle.  A sampled set of *intra-batch* boundaries is
 crashed the same way through the per-record path.  The matrix covers the
 single engine and the sharded engine at shard counts 1/2/4, both
-schedulers (serial and worker pool), and event-time (reorder-buffer)
-configurations whose buffered tail must survive the crash.
+schedulers (serial and worker pool), both ingest paths (the columnar
+route-plan path and the interpreted ``columnar=False`` reference), and
+event-time (reorder-buffer) configurations whose buffered tail must
+survive the crash.
 
 Torn-snapshot robustness rides along: every section of a snapshot file is
 truncated and bit-flipped in turn, and ``restore`` must raise a typed
@@ -192,13 +194,14 @@ def assert_resumed_equals_oracle(oracle, resumed, context):
 # single engine: crash at EVERY batch boundary
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload):
+@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload, columnar):
     make_records, query_specs = WORKLOADS[workload]
     records = make_records()
     batches = batches_of(records)
 
     def build():
-        engine = StreamWorksEngine(config=EngineConfig())
+        engine = StreamWorksEngine(config=EngineConfig(columnar=columnar))
         register_all(engine, query_specs())
         return engine
 
@@ -217,8 +220,12 @@ def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload):
         resumed = StreamWorksEngine.restore(path)
         for batch in batches[crash_after + 1 :]:
             resumed.process_batch(batch)
+        assert resumed.config.columnar is columnar
         assert_resumed_equals_oracle(
-            oracle, resumed, f"{workload}, crash after batch {crash_after}"
+            oracle,
+            resumed,
+            f"{workload}/{'columnar' if columnar else 'interpreted'}, "
+            f"crash after batch {crash_after}",
         )
 
 
@@ -383,23 +390,26 @@ def test_sharded_replan_crash_at_every_batch_boundary(tmp_path):
 # ----------------------------------------------------------------------
 # sharded engine: shards 1/2/4 x serial/pool schedulers
 # ----------------------------------------------------------------------
-def _sharded_config(shard_count, workers, allowed_lateness=None):
+def _sharded_config(shard_count, workers, allowed_lateness=None, columnar=True):
     return ShardConfig(
         shard_count=shard_count,
         workers=workers,
-        engine=EngineConfig(allowed_lateness=allowed_lateness),
+        engine=EngineConfig(allowed_lateness=allowed_lateness, columnar=columnar),
     )
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("shard_count", [1, 2, 4])
-def test_sharded_serial_crash_at_every_batch_boundary(tmp_path, workload, shard_count):
+@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+def test_sharded_serial_crash_at_every_batch_boundary(
+    tmp_path, workload, shard_count, columnar
+):
     make_records, query_specs = WORKLOADS[workload]
     records = make_records()
     batches = batches_of(records)
 
     def build():
-        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 0))
+        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 0, columnar=columnar))
         register_all(engine, query_specs())
         return engine
 
@@ -416,12 +426,14 @@ def test_sharded_serial_crash_at_every_batch_boundary(tmp_path, workload, shard_
         engine.checkpoint(path)
         del engine
         resumed = ShardedStreamEngine.restore(path)
+        assert all(shard.config.columnar is columnar for shard in resumed.shards)
         for batch in batches[crash_after + 1 :]:
             resumed.process_batch(batch)
         assert_resumed_equals_oracle(
             oracle,
             resumed,
-            f"{workload}, {shard_count}-shard serial, crash after batch {crash_after}",
+            f"{workload}/{'columnar' if columnar else 'interpreted'}, "
+            f"{shard_count}-shard serial, crash after batch {crash_after}",
         )
 
 

@@ -266,6 +266,74 @@ class TestDispatchEquivalence:
         assert all(owner != "ab" for owner, _ in engine.dispatch.candidates("rel_b"))
 
 
+def labelled_engine(columnar):
+    """``engine_with_queries`` without the wildcard query: the label gate can reject."""
+    engine = StreamWorksEngine(config=EngineConfig(collect_statistics=False, columnar=columnar))
+    engine.register_query(
+        chain_query("ab_chain", ["rel_a", "rel_b", "rel_a", "rel_b"]), name="ab", window=0.5
+    )
+    engine.register_query(
+        chain_query("cc", ["rel_c", "rel_c"], vertex_labels={0: "TypeA"}), name="cc", window=0.5
+    )
+    return engine
+
+
+def rmat_with_unbound_labels(count=300):
+    """The rmat stream with a record no query binds after every third record."""
+    records = []
+    for position, record in enumerate(rmat_records(count, seed=41)):
+        records.append(record)
+        if position % 3 == 0:
+            records.append(StreamEdge(
+                record.source, record.target, f"noise{position % 4}", record.timestamp
+            ))
+    return records
+
+
+def replay(engine, records, batched):
+    if batched:
+        for start in range(0, len(records), 64):
+            engine.process_batch(records[start : start + 64])
+    else:
+        for record in records:
+            engine.process_record(record)
+
+
+class TestLookupParity:
+    """Every live record costs exactly one dispatch lookup, on every path.
+
+    A record the label gate turns away counts the lookup the candidates
+    probe would have; a record a cached route plan serves counts the
+    lookup of the probe the plan replays.  ``dispatch.lookups`` therefore
+    reads the same whichever path ran, and snapshots carry it unchanged.
+    """
+
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+    @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_record"])
+    def test_every_live_record_costs_one_dispatch_lookup(self, columnar, batched):
+        records = rmat_with_unbound_labels()
+        engine = labelled_engine(columnar)
+        replay(engine, records, batched)
+        assert engine.edges_processed == engine.dispatch.lookups == len(records)
+        assert engine.match_counts()["ab"] + engine.match_counts()["cc"] > 0
+        if columnar and batched:
+            assert engine.records_prefiltered == sum(
+                record.label.startswith("noise") for record in records
+            )
+
+    def test_an_uncounted_rejection_is_caught(self, monkeypatch):
+        """Mutation: a gate that rejects without its lookup tick breaks parity."""
+
+        def uncounted(self, edge_label):
+            return edge_label not in self._by_label and not self._wildcard
+
+        monkeypatch.setattr(DispatchIndex, "front_rejects", uncounted)
+        records = rmat_with_unbound_labels()
+        engine = labelled_engine(columnar=True)
+        replay(engine, records, batched=True)
+        assert engine.dispatch.lookups < len(records)
+
+
 def disjoint_chain_workload(query_count, record_count=300, seed=53):
     """``query_count`` two-edge chains over private labels; each record binds one."""
     queries = [chain_query(f"chain{index}", [f"rel{index}_0", f"rel{index}_1"])

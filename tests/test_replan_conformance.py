@@ -10,7 +10,8 @@ pins that differentially:
 * **Conformance matrix** — auto-replan on vs. off must produce byte-identical
   event lists (same matches, order, detection times, sequence numbers) across
   rmat / netflow / drifting-selectivity workloads × shard counts 1/2/4 × both
-  schedulers.  Every adaptive run also
+  schedulers × both ingest paths (columnar and interpreted).  Every adaptive
+  run also
   asserts ``triggers_fired > 0`` (plans are stats-blind at registration, so
   the first cadence check always replans) — the suite cannot pass vacuously
   with replanning never firing.
@@ -124,11 +125,11 @@ def replay_batched(engine, records):
     return events
 
 
-def static_config():
-    return EngineConfig()
+def static_config(columnar=True):
+    return EngineConfig(columnar=columnar)
 
 
-def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False):
+def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False, columnar=True):
     # sketch=True turns on every sketch switch at once: the bounded dedup
     # memory and count-min planner statistics.  The latter changes what the
     # replan loop *reads* (one-sided estimates), so replanning under
@@ -137,6 +138,7 @@ def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False):
     return EngineConfig(
         replan_threshold=threshold,
         replan_check_every=check_every,
+        columnar=columnar,
         **sketch_kwargs,
     )
 
@@ -167,16 +169,17 @@ def assert_quiescent_recheck_idempotent(engine):
 # single-engine conformance matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
 class TestSingleEngineReplanConformance:
-    def test_batched_conformance(self, case):
+    def test_batched_conformance(self, case, columnar):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config())
+        oracle = StreamWorksEngine(config=static_config(columnar))
         register_all(oracle, query_specs())
         reference = canonical(replay_batched(oracle, records))
         assert reference, f"case {case} produced no events -- not exercising the engines"
 
-        adaptive = StreamWorksEngine(config=adaptive_config())
+        adaptive = StreamWorksEngine(config=adaptive_config(columnar=columnar))
         register_all(adaptive, query_specs())
         events = replay_batched(adaptive, records)
         assert_adaptive_run_conformant(
@@ -185,17 +188,17 @@ class TestSingleEngineReplanConformance:
         assert adaptive.match_counts() == oracle.match_counts()
         assert_quiescent_recheck_idempotent(adaptive)
 
-    def test_per_record_conformance(self, case):
+    def test_per_record_conformance(self, case, columnar):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config())
+        oracle = StreamWorksEngine(config=static_config(columnar))
         register_all(oracle, query_specs())
         reference = canonical(
             [event for record in records for event in oracle.process_record(record)]
         )
         assert reference
 
-        adaptive = StreamWorksEngine(config=adaptive_config())
+        adaptive = StreamWorksEngine(config=adaptive_config(columnar=columnar))
         register_all(adaptive, query_specs())
         adaptive_events = [
             event for record in records for event in adaptive.process_record(record)
@@ -268,6 +271,24 @@ def test_worker_pool_scheduler_conformance(case):
         events = replay_batched(pooled, records)
         replan = pooled.metrics()["replan"]
         assert_adaptive_run_conformant(events, reference, replan, f"{case}/pooled")
+
+
+def test_sharded_broadcast_routing_conformance():
+    # broadcast routing hands every shard the whole stream; replan checks
+    # must still fan out on the global cadence, once per shard per tick
+    records = drifting_records()
+    oracle = StreamWorksEngine(config=static_config())
+    register_all(oracle, drifting_queries())
+    reference = canonical(replay_batched(oracle, records))
+
+    sharded = ShardedStreamEngine(
+        config=ShardConfig(shard_count=2, routing="broadcast", engine=adaptive_config())
+    )
+    register_all(sharded, drifting_queries())
+    events = replay_batched(sharded, records)
+    replan = sharded.metrics()["replan"]
+    assert_adaptive_run_conformant(events, reference, replan, "drifting/broadcast-sharded")
+    assert replan["checks_run"] == (len(records) // CHECK_EVERY) * 2
 
 
 # ----------------------------------------------------------------------

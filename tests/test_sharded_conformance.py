@@ -17,8 +17,8 @@ diverge:
   id-based identities are ambiguous and enumeration order is fragile),
 * eviction-heavy streams (tiny windows, constant expiry/recreation),
 
-for shard counts 1, 2 and 4, label and broadcast routing, and the serial
-and multiprocessing schedulers.
+for shard counts 1, 2 and 4, both ingest paths (columnar and interpreted),
+label and broadcast routing, and the serial and multiprocessing schedulers.
 
 Events are compared on ``(query, portable match identity, detection time,
 sequence)`` as ordered lists -- :meth:`Match.portable_identity` keys edges
@@ -163,23 +163,27 @@ def replay_batched(engine, records):
     return events
 
 
-def single_engine_reference(records, query_specs):
-    engine = StreamWorksEngine(config=EngineConfig(collect_statistics=False))
+def single_engine_reference(records, query_specs, columnar=True):
+    engine = StreamWorksEngine(
+        config=EngineConfig(collect_statistics=False, columnar=columnar)
+    )
     register_all(engine, query_specs())
     return engine, canonical(replay_batched(engine, records))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
 class TestShardedConformance:
-    def test_batched_identical_across_shard_counts(self, case):
+    def test_batched_identical_across_shard_counts(self, case, columnar):
         make_records, query_specs = CASES[case]
         records = make_records()
-        single, reference = single_engine_reference(records, query_specs)
+        single, reference = single_engine_reference(records, query_specs, columnar)
         assert reference, f"case {case} produced no events -- not exercising the engines"
         for shard_count in SHARD_COUNTS:
             sharded = ShardedStreamEngine(
                 config=ShardConfig(
-                    shard_count=shard_count, engine=EngineConfig(collect_statistics=False)
+                    shard_count=shard_count,
+                    engine=EngineConfig(collect_statistics=False, columnar=columnar),
                 )
             )
             register_all(sharded, query_specs())
@@ -189,10 +193,12 @@ class TestShardedConformance:
             assert sharded.match_counts() == single.match_counts()
             assert sharded.edges_processed == single.edges_processed
 
-    def test_per_record_identical_across_shard_counts(self, case):
+    def test_per_record_identical_across_shard_counts(self, case, columnar):
         make_records, query_specs = CASES[case]
         records = make_records()
-        single = StreamWorksEngine(config=EngineConfig(collect_statistics=False))
+        single = StreamWorksEngine(
+            config=EngineConfig(collect_statistics=False, columnar=columnar)
+        )
         register_all(single, query_specs())
         reference = canonical(
             [event for record in records for event in single.process_record(record)]
@@ -201,7 +207,8 @@ class TestShardedConformance:
         for shard_count in SHARD_COUNTS:
             sharded = ShardedStreamEngine(
                 config=ShardConfig(
-                    shard_count=shard_count, engine=EngineConfig(collect_statistics=False)
+                    shard_count=shard_count,
+                    engine=EngineConfig(collect_statistics=False, columnar=columnar),
                 )
             )
             register_all(sharded, query_specs())
@@ -555,8 +562,9 @@ class TestShardedEngineBehaviour:
         )
         assert run(sharded) == reference
 
+    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_record"])
-    def test_sweep_sequence_mirrored_for_cross_batch_late_records(self, batched):
+    def test_sweep_sequence_mirrored_for_cross_batch_late_records(self, columnar, batched):
         # regression (confirmed divergence): with late records the SEQUENCE
         # of partial-expiry sweeps decides what survives, not just the final
         # clock.  The single engine's batched path sweeps every matcher per
@@ -584,7 +592,7 @@ class TestShardedEngineBehaviour:
                     events.extend(engine.process_record(record))
             return canonical(events)
 
-        config = EngineConfig(collect_statistics=False)
+        config = EngineConfig(collect_statistics=False, columnar=columnar)
         reference = run(StreamWorksEngine(config=config))
         sharded = ShardedStreamEngine(config=ShardConfig(shard_count=2, engine=config))
         assert run(sharded) == reference

@@ -37,7 +37,11 @@ from hypothesis import strategies as st
 
 from repro.core import EngineConfig, StreamWorksEngine
 from repro.graph.window import TimeWindow
-from repro.persistence.state import engine_sections, load_engine_sections
+from repro.persistence.state import (
+    _RETIRED_CONFIG_FIELDS,
+    engine_sections,
+    load_engine_sections,
+)
 from repro.persistence.snapshot import SnapshotCorruptError
 from repro.query.query_graph import QueryGraph
 from repro.sketch import CountMinSketch, CuckooFilter, DedupMemory
@@ -400,6 +404,22 @@ def test_default_geometry_sketch_on_equals_off_with_metrics_shape():
     assert engine.metrics()["dispatch"] == oracle.metrics()["dispatch"]
 
 
+def test_wildcard_query_opens_the_label_gate_and_stays_exact():
+    records = mixed_stream(200, seed=12, noise_ratio=0.5)
+    wildcard_specs = [("wild", chain_query("wild", [None, "x"]), 8.0)]
+    oracle = StreamWorksEngine(config=EngineConfig())
+    register_all(oracle, wildcard_specs)
+    reference = canonical(run_stream(oracle, records))
+    assert reference
+
+    engine = StreamWorksEngine(config=sketch_config())
+    register_all(engine, wildcard_specs)
+    assert canonical(run_stream(engine, records)) == reference
+    # every label can bind a wildcard leaf: the gate must turn nothing away
+    assert not any(engine.dispatch.front_rejects(record.label) for record in records)
+    assert engine.metrics()["dispatch"] == oracle.metrics()["dispatch"]
+
+
 # ----------------------------------------------------------------------
 # checkpoint property: resume mid-stream with sketches on is exact
 # ----------------------------------------------------------------------
@@ -540,6 +560,17 @@ class TestEngineConfigValidation:
     def test_sketch_stats_requires_statistics(self):
         with pytest.raises(ValueError, match="collect_statistics"):
             EngineConfig(sketch_stats=True, collect_statistics=False)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("use_dispatch_index", False), ("sketch_dispatch", True), ("auto_replan_interval", 50)],
+    )
+    def test_retired_routing_knob_is_not_an_option(self, name, value):
+        # the engine has one routing path; snapshots that still carry the
+        # knob drop it on load instead of handing it to the constructor
+        with pytest.raises(TypeError, match=name):
+            EngineConfig(**{name: value})
+        assert name in _RETIRED_CONFIG_FIELDS
 
 
 # ----------------------------------------------------------------------
