@@ -144,8 +144,8 @@ def check_metrics_coverage(errors: list) -> None:
         # the sketch surface is nested one level; flatten so every leaf
         # counter (and the sub-surface names themselves) is enforced
         "sketch stats": {**sketch, **sketch["dedup_memory"]},
-        # flat already, but enforced as its own surface so a new columnar
-        # counter cannot ship undocumented
+        # flat already, but enforced as its own surface so a new compiled
+        # hot-path counter cannot ship undocumented
         "columnar stats": single.metrics()["columnar"],
     }
     for surface, payload in surfaces.items():

@@ -155,8 +155,9 @@ class EngineConfig:
       statistics the planner consumes), ``plan_strategy``,
       ``primitive_size``, ``replan_threshold`` / ``replan_check_every``
       (error-driven replanning);
-    * **ingest**: ``columnar`` (the compiled hot path),
-      ``record_latency`` / ``latency_sample_cap``;
+    * **ingest**: ``record_latency`` / ``latency_sample_cap`` (the ingest
+      path itself is always the compiled one: interned labels, route plans,
+      compiled predicates and probes -- ``docs/architecture.md``);
     * **event time**: ``allowed_lateness`` (float, ``"adaptive"``, or
       ``None``), ``late_policy``, ``idle_source_timeout`` -- see the
       per-attribute comments below and
@@ -185,7 +186,6 @@ class EngineConfig:
         replan_check_every: Optional[int] = None,
         dedup_memory_budget: Optional[int] = None,
         sketch_stats: bool = False,
-        columnar: bool = True,
     ):
         self.default_window = self.validate_default_window(default_window)
         self.collect_statistics = collect_statistics
@@ -329,17 +329,6 @@ class EngineConfig:
                 "sketch_stats requires collect_statistics=True: there is no "
                 "summarizer to back with sketches otherwise"
             )
-        #: Compiled ingest hot path.  Labels are interned to dense ints at
-        #: the stream boundary, each record is routed through a route plan
-        #: keyed on its label ids and kept for as long as the dispatch index
-        #: is unchanged (``core/route_plan.py``: candidate leaves, their
-        #: compiled checks, an interval index in front of them), registered
-        #: predicates are compiled once into flat closures, and window-expiry
-        #: / adjacency enumeration use sorted-timestamp range scans.  Purely
-        #: an execution-strategy switch: ``False`` restores the interpreted
-        #: per-record path verbatim, and the two produce byte-identical event
-        #: streams (``tests/test_columnar_conformance.py``).
-        self.columnar = bool(columnar)
 
     @staticmethod
     def validate_default_window(value: Optional[float]) -> Optional[float]:
@@ -467,7 +456,7 @@ class StreamWorksEngine:
         #: attribute names to dense ints.  Query vocabulary is interned at
         #: registration (deterministic: label order within the query, then
         #: attribute first-mention order); stream labels are admitted on
-        #: first sight by the columnar fast path.  Ids are engine-internal
+        #: first sight by the batched fast path.  Ids are engine-internal
         #: -- snapshots persist the table, and pre-columnar snapshots
         #: rebuild it deterministically from registration + insertion order.
         self.interning = InternTable()
@@ -572,7 +561,6 @@ class StreamWorksEngine:
             ),
             store_complete_matches=self.config.store_complete_matches,
             dedup_memory_budget=self.config.dedup_memory_budget,
-            columnar=self.config.columnar,
         )
         registration = RegisteredQuery(query_name, query, query_window, plan, matcher)
         self.queries[query_name] = registration
@@ -668,6 +656,9 @@ class StreamWorksEngine:
         planner = self._make_planner(strategy)
         new_plan = planner.plan(registration.query, strategy=strategy)
         old_matcher = registration.matcher
+        # matcher construction is the compile point, so a migrated plan
+        # always runs on freshly compiled predicate tables -- never the old
+        # plan's closures
         new_matcher = ContinuousQueryMatcher(
             query=registration.query,
             decomposition=new_plan.decomposition,
@@ -675,12 +666,7 @@ class StreamWorksEngine:
             window=registration.window,
             dedupe_structural=old_matcher.dedupe_structural,
             store_complete_matches=old_matcher.store_complete_matches,
-            expiry_min_interval=old_matcher.expiry_min_interval,
             dedup_memory_budget=old_matcher.dedup_memory_budget,
-            # matcher construction is the compile point, so a migrated plan
-            # always runs on freshly compiled predicate tables -- never the
-            # old plan's closures
-            columnar=old_matcher.columnar,
         )
         # carry the duplicate-suppression memory (the same store objects) so
         # re-planning never causes an already-delivered event to be delivered
@@ -1278,7 +1264,8 @@ class StreamWorksEngine:
         # visit of each owner's matcher -- is counted in bulk when the run
         # ends (also when it ends in an exception: a plan outlives the run,
         # its tallies must not), so ``metrics()["dispatch"]`` and the
-        # per-matcher edge counters stay byte-identical to the interpreted path.
+        # per-matcher edge counters read as if every record had been probed
+        # (``docs/operations.md``).
         used: List[RoutePlan] = []
         try:
             self._dispatch_run(ingested, events, used)
@@ -1310,12 +1297,11 @@ class StreamWorksEngine:
         duplicate-suppression memory prevents a deferred match from being
         rediscovered at its later edges.
 
-        On the columnar path a record is routed through its *route plan*
-        (:mod:`repro.core.route_plan`): found in ``dispatch.plans`` by
-        ``(label id, source label id, target label id)``, built on first
-        use, valid until the dispatch index next changes -- which happens
-        between runs only.  Plans touched are appended to ``used``; the
-        caller settles their per-run tallies.
+        A record is routed through its *route plan* (:mod:`repro.core.route_plan`):
+        found in ``dispatch.plans`` by ``(label id, source label id, target
+        label id)``, built on first use, valid until the dispatch index next
+        changes -- which happens between runs only.  Plans touched are
+        appended to ``used``; the caller settles their per-run tallies.
         """
         positions: Dict[int, int] = {}
         for index, edge in enumerate(ingested):
@@ -1323,24 +1309,20 @@ class StreamWorksEngine:
                 positions[edge.id] = index
         deferred: Dict[int, List] = {}
         record_latency = self.config.record_latency
-        columnar = self.config.columnar
-        if columnar:
-            self.batches_vectorized += 1
-            intern = self.interning.intern
-            front_rejects = self.dispatch.front_rejects
-            plans = self.dispatch.plans
-            # endpoint label ids: constant within a run (matching never
-            # mutates the graph, dead-on-arrival evictions precede the loop)
-            endpoint_memo: Dict[VertexId, int] = {}
+        self.batches_vectorized += 1
+        intern = self.interning.intern
+        front_rejects = self.dispatch.front_rejects
+        plans = self.dispatch.plans
+        # endpoint label ids: constant within a run (matching never mutates
+        # the graph, dead-on-arrival evictions precede the loop)
+        endpoint_memo: Dict[VertexId, int] = {}
         for index, edge in enumerate(ingested):
             if edge is None:  # dead on arrival: counted, never matched
                 self.edges_processed += 1
                 continue
             stopwatch_start = perf_counter() if record_latency else None
             found: List = []
-            if not columnar:
-                self._collect_matches(edge, found, expire=False)
-            elif front_rejects(edge.label):
+            if front_rejects(edge.label):
                 # no registered leaf has a query edge for this label: admit
                 # it to the intern table and skip endpoint resolution and
                 # routing altogether
@@ -1558,28 +1540,19 @@ class StreamWorksEngine:
         return result
 
     def _columnar_metrics(self) -> Dict[str, Any]:
-        """Aggregate columnar hot-path counters for ``metrics()["columnar"]``.
+        """Aggregate compiled hot-path counters for ``metrics()["columnar"]``.
 
-        Always present (zeros when ``EngineConfig(columnar=False)``) so
-        dashboards and the sharded parent's rollup see a uniform shape.
         ``range_scans`` / ``range_scan_fallbacks`` are process-local like
         the latency samples: they restart from zero after a restore.
         """
         range_stats = self.graph.range_scan_stats()
-        compiled_checks = sum(
-            registration.matcher.compiled.compiled_checks
-            for registration in self.queries.values()
-            if registration.matcher.compiled is not None
-        )
         return {
-            "enabled": self.config.columnar,
             "interned_labels": len(self.interning),
-            "compiled_queries": sum(
-                1
+            "compiled_queries": len(self.queries),
+            "compiled_checks": sum(
+                registration.matcher.compiled.compiled_checks
                 for registration in self.queries.values()
-                if registration.matcher.compiled is not None
             ),
-            "compiled_checks": compiled_checks,
             "batches_vectorized": self.batches_vectorized,
             "records_prefiltered": self.records_prefiltered,
             "dispatch_memo_hits": self.dispatch_memo_hits,

@@ -13,10 +13,11 @@ waste time and create duplicates.
 
 The enumeration seeds the generic backtracking matcher with a binding of the
 new edge onto each query edge of the primitive it can legally play, then lets
-the matcher complete the rest of the primitive within the window.  On the
-compiled path, primitives of one or two directed, labelled edges are lowered
-once, at construction, into straight-line probes (:mod:`repro.core.probe`)
-that return the same list without running the generic machinery.
+the matcher complete the rest of the primitive within the window.  Every
+check runs on the owning query's compiled predicate tables.  Primitives of
+one or two directed, labelled edges are lowered once, at construction, into
+straight-line probes (:mod:`repro.core.probe`) that return the same list
+without running the generic machinery.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional
 
 from ..graph.types import Edge, VertexId
 from ..graph.window import TimeWindow
-from ..isomorphism.candidates import edge_orientations, edge_satisfies, vertex_satisfies
+from ..isomorphism.candidates import edge_orientations
 from ..isomorphism.match import Match, MatchConflictError
 from ..isomorphism.vf2 import SubgraphMatcher
 from ..query.compile import CompiledQuery
@@ -38,8 +39,7 @@ __all__ = ["LocalSearcher", "find_primitive_matches"]
 class LocalSearcher:
     """Enumerates primitive matches anchored on new edges against one data graph.
 
-    ``compiled`` carries the owning query's pre-compiled predicate tables
-    (the columnar hot path); ``None`` keeps the interpreted path verbatim.
+    ``compiled`` carries the owning query's pre-compiled predicate tables.
     The primitives searched here share the original query's ``QueryVertex``
     / ``QueryEdge`` objects, so one compiled table serves every primitive.
     ``primitives`` names the ones :meth:`find` will be asked for (the owning
@@ -49,8 +49,8 @@ class LocalSearcher:
     def __init__(
         self,
         graph: Any,
-        window: Optional[TimeWindow] = None,
-        compiled: Optional[CompiledQuery] = None,
+        window: Optional[TimeWindow],
+        compiled: CompiledQuery,
         primitives: Iterable[QueryGraph] = (),
     ) -> None:
         self.graph = graph
@@ -73,8 +73,7 @@ class LocalSearcher:
                 self._probes[primitive] = probe
 
     def _vertex_ok(self, query_vertex: QueryVertex, vertex_id: VertexId) -> bool:
-        """Compiled-table vertex check (only called when ``compiled`` is set)."""
-        assert self.compiled is not None
+        """Compiled-table vertex check against the stored vertex."""
         if not self.graph.has_vertex(vertex_id):
             return False
         vertex = self.graph.vertex(vertex_id)
@@ -82,25 +81,16 @@ class LocalSearcher:
 
     def seeds(self, primitive: QueryGraph, new_edge: Edge) -> Iterator[Match]:
         """Yield one-edge matches binding ``new_edge`` to each compatible query edge."""
-        compiled = self.compiled
         for query_edge in primitive.edges():
-            if compiled is not None:
-                if not compiled.edge_ok(query_edge, new_edge.label, new_edge.attrs):
-                    continue
-            elif not edge_satisfies(new_edge, query_edge):
+            if not self.compiled.edge_ok(query_edge, new_edge.label, new_edge.attrs):
                 continue
             source_var, target_var = query_edge.source, query_edge.target
             for source_vertex, target_vertex in edge_orientations(new_edge, query_edge):
                 if (source_var == target_var) != (source_vertex == target_vertex):
                     continue
-                if compiled is not None:
-                    if not self._vertex_ok(primitive.vertex(source_var), source_vertex):
-                        continue
-                    if not self._vertex_ok(primitive.vertex(target_var), target_vertex):
-                        continue
-                elif not vertex_satisfies(self.graph, source_vertex, primitive.vertex(source_var)):
+                if not self._vertex_ok(primitive.vertex(source_var), source_vertex):
                     continue
-                elif not vertex_satisfies(self.graph, target_vertex, primitive.vertex(target_var)):
+                if not self._vertex_ok(primitive.vertex(target_var), target_vertex):
                     continue
                 try:
                     yield Match().with_binding(
@@ -141,4 +131,4 @@ def find_primitive_matches(
     window: Optional[TimeWindow] = None,
 ) -> List[Match]:
     """Convenience wrapper: one-shot local search without keeping counters."""
-    return LocalSearcher(graph, window).find(primitive, new_edge)
+    return LocalSearcher(graph, window, CompiledQuery(primitive)).find(primitive, new_edge)

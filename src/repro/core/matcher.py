@@ -131,25 +131,19 @@ class ContinuousQueryMatcher:
     store_complete_matches:
         Keep complete matches in the root's collection (Property 3 applied to
         the root).  Disable to save memory on very high match-rate streams.
-    expiry_min_interval:
-        Minimum stream-time gap between partial-match expiry sweeps; ``0.0``
-        (default) sweeps on every :meth:`process_edge`.  The engine's batched
-        ingest fast path instead calls :meth:`expire_partials` once per batch.
     dedup_memory_budget:
         Maximum number of entries in each duplicate-suppression store
         (``None`` = unbounded).  When the budget covers every identity alive
         inside the graph retention horizon -- the common case -- suppression
         is exact; under adversarial cardinality the store stays bounded and
         the oldest-horizon entries are evicted first, deterministically.
-    columnar:
-        Compile the query's predicate trees into flat closures
-        (:class:`~repro.query.compile.CompiledQuery`) once, here at
-        construction, and hand them to the local search -- which also
-        enables the graph's sorted-array timestamp range scans during
-        candidate enumeration.  Construction is the single compile point:
-        registration, replanning and snapshot restore all build a fresh
-        matcher, so each of them recompiles against the current plan.
-        ``False`` (default) is the interpreted path, verbatim.
+
+    The query's predicate trees are compiled into flat closures
+    (:class:`~repro.query.compile.CompiledQuery`) once, here at
+    construction, and handed to the local search.  Construction is the
+    single compile point: registration, replanning and snapshot restore all
+    build a fresh matcher, so each of them recompiles against the current
+    plan.
     """
 
     def __init__(
@@ -160,9 +154,7 @@ class ContinuousQueryMatcher:
         window: Optional[TimeWindow] = None,
         dedupe_structural: bool = False,
         store_complete_matches: bool = True,
-        expiry_min_interval: float = 0.0,
         dedup_memory_budget: Optional[int] = None,
-        columnar: bool = False,
     ):
         self.query = query
         self.decomposition = decomposition
@@ -170,17 +162,11 @@ class ContinuousQueryMatcher:
         self.window = window if window is not None else TimeWindow(None)
         self.dedupe_structural = dedupe_structural
         self.store_complete_matches = store_complete_matches
-        #: Minimum stream-time gap between expiry sweeps (0.0 sweeps on every
-        #: call); see :meth:`SJTree.expire_matches` for why skipping is safe.
-        self.expiry_min_interval = expiry_min_interval
         self.dedup_memory_budget = dedup_memory_budget
-        self.columnar = bool(columnar)
-        #: Per-query compiled predicate tables (``None`` on the interpreted
-        #: path).  Never serialised: snapshots carry only a shape marker and
-        #: restore recompiles by rebuilding the matcher.
-        self.compiled: Optional[CompiledQuery] = (
-            CompiledQuery(query) if self.columnar else None
-        )
+        #: Per-query compiled predicate tables.  Never serialised: snapshots
+        #: carry only a shape marker and restore recompiles by rebuilding
+        #: the matcher.
+        self.compiled = CompiledQuery(query)
         self.tree: SJTree = decomposition.build_tree()
         self.tree.validate()
         # the leaves' primitives are lowered into compiled probes here, so
@@ -222,7 +208,7 @@ class ContinuousQueryMatcher:
         """
         if not self.window.bounded:
             return 0
-        dropped = self.tree.expire_matches(self.window, now, self.expiry_min_interval)
+        dropped = self.tree.expire_matches(self.window, now)
         self.stats.partial_matches_expired += dropped
         self._tree_stored -= dropped
         # Reclaim dedup memory on the same cadence, but against the *graph
@@ -415,7 +401,6 @@ class ContinuousQueryMatcher:
         return {
             "tree": self.tree.state_dict(),
             "stats": self.stats.to_dict(),
-            "expiry_min_interval": self.expiry_min_interval,
             "dedup_identities": self._dedup_identities.state_dict(),
             "dedup_edge_sets": self._dedup_edge_sets.state_dict(),
         }
@@ -427,12 +412,12 @@ class ContinuousQueryMatcher:
         ``reported_identities`` / ``reported_edge_sets`` lists; those load
         into the bounded stores with never-expiring anchors (the
         conservative choice -- see
-        :meth:`~repro.sketch.dedup.DedupMemory.load_legacy_keys`).
+        :meth:`~repro.sketch.dedup.DedupMemory.load_legacy_keys`).  The
+        retired ``expiry_min_interval`` key, if present, is ignored.
         """
         self.tree.load_state(state["tree"])
         self._tree_stored = self.tree.total_stored_matches()
         self.stats = MatcherStats.from_dict(state["stats"])
-        self.expiry_min_interval = state["expiry_min_interval"]
         if "dedup_identities" in state:
             self._dedup_identities.load_state(state["dedup_identities"])
             self._dedup_edge_sets.load_state(state["dedup_edge_sets"])

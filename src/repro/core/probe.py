@@ -26,8 +26,7 @@ point back at the searcher that owns it, and both showed up in query
 registration time.
 
 Shapes that are not lowered -- three or more edges, an undirected or
-unlabelled edge, two edges with no common vertex -- keep the generic search,
-as does the interpreted (``compiled is None``) oracle path.
+unlabelled edge, two edges with no common vertex -- keep the generic search.
 """
 
 from __future__ import annotations
@@ -57,8 +56,6 @@ Probe = Dict[str, List[RoleSpec]]
 
 def compile_probe(searcher: "LocalSearcher", primitive: QueryGraph) -> Optional[Probe]:
     """Lower ``primitive`` into a :data:`Probe`, or ``None`` when it is not a lowered shape."""
-    if searcher.compiled is None:
-        return None
     edges = list(primitive.edges())
     if len(edges) not in (1, 2):
         return None
@@ -86,7 +83,6 @@ def _role_spec(
 ) -> RoleSpec:
     """Describe "the new edge plays ``seed``; complete with ``partner``"."""
     compiled = searcher.compiled
-    assert compiled is not None
     window = searcher.window
     vertex_checks = compiled.vertex_checks
     source_var, target_var = seed.source, seed.target

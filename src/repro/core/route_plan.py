@@ -250,7 +250,7 @@ def build_route_plan(
     label-compatible query edges.  Local search only finds embeddings
     *containing* the new edge, so a leaf where every such check rejects the
     edge's attrs provably yields no primitive and can be skipped per record;
-    a leaf with an always-true check (or no compiled table) never can.
+    a leaf with an always-true check never can.
     """
     before = (dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped)
     grouped = dispatch.candidates(edge_label, source_label, target_label)
@@ -272,26 +272,24 @@ def build_route_plan(
         compiled = matcher.compiled
         for leaf_id in leaf_ids:
             leaf = matcher.tree.node(leaf_id)
-            checks: Optional[List[AttrCheck]] = None
             constrained: Dict[str, Interval] = {}
-            if compiled is not None:
-                bound_edges = [
-                    query_edge
-                    for query_edge in leaf.subgraph.edges()
-                    if query_edge.label is None or query_edge.label == edge_label
-                ]
-                checks = []
-                for query_edge in bound_edges:
-                    check = compiled.edge_checks[query_edge.id]
-                    if check is None:
-                        checks = None
-                        break
-                    checks.append(check)
-                if checks is not None:
-                    # the leaf survives when any one bound edge's check does
-                    constrained = union_intervals(
-                        key_intervals(query_edge.predicate) for query_edge in bound_edges
-                    )
+            bound_edges = [
+                query_edge
+                for query_edge in leaf.subgraph.edges()
+                if query_edge.label is None or query_edge.label == edge_label
+            ]
+            checks: Optional[List[AttrCheck]] = []
+            for query_edge in bound_edges:
+                check = compiled.edge_checks[query_edge.id]
+                if check is None:
+                    checks = None
+                    break
+                checks.append(check)
+            if checks is not None:
+                # the leaf survives when any one bound edge's check does
+                constrained = union_intervals(
+                    key_intervals(query_edge.predicate) for query_edge in bound_edges
+                )
             entries.append((owner, leaf, None if checks is None else tuple(checks)))
             intervals.append(constrained)
     return RoutePlan(entries, owners, intervals, counter_deltas)

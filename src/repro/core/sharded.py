@@ -1323,10 +1323,7 @@ class ShardedStreamEngine:
             "range_scan_fallbacks",
         )
         columnar = dict(
-            {
-                "enabled": self.config.engine.columnar,
-                "interned_labels": len(self.interning),
-            },
+            {"interned_labels": len(self.interning)},
             **{
                 key: sum(c[key] for c in shard_columnars)
                 for key in columnar_keys

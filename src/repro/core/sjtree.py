@@ -253,9 +253,6 @@ class SJTree:
         self.leaf_ids: List[int] = []  # repro-lint: ignore[snapshot-coverage]
         self.root_id: int = -1  # repro-lint: ignore[snapshot-coverage]
         self._next_id = 0  # repro-lint: ignore[snapshot-coverage]
-        #: Stream time of the last expiry sweep (cadence hook, see
-        #: :meth:`expire_matches`).
-        self._last_expiry_sweep: Optional[float] = None
         self._build(list(leaf_subgraphs), shape)
         self._assign_key_vertices()
 
@@ -366,7 +363,6 @@ class SJTree:
         """Drop every stored partial match (query structure is kept)."""
         for node in self.nodes.values():
             node.clear_matches()
-        self._last_expiry_sweep = None
 
     # ------------------------------------------------------------------
     # persistence support
@@ -375,20 +371,21 @@ class SJTree:
         """Serialise every node's match collection (structure is rebuilt, not stored).
 
         The tree *structure* is deterministic given the decomposition, so
-        only the per-node collections and the expiry-cadence clock are
-        captured; :meth:`load_state` targets a tree freshly built from the
-        same decomposition (node ids match by construction).
+        only the per-node collections are captured; :meth:`load_state`
+        targets a tree freshly built from the same decomposition (node ids
+        match by construction).
         """
         return {
             "nodes": [[node_id, self.nodes[node_id].state_dict()] for node_id in self.nodes],
-            "last_expiry_sweep": self._last_expiry_sweep,
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
-        """Restore per-node collections captured by :meth:`state_dict`."""
+        """Restore per-node collections captured by :meth:`state_dict`.
+
+        The retired ``last_expiry_sweep`` key, if present, is ignored.
+        """
         for node_id, node_state in state["nodes"]:
             self.nodes[node_id].load_state(node_state)
-        self._last_expiry_sweep = state["last_expiry_sweep"]
 
     # ------------------------------------------------------------------
     # invariants (Properties 1, 2, 4 and decomposition sanity)
@@ -434,24 +431,10 @@ class SJTree:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
-    def expire_matches(self, window: TimeWindow, now: float, min_interval: float = 0.0) -> int:
-        """Expire partial matches in every node; return the total dropped.
-
-        ``min_interval`` is the expiry *cadence* hook used by batched ingest:
-        when positive, a sweep is skipped unless stream time has advanced at
-        least that far since the previous sweep.  Skipping sweeps is always
-        safe -- expired partials are rejected by the window check at join and
-        emit time -- it only trades a little memory for less heap churn.
-        """
+    def expire_matches(self, window: TimeWindow, now: float) -> int:
+        """Expire partial matches in every node; return the total dropped."""
         if not window.bounded:
             return 0
-        if (
-            min_interval > 0.0
-            and self._last_expiry_sweep is not None
-            and now - self._last_expiry_sweep < min_interval
-        ):
-            return 0
-        self._last_expiry_sweep = now
         return sum(node.expire_matches(window, now) for node in self.nodes.values())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -117,7 +117,7 @@ class AdjacencyIndex:
         self._degree: Dict[VertexId, int] = defaultdict(int)
         # lazily-built timestamp sidecars for range-scanned slots, keyed
         # vertex -> (direction, label); a sidecar only exists for slots the
-        # columnar hot path has actually range-queried, so the common ingest
+        # compiled hot path has actually range-queried, so the common ingest
         # path pays at most one empty-dict probe per endpoint
         self._times: Dict[VertexId, Dict[Tuple[str, str], EdgeTimeRuns]] = {}
 

@@ -1,8 +1,7 @@
 """Stream-boundary intern table: labels and attribute names to dense ints.
 
-The columnar fast path wants label routing to be integer compares and
-per-batch label columns to be small int arrays instead of repeated string
-hashing.  An :class:`InternTable` assigns every distinct string a dense id
+The engine's batched fast path keys its route plans on label ids, so
+routing is integer compares instead of repeated string hashing.  An :class:`InternTable` assigns every distinct string a dense id
 in first-seen order, so:
 
 * ids are deterministic for a given admission order (the engine interns
@@ -10,8 +9,8 @@ in first-seen order, so:
 * the table round-trips through snapshots (``state_dict`` serialises the
   labels *in id order*; ``from_state`` re-interns them, reproducing the
   exact ids);
-* a table restored from a pre-columnar snapshot -- which carries no
-  interning section -- is rebuilt deterministically by re-interning the
+* a table restored from a snapshot older than the table -- which carries
+  no interning section -- is rebuilt deterministically by re-interning the
   restored graph's edges in insertion order, because the property graph
   itself serialises edges in insertion order.
 

@@ -986,7 +986,6 @@ def experiment_out_of_order_throughput(
     batch_size: int = 200,
     max_displacement: int = 64,
     shard_count: int = 2,
-    columnar: bool = True,
 ) -> Dict[str, object]:
     """Measure event-time ingestion (reorder buffer + watermark) under disorder.
 
@@ -1018,8 +1017,6 @@ def experiment_out_of_order_throughput(
     part of the claim: the reordered engine pushed every record through the
     batched fast path (``ingest_paths`` counters), where the old behaviour
     pushed every record of a disordered batch down the per-record path.
-    ``columnar`` selects the ingest execution strategy for every mode
-    (identical events either way), so baseline tooling can record both.
     """
     edge_count = max(400, int(4000 * scale))
     window = 10.0
@@ -1035,7 +1032,6 @@ def experiment_out_of_order_throughput(
                 collect_statistics=False,
                 record_latency=False,
                 allowed_lateness=allowed_lateness,
-                columnar=columnar,
             )
         )
         for index, query in enumerate(queries):
@@ -1050,7 +1046,6 @@ def experiment_out_of_order_throughput(
                     collect_statistics=False,
                     record_latency=False,
                     allowed_lateness=allowed_lateness,
-                    columnar=columnar,
                 ),
             )
         )

@@ -53,14 +53,16 @@ class SubgraphMatcher:
         are pruned during search.
     compiled:
         Optional :class:`~repro.query.compile.CompiledQuery` for the query
-        being searched (the columnar hot path).  When set, predicate checks
+        being searched (the streaming local search always passes one).
+        When set, predicate checks
         go through the pre-compiled closures instead of interpreting the
         predicate trees, and candidate enumeration for partially-bound
         matches under a bounded window uses the graph's sorted-array
         timestamp range scans (a superset prefilter -- the exact span check
         in :meth:`_try_bind` is unchanged, so the match set and enumeration
         order are byte-identical to the interpreted path).  ``None``
-        (default) is the interpreted path, verbatim.
+        (default) interprets the predicate trees: the static reference the
+        baselines and the test oracles search with.
     """
 
     def __init__(

@@ -106,19 +106,20 @@ _CONFIG_FIELDS = (
     "checkpoint_path",
     "dedup_memory_budget",
     "sketch_stats",
-    "columnar",
 )
 
 #: Knobs that earlier versions persisted and that no longer exist; a
 #: snapshot carrying them loads with the key ignored.  A snapshot written
 #: on the retired exhaustive scan therefore resumes on the dispatch index,
-#: and one written with blind periodic replanning resumes without it
+#: one written with blind periodic replanning resumes without it, and one
+#: written on the interpreted path resumes on the compiled one
 #: (``tests/fixtures/persistence/README.md``).
 _RETIRED_CONFIG_FIELDS = (
     "triad_sample_cap",
     "auto_replan_interval",
     "use_dispatch_index",
     "sketch_dispatch",
+    "columnar",
 )
 
 
@@ -242,9 +243,7 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
                 # Restore rebuilds the matcher, and matcher construction is
                 # the compile point, so the loader recompiles and checks the
                 # fresh tables against this marker.
-                "compiled_plan": (
-                    matcher.compiled.marker() if matcher.compiled is not None else None
-                ),
+                "compiled_plan": matcher.compiled.marker(),
                 "matcher": matcher.state_dict(),
             }
         )
@@ -315,18 +314,18 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
                 dedupe_structural=payload["dedupe_structural"],
                 store_complete_matches=payload["store_complete_matches"],
                 dedup_memory_budget=config.dedup_memory_budget,
-                # construction is the compile point: the restored matcher
-                # runs on freshly compiled tables, never deserialised ones
-                columnar=config.columnar,
             )
+            # construction is the compile point: the restored matcher runs on
+            # freshly compiled tables, never deserialised ones.  Snapshots
+            # written on the interpreted path carry a None marker (and older
+            # ones none at all); they resume compiled with nothing to check.
             marker = payload.get("compiled_plan")
-            if marker is not None and matcher.compiled is not None:
-                if matcher.compiled.marker() != marker:
-                    raise SnapshotCorruptError(
-                        f"query {payload['name']!r}: recompiled predicate "
-                        f"tables {matcher.compiled.marker()} do not match the "
-                        f"snapshot's compiled-plan marker {marker}"
-                    )
+            if marker is not None and matcher.compiled.marker() != marker:
+                raise SnapshotCorruptError(
+                    f"query {payload['name']!r}: recompiled predicate "
+                    f"tables {matcher.compiled.marker()} do not match the "
+                    f"snapshot's compiled-plan marker {marker}"
+                )
             matcher.load_state(payload["matcher"])
             registration = RegisteredQuery(payload["name"], query, window, plan, matcher)
             registration.match_count = payload["match_count"]
@@ -343,8 +342,8 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         else:
             # pre-columnar snapshot: no table was persisted.  Ids are
             # engine-internal (never serialised into events or matcher
-            # state), so they need not match what a columnar engine would
-            # have assigned live -- they only need to be deterministic,
+            # state), so they need not match what the pre-crash engine
+            # would have assigned live -- they only need to be deterministic,
             # which query vocabulary in registration order (above) plus
             # graph edge labels in insertion order gives.
             for edge in engine.graph.edges():

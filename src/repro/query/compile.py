@@ -1,11 +1,13 @@
-"""One-time predicate compilation for the columnar hot path.
+"""One-time predicate compilation for the streaming matcher.
 
-The interpreted matcher walks a :class:`~repro.query.predicates.Predicate`
-tree per candidate edge/vertex: every test pays attribute lookups on the
-predicate object (``self.key`` / ``self.low`` / ``self.op``), a dynamic
-``__call__`` dispatch per tree node, and -- for compositions -- a generator
-per evaluation.  None of that work depends on the candidate; it only
-depends on the query, which is fixed at registration.
+Interpreting a :class:`~repro.query.predicates.Predicate` tree per
+candidate edge/vertex -- what the static reference matcher
+(:class:`~repro.isomorphism.vf2.SubgraphMatcher` without a table) still
+does -- pays attribute lookups on the predicate object (``self.key`` /
+``self.low`` / ``self.op``), a dynamic ``__call__`` dispatch per tree node,
+and -- for compositions -- a generator per evaluation on every test.  None
+of that work depends on the candidate; it only depends on the query, which
+is fixed at registration.
 
 :func:`compile_predicate` does that query-dependent work exactly once,
 producing a flat closure over pre-extracted constants.  The closure
@@ -34,7 +36,7 @@ and node subgraphs share the originating query's ``QueryVertex`` /
 references, not values), so one table per registered query covers every
 subgraph the matcher touches.  Compiled tables are owned by the matcher
 that built them -- never attached to the query objects themselves, which
-may simultaneously drive a columnar and an interpreted engine.
+may simultaneously drive several engines and the interpreted reference.
 """
 
 from __future__ import annotations

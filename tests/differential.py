@@ -1,28 +1,39 @@
-"""Differential fuzz harness: the columnar hot path vs. the interpreted oracle.
+"""Differential fuzz harness: the engine vs. the exhaustive reference.
 
-``EngineConfig(columnar=False)`` keeps the interpreted per-record semantics
-verbatim, so it serves as the executable specification of the compiled
-columnar path.  This module packages the machinery the conformance suite
-(``tests/test_columnar_conformance.py``) drives:
+The engine has one production path: records are routed through route plans
+(dispatch index, compiled leaf checks, interval index) and only the leaves
+that can bind them are searched.  :class:`ExhaustiveReferenceEngine` keeps
+the engine's batched skeleton and replaces only the routing -- every leaf of
+every matcher runs on every live record -- so it is the executable
+specification that routing must reproduce.  This module packages the
+machinery the conformance suite (``tests/test_reference_conformance.py``)
+drives:
 
 * :func:`build_engine` / :func:`run` — construct single or sharded engines
-  over the shared workload/query catalogue (reused from
+  (or the reference) over the shared workload/query catalogue (reused from
   ``tests/test_sharded_conformance.py``) and replay a record stream in
   batches, optionally crashing at chosen batch boundaries (checkpoint +
   restore + continue) to exercise the resume contract mid-differential.
-* :class:`ExhaustiveReferenceEngine` — the routing-free specification: every
-  leaf of every matcher runs on every record, so a dispatch-index or
-  route-plan bug that skips a bindable leaf shows up as a missing event.
-* :func:`skew_expiry` and :func:`sabotage_recompile` — deliberate faults
-  for the *meta*-tests: each simulates a realistic implementation bug (an
-  off-by-one window-expiry sweep; a replan that installs stale/corrupted
-  compiled predicate tables), and the suite asserts the differential
-  oracle REJECTS the faulty engine.  A harness that cannot catch the bugs
-  it exists for proves nothing.
-
+* :func:`differential` — the engine under test against the reference.
+* :class:`ProbedReferenceEngine` — the same skeleton with the real
+  dispatch index probed afresh per record: the reference for the counters
+  route plans replay in bulk.
+* :func:`skew_expiry`, :func:`drop_a_route_leaf` and
+  :func:`sabotage_recompile` — deliberate faults for the *meta*-tests: each
+  simulates a realistic implementation bug (an off-by-one window-expiry
+  sweep; a route plan that loses a candidate leaf; a replan that installs
+  stale/corrupted compiled predicate tables), and the suite asserts the
+  differential REJECTS the faulty engine.  A harness that cannot catch the
+  bugs it exists for proves nothing.
 * :func:`assert_live_legs_exact` — the statistics-side invariant every
   stream shape must leave behind: the triad census's live leg counters equal
   a from-scratch recount over the window store's live edges.
+
+Engine and reference share the matcher, the SJ-tree and the local search,
+so a bug there is invisible to this differential; the oracles that share
+none of it are ``SubgraphMatcher(graph).find_all(query)`` (interpreted
+predicates, no probes) in ``tests/test_property_based.py`` and the
+repeated-search baseline.
 
 Everything here is deterministic: same records + same config = same
 canonical event list, byte for byte.
@@ -66,7 +77,7 @@ WORKLOADS = {
 def build_engine(
     query_specs,
     *,
-    columnar,
+    reference=False,
     shard_count=1,
     workers=0,
     sketch=False,
@@ -74,18 +85,20 @@ def build_engine(
 ):
     """Build a registered engine for one cell of the config matrix.
 
+    ``reference`` builds the :class:`ExhaustiveReferenceEngine`.  Otherwise
     ``shard_count == 1`` with no workers builds a plain single engine (the
     fastest differential); anything else builds the sharded engine, serial
     or pool-scheduled.
     """
     engine_config = EngineConfig(
-        columnar=columnar,
         dedup_memory_budget=4096 if sketch else None,
         sketch_stats=sketch,
         replan_threshold=0.4 if replan else None,
         replan_check_every=BATCH if replan else None,
     )
-    if shard_count == 1 and workers == 0:
+    if reference:
+        engine = ExhaustiveReferenceEngine(config=engine_config)
+    elif shard_count == 1 and workers == 0:
         engine = StreamWorksEngine(config=engine_config)
     else:
         engine = ShardedStreamEngine(
@@ -142,39 +155,82 @@ def run(
     return events, metrics
 
 
-def differential(records, query_specs, *, candidate_kwargs=None, **shared_kwargs):
-    """Run columnar-on (candidate) and columnar-off (oracle) and return both.
+def differential(
+    records, query_specs, *, candidate_kwargs=None, shard_count=1, workers=0, **shared_kwargs
+):
+    """Run the engine (candidate) and the reference (oracle); return both.
 
-    ``shared_kwargs`` apply to both runs; ``candidate_kwargs`` (e.g. a
-    ``mutate`` fault hook) apply to the candidate only.
+    ``shared_kwargs`` (feature switches) apply to both runs; the shard
+    layout and ``candidate_kwargs`` (e.g. a ``mutate`` fault hook or
+    checkpoint cuts) apply to the candidate only.  The reference is always
+    one unsharded engine: sharding must not change the events either.
     """
-    candidate_kwargs = dict(candidate_kwargs or {})
     candidate, _ = run(
-        records, query_specs, columnar=True, **shared_kwargs, **candidate_kwargs
+        records,
+        query_specs,
+        shard_count=shard_count,
+        workers=workers,
+        **shared_kwargs,
+        **(candidate_kwargs or {}),
     )
-    oracle, _ = run(records, query_specs, columnar=False, **shared_kwargs)
+    oracle, _ = run(records, query_specs, reference=True, **shared_kwargs)
     return candidate, oracle
 
 
-class ExhaustiveReferenceEngine(StreamWorksEngine):
-    """Runs every leaf of every registered matcher on every record.
+class ProbedReferenceEngine(StreamWorksEngine):
+    """The batched skeleton with the route plans taken out.
 
-    The dispatch index and the route plans built on it may only skip leaves
-    that cannot bind a record; this engine skips none, so its events are
-    what routing must reproduce.  Batches run record by record, each through
-    the per-record path.
+    Ingest, statistics fold, one expiry sweep per ordered run and emission
+    deferred to a completion's last in-run edge are the engine's own, so
+    run-split batching of a disordered stream, and its dead-on-arrival
+    records, behave exactly as in the engine.  Routing is not: every live
+    record runs :meth:`_collect_matches`, the per-record path's fresh
+    dispatch-index probe, with no cached plan, compiled leaf check or
+    interval index in front.  The dispatch counters and per-matcher edge
+    counters it produces are what the route plans' bulk replay must equal.
+    """
+
+    def _dispatch_run(self, ingested, events, used):
+        positions = {edge.id: index for index, edge in enumerate(ingested) if edge is not None}
+        deferred = {}
+        for index, edge in enumerate(ingested):
+            if edge is not None:
+                found = []
+                self._collect_matches(edge, found, expire=False)
+                for registration, match in found:
+                    # the per-record path completes a match on its last edge
+                    last = max(positions.get(e.id, index) for e in match.edge_map.values())
+                    deferred.setdefault(max(last, index), []).append((registration, match))
+                due = deferred.pop(index, None)
+                if due:
+                    self._emit_trigger(due, edge.timestamp, self.edges_processed, events)
+            self.edges_processed += 1
+
+
+class ExhaustiveReferenceEngine(ProbedReferenceEngine):
+    """Runs every leaf of every registered matcher on every live record.
+
+    The dispatch index, the route plans built on it and their interval
+    indexes may only skip leaves that cannot bind a record; this engine
+    skips none, so its events are what routing must reproduce.  The
+    per-record path (``process_record``, late records under
+    ``process_degraded``) searches every leaf as well.  It still sweeps
+    expiry only on the matchers the dispatch index routes the record to, as
+    the engine's per-record path does: once records may be late, which
+    partials a late record can complete depends on that sweep set, so it is
+    per-record semantics rather than routing.
     """
 
     def _collect_matches(self, edge, found, expire):
+        if expire and not self.dispatch.front_rejects(edge.label):
+            source_label = self._endpoint_label(edge.source)
+            target_label = self._endpoint_label(edge.target)
+            for owner, _ in self.dispatch.candidates(edge.label, source_label, target_label):
+                self.queries[owner].matcher.expire_partials(edge.timestamp)
         for registration in self.queries.values():
-            matches = registration.matcher.process_edge(edge)
-            found.extend((registration, match) for match in matches)
-
-    def _process_batch_direct(self, records, expiry_anchor=None):
-        events = []
-        for record in records:
-            events.extend(self._process_record_direct(record))
-        return events
+            matcher = registration.matcher
+            for match in matcher.process_edge_leaves(edge, matcher.tree.leaves()):
+                found.append((registration, match))
 
 
 # ----------------------------------------------------------------------
@@ -228,27 +284,40 @@ def skew_expiry(delta=0.05):
     return mutate
 
 
+def drop_a_route_leaf(engine):
+    """Fault: every route plan over several leaves forgets its last one.
+
+    Models the routing bug class the reference exists for: a plan build
+    that loses a candidate leaf (a grouping off-by-one, a stale entry
+    list), so records routed through it never search that leaf.
+    """
+    original = engine._build_route_plan
+
+    def patched(route_key, edge):
+        plan = original(route_key, edge)
+        if len(plan.entries) > 1 and plan.index is None:
+            del plan.entries[-1]
+        return plan
+
+    engine._build_route_plan = patched
+
+
 def sabotage_recompile(engine):
     """Fault: replans install a stale/corrupted compiled predicate table.
 
     Models the recompile-on-replan bug class: the migrated matcher keeps
-    running on tables that no longer describe its plan.  (Merely *skipping*
-    the compile degrades to the interpreted checks and stays conformant,
-    so the injected table actively inverts one edge check -- an always-true
-    slot becomes never-true.)  Requires ``replan=True`` so a replan
-    actually fires.
+    running on tables that no longer describe its plan.  The injected table
+    inverts one edge check -- an always-true slot becomes never-true.
+    Requires ``replan=True`` so a replan actually fires.
     """
     original = engine.replan_query
 
     def patched(name, strategy=None):
         registration = original(name, strategy=strategy)
         compiled = registration.matcher.compiled
-        if compiled is not None:
-            for edge_id, check in compiled.edge_checks.items():
-                compiled.edge_checks[edge_id] = (
-                    _never if check is None else None
-                )
-                break
+        for edge_id, check in compiled.edge_checks.items():
+            compiled.edge_checks[edge_id] = _never if check is None else None
+            break
         return registration
 
     engine.replan_query = patched

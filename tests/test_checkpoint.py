@@ -15,10 +15,10 @@ and the full event history plus deterministic metrics are diffed against
 the uninterrupted oracle.  A sampled set of *intra-batch* boundaries is
 crashed the same way through the per-record path.  The matrix covers the
 single engine and the sharded engine at shard counts 1/2/4, both
-schedulers (serial and worker pool), both ingest paths (the columnar
-route-plan path and the interpreted ``columnar=False`` reference), and
-event-time (reorder-buffer) configurations whose buffered tail must
-survive the crash.
+schedulers (serial and worker pool), two oracles (an uninterrupted run of
+the same engine, and of the exhaustive reference that searches every leaf
+on every record), and event-time (reorder-buffer) configurations whose
+buffered tail must survive the crash.
 
 Torn-snapshot robustness rides along: every section of a snapshot file is
 truncated and bit-flipped in turn, and ``restore`` must raise a typed
@@ -33,7 +33,7 @@ import os
 import random
 
 import pytest
-from differential import assert_live_legs_exact
+from differential import ExhaustiveReferenceEngine, assert_live_legs_exact
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.persistence import (
@@ -190,22 +190,42 @@ def assert_resumed_equals_oracle(oracle, resumed, context):
         assert_live_legs_exact(resumed, context)
 
 
+def assert_resumed_equals_reference(reference, resumed, context):
+    """Against the exhaustive reference only the events are comparable: its
+    routing counters are its own, and a sharded engine's statistics live in
+    its shards."""
+    assert canonical(resumed.events()) == canonical(reference.events()), (
+        f"{context}: resumed event history diverged from the uninterrupted reference"
+    )
+    assert resumed.match_counts() == reference.match_counts(), context
+
+
+#: What a resumed run is compared with: an uninterrupted run of the same
+#: engine (the full resume contract), or of the exhaustive reference
+#: (resume exactness and routing equivalence composed).
+ORACLES = {
+    "engine": (StreamWorksEngine, assert_resumed_equals_oracle),
+    "reference": (ExhaustiveReferenceEngine, assert_resumed_equals_reference),
+}
+
+
 # ----------------------------------------------------------------------
 # single engine: crash at EVERY batch boundary
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
-def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload, columnar):
+@pytest.mark.parametrize("oracle_kind", sorted(ORACLES))
+def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload, oracle_kind):
     make_records, query_specs = WORKLOADS[workload]
     records = make_records()
     batches = batches_of(records)
+    oracle_cls, assert_resumed = ORACLES[oracle_kind]
 
-    def build():
-        engine = StreamWorksEngine(config=EngineConfig(columnar=columnar))
+    def build(engine_cls=StreamWorksEngine):
+        engine = engine_cls(config=EngineConfig())
         register_all(engine, query_specs())
         return engine
 
-    oracle = build()
+    oracle = build(oracle_cls)
     for batch in batches:
         oracle.process_batch(batch)
     assert oracle.events(), f"workload {workload} produced no events -- not a real test"
@@ -220,12 +240,8 @@ def test_single_engine_crash_at_every_batch_boundary(tmp_path, workload, columna
         resumed = StreamWorksEngine.restore(path)
         for batch in batches[crash_after + 1 :]:
             resumed.process_batch(batch)
-        assert resumed.config.columnar is columnar
-        assert_resumed_equals_oracle(
-            oracle,
-            resumed,
-            f"{workload}/{'columnar' if columnar else 'interpreted'}, "
-            f"crash after batch {crash_after}",
+        assert_resumed(
+            oracle, resumed, f"{workload} vs {oracle_kind}, crash after batch {crash_after}"
         )
 
 
@@ -390,30 +406,35 @@ def test_sharded_replan_crash_at_every_batch_boundary(tmp_path):
 # ----------------------------------------------------------------------
 # sharded engine: shards 1/2/4 x serial/pool schedulers
 # ----------------------------------------------------------------------
-def _sharded_config(shard_count, workers, allowed_lateness=None, columnar=True):
+def _sharded_config(shard_count, workers, allowed_lateness=None):
     return ShardConfig(
         shard_count=shard_count,
         workers=workers,
-        engine=EngineConfig(allowed_lateness=allowed_lateness, columnar=columnar),
+        engine=EngineConfig(allowed_lateness=allowed_lateness),
     )
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("shard_count", [1, 2, 4])
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+@pytest.mark.parametrize("oracle_kind", sorted(ORACLES))
 def test_sharded_serial_crash_at_every_batch_boundary(
-    tmp_path, workload, shard_count, columnar
+    tmp_path, workload, shard_count, oracle_kind
 ):
     make_records, query_specs = WORKLOADS[workload]
     records = make_records()
     batches = batches_of(records)
+    oracle_cls, assert_resumed = ORACLES[oracle_kind]
 
     def build():
-        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 0, columnar=columnar))
+        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 0))
         register_all(engine, query_specs())
         return engine
 
-    oracle = build()
+    if oracle_kind == "engine":
+        oracle = build()
+    else:  # the reference is one unsharded engine
+        oracle = oracle_cls(config=EngineConfig())
+        register_all(oracle, query_specs())
     for batch in batches:
         oracle.process_batch(batch)
     assert oracle.events()
@@ -426,14 +447,13 @@ def test_sharded_serial_crash_at_every_batch_boundary(
         engine.checkpoint(path)
         del engine
         resumed = ShardedStreamEngine.restore(path)
-        assert all(shard.config.columnar is columnar for shard in resumed.shards)
         for batch in batches[crash_after + 1 :]:
             resumed.process_batch(batch)
-        assert_resumed_equals_oracle(
+        assert_resumed(
             oracle,
             resumed,
-            f"{workload}/{'columnar' if columnar else 'interpreted'}, "
-            f"{shard_count}-shard serial, crash after batch {crash_after}",
+            f"{workload} vs {oracle_kind}, {shard_count}-shard serial, "
+            f"crash after batch {crash_after}",
         )
 
 
@@ -974,6 +994,41 @@ def test_snapshot_with_a_retired_routing_knob_resumes_on_the_index(
     if "sketch_dispatch" in retired:
         assert sections["counters"]["dispatch"]["front_rejections"] > 0
         assert resumed.dispatch.lookups == oracle.dispatch.lookups
+
+
+def test_snapshot_from_the_interpreted_path_resumes_compiled():
+    """A snapshot written with ``columnar=False`` restores onto the one path.
+
+    ``tests/fixtures/persistence/engine_interpreted.snap`` was written on
+    the retired interpreted path: its config carries ``columnar``, each
+    query a ``None`` compiled-plan marker, its matchers the retired
+    ``expiry_min_interval`` / ``last_expiry_sweep`` keys, and no run went
+    through a route plan.  The knob and keys are ignored on load; the
+    matchers are compiled, the remainder runs through route plans, and the
+    event history equals an uninterrupted run of today's engine.
+    """
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "persistence", "engine_interpreted.snap"
+    )
+    records = retired_knob_records()
+    cut = 56  # the fixture was written after seven batches of 8
+    _, sections = read_snapshot(path)
+    assert sections["config"]["columnar"] is False
+    assert [payload["compiled_plan"] for payload in sections["queries"]] == [None, None]
+    assert sections["counters"]["batches_vectorized"] == 0
+    oracle = retired_knob_engine()
+    for start in range(0, len(records), 8):
+        oracle.process_batch(records[start : start + 8])
+
+    resumed = StreamWorksEngine.restore(path)
+    assert not hasattr(resumed.config, "columnar")
+    for start in range(cut, len(records), 8):
+        resumed.process_batch(records[start : start + 8])
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert resumed.match_counts() == oracle.match_counts() != {"ab": 0, "la": 0}
+    assert resumed.batches_vectorized == (len(records) - cut) // 8
+    assert resumed.dispatch_memo_hits > 0
+    assert resumed.dispatch.lookups == oracle.dispatch.lookups
 
 
 def test_restore_rejects_missing_file(tmp_path):

@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from differential import ExhaustiveReferenceEngine
+from differential import ExhaustiveReferenceEngine, ProbedReferenceEngine
 
 from repro.core import DispatchIndex, EngineConfig, StreamWorksEngine
 from repro.core.dispatch import LeafDispatchEntry
@@ -266,9 +266,9 @@ class TestDispatchEquivalence:
         assert all(owner != "ab" for owner, _ in engine.dispatch.candidates("rel_b"))
 
 
-def labelled_engine(columnar):
+def labelled_engine(engine_cls=StreamWorksEngine):
     """``engine_with_queries`` without the wildcard query: the label gate can reject."""
-    engine = StreamWorksEngine(config=EngineConfig(collect_statistics=False, columnar=columnar))
+    engine = engine_cls(config=EngineConfig(collect_statistics=False))
     engine.register_query(
         chain_query("ab_chain", ["rel_a", "rel_b", "rel_a", "rel_b"]), name="ab", window=0.5
     )
@@ -308,18 +308,32 @@ class TestLookupParity:
     reads the same whichever path ran, and snapshots carry it unchanged.
     """
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_record"])
-    def test_every_live_record_costs_one_dispatch_lookup(self, columnar, batched):
+    def test_every_live_record_costs_one_dispatch_lookup(self, batched):
         records = rmat_with_unbound_labels()
-        engine = labelled_engine(columnar)
+        engine = labelled_engine()
         replay(engine, records, batched)
         assert engine.edges_processed == engine.dispatch.lookups == len(records)
         assert engine.match_counts()["ab"] + engine.match_counts()["cc"] > 0
-        if columnar and batched:
+        if batched:
             assert engine.records_prefiltered == sum(
                 record.label.startswith("noise") for record in records
             )
+
+    def test_plan_replay_equals_a_fresh_probe_per_record(self):
+        """The counters route plans replay in bulk are those of an engine
+        that probes the dispatch index afresh for every record."""
+        records = rmat_with_unbound_labels()
+        planned, probed = labelled_engine(), labelled_engine(ProbedReferenceEngine)
+        for engine in (planned, probed):
+            replay(engine, records, batched=True)
+        assert planned.dispatch_memo_hits > 0 and probed.dispatch_memo_hits == 0
+        assert planned.metrics()["dispatch"] == probed.metrics()["dispatch"]
+        assert planned.metrics()["queries"] == probed.metrics()["queries"]
+        assert planned.events() and (
+            [(e.query_name, e.match.identity(), e.sequence) for e in planned.events()]
+            == [(e.query_name, e.match.identity(), e.sequence) for e in probed.events()]
+        )
 
     def test_an_uncounted_rejection_is_caught(self, monkeypatch):
         """Mutation: a gate that rejects without its lookup tick breaks parity."""
@@ -329,7 +343,7 @@ class TestLookupParity:
 
         monkeypatch.setattr(DispatchIndex, "front_rejects", uncounted)
         records = rmat_with_unbound_labels()
-        engine = labelled_engine(columnar=True)
+        engine = labelled_engine()
         replay(engine, records, batched=True)
         assert engine.dispatch.lookups < len(records)
 

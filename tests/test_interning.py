@@ -1,7 +1,7 @@
 """InternTable unit tests plus the engine-level id-stability contracts.
 
 Dense ids are engine-internal, but three things about them are load-bearing
-for the columnar hot path: they must survive checkpoint/restore exactly
+for the batched hot path: they must survive checkpoint/restore exactly
 (the memo tables key on them), sharded engines must agree with the parent
 on query-vocabulary ids (the adopt push at registration), and snapshots
 taken *before* the interning section existed must still restore -- with
@@ -10,6 +10,7 @@ the table rebuilt deterministically from what the snapshot does carry.
 
 import pytest
 
+from differential import ExhaustiveReferenceEngine
 from test_sharded_conformance import (
     canonical,
     chain_query,
@@ -74,11 +75,23 @@ class TestInternTableUnit:
         assert shard.labels() == parent.labels()
 
 
-def _run_single(records, query_specs, *, columnar=True):
-    engine = StreamWorksEngine(config=EngineConfig(columnar=columnar))
+def _run_single(records, query_specs, *, engine_cls=StreamWorksEngine):
+    engine = engine_cls(config=EngineConfig())
     register_all(engine, query_specs())
     events = canonical(replay_batched(engine, records))
     return engine, events
+
+
+def _pre_interning_sections(engine):
+    """``engine``'s snapshot sections minus everything added with the intern
+    table: exactly what an old snapshot lacks."""
+    sections = engine_sections(engine)
+    del sections["interning"]
+    for payload in sections["queries"]:
+        del payload["compiled_plan"]
+    for counter in ("batches_vectorized", "records_prefiltered", "dispatch_memo_hits"):
+        del sections["counters"][counter]
+    return sections
 
 
 class TestEngineIdStability:
@@ -121,29 +134,13 @@ class TestEngineIdStability:
 
     def test_pre_columnar_snapshot_restores_with_rebuilt_table(self):
         """Regression pin: snapshots written before the interning section /
-        compiled-plan markers / columnar counters existed must restore, the
+        compiled-plan markers / hot-path counters existed must restore, the
         table rebuilt deterministically, and the continuation must stay
-        byte-identical to an uninterrupted interpreted run."""
+        byte-identical to an uninterrupted reference run."""
         records = netflow_records(300)
         cut = 150
         engine, _ = _run_single(records[:cut], netflow_queries)
-        sections = engine_sections(engine)
-
-        # strip every columnar-era addition, exactly what an old snapshot lacks
-        del sections["interning"]
-        del sections["config"]["columnar"]
-        for payload in sections["queries"]:
-            del payload["compiled_plan"]
-        for counter in ("batches_vectorized", "records_prefiltered", "dispatch_memo_hits"):
-            del sections["counters"][counter]
-
-        restored = load_engine_sections(sections)
-        # default applies: the restored engine runs the columnar path
-        assert restored.config.columnar is True
-        assert all(
-            registration.matcher.compiled is not None
-            for registration in restored.queries.values()
-        )
+        restored = load_engine_sections(_pre_interning_sections(engine))
         # rebuilt table: query vocabulary in registration order first, then
         # graph edge labels in insertion order -- and every graph label known
         assert restored.interning.labels()
@@ -154,17 +151,9 @@ class TestEngineIdStability:
         records = netflow_records(300)
         cut = 150
         engine, _ = _run_single(records[:cut], netflow_queries)
-        sections = engine_sections(engine)
-        del sections["interning"]
-        del sections["config"]["columnar"]
-        for payload in sections["queries"]:
-            del payload["compiled_plan"]
-        for counter in ("batches_vectorized", "records_prefiltered", "dispatch_memo_hits"):
-            del sections["counters"][counter]
-
-        restored = load_engine_sections(sections)
+        restored = load_engine_sections(_pre_interning_sections(engine))
         replay_batched(restored, records[cut:])
         resumed = canonical(list(restored.collector.events))
 
-        _, oracle = _run_single(records, netflow_queries, columnar=False)
-        assert resumed == oracle
+        _, oracle = _run_single(records, netflow_queries, engine_cls=ExhaustiveReferenceEngine)
+        assert oracle and resumed == oracle

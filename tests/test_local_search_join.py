@@ -68,7 +68,7 @@ class TestLocalSearch:
     def test_new_edge_not_matching_any_primitive_edge(self, article_pair_primitive):
         graph = DynamicGraph()
         new_edge = graph.ingest("u", "h", "loginTo", 1.0, source_label="User", target_label="IP")
-        searcher = LocalSearcher(graph)
+        searcher = LocalSearcher(graph, None, CompiledQuery(article_pair_primitive))
         assert searcher.find(article_pair_primitive, new_edge) == []
         assert searcher.searches_started == 0
 
@@ -97,7 +97,7 @@ class TestLocalSearch:
         graph.ingest("art1", "kw1", "mentions", 1.0, source_label="Article", target_label="Keyword")
         new_edge = graph.ingest("art1", "loc1", "locatedIn", 2.0,
                                 source_label="Article", target_label="Location")
-        searcher = LocalSearcher(graph)
+        searcher = LocalSearcher(graph, None, CompiledQuery(article_pair_primitive))
         searcher.find(article_pair_primitive, new_edge)
         assert searcher.searches_started == 1
         assert searcher.matches_found == 1
@@ -262,15 +262,14 @@ class TestProbeEqualsGenericSearch:
     def test_same_lists_counters_and_scans(self, rng):
         assert probe_disagreement(*draw_case(rng)) is None
 
-    def test_matcher_lowers_its_leaves_only_on_the_compiled_path(self, pair_query):
+    def test_matcher_lowers_its_leaves(self, pair_query):
         from repro.core import ContinuousQueryMatcher, decompose
 
-        for columnar in (True, False):
-            matcher = ContinuousQueryMatcher(
-                pair_query, decompose(pair_query), DynamicGraph(), TimeWindow(5.0), columnar=columnar
-            )
-            leaves = [leaf.subgraph for leaf in matcher.tree.leaves()]
-            assert list(matcher.local_searcher._probes) == (leaves if columnar else [])
+        matcher = ContinuousQueryMatcher(
+            pair_query, decompose(pair_query), DynamicGraph(), TimeWindow(5.0)
+        )
+        leaves = [leaf.subgraph for leaf in matcher.tree.leaves()]
+        assert list(matcher.local_searcher._probes) == leaves
 
     @pytest.mark.parametrize(
         "edges",
@@ -290,8 +289,6 @@ class TestProbeEqualsGenericSearch:
             DynamicGraph(), TimeWindow(5.0), compiled=CompiledQuery(primitive), primitives=[primitive]
         )
         assert not searcher._probes
-        # nor is anything lowered for the interpreted oracle, whatever the shape
-        assert not LocalSearcher(DynamicGraph(), primitives=[draw_case(random.Random(0))[1]])._probes
 
     @pytest.mark.parametrize(
         "old, new",

@@ -213,8 +213,17 @@ class TestIncrementalEquivalenceProperty:
     @given(seed=st.integers(min_value=0, max_value=10_000),
            strategy=st.sampled_from([Strategy.SELECTIVITY, Strategy.EDGE_BY_EDGE, Strategy.BALANCED_PAIRS]),
            article_count=st.integers(min_value=2, max_value=3))
-    @settings(max_examples=25, deadline=None, suppress_health_check=SUPPRESS)
+    @settings(max_examples=25, deadline=None, suppress_health_check=SUPPRESS, derandomize=True)
     def test_incremental_equals_oracle_on_random_streams(self, seed, strategy, article_count):
+        """The streaming matcher's matches equal a from-scratch static search.
+
+        This is a compiled-vs-interpreted differential: the matcher runs its
+        compiled predicate tables and lowered probes, while the
+        ``SubgraphMatcher(graph)`` oracle interprets the predicate trees
+        through the generic search.  Derandomized: the same 25 examples every
+        run, so its cost (which swings with how many three-article draws
+        hypothesis makes) is the same every run too.
+        """
         rng = random.Random(seed)
         query = common_topic_location_query(article_count)
         graph = DynamicGraph(TimeWindow(None))

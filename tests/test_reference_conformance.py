@@ -1,14 +1,15 @@
-"""Columnar hot path vs. interpreted oracle: byte-for-byte conformance.
+"""Routed engine vs. exhaustive reference: byte-for-byte conformance.
 
-The compiled columnar path (``EngineConfig(columnar=True)``, the default)
-must be a pure execution strategy: every event -- query name, portable
+Routing (dispatch index, route plans, compiled leaf checks, interval
+index) must be a pure optimisation: every event -- query name, portable
 match identity, detection timestamp, sequence number -- byte-identical to
-the interpreted per-record path (``columnar=False``), across workloads,
-shard counts, schedulers, feature switches (bounded dedup memory and
-count-min statistics, adaptive replanning), and crash-at-boundary resume
-cuts.  The harness lives in
-``tests/differential.py``; the meta-tests at the bottom prove the oracle
-actually *catches* the bug classes this suite exists to prevent.
+the :class:`~differential.ExhaustiveReferenceEngine`, which searches every
+leaf of every matcher on every live record, across workloads, shard
+counts, schedulers, feature switches (bounded dedup memory and count-min
+statistics, adaptive replanning), and crash-at-boundary resume cuts.  The
+harness lives in ``tests/differential.py``; the meta-tests at the bottom
+prove the differential actually *catches* the bug classes this suite
+exists to prevent.
 """
 
 import random
@@ -18,20 +19,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from differential import (
-    BATCH,
     WORKLOADS,
-    build_engine,
-    canonical,
     chain_query,
     differential,
     drifting_records,
-    rmat_queries,
-    rmat_records,
-    run,
+    drop_a_route_leaf,
     sabotage_recompile,
     skew_expiry,
 )
-from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.sharded import ShardedStreamEngine
 from repro.query.predicates import AttrCompare, AttrRange
 from repro.streaming.edge_stream import StreamEdge
@@ -49,8 +44,8 @@ FEATURES = {
 @pytest.mark.parametrize("feature", sorted(FEATURES))
 @pytest.mark.parametrize("shard_count", [1, 2, 4])
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-class TestColumnarConformanceMatrix:
-    def test_columnar_equals_interpreted(self, workload, shard_count, feature):
+class TestReferenceConformanceMatrix:
+    def test_engine_equals_reference(self, workload, shard_count, feature):
         make_records, query_specs = WORKLOADS[workload]
         records = make_records()
         candidate, oracle = differential(
@@ -59,16 +54,16 @@ class TestColumnarConformanceMatrix:
             shard_count=shard_count,
             **FEATURES[feature],
         )
-        assert oracle, f"{workload}: oracle produced no events -- vacuous differential"
+        assert oracle, f"{workload}: reference produced no events -- vacuous differential"
         assert candidate == oracle, (
-            f"{workload} x {shard_count} shards x {feature}: columnar diverged"
+            f"{workload} x {shard_count} shards x {feature}: engine diverged"
         )
 
 
 @pytest.mark.skipif(
     not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
 )
-def test_columnar_equals_interpreted_under_pool_scheduler():
+def test_engine_equals_reference_under_pool_scheduler():
     make_records, query_specs = WORKLOADS["rmat"]
     records = make_records()
     candidate, oracle = differential(
@@ -78,50 +73,20 @@ def test_columnar_equals_interpreted_under_pool_scheduler():
     assert candidate == oracle
 
 
-def test_columnar_dispatch_counters_identical_to_interpreted():
-    """Not just events: the dispatch stats must replay byte-identically too."""
-    make_records, query_specs = WORKLOADS["rmat"]
-    records = make_records()
-    _, on_metrics = run(records, query_specs, columnar=True)
-    _, off_metrics = run(records, query_specs, columnar=False)
-    assert on_metrics["dispatch"] == off_metrics["dispatch"]
-    assert on_metrics["queries"] == off_metrics["queries"]
-    assert on_metrics["columnar"]["batches_vectorized"] > 0
-    assert on_metrics["columnar"]["dispatch_memo_hits"] > 0
-    assert off_metrics["columnar"]["batches_vectorized"] == 0
-
-
 @pytest.mark.parametrize("workload", ["rmat", "netflow", "disordered"])
 @pytest.mark.parametrize("cuts", [(1,), (3,), (1, 4)], ids=["early", "mid", "double"])
 def test_checkpoint_cut_resume_stays_conformant(workload, cuts, tmp_path):
-    """A columnar engine crashed at batch boundaries and resumed must still
-    equal the *uninterrupted interpreted* run -- resume exactness and
-    execution-strategy equivalence composed."""
+    """An engine crashed at batch boundaries and resumed must still equal
+    the *uninterrupted reference* run -- resume exactness and routing
+    equivalence composed."""
     make_records, query_specs = WORKLOADS[workload]
-    records = make_records()
-    candidate, _ = run(
-        records,
+    candidate, oracle = differential(
+        make_records(),
         query_specs,
-        columnar=True,
-        checkpoint_cuts=cuts,
-        snapshot_dir=tmp_path,
+        candidate_kwargs={"checkpoint_cuts": cuts, "snapshot_dir": tmp_path},
     )
-    oracle, _ = run(records, query_specs, columnar=False)
     assert oracle
     assert candidate == oracle
-
-
-def test_columnar_flag_round_trips_through_snapshots(tmp_path):
-    """Both flag values survive restore (config persistence, not default)."""
-    for columnar in (True, False):
-        engine = StreamWorksEngine(config=EngineConfig(columnar=columnar))
-        engine.register_query(chain_query("q", ["rel_a", "rel_b"]), window=0.5)
-        engine.process_batch(rmat_records(60))
-        path = str(tmp_path / f"flag-{columnar}.snap")
-        engine.checkpoint(path)
-        restored = StreamWorksEngine.restore(path)
-        assert restored.config.columnar is columnar
-        assert (restored.queries["q"].matcher.compiled is not None) is columnar
 
 
 # ----------------------------------------------------------------------
@@ -184,8 +149,8 @@ def test_fuzzed_workloads_stay_conformant(seed, shard_count):
 # ----------------------------------------------------------------------
 def test_oracle_catches_off_by_one_expiry():
     """An expiry sweep skewed one tick into the future must diverge from
-    the oracle -- otherwise this suite could not have caught the classic
-    boundary bug in a real columnar expiry rewrite."""
+    the reference -- otherwise this suite could not have caught the classic
+    boundary bug in a real expiry rewrite."""
     make_records, query_specs = WORKLOADS["rmat"]
     records = make_records()
     candidate, oracle = differential(
@@ -199,9 +164,22 @@ def test_oracle_catches_off_by_one_expiry():
     )
 
 
+def test_oracle_catches_a_route_plan_missing_a_leaf():
+    """A route plan that loses a candidate leaf must diverge from the
+    reference -- the routing bug class it searches every leaf to catch."""
+    make_records, query_specs = WORKLOADS["rmat"]
+    candidate, oracle = differential(
+        make_records(), query_specs, candidate_kwargs={"mutate": drop_a_route_leaf}
+    )
+    assert candidate != oracle, (
+        "a route plan missing a leaf was not detected: the differential "
+        "cannot see routing bugs"
+    )
+
+
 def test_oracle_catches_corrupted_recompile_on_replan():
     """A replan that installs a corrupted compiled predicate table must
-    diverge from the oracle (recompile-on-replan bug class)."""
+    diverge from the reference (recompile-on-replan bug class)."""
     records = drifting_records(300)
     candidate, oracle = differential(
         records,

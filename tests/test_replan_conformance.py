@@ -10,7 +10,8 @@ pins that differentially:
 * **Conformance matrix** — auto-replan on vs. off must produce byte-identical
   event lists (same matches, order, detection times, sequence numbers) across
   rmat / netflow / drifting-selectivity workloads × shard counts 1/2/4 × both
-  schedulers × both ingest paths (columnar and interpreted).  Every adaptive
+  schedulers; the single engine is also held against the exhaustive
+  reference, which searches every leaf on every record.  Every adaptive
   run also
   asserts ``triggers_fired > 0`` (plans are stats-blind at registration, so
   the first cadence check always replans) — the suite cannot pass vacuously
@@ -34,6 +35,7 @@ pins that differentially:
 from __future__ import annotations
 
 import pytest
+from differential import ExhaustiveReferenceEngine
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,11 +127,12 @@ def replay_batched(engine, records):
     return events
 
 
-def static_config(columnar=True):
-    return EngineConfig(columnar=columnar)
+#: The never-replanned oracle: the same engine on a static plan, or the
+#: exhaustive reference (every leaf searched on every record).
+STATIC_ORACLES = {"engine": StreamWorksEngine, "reference": ExhaustiveReferenceEngine}
 
 
-def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False, columnar=True):
+def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False):
     # sketch=True turns on every sketch switch at once: the bounded dedup
     # memory and count-min planner statistics.  The latter changes what the
     # replan loop *reads* (one-sided estimates), so replanning under
@@ -138,7 +141,6 @@ def adaptive_config(threshold=THRESHOLD, check_every=CHECK_EVERY, sketch=False, 
     return EngineConfig(
         replan_threshold=threshold,
         replan_check_every=check_every,
-        columnar=columnar,
         **sketch_kwargs,
     )
 
@@ -169,17 +171,17 @@ def assert_quiescent_recheck_idempotent(engine):
 # single-engine conformance matrix
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+@pytest.mark.parametrize("oracle_kind", sorted(STATIC_ORACLES))
 class TestSingleEngineReplanConformance:
-    def test_batched_conformance(self, case, columnar):
+    def test_batched_conformance(self, case, oracle_kind):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config(columnar))
+        oracle = STATIC_ORACLES[oracle_kind](config=EngineConfig())
         register_all(oracle, query_specs())
         reference = canonical(replay_batched(oracle, records))
         assert reference, f"case {case} produced no events -- not exercising the engines"
 
-        adaptive = StreamWorksEngine(config=adaptive_config(columnar=columnar))
+        adaptive = StreamWorksEngine(config=adaptive_config())
         register_all(adaptive, query_specs())
         events = replay_batched(adaptive, records)
         assert_adaptive_run_conformant(
@@ -188,17 +190,17 @@ class TestSingleEngineReplanConformance:
         assert adaptive.match_counts() == oracle.match_counts()
         assert_quiescent_recheck_idempotent(adaptive)
 
-    def test_per_record_conformance(self, case, columnar):
+    def test_per_record_conformance(self, case, oracle_kind):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config(columnar))
+        oracle = STATIC_ORACLES[oracle_kind](config=EngineConfig())
         register_all(oracle, query_specs())
         reference = canonical(
             [event for record in records for event in oracle.process_record(record)]
         )
         assert reference
 
-        adaptive = StreamWorksEngine(config=adaptive_config(columnar=columnar))
+        adaptive = StreamWorksEngine(config=adaptive_config())
         register_all(adaptive, query_specs())
         adaptive_events = [
             event for record in records for event in adaptive.process_record(record)
@@ -232,7 +234,7 @@ class TestShardedReplanConformance:
     def test_serial_scheduler_conformance(self, case, shard_count):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config())
+        oracle = StreamWorksEngine(config=EngineConfig())
         register_all(oracle, query_specs())
         reference = canonical(replay_batched(oracle, records))
         assert reference
@@ -260,7 +262,7 @@ class TestShardedReplanConformance:
 def test_worker_pool_scheduler_conformance(case):
     make_records, query_specs = CASES[case]
     records = make_records()
-    oracle = StreamWorksEngine(config=static_config())
+    oracle = StreamWorksEngine(config=EngineConfig())
     register_all(oracle, query_specs())
     reference = canonical(replay_batched(oracle, records))
 
@@ -277,7 +279,7 @@ def test_sharded_broadcast_routing_conformance():
     # broadcast routing hands every shard the whole stream; replan checks
     # must still fan out on the global cadence, once per shard per tick
     records = drifting_records()
-    oracle = StreamWorksEngine(config=static_config())
+    oracle = StreamWorksEngine(config=EngineConfig())
     register_all(oracle, drifting_queries())
     reference = canonical(replay_batched(oracle, records))
 
@@ -301,7 +303,7 @@ class TestSketchReplanConformance:
     def test_serial_scheduler_sketch_conformance(self, case, shard_count):
         make_records, query_specs = CASES[case]
         records = make_records()
-        oracle = StreamWorksEngine(config=static_config())
+        oracle = StreamWorksEngine(config=EngineConfig())
         register_all(oracle, query_specs())
         reference = canonical(replay_batched(oracle, records))
         assert reference
@@ -330,7 +332,7 @@ class TestSketchReplanConformance:
 def test_sketch_worker_pool_scheduler_conformance(case):
     make_records, query_specs = CASES[case]
     records = make_records()
-    oracle = StreamWorksEngine(config=static_config())
+    oracle = StreamWorksEngine(config=EngineConfig())
     register_all(oracle, query_specs())
     reference = canonical(replay_batched(oracle, records))
 
@@ -371,7 +373,7 @@ def test_checkpoint_resume_equals_uninterrupted_oracle(
     )
     config = adaptive_config(threshold=threshold, check_every=BATCH_SIZE)
 
-    oracle = StreamWorksEngine(config=static_config())
+    oracle = StreamWorksEngine(config=EngineConfig())
     register_all(oracle, drifting_queries())
     static_reference = canonical(replay_batched(oracle, records))
 
@@ -475,7 +477,7 @@ def test_mutation_dropped_partial_bucket_is_caught():
     would NOT have passed over a migration bug of this shape.
     """
     records = drifting_records()
-    oracle = StreamWorksEngine(config=static_config())
+    oracle = StreamWorksEngine(config=EngineConfig())
     register_all(oracle, drifting_queries())
     reference = canonical(replay_batched(oracle, records))
 

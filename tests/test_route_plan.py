@@ -18,7 +18,8 @@ with the loop it replaced -- kept verbatim below as the oracle:
   fails against the all-leaves loop;
 * **plan lifetime**: plans survive runs and are dropped on register /
   unregister / replan / restore -- events, ``metrics()["dispatch"]`` and the
-  per-query edge counters stay byte-identical to the interpreted oracle, the
+  per-query edge counters stay byte-identical to an engine that probes the
+  dispatch index afresh for every record, the
   prefilter counters identical to an engine whose plan cache is emptied
   before every run, and plans are built per route key and index version,
   not per run.
@@ -26,12 +27,14 @@ with the loop it replaced -- kept verbatim below as the oracle:
 
 import math
 import random
+import types
 from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from differential import ProbedReferenceEngine
 from test_sharded_conformance import canonical
 
 from repro.core import route_plan
@@ -498,16 +501,21 @@ BANDS_REGISTERED = 12
 
 
 def lifetime_engine(kind, **config):
-    """``kind``: ``"plans"`` (the product), ``"oracle"`` (interpreted) or
+    """``kind``: ``"plans"`` (the product), ``"oracle"`` (a fresh dispatch
+    probe per record, no plans: ``differential.ProbedReferenceEngine``) or
     ``"cleared"`` (plans rebuilt every run, as the per-run memo was)."""
     config.setdefault("default_window", BAND_WINDOW)
-    engine = StreamWorksEngine(config=EngineConfig(columnar=kind != "oracle", **config))
+    engine = StreamWorksEngine(config=EngineConfig(**config))
     arm(engine, kind)
     return engine
 
 
 def arm(engine, kind):
-    if kind == "cleared":
+    # armed per instance, so a restored engine (always a plain one) is
+    # re-armed the same way
+    if kind == "oracle":
+        engine._dispatch_run = types.MethodType(ProbedReferenceEngine._dispatch_run, engine)
+    elif kind == "cleared":
         run = engine._run_fast_path
 
         def cleared_first(*args):
@@ -691,9 +699,9 @@ def test_a_batch_with_an_unhashable_attribute_processes_fully():
         source_label="Host", target_label="Host",
     )
     outcomes = {}
-    for columnar in (True, False):
-        clean = lifetime_engine("plans" if columnar else "oracle")
-        dirty = lifetime_engine("plans" if columnar else "oracle")
+    for kind in ("plans", "oracle"):
+        clean = lifetime_engine(kind)
+        dirty = lifetime_engine(kind)
         for engine in (clean, dirty):
             for index in range(BANDS_REGISTERED):
                 engine.register_query(band_query(index), window=BAND_WINDOW)
@@ -706,8 +714,8 @@ def test_a_batch_with_an_unhashable_attribute_processes_fully():
             for event in engine.collector.events
         ]
         assert identities(dirty) == identities(clean) != []
-        outcomes[columnar] = identities(dirty)
-    assert outcomes[True] == outcomes[False]
+        outcomes[kind] = identities(dirty)
+    assert outcomes["plans"] == outcomes["oracle"]
 
 
 def test_idle_matchers_skip_the_expiry_sweep():

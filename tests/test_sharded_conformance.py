@@ -17,8 +17,10 @@ diverge:
   id-based identities are ambiguous and enumeration order is fragile),
 * eviction-heavy streams (tiny windows, constant expiry/recreation),
 
-for shard counts 1, 2 and 4, both ingest paths (columnar and interpreted),
-label and broadcast routing, and the serial and multiprocessing schedulers.
+for shard counts 1, 2 and 4, label and broadcast routing, and the serial and
+multiprocessing schedulers.  The main matrix also holds the shards against
+the exhaustive reference (``tests/differential.py``), which searches every
+leaf on every record.
 
 Events are compared on ``(query, portable match identity, detection time,
 sequence)`` as ordered lists -- :meth:`Match.portable_identity` keys edges
@@ -163,27 +165,37 @@ def replay_batched(engine, records):
     return events
 
 
-def single_engine_reference(records, query_specs, columnar=True):
-    engine = StreamWorksEngine(
-        config=EngineConfig(collect_statistics=False, columnar=columnar)
-    )
+def single_engine(kind="engine"):
+    """The single engine the shards are held against: the production engine,
+    or (``"reference"``) the exhaustive reference that searches every leaf
+    on every record."""
+    if kind == "reference":
+        # imported here: differential re-exports this module's catalogue
+        from differential import ExhaustiveReferenceEngine as engine_cls
+    else:
+        engine_cls = StreamWorksEngine
+    return engine_cls(config=EngineConfig(collect_statistics=False))
+
+
+def single_engine_reference(records, query_specs, kind="engine"):
+    engine = single_engine(kind)
     register_all(engine, query_specs())
     return engine, canonical(replay_batched(engine, records))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-@pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+@pytest.mark.parametrize("single_kind", ["engine", "reference"])
 class TestShardedConformance:
-    def test_batched_identical_across_shard_counts(self, case, columnar):
+    def test_batched_identical_across_shard_counts(self, case, single_kind):
         make_records, query_specs = CASES[case]
         records = make_records()
-        single, reference = single_engine_reference(records, query_specs, columnar)
+        single, reference = single_engine_reference(records, query_specs, single_kind)
         assert reference, f"case {case} produced no events -- not exercising the engines"
         for shard_count in SHARD_COUNTS:
             sharded = ShardedStreamEngine(
                 config=ShardConfig(
                     shard_count=shard_count,
-                    engine=EngineConfig(collect_statistics=False, columnar=columnar),
+                    engine=EngineConfig(collect_statistics=False),
                 )
             )
             register_all(sharded, query_specs())
@@ -193,12 +205,10 @@ class TestShardedConformance:
             assert sharded.match_counts() == single.match_counts()
             assert sharded.edges_processed == single.edges_processed
 
-    def test_per_record_identical_across_shard_counts(self, case, columnar):
+    def test_per_record_identical_across_shard_counts(self, case, single_kind):
         make_records, query_specs = CASES[case]
         records = make_records()
-        single = StreamWorksEngine(
-            config=EngineConfig(collect_statistics=False, columnar=columnar)
-        )
+        single = single_engine(single_kind)
         register_all(single, query_specs())
         reference = canonical(
             [event for record in records for event in single.process_record(record)]
@@ -208,7 +218,7 @@ class TestShardedConformance:
             sharded = ShardedStreamEngine(
                 config=ShardConfig(
                     shard_count=shard_count,
-                    engine=EngineConfig(collect_statistics=False, columnar=columnar),
+                    engine=EngineConfig(collect_statistics=False),
                 )
             )
             register_all(sharded, query_specs())
@@ -562,9 +572,9 @@ class TestShardedEngineBehaviour:
         )
         assert run(sharded) == reference
 
-    @pytest.mark.parametrize("columnar", [True, False], ids=["columnar", "interpreted"])
+    @pytest.mark.parametrize("single_kind", ["engine", "reference"])
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_record"])
-    def test_sweep_sequence_mirrored_for_cross_batch_late_records(self, columnar, batched):
+    def test_sweep_sequence_mirrored_for_cross_batch_late_records(self, batched, single_kind):
         # regression (confirmed divergence): with late records the SEQUENCE
         # of partial-expiry sweeps decides what survives, not just the final
         # clock.  The single engine's batched path sweeps every matcher per
@@ -592,9 +602,10 @@ class TestShardedEngineBehaviour:
                     events.extend(engine.process_record(record))
             return canonical(events)
 
-        config = EngineConfig(collect_statistics=False, columnar=columnar)
-        reference = run(StreamWorksEngine(config=config))
-        sharded = ShardedStreamEngine(config=ShardConfig(shard_count=2, engine=config))
+        reference = run(single_engine(single_kind))
+        sharded = ShardedStreamEngine(
+            config=ShardConfig(shard_count=2, engine=EngineConfig(collect_statistics=False))
+        )
         assert run(sharded) == reference
 
     def test_registration_after_ingest_rejected_in_serial_mode_too(self):

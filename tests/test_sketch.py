@@ -563,11 +563,17 @@ class TestEngineConfigValidation:
 
     @pytest.mark.parametrize(
         "name, value",
-        [("use_dispatch_index", False), ("sketch_dispatch", True), ("auto_replan_interval", 50)],
+        [
+            ("use_dispatch_index", False),
+            ("sketch_dispatch", True),
+            ("auto_replan_interval", 50),
+            ("columnar", False),
+        ],
     )
     def test_retired_routing_knob_is_not_an_option(self, name, value):
-        # the engine has one routing path; snapshots that still carry the
-        # knob drop it on load instead of handing it to the constructor
+        # the engine has one routing and matching path; snapshots that still
+        # carry the knob drop it on load instead of handing it to the
+        # constructor
         with pytest.raises(TypeError, match=name):
             EngineConfig(**{name: value})
         assert name in _RETIRED_CONFIG_FIELDS
