@@ -16,10 +16,13 @@ vertex-label guards) to the (query, SJ-Tree leaf) pairs that can possibly
 bind them, so an edge only pays for the primitives it can affect; a label
 no registered leaf can bind is turned away before its endpoints are even
 looked up.  :meth:`StreamWorksEngine.process_batch` additionally amortises
-work across a batch: the whole batch is ingested (with eviction deferred), expiry is swept
-once per matcher instead of once per edge, and each edge is then dispatched
-through the index.  Internally out-of-order batches are split at their
-inversion points so the ordered runs keep that fast path, and
+work across a batch: each record is routed before it is stored, and only
+records some query edge can bind enter the window store (with eviction
+deferred) -- the rest wait in a cold ring that a late registration promotes
+from -- expiry is swept once per matcher instead of once per edge, and each
+stored edge then searches the leaves it was routed to.  Internally
+out-of-order batches are split at their inversion points so the ordered
+runs keep that fast path, and
 ``EngineConfig(allowed_lateness=...)`` enables full event-time ingestion: a
 bounded-lateness reorder buffer re-sorts disorder inside the lateness
 horizon, releases watermark-closed prefixes as in-order fast-path batches,
@@ -43,8 +46,9 @@ Typical use::
 
 from __future__ import annotations
 
+from collections import deque
 from time import perf_counter
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..graph.dynamic_graph import DynamicGraph
 from ..graph.interning import InternTable
@@ -74,6 +78,10 @@ from .planner import PlannerConfig, QueryPlan, QueryPlanner
 from .route_plan import RoutePlan, build_route_plan
 
 __all__ = ["EngineConfig", "RegisteredQuery", "StreamWorksEngine", "required_retention"]
+
+#: Route-key id of every edge label the intern table does not hold.  No
+#: dispatch entry names such a label, so all of them route alike.
+UNBOUND_LABEL = -1
 
 
 def intern_query_vocabulary(table: InternTable, query: QueryGraph) -> None:
@@ -403,6 +411,19 @@ class RegisteredQuery:
         )
 
 
+def checks_vertices(registrations: Iterable[RegisteredQuery]) -> bool:
+    """Whether any of the registered queries checks vertex attributes.
+
+    Such a query keeps the cold gate shut: a stored record keeps its
+    endpoints alive, and with them the attributes earlier records attached.
+    """
+    return any(
+        check is not None
+        for registration in registrations
+        for check in registration.matcher.compiled.vertex_checks.values()
+    )
+
+
 class StreamWorksEngine:
     """Continuous multi-query subgraph matching over a dynamic graph stream."""
 
@@ -432,6 +453,17 @@ class StreamWorksEngine:
         #: Per-record-path records evicted by their own ingest (see
         #: :meth:`process_edge`); never matched.
         self.records_dead_on_arrival = 0
+        #: The cold ring: fast-path records no registered query edge can
+        #: bind, kept out of the window store, in stream order (see
+        #: :meth:`_route_run`).  Trimmed with the store by
+        #: :meth:`evict_expired`; :meth:`register_query` promotes what a new
+        #: query binds.  ``records_cold`` counts every record ever routed
+        #: here.
+        self.cold: Deque[StreamEdge] = deque()
+        self.records_cold = 0
+        # derived from the ring's timestamps (restore recomputes it): a late
+        # run appended behind newer records, so trims must scan the ring
+        self._cold_disordered = False
         #: Event-time horizon stamped by the event-time machinery: the
         #: reorder buffer's watermark when event-time ingestion is
         #: configured, or the global watermark a sharded parent attaches to
@@ -455,8 +487,10 @@ class StreamWorksEngine:
         #: Stream-boundary intern table: vertex/edge labels and predicate
         #: attribute names to dense ints.  Query vocabulary is interned at
         #: registration (deterministic: label order within the query, then
-        #: attribute first-mention order); stream labels are admitted on
-        #: first sight by the batched fast path.  Ids are engine-internal
+        #: attribute first-mention order); routing interns the endpoint
+        #: vertex labels of the records it routes but only looks edge labels
+        #: up (:data:`UNBOUND_LABEL` when absent), so the table does not grow
+        #: with the stream's edge-label alphabet.  Ids are engine-internal
         #: -- snapshots persist the table, and pre-columnar snapshots
         #: rebuild it deterministically from registration + insertion order.
         self.interning = InternTable()
@@ -572,6 +606,7 @@ class StreamWorksEngine:
             self._sinks.add(sink)
         self.dispatch.register(query_name, matcher.tree.leaves())
         intern_query_vocabulary(self.interning, query)
+        self._promote_cold(registration)
         self._update_retention()
         return registration
 
@@ -873,6 +908,7 @@ class StreamWorksEngine:
             source_attrs=source_attrs,
             target_attrs=target_attrs,
         )
+        self._trim_cold()  # the ingest's eviction sweep, applied to the ring
         events: List[MatchEvent] = []
         if self.graph.has_edge(edge.id):
             if self.summarizer is not None:
@@ -1026,21 +1062,31 @@ class StreamWorksEngine:
         This takes the batched fast path (the paper's section 2.1
         formulation is batch-oriented):
 
-        1. the whole batch is ingested into the graph with eviction deferred
-           (evicting against the batch's latest timestamp up front could
-           remove edges that its earlier edges can still legally match);
-        2. the summarizer folds the batch in one call;
+        1. every record is routed through its route plan *before* it is
+           stored: a record some registered query edge can bind (*hot*) is
+           ingested into the graph with eviction deferred (evicting against
+           the batch's latest timestamp up front could remove edges that its
+           earlier edges can still legally match); a record none can bind
+           (*cold*) only advances the stream clock and joins the cold ring
+           -- it is never interned, stored, folded or evicted;
+        2. the summarizer folds the hot records in one call;
         3. partial-match expiry runs **once per matcher per batch**, anchored
            at the batch's earliest timestamp (the conservative anchor: any
            partial it drops would also have been dropped by the per-edge
            path before the first edge of the batch);
-        4. every edge is dispatched through the index;
-        5. one deferred graph-eviction sweep closes the batch.
+        4. every hot record searches the leaves step 1 routed it to;
+        5. one deferred eviction sweep over the store and the cold ring
+           closes the batch.
 
         Per-edge latency samples recorded in batch mode time the dispatch
-        and matching step only -- ingest, expiry and eviction are amortised
-        batch-level work -- so they are not directly comparable with
-        :meth:`process_edge` samples, which include ingest.
+        and matching step of each stored record only -- routing, ingest,
+        expiry and eviction are amortised batch-level work, and a cold
+        record takes no sample -- so they are not directly comparable with
+        :meth:`process_edge` samples, which include ingest.  Keeping cold
+        records out of the store changes no event: a record no query edge
+        can bind is neither a search seed nor a search partner, and
+        :meth:`register_query` promotes the ring records a late query binds
+        (``docs/architecture.md``).
 
         Steps 1-5 produce exactly the same events as feeding the records
         through :meth:`process_record` one at a time.  An embedding whose
@@ -1210,56 +1256,27 @@ class StreamWorksEngine:
     ) -> None:
         """Steps 1-5 of the batched fast path over one non-decreasing run.
 
+        Step 1 routes each record, then stores it only when it is *hot*
+        (:meth:`_route_run`); a cold record -- no registered query edge can
+        bind it -- goes to the cold ring instead.  Step 2 folds the hot
+        records into the statistics, step 3 sweeps partial-match expiry
+        once per matcher, step 4 searches the hot records with the leaves
+        step 1 chose (:meth:`_dispatch_run`), and step 5 is one eviction
+        sweep over the store and the cold ring (:meth:`evict_expired`).
+
         A record already outside the retention horizon at its ingest point
         (``timestamp`` expired against the running stream clock) is *dead on
         arrival*: it is ingested and immediately evicted -- exactly the
         per-record path's behaviour -- counted in
-        ``records_dead_on_arrival``, and never matched or folded into the
-        statistics.  The batched path used to keep such records alive
-        within their run (deferred eviction) and match them, which made the
-        outcome depend on how the stream happened to be batched; a
+        ``records_dead_on_arrival``, and never routed, matched or folded
+        into the statistics.  The batched path used to keep such records
+        alive within their run (deferred eviction) and match them, which
+        made the outcome depend on how the stream happened to be batched; a
         checkpoint/restore cycle re-batches the remainder of the stream, so
         resume exactness requires the batching-independent skip.  Within a
         non-decreasing run dead records precede any record that advances
         the clock, so the mid-run eviction sweep removes only them.
         """
-        ingested: List[Optional[Edge]] = []
-        window = self.graph.window
-        for record in records:
-            edge = self.graph.ingest(
-                record.source,
-                record.target,
-                record.label,
-                record.timestamp,
-                record.attrs,
-                source_label=record.source_label,
-                target_label=record.target_label,
-                source_attrs=record.source_attrs,
-                target_attrs=record.target_attrs,
-                evict=False,
-            )
-            if window.bounded and window.is_expired(edge.timestamp, self.graph.current_time):
-                # dead on arrival: mirror process_edge's ingest-then-evict
-                self.graph.evict_expired()
-                self.records_dead_on_arrival += 1
-                ingested.append(None)
-            else:
-                ingested.append(edge)
-        self.records_batched += len(records)
-        if self.summarizer is not None:
-            self.summarizer.observe_batch(
-                self.graph, [edge for edge in ingested if edge is not None]
-            )
-        # the expiry anchor is the run's raw minimum (dead records included):
-        # the sharded engine anchors at the global run minimum, and single
-        # and sharded sweeps must be identical because with late records the
-        # sweep sequence decides which partials survive
-        batch_start = records[0].timestamp  # the run is non-decreasing
-        if expiry_anchor is not None:
-            batch_start = min(batch_start, expiry_anchor)
-        for registration in self.queries.values():
-            if not registration.matcher.idle:  # nothing stored: nothing to sweep
-                registration.matcher.expire_partials(batch_start)
         # What a route plan stands for per record -- one dispatch probe, one
         # visit of each owner's matcher -- is counted in bulk when the run
         # ends (also when it ends in an exception: a plan outlives the run,
@@ -1268,21 +1285,151 @@ class StreamWorksEngine:
         # (``docs/operations.md``).
         used: List[RoutePlan] = []
         try:
-            self._dispatch_run(ingested, events, used)
+            hot = self._route_run(records, used)
+            self.records_batched += len(records)
+            if self.summarizer is not None:
+                self.summarizer.observe_batch(self.graph, [edge for _, edge, _ in hot])
+            # the expiry anchor is the run's raw minimum (dead and cold
+            # records included): the sharded engine anchors at the global
+            # run minimum, and single and sharded sweeps must be identical
+            # because with late records the sweep sequence decides which
+            # partials survive
+            batch_start = records[0].timestamp  # the run is non-decreasing
+            if expiry_anchor is not None:
+                batch_start = min(batch_start, expiry_anchor)
+            for registration in self.queries.values():
+                if not registration.matcher.idle:  # nothing stored: nothing to sweep
+                    registration.matcher.expire_partials(batch_start)
+            self._dispatch_run(hot, len(records), events)
         finally:
             for plan in used:
                 if not plan.entries:
                     self.records_prefiltered += plan.uses
+                self.leaves_pruned += plan.pruned
                 self.dispatch_memo_hits += plan.settle(self.dispatch)
-        self.graph.evict_expired()
+        self.evict_expired()
+
+    def _route_run(
+        self, records: Sequence[StreamEdge], used: List[RoutePlan]
+    ) -> List[Tuple[int, Edge, List]]:
+        """Step 1: route every record of a run, storing only the hot ones.
+
+        A record is routed through its *route plan*
+        (:mod:`repro.core.route_plan`): found in ``dispatch.plans`` by
+        ``(label id, source label id, target label id)``, built on first
+        use, valid until the dispatch index next changes -- which happens
+        between runs only.  An edge label the intern table does not hold
+        routes under :data:`UNBOUND_LABEL`: no dispatch entry names it, so
+        all such labels route alike and none is interned.  Endpoint labels
+        are resolved before ingest (stored vertex label, else the record's
+        own) and interned, one plan per endpoint-label combination as
+        before.  Plans touched are appended to ``used``; the caller settles
+        their per-run tallies.
+
+        A record is **cold** when its plan leaves no surviving leaf, it
+        carries no vertex attributes, and no registered query checks vertex
+        attributes (:func:`checks_vertices`).  No registered query edge can
+        bind it, so it is never a search seed nor a search partner; it joins
+        the cold ring and is not interned, stored, folded into the
+        statistics, evicted or latency-sampled.  Every other live record is
+        ingested with eviction deferred.  Cold records advance the stream
+        clock once, after the loop: the run is non-decreasing, so its last
+        record carries the clock, and nothing in the loop reads the clock
+        after the first live record.
+
+        Returns ``(position in the run, edge, searches)`` per hot record.
+        """
+        graph = self.graph
+        window = graph.window
+        intern = self.interning.intern
+        lookup = self.interning.lookup
+        front_rejects = self.dispatch.front_rejects
+        plans = self.dispatch.plans
+        stored_label = graph.graph.vertex_label
+        cold = self.cold
+        # dead records precede every live one in a non-decreasing run: once
+        # a record is live, no later record of the run can be dead
+        dead_possible = window.bounded
+        # whether some query checks vertex attributes, resolved on the
+        # first record that would otherwise be cold
+        gate_shut: Optional[bool] = None
+        # endpoint label ids: constant within a run (one label per live
+        # vertex id, and nothing is evicted mid-run but dead records)
+        endpoint_memo: Dict[VertexId, int] = {}
+        hot: List[Tuple[int, Edge, List]] = []
+        prefiltered = went_cold = 0
+        if cold and cold[-1].timestamp > records[0].timestamp:
+            # the run may append behind the ring's newest record
+            self._cold_disordered = True
+        for position, record in enumerate(records):
+            if dead_possible:
+                if window.is_expired(record.timestamp, graph.current_time):
+                    # dead on arrival: mirror process_edge's ingest-then-evict
+                    self._ingest(record)
+                    self.evict_expired()
+                    self.records_dead_on_arrival += 1
+                    continue
+                dead_possible = False
+            label = record.label
+            if front_rejects(label):
+                # no registered leaf has a query edge for this label: skip
+                # endpoint resolution and routing altogether
+                prefiltered += 1
+                searches: List = []
+            else:
+                source = record.source
+                sid = endpoint_memo.get(source)
+                if sid is None:
+                    source_label = stored_label(source)
+                    sid = endpoint_memo[source] = intern(
+                        record.source_label if source_label is None else source_label
+                    )
+                target = record.target
+                tid = endpoint_memo.get(target)
+                if tid is None:
+                    target_label = stored_label(target)
+                    tid = endpoint_memo[target] = intern(
+                        record.target_label if target_label is None else target_label
+                    )
+                lid = lookup(label)
+                route_key = (UNBOUND_LABEL if lid is None else lid, sid, tid)
+                plan = plans.get(route_key)
+                if plan is None:
+                    plan = self._build_route_plan(
+                        route_key,
+                        label,
+                        self._route_label(source, record.source_label),
+                        self._route_label(target, record.target_label),
+                    )
+                if not plan.uses:
+                    used.append(plan)
+                plan.uses += 1
+                searches = plan.route(record.attrs)
+            if not searches and not record.source_attrs and not record.target_attrs:
+                if gate_shut is None:
+                    gate_shut = checks_vertices(self.queries.values())
+                if not gate_shut:
+                    cold.append(record)
+                    went_cold += 1
+                    continue
+            hot.append((position, self._ingest(record), searches))
+        graph.advance_time(records[-1].timestamp)
+        self.records_prefiltered += prefiltered
+        self.records_cold += went_cold
+        return hot
 
     def _dispatch_run(
         self,
-        ingested: Sequence[Optional[Edge]],
+        hot: Sequence[Tuple[int, Edge, List]],
+        run_length: int,
         events: List[MatchEvent],
-        used: List[RoutePlan],
     ) -> None:
-        """Step 4: route every live edge of a pre-ingested run and emit.
+        """Step 4: search every hot record of a stored run with its routed leaves, emit.
+
+        ``hot`` is :meth:`_route_run`'s output: each hot record searches
+        the leaves its route plan left it, so no record is routed twice.
+        Every record of the run -- dead and cold ones too -- takes a
+        trigger index (``edges_processed``) by its position in the run.
 
         Emission anchoring: the run is pre-ingested, so a completion whose
         edges all lie inside the run is *discovered* at whichever of its
@@ -1291,115 +1438,160 @@ class StreamWorksEngine:
         plan-independent (and equal to the per-record path), every
         completion's emission is deferred to the dispatch of its LAST in-run
         edge -- exactly the edge the per-record path would have completed it
-        on.  Deferral is safe within a run: nothing is evicted mid-run
-        (dead-on-arrival records are removed before any later record is
-        dispatched and can belong to no completion), and the
+        on.  Every edge of a completion is hot, so that edge is always
+        dispatched here.  Deferral is safe within a run: nothing is evicted
+        mid-run (dead-on-arrival records are removed before any later record
+        is dispatched and can belong to no completion), and the
         duplicate-suppression memory prevents a deferred match from being
         rediscovered at its later edges.
-
-        A record is routed through its *route plan* (:mod:`repro.core.route_plan`):
-        found in ``dispatch.plans`` by ``(label id, source label id, target
-        label id)``, built on first use, valid until the dispatch index next
-        changes -- which happens between runs only.  Plans touched are
-        appended to ``used``; the caller settles their per-run tallies.
         """
-        positions: Dict[int, int] = {}
-        for index, edge in enumerate(ingested):
-            if edge is not None:
-                positions[edge.id] = index
+        base = self.edges_processed
+        positions = {edge.id: position for position, edge, _ in hot}
         deferred: Dict[int, List] = {}
         record_latency = self.config.record_latency
         self.batches_vectorized += 1
-        intern = self.interning.intern
-        front_rejects = self.dispatch.front_rejects
-        plans = self.dispatch.plans
-        # endpoint label ids: constant within a run (matching never mutates
-        # the graph, dead-on-arrival evictions precede the loop)
-        endpoint_memo: Dict[VertexId, int] = {}
-        for index, edge in enumerate(ingested):
-            if edge is None:  # dead on arrival: counted, never matched
-                self.edges_processed += 1
-                continue
+        for position, edge, searches in hot:
+            self.edges_processed = base + position
             stopwatch_start = perf_counter() if record_latency else None
             found: List = []
-            if front_rejects(edge.label):
-                # no registered leaf has a query edge for this label: admit
-                # it to the intern table and skip endpoint resolution and
-                # routing altogether
-                intern(edge.label)
-                self.records_prefiltered += 1
-            else:
-                sid = endpoint_memo.get(edge.source)
-                if sid is None:
-                    sid = endpoint_memo[edge.source] = self._endpoint_label_id(edge.source)
-                tid = endpoint_memo.get(edge.target)
-                if tid is None:
-                    tid = endpoint_memo[edge.target] = self._endpoint_label_id(edge.target)
-                route_key = (intern(edge.label), sid, tid)
-                plan = plans.get(route_key)
-                if plan is None:
-                    plan = self._build_route_plan(route_key, edge)
-                if not plan.uses:
-                    used.append(plan)
-                plan.uses += 1
-                attrs = edge.attrs
-                survivors = 0
-                searches: List = []
-                last_owner = None
-                for owner, leaf, checks in (
-                    plan.entries if plan.index is None else plan.index.select(attrs)
-                ):
-                    if checks is not None:
-                        for check in checks:
-                            if check(attrs):
-                                break
-                        else:
-                            continue
-                    survivors += 1
-                    if owner is last_owner:
-                        leaves.append(leaf)
-                    else:
-                        last_owner = owner
-                        leaves = [leaf]
-                        searches.append((owner, leaves))
-                self.leaves_pruned += len(plan.entries) - survivors
-                for owner, leaves in searches:
-                    owner.searched += 1
-                    registration = owner.registration
-                    for match in registration.matcher.process_edge_leaves(edge, leaves):
-                        found.append((registration, match))
+            for owner, leaves in searches:
+                owner.searched += 1
+                registration = owner.registration
+                for match in registration.matcher.process_edge_leaves(edge, leaves):
+                    found.append((registration, match))
             for registration, match in found:
-                target = index  # every completion contains the current edge
+                target = position  # every completion contains the current edge
                 for match_edge in match.edge_map.values():
-                    position = positions.get(match_edge.id)
-                    if position is not None and position > target:
-                        target = position
+                    later = positions.get(match_edge.id)
+                    if later is not None and later > target:
+                        target = later
                 deferred.setdefault(target, []).append((registration, match))
-            due = deferred.pop(index, None)
+            due = deferred.pop(position, None)
             if due:
-                self._emit_trigger(due, edge.timestamp, self.edges_processed, events)
-            self.edges_processed += 1
+                self._emit_trigger(due, edge.timestamp, base + position, events)
             if stopwatch_start is not None:
                 self.latency.record(perf_counter() - stopwatch_start)
+        self.edges_processed = base + run_length
+
+    def _ingest(self, record: StreamEdge) -> Edge:
+        """Store one record in the window store, eviction deferred."""
+        return self.graph.ingest(
+            record.source,
+            record.target,
+            record.label,
+            record.timestamp,
+            record.attrs,
+            source_label=record.source_label,
+            target_label=record.target_label,
+            source_attrs=record.source_attrs,
+            target_attrs=record.target_attrs,
+            evict=False,
+        )
+
+    def evict_expired(self, now: Optional[Timestamp] = None) -> None:
+        """Evict what the retention window has expired: store and cold ring alike.
+
+        ``now`` defaults to the stream clock.  The ring is trimmed with the
+        store's threshold and strictness, so it holds exactly the cold
+        records a store that kept every record would still hold -- what
+        :meth:`register_query` may need to promote.
+        """
+        self.graph.evict_expired(now)
+        self._trim_cold(now)
+
+    def _trim_cold(self, now: Optional[Timestamp] = None) -> None:
+        """Drop the cold-ring records the store's last sweep would have evicted."""
+        cold = self.cold
+        window = self.graph.window
+        if not cold or not window.bounded:
+            return
+        threshold = window.expiry_threshold(self.graph.current_time if now is None else now)
+        # the store's test: ExpiryQueue.pop_expired(threshold, inclusive=strict)
+        inclusive = window.strict
+        if self._cold_disordered:
+            # a late run appended behind newer records: trim the whole ring
+            self.reset_cold(
+                [
+                    record
+                    for record in cold
+                    if record.timestamp > threshold
+                    or (not inclusive and record.timestamp == threshold)
+                ]
+            )
+        elif inclusive:
+            while cold and cold[0].timestamp <= threshold:
+                cold.popleft()
+        else:
+            while cold and cold[0].timestamp < threshold:
+                cold.popleft()
+
+    def reset_cold(self, records: List[StreamEdge]) -> None:
+        """Replace the cold ring with ``records`` (stream order), e.g. on restore."""
+        self.cold = deque(records)
+        self._cold_disordered = any(
+            later.timestamp < earlier.timestamp for earlier, later in zip(records, records[1:])
+        )
+
+    def _promote_cold(self, registration: RegisteredQuery) -> None:
+        """Store the cold-ring records ``registration`` can bind, in stream order.
+
+        A late registration must see the partners a store that kept every
+        record would offer it.  Ring records the new query binds (route plan
+        survivors, judged against this query alone) are ingested and folded
+        into the statistics; a query that checks vertex attributes shuts the
+        gate and takes the whole ring.  Promotion is not stream work: the
+        dispatch counters probed here are restored and no stream counter
+        moves.  A replan never promotes -- a plan change binds no new edge.
+        """
+        if not self.cold:
+            return
+        take_all = checks_vertices([registration])
+        dispatch = self.dispatch
+        saved = (dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped)
+        only = {registration.name: registration}
+        plans: Dict[Tuple[str, str, str], RoutePlan] = {}
+        promoted: List[StreamEdge] = []
+        kept: List[StreamEdge] = []
+        for record in self.cold:
+            if not take_all:
+                key = (
+                    record.label,
+                    self._route_label(record.source, record.source_label),
+                    self._route_label(record.target, record.target_label),
+                )
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = build_route_plan(dispatch, only, *key)
+                if not plan.route(record.attrs):
+                    kept.append(record)
+                    continue
+            promoted.append(record)
+        dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped = saved
+        if not promoted:
+            return
+        self.reset_cold(kept)
+        edges = [self._ingest(record) for record in promoted]
+        if self.summarizer is not None:
+            self.summarizer.observe_batch(self.graph, edges)
 
     def _endpoint_label(self, vertex: VertexId) -> Optional[str]:
         """Stored label of an edge endpoint (``None`` when it is not retained)."""
-        return self.graph.vertex(vertex).label if self.graph.has_vertex(vertex) else None
+        return self.graph.graph.vertex_label(vertex)
 
-    def _endpoint_label_id(self, vertex: VertexId) -> int:
-        """Intern id of an endpoint's stored label (``-1`` = no label to guard on)."""
+    def _route_label(self, vertex: VertexId, record_label: str) -> str:
+        """An endpoint's label for routing: stored vertex label, else the record's own."""
         label = self._endpoint_label(vertex)
-        return -1 if label is None else self.interning.intern(label)
+        return record_label if label is None else label
 
-    def _build_route_plan(self, route_key: Tuple[int, int, int], edge: Edge) -> RoutePlan:
-        """Probe the dispatch index for ``edge``'s route and cache the plan."""
-        plan = build_route_plan(
-            self.dispatch,
-            self.queries,
-            edge.label,
-            self._endpoint_label(edge.source),
-            self._endpoint_label(edge.target),
-        )
+    def _build_route_plan(
+        self,
+        route_key: Tuple[int, int, int],
+        label: str,
+        source_label: str,
+        target_label: str,
+    ) -> RoutePlan:
+        """Probe the dispatch index for one route key and cache the plan."""
+        plan = build_route_plan(self.dispatch, self.queries, label, source_label, target_label)
         self.dispatch.plans[route_key] = plan
         self.dispatch.plans_built += 1
         return plan
@@ -1507,6 +1699,8 @@ class StreamWorksEngine:
                 "batched_fast_path": self.records_batched,
                 "per_record_path": self.records_per_record,
                 "dead_on_arrival": self.records_dead_on_arrival,
+                "cold": self.records_cold,
+                "cold_retained": len(self.cold),
             },
             # on the direct ingest path nothing stamps the attribute, so the
             # horizon is the stream clock itself (largest timestamp offered);

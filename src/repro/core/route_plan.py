@@ -8,6 +8,14 @@ key and kept in ``DispatchIndex.plans`` until the index changes (register /
 unregister / replan).  Plans hold compiled closures: they are rebuilt, never
 checkpointed or pickled.
 
+Routing runs *before* the record is stored: a record the plan leaves no
+surviving leaf can bind no registered query edge, so the engine keeps it out
+of the window store (its cold ring).  The route key's endpoint labels are
+therefore resolved before ingest: an endpoint's label is its stored vertex
+label, or the record's own label for it when the vertex is not stored -- the
+label ingest would give it, since a stream gives each live vertex id one
+label.
+
 A plan over many leaves also carries an **interval index** over their checks.
 Each leaf's checks imply a necessary numeric interval per attribute key
 (:func:`~repro.query.compile.key_intervals`); the endpoints of those intervals
@@ -192,7 +200,7 @@ def _best_index(
 class RoutePlan:
     """Candidate leaves for one route key, with an optional interval index."""
 
-    __slots__ = ("entries", "owners", "index", "counter_deltas", "uses", "fresh")
+    __slots__ = ("entries", "owners", "index", "counter_deltas", "uses", "fresh", "pruned")
 
     def __init__(
         self,
@@ -214,6 +222,36 @@ class RoutePlan:
         #: the first of them paid the real dispatch probe (the build).
         self.uses = 0
         self.fresh = 1
+        #: Leaf visits :meth:`route` skipped in the current run.
+        self.pruned = 0
+
+    def route(self, attrs: Mapping[str, Any]) -> List[Tuple[RouteOwner, List[SJTreeNode]]]:
+        """Return ``[(owner, surviving leaves)]`` for one record, in plan order.
+
+        A leaf survives unless every one of its compiled checks rejects
+        ``attrs`` (or the interval index proves they would).  An empty result
+        means no registered query edge can bind the record.
+        """
+        searches: List[Tuple[RouteOwner, List[SJTreeNode]]] = []
+        survivors = 0
+        last_owner = None
+        leaves: List[SJTreeNode]
+        for owner, leaf, checks in self.entries if self.index is None else self.index.select(attrs):
+            if checks is not None:
+                for check in checks:
+                    if check(attrs):
+                        break
+                else:
+                    continue
+            survivors += 1
+            if owner is last_owner:
+                leaves.append(leaf)
+            else:
+                last_owner = owner
+                leaves = [leaf]
+                searches.append((owner, leaves))
+        self.pruned += len(self.entries) - survivors
+        return searches
 
     def settle(self, dispatch: DispatchIndex) -> int:
         """Replay the run's deferred counters; return records served from cache.
@@ -221,11 +259,13 @@ class RoutePlan:
         Every record routed through the plan stands for one dispatch probe
         and one visit of each owner's matcher.  The probe that built the plan
         and the visits that reached ``process_edge_leaves`` counted
-        themselves; the rest are added here, in bulk, once per run.
+        themselves; the rest are added here, in bulk, once per run.  The
+        run's :attr:`pruned` tally is reset too: the caller reads it first.
         """
         uses, self.uses = self.uses, 0
         hits = uses - self.fresh
         self.fresh = 0
+        self.pruned = 0
         if hits:
             lookups, matched, skipped = self.counter_deltas
             dispatch.lookups += lookups * hits
@@ -245,6 +285,11 @@ def build_route_plan(
     target_label: Optional[str],
 ) -> RoutePlan:
     """Probe the dispatch index once and compile the answer into a plan.
+
+    ``source_label`` / ``target_label`` are the endpoint labels resolved
+    before ingest (stored vertex label, else the record's own).  Only
+    owners present in ``registrations`` get entries, so passing one
+    registration asks what that query alone can bind.
 
     Per candidate leaf the plan keeps the compiled checks of its
     label-compatible query edges.  Local search only finds embeddings

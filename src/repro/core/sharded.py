@@ -260,7 +260,7 @@ def _execute_sub_batch(
         events: List[MatchEvent] = []
         for record, record_clock in zip(records, clock):
             if record_clock != float("-inf"):
-                engine.graph.evict_expired(record_clock)
+                engine.evict_expired(record_clock)
                 # pin the shard's stream clock to the global one BEFORE the
                 # record ingests: the single engine's ingest-time eviction
                 # runs at the global clock, so a dead-on-arrival late record
@@ -273,7 +273,7 @@ def _execute_sub_batch(
     else:
         pre_clock, run_slices = clock
         if pre_clock != float("-inf"):
-            engine.graph.evict_expired(pre_clock)
+            engine.evict_expired(pre_clock)
         events = []
         offset = 0
         run_start_clock = pre_clock
@@ -296,7 +296,7 @@ def _execute_sub_batch(
                 events.extend(engine.process_batch(segment, expiry_anchor=anchor))
             else:
                 engine.expire_all_partials(anchor)
-            engine.graph.evict_expired(post_clock)
+            engine.evict_expired(post_clock)
             run_start_clock = post_clock
     for _ in range(replan_checks):
         engine.run_replan_check()
@@ -1334,6 +1334,10 @@ class ShardedStreamEngine:
             "graph_vertices": sum(m["graph_vertices"] for m in shard_metrics.values()),
             "graph_edges": sum(m["graph_edges"] for m in shard_metrics.values()),
             "edges_evicted": sum(m["edges_evicted"] for m in shard_metrics.values()),
+            "cold": sum(m["ingest_paths"]["cold"] for m in shard_metrics.values()),
+            "cold_retained": sum(
+                m["ingest_paths"]["cold_retained"] for m in shard_metrics.values()
+            ),
             "stored_partial_matches": sum(
                 sum(m["stored_partial_matches"].values()) for m in shard_metrics.values()
             ),

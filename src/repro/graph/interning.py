@@ -5,7 +5,9 @@ routing is integer compares instead of repeated string hashing.  An :class:`Inte
 in first-seen order, so:
 
 * ids are deterministic for a given admission order (the engine interns
-  query labels at registration, then stream labels in ingest order);
+  query vocabulary at registration, then the endpoint vertex labels of
+  routed records in ingest order; it only *looks up* stream edge labels, so
+  an edge label no query names is never admitted);
 * the table round-trips through snapshots (``state_dict`` serialises the
   labels *in id order*; ``from_state`` re-interns them, reproducing the
   exact ids);
@@ -18,8 +20,9 @@ Ids are engine-internal: nothing about event output depends on them, only
 internal consistency within one engine's lifetime matters.  The sharded
 parent still pushes its query-label ids to every shard at registration
 (:meth:`adopt`) so the per-shard tables agree on the hot query labels;
-labels admitted mid-stream may receive different ids on different shards,
-which is harmless for the same reason.
+labels admitted later (a shard's own registrations, or stream labels in a
+table restored from an older snapshot) may receive different ids on
+different shards, which is harmless for the same reason.
 """
 
 from __future__ import annotations

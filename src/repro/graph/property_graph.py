@@ -81,6 +81,12 @@ class PropertyGraph:
         with a *different* label raises :class:`DuplicateVertexError` via
         :meth:`upsert_vertex`'s strictness -- in a multi-relational graph a
         vertex identity has exactly one type.
+
+        Stream contract: a stream gives each live vertex id one label.  The
+        engine relies on it twice -- it routes a record by its endpoints'
+        labels *before* storing it (the stored label, else the record's
+        own), and the sharded router routes records by label -- so a record
+        naming a live vertex under another label is outside the contract.
         """
         existing = self._vertices.get(vertex_id)
         if existing is None:
@@ -102,6 +108,11 @@ class PropertyGraph:
     def has_vertex(self, vertex_id: VertexId) -> bool:
         """Return ``True`` when ``vertex_id`` is stored."""
         return vertex_id in self._vertices
+
+    def vertex_label(self, vertex_id: VertexId) -> Optional[str]:
+        """Return the stored vertex's label, or ``None`` when it is not stored."""
+        vertex = self._vertices.get(vertex_id)
+        return None if vertex is None else vertex.label
 
     def vertex(self, vertex_id: VertexId) -> Vertex:
         """Return the stored :class:`Vertex` or raise :class:`VertexNotFoundError`."""

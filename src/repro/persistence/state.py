@@ -9,7 +9,9 @@ of a snapshot file and back.  The contract is *exact resume*:
     deterministic metrics the uninterrupted run produces.
 
 Everything that influences future behaviour is therefore captured
-explicitly: the window store with its index iteration orders, every
+explicitly: the window store with its index iteration orders, the cold
+ring of records kept out of it (in stream order: a late registration
+promotes from it; snapshots older than the ring load with it empty), every
 SJ-Tree's partial-match collections (bucket order included -- it decides
 join candidate enumeration), the duplicate-suppression memory, the reorder
 buffer's pending tail and watermark (including every per-source clock,
@@ -64,6 +66,7 @@ from ..isomorphism.match import Match
 from ..query.serialize import QuerySerializationError, query_from_dict, query_to_dict
 from ..stats.plan_monitor import PlanMonitor
 from ..stats.summarizer import StreamSummarizer
+from ..streaming.edge_stream import StreamEdge
 from ..streaming.events import MatchEvent
 from ..streaming.metrics import LatencyRecorder, ThroughputMeter
 from ..streaming.sources import reorder_buffer_from_state
@@ -257,6 +260,8 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
         # event-time ingestion on the restored engine
         "reorder": engine.reorder.state_dict() if engine.reorder is not None else None,
         "queries": queries,
+        # the cold ring, in stream order: what a late registration promotes
+        "cold": [record.to_dict() for record in engine.cold],
         "events": [_event_state(event) for event in engine.collector.events],
         "counters": {
             "sequence": engine._sequence,
@@ -264,6 +269,7 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
             "records_batched": engine.records_batched,
             "records_per_record": engine.records_per_record,
             "records_dead_on_arrival": engine.records_dead_on_arrival,
+            "records_cold": engine.records_cold,
             "event_time_watermark": engine.event_time_watermark,
             "batches_processed": engine.batches_processed,
             "checkpoint_epoch": engine.checkpoint_epoch,
@@ -354,6 +360,9 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         engine.records_batched = counters["records_batched"]
         engine.records_per_record = counters["records_per_record"]
         engine.records_dead_on_arrival = counters["records_dead_on_arrival"]
+        # snapshots from before the cold ring stored every record: empty ring
+        engine.records_cold = counters.get("records_cold", 0)
+        engine.reset_cold([StreamEdge.from_dict(payload) for payload in sections.get("cold", ())])
         engine.event_time_watermark = float(counters["event_time_watermark"])
         engine.batches_processed = counters["batches_processed"]
         engine.checkpoint_epoch = counters["checkpoint_epoch"]

@@ -1,13 +1,14 @@
 """Differential fuzz harness: the engine vs. the exhaustive reference.
 
 The engine has one production path: records are routed through route plans
-(dispatch index, compiled leaf checks, interval index) and only the leaves
-that can bind them are searched.  :class:`ExhaustiveReferenceEngine` keeps
-the engine's batched skeleton and replaces only the routing -- every leaf of
-every matcher runs on every live record -- so it is the executable
-specification that routing must reproduce.  This module packages the
-machinery the conformance suite (``tests/test_reference_conformance.py``)
-drives:
+(dispatch index, compiled leaf checks, interval index) *before* they are
+stored; only the leaves that can bind a record are searched, and a record
+no registered query edge can bind is kept out of the window store (the cold
+gate).  :class:`ExhaustiveReferenceEngine` stores, folds and evicts every
+record, as the engine did before the gate, and runs every leaf of every
+matcher on every live record -- so it is the executable specification that
+routing and the gate must reproduce.  This module packages the machinery
+the conformance suite (``tests/test_reference_conformance.py``) drives:
 
 * :func:`build_engine` / :func:`run` — construct single or sharded engines
   (or the reference) over the shared workload/query catalogue (reused from
@@ -15,16 +16,17 @@ drives:
   batches, optionally crashing at chosen batch boundaries (checkpoint +
   restore + continue) to exercise the resume contract mid-differential.
 * :func:`differential` — the engine under test against the reference.
-* :class:`ProbedReferenceEngine` — the same skeleton with the real
-  dispatch index probed afresh per record: the reference for the counters
-  route plans replay in bulk.
-* :func:`skew_expiry`, :func:`drop_a_route_leaf` and
-  :func:`sabotage_recompile` — deliberate faults for the *meta*-tests: each
-  simulates a realistic implementation bug (an off-by-one window-expiry
-  sweep; a route plan that loses a candidate leaf; a replan that installs
-  stale/corrupted compiled predicate tables), and the suite asserts the
-  differential REJECTS the faulty engine.  A harness that cannot catch the
-  bugs it exists for proves nothing.
+* :class:`ProbedReferenceEngine` — the same store-everything skeleton with
+  the real dispatch index probed afresh per record: the reference for the
+  counters route plans replay in bulk.
+* :func:`skew_expiry`, :func:`drop_a_route_leaf`, :func:`gate_last_survivor`
+  and :func:`sabotage_recompile` — deliberate faults for the *meta*-tests:
+  each simulates a realistic implementation bug (an off-by-one window-expiry
+  sweep; a route plan that loses a candidate leaf; a gate that keeps a
+  bindable record out of the store; a replan that installs stale/corrupted
+  compiled predicate tables), and the suite asserts the differential
+  REJECTS the faulty engine.  A harness that cannot catch the bugs it
+  exists for proves nothing.
 * :func:`assert_live_legs_exact` — the statistics-side invariant every
   stream shape must leave behind: the triad census's live leg counters equal
   a from-scratch recount over the window store's live edges.
@@ -39,6 +41,7 @@ Everything here is deterministic: same records + same config = same
 canonical event list, byte for byte.
 """
 
+import random
 from collections import Counter
 
 from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
@@ -57,16 +60,84 @@ from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
 )
 
 from repro.core.engine import EngineConfig, StreamWorksEngine
+from repro.core.route_plan import RoutePlan
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
+from repro.query.builder import QueryBuilder
 from repro.query.compile import _never
+from repro.query.predicates import And, AttrCompare, AttrIn, AttrRange
+from repro.streaming.edge_stream import StreamEdge
 
 #: Records per process_batch call -- matches the sharded-conformance suite.
 BATCH = 50
 
+#: The banded shape (the benchmark's ``multiquery_banded``, small): chain
+#: queries over one label alphabet, told apart by a ``bytes`` band.
+HOT = ["hot_0", "hot_1", "hot_2"]
+BAND_WINDOW = 0.4
+
+
+def band_query(index, name=None):
+    builder = QueryBuilder(name or f"band{index}")
+    for position in range(len(HOT) + 1):
+        builder.vertex(f"v{position}", "Host")
+    for position, label in enumerate(HOT):
+        builder.edge(
+            f"v{position}", f"v{position + 1}", label,
+            predicate=And([
+                AttrIn("proto", ["tcp", "udp"]),
+                AttrCompare("port", "<=", 1024),
+                AttrRange("bytes", low=index * 1000, high=index * 1000 + 60),
+            ]),
+        )
+    return builder.build()
+
+
+def banded_records(count, bands, seed=5, cold_share=0.5):
+    """Cold labels, hot out-of-band records, and planted in-band chains.
+
+    Only the planted chains can bind a band query: every other record is
+    cold (an unbound label, or a hot label above every band).
+    """
+    rng = random.Random(seed)
+    records, pending, clock = [], [], 0.0
+    while len(records) < count:
+        clock += 0.01
+        if pending and rng.random() < 0.5:
+            source, target, label, attrs = pending.pop(0)
+        elif rng.random() < 0.12:
+            chosen = rng.randrange(bands)
+            hosts = [f"h{rng.randrange(40)}" for _ in range(len(HOT) + 1)]
+            pending.extend(
+                (hosts[position], hosts[position + 1], label,
+                 {"proto": "tcp", "port": 80, "bytes": chosen * 1000 + rng.randrange(61)})
+                for position, label in enumerate(HOT)
+            )
+            continue
+        elif rng.random() < cold_share:
+            source, target = f"h{rng.randrange(40)}", f"h{rng.randrange(40)}"
+            label, attrs = f"cold_{rng.randrange(500)}", {"bytes": rng.randrange(100_000)}
+        else:
+            source, target = f"h{rng.randrange(40)}", f"h{rng.randrange(40)}"
+            label = rng.choice(HOT)
+            attrs = {"proto": rng.choice(["tcp", "udp"]), "port": rng.randrange(1, 1025),
+                     "bytes": bands * 1000 + 500 + rng.randrange(1000)}
+        records.append(
+            StreamEdge(source, target, label, clock, attrs,
+                       source_label="Host", target_label="Host")
+        )
+    return records
+
+
+def banded_queries(bands=4):
+    return [(f"band{index}", band_query(index), BAND_WINDOW) for index in range(bands)]
+
+
 #: The workload axis: name -> (records builder, query-spec builder).  Spans
 #: in-order power-law (rmat), semantic netflow, selectivity drift (drives
-#: replans), and disorder both inside and beyond the retention horizon.
+#: replans), disorder both inside and beyond the retention horizon, and a
+#: banded stream where most records are cold (kept out of the store).
 WORKLOADS = {
+    "banded": (lambda: banded_records(300, 4), banded_queries),
     "rmat": (lambda: rmat_records(300), rmat_queries),
     "netflow": (lambda: netflow_records(300), netflow_queries),
     "drifting": (lambda: drifting_records(300), drifting_queries),
@@ -178,19 +249,46 @@ def differential(
 
 
 class ProbedReferenceEngine(StreamWorksEngine):
-    """The batched skeleton with the route plans taken out.
+    """The batched skeleton before routing moved in front of the store.
 
-    Ingest, statistics fold, one expiry sweep per ordered run and emission
-    deferred to a completion's last in-run edge are the engine's own, so
-    run-split batching of a disordered stream, and its dead-on-arrival
-    records, behave exactly as in the engine.  Routing is not: every live
-    record runs :meth:`_collect_matches`, the per-record path's fresh
-    dispatch-index probe, with no cached plan, compiled leaf check or
-    interval index in front.  The dispatch counters and per-matcher edge
-    counters it produces are what the route plans' bulk replay must equal.
+    Each ordered run is handled as the engine did before its cold gate:
+    every record is ingested (dead-on-arrival ones evicted at once), the
+    whole run is folded into the statistics, partial-match expiry is swept
+    once per matcher, and only then is each live record routed, with
+    emission deferred to a completion's last in-run edge.  So this engine
+    stores, folds and evicts every record -- the store the gate must be
+    indistinguishable from -- and run-split batching of a disordered
+    stream behaves exactly as in the engine.  Routing is not the engine's
+    either: every live record runs :meth:`_collect_matches`, the per-record
+    path's fresh dispatch-index probe, with no cached plan, compiled leaf
+    check or interval index in front.  The dispatch counters and
+    per-matcher edge counters it produces are what the route plans' bulk
+    replay must equal.
     """
 
-    def _dispatch_run(self, ingested, events, used):
+    def _run_fast_path(self, records, expiry_anchor, events):
+        ingested = []
+        window = self.graph.window
+        for record in records:
+            edge = self._ingest(record)
+            if window.bounded and window.is_expired(edge.timestamp, self.graph.current_time):
+                self.graph.evict_expired()
+                self.records_dead_on_arrival += 1
+                ingested.append(None)
+            else:
+                ingested.append(edge)
+        self.records_batched += len(records)
+        if self.summarizer is not None:
+            self.summarizer.observe_batch(
+                self.graph, [edge for edge in ingested if edge is not None]
+            )
+        batch_start = records[0].timestamp
+        if expiry_anchor is not None:
+            batch_start = min(batch_start, expiry_anchor)
+        for registration in self.queries.values():
+            if not registration.matcher.idle:
+                registration.matcher.expire_partials(batch_start)
+        self.batches_vectorized += 1
         positions = {edge.id: index for index, edge in enumerate(ingested) if edge is not None}
         deferred = {}
         for index, edge in enumerate(ingested):
@@ -205,14 +303,16 @@ class ProbedReferenceEngine(StreamWorksEngine):
                 if due:
                     self._emit_trigger(due, edge.timestamp, self.edges_processed, events)
             self.edges_processed += 1
+        self.graph.evict_expired()
 
 
 class ExhaustiveReferenceEngine(ProbedReferenceEngine):
-    """Runs every leaf of every registered matcher on every live record.
+    """Stores every record; runs every leaf of every registered matcher on every live one.
 
     The dispatch index, the route plans built on it and their interval
-    indexes may only skip leaves that cannot bind a record; this engine
-    skips none, so its events are what routing must reproduce.  The
+    indexes may only skip leaves that cannot bind a record, and the cold
+    gate may only keep such records out of the store; this engine skips
+    and gates nothing, so its events are what routing must reproduce.  The
     per-record path (``process_record``, late records under
     ``process_degraded``) searches every leaf as well.  It still sweeps
     expiry only on the matchers the dispatch index routes the record to, as
@@ -293,10 +393,39 @@ def drop_a_route_leaf(engine):
     """
     original = engine._build_route_plan
 
-    def patched(route_key, edge):
-        plan = original(route_key, edge)
+    def patched(route_key, *labels):
+        plan = original(route_key, *labels)
         if len(plan.entries) > 1 and plan.index is None:
             del plan.entries[-1]
+        return plan
+
+    engine._build_route_plan = patched
+
+
+class _LastSurvivorGatedPlan(RoutePlan):
+    """A route plan whose record loses its searches when only the last entry survives."""
+
+    __slots__ = ()
+
+    def route(self, attrs):
+        searches = RoutePlan.route(self, attrs)
+        if len(searches) == 1 and searches[0][1] == [self.entries[-1][1]]:
+            return []
+        return searches
+
+
+def gate_last_survivor(engine):
+    """Fault: the cold gate also takes records whose only survivor is the plan's last entry.
+
+    Models a gate bug (an off-by-one over the plan's entries): such a
+    record is routed as if nothing could bind it, so it is neither searched
+    nor stored, and later records cannot find it as a partner either.
+    """
+    original = engine._build_route_plan
+
+    def patched(route_key, *labels):
+        plan = original(route_key, *labels)
+        plan.__class__ = _LastSurvivorGatedPlan
         return plan
 
     engine._build_route_plan = patched

@@ -103,7 +103,11 @@ class TestEngineIdStability:
         restored = StreamWorksEngine.restore(path)
         assert restored.interning.labels() == engine.interning.labels()
 
-    def test_unknown_label_admitted_mid_stream(self):
+    def test_unknown_label_not_admitted_mid_stream(self):
+        """Routing looks stream edge labels up and never admits one: a label
+        no query binds stays out of the table (and its record out of the
+        store).  Only the routed record's endpoint label is admitted,
+        appended after the registered vocabulary, ids untouched."""
         from repro.streaming.edge_stream import StreamEdge
 
         engine = StreamWorksEngine()
@@ -116,9 +120,9 @@ class TestEngineIdStability:
                 StreamEdge("b", "c", "surprise", 0.2),
             ]
         )
-        assert "surprise" in engine.interning
-        # admission appends: existing ids untouched
-        assert engine.interning.labels()[: len(before)] == before
+        assert "surprise" not in engine.interning
+        assert engine.interning.labels() == before + ["node"]
+        assert engine.metrics()["ingest_paths"]["cold"] == 1
 
     def test_sharded_parent_pushes_query_vocabulary_to_all_shards(self):
         engine = ShardedStreamEngine(config=ShardConfig(shard_count=3))

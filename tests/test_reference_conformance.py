@@ -1,10 +1,12 @@
 """Routed engine vs. exhaustive reference: byte-for-byte conformance.
 
 Routing (dispatch index, route plans, compiled leaf checks, interval
-index) must be a pure optimisation: every event -- query name, portable
-match identity, detection timestamp, sequence number -- byte-identical to
-the :class:`~differential.ExhaustiveReferenceEngine`, which searches every
-leaf of every matcher on every live record, across workloads, shard
+index) and the cold gate in front of the store must be pure optimisations:
+every event -- query name, portable match identity, detection timestamp,
+sequence number -- byte-identical to the
+:class:`~differential.ExhaustiveReferenceEngine`, which stores every record
+and searches every leaf of every matcher on every live one (the ``banded``
+workload keeps most of its records cold), across workloads, shard
 counts, schedulers, feature switches (bounded dedup memory and count-min
 statistics, adaptive replanning), and crash-at-boundary resume cuts.  The
 harness lives in ``tests/differential.py``; the meta-tests at the bottom
@@ -24,6 +26,8 @@ from differential import (
     differential,
     drifting_records,
     drop_a_route_leaf,
+    gate_last_survivor,
+    run,
     sabotage_recompile,
     skew_expiry,
 )
@@ -73,7 +77,7 @@ def test_engine_equals_reference_under_pool_scheduler():
     assert candidate == oracle
 
 
-@pytest.mark.parametrize("workload", ["rmat", "netflow", "disordered"])
+@pytest.mark.parametrize("workload", ["banded", "rmat", "netflow", "disordered"])
 @pytest.mark.parametrize("cuts", [(1,), (3,), (1, 4)], ids=["early", "mid", "double"])
 def test_checkpoint_cut_resume_stays_conformant(workload, cuts, tmp_path):
     """An engine crashed at batch boundaries and resumed must still equal
@@ -175,6 +179,31 @@ def test_oracle_catches_a_route_plan_missing_a_leaf():
         "a route plan missing a leaf was not detected: the differential "
         "cannot see routing bugs"
     )
+
+
+def test_oracle_catches_a_gate_that_drops_the_last_survivor():
+    """A cold gate that also keeps a record out of the store when its only
+    surviving leaf is the plan's last entry must diverge from the
+    store-everything reference -- the gate bug class the banded workload
+    exists to expose."""
+    make_records, query_specs = WORKLOADS["banded"]
+    candidate, oracle = differential(
+        make_records(), query_specs, candidate_kwargs={"mutate": gate_last_survivor}
+    )
+    assert candidate != oracle, (
+        "a gate that drops bindable records was not detected: the "
+        "differential cannot see cold-gate bugs"
+    )
+
+
+def test_the_banded_workload_exercises_the_gate():
+    """Most banded records are cold, yet the reference finds events: the
+    conformance matrix cell is not vacuous for the gate."""
+    make_records, query_specs = WORKLOADS["banded"]
+    records = make_records()
+    _, metrics = run(records, query_specs)
+    assert metrics["ingest_paths"]["cold"] > len(records) // 2
+    assert metrics["graph_edges"] + metrics["edges_evicted"] < len(records) // 2
 
 
 def test_oracle_catches_corrupted_recompile_on_replan():

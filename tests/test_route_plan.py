@@ -34,11 +34,18 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from differential import ProbedReferenceEngine
+from differential import (
+    BAND_WINDOW,
+    HOT,
+    ProbedReferenceEngine,
+    band_query,
+    banded_records,
+    drop_a_route_leaf,
+)
 from test_sharded_conformance import canonical
 
 from repro.core import route_plan
-from repro.core.engine import EngineConfig, StreamWorksEngine
+from repro.core.engine import UNBOUND_LABEL, EngineConfig, StreamWorksEngine
 from repro.core.matcher import ContinuousQueryMatcher
 from repro.core.route_plan import build_route_plan
 from repro.query.builder import QueryBuilder
@@ -155,11 +162,16 @@ def records_for(attr_maps):
 
 @contextmanager
 def spied_searches(log):
-    """Record every ``process_edge_leaves`` call as ``(edge id, owner, leaf ids)``."""
+    """Record every ``process_edge_leaves`` call as ``(timestamp, owner, leaf ids)``.
+
+    Keyed on the record's timestamp (its stream position in
+    :func:`records_for`), not the edge id: ids are store-local, and a cold
+    record takes none.
+    """
     original = ContinuousQueryMatcher.process_edge_leaves
 
     def spy(self, edge, leaves):
-        log.append((edge.id, self.query.name, [leaf.id for leaf in leaves]))
+        log.append((edge.timestamp, self.query.name, [leaf.id for leaf in leaves]))
         return original(self, edge, leaves)
 
     ContinuousQueryMatcher.process_edge_leaves = spy
@@ -362,61 +374,6 @@ def test_mutation_inclusive_bound_treated_as_exclusive_is_caught(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# banded workload (the benchmark's shape, small): shared by the pins below
-# ----------------------------------------------------------------------
-HOT = ["hot_0", "hot_1", "hot_2"]
-BAND_WINDOW = 0.4
-
-
-def band_query(index, name=None):
-    builder = QueryBuilder(name or f"band{index}")
-    for position in range(len(HOT) + 1):
-        builder.vertex(f"v{position}", "Host")
-    for position, label in enumerate(HOT):
-        builder.edge(
-            f"v{position}", f"v{position + 1}", label,
-            predicate=And([
-                AttrIn("proto", ["tcp", "udp"]),
-                AttrCompare("port", "<=", 1024),
-                AttrRange("bytes", low=index * 1000, high=index * 1000 + 60),
-            ]),
-        )
-    return builder.build()
-
-
-def banded_records(count, bands, seed=5, cold_share=0.5):
-    """Cold labels, hot out-of-band records, and planted in-band chains."""
-    rng = random.Random(seed)
-    records, pending, clock = [], [], 0.0
-    while len(records) < count:
-        clock += 0.01
-        if pending and rng.random() < 0.5:
-            source, target, label, attrs = pending.pop(0)
-        elif rng.random() < 0.12:
-            chosen = rng.randrange(bands)
-            hosts = [f"h{rng.randrange(40)}" for _ in range(len(HOT) + 1)]
-            pending.extend(
-                (hosts[position], hosts[position + 1], label,
-                 {"proto": "tcp", "port": 80, "bytes": chosen * 1000 + rng.randrange(61)})
-                for position, label in enumerate(HOT)
-            )
-            continue
-        elif rng.random() < cold_share:
-            source, target = f"h{rng.randrange(40)}", f"h{rng.randrange(40)}"
-            label, attrs = f"cold_{rng.randrange(500)}", {"bytes": rng.randrange(100_000)}
-        else:
-            source, target = f"h{rng.randrange(40)}", f"h{rng.randrange(40)}"
-            label = rng.choice(HOT)
-            attrs = {"proto": rng.choice(["tcp", "udp"]), "port": rng.randrange(1, 1025),
-                     "bytes": bands * 1000 + 500 + rng.randrange(1000)}
-        records.append(
-            StreamEdge(source, target, label, clock, attrs,
-                       source_label="Host", target_label="Host")
-        )
-    return records
-
-
-# ----------------------------------------------------------------------
 # FO+MOD work pin: per-record check work independent of the query count
 # ----------------------------------------------------------------------
 def checks_per_out_of_band_record(bands, record_count=60):
@@ -501,9 +458,11 @@ BANDS_REGISTERED = 12
 
 
 def lifetime_engine(kind, **config):
-    """``kind``: ``"plans"`` (the product), ``"oracle"`` (a fresh dispatch
-    probe per record, no plans: ``differential.ProbedReferenceEngine``) or
-    ``"cleared"`` (plans rebuilt every run, as the per-run memo was)."""
+    """``kind``: ``"plans"`` (the product), ``"oracle"`` (every record
+    stored, then a fresh dispatch probe per record, no plans: the run of
+    ``differential.ProbedReferenceEngine``), ``"cleared"`` (plans rebuilt
+    every run, as the per-run memo was) or ``"dropped"`` (the
+    ``drop_a_route_leaf`` fault)."""
     config.setdefault("default_window", BAND_WINDOW)
     engine = StreamWorksEngine(config=EngineConfig(**config))
     arm(engine, kind)
@@ -514,7 +473,7 @@ def arm(engine, kind):
     # armed per instance, so a restored engine (always a plain one) is
     # re-armed the same way
     if kind == "oracle":
-        engine._dispatch_run = types.MethodType(ProbedReferenceEngine._dispatch_run, engine)
+        engine._run_fast_path = types.MethodType(ProbedReferenceEngine._run_fast_path, engine)
     elif kind == "cleared":
         run = engine._run_fast_path
 
@@ -523,6 +482,8 @@ def arm(engine, kind):
             return run(*args)
 
         engine._run_fast_path = cleared_first
+    elif kind == "dropped":
+        drop_a_route_leaf(engine)
 
 
 def play(kind, script, tmp_path, **config):
@@ -581,6 +542,16 @@ def batches(records, size=40):
 
 def route_keys(records, labels):
     return {(r.label, r.source_label, r.target_label) for r in records if r.label in labels}
+
+
+def test_the_lifetime_oracle_catches_a_plan_missing_a_leaf(tmp_path, monkeypatch):
+    """Mutation: plans that lose their last candidate leaf (the last band)
+    must diverge from the store-everything, probe-per-record oracle."""
+    monkeypatch.setattr(route_plan, "_MIN_LEAVES_SPARED", INF)  # plain lists: the fault bites
+    steps = batches(banded_records(600, BANDS_REGISTERED))
+    dropped = play("dropped", steps, tmp_path)
+    oracle = play("oracle", steps, tmp_path)
+    assert oracle["events"] and dropped["events"] != oracle["events"]
 
 
 def test_plans_are_built_per_route_key_not_per_run(tmp_path):
@@ -647,9 +618,16 @@ def test_a_wildcard_query_switches_the_label_gate_off(tmp_path):
     engine = plans["engine"]
     assert any(name == "any_big" for name, *_ in plans["events"])
     assert not engine.dispatch.front_rejects("cold_never_seen")
-    # every label now has a plan: cold ones hold just the wildcard leaf
-    labels = {record.label for record in records[120:]}
-    assert len(engine.dispatch.plans) == len(labels) > 3
+    # every label is now routed, but the labels no query names are not
+    # interned: they share one UNBOUND_LABEL plan holding just the wildcard
+    # leaf, so the cache does not grow with the cold alphabet either
+    assert len({record.label for record in records[120:]}) > 3
+    host = engine.interning.lookup("Host")
+    assert set(engine.dispatch.plans) == {
+        (engine.interning.lookup(label), host, host) for label in HOT
+    } | {(UNBOUND_LABEL, host, host)}
+    unbound = engine.dispatch.plans[UNBOUND_LABEL, host, host]
+    assert [owner.registration.name for owner in unbound.owners] == ["any_big"]
     engine.unregister_query("any_big")
     assert engine.dispatch.front_rejects("cold_never_seen") and not engine.dispatch.plans
 
