@@ -15,24 +15,20 @@ The ingest hot path is indexed: a shared
 vertex-label guards) to the (query, SJ-Tree leaf) pairs that can possibly
 bind them, so an edge only pays for the primitives it can affect; a label
 no registered leaf can bind is turned away before its endpoints are even
-looked up.  :meth:`StreamWorksEngine.process_batch` additionally amortises
-work across a batch: each record is routed before it is stored, and only
-records some query edge can bind enter the window store (with eviction
-deferred) -- the rest wait in a cold ring that a late registration promotes
-from -- expiry is swept once per matcher instead of once per edge, and each
-stored edge then searches the leaves it was routed to.  Internally
-out-of-order batches are split at their inversion points so the ordered
-runs keep that fast path, and
-``EngineConfig(allowed_lateness=...)`` enables full event-time ingestion: a
-bounded-lateness reorder buffer re-sorts disorder inside the lateness
-horizon, releases watermark-closed prefixes as in-order fast-path batches,
-and applies an explicit late-data policy (drop / process degraded, with
-counters) to anything older than the watermark.  The buffer is
-multi-source (:mod:`repro.streaming.sources`): records carrying a
-``source_id`` get one watermark per collector with min-release across
-active sources (``register_source`` declares collectors up front,
-``idle_source_timeout`` bounds silent ones), and admission can run off the
-matcher's thread via
+looked up.  Records are processed in ordered runs, and one run is the only
+execution path (:meth:`StreamWorksEngine._run_fast_path`): each record is
+routed before it is stored, and only records some query edge can bind
+enter the window store (with eviction deferred) -- the rest wait in a cold
+ring that a late registration promotes from -- expiry is swept once per
+matcher per run, and each stored edge then searches the leaves it was
+routed to.  A single record is a one-record run; a batch is split at its
+inversion points into maximal ordered runs.  What surrounds the runs --
+``EngineConfig(allowed_lateness=...)`` event-time ingestion (a
+bounded-lateness, multi-source reorder buffer that releases
+watermark-closed prefixes as in-order batches and applies an explicit
+late-data policy), flush, batch-cadence autosave and the replan cadence --
+is the :class:`~repro.core.ingest.IngestFront` this engine shares with the
+sharded one, and admission can run off the matcher's thread via
 :class:`~repro.streaming.async_ingest.AsyncIngestFrontend`.
 
 Typical use::
@@ -60,8 +56,8 @@ from ..query.query_graph import QueryGraph
 from ..stats.plan_monitor import PlanMonitor
 from ..stats.summarizer import StreamSummarizer
 from ..streaming.edge_stream import StreamEdge
-from ..streaming.reorder import LatePolicy, ReorderBuffer, ordered_run_slices
-from ..streaming.sources import ADAPTIVE_LATENESS, MultiSourceReorderBuffer
+from ..streaming.reorder import LatePolicy, ordered_run_slices
+from ..streaming.sources import ADAPTIVE_LATENESS
 from ..streaming.events import (
     CallbackSink,
     CollectingSink,
@@ -73,6 +69,7 @@ from ..streaming.events import (
 from ..streaming.metrics import LatencyRecorder, ThroughputMeter, replan_summary
 from .decomposition import Decomposition, Strategy
 from .dispatch import DispatchIndex
+from .ingest import IngestFront
 from .matcher import ContinuousQueryMatcher
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
 from .route_plan import RoutePlan, build_route_plan
@@ -232,8 +229,8 @@ class EngineConfig:
             )
         #: What to do with a record below the watermark (see
         #: :class:`~repro.streaming.reorder.LatePolicy`): ``"drop"`` discards
-        #: and counts it; ``"process_degraded"`` processes it immediately on
-        #: the exact per-record path against whatever history is retained.
+        #: and counts it; ``"process_degraded"`` processes it at once, as a
+        #: one-record batch against whatever history is retained.
         self.late_policy = late_policy
         #: Idle-source timeout (stream-time units) for multi-source
         #: event-time ingestion: a source whose clock lags the global
@@ -294,9 +291,10 @@ class EngineConfig:
                     "monitor scores live selectivity from the stream summarizer"
                 )
         self.replan_threshold = replan_threshold
-        #: Run an automatic replan check every N ingested edges (at the next
-        #: record/batch boundary after the cadence is crossed, so checks never
-        #: interrupt a batched run mid-flight).  Requires ``replan_threshold``.
+        #: Run an automatic replan check every N ingested edges (at the end
+        #: of the batch that crosses the cadence -- a record, a release, a
+        #: flushed tail -- so checks never interrupt a run mid-flight).
+        #: Requires ``replan_threshold``.
         #: ``None`` leaves checks caller-driven via
         #: :meth:`StreamWorksEngine.run_replan_check` -- the sharded engine
         #: runs in that mode, with the parent driving every shard's cadence
@@ -360,22 +358,6 @@ class EngineConfig:
         return value
 
 
-def _make_reorder_buffer(config: EngineConfig) -> Optional[MultiSourceReorderBuffer]:
-    """Build the event-time buffer an :class:`EngineConfig` asks for (or ``None``).
-
-    Shared by the single engine and the sharded parent so both resolve
-    ``allowed_lateness`` / ``late_policy`` / ``idle_source_timeout``
-    identically.
-    """
-    if config.allowed_lateness is None:
-        return None
-    return MultiSourceReorderBuffer(
-        config.allowed_lateness,
-        late_policy=config.late_policy,
-        idle_timeout=config.idle_source_timeout,
-    )
-
-
 class RegisteredQuery:
     """Book-keeping for one continuous query registered with the engine."""
 
@@ -424,7 +406,7 @@ def checks_vertices(registrations: Iterable[RegisteredQuery]) -> bool:
     )
 
 
-class StreamWorksEngine:
+class StreamWorksEngine(IngestFront):
     """Continuous multi-query subgraph matching over a dynamic graph stream."""
 
     def __init__(
@@ -436,22 +418,15 @@ class StreamWorksEngine:
             config = EngineConfig(default_window=default_window)
         elif default_window is not None:
             config.default_window = EngineConfig.validate_default_window(default_window)
+        super().__init__(config)
         self.config = config
         retention = TimeWindow(config.default_window) if config.default_window else TimeWindow(None)
         self.graph = DynamicGraph(window=retention)
-        #: Event-time reorder buffer (``None`` unless
-        #: ``EngineConfig(allowed_lateness=...)`` is set).  Always the
-        #: multi-source buffer: with no ``source_id`` on the records it is
-        #: byte-for-byte the single global watermark (regression-pinned),
-        #: and sourced records get per-source watermarks with min-release.
-        self.reorder: Optional[ReorderBuffer] = _make_reorder_buffer(config)
-        #: Records processed through the batched fast path vs. the exact
-        #: per-record path -- the deterministic signal that a workload kept
-        #: (or lost) the fast path, independent of wall-clock noise.
+        #: Records run through the fast path (every record admitted; cold
+        #: and dead-on-arrival ones included).
         self.records_batched = 0
-        self.records_per_record = 0
-        #: Per-record-path records evicted by their own ingest (see
-        #: :meth:`process_edge`); never matched.
+        #: Records outside the retention horizon at their ingest point (see
+        #: :meth:`_run_fast_path`); never matched.
         self.records_dead_on_arrival = 0
         #: The cold ring: fast-path records no registered query edge can
         #: bind, kept out of the window store, in stream order (see
@@ -464,17 +439,6 @@ class StreamWorksEngine:
         # derived from the ring's timestamps (restore recomputes it): a late
         # run appended behind newer records, so trims must scan the ring
         self._cold_disordered = False
-        #: Event-time horizon stamped by the event-time machinery: the
-        #: reorder buffer's watermark when event-time ingestion is
-        #: configured, or the global watermark a sharded parent attaches to
-        #: every dispatched :class:`ShardBatch` (which keeps the horizon
-        #: visible in per-shard ``metrics()`` even under the pool
-        #: scheduler, where shard state lives in the workers).  Stays
-        #: ``-inf`` on a plain direct-ingest engine; ``metrics()`` then
-        #: reports the engine's own stream clock (largest timestamp
-        #: offered) instead, and an end-of-stream ``flush`` can likewise
-        #: carry a shard's reported horizon past the stamped watermark.
-        self.event_time_watermark = float("-inf")
         self.summarizer: Optional[StreamSummarizer] = None
         if config.collect_statistics:
             self.summarizer = StreamSummarizer(
@@ -508,13 +472,6 @@ class StreamWorksEngine:
         self.collector = CollectingSink()
         self._sinks = MultiSink([self.collector])
         self._sequence = 0
-        self.edges_processed = 0
-        #: ``process_batch`` invocations so far -- the autosave cadence clock.
-        self.batches_processed = 0
-        #: Monotone snapshot epoch: bumped on every :meth:`checkpoint`, carried
-        #: across :meth:`restore`, written into the snapshot manifest so the
-        #: newest of several autosaves is identifiable.
-        self.checkpoint_epoch = 0
         self.throughput = ThroughputMeter()
         self.latency = LatencyRecorder(cap=config.latency_sample_cap)
         #: Live plan-quality monitor (observed vs planned selectivity per
@@ -522,15 +479,6 @@ class StreamWorksEngine:
         #: ``replan_threshold`` is unset -- so ``metrics()["replan"]`` and
         #: snapshots are uniform across configurations.
         self.plan_monitor = PlanMonitor(threshold=config.replan_threshold)
-        #: The ``edges_processed`` count at which the next automatic replan
-        #: check is due (``None`` = automatic checks disabled).  Checks run at
-        #: record/batch boundaries only -- never mid-run -- and the marker is
-        #: persisted so a restored engine keeps the exact cadence.
-        self._next_replan_check: Optional[int] = (
-            config.replan_check_every
-            if config.replan_threshold is not None and config.replan_check_every is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # query registration
@@ -730,9 +678,9 @@ class StreamWorksEngine:
         admissible partial the new tree can hold.  The replay emits nothing:
         every complete match over retained edges was already reported when
         its last edge was dispatched (the engine emits at a completion's last
-        edge on both ingest paths), so the carried duplicate-suppression
-        memory silences it, and window-inadmissible combinations are
-        re-rejected by the same span checks that rejected them live.
+        edge), so the carried duplicate-suppression memory silences it, and
+        window-inadmissible combinations are re-rejected by the same span
+        checks that rejected them live.
 
         The root collection (complete-match history, when
         ``store_complete_matches`` is on) is copied verbatim first: the root
@@ -821,21 +769,6 @@ class StreamWorksEngine:
                 replanned.append(name)
         return replanned
 
-    def _maybe_replan_check(self) -> None:
-        """Run automatic replan checks the processed-edge cadence has earned.
-
-        Called at record/batch boundaries (the engine's quiescent points --
-        a replay-based migration mid-run would race the run's deferred
-        emissions).  A batch that crosses several cadence marks runs several
-        catch-up checks, so the check count is a deterministic function of
-        ``edges_processed`` regardless of how the stream was batched.
-        """
-        if self._next_replan_check is None:
-            return
-        while self.edges_processed >= self._next_replan_check:
-            self._next_replan_check += self.config.replan_check_every
-            self.run_replan_check()
-
     def _update_retention(self) -> None:
         """Keep the graph retention window at least as long as every query window."""
         self.graph.window = required_retention(
@@ -845,26 +778,6 @@ class StreamWorksEngine:
     # ------------------------------------------------------------------
     # stream processing
     # ------------------------------------------------------------------
-    def register_source(self, source_id: str) -> None:
-        """Declare a stream source (collector) before its first record.
-
-        Multi-source event-time only: the release watermark is the minimum
-        across the known sources' watermarks, so pre-registering the
-        collector set guarantees nothing is released until every collector
-        has spoken (or gone idle under ``idle_source_timeout``) -- the
-        condition for sorted-merge-exact results regardless of arrival
-        interleaving.  Unregistered sources join on their first record
-        instead (see
-        :meth:`repro.streaming.sources.MultiSourceReorderBuffer.register_source`).
-        Raises ``RuntimeError`` when event-time ingestion is not configured.
-        """
-        if self.reorder is None:
-            raise RuntimeError(
-                "register_source requires event-time ingestion: set "
-                "EngineConfig(allowed_lateness=...) so the engine owns a reorder buffer"
-            )
-        self.reorder.register_source(source_id)
-
     def process_edge(
         self,
         source: VertexId,
@@ -877,27 +790,15 @@ class StreamWorksEngine:
         source_attrs: Optional[Mapping[str, Any]] = None,
         target_attrs: Optional[Mapping[str, Any]] = None,
     ) -> List[MatchEvent]:
-        """Ingest one raw edge and run the affected registered queries against it.
+        """Ingest one raw edge as a one-record run, bypassing any reorder buffer.
 
-        Only the (query, leaf) pairs whose primitives can bind the edge's
-        label and endpoint labels are searched (see :meth:`_collect_matches`).
-
-        An edge so late that it falls outside the retention horizon on
-        arrival (``timestamp <= stream clock - retention``) is evicted by
-        its own ingest and is **not** matched: it is counted in
-        ``records_dead_on_arrival`` instead.  Matching it used to be
-        erratic -- the evicted edge only found partners when *unrelated*
-        edges happened to keep its endpoint vertices alive, and with
-        statistics enabled the summarizer crashed on the evicted
-        endpoints -- whereas skipping it is deterministic.  Streams that
-        genuinely carry such records belong on the event-time path
-        (``allowed_lateness`` + late policy), which handles them
-        explicitly.
+        The edge takes the same path as every other record
+        (:meth:`_run_fast_path`): an edge already outside the retention
+        horizon (``timestamp`` expired against the stream clock) is dead
+        on arrival and never matched, and an edge no registered query edge
+        can bind goes to the cold ring.
         """
-        stopwatch_start = perf_counter() if self.config.record_latency else None
-        self.throughput.start()
-        self.records_per_record += 1
-        edge = self.graph.ingest(
+        record = StreamEdge(
             source,
             target,
             label,
@@ -908,55 +809,7 @@ class StreamWorksEngine:
             source_attrs=source_attrs,
             target_attrs=target_attrs,
         )
-        self._trim_cold()  # the ingest's eviction sweep, applied to the ring
-        events: List[MatchEvent] = []
-        if self.graph.has_edge(edge.id):
-            if self.summarizer is not None:
-                self.summarizer.observe(self.graph, edge)
-            found: List = []
-            self._collect_matches(edge, found, expire=True)
-            # edges_processed is bumped only after matching, so at emission
-            # time it is the index of the triggering edge in this engine's
-            # ingest stream
-            self._emit_trigger(found, edge.timestamp, self.edges_processed, events)
-        else:
-            # dead on arrival: the ingest's own eviction sweep removed the
-            # edge (it is outside the retention horizon), so there is
-            # nothing coherent to match it against
-            self.records_dead_on_arrival += 1
-        self.edges_processed += 1
-        self.throughput.add(1)
-        self.throughput.stop()
-        if stopwatch_start is not None:
-            self.latency.record(perf_counter() - stopwatch_start)
-        return events
-
-    def _collect_matches(
-        self, edge: Edge, found: List, expire: bool
-    ) -> None:
-        """Run the registered queries against one ingested edge.
-
-        Appends ``(registration, match)`` pairs for every new complete match,
-        in discovery order; the caller anchors and orders the emission (see
-        :meth:`_emit_trigger`).  ``expire=False`` skips the per-matcher
-        expiry sweep (the batched path sweeps once per batch instead).
-        """
-        if self.dispatch.front_rejects(edge.label):
-            # no registered leaf can bind this label: skip endpoint-label
-            # resolution and the candidates probe entirely
-            return
-        source_label = self._endpoint_label(edge.source)
-        target_label = self._endpoint_label(edge.target)
-        for owner, leaf_ids in self.dispatch.candidates(edge.label, source_label, target_label):
-            registration = self.queries.get(owner)
-            if registration is None:  # pragma: no cover - defensive
-                continue
-            matcher = registration.matcher
-            if expire:
-                matcher.expire_partials(edge.timestamp)
-            leaves = [matcher.tree.node(leaf_id) for leaf_id in leaf_ids]
-            for match in matcher.process_edge_leaves(edge, leaves):
-                found.append((registration, match))
+        return self._run_batch([record], None)
 
     def _emit_trigger(
         self,
@@ -998,13 +851,13 @@ class StreamWorksEngine:
     def expire_all_partials(self, now: float) -> int:
         """Sweep every matcher's stored partial matches against ``now``.
 
-        The batched ingest path runs this sweep (at the batch's expiry
-        anchor) for every batch it processes.  The sharded engine calls it
-        directly to deliver that same batch-cadence sweep to a shard that
-        received *no* records in a batch -- the sweep sequence, not just
-        the final clock, determines which partials survive once streams may
-        carry late records, so a shard must not skip the sweeps the single
-        engine ran.  Returns the number of partials dropped.
+        Every run sweeps this way (at the run's expiry anchor).  The
+        sharded engine calls it directly to deliver that same per-run sweep
+        to a shard that received *no* records in a run -- the sweep
+        sequence, not just the final clock, determines which partials
+        survive once streams may carry late records, so a shard must not
+        skip the sweeps the single engine ran.  Returns the number of
+        partials dropped.
         """
         return sum(
             registration.matcher.expire_partials(now)
@@ -1012,240 +865,37 @@ class StreamWorksEngine:
             if not registration.matcher.idle
         )
 
-    def process_record(self, record: StreamEdge) -> List[MatchEvent]:
-        """Ingest one :class:`StreamEdge` record.
-
-        With event-time ingestion configured (``allowed_lateness``) the
-        record is admitted into the reorder buffer instead of being
-        processed immediately; the returned events belong to whatever
-        watermark-closed prefix the admission released (possibly empty, and
-        possibly triggered by *earlier* records).  Call :meth:`flush` at end
-        of stream to release the tail.
-        """
-        if self.reorder is not None:
-            events = self._process_with_reorder([record])
-        else:
-            events = self._process_record_direct(record)
-        self._maybe_replan_check()
-        return events
-
-    def _process_record_direct(self, record: StreamEdge) -> List[MatchEvent]:
-        """Run one record through the exact per-record path, bypassing reorder."""
-        return self.process_edge(
-            record.source,
-            record.target,
-            record.label,
-            record.timestamp,
-            record.attrs,
-            source_label=record.source_label,
-            target_label=record.target_label,
-            source_attrs=record.source_attrs,
-            target_attrs=record.target_attrs,
-        )
-
-    def process_batch(
-        self,
-        records: Sequence[StreamEdge],
-        expiry_anchor: Optional[float] = None,
-    ) -> List[MatchEvent]:
-        """Ingest a batch of records; returns all events raised by the batch.
-
-        ``expiry_anchor`` overrides the partial-match expiry anchor (step 3
-        below) with an *earlier* time.  Expiry is a pruning optimisation --
-        anything it drops could never complete -- so an earlier anchor only
-        retains more state and never changes the match set.  The sharded
-        engine passes the global batch minimum here so a shard sweeping its
-        own (later-starting) sub-batch keeps exactly the partials the
-        single engine keeps, which matters when later batches may still
-        carry late records that could complete them.
-
-        This takes the batched fast path (the paper's section 2.1
-        formulation is batch-oriented):
-
-        1. every record is routed through its route plan *before* it is
-           stored: a record some registered query edge can bind (*hot*) is
-           ingested into the graph with eviction deferred (evicting against
-           the batch's latest timestamp up front could remove edges that its
-           earlier edges can still legally match); a record none can bind
-           (*cold*) only advances the stream clock and joins the cold ring
-           -- it is never interned, stored, folded or evicted;
-        2. the summarizer folds the hot records in one call;
-        3. partial-match expiry runs **once per matcher per batch**, anchored
-           at the batch's earliest timestamp (the conservative anchor: any
-           partial it drops would also have been dropped by the per-edge
-           path before the first edge of the batch);
-        4. every hot record searches the leaves step 1 routed it to;
-        5. one deferred eviction sweep over the store and the cold ring
-           closes the batch.
-
-        Per-edge latency samples recorded in batch mode time the dispatch
-        and matching step of each stored record only -- routing, ingest,
-        expiry and eviction are amortised batch-level work, and a cold
-        record takes no sample -- so they are not directly comparable with
-        :meth:`process_edge` samples, which include ingest.  Keeping cold
-        records out of the store changes no event: a record no query edge
-        can bind is neither a search seed nor a search partner, and
-        :meth:`register_query` promotes the ring records a late query binds
-        (``docs/architecture.md``).
-
-        Steps 1-5 produce exactly the same events as feeding the records
-        through :meth:`process_record` one at a time.  An embedding whose
-        edges all lie inside the batch is *discovered* when its first
-        dispatched edge seeds a leaf (its remaining edges are already in the
-        graph), but its emission is deferred to the dispatch of its last
-        in-batch edge -- the edge the per-record path completes it on -- so
-        detection timestamps, trigger indices and event order are identical
-        to single-edge mode, and independent of both the batching and the
-        active plan (see :meth:`_run_fast_path`).
-
-        The equivalence argument requires timestamps to be non-decreasing
-        *within* a fast-path run (lateness relative to earlier batches is
-        fine): with a disordered run, deferred eviction would let a late
-        edge match history that the per-edge path had already evicted.  An
-        internally out-of-order batch is therefore split at its inversion
-        points into maximal non-decreasing runs, and steps 1-5 execute once
-        per run -- the ordered stretches keep the fast path instead of the
-        whole batch demoting to the per-record loop.  The contract is
-        compositional: processing a disordered batch is *exactly* (event
-        for event) processing each of its maximal ordered runs as its own
-        batch, in arrival order.  Batch boundaries already carry semantic
-        weight once records may be late -- the per-batch expiry sweep
-        sequence decides which partials a late record can still complete,
-        and eager per-record eviction prunes against the processing-order
-        clock -- so, as with any batch split of a late-carrying stream,
-        the run-split result can legitimately retain (event-time
-        admissible) matches that the per-record path's eager eviction
-        would have discarded.  For in-order input the two paths report
-        identical match multisets, as before.  Streams whose disorder
-        should be *repaired* rather than split around belong on the
-        event-time path below.
-
-        With event-time ingestion configured (``allowed_lateness``) the
-        batch is admitted into the reorder buffer instead: the
-        watermark-closed prefix is released and processed as a single
-        in-order fast-path batch, and genuinely-late records follow the
-        configured late policy.  ``expiry_anchor`` is reserved for direct
-        (unbuffered) ingestion and rejected in that mode.
-        """
-        records = list(records)
-        if self.reorder is not None:
-            if expiry_anchor is not None:
-                raise ValueError(
-                    "expiry_anchor is not supported with event-time ingestion: "
-                    "the reorder buffer decides when records are processed"
-                )
-            events = self._process_with_reorder(records)
-        elif not records:
-            events = []
-        else:
-            events = self._process_batch_direct(records, expiry_anchor)
-        self._maybe_replan_check()
-        self.batches_processed += 1
-        self._maybe_autosave()
-        return events
-
-    def _maybe_autosave(self) -> None:
-        """Checkpoint to the configured path when the batch cadence is due.
-
-        An autosave failure must not look like a processing failure: by the
-        time the cadence fires the batch IS fully processed (state mutated,
-        events delivered to the collector), so the error is re-raised as a
-        :class:`~repro.persistence.snapshot.SnapshotError` that says so --
-        the caller recovers the batch's events from :meth:`events` and must
-        *not* re-feed the batch.
-        """
-        if (
-            self.config.checkpoint_every is None
-            or self.batches_processed % self.config.checkpoint_every != 0
-        ):
-            return
-        from ..persistence.snapshot import SnapshotError
-
-        try:
-            self.checkpoint(self.config.checkpoint_path)
-        except Exception as error:
-            raise SnapshotError(
-                f"autosave to {self.config.checkpoint_path!r} failed after batch "
-                f"{self.batches_processed}: {error}. The batch itself was fully "
-                f"processed -- its events are in engine.events(); do NOT re-feed "
-                f"it. Fix the checkpoint target (or unset checkpoint_every) and "
-                f"continue."
-            ) from error
-
-    def _process_with_reorder(self, records: Sequence[StreamEdge]) -> List[MatchEvent]:
-        """Admit records into the reorder buffer; process what it releases.
-
-        The watermark-closed prefix (if any) is processed first as an
-        in-order batch on the fast path, then any late records the
-        ``process_degraded`` policy handed back run on the exact per-record
-        path -- after the prefix, so they see the most history the store
-        can still offer.  Under the ``drop`` policy late records are only
-        counted (see ``metrics()["reorder"]``).
-        """
-        late = self.reorder.offer_all(records)
-        ready = self.reorder.drain_ready()
-        return self._process_released(ready, late, self.reorder.watermark)
-
-    def _process_released(
-        self,
-        ready: Sequence[StreamEdge],
-        late: Sequence[StreamEdge],
-        watermark: float,
-    ) -> List[MatchEvent]:
-        """Process one buffer release: a sorted ready prefix + late hand-backs.
-
-        ``watermark`` is the buffer's watermark at the moment of release --
-        passed explicitly (rather than read back from the buffer) so the
-        async ingest front-end, whose admission thread may already be ahead,
-        stamps exactly the value the synchronous path would have.
-        """
-        self.event_time_watermark = watermark
-        events: List[MatchEvent] = []
-        if ready:
-            events.extend(self._process_batch_direct(list(ready)))
-        for record in late:
-            events.extend(self._process_record_direct(record))
-        return events
-
-    def _process_flushed(
-        self, remainder: List[StreamEdge], watermark: Optional[float] = None
-    ) -> List[MatchEvent]:
-        """Process the buffer's end-of-stream tail (shared with the async front-end).
-
-        ``watermark`` is accepted for signature parity with the sharded
-        engine (the async front-end captures it under its buffer lock) but
-        unused here: the synchronous single-engine flush does not stamp a
-        watermark, and the async path must match it byte for byte.
-        """
-        return self._process_batch_direct(remainder)
-
-    def flush(self) -> List[MatchEvent]:
-        """Release and process everything still held by the reorder buffer.
-
-        Call at end of stream (nothing will arrive to advance the watermark
-        past the buffered tail -- including the tail a min-watermark held
-        for a slow source).  Returns the tail's events; a no-op returning
-        ``[]`` when event-time ingestion is not configured.
-        """
-        if self.reorder is None:
-            return []
-        remainder = self.reorder.flush()
-        if not remainder:
-            return []
-        return self._process_flushed(remainder)
-
-    def _process_batch_direct(
+    def _run_batch(
         self,
         records: List[StreamEdge],
+        watermark: Optional[float],
         expiry_anchor: Optional[float] = None,
     ) -> List[MatchEvent]:
-        """Process a batch immediately: fast path per ordered run (see above)."""
+        """Run a batch as its maximal ordered runs, then the replan checks it made due.
+
+        Every ingest entry point ends here (:mod:`repro.core.ingest`): a
+        record is a one-record batch.  Each maximal non-decreasing run is
+        one :meth:`_run_fast_path`, in arrival order, so a disordered batch
+        is exactly its ordered runs fed as batches.  ``watermark`` is unused
+        here: the front has stamped it already, and only the sharded engine
+        ships it on.
+
+        ``expiry_anchor`` lowers every run's partial-match expiry anchor to
+        an *earlier* time.  Expiry is a pruning optimisation -- anything it
+        drops could never complete -- so an earlier anchor only retains
+        more state.  A shard passes the global run minimum here, so a shard
+        sweeping its own (later-starting) segment keeps exactly the
+        partials the single engine keeps, which matters when later batches
+        may still carry late records that could complete them.
+        """
         self.throughput.start()
         events: List[MatchEvent] = []
         for start, end in ordered_run_slices(records):
             self._run_fast_path(records[start:end], expiry_anchor, events)
         self.throughput.add(len(records))
         self.throughput.stop()
+        for _ in range(self._due_replan_checks()):
+            self.run_replan_check()
         return events
 
     def _run_fast_path(
@@ -1254,28 +904,32 @@ class StreamWorksEngine:
         expiry_anchor: Optional[float],
         events: List[MatchEvent],
     ) -> None:
-        """Steps 1-5 of the batched fast path over one non-decreasing run.
+        """The engine's one execution path, over one non-decreasing run.
 
         Step 1 routes each record, then stores it only when it is *hot*
         (:meth:`_route_run`); a cold record -- no registered query edge can
-        bind it -- goes to the cold ring instead.  Step 2 folds the hot
-        records into the statistics, step 3 sweeps partial-match expiry
-        once per matcher, step 4 searches the hot records with the leaves
-        step 1 chose (:meth:`_dispatch_run`), and step 5 is one eviction
-        sweep over the store and the cold ring (:meth:`evict_expired`).
+        bind it -- goes to the cold ring instead.  Eviction is deferred to
+        the end of the run: evicting against the run's latest timestamp up
+        front could remove edges its earlier records can still legally
+        match.  Step 2 folds the hot records into the statistics in one
+        call.  Step 3 sweeps partial-match expiry once per matcher -- every
+        matcher holding partials, not only those the run routes to --
+        anchored at the run's earliest timestamp.  Step 4 searches the hot
+        records with the leaves step 1 chose (:meth:`_dispatch_run`), and
+        step 5 is one eviction sweep over the store and the cold ring
+        (:meth:`evict_expired`).  Per-record latency samples time step 4
+        of each hot record only.
 
         A record already outside the retention horizon at its ingest point
         (``timestamp`` expired against the running stream clock) is *dead on
-        arrival*: it is ingested and immediately evicted -- exactly the
-        per-record path's behaviour -- counted in
+        arrival*: it is ingested and immediately evicted, counted in
         ``records_dead_on_arrival``, and never routed, matched or folded
-        into the statistics.  The batched path used to keep such records
-        alive within their run (deferred eviction) and match them, which
-        made the outcome depend on how the stream happened to be batched; a
-        checkpoint/restore cycle re-batches the remainder of the stream, so
-        resume exactness requires the batching-independent skip.  Within a
-        non-decreasing run dead records precede any record that advances
-        the clock, so the mid-run eviction sweep removes only them.
+        into the statistics.  Keeping it alive within its run and matching
+        it would make the outcome depend on how the stream happened to be
+        batched; a checkpoint/restore cycle re-batches the remainder of the
+        stream, so resume exactness requires the batching-independent skip.
+        Within a non-decreasing run dead records precede any record that
+        advances the clock, so the mid-run eviction sweep removes only them.
         """
         # What a route plan stands for per record -- one dispatch probe, one
         # visit of each owner's matcher -- is counted in bulk when the run
@@ -1364,7 +1018,7 @@ class StreamWorksEngine:
         for position, record in enumerate(records):
             if dead_possible:
                 if window.is_expired(record.timestamp, graph.current_time):
-                    # dead on arrival: mirror process_edge's ingest-then-evict
+                    # dead on arrival: ingested and evicted at once
                     self._ingest(record)
                     self.evict_expired()
                     self.records_dead_on_arrival += 1
@@ -1435,11 +1089,11 @@ class StreamWorksEngine:
         edges all lie inside the run is *discovered* at whichever of its
         edges happens to be dispatched first -- and which edge that is
         depends on the active plan's leaf partition.  To keep detection
-        plan-independent (and equal to the per-record path), every
-        completion's emission is deferred to the dispatch of its LAST in-run
-        edge -- exactly the edge the per-record path would have completed it
-        on.  Every edge of a completion is hot, so that edge is always
-        dispatched here.  Deferral is safe within a run: nothing is evicted
+        plan-independent, and independent of how the stream was cut into
+        runs, every completion's emission is deferred to the dispatch of its
+        LAST in-run edge -- the edge that completes it when every record is
+        its own one-record run.  Every edge of a completion is hot, so that
+        edge is always dispatched here.  Deferral is safe within a run: nothing is evicted
         mid-run (dead-on-arrival records are removed before any later record
         is dispatched and can belong to no completion), and the
         duplicate-suppression memory prevents a deferred match from being
@@ -1596,18 +1250,6 @@ class StreamWorksEngine:
         self.dispatch.plans_built += 1
         return plan
 
-    def process_stream(self, stream: Iterable[StreamEdge]) -> List[MatchEvent]:
-        """Ingest an entire stream; returns all events (also kept in ``collector``).
-
-        With event-time ingestion configured the buffered tail is flushed
-        once the stream is exhausted, so the returned events are complete.
-        """
-        events: List[MatchEvent] = []
-        for record in stream:
-            events.extend(self.process_record(record))
-        events.extend(self.flush())
-        return events
-
     # ------------------------------------------------------------------
     # checkpoint / restore
     # ------------------------------------------------------------------
@@ -1697,7 +1339,6 @@ class StreamWorksEngine:
             "dispatch": self.dispatch.stats(),
             "ingest_paths": {
                 "batched_fast_path": self.records_batched,
-                "per_record_path": self.records_per_record,
                 "dead_on_arrival": self.records_dead_on_arrival,
                 "cold": self.records_cold,
                 "cold_retained": len(self.cold),

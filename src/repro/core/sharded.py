@@ -29,16 +29,16 @@ Correctness is by construction:
   sequence numbers.  Feeding the same batches to a sharded engine (any
   shard count) and to a single engine yields identical event lists.
 
-Event-time ingestion composes with sharding at the parent: when the
-:class:`EngineConfig` template sets ``allowed_lateness``, one
-:class:`~repro.streaming.reorder.ReorderBuffer` lives in front of the
-router, re-sorts the *global* stream within the lateness horizon, and fans
-watermark-closed prefixes out as in-order batches (shards never buffer
-again -- their config copies strip the lateness).  Batches that are
-internally out of order without a buffer are split at their global
-inversion points and every shard processes per-run segments on the batched
-fast path; see :func:`_execute_sub_batch` for why the segment boundaries
-must follow the global runs.
+The parent shares its ingest front with the single engine
+(:class:`~repro.core.ingest.IngestFront`): with ``allowed_lateness`` set on
+the :class:`EngineConfig` template, one reorder buffer lives in front of
+the router, re-sorts the *global* stream within the lateness horizon, and
+fans watermark-closed prefixes out as in-order batches (shards never buffer
+again -- their config copies strip the lateness).  Every batch the front
+hands over -- a single record included -- is split at its global inversion
+points and every shard processes per-run segments; see
+:func:`_execute_sub_batch` for why the segment boundaries must follow the
+global runs.
 
 Two schedulers are provided, selected by :class:`ShardConfig`:
 
@@ -72,13 +72,12 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import traceback
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.interning import InternTable
 from ..graph.window import TimeWindow
 from ..query.query_graph import QueryGraph
 from ..stats.plan_cost import plan_cost
-from ..streaming.batching import batch_by_count
 from ..streaming.edge_stream import StreamEdge
 from ..streaming.events import (
     CallbackSink,
@@ -96,14 +95,14 @@ from ..streaming.partition import (
     greedy_partition,
     least_loaded_shard,
 )
-from ..streaming.reorder import ReorderBuffer, ordered_run_slices
+from ..streaming.reorder import ordered_run_slices
 from .engine import (
     EngineConfig,
     StreamWorksEngine,
-    _make_reorder_buffer,
     intern_query_vocabulary,
     required_retention,
 )
+from .ingest import IngestFront
 from .planner import PlannerConfig, QueryPlanner
 
 __all__ = ["ShardConfig", "ShardedQuery", "ShardedStreamEngine"]
@@ -206,7 +205,6 @@ class ShardedQuery:
 def _execute_sub_batch(
     engine: StreamWorksEngine,
     records: List[StreamEdge],
-    per_record: bool,
     clock,
     watermark: float = float("-inf"),
     replan_checks: int = 0,
@@ -218,29 +216,26 @@ def _execute_sub_batch(
     to it, so its own ``current_time`` can lag behind the stream whenever
     the newest records were routed elsewhere, and a lagging eviction horizon
     would let a late edge match history the single engine had already
-    evicted.  In batched mode ``clock`` is a
-    ``(pre, [(count, anchor, post), ...])`` pair: ``pre`` (global time
-    before the parent batch) catches the shard up on the end-of-batch
-    sweeps it missed while the stream went to other shards, and each
-    subsequent entry describes one *ordered run* of the parent batch (the
-    parent splits internally out-of-order batches at their global inversion
-    points).  ``count`` is how many of this shard's records fall inside the
-    run -- the shard processes that segment with the batched fast path, or,
-    when the run routed it nothing, still sweeps every matcher's partials
-    (the single engine sweeps all matchers once per run, and with late
-    records legal across batches the sweep *sequence* decides what
-    survives).  ``anchor`` is the run's global minimum timestamp (where the
-    single engine anchors that sweep) and ``post`` the global running
-    maximum after the run (the deferred eviction the single engine applies
-    there).  Aligning shard segments to the global run boundaries -- rather
-    than re-splitting the shard's own sub-batch, which is often *coarser*
+    evicted.  ``clock`` is a ``(pre, [(count, anchor, post), ...])`` pair:
+    ``pre`` (global time before the parent batch) catches the shard up on
+    the end-of-batch sweeps it missed while the stream went to other
+    shards, and each subsequent entry describes one *ordered run* of the
+    parent batch (the parent splits internally out-of-order batches at
+    their global inversion points; a one-record batch is one run).
+    ``count`` is how many of this shard's records fall inside the run --
+    the shard runs that segment as one fast-path run, or, when the run
+    routed it nothing, still sweeps every matcher's partials (the single
+    engine sweeps all matchers once per run, and with late records legal
+    across batches the sweep *sequence* decides what survives).
+    ``anchor`` is the run's global minimum timestamp (where the single
+    engine anchors that sweep) and ``post`` the global running maximum
+    after the run (the deferred eviction the single engine applies there).
+    Aligning shard segments to the global run boundaries -- rather than
+    re-splitting the shard's own sub-batch, which is often *coarser*
     because routing removed the inverting records -- is what keeps events
     byte-identical: a coarser segment would pre-ingest edges across a
     global run boundary and detect cross-run matches on earlier trigger
-    edges than the single engine does.  In per-record mode ``clock`` is one
-    global running-maximum per record, applied before the record so the
-    store matches what the single engine would hold at that record's
-    matching step.
+    edges than the single engine does.
 
     ``watermark`` is the parent's event-time horizon at dispatch (the
     reorder buffer's watermark, or the global stream clock without one);
@@ -256,48 +251,32 @@ def _execute_sub_batch(
     between complete batches, never mid-run.
     """
     engine.event_time_watermark = watermark
-    if per_record:
-        events: List[MatchEvent] = []
-        for record, record_clock in zip(records, clock):
-            if record_clock != float("-inf"):
-                engine.evict_expired(record_clock)
-                # pin the shard's stream clock to the global one BEFORE the
-                # record ingests: the single engine's ingest-time eviction
-                # runs at the global clock, so a dead-on-arrival late record
-                # (already outside retention) dies there before matching --
-                # a shard whose own clock lags (its newest records were
-                # routed elsewhere) would otherwise keep it and report
-                # matches the single engine never emits
-                engine.graph.advance_time(record_clock)
-            events.extend(engine.process_record(record))
-    else:
-        pre_clock, run_slices = clock
-        if pre_clock != float("-inf"):
-            engine.evict_expired(pre_clock)
-        events = []
-        offset = 0
-        run_start_clock = pre_clock
-        for count, anchor, post_clock in run_slices:
-            segment = records[offset : offset + count]
-            offset += count
-            if run_start_clock != float("-inf"):
-                # pin the shard's stream clock to the global clock at the
-                # run's start: the batched path's dead-on-arrival skip
-                # (records already outside retention at ingest) tests
-                # against the stream clock, and a shard whose own clock
-                # lags (its newest records were routed elsewhere) would
-                # keep -- and match -- a record the single engine kills.
-                # Within a run deadness depends only on the run-start
-                # clock (in-run predecessors are themselves non-decreasing
-                # and cannot make a successor dead), so pinning per run
-                # reproduces the single engine's determination exactly.
-                engine.graph.advance_time(run_start_clock)
-            if segment:
-                events.extend(engine.process_batch(segment, expiry_anchor=anchor))
-            else:
-                engine.expire_all_partials(anchor)
-            engine.evict_expired(post_clock)
-            run_start_clock = post_clock
+    pre_clock, run_slices = clock
+    if pre_clock != float("-inf"):
+        engine.evict_expired(pre_clock)
+    events: List[MatchEvent] = []
+    offset = 0
+    run_start_clock = pre_clock
+    for count, anchor, post_clock in run_slices:
+        segment = records[offset : offset + count]
+        offset += count
+        if run_start_clock != float("-inf"):
+            # pin the shard's stream clock to the global clock at the run's
+            # start: the dead-on-arrival skip (records already outside
+            # retention at ingest) tests against the stream clock, and a
+            # shard whose own clock lags (its newest records were routed
+            # elsewhere) would keep -- and match -- a record the single
+            # engine kills.  Within a run deadness depends only on the
+            # run-start clock (in-run predecessors are themselves
+            # non-decreasing and cannot make a successor dead), so pinning
+            # per run reproduces the single engine's determination exactly.
+            engine.graph.advance_time(run_start_clock)
+        if segment:
+            events.extend(engine._run_batch(segment, watermark, anchor))
+        else:
+            engine.expire_all_partials(anchor)
+        engine.evict_expired(post_clock)
+        run_start_clock = post_clock
     for _ in range(replan_checks):
         engine.run_replan_check()
     # the parent's collector is authoritative; dropping the shard-local copy
@@ -310,8 +289,8 @@ def _shard_worker_main(conn, engines: Dict[int, StreamWorksEngine]) -> None:
     """Worker-process loop: own a set of shard engines, serve batch requests.
 
     Messages from the parent are tuples tagged by their first element:
-    ``("batch", per_record, [ShardBatch, ...])`` processes each shard batch
-    and replies ``("events", [(shard id, events), ...])``;
+    ``("batch", [ShardBatch, ...])`` processes each shard batch and replies
+    ``("events", [(shard id, events), ...])``;
     ``("metrics",)`` replies with every owned shard's metrics;
     ``("state",)`` replies with every owned shard's serialised engine state
     (snapshot section payloads, used by parent-level checkpointing);
@@ -326,13 +305,11 @@ def _shard_worker_main(conn, engines: Dict[int, StreamWorksEngine]) -> None:
         kind = message[0]
         try:
             if kind == "batch":
-                per_record = message[1]
                 replies: List[Tuple[int, List[MatchEvent]]] = []
-                for batch in message[2]:
+                for batch in message[1]:
                     events = _execute_sub_batch(
                         engines[batch.shard_id],
                         batch.records(),
-                        per_record,
                         batch.clock,
                         batch.watermark,
                         batch.replan_checks,
@@ -368,7 +345,7 @@ class _WorkerHandle:
         self.conn = conn
 
 
-class ShardedStreamEngine:
+class ShardedStreamEngine(IngestFront):
     """Continuous multi-query matching with queries partitioned across shards.
 
     Mirrors the :class:`StreamWorksEngine` surface (``register_query`` /
@@ -414,22 +391,20 @@ class ShardedStreamEngine:
                 )
             if routing is not None and routing != config.routing:
                 raise ValueError("pass routing either via config or directly, not both")
+        # event-time ingestion happens once, in the parent's front, *before*
+        # routing: its reorder buffer re-sorts the global stream and the
+        # watermark-closed prefixes fan out as in-order batches, so the
+        # per-shard engines must not buffer again (their copy of the config
+        # has the lateness -- and the idle-source timeout, which only means
+        # anything next to a buffer -- stripped)
+        super().__init__(config.engine)
         self.config = config
-        #: Event-time ingestion happens once, in the parent, *before*
-        #: routing: a single reorder buffer (multi-source: one watermark
-        #: per record ``source_id``, min-release across active sources)
-        #: re-sorts the global stream and its watermark-closed prefixes fan
-        #: out as in-order batches, so the per-shard engines must not
-        #: buffer again (their copy of the config has the lateness -- and
-        #: the idle-source timeout, which only means anything next to a
-        #: buffer -- stripped).
-        self.reorder: Optional[ReorderBuffer] = _make_reorder_buffer(config.engine)
         shard_engine_config = copy.copy(config.engine)
         shard_engine_config.allowed_lateness = None
         shard_engine_config.idle_source_timeout = None
-        # replan cadence is a parent-level concern: the parent counts the
-        # *global* stream and tells each shard how many checks are due per
-        # batch (ShardBatch.replan_checks); a shard pacing itself on its own
+        # replan cadence is a parent-level concern: the parent's front counts
+        # the *global* stream and tells each shard how many checks are due
+        # per batch (ShardBatch.replan_checks); a shard pacing itself on its own
         # shard-local edge count would drift from the single engine's
         # check boundaries.  The threshold stays: shards own the monitors
         # and score their own queries when told to check.
@@ -457,11 +432,6 @@ class ShardedStreamEngine:
         self.collector = CollectingSink()
         self._sinks = MultiSink([self.collector])
         self._sequence = 0
-        self.edges_processed = 0
-        #: ``process_batch`` invocations so far (parent-level autosave cadence).
-        self.batches_processed = 0
-        #: Monotone snapshot epoch (see :attr:`StreamWorksEngine.checkpoint_epoch`).
-        self.checkpoint_epoch = 0
         self.throughput = ThroughputMeter()
         #: Records sent to each shard so far -- maps a shard event's
         #: ``trigger_index`` back into the in-flight sub-batch.
@@ -470,16 +440,6 @@ class ShardedStreamEngine:
         #: evicted against this clock so their windows behave exactly as the
         #: single engine's would, even for records routed elsewhere.
         self._clock = float("-inf")
-        #: Global record count at which the next selectivity-drift replan
-        #: check is due (None = automatic checks disabled).  Mirrors the
-        #: single engine's marker; the parent owns the cadence and attaches
-        #: the due check count to every shard batch.
-        self._next_replan_check: Optional[int] = (
-            config.engine.replan_check_every
-            if config.engine.replan_threshold is not None
-            and config.engine.replan_check_every is not None
-            else None
-        )
         self._started = False
         self._closed = False
         self._workers: Optional[List[_WorkerHandle]] = None
@@ -818,255 +778,81 @@ class ShardedStreamEngine:
     # ------------------------------------------------------------------
     # stream processing
     # ------------------------------------------------------------------
-    def register_source(self, source_id: str) -> None:
-        """Declare a stream source on the parent event-time buffer.
-
-        Mirrors :meth:`StreamWorksEngine.register_source`: sources live in
-        the parent's multi-source reorder buffer (shards never buffer), so
-        registration is a parent-level operation and works under both
-        schedulers.  Raises ``RuntimeError`` when event-time ingestion is
-        not configured.
-        """
-        if self.reorder is None:
-            raise RuntimeError(
-                "register_source requires event-time ingestion: set "
-                "allowed_lateness on the ShardConfig's engine template"
-            )
-        self.reorder.register_source(source_id)
-
-    def process_record(self, record: StreamEdge) -> List[MatchEvent]:
-        """Ingest one record (mirrors single-engine ``process_record``)."""
-        if self.reorder is not None:
-            return self._process_with_reorder([record])
-        return self._run_batch([record], per_record=True)
-
-    def process_batch(self, records: Sequence[StreamEdge]) -> List[MatchEvent]:
-        """Ingest a batch; returns the merged, globally ordered events.
-
-        Mirrors the single engine exactly.  An internally out-of-order
-        batch is split at its *global* inversion points and each shard runs
-        the batched fast path over its per-run segments (see
-        :func:`_execute_sub_batch`).  With event-time ingestion configured
-        the batch is admitted into the parent's reorder buffer instead,
-        exactly as the single engine does.
-        """
-        records = list(records)
-        if self.reorder is not None:
-            events = self._process_with_reorder(records)
-        elif not records:
-            events = []
-        else:
-            events = self._run_batch(records, per_record=False)
-        self.batches_processed += 1
-        self._maybe_autosave()
-        return events
-
-    def _maybe_autosave(self) -> None:
-        """Parent-level batch-cadence autosave (mirrors the single engine).
-
-        As there, an autosave failure is re-raised as a ``SnapshotError``
-        noting that the batch WAS processed (events are in :meth:`events`)
-        so the caller does not re-feed it.
-        """
-        if (
-            self.config.engine.checkpoint_every is None
-            or self.batches_processed % self.config.engine.checkpoint_every != 0
-        ):
-            return
-        from ..persistence.snapshot import SnapshotError
-
-        try:
-            self.checkpoint(self.config.engine.checkpoint_path)
-        except Exception as error:
-            raise SnapshotError(
-                f"autosave to {self.config.engine.checkpoint_path!r} failed after "
-                f"batch {self.batches_processed}: {error}. The batch itself was "
-                f"fully processed -- its events are in engine.events(); do NOT "
-                f"re-feed it. Fix the checkpoint target (or unset "
-                f"checkpoint_every) and continue."
-            ) from error
-
-    def _process_with_reorder(self, records: List[StreamEdge]) -> List[MatchEvent]:
-        """Admit records into the parent reorder buffer; process the releases.
-
-        Mirrors the single engine's event-time path: the watermark-closed
-        prefix fans out as one in-order batch, then late records handed
-        back by the ``process_degraded`` policy run on the exact per-record
-        path in arrival order.
-        """
-        late = self.reorder.offer_all(records)
-        ready = self.reorder.drain_ready()
-        return self._process_released(ready, late, self.reorder.watermark)
-
-    def _process_released(
-        self,
-        ready: Sequence[StreamEdge],
-        late: Sequence[StreamEdge],
-        watermark: float,
-    ) -> List[MatchEvent]:
-        """Process one buffer release (shared with the async ingest front-end).
-
-        ``watermark`` is the horizon at release time, passed explicitly so
-        shard batches are stamped with the value the synchronous path would
-        have used even when an async admission thread has already advanced
-        the buffer past it.
-        """
-        events: List[MatchEvent] = []
-        if ready:
-            events.extend(self._run_batch(list(ready), per_record=False, watermark=watermark))
-        for record in late:
-            events.extend(self._run_batch([record], per_record=True, watermark=watermark))
-        return events
-
-    def _process_flushed(
-        self, remainder: List[StreamEdge], watermark: Optional[float] = None
-    ) -> List[MatchEvent]:
-        """Process the buffer's end-of-stream tail (shared with the async front-end).
-
-        The async front-end passes the ``watermark`` it captured under its
-        buffer lock; reading ``self.reorder.watermark`` here instead would
-        race the ingest thread (unlocked source-dict iteration) and could
-        stamp shard batches with a horizon advanced by post-flush
-        admissions.  The synchronous path passes ``None`` and keeps its
-        read-at-dispatch behaviour.
-        """
-        return self._run_batch(remainder, per_record=False, watermark=watermark)
-
-    def flush(self) -> List[MatchEvent]:
-        """Release and process the reorder buffer's tail (end of stream).
-
-        A no-op returning ``[]`` when event-time ingestion is not
-        configured; mirrors single-engine :meth:`StreamWorksEngine.flush`.
-        Returns the tail's events (also collected in :meth:`events`).
-        """
-        if self.reorder is None:
-            return []
-        remainder = self.reorder.flush()
-        if not remainder:
-            return []
-        return self._process_flushed(remainder)
-
-    def process_stream(
-        self, stream: Iterable[StreamEdge], batch_size: Optional[int] = None
-    ) -> List[MatchEvent]:
-        """Ingest an entire stream, optionally sliced into count batches.
-
-        With event-time ingestion configured the buffered tail is flushed
-        once the stream is exhausted.
-        """
-        events: List[MatchEvent] = []
-        if batch_size is None:
-            for record in stream:
-                events.extend(self.process_record(record))
-        else:
-            for batch in batch_by_count(stream, batch_size):
-                events.extend(self.process_batch(batch))
-        events.extend(self.flush())
-        return events
-
     def _run_batch(
-        self,
-        records: List[StreamEdge],
-        per_record: bool,
-        watermark: Optional[float] = None,
+        self, records: List[StreamEdge], watermark: Optional[float]
     ) -> List[MatchEvent]:
+        """Route one batch to the shards, run it there, merge the events.
+
+        Every ingest entry point of the front ends here
+        (:mod:`repro.core.ingest`), a single record included, so the
+        shards see exactly the run structure the single engine runs: the
+        batch is split at its global inversion points and every shard gets
+        its per-run segments (see :func:`_execute_sub_batch`).
+        ``watermark`` is the release's (``None`` without a reorder buffer:
+        the global stream clock is shipped instead).
+        """
         self.start()
         self.throughput.start()
         base_index = self.edges_processed
         self.edges_processed += len(records)
-        # parent decides WHEN replan checks run (global record cadence, same
-        # while-loop catch-up as the single engine's _maybe_replan_check);
-        # every shard applies that many checks at its quiescent post-batch
-        # boundary, including shards this batch routed nothing to -- the
-        # single engine checks every registered query regardless of which
-        # records arrived.
-        replan_checks = 0
-        if self._next_replan_check is not None:
-            while self.edges_processed >= self._next_replan_check:
-                self._next_replan_check += self.config.engine.replan_check_every
-                replan_checks += 1
+        # the parent decides WHEN replan checks run (the front's global
+        # record cadence); every shard applies that many checks at its
+        # quiescent post-batch boundary, including shards this batch routed
+        # nothing to -- the single engine checks every registered query
+        # regardless of which records arrived
+        replan_checks = self._due_replan_checks()
         # global stream clock: shards evict against the whole stream's time,
-        # not just the sub-stream routed to them.  For the per-record path
-        # each entry is the running maximum *before* that record -- the
-        # single engine's store state at the moment the record arrives (its
-        # own timestamp joins the eviction horizon only after ingest, which
-        # matters for vertex-isolation eviction); the batched path evicts at
-        # the running maximum after each ordered run (the deferred sweeps'
-        # times).
-        clocks: List[float] = []
+        # not just the sub-stream routed to them -- at the running maximum
+        # after each ordered run (the single engine's deferred sweeps)
         pre_batch_clock = self._clock
-        clock = self._clock
-        for record in records:
-            clocks.append(clock)
-            if record.timestamp > clock:
-                clock = record.timestamp
-        self._clock = clock
-        per_shard = self.router.route(records, base_index)
+        run_meta: List[Tuple[int, float, float]] = []
+        post_clock = pre_batch_clock
+        for start, end in ordered_run_slices(records):
+            if records[end - 1].timestamp > post_clock:
+                post_clock = records[end - 1].timestamp
+            run_meta.append((base_index + end, records[start].timestamp, post_clock))
+        self._clock = post_clock
         if watermark is None:
-            watermark = self.reorder.watermark if self.reorder is not None else self._clock
-        batches: List[ShardBatch] = []
-        if per_record:
-            # with checks due, every shard joins the fan-out: a shard whose
-            # queries saw no records still owes its monitor the check
-            shard_ids = (
-                list(range(self.config.shard_count)) if replan_checks else sorted(per_shard)
+            watermark = self._clock
+        per_shard = self.router.route(records, base_index)
+        # the single engine sweeps EVERY matcher's partials once per run, so
+        # every shard joins the fan-out (an empty segment still delivers
+        # that sweep -- with late records legal across batches the sweep
+        # sequence decides what survives), and the segment boundaries follow
+        # the global runs, not the shard's own (often coarser) inversion
+        # structure (see _execute_sub_batch)
+        dispatch: List[Tuple[ShardBatch, int]] = []
+        for shard_id in range(self.config.shard_count):
+            entries = per_shard.get(shard_id, [])
+            run_slices: List[Tuple[int, float, float]] = []
+            pointer = 0
+            for end_index, anchor, run_post in run_meta:
+                count = 0
+                while (
+                    pointer + count < len(entries)
+                    and entries[pointer + count][0] < end_index
+                ):
+                    count += 1
+                pointer += count
+                run_slices.append((count, anchor, run_post))
+            batch = ShardBatch(
+                shard_id,
+                entries,
+                watermark=watermark,
+                clock=(pre_batch_clock, run_slices),
+                replan_checks=replan_checks,
             )
-            for shard_id in shard_ids:
-                entries = per_shard.get(shard_id, [])
-                batches.append(
-                    ShardBatch(
-                        shard_id,
-                        entries,
-                        watermark=watermark,
-                        clock=[clocks[index - base_index] for index, _ in entries],
-                        replan_checks=replan_checks,
-                    )
-                )
-        else:
-            # split the parent batch at its GLOBAL inversion points; each
-            # shard processes its per-run segments with the batched fast
-            # path.  The single engine's fast path sweeps EVERY matcher's
-            # partials once per run, so every shard joins the fan-out (an
-            # empty segment still delivers that sweep -- with late records
-            # legal across batches the sweep sequence decides what
-            # survives), and the segment boundaries must follow the global
-            # runs, not the shard's own (often coarser) inversion structure
-            # (see _execute_sub_batch).
-            run_meta: List[Tuple[int, float, float]] = []
-            post_clock = pre_batch_clock
-            for start, end in ordered_run_slices(records):
-                if records[end - 1].timestamp > post_clock:
-                    post_clock = records[end - 1].timestamp
-                run_meta.append((base_index + end, records[start].timestamp, post_clock))
-            for shard_id in range(self.config.shard_count):
-                entries = per_shard.get(shard_id, [])
-                run_slices: List[Tuple[int, float, float]] = []
-                pointer = 0
-                for end_index, anchor, run_post in run_meta:
-                    count = 0
-                    while (
-                        pointer + count < len(entries)
-                        and entries[pointer + count][0] < end_index
-                    ):
-                        count += 1
-                    pointer += count
-                    run_slices.append((count, anchor, run_post))
-                batches.append(
-                    ShardBatch(
-                        shard_id,
-                        entries,
-                        watermark=watermark,
-                        clock=(pre_batch_clock, run_slices),
-                        replan_checks=replan_checks,
-                    )
-                )
+            # the shard's local record base maps its events' trigger
+            # indices back into this sub-batch
+            dispatch.append((batch, self._records_sent[shard_id]))
+            self._records_sent[shard_id] += len(entries)
         #: ``(global trigger index, query registration order, event)``
         tagged: List[Tuple[int, int, MatchEvent]] = []
         if self._workers is None:
-            for batch in batches:
-                tagged.extend(self._run_shard_serial(batch, per_record))
+            for batch, local_base in dispatch:
+                tagged.extend(self._run_shard_serial(batch, local_base))
         else:
-            tagged.extend(self._run_shards_pooled(batches, per_record))
+            tagged.extend(self._run_shards_pooled(dispatch))
         # a query lives in exactly one shard, so events tied on (trigger,
         # registration order) all come from one shard and the stable sort
         # preserves their emission order -- this is precisely the order the
@@ -1084,33 +870,26 @@ class ShardedStreamEngine:
         return merged
 
     def _run_shard_serial(
-        self, batch: ShardBatch, per_record: bool
+        self, batch: ShardBatch, local_base: int
     ) -> List[Tuple[int, int, MatchEvent]]:
-        engine = self.shards[batch.shard_id]
-        local_base = self._records_sent[batch.shard_id]
-        self._records_sent[batch.shard_id] += len(batch)
         events = _execute_sub_batch(
-            engine, batch.records(), per_record, batch.clock, batch.watermark,
+            self.shards[batch.shard_id], batch.records(), batch.clock, batch.watermark,
             batch.replan_checks,
         )
         return self._tag_events(events, batch.entries, local_base)
 
     def _run_shards_pooled(
-        self, batches: List[ShardBatch], per_record: bool
+        self, dispatch: List[Tuple[ShardBatch, int]]
     ) -> List[Tuple[int, int, MatchEvent]]:
         by_worker: Dict[int, List[Tuple[ShardBatch, int]]] = {}
-        for batch in batches:
-            local_base = self._records_sent[batch.shard_id]
-            self._records_sent[batch.shard_id] += len(batch)
+        for batch, local_base in dispatch:
             by_worker.setdefault(self._worker_of[batch.shard_id], []).append(
                 (batch, local_base)
             )
         pending: List[Tuple[int, List[Tuple[ShardBatch, int]]]] = []
         for worker_index in sorted(by_worker):
             items = by_worker[worker_index]
-            self._workers[worker_index].conn.send(
-                ("batch", per_record, [batch for batch, _ in items])
-            )
+            self._workers[worker_index].conn.send(("batch", [batch for batch, _ in items]))
             pending.append((worker_index, items))
         tagged: List[Tuple[int, int, MatchEvent]] = []
         for worker_index, items in pending:

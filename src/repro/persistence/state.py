@@ -267,7 +267,6 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
             "sequence": engine._sequence,
             "edges_processed": engine.edges_processed,
             "records_batched": engine.records_batched,
-            "records_per_record": engine.records_per_record,
             "records_dead_on_arrival": engine.records_dead_on_arrival,
             "records_cold": engine.records_cold,
             "event_time_watermark": engine.event_time_watermark,
@@ -358,7 +357,8 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         engine._sequence = counters["sequence"]
         engine.edges_processed = counters["edges_processed"]
         engine.records_batched = counters["records_batched"]
-        engine.records_per_record = counters["records_per_record"]
+        # the retired per-record path's records_per_record, if present, is
+        # ignored: those records were run, and edges_processed counts them
         engine.records_dead_on_arrival = counters["records_dead_on_arrival"]
         # snapshots from before the cold ring stored every record: empty ring
         engine.records_cold = counters.get("records_cold", 0)

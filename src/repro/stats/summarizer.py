@@ -198,9 +198,9 @@ class StreamSummarizer:
         Edges must already be stored in ``graph`` (so first-sight endpoint
         labels resolve).  Feeding a stream edge by edge, in batches, or any
         mix of the two yields the same statistics, with one exception: the
-        engine's batched path defers the run's eviction sweep, so legs the
-        per-record path would have retracted mid-run stay live until the run
-        ends and can form wedges with the run's later edges.  (The sketch
+        engine defers a run's eviction sweep to its end, so legs a finer
+        split would have retracted mid-run stay live until the run ends and
+        can form wedges with the run's later edges.  (The sketch
         backend's bounded heavy-hitter *display* tables also depend on the
         grouping once an alphabet outgrows them; its counts do not.)
         """

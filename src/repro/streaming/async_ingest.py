@@ -26,8 +26,11 @@ semantic drift:
 **Equivalence contract.**  The ingest thread processes one submitted batch
 at a time -- admit, drain the buffer once, capture the watermark -- which
 is exactly the per-``process_batch`` release cadence of the synchronous
-path.  Released prefixes are processed in submission order on one thread.
-The event stream (matches, order, sequence numbers) after ``flush()`` or
+path.  Released prefixes are processed in submission order on one thread,
+through the same engine front methods the synchronous ``process_batch``
+and ``flush`` call (:class:`~repro.core.ingest.IngestFront`), so the batch
+count and the replan cadence advance exactly as they would there.  The
+event stream (matches, order, sequence numbers) after ``flush()`` or
 ``close()`` is therefore **byte-for-byte identical** to feeding the same
 batches through ``engine.process_batch`` + ``engine.flush()`` -- pinned by
 the conformance and crash-recovery tests.
@@ -63,7 +66,8 @@ class AsyncIngestFrontend:
         A :class:`~repro.core.engine.StreamWorksEngine` or
         :class:`~repro.core.sharded.ShardedStreamEngine` whose config sets
         ``allowed_lateness`` (the frontend owns that reorder buffer while
-        open).
+        open, and hands each release to the engine's
+        :class:`~repro.core.ingest.IngestFront` on the consumer thread).
     max_queue_batches:
         Bound on the submission queue; :meth:`submit` blocks once this many
         batches are waiting for admission (backpressure toward the
@@ -94,12 +98,10 @@ class AsyncIngestFrontend:
             )
         if max_queue_batches <= 0:
             raise ValueError("max_queue_batches must be positive")
-        engine_config = getattr(engine.config, "engine", engine.config)
-        if engine_config.checkpoint_every is not None:
-            # batch-cadence autosave fires inside process_batch, which the
-            # frontend bypasses; an autosave racing the ingest thread could
-            # also snapshot an inconsistent cut.  Refuse loudly instead of
-            # silently never autosaving.
+        if engine.engine_config.checkpoint_every is not None:
+            # batch-cadence autosave would fire on the consumer thread while
+            # the ingest thread may be mid-admission, snapshotting an
+            # inconsistent cut of the buffer.  Refuse loudly instead.
             raise ValueError(
                 "EngineConfig(checkpoint_every=...) autosave is a synchronous-"
                 "ingest feature; with AsyncIngestFrontend, call "
@@ -148,9 +150,9 @@ class AsyncIngestFrontend:
                     watermark = self._buffer.watermark
                 # park an item for EVERY batch (empty releases included):
                 # drain() then mirrors the synchronous path call for call --
-                # one _process_released + one batches_processed bump per
-                # submitted batch -- so watermark stamps and batch counters
-                # stay byte-identical to feeding process_batch directly
+                # one engine._process_batch_release per submitted batch --
+                # so watermark stamps and batch counters stay byte-identical
+                # to feeding process_batch directly
                 with self._released_lock:
                     self._released.append((ready, late, watermark))
                     # bumped strictly AFTER the park, inside the same lock
@@ -217,16 +219,16 @@ class AsyncIngestFrontend:
         """Run every currently-released prefix through the engine.
 
         Non-blocking with respect to admission: batches still queued or
-        mid-admission are left for a later drain.  Returns the events in
-        exactly the order the synchronous path would have produced them;
-        also advances ``engine.batches_processed`` one-for-one with the
-        submitted batches, as ``process_batch`` would.
+        mid-admission are left for a later drain.  Each release goes
+        through the method ``process_batch`` ends in, so the events come in
+        exactly the order the synchronous path would have produced them and
+        ``engine.batches_processed`` and the replan cadence advance
+        one-for-one with the submitted batches.
         """
         self._check_error()
         events: List[MatchEvent] = []
         for ready, late, watermark in self._take_released():
-            events.extend(self.engine._process_released(ready, late, watermark))
-            self.engine.batches_processed += 1
+            events.extend(self.engine._process_batch_release(ready, late, watermark))
         return events
 
     def _barrier(self) -> None:
@@ -278,8 +280,9 @@ class AsyncIngestFrontend:
         events, (remainder, watermark) = self._quiesced(
             lambda: (self._buffer.flush(), self._buffer.watermark)
         )
-        if remainder:
-            events.extend(self.engine._process_flushed(remainder, watermark))
+        # the release engine.flush() makes, with the watermark captured
+        # under the buffer lock
+        events.extend(self.engine._process_released(remainder, (), watermark))
         return events
 
     def checkpoint(self, path: str) -> Dict[str, Any]:

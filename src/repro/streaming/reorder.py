@@ -56,10 +56,11 @@ class LatePolicy:
     ``DROP`` (default) discards genuinely-late records, counting them --
     the classic streaming choice when downstream exactness matters more
     than completeness.  ``PROCESS_DEGRADED`` hands them back to the caller
-    for immediate out-of-band processing on the exact per-record path:
-    the record is not lost, but it is matched against whatever history the
-    store still retains (earlier context may already be evicted), so its
-    results carry best-effort rather than in-order semantics.
+    for immediate out-of-band processing (the engines run each as a
+    one-record batch): the record is not lost, but it is matched against
+    whatever history the store still retains (earlier context may already
+    be evicted or swept), so its results carry best-effort rather than
+    in-order semantics.
     """
 
     DROP = "drop"

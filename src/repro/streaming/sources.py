@@ -541,7 +541,7 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         )
 
 
-def reorder_buffer_from_state(state: Mapping[str, Any]) -> ReorderBuffer:
+def reorder_buffer_from_state(state: Mapping[str, Any]) -> "MultiSourceReorderBuffer":
     """Rebuild an *engine-owned* reorder buffer from a ``state_dict`` payload.
 
     Dispatches on the payload's ``kind`` tag.  Engines always own the

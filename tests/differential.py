@@ -259,11 +259,12 @@ class ProbedReferenceEngine(StreamWorksEngine):
     stores, folds and evicts every record -- the store the gate must be
     indistinguishable from -- and run-split batching of a disordered
     stream behaves exactly as in the engine.  Routing is not the engine's
-    either: every live record runs :meth:`_collect_matches`, the per-record
-    path's fresh dispatch-index probe, with no cached plan, compiled leaf
-    check or interval index in front.  The dispatch counters and
-    per-matcher edge counters it produces are what the route plans' bulk
-    replay must equal.
+    either: every live record runs :meth:`_collect_matches`, a fresh
+    dispatch-index probe, with no cached plan, compiled leaf check or
+    interval index in front.  The dispatch counters and per-matcher edge
+    counters it produces are what the route plans' bulk replay must equal.
+    Every ingest entry point reaches this run loop, a single record as a
+    one-record run, as in the engine.
     """
 
     def _run_fast_path(self, records, expiry_anchor, events):
@@ -294,7 +295,7 @@ class ProbedReferenceEngine(StreamWorksEngine):
         for index, edge in enumerate(ingested):
             if edge is not None:
                 found = []
-                self._collect_matches(edge, found, expire=False)
+                self._collect_matches(edge, found)
                 for registration, match in found:
                     # the per-record path completes a match on its last edge
                     last = max(positions.get(e.id, index) for e in match.edge_map.values())
@@ -305,6 +306,23 @@ class ProbedReferenceEngine(StreamWorksEngine):
             self.edges_processed += 1
         self.graph.evict_expired()
 
+    def _collect_matches(self, edge, found):
+        """Append ``(registration, match)`` for every completion ``edge`` makes.
+
+        The dispatch index is probed afresh for this one edge: only the
+        (query, leaf) pairs it names are searched.
+        """
+        if self.dispatch.front_rejects(edge.label):
+            return
+        source_label = self._endpoint_label(edge.source)
+        target_label = self._endpoint_label(edge.target)
+        for owner, leaf_ids in self.dispatch.candidates(edge.label, source_label, target_label):
+            registration = self.queries[owner]
+            matcher = registration.matcher
+            leaves = [matcher.tree.node(leaf_id) for leaf_id in leaf_ids]
+            for match in matcher.process_edge_leaves(edge, leaves):
+                found.append((registration, match))
+
 
 class ExhaustiveReferenceEngine(ProbedReferenceEngine):
     """Stores every record; runs every leaf of every registered matcher on every live one.
@@ -312,21 +330,10 @@ class ExhaustiveReferenceEngine(ProbedReferenceEngine):
     The dispatch index, the route plans built on it and their interval
     indexes may only skip leaves that cannot bind a record, and the cold
     gate may only keep such records out of the store; this engine skips
-    and gates nothing, so its events are what routing must reproduce.  The
-    per-record path (``process_record``, late records under
-    ``process_degraded``) searches every leaf as well.  It still sweeps
-    expiry only on the matchers the dispatch index routes the record to, as
-    the engine's per-record path does: once records may be late, which
-    partials a late record can complete depends on that sweep set, so it is
-    per-record semantics rather than routing.
+    and gates nothing, so its events are what routing must reproduce.
     """
 
-    def _collect_matches(self, edge, found, expire):
-        if expire and not self.dispatch.front_rejects(edge.label):
-            source_label = self._endpoint_label(edge.source)
-            target_label = self._endpoint_label(edge.target)
-            for owner, _ in self.dispatch.candidates(edge.label, source_label, target_label):
-                self.queries[owner].matcher.expire_partials(edge.timestamp)
+    def _collect_matches(self, edge, found):
         for registration in self.queries.values():
             matcher = registration.matcher
             for match in matcher.process_edge_leaves(edge, matcher.tree.leaves()):

@@ -56,6 +56,7 @@ def test_graph_summary_keeps_empty_components_passed_by_the_caller():
 _TRIAD_SCRIPT = """
 import json
 from repro.core import EngineConfig, StreamWorksEngine
+from repro.query.query_graph import QueryGraph
 from repro.streaming import StreamEdge
 
 hubs = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
@@ -71,7 +72,12 @@ for left, right in zip(hubs, hubs[1:]):   # hub-hub edges: a sweep at BOTH ends
     records.append(StreamEdge(left, right, "link", clock,
                               source_label="Hub", target_label="Hub"))
 engine = StreamWorksEngine(config=EngineConfig(default_window=12.0))
-engine.process_batch(records[:10])    # batched fold, then the per-record path,
+query = QueryGraph("any")             # a wildcard edge binds every record, so
+query.add_vertex("a")                 # every record is stored and folded
+query.add_vertex("b")
+query.add_edge("a", "b")
+engine.register_query(query)
+engine.process_batch(records[:10])    # one batched fold, then one-record runs,
 for record in records[10:]:           # with the window evicting under both
     engine.process_record(record)
 assert engine.graph.edges_evicted > 0

@@ -387,10 +387,9 @@ class TestShardedBatchSplitEquivalence:
 
         single = self.build_single_engine()
         single_events = list(single.process_batch(records))
-        # the disordered batch ran on the fast path (split into runs), not
-        # the per-record loop
+        # the disordered batch ran as its ordered runs, not record by record
         assert single.records_batched == len(records)
-        assert single.records_per_record == 0
+        assert single.batches_vectorized == len(runs)
 
         run_fed = self.build_single_engine()
         run_fed_events = []

@@ -243,7 +243,6 @@ class TestEngineEventTime:
 
         assert canonical(events) == canonical(oracle_events)
         assert reordered.records_batched == len(shuffled)
-        assert reordered.records_per_record == 0
         stats = reordered.metrics()["reorder"]
         assert stats["records_late"] == 0
         assert stats["records_released"] == len(shuffled)
@@ -268,7 +267,8 @@ class TestEngineEventTime:
         assert [event.query_name for event in events] == ["ab"]
         stats = engine.metrics()["reorder"]
         assert stats["records_late_degraded"] == 1
-        assert engine.records_per_record == 1
+        # the two on-time records and the late one, each run by the engine
+        assert engine.records_batched == 3
 
     def test_process_stream_flushes_the_tail(self):
         rng = random.Random(5)
@@ -281,11 +281,6 @@ class TestEngineEventTime:
         expected = sorted_engine.process_stream(sorted(shuffled, key=lambda r: r.timestamp))
         assert multiset(events) == multiset(expected)
         assert len(reordered.reorder) == 0
-
-    def test_expiry_anchor_rejected_with_event_time_ingestion(self):
-        engine = build_single(allowed_lateness=1.0)
-        with pytest.raises(ValueError):
-            engine.process_batch([edge(1.0)], expiry_anchor=0.0)
 
 
 # ----------------------------------------------------------------------
@@ -308,10 +303,10 @@ class TestRunSplitRegression:
 
         batched = build_single()
         batched_events = batched.process_batch(records)
-        # regression: this used to demote all 1000 records to the per-record
-        # path; now only the inversion point splits the batch into two runs
+        # regression: this used to demote all 1000 records to a per-record
+        # loop; now only the inversion point splits the batch into two runs
         assert batched.records_batched == 1000
-        assert batched.records_per_record == 0
+        assert batched.batches_vectorized == 2
 
         per_record = build_single()
         per_record_events = []
@@ -357,9 +352,7 @@ class TestShardedEventTime:
             StreamEdge("n", "o", "rel_b", 6.0),
         ]
         assert canonical(sharded.process_batch(batch)) == canonical(single.process_batch(batch))
-        assert single.records_batched == 4 and single.records_per_record == 0
-        for shard_engine in sharded.shards:
-            assert shard_engine.records_per_record == 0
+        assert single.records_batched == 4
         assert sharded.shards[0].records_batched == 2
         assert sharded.shards[1].records_batched == 2
 

@@ -473,7 +473,8 @@ def arm(engine, kind):
     # armed per instance, so a restored engine (always a plain one) is
     # re-armed the same way
     if kind == "oracle":
-        engine._run_fast_path = types.MethodType(ProbedReferenceEngine._run_fast_path, engine)
+        for name in ("_run_fast_path", "_collect_matches"):
+            setattr(engine, name, types.MethodType(getattr(ProbedReferenceEngine, name), engine))
     elif kind == "cleared":
         run = engine._run_fast_path
 
