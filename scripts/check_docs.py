@@ -120,11 +120,7 @@ def check_metrics_coverage(errors: list) -> None:
     record = StreamEdge("1", "2", "x", 1.0, source_label="Host", target_label="Host")
 
     single = StreamWorksEngine(
-        config=EngineConfig(
-            allowed_lateness=1.0,
-            dedup_memory_budget=16,
-            sketch_stats=True,
-        )
+        config=EngineConfig(allowed_lateness=1.0, sketch_stats=True)
     )
     single.register_query(tiny_query(), window=5.0)
     single.process_batch([record])

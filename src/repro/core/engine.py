@@ -43,6 +43,7 @@ Typical use::
 from __future__ import annotations
 
 from collections import deque
+from operator import attrgetter
 from time import perf_counter
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -50,7 +51,6 @@ from ..graph.dynamic_graph import DynamicGraph
 from ..graph.interning import InternTable
 from ..graph.types import Edge, Timestamp, VertexId
 from ..graph.window import TimeWindow
-from ..isomorphism.match import Match
 from ..query.compile import referenced_attr_names
 from ..query.query_graph import QueryGraph
 from ..stats.plan_monitor import PlanMonitor
@@ -70,7 +70,7 @@ from ..streaming.metrics import LatencyRecorder, ThroughputMeter, replan_summary
 from .decomposition import Decomposition, Strategy
 from .dispatch import DispatchIndex
 from .ingest import IngestFront
-from .matcher import ContinuousQueryMatcher
+from .matcher import ContinuousQueryMatcher, canonical_match_key
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
 from .route_plan import RoutePlan, build_route_plan
 
@@ -102,25 +102,20 @@ def intern_query_vocabulary(table: InternTable, query: QueryGraph) -> None:
         table.intern_all(referenced_attr_names(query_vertex.predicate))
 
 
-def _canonical_match_key(match: Match) -> str:
-    """Return a plan-independent, cross-process-stable ordering key for a match.
-
-    Within a single trigger edge the *discovery* order of complete matches is
-    an artefact of the active plan (leaf iteration and join order), so it
-    cannot survive a replan; same-trigger events are ordered by this key
-    instead, which depends only on the match content.  Built from sorted
-    reprs rather than ``portable_identity()`` because frozenset iteration
-    order is hash-seed-dependent and must not leak into event order.
-    """
-    vertices = sorted(match.vertex_map.items(), key=repr)
-    edges = sorted(
-        (
-            (query_edge, edge.source, edge.target, edge.label, edge.timestamp)
-            for query_edge, edge in match.edge_map.items()
-        ),
-        key=repr,
-    )
-    return repr((vertices, edges))
+#: ``metrics()["sketch"]["dedup_memory"]``: the counters of the retired
+#: duplicate-suppression memory.  Exactly-once discovery left nothing to
+#: suppress, so they read zero; the keys stay for readers that still ask.
+RETIRED_DEDUP_METRICS: Dict[str, Any] = {
+    "budget": None,
+    "entries": 0,
+    "peak_entries": 0,
+    "probes": 0,
+    "front_negatives": 0,
+    "front_false_positives": 0,
+    "confirms": 0,
+    "evictions_budget": 0,
+    "evictions_horizon": 0,
+}
 
 
 def required_retention(
@@ -189,7 +184,6 @@ class EngineConfig:
         checkpoint_path: Optional[str] = None,
         replan_threshold: Optional[float] = None,
         replan_check_every: Optional[int] = None,
-        dedup_memory_budget: Optional[int] = None,
         sketch_stats: bool = False,
     ):
         self.default_window = self.validate_default_window(default_window)
@@ -309,20 +303,6 @@ class EngineConfig:
             if replan_check_every <= 0:
                 raise ValueError("replan_check_every must be a positive edge count or None")
         self.replan_check_every = replan_check_every
-        #: Bound each matcher's duplicate-suppression stores to this many
-        #: entries (``None`` = unbounded, the historical behaviour).  Entries
-        #: expire against the graph retention window regardless; the budget
-        #: additionally caps adversarial high-cardinality growth with
-        #: deterministic oldest-horizon-first eviction.  Suppression stays
-        #: exact whenever the budget covers the identities alive inside the
-        #: retention horizon.
-        if dedup_memory_budget is not None:
-            dedup_memory_budget = int(dedup_memory_budget)
-            if dedup_memory_budget <= 0:
-                raise ValueError(
-                    "dedup_memory_budget must be a positive entry count or None"
-                )
-        self.dedup_memory_budget = dedup_memory_budget
         #: Back the stream summarizer's label/signature counters with
         #: count-min sketches (bounded memory at high label cardinality)
         #: instead of exact dicts.  Counts become one-sided estimates, which
@@ -542,7 +522,6 @@ class StreamWorksEngine(IngestFront):
                 else self.config.dedupe_structural
             ),
             store_complete_matches=self.config.store_complete_matches,
-            dedup_memory_budget=self.config.dedup_memory_budget,
         )
         registration = RegisteredQuery(query_name, query, query_window, plan, matcher)
         self.queries[query_name] = registration
@@ -626,12 +605,11 @@ class StreamWorksEngine(IngestFront):
         tree by replaying the window store through the new plan's leaves (see
         :meth:`_migrate_matcher_state`), so an event that was mid-assembly at
         the moment of re-planning is still detected when its remaining edges
-        arrive.  Already-reported matches stay reported (the matcher's
-        duplicate-suppression memory carries over), so a replan changes
-        neither the match set nor the event order -- only the cost of
-        computing it.  Must be called at a quiescent boundary (between
-        records or batches), which is the only place the engine itself ever
-        replans.
+        arrive.  Already-reported matches stay reported and are not reported
+        again (the replay emits nothing), so a replan changes neither the
+        match set nor the event order -- only the cost of computing it.
+        Must be called at a quiescent boundary (between records or batches),
+        which is the only place the engine itself ever replans.
         """
         if name not in self.queries:
             raise KeyError(name)
@@ -649,12 +627,7 @@ class StreamWorksEngine(IngestFront):
             window=registration.window,
             dedupe_structural=old_matcher.dedupe_structural,
             store_complete_matches=old_matcher.store_complete_matches,
-            dedup_memory_budget=old_matcher.dedup_memory_budget,
         )
-        # carry the duplicate-suppression memory (the same store objects) so
-        # re-planning never causes an already-delivered event to be delivered
-        # again -- the migration replay below relies on this to stay silent
-        new_matcher.adopt_dedup_memories(*old_matcher.dedup_memories())
         migrated, dropped = self._migrate_matcher_state(old_matcher, new_matcher)
         registration.plan = new_plan
         registration.matcher = new_matcher
@@ -674,18 +647,19 @@ class StreamWorksEngine(IngestFront):
 
         The new tree's shape need not resemble the old one's, so partials are
         not copied node-for-node; instead the retained window store is
-        *replayed* through the new plan's leaves, which rebuilds every
-        admissible partial the new tree can hold.  The replay emits nothing:
-        every complete match over retained edges was already reported when
-        its last edge was dispatched (the engine emits at a completion's last
-        edge), so the carried duplicate-suppression memory silences it, and
-        window-inadmissible combinations are re-rejected by the same span
-        checks that rejected them live.
+        *replayed* through the new plan's leaves in ascending edge-id order,
+        the order the edges were first searched in.  Under the newest-edge
+        rule each edge finds only embeddings whose other edges precede it,
+        so the replay rebuilds every admissible partial the new tree can
+        hold exactly once, and window-inadmissible combinations are
+        re-rejected by the same span checks that rejected them live.  The
+        replay runs with emission off: every complete match over retained
+        edges was already reported at its newest edge.
 
         The root collection (complete-match history, when
         ``store_complete_matches`` is on) is copied verbatim first: the root
-        subgraph is the full query under *every* plan, and the replay cannot
-        rebuild suppressed completions.
+        subgraph is the full query under *every* plan, and the replay, which
+        emits nothing, does not rebuild it.
 
         Returns ``(migrated, dropped)``: partials stored in the new tree
         after the replay, and old partials referencing already-evicted edges,
@@ -709,8 +683,8 @@ class StreamWorksEngine(IngestFront):
         if new_matcher.store_complete_matches:
             new_matcher.adopt_complete_matches(old_matcher.tree.root.all_matches())
         leaves = new_matcher.tree.leaves()
-        for edge in self.graph.edges():
-            new_matcher.process_edge_leaves(edge, leaves)
+        for edge in sorted(self.graph.edges(), key=attrgetter("id")):
+            new_matcher.process_edge_leaves(edge, leaves, emit=False)
         migrated = sum(
             node.match_count()
             for node in new_matcher.tree.nodes.values()
@@ -833,7 +807,7 @@ class StreamWorksEngine(IngestFront):
         if len(completions) > 1:
             order = {name: index for index, name in enumerate(self.queries)}
             completions.sort(
-                key=lambda item: (order[item[0].name], _canonical_match_key(item[1]))
+                key=lambda item: (order[item[0].name], canonical_match_key(item[1]))
             )
         for registration, match in completions:
             event = MatchEvent(
@@ -1085,23 +1059,14 @@ class StreamWorksEngine(IngestFront):
         Every record of the run -- dead and cold ones too -- takes a
         trigger index (``edges_processed``) by its position in the run.
 
-        Emission anchoring: the run is pre-ingested, so a completion whose
-        edges all lie inside the run is *discovered* at whichever of its
-        edges happens to be dispatched first -- and which edge that is
-        depends on the active plan's leaf partition.  To keep detection
-        plan-independent, and independent of how the stream was cut into
-        runs, every completion's emission is deferred to the dispatch of its
-        LAST in-run edge -- the edge that completes it when every record is
-        its own one-record run.  Every edge of a completion is hot, so that
-        edge is always dispatched here.  Deferral is safe within a run: nothing is evicted
-        mid-run (dead-on-arrival records are removed before any later record
-        is dispatched and can belong to no completion), and the
-        duplicate-suppression memory prevents a deferred match from being
-        rediscovered at its later edges.
+        A completion emits at the record that found it.  The run is stored
+        before it is searched, but local search binds only partners older
+        (by ingest id) than the record searched, so a completion is found at
+        its newest edge -- the edge that completes it when every record is
+        its own one-record run.  Detection is therefore independent of the
+        plan and of how the stream was cut into runs.
         """
         base = self.edges_processed
-        positions = {edge.id: position for position, edge, _ in hot}
-        deferred: Dict[int, List] = {}
         record_latency = self.config.record_latency
         self.batches_vectorized += 1
         for position, edge, searches in hot:
@@ -1113,16 +1078,8 @@ class StreamWorksEngine(IngestFront):
                 registration = owner.registration
                 for match in registration.matcher.process_edge_leaves(edge, leaves):
                     found.append((registration, match))
-            for registration, match in found:
-                target = position  # every completion contains the current edge
-                for match_edge in match.edge_map.values():
-                    later = positions.get(match_edge.id)
-                    if later is not None and later > target:
-                        target = later
-                deferred.setdefault(target, []).append((registration, match))
-            due = deferred.pop(position, None)
-            if due:
-                self._emit_trigger(due, edge.timestamp, base + position, events)
+            if found:
+                self._emit_trigger(found, edge.timestamp, base + position, events)
             if stopwatch_start is not None:
                 self.latency.record(perf_counter() - stopwatch_start)
         self.edges_processed = base + run_length
@@ -1258,8 +1215,7 @@ class StreamWorksEngine(IngestFront):
 
         The snapshot covers everything the resume contract needs: the
         window store (index iteration orders included), every matcher's
-        partial-match collections and duplicate-suppression memory, the
-        reorder buffer (contents, watermark, late counters), the stream
+        partial-match collections, the reorder buffer (contents, watermark, late counters), the stream
         summarizer (its live triad legs are not stored: restore recounts
         them from the window store), registered queries with
         their exact plans, collected events, and all deterministic
@@ -1397,33 +1353,12 @@ class StreamWorksEngine(IngestFront):
         }
 
     def _sketch_metrics(self) -> Dict[str, Any]:
-        """Aggregate sketch counters for ``metrics()["sketch"]``.
+        """Sketch facts for ``metrics()["sketch"]``: the statistics backend.
 
-        Always present (zeros when the sketches are off) so dashboards and
-        the sharded parent's rollup see a uniform shape.  Dedup counters sum
-        the identity and structural stores across every registered matcher;
-        the per-store split is diagnostic-only and not surfaced.
+        ``dedup_memory`` is :data:`RETIRED_DEDUP_METRICS`, all zero.
         """
-        dedup: Dict[str, Any] = {
-            "budget": self.config.dedup_memory_budget,
-            "entries": 0,
-            "peak_entries": 0,
-            "probes": 0,
-            "front_negatives": 0,
-            "front_false_positives": 0,
-            "confirms": 0,
-            "evictions_budget": 0,
-            "evictions_horizon": 0,
-        }
-        for registration in self.queries.values():
-            for memory in registration.matcher.dedup_memories():
-                stats = memory.stats()
-                for key in dedup:
-                    if key == "budget":
-                        continue
-                    dedup[key] += stats[key]
         return {
-            "dedup_memory": dedup,
+            "dedup_memory": dict(RETIRED_DEDUP_METRICS),
             "stats_backend": "countmin" if self.config.sketch_stats else "exact",
         }
 

@@ -9,7 +9,15 @@ embedding of the primitive that *uses the new edge*.
 Restricting the search to embeddings containing the new edge is what makes
 the whole algorithm incremental: embeddings made entirely of old edges were
 already found when their own last edge arrived, so re-finding them would both
-waste time and create duplicates.
+waste time and create duplicates.  The restriction is taken one step
+further, to the *newest-edge rule*: a search seeded at edge ``e`` binds
+partner edges only when their ingest id is below ``e.id``.  The engine
+stores a whole run before searching it, so without the rule a two-edge
+embedding whose edges both fall in the run would be found once from each;
+with it every embedding is found exactly once, at its newest edge, and no
+memory of what was already found is needed.  Ingest ids, not timestamps,
+order the edges, so a late record is simply the newest edge of whatever
+embeddings it completes.
 
 The enumeration seeds the generic backtracking matcher with a binding of the
 new edge onto each query edge of the primitive it can legally play, then lets
@@ -104,11 +112,13 @@ class LocalSearcher:
     def find(self, primitive: QueryGraph, new_edge: Edge) -> List[Match]:
         """Return all embeddings of ``primitive`` that include ``new_edge``.
 
-        No two results share a binding identity, without any bookkeeping:
-        seeds differ in the query edge ``new_edge`` plays (or in its
-        orientation), the completions of one seed differ in a data edge (or
-        its orientation), and candidate enumeration lists every data edge
-        once.
+        Only embeddings whose other edges all have smaller ids are returned
+        (the newest-edge rule), so over a stream each embedding is returned
+        by exactly one ``find``.  No two results share a binding identity,
+        without any bookkeeping: seeds differ in the query edge ``new_edge``
+        plays (or in its orientation), the completions of one seed differ in
+        a data edge (or its orientation), and candidate enumeration lists
+        every data edge once.
         """
         results: List[Match] = []
         probe = self._probes.get(primitive)
@@ -118,7 +128,7 @@ class LocalSearcher:
             return results
         for seed in self.seeds(primitive, new_edge):
             self.searches_started += 1
-            for match in self._matcher.find_matches(primitive, seed=seed):
+            for match in self._matcher.find_matches(primitive, seed=seed, id_bound=new_edge.id):
                 results.append(match)
                 self.matches_found += 1
         return results

@@ -19,14 +19,17 @@ Partial matches are expired once their earliest edge has aged out of the
 query window (they can never complete any more), which keeps both memory and
 join fan-out bounded on long streams.
 
-Duplicate-suppression memory ("which matches have we already reported?") is
-held in :class:`~repro.sketch.dedup.DedupMemory` -- a cuckoo-filter front
-over a bounded exact confirm store -- instead of grow-only sets.  Entries
-expire against the *graph retention* window (not the query window): the only
-mechanisms that can re-derive an already-reported identity are same-run
-re-discovery and replan migration replay, both of which operate exclusively
-on edges still retained in the graph, so an identity whose earliest edge has
-been evicted can never be probed again and its memory can be reclaimed.
+**Exactly-once discovery.**  Local search seeded at edge ``e`` binds partner
+edges only when their ingest id is below ``e.id`` (the newest-edge rule,
+:mod:`repro.core.local_search`), so each primitive embedding is found once,
+at its newest edge.  Joins inherit that: two sibling matches are joined when
+the later of them is stored, once; and a completion is found -- and returned
+-- at the newest edge of its embedding, whatever the plan or the way the
+stream was cut into runs.  The matcher therefore keeps no memory of what it
+has reported.  With ``dedupe_structural`` the automorphic variants of one
+embedding bind the same edge set, so they share a newest edge and complete
+in the same :meth:`ContinuousQueryMatcher.process_edge_leaves` call, which
+keeps the one with the least :func:`canonical_match_key`.
 """
 
 from __future__ import annotations
@@ -38,35 +41,33 @@ from ..graph.window import TimeWindow
 from ..isomorphism.match import Match
 from ..query.compile import CompiledQuery
 from ..query.query_graph import QueryGraph
-from ..sketch import DedupMemory
 from .decomposition import Decomposition
 from .join import try_join
 from .local_search import LocalSearcher
 from .sjtree import SJTree, SJTreeNode
 
-__all__ = ["MatcherStats", "ContinuousQueryMatcher"]
+__all__ = ["MatcherStats", "ContinuousQueryMatcher", "canonical_match_key"]
 
 
-def _identity_key(identity: Tuple[frozenset, frozenset]) -> str:
-    """Render a match identity as its canonical string key.
+def canonical_match_key(match: Match) -> str:
+    """Return a plan-independent, cross-process-stable ordering key for a match.
 
-    Uses the same sorted-``repr`` canonicalisation the matcher snapshots
-    have always used for identity sets, so keys are hash-seed independent,
-    JSON-safe, and equal to ``repr()`` of the legacy snapshot entries
-    (which is how pre-sketch snapshots are migrated on load).
+    Within a single trigger edge the *discovery* order of complete matches is
+    an artefact of the active plan (leaf iteration and join order), so it
+    cannot survive a replan; same-trigger events are ordered by this key
+    instead, which depends only on the match content.  Built from sorted
+    reprs rather than ``portable_identity()`` because frozenset iteration
+    order is hash-seed-dependent and must not leak into event order.
     """
-    vertices, edges = identity
-    return repr(
-        [
-            sorted(([name, vertex] for name, vertex in vertices), key=repr),
-            sorted([query_edge, edge_id] for query_edge, edge_id in edges),
-        ]
+    vertices = sorted(match.vertex_map.items(), key=repr)
+    edges = sorted(
+        (
+            (query_edge, edge.source, edge.target, edge.label, edge.timestamp)
+            for query_edge, edge in match.edge_map.items()
+        ),
+        key=repr,
     )
-
-
-def _edge_set_key(edge_set: FrozenSet[int]) -> str:
-    """Render a structural identity (set of data edge ids) canonically."""
-    return repr(sorted(edge_set))
+    return repr((vertices, edges))
 
 
 class MatcherStats:
@@ -78,6 +79,8 @@ class MatcherStats:
         self.joins_attempted = 0
         self.joins_succeeded = 0
         self.complete_matches = 0
+        #: Completions dropped by ``dedupe_structural`` (automorphic
+        #: variants of an edge set already reported in the same call).
         self.duplicate_matches_suppressed = 0
         self.partial_matches_expired = 0
         self.peak_stored_matches = 0
@@ -124,19 +127,14 @@ class ContinuousQueryMatcher:
         The query's time window ``tW``.
     dedupe_structural:
         When ``True``, complete matches that bind the same set of data edges
-        as an already-reported match are suppressed.  Queries with automorphic
-        patterns (e.g. "three articles share a keyword") otherwise report
-        every permutation of the interchangeable variables as a separate
-        match; event-oriented users generally want one event per edge set.
+        are reported once, as the variant with the least
+        :func:`canonical_match_key`.  Queries with automorphic patterns (e.g.
+        "three articles share a keyword") otherwise report every permutation
+        of the interchangeable variables as a separate match; event-oriented
+        users generally want one event per edge set.
     store_complete_matches:
         Keep complete matches in the root's collection (Property 3 applied to
         the root).  Disable to save memory on very high match-rate streams.
-    dedup_memory_budget:
-        Maximum number of entries in each duplicate-suppression store
-        (``None`` = unbounded).  When the budget covers every identity alive
-        inside the graph retention horizon -- the common case -- suppression
-        is exact; under adversarial cardinality the store stays bounded and
-        the oldest-horizon entries are evicted first, deterministically.
 
     The query's predicate trees are compiled into flat closures
     (:class:`~repro.query.compile.CompiledQuery`) once, here at
@@ -154,7 +152,6 @@ class ContinuousQueryMatcher:
         window: Optional[TimeWindow] = None,
         dedupe_structural: bool = False,
         store_complete_matches: bool = True,
-        dedup_memory_budget: Optional[int] = None,
     ):
         self.query = query
         self.decomposition = decomposition
@@ -162,7 +159,6 @@ class ContinuousQueryMatcher:
         self.window = window if window is not None else TimeWindow(None)
         self.dedupe_structural = dedupe_structural
         self.store_complete_matches = store_complete_matches
-        self.dedup_memory_budget = dedup_memory_budget
         #: Per-query compiled predicate tables.  Never serialised: snapshots
         #: carry only a shape marker and restore recompiles by rebuilding
         #: the matcher.
@@ -182,8 +178,6 @@ class ContinuousQueryMatcher:
         #: store / expiry / clear so the peak needs no whole-tree recount;
         #: rebuilt from the restored tree on :meth:`load_state`.
         self._tree_stored = 0
-        self._dedup_identities = DedupMemory(budget=dedup_memory_budget, seed=31)
-        self._dedup_edge_sets = DedupMemory(budget=dedup_memory_budget, seed=37)
 
     # ------------------------------------------------------------------
     # main entry points
@@ -192,11 +186,11 @@ class ContinuousQueryMatcher:
     def idle(self) -> bool:
         """``True`` when :meth:`expire_partials` would find nothing to visit.
 
-        No stored match and no duplicate-suppression entry: the engine's
-        batched path skips the sweep call for such a matcher (most of a large
-        query set, most of the time, on short watermark-released runs).
+        No stored match: the engine's batched path skips the sweep call for
+        such a matcher (most of a large query set, most of the time, on short
+        watermark-released runs).
         """
-        return not (self._tree_stored or self._dedup_identities or self._dedup_edge_sets)
+        return not self._tree_stored
 
     def expire_partials(self, now: float) -> int:
         """Sweep partial matches that can no longer complete; return the count dropped.
@@ -211,27 +205,23 @@ class ContinuousQueryMatcher:
         dropped = self.tree.expire_matches(self.window, now)
         self.stats.partial_matches_expired += dropped
         self._tree_stored -= dropped
-        # Reclaim dedup memory on the same cadence, but against the *graph
-        # retention* window: an identity whose earliest edge is no longer
-        # retained cannot be re-derived by any path (same-run re-discovery
-        # and replan migration both replay retained edges only), so its
-        # entry is dead weight.  ``now`` is the caller's conservative
-        # batch-start anchor, which only ever retains entries longer.
-        retention = self.graph.window
-        self._dedup_identities.expire(retention, now)
-        self._dedup_edge_sets.expire(retention, now)
         return dropped
 
-    def process_edge_leaves(self, edge: Edge, leaves) -> List[Match]:
+    def process_edge_leaves(self, edge: Edge, leaves, emit: bool = True) -> List[Match]:
         """Run local search for ``edge`` on a subset of SJ-Tree leaves.
 
         This is the per-leaf entry point the engine's dispatch index uses:
         when the index proves an edge can only seed some of the leaves, only
         those are searched.  Callers are responsible for expiry cadence (see
         :meth:`expire_partials`); :meth:`process_edge` composes both.
+
+        Returns the completions ``edge`` is the newest edge of.  With
+        ``emit=False`` partials are stored and joined as usual but
+        completions are neither stored, counted nor returned: a replan
+        replays the window store that way, over history already reported.
         """
         self.stats.edges_processed += 1
-        new_matches: List[Match] = []
+        completions: List[Match] = []
         found_any = False
         for leaf in leaves:
             primitive_matches = self.local_searcher.find(leaf.subgraph, edge)
@@ -240,13 +230,17 @@ class ContinuousQueryMatcher:
             found_any = True
             self.stats.leaf_matches_found += len(primitive_matches)
             for match in primitive_matches:
-                self._insert(leaf, match, new_matches)
-        # the stored count only grows inside _insert (expiry runs between
+                self._insert(leaf, match, completions)
+        if not emit:
+            completions = []
+        elif completions:
+            completions = self._complete(completions)
+        # the stored count only grows inside a call (expiry runs between
         # calls), so its value here is this call's maximum; history adopted
         # at a re-plan or restore counts from the first insert that follows
         if found_any and self._tree_stored > self.stats.peak_stored_matches:
             self.stats.peak_stored_matches = self._tree_stored
-        return new_matches
+        return completions
 
     def process_edge(self, edge: Edge) -> List[Match]:
         """Process one newly-ingested edge; return the new complete matches."""
@@ -274,16 +268,12 @@ class ContinuousQueryMatcher:
     # insertion / join cascade
     # ------------------------------------------------------------------
     def _insert(self, node: SJTreeNode, match: Match, out: List[Match]) -> None:
-        if node.is_root and not node.is_leaf:
-            self._emit(node, match, out)
+        if node.is_root:
+            # a completion (for a single-primitive query the leaf is the root)
+            if not self.window.bounded or self.window.admits_span(match.span):
+                out.append(match)
             return
-        if node.is_root and node.is_leaf:
-            # single-primitive query: the leaf *is* the root
-            self._emit(node, match, out)
-            return
-        if not node.store_match(match):
-            self.stats.duplicate_matches_suppressed += 1
-            return
+        node.store_match(match)
         self._tree_stored += 1
         parent = self.tree.parent(node)
         sibling = self.tree.sibling(node)
@@ -298,24 +288,31 @@ class ContinuousQueryMatcher:
             self.stats.joins_succeeded += 1
             self._insert(parent, joined, out)
 
-    def _emit(self, root: SJTreeNode, match: Match, out: List[Match]) -> None:
-        if self.window.bounded and not self.window.admits_span(match.span):
-            return
-        identity_key = _identity_key(match.identity())
-        if self._dedup_identities.seen(identity_key):
-            self.stats.duplicate_matches_suppressed += 1
-            return
-        if self.dedupe_structural:
-            edge_set_key = _edge_set_key(match.structural_identity())
-            if self._dedup_edge_sets.seen(edge_set_key):
-                self.stats.duplicate_matches_suppressed += 1
-                return
-            self._dedup_edge_sets.add(edge_set_key, match.earliest)
-        self._dedup_identities.add(identity_key, match.earliest)
-        if self.store_complete_matches and root.store_match(match):
-            self._tree_stored += 1
-        self.stats.complete_matches += 1
-        out.append(match)
+    def _complete(self, completions: List[Match]) -> List[Match]:
+        """Report one call's completions: filter, store at the root, count.
+
+        Under ``dedupe_structural`` completions that bind the same edge set
+        collapse to the one with the least :func:`canonical_match_key`, so
+        the variant reported is a function of the match content, not of the
+        plan.
+        """
+        if self.dedupe_structural and len(completions) > 1:
+            best: Dict[FrozenSet[int], Tuple[str, Match]] = {}
+            for match in completions:
+                key = canonical_match_key(match)
+                edge_set = match.structural_identity()
+                held = best.get(edge_set)
+                if held is None or key < held[0]:
+                    best[edge_set] = (key, match)
+            self.stats.duplicate_matches_suppressed += len(completions) - len(best)
+            completions = [match for _, match in best.values()]
+        if self.store_complete_matches:
+            root = self.tree.root
+            for match in completions:
+                root.store_match(match)
+            self._tree_stored += len(completions)
+        self.stats.complete_matches += len(completions)
+        return completions
 
     # ------------------------------------------------------------------
     # introspection used by experiments / visualisation
@@ -352,26 +349,10 @@ class ContinuousQueryMatcher:
         }
 
     def reset(self) -> None:
-        """Drop all partial matches and reported-match memory (keeps the plan)."""
+        """Drop all stored matches and counters (keeps the plan)."""
         self.tree.clear_matches()
         self._tree_stored = 0
-        self._dedup_edge_sets.clear()
-        self._dedup_identities.clear()
         self.stats = MatcherStats()
-
-    def dedup_memories(self) -> Tuple[DedupMemory, DedupMemory]:
-        """Return the (identity, structural) duplicate-suppression stores.
-
-        The engine uses this for metrics aggregation and for carrying dedup
-        memory across a re-plan (the new matcher must keep suppressing what
-        the old one already reported).
-        """
-        return self._dedup_identities, self._dedup_edge_sets
-
-    def adopt_dedup_memories(self, identities: DedupMemory, edge_sets: DedupMemory) -> None:
-        """Take ownership of another matcher's duplicate-suppression stores."""
-        self._dedup_identities = identities
-        self._dedup_edge_sets = edge_sets
 
     def adopt_complete_matches(self, matches: Iterable[Match]) -> None:
         """Store another matcher's complete-match history at this tree's root.
@@ -381,53 +362,35 @@ class ContinuousQueryMatcher:
         """
         root = self.tree.root
         for match in matches:
-            if root.store_match(match):
-                self._tree_stored += 1
+            root.store_match(match)
+            self._tree_stored += 1
 
     # ------------------------------------------------------------------
     # persistence support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Serialise the matcher's mutable state (tree collections, dedupe memory).
+        """Serialise the matcher's mutable state (tree collections, counters).
 
         The plan-derived structure (decomposition, SJ-Tree shape, window) is
         *not* stored here -- the owning engine persists the plan and rebuilds
         the matcher from it, then calls :meth:`load_state` on the fresh
-        instance.  Dedup memory is serialised verbatim (entries in insertion
-        order plus the front's cell layout), so a restored matcher replays
-        future suppression decisions, evictions, and sketch counters
-        byte-identically.
+        instance.
         """
         return {
             "tree": self.tree.state_dict(),
             "stats": self.stats.to_dict(),
-            "dedup_identities": self._dedup_identities.state_dict(),
-            "dedup_edge_sets": self._dedup_edge_sets.state_dict(),
         }
 
     def load_state(self, state: Dict[str, object]) -> None:
         """Restore state captured by :meth:`state_dict` onto a freshly-built matcher.
 
-        Pre-sketch snapshots stored dedup memory as canonically-sorted
-        ``reported_identities`` / ``reported_edge_sets`` lists; those load
-        into the bounded stores with never-expiring anchors (the
-        conservative choice -- see
-        :meth:`~repro.sketch.dedup.DedupMemory.load_legacy_keys`).  The
-        retired ``expiry_min_interval`` key, if present, is ignored.
+        Keys of retired state, if present, are ignored: the duplicate
+        memory older snapshots carry (``dedup_identities`` /
+        ``dedup_edge_sets``, or ``reported_identities`` /
+        ``reported_edge_sets`` before that) -- exactly-once discovery never
+        re-derives a reported match, so there is nothing for it to catch --
+        and ``expiry_min_interval``.
         """
         self.tree.load_state(state["tree"])
         self._tree_stored = self.tree.total_stored_matches()
         self.stats = MatcherStats.from_dict(state["stats"])
-        if "dedup_identities" in state:
-            self._dedup_identities.load_state(state["dedup_identities"])
-            self._dedup_edge_sets.load_state(state["dedup_edge_sets"])
-        else:
-            # Legacy entries were serialised through the same canonical
-            # sorted-repr rendering _identity_key/_edge_set_key use, so the
-            # stored lists repr() straight back into today's string keys.
-            self._dedup_identities.load_legacy_keys(
-                [repr(entry) for entry in state["reported_identities"]]
-            )
-            self._dedup_edge_sets.load_legacy_keys(
-                [repr(entry) for entry in state["reported_edge_sets"]]
-            )

@@ -19,6 +19,8 @@ tests as :meth:`LocalSearcher.seeds
 the same candidate enumeration, so its result list -- order included -- and
 the ``searches_started`` / ``matches_found`` counters are those of the
 generic path (``tests/test_local_search_join.py`` holds the differential).
+Both bind a partner edge only when its ingest id is below the new edge's
+(the newest-edge rule, :mod:`repro.core.local_search`).
 
 A spec is a flat tuple rather than a closure: a closure costs one
 collector-tracked cell per captured name (some thirty per role) and would
@@ -233,11 +235,12 @@ def run_role(
     new_id = new_edge.id
     found = 0
     for candidate in candidates:
+        # newest-edge rule: an embedding is found only at its newest edge
+        if candidate.id >= new_id:
+            continue
         if between and candidate.target != far_bound:
             continue
         if partner_check is not None and not partner_check(candidate.attrs):
-            continue
-        if candidate.id == new_id:
             continue
         stamp = candidate.timestamp
         if stamp < timestamp:

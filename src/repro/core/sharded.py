@@ -97,6 +97,7 @@ from ..streaming.partition import (
 )
 from ..streaming.reorder import ordered_run_slices
 from .engine import (
+    RETIRED_DEDUP_METRICS,
     EngineConfig,
     StreamWorksEngine,
     intern_query_vocabulary,
@@ -1061,28 +1062,9 @@ class ShardedStreamEngine(IngestFront):
             "last_errors": last_errors,
             "plan_versions": plan_versions,
         }
-        # sketch rollup: every counter sums cleanly over shards (each shard
-        # owns its matchers' dedup memories); configuration facts come from
-        # the shared engine config
-        shard_sketches = [m["sketch"] for m in shard_metrics.values()]
-        dedup_keys = (
-            "entries",
-            "peak_entries",
-            "probes",
-            "front_negatives",
-            "front_false_positives",
-            "confirms",
-            "evictions_budget",
-            "evictions_horizon",
-        )
+        # sketch rollup: configuration facts from the shared engine config
         sketch = {
-            "dedup_memory": dict(
-                {"budget": self.config.engine.dedup_memory_budget},
-                **{
-                    key: sum(s["dedup_memory"][key] for s in shard_sketches)
-                    for key in dedup_keys
-                },
-            ),
+            "dedup_memory": dict(RETIRED_DEDUP_METRICS),
             "stats_backend": "countmin" if self.config.engine.sketch_stats else "exact",
         }
         # columnar rollup: the hot-path counters sum cleanly over shards

@@ -19,8 +19,12 @@ new edge), and partial matches climb the tree through joins.
 
 Match collections are hash-indexed by the projection of the match onto the
 parent's cut vertices so that the sibling probe during a join is a dictionary
-lookup, not a scan.  Each node also keeps an expiry queue so partial matches
-older than the query window can be swept out cheaply.
+lookup, not a scan.  Within a bucket a match is filed under an insertion
+serial: local search finds every embedding exactly once (the newest-edge
+rule, :mod:`repro.core.local_search`), so a node is never offered the same
+match twice and needs no identity check.  Each node also keeps an expiry
+queue so partial matches older than the query window can be swept out
+cheaply.
 """
 
 from __future__ import annotations
@@ -57,11 +61,11 @@ class SJTreeNode:
         #: Vertices on which *this* node's matches are keyed, i.e. the cut of
         #: the parent node.  Empty for the root.
         self.key_vertices: Tuple[str, ...] = ()  # repro-lint: ignore[snapshot-coverage]
-        # key -> {match identity -> Match}
-        self._matches: Dict[MatchKey, Dict[Tuple, Match]] = {}
+        # key -> {insertion serial -> Match}
+        self._matches: Dict[MatchKey, Dict[int, Match]] = {}
         # the expiry queue and its counter are rebuilt by store_match
         # during load_state re-insertion
-        self._expiry: ExpiryQueue[Tuple[MatchKey, Tuple]] = ExpiryQueue()  # repro-lint: ignore[snapshot-coverage]
+        self._expiry: ExpiryQueue[Tuple[MatchKey, int]] = ExpiryQueue()  # repro-lint: ignore[snapshot-coverage]
         self._match_count = 0  # repro-lint: ignore[snapshot-coverage]
         self.total_inserted = 0
         self.total_expired = 0
@@ -86,23 +90,17 @@ class SJTreeNode:
         """Return the join key of a match: its projection onto the key vertices."""
         return match.projection_key(self.key_vertices)
 
-    def store_match(self, match: Match) -> bool:
-        """Insert a partial match; returns ``False`` when it was already stored."""
+    def store_match(self, match: Match) -> None:
+        """Insert a match under the next insertion serial."""
         key = self.match_key(match)
-        bucket = self._matches.setdefault(key, {})
-        identity = match.identity()
-        if identity in bucket:
-            return False
-        bucket[identity] = match
-        self._expiry.push(match.earliest, (key, identity))
+        bucket = self._matches.get(key)
+        if bucket is None:
+            bucket = self._matches[key] = {}
+        serial = self.total_inserted
+        bucket[serial] = match
+        self._expiry.push(match.earliest, (key, serial))
         self._match_count += 1
-        self.total_inserted += 1
-        return True
-
-    def has_match(self, match: Match) -> bool:
-        """Return ``True`` when an identical match is already stored."""
-        bucket = self._matches.get(self.match_key(match))
-        return bool(bucket) and match.identity() in bucket
+        self.total_inserted = serial + 1
 
     def matches_for_key(self, key: MatchKey) -> List[Match]:
         """Return the stored matches whose projection equals ``key``."""
@@ -124,23 +122,26 @@ class SJTreeNode:
         """Drop matches that can no longer participate in a new in-window match.
 
         A partial match with earliest edge timestamp ``t`` is dead once
-        ``now - t`` is no longer admissible: any future edge only increases
-        the span.  Returns the number of matches dropped.
+        ``window.is_expired(t, now)``: any future edge only increases the
+        span.  That is the span test joins and emission apply, computed the
+        same way (``now - t`` against the duration), so a partial the sweep
+        drops is one they would reject -- a threshold ``now - tW`` compared
+        with ``t`` can round the other way on the boundary.  Returns the
+        number of matches dropped.
         """
         if not window.bounded:
             return 0
-        threshold = window.expiry_threshold(now)
         oldest = self._expiry.peek_oldest()
-        if oldest is None or oldest[0] > threshold:
+        if oldest is None or not window.is_expired(oldest[0], now):
             # nothing stored is old enough -- skip without touching the heap
             return 0
         dropped = 0
-        for key, identity in self._expiry.pop_expired(threshold, inclusive=window.strict):
+        for key, serial in self._expiry.pop_expired_at(window, now):
             bucket = self._matches.get(key)
             if not bucket:
                 continue
-            if identity in bucket:
-                del bucket[identity]
+            if serial in bucket:
+                del bucket[serial]
                 dropped += 1
                 self._match_count -= 1
                 self.total_expired += 1
@@ -158,9 +159,9 @@ class SJTreeNode:
         dropped = 0
         for key in list(self._matches.keys()):
             bucket = self._matches[key]
-            stale = [identity for identity, match in bucket.items() if match.uses_data_edge(edge_id)]
-            for identity in stale:
-                del bucket[identity]
+            stale = [serial for serial, match in bucket.items() if match.uses_data_edge(edge_id)]
+            for serial in stale:
+                del bucket[serial]
                 dropped += 1
                 self._match_count -= 1
             if not bucket:
@@ -199,10 +200,9 @@ class SJTreeNode:
 
         The node must be freshly built (keys assigned, no matches stored):
         re-inserting through :meth:`store_match` reproduces the bucket
-        layout and the expiry queue's tie-break order.
+        layout and the expiry queue's tie-break order.  Serials restart from
+        zero; only their order within a bucket is ever read.
         """
-        from ..isomorphism.match import Match
-
         for payload in state["matches"]:
             self.store_match(Match.from_state(payload))
         self.total_inserted = state["total_inserted"]

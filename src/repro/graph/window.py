@@ -137,6 +137,14 @@ class ExpiryQueue(Generic[T]):
                 break
         return expired
 
+    def pop_expired_at(self, window: TimeWindow, now: Timestamp) -> List[T]:
+        """Pop and return every item ``window.is_expired`` at ``now``."""
+        expired: List[T] = []
+        heap = self._heap
+        while heap and window.is_expired(heap[0][0], now):
+            expired.append(heapq.heappop(heap)[2])
+        return expired
+
     def peek_oldest(self) -> Optional[Tuple[Timestamp, T]]:
         """Return the oldest ``(timestamp, item)`` without removing it."""
         if not self._heap:

@@ -83,6 +83,7 @@ class SubgraphMatcher:
         query: QueryGraph,
         seed: Optional[Match] = None,
         limit: Optional[int] = None,
+        id_bound: Optional[int] = None,
     ) -> Iterator[Match]:
         """Yield matches of ``query``, optionally extending a partial ``seed``.
 
@@ -96,13 +97,17 @@ class SubgraphMatcher:
             anchors the primitive on a newly arrived edge.
         limit:
             Stop after this many matches (``None`` = enumerate all).
+        id_bound:
+            Bind only data edges whose id is below this one.  The local
+            search passes its seed edge's id, so an embedding is found only
+            at its newest edge; ``None`` (static search) binds any edge.
         """
         match = seed if seed is not None else Match()
         if self.window.bounded and match.edge_map and not self.window.admits_span(match.span):
             return
         order = self._edge_order(query, match)
         count = 0
-        for result in self._extend(query, order, 0, match):
+        for result in self._extend(query, order, 0, match, id_bound):
             yield result
             count += 1
             if limit is not None and count >= limit:
@@ -169,15 +174,18 @@ class SubgraphMatcher:
         order: Sequence[QueryEdge],
         index: int,
         match: Match,
+        id_bound: Optional[int],
     ) -> Iterator[Match]:
         if index == len(order):
             yield match
             return
         query_edge = order[index]
-        for extended in self._bind_edge(query, query_edge, match):
-            yield from self._extend(query, order, index + 1, extended)
+        for extended in self._bind_edge(query, query_edge, match, id_bound):
+            yield from self._extend(query, order, index + 1, extended, id_bound)
 
-    def _bind_edge(self, query: QueryGraph, query_edge: QueryEdge, match: Match) -> Iterator[Match]:
+    def _bind_edge(
+        self, query: QueryGraph, query_edge: QueryEdge, match: Match, id_bound: Optional[int]
+    ) -> Iterator[Match]:
         """Yield extensions of ``match`` with one binding for ``query_edge``."""
         source_binding = match.vertex_binding(query_edge.source)
         target_binding = match.vertex_binding(query_edge.target)
@@ -196,6 +204,8 @@ class SubgraphMatcher:
             candidates = self._all_label_edges(query_edge, match)
 
         for data_edge in candidates:
+            if id_bound is not None and data_edge.id >= id_bound:
+                continue
             yield from self._try_bind(query, query_edge, data_edge, match)
 
     def _try_bind(

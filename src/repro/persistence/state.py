@@ -13,11 +13,11 @@ explicitly: the window store with its index iteration orders, the cold
 ring of records kept out of it (in stream order: a late registration
 promotes from it; snapshots older than the ring load with it empty), every
 SJ-Tree's partial-match collections (bucket order included -- it decides
-join candidate enumeration), the duplicate-suppression memory, the reorder
-buffer's pending tail and watermark (including every per-source clock,
-lateness estimate and the monotone watermark floor of the multi-source
-buffer -- the ``kind`` tag in its payload picks the right class on load),
-and every deterministic counter.  State that is a pure function of other
+join candidate enumeration), the reorder buffer's pending tail and
+watermark (including every per-source clock, lateness estimate and the
+monotone watermark floor of the multi-source buffer -- the ``kind`` tag in
+its payload picks the right class on load), and every deterministic
+counter.  State that is a pure function of other
 sections is recounted instead -- the expiry queue, and the summarizer's
 label memo and live triad legs, all from the window store.  An engine fed
 through an :class:`~repro.streaming.async_ingest.AsyncIngestFrontend`
@@ -107,15 +107,15 @@ _CONFIG_FIELDS = (
     "idle_source_timeout",
     "checkpoint_every",
     "checkpoint_path",
-    "dedup_memory_budget",
     "sketch_stats",
 )
 
 #: Knobs that earlier versions persisted and that no longer exist; a
 #: snapshot carrying them loads with the key ignored.  A snapshot written
 #: on the retired exhaustive scan therefore resumes on the dispatch index,
-#: one written with blind periodic replanning resumes without it, and one
-#: written on the interpreted path resumes on the compiled one
+#: one written with blind periodic replanning resumes without it, one
+#: written on the interpreted path resumes on the compiled one, and one
+#: with a duplicate-memory budget resumes with no duplicate memory
 #: (``tests/fixtures/persistence/README.md``).
 _RETIRED_CONFIG_FIELDS = (
     "triad_sample_cap",
@@ -123,6 +123,7 @@ _RETIRED_CONFIG_FIELDS = (
     "use_dispatch_index",
     "sketch_dispatch",
     "columnar",
+    "dedup_memory_budget",
 )
 
 
@@ -318,7 +319,6 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
                 window=window,
                 dedupe_structural=payload["dedupe_structural"],
                 store_complete_matches=payload["store_complete_matches"],
-                dedup_memory_budget=config.dedup_memory_budget,
             )
             # construction is the compile point: the restored matcher runs on
             # freshly compiled tables, never deserialised ones.  Snapshots

@@ -1,36 +1,22 @@
 """Deterministic seeded hashing shared by every sketch in this package.
 
-All sketches in :mod:`repro.sketch` sit on hot membership paths whose
-*observable* behaviour (events, counters, snapshot payloads) must be
-byte-for-byte reproducible across processes and across checkpoint/restore.
-Python's builtin ``hash()`` is ``PYTHONHASHSEED``-dependent and therefore
-banned here (repro-lint enforces this for the whole ``sketch`` scope); the
-helpers below derive every index from either
-
-* :func:`zlib.crc32` seeded through its running-value parameter -- one C call
-  per probe, cheap enough for the per-match dedup front, or
-* ``hashlib.blake2b`` keyed with the seed -- slower but with independent
-  output slices, used where multiple decorrelated rows are required
-  (count-min).
-
-Both are fully specified functions of ``(data, seed)`` with no process
-state, so every filter's cell layout replays identically after a restore.
+Sketches in :mod:`repro.sketch` feed *observable* behaviour (counters,
+snapshot payloads) that must be byte-for-byte reproducible across processes
+and across checkpoint/restore.  Python's builtin ``hash()`` is
+``PYTHONHASHSEED``-dependent and therefore banned here (repro-lint enforces
+this for the whole ``sketch`` scope); indexes come from ``hashlib.blake2b``
+keyed with the seed, whose independent output slices give the decorrelated
+rows count-min needs.  That is a fully specified function of
+``(data, seed)`` with no process state, so every sketch's cell layout
+replays identically after a restore.
 """
 
 from __future__ import annotations
 
 import hashlib
-import zlib
 from typing import Tuple
 
-__all__ = ["crc_hash", "blake_row_indexes", "seed_key"]
-
-_MASK32 = 0xFFFFFFFF
-
-
-def crc_hash(data: bytes, seed: int) -> int:
-    """Return a deterministic 32-bit hash of ``data`` under ``seed``."""
-    return zlib.crc32(data, seed & _MASK32) & _MASK32
+__all__ = ["blake_row_indexes", "seed_key"]
 
 
 def seed_key(seed: int) -> bytes:

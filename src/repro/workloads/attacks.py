@@ -49,8 +49,8 @@ def high_cardinality_flood(
 
     ``signal_every`` interleaves one matchable record (fixed ``signal``
     label over a small host pool) every N records, keeping registered
-    queries and their duplicate-suppression memories active in the flood so
-    bounded-memory tests can assert recall *while* under attack.
+    queries matching in the flood so bounded-memory tests can assert recall
+    *while* under attack.
     """
     rng = random.Random(seed)
     records: List[StreamEdge] = []

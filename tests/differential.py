@@ -162,7 +162,6 @@ def build_engine(
     or pool-scheduled.
     """
     engine_config = EngineConfig(
-        dedup_memory_budget=4096 if sketch else None,
         sketch_stats=sketch,
         replan_threshold=0.4 if replan else None,
         replan_check_every=BATCH if replan else None,
@@ -254,8 +253,8 @@ class ProbedReferenceEngine(StreamWorksEngine):
     Each ordered run is handled as the engine did before its cold gate:
     every record is ingested (dead-on-arrival ones evicted at once), the
     whole run is folded into the statistics, partial-match expiry is swept
-    once per matcher, and only then is each live record routed, with
-    emission deferred to a completion's last in-run edge.  So this engine
+    once per matcher, and only then is each live record routed; its
+    completions emit at it.  So this engine
     stores, folds and evicts every record -- the store the gate must be
     indistinguishable from -- and run-split batching of a disordered
     stream behaves exactly as in the engine.  Routing is not the engine's
@@ -290,19 +289,12 @@ class ProbedReferenceEngine(StreamWorksEngine):
             if not registration.matcher.idle:
                 registration.matcher.expire_partials(batch_start)
         self.batches_vectorized += 1
-        positions = {edge.id: index for index, edge in enumerate(ingested) if edge is not None}
-        deferred = {}
-        for index, edge in enumerate(ingested):
+        for edge in ingested:
             if edge is not None:
                 found = []
                 self._collect_matches(edge, found)
-                for registration, match in found:
-                    # the per-record path completes a match on its last edge
-                    last = max(positions.get(e.id, index) for e in match.edge_map.values())
-                    deferred.setdefault(max(last, index), []).append((registration, match))
-                due = deferred.pop(index, None)
-                if due:
-                    self._emit_trigger(due, edge.timestamp, self.edges_processed, events)
+                if found:
+                    self._emit_trigger(found, edge.timestamp, self.edges_processed, events)
             self.edges_processed += 1
         self.graph.evict_expired()
 

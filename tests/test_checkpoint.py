@@ -859,6 +859,28 @@ def test_restore_preserves_registration_and_replan_surface(tmp_path):
     resumed.unregister_query("new")
 
 
+def suppressed(engine):
+    return {
+        name: registration.matcher.stats.duplicate_matches_suppressed
+        for name, registration in engine.queries.items()
+    }
+
+
+def assert_duplicate_memory_ignored(sections, resumed):
+    """Every fixture carries the retired duplicate memory; none of it is restored.
+
+    Its config has the ``dedup_memory_budget`` knob and each matcher a live
+    ``dedup_identities`` / ``dedup_edge_sets`` pair.  Exactly-once discovery
+    never re-derives a reported match, so the restored engine keeps neither.
+    """
+    assert "dedup_memory_budget" in sections["config"]
+    assert all(payload["matcher"]["dedup_identities"]["entries"] for payload in sections["queries"])
+    assert all("dedup_edge_sets" in payload["matcher"] for payload in sections["queries"])
+    assert not hasattr(resumed.config, "dedup_memory_budget")
+    for registration in resumed.queries.values():
+        assert set(registration.matcher.state_dict()) == {"tree", "stats"}
+
+
 def test_snapshot_from_before_the_exact_census_restores(tmp_path):
     """A snapshot written when the census was sampled still loads and runs.
 
@@ -898,12 +920,15 @@ def test_snapshot_from_before_the_exact_census_restores(tmp_path):
 
     resumed = StreamWorksEngine.restore(path)
     assert not hasattr(resumed.config, "triad_sample_cap")
+    assert_duplicate_memory_ignored(sections, resumed)
+    suppressed_at_restore = suppressed(resumed)
     assert "cold" not in sections and not resumed.cold  # pre-gate: an empty ring
     assert_live_legs_exact(resumed, "restored from the pre-exact-census snapshot")
     wedges_at_restore = resumed.summarizer.triads.total_wedges()
     for start in range(18, len(records), 6):  # the fixture was cut after 18 records
         resumed.process_batch(records[start : start + 6])
     assert canonical(resumed.events()) == canonical(oracle.events())
+    assert suppressed(resumed) == suppressed_at_restore
     # the fixture stored every record, ``link`` ones included, which no
     # query binds; today's engine keeps those cold, so eviction counts
     # differ by the cold records the fixture still held.  The bindable
@@ -997,6 +1022,8 @@ def test_snapshot_with_a_retired_routing_knob_resumes_on_the_index(
 
     resumed = StreamWorksEngine.restore(path)
     assert not any(hasattr(resumed.config, name) for name in retired)
+    assert_duplicate_memory_ignored(sections, resumed)
+    suppressed_at_restore = suppressed(resumed)
     assert set(resumed.metrics()["dispatch"]) == set(oracle.metrics()["dispatch"])
     # written before the cold gate: the noise edges are in its store, and
     # it loads with an empty ring
@@ -1005,6 +1032,7 @@ def test_snapshot_with_a_retired_routing_knob_resumes_on_the_index(
     for start in range(cut, len(records), 8):
         resumed.process_batch(records[start : start + 8])
     assert canonical(resumed.events()) == canonical(oracle.events())
+    assert suppressed(resumed) == suppressed_at_restore
     assert resumed.records_cold == (len(records) - cut) // 4  # the noise records
     assert resumed.match_counts() == oracle.match_counts() != {"ab": 0, "la": 0}
     assert resumed.records_batched - batched_at_restore == len(records) - cut
@@ -1040,10 +1068,13 @@ def test_snapshot_from_the_interpreted_path_resumes_compiled():
 
     resumed = StreamWorksEngine.restore(path)
     assert not hasattr(resumed.config, "columnar")
+    assert_duplicate_memory_ignored(sections, resumed)
+    suppressed_at_restore = suppressed(resumed)
     assert "cold" not in sections and not resumed.cold  # pre-gate: an empty ring
     for start in range(cut, len(records), 8):
         resumed.process_batch(records[start : start + 8])
     assert canonical(resumed.events()) == canonical(oracle.events())
+    assert suppressed(resumed) == suppressed_at_restore
     assert resumed.match_counts() == oracle.match_counts() != {"ab": 0, "la": 0}
     assert resumed.batches_vectorized == (len(records) - cut) // 8
     assert resumed.dispatch_memo_hits > 0

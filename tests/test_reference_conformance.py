@@ -7,8 +7,8 @@ sequence number -- byte-identical to the
 :class:`~differential.ExhaustiveReferenceEngine`, which stores every record
 and searches every leaf of every matcher on every live one (the ``banded``
 workload keeps most of its records cold), across workloads, shard
-counts, schedulers, feature switches (bounded dedup memory and count-min
-statistics, adaptive replanning), and crash-at-boundary resume cuts.  The
+counts, schedulers, feature switches (count-min statistics, adaptive
+replanning), and crash-at-boundary resume cuts.  The
 harness lives in ``tests/differential.py``; the meta-tests at the bottom
 prove the differential actually *catches* the bug classes this suite
 exists to prevent.

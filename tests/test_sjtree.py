@@ -107,18 +107,10 @@ class TestMatchCollections:
         tree, _ = tree_and_query
         leaf = tree.leaves()[0]
         match = self.make_match(("kw1", "loc1"), 0, 1.0)
-        assert leaf.store_match(match)
+        leaf.store_match(match)
         key = match.projection_key(leaf.key_vertices)
         assert leaf.matches_for_key(key) == [match]
         assert leaf.matches_for_key(("other", "loc1")) == []
-        assert leaf.match_count() == 1
-
-    def test_duplicate_store_is_rejected(self, tree_and_query):
-        tree, _ = tree_and_query
-        leaf = tree.leaves()[0]
-        match = self.make_match(("kw1", "loc1"), 0, 1.0)
-        assert leaf.store_match(match)
-        assert not leaf.store_match(match)
         assert leaf.match_count() == 1
 
     def test_expire_matches_drops_old_entries(self, tree_and_query):
