@@ -24,9 +24,10 @@ guards against the *stored* endpoint labels of the new edge, and returns
 the (query, leaf) pairs that can possibly match -- grouped by query in
 registration order and, within a query, in SJ-Tree leaf order, so the
 engine's event order is that of a loop over every leaf of every query.  An
-edge whose label appears in no registered primitive is turned away by
-:meth:`DispatchIndex.front_rejects` before its endpoints are even looked
-up.
+edge whose label appears in no registered primitive is turned away before
+its endpoints are even looked up: a whole run at once by
+:meth:`DispatchIndex.front_gate` on the engine's hot path, one label by
+:meth:`DispatchIndex.front_rejects`.
 
 The guards are deliberately *necessary but not sufficient*: attribute
 predicates are dynamic and stay in the local search.  Filtering here can
@@ -37,11 +38,22 @@ under updates (only touch the work an update can affect).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..query.query_graph import QueryGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..streaming.edge_stream import StreamEdge
     from .route_plan import RoutePlan
 
 __all__ = ["LeafDispatchEntry", "DispatchIndex"]
@@ -245,6 +257,22 @@ class DispatchIndex:
             return False
         self.lookups += 1
         return True
+
+    def front_gate(self, records: Sequence["StreamEdge"]) -> List[bool]:
+        """:meth:`front_rejects` over a whole run: per record, whether its label is bound.
+
+        ``True`` when some registered leaf has a query edge for the
+        record's label (a wildcard query edge binds every label).  One
+        comprehension over the run; each unbound label counts the
+        ``lookups`` tick :meth:`front_rejects` counts for it, added in one
+        step.
+        """
+        if self._wildcard:
+            return [True] * len(records)
+        by_label = self._by_label
+        bound = [record.label in by_label for record in records]
+        self.lookups += bound.count(False)
+        return bound
 
     def candidates(
         self,

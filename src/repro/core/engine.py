@@ -20,10 +20,11 @@ execution path (:meth:`StreamWorksEngine._run_fast_path`): each record is
 routed before it is stored, and only records some query edge can bind
 enter the window store (with eviction deferred) -- the rest wait in a cold
 ring that a late registration promotes from -- expiry is swept once per
-matcher per run, and each stored edge then searches the leaves it was
-routed to.  A single record is a one-record run; a batch is split at its
-inversion points into maximal ordered runs.  What surrounds the runs --
-``EngineConfig(allowed_lateness=...)`` event-time ingestion (a
+run in the matchers holding a partial due, and each stored edge then
+searches the leaves it was routed to.  A single record is a one-record
+run; a batch is split at its inversion points into maximal ordered runs.
+What surrounds the runs -- ``EngineConfig(allowed_lateness=...)``
+event-time ingestion (a
 bounded-lateness, multi-source reorder buffer that releases
 watermark-closed prefixes as in-order batches and applies an explicit
 late-data policy), flush, batch-cadence autosave and the replan cadence --
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import copy
 from collections import deque
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, not_
 from time import perf_counter
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -402,6 +404,8 @@ class StreamWorksEngine(IngestFront):
         # derived from the ring's timestamps (restore recomputes it): a late
         # run appended behind newer records, so trims must scan the ring
         self._cold_disordered = False
+        # (dispatch-index version, cold gate open), see _cold_gate_open
+        self._cold_gate: Tuple[int, bool] = (-1, False)
         self.summarizer: Optional[StreamSummarizer] = None
         if config.collect_statistics:
             self.summarizer = StreamSummarizer(track_triads=config.track_triads)
@@ -795,21 +799,23 @@ class StreamWorksEngine(IngestFront):
             events.append(event)
 
     def expire_all_partials(self, now: float) -> int:
-        """Sweep every matcher's stored partial matches against ``now``.
+        """Sweep the stored partial matches expired at ``now``; return the count dropped.
 
-        Every run sweeps this way (at the run's expiry anchor).  The
-        sharded engine calls it directly to deliver that same per-run sweep
-        to a shard that received *no* records in a run -- the sweep
-        sequence, not just the final clock, determines which partials
-        survive once streams may carry late records, so a shard must not
-        skip the sweeps the single engine ran.  Returns the number of
-        partials dropped.
+        Only matchers with a partial due (:meth:`ContinuousQueryMatcher.expiry_due`)
+        are swept, so a sweep costs one comparison per registered query
+        plus the partials it drops.  Every run sweeps this way (at the
+        run's expiry anchor).  The sharded engine calls it directly to
+        deliver that same per-run sweep to a shard that received *no*
+        records in a run -- the sweep sequence, not just the final clock,
+        determines which partials survive once streams may carry late
+        records, so a shard must not skip the sweeps the single engine ran.
         """
-        return sum(
-            registration.matcher.expire_partials(now)
-            for registration in self.queries.values()
-            if not registration.matcher.idle
-        )
+        dropped = 0
+        for registration in self.queries.values():
+            matcher = registration.matcher
+            if matcher.expiry_due(now):
+                dropped += matcher.expire_partials(now)
+        return dropped
 
     def _run_batch(
         self,
@@ -858,9 +864,10 @@ class StreamWorksEngine(IngestFront):
         the end of the run: evicting against the run's latest timestamp up
         front could remove edges its earlier records can still legally
         match.  Step 2 folds the hot records into the statistics in one
-        call.  Step 3 sweeps partial-match expiry once per matcher -- every
-        matcher holding partials, not only those the run routes to --
-        anchored at the run's earliest timestamp.  Step 4 searches the hot
+        call.  Step 3 sweeps partial-match expiry, anchored at the run's
+        earliest timestamp, in every matcher holding a partial expired at
+        that anchor -- whether or not the run routes to it -- and in no
+        other (:meth:`expire_all_partials`).  Step 4 searches the hot
         records with the leaves step 1 chose (:meth:`_dispatch_run`), and
         step 5 is one eviction sweep over the store and the cold ring
         (:meth:`evict_expired`).  Per-record latency samples time step 4
@@ -897,9 +904,7 @@ class StreamWorksEngine(IngestFront):
             batch_start = records[0].timestamp  # the run is non-decreasing
             if expiry_anchor is not None:
                 batch_start = min(batch_start, expiry_anchor)
-            for registration in self.queries.values():
-                if not registration.matcher.idle:  # nothing stored: nothing to sweep
-                    registration.matcher.expire_partials(batch_start)
+            self.expire_all_partials(batch_start)
             self._dispatch_run(hot, len(records), events)
         finally:
             for plan in used:
@@ -914,7 +919,15 @@ class StreamWorksEngine(IngestFront):
     ) -> List[Tuple[int, Edge, List]]:
         """Step 1: route every record of a run, storing only the hot ones.
 
-        A record is routed through its *route plan*
+        Records *dead on arrival* (see :meth:`_run_fast_path`) form a prefix
+        of a non-decreasing run and are handled first.  The rest have their
+        labels checked in bulk (:meth:`DispatchIndex.front_gate`): while the
+        cold gate is open, a record whose label no registered leaf binds
+        and that carries no vertex attributes is cold without being looked
+        at again, and only the others enter the per-record loop, where an
+        unbound label skips endpoint resolution and routing.
+
+        A record there is routed through its *route plan*
         (:mod:`repro.core.route_plan`): found in ``dispatch.plans`` by
         ``(label id, source label id, target label id)``, built on first
         use, valid until the dispatch index next changes -- which happens
@@ -926,11 +939,13 @@ class StreamWorksEngine(IngestFront):
         before.  Plans touched are appended to ``used``; the caller settles
         their per-run tallies.
 
-        A record is **cold** when its plan leaves no surviving leaf, it
-        carries no vertex attributes, and no registered query checks vertex
-        attributes (:func:`checks_vertices`).  No registered query edge can
-        bind it, so it is never a search seed nor a search partner; it joins
-        the cold ring and is not interned, stored, folded into the
+        A record is **cold** when its label is unbound or its plan leaves
+        no surviving leaf, it carries no vertex attributes, and no
+        registered query checks vertex attributes (:func:`checks_vertices`,
+        evaluated once per dispatch-index version).  No registered query
+        edge can bind it, so it is never a search seed nor a search
+        partner; it joins the cold ring -- in stream order, whichever way
+        it was found cold -- and is not interned, stored, folded into the
         statistics, evicted or latency-sampled.  Every other live record is
         ingested with eviction deferred.  Cold records advance the stream
         clock once, after the loop: the run is non-decreasing, so its last
@@ -941,39 +956,54 @@ class StreamWorksEngine(IngestFront):
         """
         graph = self.graph
         window = graph.window
+        dispatch = self.dispatch
         intern = self.interning.intern
         lookup = self.interning.lookup
-        front_rejects = self.dispatch.front_rejects
-        plans = self.dispatch.plans
+        plans = dispatch.plans
         stored_label = graph.graph.vertex_label
         cold = self.cold
-        # dead records precede every live one in a non-decreasing run: once
-        # a record is live, no later record of the run can be dead
-        dead_possible = window.bounded
-        # whether some query checks vertex attributes, resolved on the
-        # first record that would otherwise be cold
-        gate_shut: Optional[bool] = None
+        if cold and cold[-1].timestamp > records[0].timestamp:
+            # the run may append behind the ring's newest record
+            self._cold_disordered = True
+        # dead records precede every live one in a non-decreasing run
+        start = 0
+        if window.bounded:
+            clock = graph.current_time
+            for record in records:
+                if not window.is_expired(record.timestamp, clock):
+                    break
+                # dead on arrival: ingested and evicted at once
+                self._ingest(record)
+                self.evict_expired()
+                start += 1
+            self.records_dead_on_arrival += start
+        live = records[start:] if start else records
+        # per live record, whether some registered leaf binds its label
+        bound = dispatch.front_gate(live)
+        rows: Iterable[Tuple[int, StreamEdge, bool]] = zip(
+            range(start, len(records)), live, bound
+        )
+        cold_mask: Optional[List[bool]] = None
+        label_cold = 0
+        if self._cold_gate_open():
+            cold_mask = [
+                not (is_bound or record.source_attrs or record.target_attrs)
+                for record, is_bound in zip(live, bound)
+            ]
+            label_cold = cold_mask.count(True)
+            if label_cold:
+                rows = compress(rows, map(not_, cold_mask))
         # endpoint label ids: constant within a run (one label per live
         # vertex id, and nothing is evicted mid-run but dead records)
         endpoint_memo: Dict[VertexId, int] = {}
         hot: List[Tuple[int, Edge, List]] = []
-        prefiltered = went_cold = 0
-        if cold and cold[-1].timestamp > records[0].timestamp:
-            # the run may append behind the ring's newest record
-            self._cold_disordered = True
-        for position, record in enumerate(records):
-            if dead_possible:
-                if window.is_expired(record.timestamp, graph.current_time):
-                    # dead on arrival: ingested and evicted at once
-                    self._ingest(record)
-                    self.evict_expired()
-                    self.records_dead_on_arrival += 1
-                    continue
-                dead_possible = False
+        prefiltered = plan_cold = 0
+        for position, record, is_bound in rows:
             label = record.label
-            if front_rejects(label):
-                # no registered leaf has a query edge for this label: skip
-                # endpoint resolution and routing altogether
+            if not is_bound:
+                # no registered leaf has a query edge for this label (the
+                # record carries vertex attributes, or the gate is shut):
+                # skip endpoint resolution and routing altogether
                 prefiltered += 1
                 searches: List = []
             else:
@@ -1005,18 +1035,36 @@ class StreamWorksEngine(IngestFront):
                     used.append(plan)
                 plan.uses += 1
                 searches = plan.route(record.attrs)
-            if not searches and not record.source_attrs and not record.target_attrs:
-                if gate_shut is None:
-                    gate_shut = checks_vertices(self.queries.values())
-                if not gate_shut:
-                    cold.append(record)
-                    went_cold += 1
-                    continue
+            if (
+                cold_mask is not None
+                and not searches
+                and not record.source_attrs
+                and not record.target_attrs
+            ):
+                cold_mask[position - start] = True
+                plan_cold += 1
+                continue
             hot.append((position, self._ingest(record), searches))
+        if label_cold or plan_cold:
+            cold.extend(compress(live, cold_mask))
         graph.advance_time(records[-1].timestamp)
-        self.records_prefiltered += prefiltered
-        self.records_cold += went_cold
+        self.records_prefiltered += label_cold + prefiltered
+        self.records_cold += label_cold + plan_cold
         return hot
+
+    def _cold_gate_open(self) -> bool:
+        """Whether cold records may skip the store: no query checks vertex attributes.
+
+        :func:`checks_vertices` reads every registered query's compiled
+        checks, so its verdict is kept per :attr:`DispatchIndex.version`:
+        registering, replanning and unregistering all bump the version,
+        and a restored engine starts with no verdict.
+        """
+        version, gate_open = self._cold_gate
+        if version != self.dispatch.version:
+            gate_open = not checks_vertices(self.queries.values())
+            self._cold_gate = (self.dispatch.version, gate_open)
+        return gate_open
 
     def _dispatch_run(
         self,

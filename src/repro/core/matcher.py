@@ -174,19 +174,32 @@ class ContinuousQueryMatcher:
         #: store / expiry / clear so the peak needs no whole-tree recount;
         #: rebuilt from the restored tree on :meth:`load_state`.
         self._tree_stored = 0
+        #: The least ``earliest`` among the stored partials (``inf`` when
+        #: none), so ``window.is_expired(next_expiry, now)`` tells whether a
+        #: sweep at ``now`` drops anything (:meth:`expiry_due`).  Lowered by
+        #: every store, recomputed from the nodes' expiry heads by every
+        #: sweep that drops something; derived, so restore recomputes it
+        #: from the restored tree.
+        self.next_expiry = float("inf")  # repro-lint: ignore[snapshot-coverage]
 
     # ------------------------------------------------------------------
     # main entry points
     # ------------------------------------------------------------------
     @property
     def idle(self) -> bool:
-        """``True`` when :meth:`expire_partials` would find nothing to visit.
-
-        No stored partial: the engine's batched path skips the sweep call for
-        such a matcher (most of a large query set, most of the time, on short
-        watermark-released runs).
-        """
+        """``True`` when the matcher stores no partial (:meth:`expiry_due` is never true)."""
         return not self._tree_stored
+
+    def expiry_due(self, now: float) -> bool:
+        """``True`` when a sweep at ``now`` (:meth:`expire_partials`) drops something.
+
+        ``window.is_expired(t, now)`` is monotone in ``t`` -- ``now - t``
+        only shrinks as ``t`` grows, in floating point too -- so it holds
+        for some stored partial exactly when it holds for the earliest one.
+        An idle matcher is never due, and neither is one with an unbounded
+        window.
+        """
+        return self.window.is_expired(self.next_expiry, now)
 
     def expire_partials(self, now: float) -> int:
         """Sweep partial matches that can no longer complete; return the count dropped.
@@ -200,7 +213,9 @@ class ContinuousQueryMatcher:
             return 0
         dropped = self.tree.expire_matches(self.window, now)
         self.stats.partial_matches_expired += dropped
-        self._tree_stored -= dropped
+        if dropped:  # a sweep is the only way a partial leaves the tree
+            self._tree_stored -= dropped
+            self.next_expiry = self.tree.earliest_stored()
         return dropped
 
     def process_edge_leaves(self, edge: Edge, leaves, emit: bool = True) -> List[Match]:
@@ -254,6 +269,8 @@ class ContinuousQueryMatcher:
             return
         node.store_match(match)
         self._tree_stored += 1
+        if match.earliest < self.next_expiry:
+            self.next_expiry = match.earliest
         parent = self.tree.parent(node)
         sibling = self.tree.sibling(node)
         if parent is None or sibling is None:  # pragma: no cover - defensive
@@ -329,6 +346,7 @@ class ContinuousQueryMatcher:
         """Drop all stored matches and counters (keeps the plan)."""
         self.tree.clear_matches()
         self._tree_stored = 0
+        self.next_expiry = float("inf")
         self.stats = MatcherStats()
 
     # ------------------------------------------------------------------
@@ -360,4 +378,5 @@ class ContinuousQueryMatcher:
         """
         self.tree.load_state(state["tree"])
         self._tree_stored = self.tree.total_stored_matches()
+        self.next_expiry = self.tree.earliest_stored()
         self.stats = MatcherStats.from_dict(state["stats"])

@@ -119,6 +119,15 @@ class SJTreeNode:
         """Return the number of currently stored matches."""
         return self._match_count
 
+    def earliest_stored(self) -> float:
+        """Return the least ``earliest`` among the stored matches (``inf`` when none).
+
+        Every queued entry is a stored match (matches leave the collection
+        only through the queue), so the queue's head is exact.
+        """
+        oldest = self._expiry.peek_oldest()
+        return float("inf") if oldest is None else oldest[0]
+
     def expire_matches(self, window: TimeWindow, now: float) -> int:
         """Drop matches that can no longer participate in a new in-window match.
 
@@ -412,6 +421,10 @@ class SJTree:
     # ------------------------------------------------------------------
     # maintenance
     # ------------------------------------------------------------------
+    def earliest_stored(self) -> float:
+        """Return the least ``earliest`` among every node's stored matches (``inf`` when none)."""
+        return min((node.earliest_stored() for node in self.nodes.values()), default=float("inf"))
+
     def expire_matches(self, window: TimeWindow, now: float) -> int:
         """Expire partial matches in every node; return the total dropped."""
         if not window.bounded:

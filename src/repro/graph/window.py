@@ -23,6 +23,8 @@ __all__ = ["TimeWindow", "ExpiryQueue"]
 
 T = TypeVar("T")
 
+_INF = float("inf")
+
 
 class TimeWindow:
     """A sliding window of length ``duration`` over event time.
@@ -48,7 +50,7 @@ class TimeWindow:
     @property
     def bounded(self) -> bool:
         """Return ``True`` when the window has a finite duration."""
-        return self.duration != float("inf")
+        return self.duration != _INF
 
     def admits_span(self, span: float) -> bool:
         """Return ``True`` when a subgraph with temporal extent ``span`` is admissible."""
@@ -75,7 +77,7 @@ class TimeWindow:
 
     def is_expired(self, timestamp: Timestamp, now: Timestamp) -> bool:
         """Return ``True`` when an item stamped ``timestamp`` is expired at ``now``."""
-        if not self.bounded:
+        if self.duration == _INF:  # self.bounded inlined: this runs per query per run
             return False
         span = now - timestamp
         if self.strict:

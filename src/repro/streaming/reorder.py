@@ -213,34 +213,46 @@ class ReorderBuffer:
         policy is :attr:`LatePolicy.PROCESS_DEGRADED` (the caller must then
         process it immediately, out of band).  Returns ``None`` otherwise
         (admitted into the buffer, or dropped under :attr:`LatePolicy.DROP`).
+        The one-record case of :meth:`offer_all`.
         """
-        self.records_seen += 1
-        displacement = self._max_seen - record.timestamp
-        if displacement > self.max_displacement_seen:
-            self.max_displacement_seen = displacement
-        if displacement > self.allowed_lateness:
-            self.records_late += 1
-            if self.late_policy == LatePolicy.PROCESS_DEGRADED:
-                self.records_late_degraded += 1
-                return record
-            self.records_late_dropped += 1
-            return None
-        if displacement > 0:
-            self.records_reordered += 1
-        self._pending.append(record)
-        if record.timestamp < self._min_pending:
-            self._min_pending = record.timestamp
-        if record.timestamp > self._max_seen:
-            self._max_seen = record.timestamp
-        return None
+        handed_back = self._admit((record,))
+        return handed_back[0] if handed_back else None
 
     def offer_all(self, records: Iterable[StreamEdge]) -> List[StreamEdge]:
-        """Admit many records; return the late ones handed back by the policy."""
+        """Admit many records in arrival order; return the late ones handed back by the policy.
+
+        Admitting a batch is exactly admitting its records one by one
+        (:meth:`offer`); both run the buffer's one admission loop.
+        """
+        return self._admit(records)
+
+    def _admit(self, records: Iterable[StreamEdge]) -> List[StreamEdge]:
+        """The admission loop: the hook a buffer with other watermark
+        arithmetic overrides (:class:`~repro.streaming.sources.MultiSourceReorderBuffer`)."""
         late: List[StreamEdge] = []
+        degrade = self.late_policy == LatePolicy.PROCESS_DEGRADED
+        pending = self._pending
         for record in records:
-            handed_back = self.offer(record)
-            if handed_back is not None:
-                late.append(handed_back)
+            self.records_seen += 1
+            timestamp = record.timestamp
+            displacement = self._max_seen - timestamp
+            if displacement > self.max_displacement_seen:
+                self.max_displacement_seen = displacement
+            if displacement > self.allowed_lateness:
+                self.records_late += 1
+                if degrade:
+                    self.records_late_degraded += 1
+                    late.append(record)
+                else:
+                    self.records_late_dropped += 1
+                continue
+            if displacement > 0:
+                self.records_reordered += 1
+            pending.append(record)
+            if timestamp < self._min_pending:
+                self._min_pending = timestamp
+            if timestamp > self._max_seen:
+                self._max_seen = timestamp
         return late
 
     # ------------------------------------------------------------------

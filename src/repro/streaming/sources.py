@@ -218,6 +218,10 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         #: stay globally non-decreasing, so the effective watermark is the
         #: running maximum of the raw one and such records are late instead.
         self._watermark_floor = _NEG_INF
+        #: The least source clock (``None`` until recomputed), read by the
+        #: fixed-horizon admission test (:meth:`_admit`).  Derived from the
+        #: source clocks, so a restored buffer recomputes it on first use.
+        self._min_clock: Optional[float] = None  # repro-lint: ignore[snapshot-coverage]
 
     # ------------------------------------------------------------------
     # sources
@@ -248,6 +252,7 @@ class MultiSourceReorderBuffer(ReorderBuffer):
             self._sources[key] = _SourceState(
                 self._initial_lateness(), baseline=self._max_seen
             )
+            self._min_clock = _NEG_INF  # the newcomer's clock
 
     def sources(self) -> List[str]:
         """Return the known source keys in registration/first-seen order."""
@@ -289,8 +294,8 @@ class MultiSourceReorderBuffer(ReorderBuffer):
             self._watermark_floor = raw
         return self._watermark_floor
 
-    def _is_late(self, timestamp: float) -> bool:
-        """Is a record below the release horizon (cannot release in order)?
+    def _late_for_every_source(self, timestamp: float) -> Tuple[float, bool]:
+        """``(raw watermark, late for every active source)`` from the source clocks.
 
         The min-watermark test runs in *displacement space* -- late iff
         ``max_seen - timestamp > lateness`` for **every** active source --
@@ -298,14 +303,9 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         borderline record (displacement exactly equal to the horizon, e.g.
         when the horizon was sized with
         :func:`~repro.streaming.reorder.max_time_displacement`) classifies
-        bit-for-bit as the single-watermark buffer classifies it.  The
-        monotone floor is consulted only when it strictly exceeds the raw
-        minimum (a source (re)appeared with an old clock); in steady state
-        the raw minimum is monotone and the floor clause never fires.
+        bit-for-bit as the single-watermark buffer classifies it.
         """
         raw = self._raw_watermark()
-        if raw > self._watermark_floor:
-            self._watermark_floor = raw
         late = False
         if self._sources and self._max_seen != _NEG_INF:
             any_active = False
@@ -318,6 +318,17 @@ class MultiSourceReorderBuffer(ReorderBuffer):
                     late = False
                     break
             late = late and any_active
+        return raw, late
+
+    def _apply_floor(self, raw: float, late: bool, timestamp: float) -> bool:
+        """Raise the monotone watermark floor to ``raw``; return the final lateness.
+
+        The floor is consulted only when it strictly exceeds the raw
+        minimum (a source (re)appeared with an old clock); in steady state
+        the raw minimum is monotone and the floor clause never fires.
+        """
+        if raw > self._watermark_floor:
+            self._watermark_floor = raw
         if not late and self._watermark_floor > raw and timestamp < self._watermark_floor:
             late = True
         return late
@@ -335,64 +346,98 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def offer(self, record: StreamEdge) -> Optional[StreamEdge]:
-        """Admit one record under its source's watermark bookkeeping.
+    def _admit(self, records: Iterable[StreamEdge]) -> List[StreamEdge]:
+        """Admit records in arrival order under their sources' watermark bookkeeping.
 
-        Returns the record back only when it is late *and* the policy is
-        :attr:`~repro.streaming.reorder.LatePolicy.PROCESS_DEGRADED`
-        (mirroring :meth:`ReorderBuffer.offer`); ``None`` otherwise.  A late
-        record still advances its source's clock -- the record is dropped or
-        degraded, but the collector's progress is real, so a source that
-        fell behind the released horizon catches back up instead of pinning
-        the watermark (or the idle test) at its last good record forever.
+        The one admission loop behind :meth:`offer` and :meth:`offer_all`
+        (see :meth:`ReorderBuffer._admit`): each record is classified
+        against the watermark as the records before it left it, so a batch
+        admits exactly as its records offered one by one.  Returns the late
+        records the :attr:`~repro.streaming.reorder.LatePolicy.PROCESS_DEGRADED`
+        policy hands back.  A late record still advances its source's clock
+        -- the record is dropped or degraded, but the collector's progress
+        is real, so a source that fell behind the released horizon catches
+        back up instead of pinning the watermark (or the idle test) at its
+        last good record forever.
+
+        With one fixed horizon and no idle timeout every source is active
+        and shares the lateness ``L``, so "late for every active source"
+        (``clock - t > L`` for each source clock) is the test against the
+        minimum clock alone -- bit for bit, since ``fl(clock - t)`` is
+        monotone in ``clock`` -- and so is the raw watermark
+        (``min clock - L``).  The minimum is cached and recomputed only when
+        the source holding it advances or a source joins.  Adaptive and
+        idle-timeout buffers run the per-source test
+        (:meth:`_late_for_every_source`); both then apply the watermark
+        floor (:meth:`_apply_floor`).
         """
-        key = record.source_id if record.source_id is not None else DEFAULT_SOURCE
-        state = self._sources.get(key)
-        if state is None:
-            state = _SourceState(self._initial_lateness())
-            self._sources[key] = state
-        self.records_seen += 1
-        state.records_seen += 1
-        timestamp = record.timestamp
-        # global displacement keeps the single-buffer counter semantics
-        displacement = self._max_seen - timestamp
-        if displacement > self.max_displacement_seen:
-            self.max_displacement_seen = displacement
-        own_displacement = state.max_seen - timestamp
-        if own_displacement < 0.0:
-            own_displacement = 0.0
-        if own_displacement > state.max_displacement_seen:
-            state.max_displacement_seen = own_displacement
-        if self.adaptive:
-            self._observe_displacement(state, own_displacement)
-        late = self._is_late(timestamp)
-        if timestamp > state.max_seen:
-            state.max_seen = timestamp
-        if late:
-            self.records_late += 1
-            state.records_late += 1
-            if self.late_policy == LatePolicy.PROCESS_DEGRADED:
-                self.records_late_degraded += 1
-                return record
-            self.records_late_dropped += 1
-            return None
-        if displacement > 0:
-            self.records_reordered += 1
-        if own_displacement > 0:
-            state.records_reordered += 1
-        self._pending.append(record)
-        if timestamp < self._min_pending:
-            self._min_pending = timestamp
-        if timestamp > self._max_seen:
-            first_data = self._max_seen == _NEG_INF
-            self._max_seen = timestamp
-            if first_data:
-                # stream time starts now: sources registered before any data
-                # begin their idle-timeout silence at the first record
-                for other in self._sources.values():
-                    if other.baseline == _NEG_INF:
-                        other.baseline = timestamp
-        return None
+        handed_back: List[StreamEdge] = []
+        sources = self._sources
+        degrade = self.late_policy == LatePolicy.PROCESS_DEGRADED
+        uniform = not self.adaptive and self.idle_timeout is None
+        lateness = self.allowed_lateness
+        pending = self._pending
+        for record in records:
+            key = record.source_id if record.source_id is not None else DEFAULT_SOURCE
+            state = sources.get(key)
+            if state is None:
+                state = sources[key] = _SourceState(self._initial_lateness())
+                self._min_clock = _NEG_INF  # the newcomer's clock
+            self.records_seen += 1
+            state.records_seen += 1
+            timestamp = record.timestamp
+            # global displacement keeps the single-buffer counter semantics
+            displacement = self._max_seen - timestamp
+            if displacement > self.max_displacement_seen:
+                self.max_displacement_seen = displacement
+            own_displacement = state.max_seen - timestamp
+            if own_displacement < 0.0:
+                own_displacement = 0.0
+            if own_displacement > state.max_displacement_seen:
+                state.max_displacement_seen = own_displacement
+            if uniform:
+                clock = self._min_clock
+                if clock is None:
+                    clock = self._min_clock = min(source.max_seen for source in sources.values())
+                if self._max_seen == _NEG_INF:
+                    raw, late = _NEG_INF, False
+                else:
+                    raw, late = clock - lateness, clock - timestamp > lateness
+            else:
+                if self.adaptive:
+                    self._observe_displacement(state, own_displacement)
+                raw, late = self._late_for_every_source(timestamp)
+            late = self._apply_floor(raw, late, timestamp)
+            if timestamp > state.max_seen:
+                if state.max_seen == self._min_clock:
+                    self._min_clock = None  # the source holding the minimum advanced
+                state.max_seen = timestamp
+            if late:
+                self.records_late += 1
+                state.records_late += 1
+                if degrade:
+                    self.records_late_degraded += 1
+                    handed_back.append(record)
+                else:
+                    self.records_late_dropped += 1
+                continue
+            if displacement > 0:
+                self.records_reordered += 1
+            if own_displacement > 0:
+                state.records_reordered += 1
+            pending.append(record)
+            if timestamp < self._min_pending:
+                self._min_pending = timestamp
+            if timestamp > self._max_seen:
+                first_data = self._max_seen == _NEG_INF
+                self._max_seen = timestamp
+                if first_data:
+                    # stream time starts now: sources registered before any
+                    # data begin their idle-timeout silence at the first record
+                    for other in sources.values():
+                        if other.baseline == _NEG_INF:
+                            other.baseline = timestamp
+        return handed_back
 
     def _observe_displacement(self, state: _SourceState, own_displacement: float) -> None:
         """Fold one own-clock displacement into the source's adaptive horizon."""

@@ -287,16 +287,16 @@ def test_inverting_a_lock_acquisition_order_fails_the_suite():
 
 
 def test_raising_between_persisted_writes_fails_the_suite():
-    """Inserting a validation raise after `offer`'s first persisted write
-    opens a torn-checkpoint window the exception-atomicity rule must
-    report."""
+    """Inserting a validation raise after the admission loop's first
+    persisted write opens a torn-checkpoint window the exception-atomicity
+    rule must report."""
     report = _analyse_mutated_reorder(
         lambda text: text.replace(
-            "        self.records_seen += 1\n        displacement",
-            "        self.records_seen += 1\n"
-            "        if record.timestamp < 0:\n"
-            '            raise ValueError("negative timestamp")\n'
-            "        displacement",
+            "            self.records_seen += 1\n            timestamp",
+            "            self.records_seen += 1\n"
+            "            if record.timestamp < 0:\n"
+            '                raise ValueError("negative timestamp")\n'
+            "            timestamp",
         )
     )
     findings = [f for f in report.findings if f.rule == "exception-atomicity"]

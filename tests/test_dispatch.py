@@ -338,12 +338,12 @@ class TestLookupParity:
         )
 
     def test_an_uncounted_rejection_is_caught(self, monkeypatch):
-        """Mutation: a gate that rejects without its lookup tick breaks parity."""
+        """Mutation: a bulk gate that rejects without its lookup ticks breaks parity."""
 
-        def uncounted(self, edge_label):
-            return edge_label not in self._by_label and not self._wildcard
+        def uncounted(self, records):
+            return [bool(self._wildcard) or record.label in self._by_label for record in records]
 
-        monkeypatch.setattr(DispatchIndex, "front_rejects", uncounted)
+        monkeypatch.setattr(DispatchIndex, "front_gate", uncounted)
         records = rmat_with_unbound_labels()
         engine = labelled_engine()
         replay(engine, records, batched=True)
