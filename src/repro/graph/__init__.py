@@ -2,11 +2,10 @@
 
 This package provides the storage layer StreamWorks runs on: a typed,
 attributed, timestamped directed multigraph (:class:`PropertyGraph`), its
-sliding-window streaming wrapper (:class:`DynamicGraph`), label-aware
-adjacency indexes and window/expiry utilities.
+sliding-window streaming wrapper (:class:`DynamicGraph`), the per-vertex
+records and ordered edge slots behind them, and window/expiry utilities.
 """
 
-from .adjacency import AdjacencyIndex
 from .dynamic_graph import DynamicGraph
 from .property_graph import PropertyGraph
 from .types import (
@@ -26,7 +25,6 @@ from .types import (
 from .window import ExpiryQueue, TimeWindow
 
 __all__ = [
-    "AdjacencyIndex",
     "Direction",
     "DuplicateEdgeError",
     "DuplicateVertexError",

@@ -15,11 +15,13 @@ it would only slow the local searches down.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional
+from collections import deque
+from heapq import heappop, heappush
+from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .property_graph import PropertyGraph
 from .types import Direction, Edge, EdgeId, Timestamp, Vertex, VertexId
-from .window import ExpiryQueue, TimeWindow
+from .window import TimeWindow
 
 __all__ = ["DynamicGraph"]
 
@@ -52,8 +54,11 @@ class DynamicGraph:
         self.window = window if window is not None else TimeWindow(None)
         self.evict_isolated_vertices = evict_isolated_vertices
         self.out_of_order_tolerance = out_of_order_tolerance
-        # rebuilt from the retained edges on from_state (see state_dict)
-        self._expiry: ExpiryQueue[EdgeId] = ExpiryQueue()  # repro-lint: ignore[snapshot-coverage]
+        # the expiry order: edges whose timestamp does not decrease queue
+        # here, the late ones go to a side heap keyed (timestamp, edge id);
+        # both are rebuilt from the retained edges on from_state
+        self._fifo: Deque[Edge] = deque()  # repro-lint: ignore[snapshot-coverage]
+        self._late: List[Tuple[Timestamp, EdgeId, Edge]] = []  # repro-lint: ignore[snapshot-coverage]
         self._current_time: float = float("-inf")
         self._edges_ingested = 0
         self._edges_evicted = 0
@@ -154,7 +159,7 @@ class DynamicGraph:
         self._edges_ingested += 1
         if timestamp > self._current_time:
             self._current_time = timestamp
-        self._expiry.push(timestamp, edge.id)
+        self._enqueue(edge)
         if evict:
             self.evict_expired()
         return edge
@@ -184,26 +189,56 @@ class DynamicGraph:
     # ------------------------------------------------------------------
     # eviction
     # ------------------------------------------------------------------
+    def _enqueue(self, edge: Edge) -> None:
+        """Queue ``edge`` for expiry: the deque unless it is older than the deque's tail."""
+        fifo = self._fifo
+        if not fifo or edge.timestamp >= fifo[-1].timestamp:
+            fifo.append(edge)
+        else:
+            heappush(self._late, (edge.timestamp, edge.id, edge))
+
     def evict_expired(self, now: Optional[Timestamp] = None) -> List[Edge]:
-        """Evict edges older than the retention window and return them."""
-        if not self.window.bounded:
+        """Evict edges older than the retention window and return them.
+
+        Edges leave in (timestamp, ingest) order: the queue's head and the
+        late heap's top are merged, so on in-order input the sweep is a run
+        of ``popleft`` calls, and every slot it touches gives up its head.
+        Edges already removed out of band are skipped.
+        """
+        window = self.window
+        if not window.bounded:
             return []
         if now is None:
             now = self._current_time
-        threshold = self.window.expiry_threshold(now)
-        evicted: List[Edge] = []
+        threshold = window.expiry_threshold(now)
         # strict window: an edge exactly at the threshold has span == tW which
         # is inadmissible, so it is evicted when ``strict`` is set.
-        for edge_id in self._expiry.pop_expired(threshold, inclusive=self.window.strict):
-            if not self.graph.has_edge(edge_id):
-                continue
-            edge = self.graph.remove_edge(edge_id)
-            evicted.append(edge)
-            self._edges_evicted += 1
-            if self.evict_isolated_vertices:
-                for endpoint in edge.endpoints:
-                    self.graph.remove_isolated_vertex(endpoint)
+        keep_at_threshold = not window.strict
+        fifo = self._fifo
+        late = self._late
+        discard = self.graph.discard_edge
+        drop_isolated = self.evict_isolated_vertices
+        evicted: List[Edge] = []
+        while True:
+            if late and (
+                not fifo or (late[0][0], late[0][1]) < (fifo[0].timestamp, fifo[0].id)
+            ):
+                stamp = late[0][0]
+                if stamp > threshold or (stamp == threshold and keep_at_threshold):
+                    break
+                edge = heappop(late)[2]
+            elif fifo:
+                edge = fifo[0]
+                stamp = edge.timestamp
+                if stamp > threshold or (stamp == threshold and keep_at_threshold):
+                    break
+                fifo.popleft()
+            else:
+                break
+            if discard(edge, drop_isolated):
+                evicted.append(edge)
         if evicted:
+            self._edges_evicted += len(evicted)
             for listener in self._eviction_listeners:
                 for edge in evicted:
                     listener(edge)
@@ -286,12 +321,12 @@ class DynamicGraph:
     def state_dict(self) -> dict:
         """Serialise the windowed store (graph + clock + counters).
 
-        The expiry queue is not serialised: it is rebuilt from the retained
-        edges on :meth:`from_state`.  Stale heap entries (edges already
-        evicted out of band) are dropped by the rebuild, which is
-        behaviour-preserving -- ``pop_expired`` skips them anyway -- and the
-        rebuilt tie-break order (push order = ingest order of the live
-        edges) matches the original's for every edge that can still expire.
+        The expiry queue and late heap are not serialised: they are rebuilt
+        from the retained edges, in ingest order, on :meth:`from_state`.
+        Entries for edges removed out of band are dropped by the rebuild,
+        which is behaviour-preserving -- the sweep skips them anyway -- and
+        the sweep order, (timestamp, ingest), is the original's for every
+        edge that can still expire.
         """
         return {
             "graph": self.graph.state_dict(),
@@ -325,7 +360,7 @@ class DynamicGraph:
         graph._edges_ingested = state["edges_ingested"]
         graph._edges_evicted = state["edges_evicted"]
         for edge in graph.graph.edges():
-            graph._expiry.push(edge.timestamp, edge.id)
+            graph._enqueue(edge)
         return graph
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

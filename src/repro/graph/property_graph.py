@@ -5,20 +5,23 @@ multigraph whose vertices and edges carry labels and attribute maps.  The
 dynamic (windowed) behaviour is layered on top in
 :mod:`repro.graph.dynamic_graph`.
 
-The store keeps label-aware adjacency indexes (:class:`AdjacencyIndex`) so
-that the incremental matcher's local searches stay proportional to the size
-of the neighbourhood being explored.
+Each stored vertex is one :class:`~repro.graph.adjacency.VertexRecord`
+holding its label, attrs, live degree and label-keyed edge slots, so the
+incremental matcher's local searches stay proportional to the size of the
+neighbourhood being explored, and an edge touches each endpoint with one
+dict lookup on ingest and on removal.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import chain
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from .adjacency import AdjacencyIndex, EdgeTimeRuns
+from .adjacency import EdgeSlot, VertexRecord
 from .types import (
     Direction,
     DuplicateEdgeError,
+    DuplicateVertexError,
     Edge,
     EdgeId,
     EdgeNotFoundError,
@@ -42,24 +45,19 @@ class PropertyGraph:
 
     The class exposes the read API used by the matcher (vertex/edge lookup,
     label-filtered adjacency) and the write API used by the stream ingester
-    (upserts, removal for window eviction).
+    (upserts, removal for window eviction).  Every label-filtered
+    enumeration follows ingest order, never the hash order of engine-local
+    ids, so engines fed the same stream enumerate (and emit) in the same
+    order regardless of id numbering.
     """
 
     def __init__(self) -> None:
-        self._vertices: Dict[VertexId, Vertex] = {}
+        self._vertices: Dict[VertexId, VertexRecord] = {}
         self._edges: Dict[EdgeId, Edge] = {}
-        self._adjacency = AdjacencyIndex()
-        # label indexes are insertion-ordered dicts used as ordered sets:
-        # label-filtered iteration must follow ingest order, not the hash
-        # order of engine-local ids, so that engines fed the same stream
-        # enumerate (and emit) in the same order regardless of id numbering
-        self._edges_by_label: Dict[str, Dict[EdgeId, None]] = defaultdict(dict)
-        self._vertices_by_label: Dict[str, Dict[VertexId, None]] = defaultdict(dict)
+        # replayed from the persisted edges: from_state re-adds them in order
+        self._label_slots: Dict[str, EdgeSlot] = {}  # repro-lint: ignore[snapshot-coverage]
+        self._vertices_by_label: Dict[str, Dict[VertexId, None]] = {}
         self._next_edge_id: int = 0
-        # columnar range-scan sidecars: per-label timestamp arrays, built
-        # lazily on first range query and rebuilt the same way after a
-        # restore -- deliberately derived state, never serialised
-        self._label_times: Dict[str, EdgeTimeRuns] = {}  # repro-lint: ignore[snapshot-coverage]
         #: Range-scan observability (process-local, like wall-clock latency:
         #: reset by construction and restore, not part of the resume contract)
         self.range_scans = 0  # repro-lint: ignore[snapshot-coverage]
@@ -78,9 +76,8 @@ class PropertyGraph:
 
         Adding an existing vertex id with the same label merges the supplied
         attributes into the stored vertex (last write wins per key); adding it
-        with a *different* label raises :class:`DuplicateVertexError` via
-        :meth:`upsert_vertex`'s strictness -- in a multi-relational graph a
-        vertex identity has exactly one type.
+        with a *different* label raises :class:`DuplicateVertexError` -- in a
+        multi-relational graph a vertex identity has exactly one type.
 
         Stream contract: a stream gives each live vertex id one label.  The
         engine relies on it twice -- it routes a record by its endpoints'
@@ -90,13 +87,8 @@ class PropertyGraph:
         """
         existing = self._vertices.get(vertex_id)
         if existing is None:
-            vertex = Vertex(vertex_id, label, attrs)
-            self._vertices[vertex_id] = vertex
-            self._vertices_by_label[label][vertex_id] = None
-            return vertex
+            return self._new_vertex(vertex_id, label, attrs)
         if existing.label != label:
-            from .types import DuplicateVertexError
-
             raise DuplicateVertexError(
                 f"vertex {vertex_id!r} already exists with label {existing.label!r}, "
                 f"cannot re-add with label {label!r}"
@@ -104,6 +96,13 @@ class PropertyGraph:
         if attrs:
             existing.attrs.update(attrs)
         return existing
+
+    def _new_vertex(
+        self, vertex_id: VertexId, label: str, attrs: Optional[Mapping[str, Any]] = None
+    ) -> VertexRecord:
+        record = self._vertices[vertex_id] = VertexRecord(vertex_id, label, attrs)
+        self._vertices_by_label.setdefault(label, {})[vertex_id] = None
+        return record
 
     def has_vertex(self, vertex_id: VertexId) -> bool:
         """Return ``True`` when ``vertex_id`` is stored."""
@@ -144,40 +143,33 @@ class PropertyGraph:
 
     def vertex_labels(self) -> Set[str]:
         """Return the set of vertex labels present in the graph."""
-        return {label for label, ids in self._vertices_by_label.items() if ids}
+        return set(self._vertices_by_label)
 
     def remove_vertex(self, vertex_id: VertexId) -> Vertex:
         """Remove a vertex and all of its incident edges."""
-        vertex = self.vertex(vertex_id)
-        incident = list(self._adjacency.incident_edge_ids(vertex_id, Direction.BOTH))
-        for edge_id in incident:
-            if edge_id in self._edges:
-                self.remove_edge(edge_id)
-        self._vertices_by_label[vertex.label].pop(vertex_id, None)
-        if not self._vertices_by_label[vertex.label]:
-            del self._vertices_by_label[vertex.label]
-        del self._vertices[vertex_id]
-        self._adjacency.remove_vertex(vertex_id)
-        return vertex
+        record = self._vertices.get(vertex_id)
+        if record is None:
+            raise VertexNotFoundError(vertex_id)
+        for edge in list(self.incident_edges(vertex_id)):
+            # a self loop is listed twice, OUT and IN
+            self.discard_edge(edge)
+        self._drop_vertex(record)
+        return record
 
     def remove_isolated_vertex(self, vertex_id: VertexId) -> bool:
-        """Remove ``vertex_id`` if it is stored with no incident edge; say whether.
-
-        Window eviction's path: it has just removed the vertex's last edge,
-        so there is nothing to cascade to and :meth:`remove_vertex`'s
-        incident-edge sweep would only re-prove that.
-        """
-        if self._adjacency.degree(vertex_id):
+        """Remove ``vertex_id`` if it is stored with no incident edge; say whether."""
+        record = self._vertices.get(vertex_id)
+        if record is None or record.degree:
             return False
-        vertex = self._vertices.pop(vertex_id, None)
-        if vertex is None:
-            return False
-        labelled = self._vertices_by_label[vertex.label]
-        del labelled[vertex_id]
-        if not labelled:
-            del self._vertices_by_label[vertex.label]
-        self._adjacency.remove_vertex(vertex_id)
+        self._drop_vertex(record)
         return True
+
+    def _drop_vertex(self, record: VertexRecord) -> None:
+        del self._vertices[record.id]
+        labelled = self._vertices_by_label[record.label]
+        del labelled[record.id]
+        if not labelled:
+            del self._vertices_by_label[record.label]
 
     # ------------------------------------------------------------------
     # edges
@@ -199,14 +191,17 @@ class PropertyGraph:
         are supplied, in which case missing endpoints are created on the fly
         -- the common case when ingesting a raw edge stream.
         """
-        if not self.has_vertex(source):
+        vertices = self._vertices
+        source_record = vertices.get(source)
+        if source_record is None:
             if source_label is None:
                 raise VertexNotFoundError(source)
-            self.add_vertex(source, source_label)
-        if not self.has_vertex(target):
+            source_record = self._new_vertex(source, source_label)
+        target_record = vertices.get(target)
+        if target_record is None:
             if target_label is None:
                 raise VertexNotFoundError(target)
-            self.add_vertex(target, target_label)
+            target_record = self._new_vertex(target, target_label)
 
         if edge_id is None:
             edge_id = self._next_edge_id
@@ -218,12 +213,20 @@ class PropertyGraph:
 
         edge = Edge(edge_id, source, target, label, timestamp, attrs)
         self._edges[edge_id] = edge
-        self._edges_by_label[label][edge_id] = None
-        self._adjacency.add_edge(edge)
-        if self._label_times:
-            runs = self._label_times.get(label)
-            if runs is not None:
-                runs.append(edge_id, timestamp)
+        slot = self._label_slots.get(label)
+        if slot is None:
+            slot = self._label_slots[label] = EdgeSlot()
+        slot.append(edge)
+        slot = source_record.out.get(label)
+        if slot is None:
+            slot = source_record.out[label] = EdgeSlot()
+        slot.append(edge)
+        slot = target_record.in_.get(label)
+        if slot is None:
+            slot = target_record.in_[label] = EdgeSlot()
+        slot.append(edge)
+        source_record.degree += 1
+        target_record.degree += 1
         return edge
 
     def insert_edge(self, edge: Edge, source_label: str = "node", target_label: str = "node") -> Edge:
@@ -260,42 +263,65 @@ class PropertyGraph:
     def edges(self, label: Optional[str] = None) -> Iterator[Edge]:
         """Iterate over stored edges, optionally restricted to one label."""
         if label is None:
-            yield from self._edges.values()
-            return
-        for edge_id in self._edges_by_label.get(label, ()):
-            yield self._edges[edge_id]
+            return iter(self._edges.values())
+        slot = self._label_slots.get(label)
+        return iter(() if slot is None else slot.live())
 
     def edge_ids(self, label: Optional[str] = None) -> Iterator[EdgeId]:
         """Iterate over stored edge identifiers."""
         if label is None:
-            yield from self._edges.keys()
-        else:
-            yield from self._edges_by_label.get(label, ())
+            return iter(self._edges.keys())
+        return (edge.id for edge in self.edges(label))
 
     def edge_count(self, label: Optional[str] = None) -> int:
         """Return the number of edges (optionally of a single label)."""
         if label is None:
             return len(self._edges)
-        return len(self._edges_by_label.get(label, ()))
+        slot = self._label_slots.get(label)
+        return 0 if slot is None else len(slot)
 
     def edge_labels(self) -> Set[str]:
         """Return the set of edge labels present in the graph."""
-        return {label for label, ids in self._edges_by_label.items() if ids}
+        return set(self._label_slots)
 
     def remove_edge(self, edge_id: EdgeId) -> Edge:
         """Remove an edge by id and return it."""
         edge = self.edge(edge_id)
-        del self._edges[edge_id]
-        self._edges_by_label[edge.label].pop(edge_id, None)
-        if not self._edges_by_label[edge.label]:
-            del self._edges_by_label[edge.label]
-            self._label_times.pop(edge.label, None)
-        elif self._label_times:
-            runs = self._label_times.get(edge.label)
-            if runs is not None:
-                runs.discard(self._edges_by_label[edge.label])
-        self._adjacency.remove_edge(edge)
+        self.discard_edge(edge)
         return edge
+
+    def discard_edge(self, edge: Edge, drop_isolated: bool = False) -> bool:
+        """Remove ``edge`` if it is the stored edge of its id; say whether.
+
+        Window eviction's path: the edge object is in hand, so each endpoint
+        record is looked up once, and with ``drop_isolated`` an endpoint
+        left without edges is removed on the spot (there is nothing for
+        :meth:`remove_vertex` to cascade to).
+        """
+        edge_id = edge.id
+        if self._edges.get(edge_id) is not edge:
+            return False
+        del self._edges[edge_id]
+        label = edge.label
+        source_record = self._vertices[edge.source]
+        target_record = self._vertices[edge.target]
+        slots = self._label_slots
+        if not slots[label].remove(edge):
+            del slots[label]
+        slots = source_record.out
+        if not slots[label].remove(edge):
+            del slots[label]
+        slots = target_record.in_
+        if not slots[label].remove(edge):
+            del slots[label]
+        source_record.degree -= 1
+        target_record.degree -= 1
+        if drop_isolated:
+            if not source_record.degree:
+                self._drop_vertex(source_record)
+            if target_record is not source_record and not target_record.degree:
+                self._drop_vertex(target_record)
+        return True
 
     def edges_between(
         self,
@@ -305,16 +331,17 @@ class PropertyGraph:
         directed: bool = True,
     ) -> List[Edge]:
         """Return all edges from ``source`` to ``target`` (or either way)."""
-        result: List[Edge] = []
-        for edge_id in self._adjacency.incident_edge_ids(source, Direction.OUT, label):
-            edge = self._edges[edge_id]
-            if edge.target == target:
-                result.append(edge)
+        result = [
+            edge
+            for edge in self.incident_edges(source, Direction.OUT, label)
+            if edge.target == target
+        ]
         if not directed:
-            for edge_id in self._adjacency.incident_edge_ids(source, Direction.IN, label):
-                edge = self._edges[edge_id]
-                if edge.source == target:
-                    result.append(edge)
+            result.extend(
+                edge
+                for edge in self.incident_edges(source, Direction.IN, label)
+                if edge.source == target
+            )
         return result
 
     # ------------------------------------------------------------------
@@ -325,32 +352,22 @@ class PropertyGraph:
     ) -> Optional[List[Edge]]:
         """Edges with ``label`` and timestamp in ``[low, high]``, insertion order.
 
-        Sorted-array range scan over a lazily-built per-label timestamp
-        sidecar: while the label's ingest order is time-sorted (the normal
-        case -- the batched fast path ingests non-decreasing runs) the range
-        is one binary-searched contiguous slice whose order equals the plain
-        ``edges(label)`` enumeration restricted to the range.  Returns
-        ``None`` when the sidecar is unsorted (heavily disordered ingest for
-        this label); callers fall back to ``edges(label)``, which is always
-        correct.  Bounds are inclusive -- callers use the scan as a superset
-        prefilter ahead of their exact window checks.
+        Two bisections over the label's slot: while its entries are
+        time-sorted (the normal case -- the batched fast path ingests
+        non-decreasing runs) the range is one contiguous slice whose order
+        equals the plain ``edges(label)`` enumeration restricted to the
+        range.  Returns ``None`` when the slot is unsorted (disordered
+        ingest for this label); callers fall back to ``edges(label)``,
+        which is always correct.  Bounds are inclusive -- callers use the
+        scan as a superset prefilter ahead of their exact window checks.
         """
-        bucket = self._edges_by_label.get(label)
-        if not bucket:
-            self.range_scans += 1
-            return []
-        runs = self._label_times.get(label)
-        if runs is None:
-            edges = self._edges
-            runs = EdgeTimeRuns.from_bucket(bucket, lambda eid: edges[eid].timestamp)
-            self._label_times[label] = runs
-        ids = runs.range_ids(low, high)
-        if ids is None:
+        slot = self._label_slots.get(label)
+        found = [] if slot is None else slot.between(low, high)
+        if found is None:
             self.range_scan_fallbacks += 1
             return None
         self.range_scans += 1
-        edges = self._edges
-        return [edges[edge_id] for edge_id in ids if edge_id in bucket]
+        return found
 
     def incident_edges_in_range(
         self,
@@ -362,20 +379,35 @@ class PropertyGraph:
     ) -> Optional[List[Edge]]:
         """Incident ``label`` edges with timestamp in ``[low, high]``, ingest order.
 
-        Timestamp-bounded adjacency enumeration backed by the adjacency
-        index's per-(vertex, direction, label) sorted-array sidecars; order
-        and fallback semantics mirror :meth:`edges_in_range` (``None`` =
-        unsorted slot, fall back to :meth:`incident_edges`).
+        Timestamp-bounded adjacency enumeration over the vertex record's
+        slots; order and fallback semantics mirror :meth:`edges_in_range`
+        (``None`` = unsorted slot, fall back to :meth:`incident_edges`).
+        ``Direction.BOTH`` lists OUT then IN, a self loop (filed under
+        both) once, with OUT.
         """
-        edges = self._edges
-        ids = self._adjacency.incident_ids_in_range(
-            vertex_id, direction, label, low, high, lambda eid: edges[eid].timestamp
-        )
-        if ids is None:
+        record = self._vertices.get(vertex_id)
+        found: Optional[List[Edge]] = []
+        if record is not None:
+            if direction == Direction.OUT:
+                slot = record.out.get(label)
+                if slot is not None:
+                    found = slot.between(low, high)
+            elif direction == Direction.IN:
+                slot = record.in_.get(label)
+                if slot is not None:
+                    found = slot.between(low, high)
+            else:
+                found = _between(record.out, label, low, high)
+                entering = _between(record.in_, label, low, high)
+                if found is None or entering is None:
+                    found = None
+                elif entering:
+                    found.extend(edge for edge in entering if edge.source != vertex_id)
+        if found is None:
             self.range_scan_fallbacks += 1
             return None
         self.range_scans += 1
-        return [edges[edge_id] for edge_id in ids]
+        return found
 
     def range_scan_stats(self) -> Dict[str, int]:
         """Return the columnar range-scan counters (process-local)."""
@@ -397,9 +429,29 @@ class PropertyGraph:
 
         ``direction`` follows :class:`Direction`; ``label`` filters on the
         edge label.  This is the primitive the local search is built on.
+        Edges come slot by slot -- OUT before IN, labels in their slot
+        order -- and in ingest order within a slot; with ``BOTH`` a self
+        loop comes twice.
         """
-        for edge_id in self._adjacency.incident_edge_ids(vertex_id, direction, label):
-            yield self._edges[edge_id]
+        record = self._vertices.get(vertex_id)
+        if record is None:
+            return iter(())
+        if direction == Direction.OUT:
+            maps: Tuple[Dict[str, EdgeSlot], ...] = (record.out,)
+        elif direction == Direction.IN:
+            maps = (record.in_,)
+        elif direction == Direction.BOTH:
+            maps = (record.out, record.in_)
+        else:
+            return iter(())
+        if label is None:
+            return chain.from_iterable(slot.live() for slots in maps for slot in slots.values())
+        if len(maps) == 1:
+            slot = maps[0].get(label)
+            return iter(() if slot is None else slot.live())
+        return chain.from_iterable(
+            slot.live() for slot in (record.out.get(label), record.in_.get(label)) if slot is not None
+        )
 
     def neighbors(
         self,
@@ -415,15 +467,18 @@ class PropertyGraph:
 
     def degree(self, vertex_id: VertexId) -> int:
         """Return the total degree (in + out) of a vertex."""
-        return self._adjacency.degree(vertex_id)
+        record = self._vertices.get(vertex_id)
+        return 0 if record is None else record.degree
 
     def out_degree(self, vertex_id: VertexId) -> int:
         """Return the out degree of a vertex."""
-        return self._adjacency.out_degree(vertex_id)
+        record = self._vertices.get(vertex_id)
+        return 0 if record is None else sum(map(len, record.out.values()))
 
     def in_degree(self, vertex_id: VertexId) -> int:
         """Return the in degree of a vertex."""
-        return self._adjacency.in_degree(vertex_id)
+        record = self._vertices.get(vertex_id)
+        return 0 if record is None else sum(map(len, record.in_.values()))
 
     # ------------------------------------------------------------------
     # whole-graph helpers
@@ -467,12 +522,23 @@ class PropertyGraph:
         """Serialise the full store into a JSON-friendly state dict.
 
         Vertices and edges are listed in their *insertion order* (the order
-        the store enumerates them in), which is what
-        :meth:`from_state` replays to reproduce every internal index --
-        including the label buckets, whose iteration order is a correctness
-        property of the engines (see :class:`AdjacencyIndex`).  Attribute
-        values must be JSON-safe for the state to be writable.
+        the store enumerates them in), which is what :meth:`from_state`
+        replays to reproduce every slot.  Replay alone does not reproduce
+        the label key order of a vertex's slots: a slot keeps its place as
+        long as one live edge holds it open, even after the edge that
+        created it was evicted, so that order is a function of the whole
+        ingest/evict history.  ``incident_edges`` with no label enumerates
+        in it -- which feeds local search and therefore match emission
+        order -- so ``adjacency_label_order`` records it for every
+        (vertex, direction) with two or more labels.  Attribute values must
+        be JSON-safe for the state to be writable.
         """
+        label_order: List[Tuple[VertexId, str, List[str]]] = []
+        for record in self._vertices.values():
+            if len(record.out) > 1:
+                label_order.append((record.id, Direction.OUT, list(record.out)))
+            if len(record.in_) > 1:
+                label_order.append((record.id, Direction.IN, list(record.in_)))
         return {
             "vertices": [
                 [vertex.id, vertex.label, dict(vertex.attrs)]
@@ -483,38 +549,52 @@ class PropertyGraph:
                 for edge in self._edges.values()
             ],
             "next_edge_id": self._next_edge_id,
-            "adjacency_label_order": self._adjacency.label_order_state(),
+            "adjacency_label_order": label_order,
         }
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "PropertyGraph":
-        """Rebuild a store from :meth:`state_dict` output (exact indexes)."""
+        """Rebuild a store from :meth:`state_dict` output (exact slots and orders).
+
+        Labels named by ``adjacency_label_order`` but absent from the
+        rebuilt record are skipped; rebuilt labels it does not name keep
+        their replay order after the named ones.
+        """
         graph = cls()
         for vertex_id, label, attrs in state["vertices"]:
             graph.add_vertex(vertex_id, label, attrs)
         for edge_id, source, target, label, timestamp, attrs in state["edges"]:
             graph.add_edge(source, target, label, timestamp, attrs, edge_id=edge_id)
         graph._next_edge_id = state["next_edge_id"]
-        graph._adjacency.apply_label_order(state.get("adjacency_label_order", ()))
+        for vertex_id, direction, labels in state.get("adjacency_label_order", ()):
+            record = graph._vertices.get(vertex_id)
+            if record is None:
+                continue
+            slots = record.out if direction == Direction.OUT else record.in_
+            ordered = {label: slots[label] for label in labels if label in slots}
+            for label, slot in slots.items():
+                ordered.setdefault(label, slot)
+            if direction == Direction.OUT:
+                record.out = ordered
+            else:
+                record.in_ = ordered
         return graph
 
     def clear(self) -> None:
         """Remove every vertex and edge."""
         self._vertices.clear()
         self._edges.clear()
-        self._adjacency.clear()
-        self._edges_by_label.clear()
+        self._label_slots.clear()
         self._vertices_by_label.clear()
-        self._label_times.clear()
         self._next_edge_id = 0
 
-    def to_networkx(self):  # pragma: no cover - optional interoperability helper
+    def to_networkx(self) -> Any:  # pragma: no cover - optional interoperability helper
         """Convert to a ``networkx.MultiDiGraph`` when networkx is installed.
 
         networkx is *not* a dependency of the hot path; this helper exists
         only for ad-hoc analysis and plotting.
         """
-        import networkx as nx
+        import networkx as nx  # type: ignore[import]
 
         g = nx.MultiDiGraph()
         for vertex in self._vertices.values():
@@ -538,3 +618,10 @@ class PropertyGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PropertyGraph(|V|={self.vertex_count()}, |E|={self.edge_count()})"
+
+
+def _between(
+    slots: Dict[str, EdgeSlot], label: str, low: Timestamp, high: Timestamp
+) -> Optional[List[Edge]]:
+    slot = slots.get(label)
+    return [] if slot is None else slot.between(low, high)
