@@ -759,7 +759,7 @@ class StreamWorksEngine(IngestFront):
             source_attrs=source_attrs,
             target_attrs=target_attrs,
         )
-        return self._run_batch([record], None)
+        return self._run_batch([record])
 
     def _emit_trigger(
         self,
@@ -803,12 +803,11 @@ class StreamWorksEngine(IngestFront):
 
         Only matchers with a partial due (:meth:`ContinuousQueryMatcher.expiry_due`)
         are swept, so a sweep costs one comparison per registered query
-        plus the partials it drops.  Every run sweeps this way (at the
-        run's expiry anchor).  The sharded engine calls it directly to
-        deliver that same per-run sweep to a shard that received *no*
-        records in a run -- the sweep sequence, not just the final clock,
-        determines which partials survive once streams may carry late
-        records, so a shard must not skip the sweeps the single engine ran.
+        plus the partials it drops.  Every run sweeps this way, at the
+        stream clock (:meth:`_run_fast_path`).  A sweep is pure pruning: a
+        partial expired at the clock can only complete into a match that
+        fails the window check at every later record, so sweeping more or
+        less often never changes the events.
         """
         dropped = 0
         for registration in self.queries.values():
@@ -817,45 +816,25 @@ class StreamWorksEngine(IngestFront):
                 dropped += matcher.expire_partials(now)
         return dropped
 
-    def _run_batch(
-        self,
-        records: List[StreamEdge],
-        watermark: Optional[float],
-        expiry_anchor: Optional[float] = None,
-    ) -> List[MatchEvent]:
+    def _run_batch(self, records: List[StreamEdge]) -> List[MatchEvent]:
         """Run a batch as its maximal ordered runs, then the replan checks it made due.
 
         Every ingest entry point ends here (:mod:`repro.core.ingest`): a
         record is a one-record batch.  Each maximal non-decreasing run is
         one :meth:`_run_fast_path`, in arrival order, so a disordered batch
-        is exactly its ordered runs fed as batches.  ``watermark`` is unused
-        here: the front has stamped it already, and only the sharded engine
-        ships it on.
-
-        ``expiry_anchor`` lowers every run's partial-match expiry anchor to
-        an *earlier* time.  Expiry is a pruning optimisation -- anything it
-        drops could never complete -- so an earlier anchor only retains
-        more state.  A shard passes the global run minimum here, so a shard
-        sweeping its own (later-starting) segment keeps exactly the
-        partials the single engine keeps, which matters when later batches
-        may still carry late records that could complete them.
+        is exactly its ordered runs fed as batches.
         """
         self.throughput.start()
         events: List[MatchEvent] = []
         for start, end in ordered_run_slices(records):
-            self._run_fast_path(records[start:end], expiry_anchor, events)
+            self._run_fast_path(records[start:end], events)
         self.throughput.add(len(records))
         self.throughput.stop()
         for _ in range(self._due_replan_checks()):
             self.run_replan_check()
         return events
 
-    def _run_fast_path(
-        self,
-        records: Sequence[StreamEdge],
-        expiry_anchor: Optional[float],
-        events: List[MatchEvent],
-    ) -> None:
+    def _run_fast_path(self, records: Sequence[StreamEdge], events: List[MatchEvent]) -> None:
         """The engine's one execution path, over one non-decreasing run.
 
         Step 1 routes each record, then stores it only when it is *hot*
@@ -864,26 +843,28 @@ class StreamWorksEngine(IngestFront):
         the end of the run: evicting against the run's latest timestamp up
         front could remove edges its earlier records can still legally
         match.  Step 2 folds the hot records into the statistics in one
-        call.  Step 3 sweeps partial-match expiry, anchored at the run's
-        earliest timestamp, in every matcher holding a partial expired at
-        that anchor -- whether or not the run routes to it -- and in no
-        other (:meth:`expire_all_partials`).  Step 4 searches the hot
-        records with the leaves step 1 chose (:meth:`_dispatch_run`), and
-        step 5 is one eviction sweep over the store and the cold ring
-        (:meth:`evict_expired`).  Per-record latency samples time step 4
-        of each hot record only.
+        call.  Step 3 sweeps partial-match expiry at the run's stream
+        clock -- the clock before the run, or the run's first timestamp
+        when that is later -- in every matcher holding a partial expired
+        there, whether or not the run routes to it, and in no other
+        (:meth:`expire_all_partials`).  Step 4 searches the hot records with
+        the leaves step 1 chose and applies the window rule
+        (:meth:`_dispatch_run`), and step 5 is one eviction sweep over the
+        store and the cold ring (:meth:`evict_expired`).  Per-record latency
+        samples time step 4 of each hot record only.
 
         A record already outside the retention horizon at its ingest point
         (``timestamp`` expired against the running stream clock) is *dead on
         arrival*: it is ingested and immediately evicted, counted in
         ``records_dead_on_arrival``, and never routed, matched or folded
-        into the statistics.  Keeping it alive within its run and matching
-        it would make the outcome depend on how the stream happened to be
-        batched; a checkpoint/restore cycle re-batches the remainder of the
-        stream, so resume exactness requires the batching-independent skip.
-        Within a non-decreasing run dead records precede any record that
-        advances the clock, so the mid-run eviction sweep removes only them.
+        into the statistics.  Every match it could complete fails the window
+        rule, so the skip only prunes.  Within a non-decreasing run dead
+        records precede any record that advances the clock, so the mid-run
+        eviction sweep removes only them.
         """
+        # the run is non-decreasing, so the clock at its first record is the
+        # clock at every record of the run still below it
+        clock = max(self.graph.current_time, records[0].timestamp)
         # What a route plan stands for per record -- one dispatch probe, one
         # visit of each owner's matcher -- is counted in bulk when the run
         # ends (also when it ends in an exception: a plan outlives the run,
@@ -896,16 +877,8 @@ class StreamWorksEngine(IngestFront):
             self.records_batched += len(records)
             if self.summarizer is not None:
                 self.summarizer.observe_batch(self.graph, [edge for _, edge, _ in hot])
-            # the expiry anchor is the run's raw minimum (dead and cold
-            # records included): the sharded engine anchors at the global
-            # run minimum, and single and sharded sweeps must be identical
-            # because with late records the sweep sequence decides which
-            # partials survive
-            batch_start = records[0].timestamp  # the run is non-decreasing
-            if expiry_anchor is not None:
-                batch_start = min(batch_start, expiry_anchor)
-            self.expire_all_partials(batch_start)
-            self._dispatch_run(hot, len(records), events)
+            self.expire_all_partials(clock)
+            self._dispatch_run(hot, len(records), clock, events)
         finally:
             for plan in used:
                 if not plan.entries:
@@ -1070,6 +1043,7 @@ class StreamWorksEngine(IngestFront):
         self,
         hot: Sequence[Tuple[int, Edge, List]],
         run_length: int,
+        clock: float,
         events: List[MatchEvent],
     ) -> None:
         """Step 4: search every hot record of a stored run with its routed leaves, emit.
@@ -1082,9 +1056,15 @@ class StreamWorksEngine(IngestFront):
         A completion emits at the record that found it.  The run is stored
         before it is searched, but local search binds only partners older
         (by ingest id) than the record searched, so a completion is found at
-        its newest edge -- the edge that completes it when every record is
-        its own one-record run.  Detection is therefore independent of the
-        plan and of how the stream was cut into runs.
+        its newest edge.  The window rule decides which completions emit: a
+        match must fit the window as of the stream clock at its newest
+        edge.  For an in-order record that clock is its own timestamp, and
+        the matcher's span check already decides; a record below ``clock``
+        (the stream clock before the run) keeps only the completions whose
+        interval, stretched to ``clock``, fits the query window.  Sweeps,
+        eviction and the dead-on-arrival skip drop only what fails this
+        rule, so the events depend neither on the plan, nor on the other
+        registered queries, nor on how the stream was cut into runs.
         """
         base = self.edges_processed
         record_latency = self.config.record_latency
@@ -1092,11 +1072,16 @@ class StreamWorksEngine(IngestFront):
         for position, edge, searches in hot:
             self.edges_processed = base + position
             stopwatch_start = perf_counter() if record_latency else None
+            late = edge.timestamp < clock
             found: List = []
             for owner, leaves in searches:
                 owner.searched += 1
                 registration = owner.registration
-                for match in registration.matcher.process_edge_leaves(edge, leaves):
+                matches = registration.matcher.process_edge_leaves(edge, leaves)
+                if late:
+                    window = registration.matcher.window
+                    matches = [m for m in matches if window.admits_interval(m.earliest, clock)]
+                for match in matches:
                     found.append((registration, match))
             if found:
                 self._emit_trigger(found, edge.timestamp, base + position, events)
@@ -1319,11 +1304,9 @@ class StreamWorksEngine(IngestFront):
                 "cold": self.records_cold,
                 "cold_retained": len(self.cold),
             },
-            # on the direct ingest path nothing stamps the attribute, so the
-            # horizon is the stream clock itself (largest timestamp offered);
-            # a stamped value (reorder path, or a sharded parent's dispatch)
-            # is always >= this engine's own clock
-            "event_time_watermark": max(self.event_time_watermark, self.graph.current_time)
+            # without a reorder buffer the horizon is the stream clock itself
+            # (largest timestamp offered)
+            "event_time_watermark": self.graph.current_time
             if self.reorder is None
             else self.event_time_watermark,
             "reorder": self.reorder.stats() if self.reorder is not None else None,

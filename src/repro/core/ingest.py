@@ -70,8 +70,7 @@ class IngestFront:
         #: several autosaves is identifiable.
         self.checkpoint_epoch = 0
         #: The reorder buffer's watermark at the last release (``-inf``
-        #: before any, and without a buffer -- except on a shard engine,
-        #: which its sharded parent stamps with every shard batch).
+        #: before any, and without a buffer).
         self.event_time_watermark = float("-inf")
         #: The ``edges_processed`` count at which the next automatic replan
         #: check is due (``None`` = automatic checks disabled); persisted so
@@ -85,10 +84,8 @@ class IngestFront:
     # ------------------------------------------------------------------
     # what each engine supplies
     # ------------------------------------------------------------------
-    def _run_batch(
-        self, records: List[StreamEdge], watermark: Optional[float]
-    ) -> List[MatchEvent]:
-        """Run one batch through the engine; ``watermark`` is the release's (or ``None``)."""
+    def _run_batch(self, records: List[StreamEdge]) -> List[MatchEvent]:
+        """Run one batch through the engine."""
         raise NotImplementedError
 
     def checkpoint(self, path: str) -> Dict[str, Any]:
@@ -134,14 +131,16 @@ class IngestFront:
         Without event-time ingestion the batch runs as it is: internally
         out-of-order input is split at its inversion points and each maximal
         non-decreasing run is processed in arrival order (the paper's
-        section 2.1 update step is a batch of edges).  For in-order input
-        the events -- matches, detection times, trigger indices, order --
-        do not depend on how the stream is batched, so this equals feeding
-        the records to :meth:`process_record` one at a time.  With late
-        records in the stream, batch boundaries carry weight: each run
-        sweeps expired partials once, at its earliest timestamp, so a finer
-        split sweeps more often and a late record may find fewer partials
-        to complete.
+        section 2.1 update step is a batch of edges).  The events --
+        matches, detection times, trigger indices, order -- do not depend
+        on how the stream is batched, in order or not: a late record is
+        judged against the window as of the stream clock
+        (:meth:`~repro.core.engine.StreamWorksEngine._dispatch_run`), so
+        this equals feeding the records to :meth:`process_record` one at a
+        time.  The one exception is a vertex-attribute predicate: a
+        vertex's attributes live while the store keeps one of its edges,
+        and the store evicts at the end of each run, so batching can decide
+        whether an attribute written past the window is still read.
 
         With event-time ingestion configured (``allowed_lateness``) the
         batch is admitted into the reorder buffer instead: the
@@ -225,9 +224,9 @@ class IngestFront:
         """
         if watermark is not None:
             self.event_time_watermark = watermark
-        events: List[MatchEvent] = self._run_batch(list(ready), watermark) if ready else []
+        events: List[MatchEvent] = self._run_batch(list(ready)) if ready else []
         for record in late:
-            events.extend(self._run_batch([record], watermark))
+            events.extend(self._run_batch([record]))
         return events
 
     def _due_replan_checks(self) -> int:

@@ -35,10 +35,9 @@ the :class:`EngineConfig` template, one reorder buffer lives in front of
 the router, re-sorts the *global* stream within the lateness horizon, and
 fans watermark-closed prefixes out as in-order batches (shards never buffer
 again -- their config copies strip the lateness).  Every batch the front
-hands over -- a single record included -- is split at its global inversion
-points and every shard processes per-run segments; see
-:func:`_execute_sub_batch` for why the segment boundaries must follow the
-global runs.
+hands over -- a single record included -- is routed as it is; the parent
+tags each record with the global stream clock its ordered run began at,
+the one thing a shard cannot know by itself (see :func:`_execute_sub_batch`).
 
 Two schedulers are provided, selected by :class:`ShardConfig`:
 
@@ -58,11 +57,13 @@ explicit ``add_vertex`` path rejects it), and under label routing the
 shards and the single engine may resolve such a conflict to different
 first writers.  The one in-model caveat is vertex *attributes*: they are
 shared mutable state conveyed by whichever records carry
-``source_attrs``/``target_attrs``.  Those records are broadcast to every
-shard, but a shard may still evict a vertex (with its merged attributes)
-earlier than the single engine would if the vertex's only remaining edges
-were never routed to that shard.  Queries whose predicates read vertex
-attributes written by records *outside* their own label set should use
+``source_attrs``/``target_attrs``, and they live as long as the vertex has
+a stored edge -- store state outside the window rule.  Those records are
+broadcast to every shard, and every shard evicts at the global clock, but
+a shard may still evict a vertex (with its merged attributes) earlier than
+the single engine would if the vertex's only remaining edges were never
+routed to that shard.  Queries whose predicates read vertex attributes
+written by records *outside* their own label set should use
 ``routing="broadcast"``, which gives every shard the full stream and makes
 shard state bit-identical to the single engine's.
 """
@@ -203,82 +204,51 @@ class ShardedQuery:
         )
 
 
-def _execute_sub_batch(
-    engine: StreamWorksEngine,
-    records: List[StreamEdge],
-    clock,
-    watermark: float = float("-inf"),
-    replan_checks: int = 0,
-) -> List[MatchEvent]:
-    """Run one routed sub-batch through a shard engine, mirroring the parent.
+def _execute_sub_batch(engine: StreamWorksEngine, batch: ShardBatch) -> List[MatchEvent]:
+    """Run one routed sub-batch through a shard engine; return its events.
 
-    ``clock`` aligns the shard's eviction horizon with the *global* stream
-    time the single engine would be at: a shard only sees the records routed
-    to it, so its own ``current_time`` can lag behind the stream whenever
-    the newest records were routed elsewhere, and a lagging eviction horizon
-    would let a late edge match history the single engine had already
-    evicted.  ``clock`` is a ``(pre, [(count, anchor, post), ...])`` pair:
-    ``pre`` (global time before the parent batch) catches the shard up on
-    the end-of-batch sweeps it missed while the stream went to other
-    shards, and each subsequent entry describes one *ordered run* of the
-    parent batch (the parent splits internally out-of-order batches at
-    their global inversion points; a one-record batch is one run).
-    ``count`` is how many of this shard's records fall inside the run --
-    the shard runs that segment as one fast-path run, or, when the run
-    routed it nothing, still sweeps every matcher's partials (the single
-    engine sweeps all matchers once per run, and with late records legal
-    across batches the sweep *sequence* decides what survives).
-    ``anchor`` is the run's global minimum timestamp (where the single
-    engine anchors that sweep) and ``post`` the global running maximum
-    after the run (the deferred eviction the single engine applies there).
-    Aligning shard segments to the global run boundaries -- rather than
-    re-splitting the shard's own sub-batch, which is often *coarser*
-    because routing removed the inverting records -- is what keeps events
-    byte-identical: a coarser segment would pre-ingest edges across a
-    global run boundary and detect cross-run matches on earlier trigger
-    edges than the single engine does.
+    A shard sees only the records routed to it, so its own stream clock
+    lags the global one whenever the newest records went elsewhere.  The
+    window rule reads the clock at a record below it
+    (:meth:`StreamWorksEngine._dispatch_run` and the dead-on-arrival skip),
+    and vertex attributes live exactly as long as the store keeps their
+    vertex, so the shard must both judge and evict at the global clock.
+    Each entry carries the global clock its ordered run of the parent batch
+    began at (``batch.run_clock``): wherever that clock moves on, the shard
+    ends its current run, advances its clock there and evicts, as the
+    single engine did at the end of the runs in between.  Every record of
+    a run below that clock is late against it, every other one is at or
+    above it, so the shard's own runs then judge each record exactly as the
+    single engine does.  After its records the shard evicts at the clock
+    the whole batch ended at (``batch.end_clock``), so its store enters
+    the replan checks and the next batch as the single engine's does.
 
-    ``watermark`` is the parent's event-time horizon at dispatch (the
-    reorder buffer's watermark, or the global stream clock without one);
-    it is stamped onto the shard engine so per-shard ``metrics()`` expose
-    it even when shard state lives in a worker process.
-
-    ``replan_checks`` is the number of selectivity-drift checks the parent's
-    *global* cadence (``EngineConfig.replan_check_every`` against the global
-    record count) declares due at the end of this sub-batch.  The shard runs
-    them itself against its own monitor and statistics -- parent decides
-    when, shards apply -- at the same quiescent post-batch boundary the
-    single engine uses, so any replan the check triggers migrates state
-    between complete batches, never mid-run.
+    ``batch.replan_checks`` is the number of selectivity-drift checks the
+    parent's *global* cadence (``EngineConfig.replan_check_every`` against
+    the global record count) declares due at the end of this sub-batch.
+    The shard runs them itself against its own monitor and statistics --
+    parent decides when, shards apply -- at the same quiescent post-batch
+    boundary the single engine uses, so any replan the check triggers
+    migrates state between complete batches, never mid-run.
     """
-    engine.event_time_watermark = watermark
-    pre_clock, run_slices = clock
-    if pre_clock != float("-inf"):
-        engine.evict_expired(pre_clock)
+    records = batch.records()
     events: List[MatchEvent] = []
-    offset = 0
-    run_start_clock = pre_clock
-    for count, anchor, post_clock in run_slices:
-        segment = records[offset : offset + count]
-        offset += count
-        if run_start_clock != float("-inf"):
-            # pin the shard's stream clock to the global clock at the run's
-            # start: the dead-on-arrival skip (records already outside
-            # retention at ingest) tests against the stream clock, and a
-            # shard whose own clock lags (its newest records were routed
-            # elsewhere) would keep -- and match -- a record the single
-            # engine kills.  Within a run deadness depends only on the
-            # run-start clock (in-run predecessors are themselves
-            # non-decreasing and cannot make a successor dead), so pinning
-            # per run reproduces the single engine's determination exactly.
-            engine.graph.advance_time(run_start_clock)
-        if segment:
-            events.extend(engine._run_batch(segment, watermark, anchor))
-        else:
-            engine.expire_all_partials(anchor)
-        engine.evict_expired(post_clock)
-        run_start_clock = post_clock
-    for _ in range(replan_checks):
+    start = 0
+    previous = float("-inf")
+    for position, clock in enumerate(batch.run_clock):
+        if clock <= previous:
+            continue
+        if position > start:
+            events.extend(engine._run_batch(records[start:position]))
+        engine.graph.advance_time(clock)
+        engine.evict_expired(clock)
+        start = position
+        previous = clock
+    if start < len(records):
+        events.extend(engine._run_batch(records[start:]))
+    engine.graph.advance_time(batch.end_clock)
+    engine.evict_expired(batch.end_clock)
+    for _ in range(batch.replan_checks):
         engine.run_replan_check()
     # the parent's collector is authoritative; dropping the shard-local copy
     # keeps shard memory bounded
@@ -308,13 +278,7 @@ def _shard_worker_main(conn, engines: Dict[int, StreamWorksEngine]) -> None:
             if kind == "batch":
                 replies: List[Tuple[int, List[MatchEvent]]] = []
                 for batch in message[1]:
-                    events = _execute_sub_batch(
-                        engines[batch.shard_id],
-                        batch.records(),
-                        batch.clock,
-                        batch.watermark,
-                        batch.replan_checks,
-                    )
+                    events = _execute_sub_batch(engines[batch.shard_id], batch)
                     replies.append((batch.shard_id, events))
                 conn.send(("events", replies))
             elif kind == "metrics":
@@ -437,9 +401,9 @@ class ShardedStreamEngine(IngestFront):
         #: Records sent to each shard so far -- maps a shard event's
         #: ``trigger_index`` back into the in-flight sub-batch.
         self._records_sent: List[int] = [0] * config.shard_count
-        #: Global stream time (largest timestamp offered so far); shards are
-        #: evicted against this clock so their windows behave exactly as the
-        #: single engine's would, even for records routed elsewhere.
+        #: Global stream time (largest timestamp offered so far): the clock a
+        #: late record is tagged with, since a shard's own clock does not see
+        #: the records routed elsewhere.
         self._clock = float("-inf")
         self._started = False
         self._closed = False
@@ -634,11 +598,12 @@ class ShardedStreamEngine(IngestFront):
         window (unbounded if any query is unbounded).  Each shard engine
         computes that maximum over its own queries only, which would let a
         shard with short-windowed queries evict -- and on duplicate edges,
-        re-create -- graph state earlier than the single engine does.  That
-        never changes the match set (admissibility is checked per query
-        window) but it perturbs enumeration order and vertex-attribute
-        retention, so every shard is pinned to the global window instead,
-        computed with the single engine's own formula.
+        re-create -- graph state earlier than the single engine does.
+        Retention only prunes -- every match over an edge it evicts fails
+        the window rule of the query that would use it -- so that never
+        changes the match set, but it perturbs vertex-attribute retention,
+        so every shard is pinned to the global window instead, computed
+        with the single engine's own formula.
         """
         retention = required_retention(
             (q.window for q in self.queries.values()), self.config.engine.default_window
@@ -779,18 +744,14 @@ class ShardedStreamEngine(IngestFront):
     # ------------------------------------------------------------------
     # stream processing
     # ------------------------------------------------------------------
-    def _run_batch(
-        self, records: List[StreamEdge], watermark: Optional[float]
-    ) -> List[MatchEvent]:
+    def _run_batch(self, records: List[StreamEdge]) -> List[MatchEvent]:
         """Route one batch to the shards, run it there, merge the events.
 
         Every ingest entry point of the front ends here
-        (:mod:`repro.core.ingest`), a single record included, so the
-        shards see exactly the run structure the single engine runs: the
-        batch is split at its global inversion points and every shard gets
-        its per-run segments (see :func:`_execute_sub_batch`).
-        ``watermark`` is the release's (``None`` without a reorder buffer:
-        the global stream clock is shipped instead).
+        (:mod:`repro.core.ingest`), a single record included.  A shard gets
+        a message only when the batch routed it records or a replan check
+        is due; each record carries the global stream clock its ordered run
+        began at (see :func:`_execute_sub_batch`).
         """
         self.start()
         self.throughput.start()
@@ -802,45 +763,26 @@ class ShardedStreamEngine(IngestFront):
         # nothing to -- the single engine checks every registered query
         # regardless of which records arrived
         replan_checks = self._due_replan_checks()
-        # global stream clock: shards evict against the whole stream's time,
-        # not just the sub-stream routed to them -- at the running maximum
-        # after each ordered run (the single engine's deferred sweeps)
-        pre_batch_clock = self._clock
-        run_meta: List[Tuple[int, float, float]] = []
-        post_clock = pre_batch_clock
+        # the global stream clock each ordered run starts at: what a shard
+        # whose own clock lags must judge and evict against (see
+        # _execute_sub_batch)
+        clock = self._clock
+        run_clock: List[float] = []
         for start, end in ordered_run_slices(records):
-            if records[end - 1].timestamp > post_clock:
-                post_clock = records[end - 1].timestamp
-            run_meta.append((base_index + end, records[start].timestamp, post_clock))
-        self._clock = post_clock
-        if watermark is None:
-            watermark = self._clock
+            run_clock.extend([clock] * (end - start))
+            clock = max(clock, records[end - 1].timestamp)
+        self._clock = clock
         per_shard = self.router.route(records, base_index)
-        # the single engine sweeps EVERY matcher's partials once per run, so
-        # every shard joins the fan-out (an empty segment still delivers
-        # that sweep -- with late records legal across batches the sweep
-        # sequence decides what survives), and the segment boundaries follow
-        # the global runs, not the shard's own (often coarser) inversion
-        # structure (see _execute_sub_batch)
         dispatch: List[Tuple[ShardBatch, int]] = []
         for shard_id in range(self.config.shard_count):
             entries = per_shard.get(shard_id, [])
-            run_slices: List[Tuple[int, float, float]] = []
-            pointer = 0
-            for end_index, anchor, run_post in run_meta:
-                count = 0
-                while (
-                    pointer + count < len(entries)
-                    and entries[pointer + count][0] < end_index
-                ):
-                    count += 1
-                pointer += count
-                run_slices.append((count, anchor, run_post))
+            if not entries and not replan_checks:
+                continue
             batch = ShardBatch(
                 shard_id,
                 entries,
-                watermark=watermark,
-                clock=(pre_batch_clock, run_slices),
+                run_clock=[run_clock[index - base_index] for index, _ in entries],
+                end_clock=clock,
                 replan_checks=replan_checks,
             )
             # the shard's local record base maps its events' trigger
@@ -873,10 +815,7 @@ class ShardedStreamEngine(IngestFront):
     def _run_shard_serial(
         self, batch: ShardBatch, local_base: int
     ) -> List[Tuple[int, int, MatchEvent]]:
-        events = _execute_sub_batch(
-            self.shards[batch.shard_id], batch.records(), batch.clock, batch.watermark,
-            batch.replan_checks,
-        )
+        events = _execute_sub_batch(self.shards[batch.shard_id], batch)
         return self._tag_events(events, batch.entries, local_base)
 
     def _run_shards_pooled(
@@ -1031,6 +970,11 @@ class ShardedStreamEngine(IngestFront):
             shard_metrics = {
                 shard_id: engine.metrics() for shard_id, engine in enumerate(self.shards)
             }
+        # a shard hears only of the batches routed to it, so its horizon is
+        # the parent's: the last release's watermark, or the global clock
+        horizon = self._clock if self.reorder is None else self.event_time_watermark
+        for shard in shard_metrics.values():
+            shard["event_time_watermark"] = max(shard["event_time_watermark"], horizon)
         # replan rollup: counters sum over the per-shard monitors (a cadence
         # tick runs one check on EVERY shard, so checks_run counts
         # shard-checks); last_errors / plan_versions merge cleanly because a

@@ -46,6 +46,7 @@ naming the query.
 
 from __future__ import annotations
 
+import logging
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping
 
 from ..core.decomposition import Decomposition
@@ -89,6 +90,8 @@ ENGINE_KIND = "streamworks-engine"
 #: Snapshot ``kind`` written by the sharded engine.
 SHARDED_KIND = "streamworks-sharded-engine"
 
+_LOG = logging.getLogger("repro.persistence")
+
 #: EngineConfig attributes persisted verbatim (constructor keyword names).
 _CONFIG_FIELDS = (
     "default_window",
@@ -114,7 +117,8 @@ _CONFIG_FIELDS = (
 #: written on the interpreted path resumes on the compiled one, one with a
 #: duplicate-memory budget resumes with no duplicate memory, and one with
 #: count-min statistics resumes on exact counts
-#: (``tests/fixtures/persistence/README.md``).
+#: (``tests/fixtures/persistence/README.md``).  Each config section that
+#: carries one logs a warning naming them on ``repro.persistence``.
 _RETIRED_CONFIG_FIELDS = (
     "triad_sample_cap",
     "auto_replan_interval",
@@ -136,6 +140,11 @@ def _config_state(config: EngineConfig) -> Dict[str, Any]:
 
 
 def _config_from_state(state: Mapping[str, Any]) -> EngineConfig:
+    retired = sorted(name for name in state if name in _RETIRED_CONFIG_FIELDS)
+    if retired:
+        _LOG.warning(
+            "snapshot config carries retired fields, ignored on load: %s", ", ".join(retired)
+        )
     return EngineConfig(
         **{name: value for name, value in state.items() if name not in _RETIRED_CONFIG_FIELDS}
     )

@@ -36,9 +36,14 @@ conservative rules keep that guarantee:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union,
+)
 
 from .edge_stream import StreamEdge
+
+if TYPE_CHECKING:
+    from ..query.query_graph import QueryGraph
 
 __all__ = [
     "Routing",
@@ -55,36 +60,31 @@ class ShardBatch:
 
     ``entries`` are ``(global stream index, record)`` pairs in global order
     (the index lets per-shard match events merge back into the exact
-    single-engine order).  ``watermark`` is the event-time horizon the
-    parent had reached when the batch was dispatched -- the reorder
-    buffer's watermark when event-time ingestion is configured (under
-    multi-source ingestion that is the *minimum across active per-source
-    watermarks*, and with an async front-end it is captured at release
-    time so an admission thread running ahead cannot skew it), otherwise
-    the largest timestamp offered to the parent so far.  ``clock`` is the
-    scheduler-opaque eviction/expiry payload the owning engine attaches so
-    a worker process can mirror the single engine's sweep sequence without
-    any shared state; the stream layer never interprets it.
-    ``replan_checks`` is how many selectivity-drift replan checks the
-    parent's global cadence says are due after this sub-batch -- the parent
-    decides *when*, the shard engine applies them (equally opaque to the
-    stream layer).
+    single-engine order).  ``run_clock`` has one slot per entry: the global
+    stream clock when the entry's ordered run of the parent batch began
+    (the largest timestamp offered before it; ``-inf`` on an empty stream).
+    ``end_clock`` is the global stream clock after the whole batch.  A
+    shard's own clock only sees its own records, so these two are the
+    global time it cannot derive.  ``replan_checks`` is how many
+    selectivity-drift replan checks the parent's global cadence says are
+    due after this sub-batch -- the parent decides *when*, the shard engine
+    applies them (opaque to the stream layer).
     """
 
-    __slots__ = ("shard_id", "entries", "watermark", "clock", "replan_checks")
+    __slots__ = ("shard_id", "entries", "run_clock", "end_clock", "replan_checks")
 
     def __init__(
         self,
         shard_id: int,
         entries: List[Tuple[int, StreamEdge]],
-        watermark: float = float("-inf"),
-        clock: object = None,
+        run_clock: List[float],
+        end_clock: float,
         replan_checks: int = 0,
-    ):
+    ) -> None:
         self.shard_id = shard_id
         self.entries = entries
-        self.watermark = watermark
-        self.clock = clock
+        self.run_clock = run_clock
+        self.end_clock = end_clock
         self.replan_checks = replan_checks
 
     def records(self) -> List[StreamEdge]:
@@ -95,10 +95,7 @@ class ShardBatch:
         return len(self.entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardBatch(shard={self.shard_id}, records={len(self.entries)}, "
-            f"watermark={self.watermark})"
-        )
+        return f"ShardBatch(shard={self.shard_id}, records={len(self.entries)})"
 
 
 class Routing:
@@ -171,9 +168,9 @@ class LabelShardMap:
         self._lookup_cache: Dict[str, List[int]] = {}
 
     @staticmethod
-    def signature_of(query) -> Tuple[frozenset, bool]:
+    def signature_of(query: QueryGraph) -> Tuple[FrozenSet[str], bool]:
         """Return ``(label set, has wildcard)`` for a query graph."""
-        labels = set()
+        labels: Set[str] = set()
         has_wildcard = False
         for edge in query.edges():
             if edge.label is None:
@@ -270,12 +267,12 @@ class BatchRouter:
     # ------------------------------------------------------------------
     # query registration (delegated bookkeeping)
     # ------------------------------------------------------------------
-    def add_query(self, shard_id: int, query) -> None:
+    def add_query(self, shard_id: int, query: QueryGraph) -> None:
         """Route the given query graph's label signature to a shard."""
         labels, has_wildcard = LabelShardMap.signature_of(query)
         self.label_map.add_query(shard_id, labels, has_wildcard)
 
-    def remove_query(self, shard_id: int, query) -> None:
+    def remove_query(self, shard_id: int, query: QueryGraph) -> None:
         """Stop routing the given query graph's labels to a shard."""
         labels, has_wildcard = LabelShardMap.signature_of(query)
         self.label_map.remove_query(shard_id, labels, has_wildcard)
@@ -323,7 +320,7 @@ class BatchRouter:
                 per_shard.setdefault(shard_id, []).append(tagged)
         return per_shard
 
-    def stats(self) -> Dict[str, float]:
+    def stats(self) -> Dict[str, Union[str, int, float]]:
         """Return the routing counters (plus mean fan-out) as a plain dict."""
         routed = self.records_seen - self.records_dropped
         return {

@@ -253,11 +253,11 @@ class ProbedReferenceEngine(StreamWorksEngine):
     Each ordered run is handled as the engine did before its cold gate:
     every record is ingested (dead-on-arrival ones evicted at once), the
     whole run is folded into the statistics, partial-match expiry is swept
-    once per matcher, and only then is each live record routed; its
-    completions emit at it.  So this engine
-    stores, folds and evicts every record -- the store the gate must be
-    indistinguishable from -- and run-split batching of a disordered
-    stream behaves exactly as in the engine.  Routing is not the engine's
+    once per matcher at the stream clock, and only then is each live record
+    routed; its completions that fit the window as of the stream clock emit
+    at it (the rule is applied here, not borrowed from the engine).  So
+    this engine stores, folds and evicts every record -- the store the gate
+    must be indistinguishable from.  Routing is not the engine's
     either: every live record runs :meth:`_collect_matches`, a fresh
     dispatch-index probe, with no cached plan, compiled leaf check or
     interval index in front.  The dispatch counters and per-matcher edge
@@ -266,7 +266,8 @@ class ProbedReferenceEngine(StreamWorksEngine):
     one-record run, as in the engine.
     """
 
-    def _run_fast_path(self, records, expiry_anchor, events):
+    def _run_fast_path(self, records, events):
+        clock = max(self.graph.current_time, records[0].timestamp)
         ingested = []
         window = self.graph.window
         for record in records:
@@ -282,17 +283,23 @@ class ProbedReferenceEngine(StreamWorksEngine):
             self.summarizer.observe_batch(
                 self.graph, [edge for edge in ingested if edge is not None]
             )
-        batch_start = records[0].timestamp
-        if expiry_anchor is not None:
-            batch_start = min(batch_start, expiry_anchor)
         for registration in self.queries.values():
             if not registration.matcher.idle:
-                registration.matcher.expire_partials(batch_start)
+                registration.matcher.expire_partials(clock)
         self.batches_vectorized += 1
         for edge in ingested:
             if edge is not None:
                 found = []
                 self._collect_matches(edge, found)
+                # the window rule, stated on its own: a completion's interval,
+                # stretched to the stream clock at its newest edge, must be
+                # shorter than the (strict) query window
+                now = max(clock, edge.timestamp)
+                found = [
+                    (registration, match)
+                    for registration, match in found
+                    if now - match.earliest < registration.window.duration
+                ]
                 if found:
                     self._emit_trigger(found, edge.timestamp, self.edges_processed, events)
             self.edges_processed += 1

@@ -1149,6 +1149,39 @@ def test_retired_knob_is_not_an_option(name, value):
     assert name in _RETIRED_CONFIG_FIELDS
 
 
+#: The retired config keys each fixture in ``tests/fixtures/persistence/`` carries.
+FIXTURE_RETIRED_FIELDS = {
+    "engine_interpreted.snap": {
+        "columnar", "dedup_memory_budget", "latency_sample_cap", "sketch_stats",
+        "store_complete_matches",
+    },
+    "engine_pre_exact_census.snap": set(_RETIRED_CONFIG_FIELDS),
+    "engine_sketch_dispatch_auto_replan.snap": set(_RETIRED_CONFIG_FIELDS) - {"triad_sample_cap"},
+    "engine_sketch_stats.snap": {"latency_sample_cap", "sketch_stats", "store_complete_matches"},
+    "engine_unindexed.snap": set(_RETIRED_CONFIG_FIELDS) - {"triad_sample_cap"},
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_RETIRED_FIELDS))
+def test_loading_retired_fields_logs_one_warning_naming_them(fixture, caplog):
+    path = os.path.join(os.path.dirname(__file__), "fixtures", "persistence", fixture)
+    with caplog.at_level("WARNING", logger="repro.persistence"):
+        StreamWorksEngine.restore(path)
+    records = [record for record in caplog.records if record.name == "repro.persistence"]
+    assert len(records) == 1
+    assert records[0].levelname == "WARNING"
+    named = set(records[0].getMessage().split(": ", 1)[1].split(", "))
+    assert named == FIXTURE_RETIRED_FIELDS[fixture]
+
+
+def test_loading_a_current_snapshot_logs_nothing(tmp_path, caplog):
+    path = str(tmp_path / "current.snap")
+    StreamWorksEngine(config=EngineConfig()).checkpoint(path)
+    with caplog.at_level("WARNING", logger="repro.persistence"):
+        StreamWorksEngine.restore(path)
+    assert not [record for record in caplog.records if record.name == "repro.persistence"]
+
+
 def test_restore_rejects_missing_file(tmp_path):
     with pytest.raises(SnapshotError):
         StreamWorksEngine.restore(str(tmp_path / "does_not_exist.snap"))

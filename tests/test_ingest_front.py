@@ -142,40 +142,41 @@ class TestRecordIsAOneRecordBatch:
         assert_record_equals_batch(records, chain_specs, layout, **BUFFERS[buffer])
 
 
-def sweep_routed_queries_only(engine):
-    """Fault: ``process_record`` sweeps expiry only on the queries its record routes to.
+def run_minimum_rule(engine):
+    """Fault: the rule before the window rule -- each run sweeps at its own
+    first timestamp and emits every completion whose own span fits.
 
-    Restores the sweep set of the deleted per-record path for the one
-    entry point: the matchers the dispatch index does not route the record
-    to keep their expired partials for a later late record to complete.
+    A late record then completes whatever partials its run's minimum kept,
+    so what it emits depends on where the batches were cut.
     """
-    dispatch = engine.dispatch
+    run, sweep, dispatch = engine._run_fast_path, engine.expire_all_partials, engine._dispatch_run
+    first = []
 
-    def process_record(record):
-        saved = (dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped)
-        routed = {
-            owner
-            for owner, _ in dispatch.candidates(
-                record.label,
-                engine._route_label(record.source, record.source_label),
-                engine._route_label(record.target, record.target_label),
-            )
-        }
-        dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped = saved
-        skipped = [
-            registration.matcher
-            for name, registration in engine.queries.items()
-            if name not in routed
-        ]
-        for matcher in skipped:
-            matcher.expire_partials = lambda now: 0
+    def run_fast_path(records, events):
+        first.append(records[0].timestamp)
         try:
-            return StreamWorksEngine.process_record(engine, record)
+            run(records, events)
         finally:
-            for matcher in skipped:
-                del matcher.expire_partials
+            first.pop()
 
-    engine.process_record = process_record
+    engine._run_fast_path = run_fast_path
+    engine.expire_all_partials = lambda now: sweep(first[-1])
+    # no record of a run is below its first timestamp: no clock check
+    engine._dispatch_run = lambda hot, length, clock, events: dispatch(
+        hot, length, first[-1], events
+    )
+
+
+def assert_record_equals_whole_batch(records, specs, mutate=None):
+    """Record by record and the whole stream as one batch give the same events."""
+    per_record, whole = build(specs), build(specs)
+    if mutate is not None:
+        mutate(per_record)
+        mutate(whole)
+    for record in records:
+        per_record.process_record(record)
+    whole.process_batch(records)
+    assert canonical(per_record.events()) == canonical(whole.events())
 
 
 #: ``p`` and ``q`` store a partial of ``pqrs`` (its first two-edge leaf),
@@ -200,12 +201,11 @@ def late_completion_specs():
 
 
 class TestLateRecordAgainstTheSweptClock:
-    """The one semantic change of running a record as a one-record batch.
+    """A late record sees the window as of the stream clock.
 
-    Every run sweeps every matcher's expired partials, so a partial older
-    than clock - window is gone by the time a late record arrives, even if
-    no record had been routed to its query since.  ``process_batch``, the
-    sharded engine and every reorder release already swept this way.
+    ``r`` and ``s`` arrive after ``z`` moved the clock to 20, so the chain
+    ``p..s`` stretched to the clock spans 20 and ``pqrs`` never fires --
+    however the stream is batched, and whichever partials a sweep left.
     """
 
     @pytest.mark.parametrize("layout", ["single", "serial"])
@@ -217,16 +217,19 @@ class TestLateRecordAgainstTheSweptClock:
             engine.close()
 
     def test_the_record_equals_batch_property_catches_the_old_sweep_set(self):
+        # under the run-minimum rule the whole stream as one batch runs
+        # r and s in a run starting at 6, whose sweep keeps the p..q partial
         mutated = build(late_completion_specs)
-        sweep_routed_queries_only(mutated)
-        events, _ = feed(mutated, LATE_COMPLETION, one_by_one=True)
-        assert [key[0] for key in events] == ["zz", "pqrs"]
+        run_minimum_rule(mutated)
+        mutated.process_batch(LATE_COMPLETION)
+        assert [event.query_name for event in mutated.events()] == ["zz", "pqrs"]
         for records, specs in (
             (LATE_COMPLETION, late_completion_specs),
             (heavily_disordered_records(300), rmat_queries),
         ):
+            assert_record_equals_whole_batch(records, specs)
             with pytest.raises(AssertionError):
-                assert_record_equals_batch(records, specs, mutate=sweep_routed_queries_only)
+                assert_record_equals_whole_batch(records, specs, mutate=run_minimum_rule)
 
 
 class TestEveryEntryPointRunsTheFastPath:
@@ -234,9 +237,9 @@ class TestEveryEntryPointRunsTheFastPath:
         ran = []
         run = StreamWorksEngine._run_fast_path
 
-        def counted(self, records, expiry_anchor, events):
+        def counted(self, records, events):
             ran.extend(records)
-            return run(self, records, expiry_anchor, events)
+            return run(self, records, events)
 
         monkeypatch.setattr(StreamWorksEngine, "_run_fast_path", counted)
         direct = build(chain_specs)

@@ -38,6 +38,7 @@ import pytest
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.persistence import read_snapshot
 from repro.persistence.state import load_sharded_sections
+from repro.query.predicates import AttrEquals
 from repro.query.query_graph import QueryGraph
 from repro.streaming import Routing, StreamEdge
 from repro.workloads import (
@@ -248,6 +249,43 @@ def test_broadcast_routing_identical(case):
         assert canonical(replay_batched(sharded, records)) == reference
         stats = sharded.router.stats()
         assert stats["mean_fanout"] == shard_count  # broadcast fans out everywhere
+
+
+@pytest.mark.parametrize("routing", [Routing.LABELS, Routing.BROADCAST])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_vertex_attributes_identical(batch_size, routing):
+    # x's admin role lives as long as x keeps a stored edge: the single
+    # engine drops it with x@0 when a run ends past the window, so whether
+    # x@51 matches follows the store's eviction.  Under label routing the
+    # rel_c@50 that moves the clock goes to the other shard only, so the
+    # admin shard must still evict at the global clock before x@51
+    admin = QueryGraph("admin")
+    admin.add_vertex("s", predicate=AttrEquals("role", "admin"))
+    admin.add_vertex("t")
+    admin.add_edge("s", "t", "rel_a")
+    records = [
+        StreamEdge("x", "y", "rel_a", 0.0, source_attrs={"role": "admin"}),
+        StreamEdge("m", "n", "rel_c", 50.0),
+        StreamEdge("x", "w", "rel_a", 51.0),
+    ]
+
+    def run(engine):
+        engine.register_query(admin, name="admin", window=1.0)
+        engine.register_query(chain_query("cc", ["rel_c"]), name="cc", window=1.0)
+        events = []
+        for start in range(0, len(records), batch_size):
+            events.extend(engine.process_batch(records[start : start + batch_size]))
+        return canonical(events)
+
+    reference = run(StreamWorksEngine(config=EngineConfig(collect_statistics=False)))
+    assert [key[0] for key in reference][:2] == ["admin", "cc"]
+    sharded = ShardedStreamEngine(
+        config=ShardConfig(
+            shard_count=2, routing=routing, engine=EngineConfig(collect_statistics=False)
+        )
+    )
+    assert run(sharded) == reference
+    assert sharded.assignments()["admin"] != sharded.assignments()["cc"]
 
 
 @pytest.mark.skipif(
@@ -594,28 +632,29 @@ class TestShardedEngineBehaviour:
         sharded.process_record(StreamEdge("a", "b", "rel_a", 1.0))
         assert sharded.router.stats()["records_dropped"] == 1
 
-    def test_partial_expiry_anchored_at_global_batch_minimum(self):
-        # regression (confirmed divergence): shard A's sub-batch can start
-        # later than the global batch, and sweeping partials at the later
-        # anchor drops a partial that a future late (but legal) record
-        # completes in the single engine.  Retention is held open by the
-        # long-window query so only the partial-expiry anchor is in play.
+    @pytest.mark.parametrize("with_long_query", [True, False], ids=["with_zz", "without_zz"])
+    def test_late_record_fits_the_window_as_of_the_global_clock(self, with_long_query):
+        # the late q@7 arrives when the stream clock is 20: p@0..q@7 would
+        # span 7 < 10, but stretched to the clock it spans 20, so pq never
+        # fires -- whether or not the long zz window keeps p@0 in the store,
+        # and whether shard A's sub-batch starts later than the global one
         batches = [
             [StreamEdge("x", "y", "p", 0.0)],                                  # partial for pq
             [StreamEdge("m", "n", "z", 5.0), StreamEdge("u", "v", "p", 20.0)],  # sub-min 20 vs global min 5
-            [StreamEdge("y", "w", "q", 7.0)],                                  # late record completes it
+            [StreamEdge("y", "w", "q", 7.0)],                                  # late against clock 20
         ]
 
         def run(engine):
             engine.register_query(chain_query("pq", ["p", "q"]), name="pq", window=10.0)
-            engine.register_query(chain_query("zz", ["z"]), name="zz", window=100.0)
+            if with_long_query:
+                engine.register_query(chain_query("zz", ["z"]), name="zz", window=100.0)
             events = []
             for batch in batches:
                 events.extend(engine.process_batch(batch))
             return canonical(events)
 
         reference = run(StreamWorksEngine(config=EngineConfig(collect_statistics=False)))
-        assert any(key[0] == "pq" for key in reference)  # the late completion happens
+        assert [key[0] for key in reference] == (["zz"] if with_long_query else [])
         sharded = ShardedStreamEngine(
             config=ShardConfig(shard_count=2, engine=EngineConfig(collect_statistics=False))
         )
@@ -624,18 +663,17 @@ class TestShardedEngineBehaviour:
     @pytest.mark.parametrize("single_kind", ["engine", "reference"])
     @pytest.mark.parametrize("batched", [True, False], ids=["batched", "per_record"])
     def test_sweep_sequence_mirrored_for_cross_batch_late_records(self, batched, single_kind):
-        # regression (confirmed divergence): with late records the SEQUENCE
-        # of partial-expiry sweeps decides what survives, not just the final
-        # clock.  The single engine's batched path sweeps every matcher per
-        # batch (even on irrelevant records); shards must replay exactly
-        # those sweeps (empty-batch sweep delivery), or a late completion is
-        # kept on one side and dropped on the other.
+        # regression: pqrs lives on one shard and zz on the other, so only
+        # the global clock knows that z@20 came before the late r@6 and s@7.
+        # A shard judging them against its own lagging clock (1) sees an
+        # in-order p..s chain spanning 7 < 10 and fires pqrs; against the
+        # global clock the chain spans 20, so the single engine does not.
         records = [
             StreamEdge("a", "b", "p", 0.0),
             StreamEdge("b", "c", "q", 1.0),   # completes leaf 1 -> stored partial
-            StreamEdge("m", "n", "z", 20.0),  # unrelated; sweeps drop the partial
-            StreamEdge("c", "d", "r", 6.0),   # late
-            StreamEdge("d", "e", "s", 7.0),   # late; span 7 < 10 if partial survived
+            StreamEdge("m", "n", "z", 20.0),  # routed to the other shard only
+            StreamEdge("c", "d", "r", 6.0),   # late against clock 20
+            StreamEdge("d", "e", "s", 7.0),   # late; span 7 < 10 on a lagging clock
         ]
 
         def run(engine):
@@ -652,10 +690,12 @@ class TestShardedEngineBehaviour:
             return canonical(events)
 
         reference = run(single_engine(single_kind))
+        assert [key[0] for key in reference] == ["zz"]
         sharded = ShardedStreamEngine(
             config=ShardConfig(shard_count=2, engine=EngineConfig(collect_statistics=False))
         )
         assert run(sharded) == reference
+        assert sharded.assignments()["pqrs"] != sharded.assignments()["zz"]
 
     def test_registration_after_ingest_rejected_in_serial_mode_too(self):
         # a query registered mid-stream would land on a shard missing the
