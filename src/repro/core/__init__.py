@@ -13,7 +13,7 @@ Contents:
 from .decomposition import Decomposition, DecompositionError, Strategy, decompose
 from .dispatch import DispatchIndex, LeafDispatchEntry
 from .engine import EngineConfig, RegisteredQuery, StreamWorksEngine
-from .join import joined_span, try_join
+from .join import try_join
 from .local_search import LocalSearcher, find_primitive_matches
 from .matcher import ContinuousQueryMatcher, MatcherStats
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
@@ -43,6 +43,5 @@ __all__ = [
     "StreamWorksEngine",
     "decompose",
     "find_primitive_matches",
-    "joined_span",
     "try_join",
 ]

@@ -73,9 +73,10 @@ from ..streaming.metrics import LatencyRecorder, ThroughputMeter, replan_summary
 from .decomposition import Decomposition, Strategy
 from .dispatch import DispatchIndex
 from .ingest import IngestFront
-from .matcher import ContinuousQueryMatcher, canonical_match_key
+from .matcher import ContinuousQueryMatcher
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
 from .route_plan import RoutePlan, build_route_plan
+from .sjtree import EARLIEST
 
 __all__ = ["EngineConfig", "RegisteredQuery", "StreamWorksEngine", "required_retention"]
 
@@ -337,6 +338,11 @@ class RegisteredQuery:
         self.window = window
         self.plan = plan
         self.matcher = matcher
+        #: Registration order, set by :meth:`StreamWorksEngine.add_registration`:
+        #: ranks this query's events before later queries' on a shared
+        #: trigger.  Only the relative order is read, so unregistering
+        #: leaves gaps and a replan keeps the value.
+        self.order = 0
         self.match_count = 0
         #: Number of times this query has been re-planned since registration
         #: (0 = still on its registration plan); bumped by
@@ -411,6 +417,8 @@ class StreamWorksEngine(IngestFront):
             self.summarizer = StreamSummarizer(track_triads=config.track_triads)
             self.summarizer.follow(self.graph)
         self.queries: Dict[str, RegisteredQuery] = {}
+        #: Registrations so far: the next one's ``order``.
+        self._registrations = 0
         self.dispatch = DispatchIndex()
         #: Stream-boundary intern table: vertex/edge labels and predicate
         #: attribute names to dense ints.  Query vocabulary is interned at
@@ -507,7 +515,7 @@ class StreamWorksEngine(IngestFront):
             ),
         )
         registration = RegisteredQuery(query_name, query, query_window, plan, matcher)
-        self.queries[query_name] = registration
+        self.add_registration(registration)
         if on_match is not None:
             # filter by query name so the callback only sees this query's
             # events, and track the sink so unregistering detaches it
@@ -519,6 +527,12 @@ class StreamWorksEngine(IngestFront):
         self._promote_cold(registration)
         self._update_retention()
         return registration
+
+    def add_registration(self, registration: RegisteredQuery) -> None:
+        """Admit a built registration under the next registration order."""
+        registration.order = self._registrations
+        self._registrations += 1
+        self.queries[registration.name] = registration
 
     @staticmethod
     def _check_checkpointable(query: QueryGraph, query_name: str) -> None:
@@ -649,14 +663,13 @@ class StreamWorksEngine(IngestFront):
         ``metrics()["replan"]["partials_dropped"]``).
         """
         dropped = 0
+        has_edge = self.graph.has_edge
         for node in old_matcher.tree.nodes.values():
             if node.parent_id is None:
                 continue
-            for match in node.all_matches():
-                if any(
-                    not self.graph.has_edge(match_edge.id)
-                    for match_edge in match.edge_map.values()
-                ):
+            edges_of = node.layout.edges_of
+            for partial in node.partials():
+                if not all(has_edge(edge.id) for edge in edges_of(partial)):
                     dropped += 1
         leaves = new_matcher.tree.leaves()
         for edge in sorted(self.graph.edges(), key=attrgetter("id")):
@@ -770,25 +783,28 @@ class StreamWorksEngine(IngestFront):
     ) -> None:
         """Emit all completions anchored at one trigger edge, canonically ordered.
 
-        Within one trigger the discovery order of completions is an artefact
-        of the active plan (leaf iteration and join order), so it cannot
-        survive a replan.  Events are ordered by (query registration order,
-        canonical match key) -- a pure function of the registered queries and
-        the match content -- before sequence numbers are assigned, which
-        makes the emitted order identical under every plan of the same
-        queries, and therefore invariant under replanning.
+        ``completions`` holds ``(registration, completion)`` pairs, each
+        completion a partial in its matcher's root layout.  Within one
+        trigger the discovery order of completions is an artefact of the
+        active plan (leaf iteration and join order), so it cannot survive a
+        replan.  Events are ordered by (query registration order,
+        :meth:`~ContinuousQueryMatcher.completion_key`) -- a pure function of
+        the registered queries and the match content -- before sequence
+        numbers are assigned, which makes the emitted order identical under
+        every plan of the same queries, and therefore invariant under
+        replanning.  Only here does a completion become a
+        :class:`~repro.isomorphism.match.Match`.
         """
         if not completions:
             return
         if len(completions) > 1:
-            order = {name: index for index, name in enumerate(self.queries)}
             completions.sort(
-                key=lambda item: (order[item[0].name], canonical_match_key(item[1]))
+                key=lambda item: (item[0].order, item[0].matcher.completion_key(item[1]))
             )
-        for registration, match in completions:
+        for registration, completion in completions:
             event = MatchEvent(
                 query_name=registration.name,
-                match=match,
+                match=registration.matcher.to_match(completion),
                 detected_at=detected_at,
                 sequence=self._sequence,
                 trigger_index=trigger_index,
@@ -1077,12 +1093,14 @@ class StreamWorksEngine(IngestFront):
             for owner, leaves in searches:
                 owner.searched += 1
                 registration = owner.registration
-                matches = registration.matcher.process_edge_leaves(edge, leaves)
+                completions = registration.matcher.process_edge_leaves(edge, leaves)
                 if late:
                     window = registration.matcher.window
-                    matches = [m for m in matches if window.admits_interval(m.earliest, clock)]
-                for match in matches:
-                    found.append((registration, match))
+                    completions = [
+                        c for c in completions if window.admits_interval(c[EARLIEST], clock)
+                    ]
+                for completion in completions:
+                    found.append((registration, completion))
             if found:
                 self._emit_trigger(found, edge.timestamp, base + position, events)
             if stopwatch_start is not None:

@@ -26,6 +26,11 @@ check runs on the owning query's compiled predicate tables.  Primitives of
 one or two directed, labelled edges are lowered once, at construction, into
 straight-line probes (:mod:`repro.core.probe`) that return the same list
 without running the generic machinery.
+
+Either way an embedding is returned as a partial: a flat tuple in the
+primitive's :class:`~repro.core.sjtree.SlotLayout`, the form the SJ-tree
+stores.  The probes build it directly; the generic search lays out each
+:class:`~repro.isomorphism.match.Match` it finds, once, on the way out.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from ..isomorphism.vf2 import SubgraphMatcher
 from ..query.compile import CompiledQuery
 from ..query.query_graph import QueryGraph, QueryVertex
 from .probe import Probe, compile_probe, run_role
+from .sjtree import Partial, SlotLayout
 
 __all__ = ["LocalSearcher", "find_primitive_matches"]
 
@@ -52,6 +58,8 @@ class LocalSearcher:
     / ``QueryEdge`` objects, so one compiled table serves every primitive.
     ``primitives`` names the ones :meth:`find` will be asked for (the owning
     SJ-tree's leaves): each lowerable one gets its probe here, once.
+    ``layouts`` gives their slot layouts where the caller already holds
+    them; any other primitive's is derived here.
     """
 
     def __init__(
@@ -60,6 +68,7 @@ class LocalSearcher:
         window: Optional[TimeWindow],
         compiled: CompiledQuery,
         primitives: Iterable[QueryGraph] = (),
+        layouts: Optional[Dict[QueryGraph, SlotLayout]] = None,
     ) -> None:
         self.graph = graph
         self.window = window if window is not None else TimeWindow(None)
@@ -75,8 +84,13 @@ class LocalSearcher:
         self.candidates_examined = 0
         # keyed by the primitive object itself: the owning tree keeps it alive
         self._probes: Dict[QueryGraph, Probe] = {}
+        # the caller's map is adopted, and completed below where it lacks one
+        self._layouts: Dict[QueryGraph, SlotLayout] = {} if layouts is None else layouts
         for primitive in primitives:
-            probe = compile_probe(self, primitive)
+            layout = self._layouts.get(primitive)
+            if layout is None:
+                layout = self._layouts[primitive] = SlotLayout.of(primitive)
+            probe = compile_probe(self, primitive, layout)
             if probe is not None:
                 self._probes[primitive] = probe
 
@@ -109,10 +123,12 @@ class LocalSearcher:
                 except MatchConflictError:
                     continue
 
-    def find(self, primitive: QueryGraph, new_edge: Edge) -> List[Match]:
-        """Return all embeddings of ``primitive`` that include ``new_edge``.
+    def find(self, primitive: QueryGraph, new_edge: Edge) -> List[Partial]:
+        """Return all embeddings of ``primitive`` that include ``new_edge``, as partials.
 
-        Only embeddings whose other edges all have smaller ids are returned
+        Each is a tuple in the primitive's slot layout (the one given at
+        construction, else ``SlotLayout.of(primitive)``).  Only embeddings
+        whose other edges all have smaller ids are returned
         (the newest-edge rule), so over a stream each embedding is returned
         by exactly one ``find``.  No two results share a binding identity,
         without any bookkeeping: seeds differ in the query edge ``new_edge``
@@ -120,16 +136,17 @@ class LocalSearcher:
         a data edge (or its orientation), and candidate enumeration lists
         every data edge once.
         """
-        results: List[Match] = []
+        results: List[Partial] = []
         probe = self._probes.get(primitive)
         if probe is not None:
             for spec in probe.get(new_edge.label, ()):
                 run_role(self, spec, new_edge, results)
             return results
+        layout = self._layouts.get(primitive) or SlotLayout.of(primitive)
         for seed in self.seeds(primitive, new_edge):
             self.searches_started += 1
             for match in self._matcher.find_matches(primitive, seed=seed, id_bound=new_edge.id):
-                results.append(match)
+                results.append(layout.from_maps(match.vertex_map, match.edge_map))
                 self.matches_found += 1
         return results
 
@@ -140,5 +157,7 @@ def find_primitive_matches(
     new_edge: Edge,
     window: Optional[TimeWindow] = None,
 ) -> List[Match]:
-    """Convenience wrapper: one-shot local search without keeping counters."""
-    return LocalSearcher(graph, window, CompiledQuery(primitive)).find(primitive, new_edge)
+    """Convenience wrapper: one-shot local search, embeddings as :class:`Match` objects."""
+    layout = SlotLayout.of(primitive)
+    searcher = LocalSearcher(graph, window, CompiledQuery(primitive))
+    return [layout.to_match(partial) for partial in searcher.find(primitive, new_edge)]

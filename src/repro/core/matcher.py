@@ -6,15 +6,24 @@ execution:
 
 1. *Local search* -- for every SJ-Tree leaf, search the neighbourhood of the
    new edge for embeddings of that leaf's primitive that use the new edge.
-2. *Leaf insertion* -- each embedding found is inserted into the leaf's match
+2. *Leaf insertion* -- each embedding found is inserted into the leaf's
    collection (keyed by the parent's cut vertices).
-3. *Upward joins* -- the new match is probed against the sibling node's
+3. *Upward joins* -- the new partial is probed against the sibling node's
    collection; every successful combination is inserted one level up, and
    the process repeats until either no join succeeds or the root is reached.
-4. *Completion* -- a match that reaches the root is a complete match of the
-   query and is returned to the engine (which wraps it in a
-   :class:`~repro.streaming.events.MatchEvent`).  It is not stored: the
-   root's matches are the engine's events, and no join reads them.
+4. *Completion* -- a partial that reaches the root is a complete match of
+   the query and is returned to the engine, which builds its
+   :class:`~repro.isomorphism.match.Match` (:meth:`ContinuousQueryMatcher.to_match`)
+   and wraps it in a :class:`~repro.streaming.events.MatchEvent`.  It is not
+   stored: the root's matches are the engine's events, and no join reads
+   them.
+
+Partials are flat tuples in each node's slot layout
+(:class:`~repro.core.sjtree.SlotLayout`) from the leaf to the root, and
+every join runs its parent node's merge plan (:mod:`repro.core.join`),
+compiled the first time two partials meet there.  A completion is a tuple in the root's layout
+until it is emitted; the emitted ``Match`` lists its bindings in the
+query's declaration order.
 
 Partial matches are expired once their earliest edge has aged out of the
 query window (they can never complete any more), which keeps both memory and
@@ -30,12 +39,12 @@ stream was cut into runs.  The matcher therefore keeps no memory of what it
 has reported.  With ``dedupe_structural`` the automorphic variants of one
 embedding bind the same edge set, so they share a newest edge and complete
 in the same :meth:`ContinuousQueryMatcher.process_edge_leaves` call, which
-keeps the one with the least :func:`canonical_match_key`.
+keeps the one with the least :meth:`ContinuousQueryMatcher.completion_key`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..graph.types import Edge
 from ..graph.window import TimeWindow
@@ -45,30 +54,18 @@ from ..query.query_graph import QueryGraph
 from .decomposition import Decomposition
 from .join import try_join
 from .local_search import LocalSearcher
-from .sjtree import SJTree, SJTreeNode
+from .sjtree import EARLIEST, LATEST, Partial, SJTree, SJTreeNode
 
-__all__ = ["MatcherStats", "ContinuousQueryMatcher", "canonical_match_key"]
+__all__ = ["MatcherStats", "ContinuousQueryMatcher"]
 
 
-def canonical_match_key(match: Match) -> str:
-    """Return a plan-independent, cross-process-stable ordering key for a match.
+def _repr_order(names: Iterable[Any]) -> List[Any]:
+    """``names`` in the order a sort of ``repr``-ed binding tuples puts them.
 
-    Within a single trigger edge the *discovery* order of complete matches is
-    an artefact of the active plan (leaf iteration and join order), so it
-    cannot survive a replan; same-trigger events are ordered by this key
-    instead, which depends only on the match content.  Built from sorted
-    reprs rather than ``portable_identity()`` because frozenset iteration
-    order is hash-seed-dependent and must not leak into event order.
+    A binding prints as ``(name, ...)``: its name's ``repr`` and then a
+    comma, so that string decides the order, whatever is bound.
     """
-    vertices = sorted(match.vertex_map.items(), key=repr)
-    edges = sorted(
-        (
-            (query_edge, edge.source, edge.target, edge.label, edge.timestamp)
-            for query_edge, edge in match.edge_map.items()
-        ),
-        key=repr,
-    )
-    return repr((vertices, edges))
+    return sorted(names, key=lambda name: repr(name) + ",")
 
 
 class MatcherStats:
@@ -129,7 +126,7 @@ class ContinuousQueryMatcher:
     dedupe_structural:
         When ``True``, complete matches that bind the same set of data edges
         are reported once, as the variant with the least
-        :func:`canonical_match_key`.  Queries with automorphic patterns (e.g.
+        :meth:`completion_key`.  Queries with automorphic patterns (e.g.
         "three articles share a keyword") otherwise report every permutation
         of the interchangeable variables as a separate match; event-oriented
         users generally want one event per edge set.
@@ -146,10 +143,10 @@ class ContinuousQueryMatcher:
         self,
         query: QueryGraph,
         decomposition: Decomposition,
-        graph,
+        graph: Any,
         window: Optional[TimeWindow] = None,
         dedupe_structural: bool = False,
-    ):
+    ) -> None:
         self.query = query
         self.decomposition = decomposition
         self.graph = graph
@@ -161,13 +158,20 @@ class ContinuousQueryMatcher:
         self.compiled = CompiledQuery(query)
         self.tree: SJTree = decomposition.build_tree()
         self.tree.validate()
+        #: Layout of the completions: the query's declaration order.
+        self._root = self.tree.root.layout  # repro-lint: ignore[snapshot-coverage]
+        # completion_key's pickers, built at its first call: a query whose
+        # triggers never complete twice never needs them
+        self._key_plan: Optional[Tuple[Tuple[int, ...], Tuple[int, ...], bool]] = None  # repro-lint: ignore[snapshot-coverage]
         # the leaves' primitives are lowered into compiled probes here, so
         # registration, replan and restore all get probes for the current plan
+        leaves = self.tree.leaves()
         self.local_searcher = LocalSearcher(
             graph,
             self.window,
             compiled=self.compiled,
-            primitives=[leaf.subgraph for leaf in self.tree.leaves()],
+            primitives=[leaf.subgraph for leaf in leaves],
+            layouts={leaf.subgraph: leaf.layout for leaf in leaves},
         )
         self.stats = MatcherStats()
         #: Partial matches stored across the tree, kept in step with every
@@ -218,7 +222,9 @@ class ContinuousQueryMatcher:
             self.next_expiry = self.tree.earliest_stored()
         return dropped
 
-    def process_edge_leaves(self, edge: Edge, leaves, emit: bool = True) -> List[Match]:
+    def process_edge_leaves(
+        self, edge: Edge, leaves: Iterable[SJTreeNode], emit: bool = True
+    ) -> List[Partial]:
         """Run local search for ``edge`` on a subset of SJ-Tree leaves.
 
         This is the per-leaf entry point the engine's dispatch index uses:
@@ -226,22 +232,24 @@ class ContinuousQueryMatcher:
         those are searched.  Callers are responsible for expiry cadence (see
         :meth:`expire_partials`); :meth:`process_edge` composes both.
 
-        Returns the completions ``edge`` is the newest edge of.  With
+        Returns the completions ``edge`` is the newest edge of, as partials
+        in the root's layout (:meth:`to_match` builds their matches).  With
         ``emit=False`` partials are stored and joined as usual but
         completions are neither stored, counted nor returned: a replan
         replays the window store that way, over history already reported.
         """
         self.stats.edges_processed += 1
-        completions: List[Match] = []
+        completions: List[Partial] = []
         found_any = False
+        find = self.local_searcher.find
         for leaf in leaves:
-            primitive_matches = self.local_searcher.find(leaf.subgraph, edge)
+            primitive_matches = find(leaf.subgraph, edge)
             if not primitive_matches:
                 continue
             found_any = True
             self.stats.leaf_matches_found += len(primitive_matches)
-            for match in primitive_matches:
-                self._insert(leaf, match, completions)
+            for partial in primitive_matches:
+                self._insert(leaf, partial, completions)
         if not emit:
             completions = []
         elif completions:
@@ -256,54 +264,109 @@ class ContinuousQueryMatcher:
     def process_edge(self, edge: Edge) -> List[Match]:
         """Process one newly-ingested edge; return the new complete matches."""
         self.expire_partials(edge.timestamp)
-        return self.process_edge_leaves(edge, self.tree.leaves())
+        return [self.to_match(partial) for partial in self.process_edge_leaves(edge, self.tree.leaves())]
 
     # ------------------------------------------------------------------
     # insertion / join cascade
     # ------------------------------------------------------------------
-    def _insert(self, node: SJTreeNode, match: Match, out: List[Match]) -> None:
-        if node.is_root:
+    def _insert(self, node: SJTreeNode, partial: Partial, out: List[Partial]) -> None:
+        join = node.join
+        if join is None:
             # a completion (for a single-primitive query the leaf is the root)
-            if not self.window.bounded or self.window.admits_span(match.span):
-                out.append(match)
+            if self.window.admits_span(partial[LATEST] - partial[EARLIEST]):
+                out.append(partial)
             return
-        node.store_match(match)
+        key = node.store_partial(partial)
         self._tree_stored += 1
-        if match.earliest < self.next_expiry:
-            self.next_expiry = match.earliest
-        parent = self.tree.parent(node)
-        sibling = self.tree.sibling(node)
-        if parent is None or sibling is None:  # pragma: no cover - defensive
+        if partial[EARLIEST] < self.next_expiry:
+            self.next_expiry = partial[EARLIEST]
+        buckets, parent, plan, left = join
+        bucket = buckets.get(key)
+        if not bucket:
             return
-        key = match.projection_key(parent.cut_vertices)
-        for candidate in sibling.matches_for_key(key):
-            self.stats.joins_attempted += 1
-            joined = try_join(match, candidate, self.window)
+        if plan is None:
+            plan = self.tree.compile_join(parent, self.window)
+        stats = self.stats
+        # the cascade stores only into ancestors, never into the sibling,
+        # so its bucket is read in place
+        for candidate in bucket.values():
+            stats.joins_attempted += 1
+            if left:
+                joined = try_join(partial, candidate, plan)
+            else:
+                joined = try_join(candidate, partial, plan)
             if joined is None:
                 continue
-            self.stats.joins_succeeded += 1
+            stats.joins_succeeded += 1
             self._insert(parent, joined, out)
 
-    def _complete(self, completions: List[Match]) -> List[Match]:
+    def _complete(self, completions: List[Partial]) -> List[Partial]:
         """Report one call's completions: filter and count.
 
         Under ``dedupe_structural`` completions that bind the same edge set
-        collapse to the one with the least :func:`canonical_match_key`, so
-        the variant reported is a function of the match content, not of the
+        collapse to the one with the least :meth:`completion_key`, so the
+        variant reported is a function of the match content, not of the
         plan.
         """
         if self.dedupe_structural and len(completions) > 1:
-            best: Dict[FrozenSet[int], Tuple[str, Match]] = {}
-            for match in completions:
-                key = canonical_match_key(match)
-                edge_set = match.structural_identity()
+            best: Dict[FrozenSet[int], Tuple[List[str], Partial]] = {}
+            edges_of = self._root.edges_of
+            for partial in completions:
+                key = self.completion_key(partial)
+                edge_set = frozenset(edge.id for edge in edges_of(partial))
                 held = best.get(edge_set)
                 if held is None or key < held[0]:
-                    best[edge_set] = (key, match)
+                    best[edge_set] = (key, partial)
             self.stats.duplicate_matches_suppressed += len(completions) - len(best)
-            completions = [match for _, match in best.values()]
+            completions = [partial for _, partial in best.values()]
         self.stats.complete_matches += len(completions)
         return completions
+
+    # ------------------------------------------------------------------
+    # completions
+    # ------------------------------------------------------------------
+    def to_match(self, partial: Partial) -> Match:
+        """Build the :class:`Match` of a completion, maps in query declaration order."""
+        return self._root.to_match(partial)
+
+    def completion_key(self, partial: Partial) -> List[str]:
+        """A plan-independent, cross-process-stable ordering key for a completion.
+
+        Within a single trigger edge the *discovery* order of completions is
+        an artefact of the active plan (leaf iteration and join order), so
+        it cannot survive a replan; same-trigger events are ordered by this
+        key instead, which depends only on the match content.  The key is
+        the ``repr`` of every bound value: each vertex, then each edge's
+        source, target, label and timestamp, with vertices and edges in the
+        order of their names' ``repr`` -- the order ``repr``-sorting the
+        match's items puts them in.  Keys of two completions of one query
+        therefore compare as the ``repr`` of their sorted items does
+        (``tests/test_exactly_once.py`` holds that oracle), and reprs, not
+        raw values, keep mixed vertex-id types comparable.
+
+        When every query edge is directed and labelled, each edge adds only
+        its timestamp: its source and target are the vertices already in
+        the key and its label is the query's, so the values left out could
+        only differ where an earlier one already does.
+        """
+        plan = self._key_plan
+        if plan is None:
+            # slots in the order a repr sort of the match's items lists them
+            root = self._root
+            plan = self._key_plan = (
+                tuple(root.vertex_slot(name) for name in _repr_order(root.vertices)),
+                tuple(root.edge_slot(edge) for edge in _repr_order(root.edges)),
+                all(edge.directed and edge.label is not None for edge in self.query.edges()),
+            )
+        vertex_slots, edge_slots, timestamps_only = plan
+        key = [repr(partial[slot]) for slot in vertex_slots]
+        if timestamps_only:
+            key += [repr(partial[slot].timestamp) for slot in edge_slots]
+        else:
+            for slot in edge_slots:
+                edge = partial[slot]
+                key += (repr(edge.source), repr(edge.target), repr(edge.label), repr(edge.timestamp))
+        return key
 
     # ------------------------------------------------------------------
     # introspection used by experiments / visualisation
@@ -365,7 +428,7 @@ class ContinuousQueryMatcher:
             "stats": self.stats.to_dict(),
         }
 
-    def load_state(self, state: Dict[str, object]) -> None:
+    def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict` onto a freshly-built matcher.
 
         Keys of retired state, if present, are ignored: the duplicate

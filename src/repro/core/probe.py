@@ -3,11 +3,11 @@
 Every primitive the default decompositions produce is one or two directed,
 labelled edges.  Running the generic seeded backtracking matcher over such a
 shape spends its time on machinery the shape never needs -- a search order
-over one remaining edge, a generator per recursion level, a
-:class:`~repro.isomorphism.match.Match` rebuilt (and its timestamps
-re-scanned) per binding.  Everything that machinery decides is known when
-the matcher is built: which endpoint of the new edge the partner edge hangs
-off, in which direction, which vertex is still free, which checks apply.
+over one remaining edge, a generator per recursion level, a binding rebuilt
+(and its timestamps re-scanned) per step.  Everything that machinery decides
+is known when the matcher is built: which endpoint of the new edge the
+partner edge hangs off, in which direction, which vertex is still free,
+which checks apply.
 
 :func:`compile_probe` does that deciding once per SJ-tree leaf and records it
 as one :data:`RoleSpec` per query edge the new edge can play; :func:`run_role`
@@ -16,7 +16,8 @@ tests as :meth:`LocalSearcher.seeds
 <repro.core.local_search.LocalSearcher.seeds>` plus
 :meth:`SubgraphMatcher.find_matches
 <repro.isomorphism.vf2.SubgraphMatcher.find_matches>`, in the same order over
-the same candidate enumeration, so its result list -- order included -- and
+the same candidate enumeration, so its result list -- order included, once
+the generic path's matches are laid out as partials -- and
 the ``searches_started`` / ``matches_found`` counters are those of the
 generic path (``tests/test_local_search_join.py`` holds the differential).
 Both bind a partner edge only when its ingest id is below the new edge's
@@ -27,18 +28,26 @@ collector-tracked cell per captured name (some thirty per role) and would
 point back at the searcher that owns it, and both showed up in query
 registration time.
 
+A probe appends its embeddings as partials in the leaf's
+:class:`~repro.core.sjtree.SlotLayout`, the tuple the SJ-tree stores: the
+straight-line code builds ``(source, target[, far], new edge[, partner],
+earliest, latest)`` and a role whose layout differs (the second edge's role,
+a self loop) carries one ``itemgetter`` that reorders it.  No
+:class:`~repro.isomorphism.match.Match` and no dict is built per embedding.
+
 Shapes that are not lowered -- three or more edges, an undirected or
 unlabelled edge, two edges with no common vertex -- keep the generic search.
 """
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..graph.types import Direction, Edge, VertexNotFoundError
-from ..isomorphism.match import Match
 from ..query.compile import AttrCheck
 from ..query.query_graph import QueryEdge, QueryGraph
+from .sjtree import Partial, SlotLayout
 
 if TYPE_CHECKING:
     from .local_search import LocalSearcher
@@ -56,8 +65,14 @@ RoleSpec = Tuple[Any, ...]
 Probe = Dict[str, List[RoleSpec]]
 
 
-def compile_probe(searcher: "LocalSearcher", primitive: QueryGraph) -> Optional[Probe]:
-    """Lower ``primitive`` into a :data:`Probe`, or ``None`` when it is not a lowered shape."""
+def compile_probe(
+    searcher: "LocalSearcher", primitive: QueryGraph, layout: Optional[SlotLayout] = None
+) -> Optional[Probe]:
+    """Lower ``primitive`` into a :data:`Probe`, or ``None`` when it is not a lowered shape.
+
+    The probe builds partials in ``layout``, ``SlotLayout.of(primitive)``
+    unless the caller already holds it.
+    """
     edges = list(primitive.edges())
     if len(edges) not in (1, 2):
         return None
@@ -71,15 +86,38 @@ def compile_probe(searcher: "LocalSearcher", primitive: QueryGraph) -> Optional[
         if first.source not in second.endpoints and first.target not in second.endpoints:
             return None
     probe: Probe = {}
+    if layout is None:
+        layout = SlotLayout.of(primitive)
     for index, seed in enumerate(edges):
         partner = edges[1 - index] if len(edges) == 2 else None
-        probe.setdefault(labels[index], []).append(_role_spec(searcher, primitive, seed, partner))
+        probe.setdefault(labels[index], []).append(
+            _role_spec(searcher, primitive, layout, seed, partner)
+        )
     return probe
+
+
+def _shape(
+    layout: SlotLayout, vertices: Tuple[str, ...], edges: Tuple[int, ...]
+) -> Optional["itemgetter[Any]"]:
+    """The picker from a role's natural tuple to ``layout``, ``None`` when they agree.
+
+    The natural tuple is the one :func:`run_role` builds: the bound
+    ``vertices`` (a self loop names its vertex twice; either slot holds
+    it), the bound ``edges``, then the extent.
+    """
+    if vertices == layout.vertices and edges == layout.edges:
+        return None
+    first = len(vertices)
+    picks = [vertices.index(name) for name in layout.vertices]
+    picks += [first + edges.index(query_edge) for query_edge in layout.edges]
+    picks += [first + len(edges), first + len(edges) + 1]
+    return itemgetter(*picks)
 
 
 def _role_spec(
     searcher: "LocalSearcher",
     primitive: QueryGraph,
+    layout: SlotLayout,
     seed: QueryEdge,
     partner: Optional[QueryEdge],
 ) -> RoleSpec:
@@ -117,16 +155,21 @@ def _role_spec(
             free_var = partner.target if outward else partner.source
             free_label = primitive.vertex(free_var).label
             free_check = vertex_checks[free_var]
+    # the bindings of the tuple run_role builds, as it builds them
+    if partner is None:
+        shape = _shape(layout, (source_var, target_var), (seed.id,))
+    elif between:
+        shape = _shape(layout, (source_var, target_var), (seed.id, partner_id))
+    else:
+        shape = _shape(layout, (source_var, target_var, free_var), (seed.id, partner_id))
     return (
         window.bounded,
         window.duration,
         window.strict,
         # a lone edge has span 0, which only a strict zero-length window refuses
         window.admits_span(0.0),
-        seed.id,
         compiled.edge_checks[seed.id],
-        source_var,
-        target_var,
+        source_var == target_var,
         primitive.vertex(source_var).label,
         vertex_checks[source_var],
         primitive.vertex(target_var).label,
@@ -139,28 +182,27 @@ def _role_spec(
         between,
         anchor_is_target,
         far_is_target,
-        free_var,
         free_label,
         free_check,
+        shape,
     )
 
 
 def run_role(
-    searcher: "LocalSearcher", spec: RoleSpec, new_edge: Edge, results: List[Match]
+    searcher: "LocalSearcher", spec: RoleSpec, new_edge: Edge, results: List[Partial]
 ) -> None:
     """Append the embeddings in which ``new_edge`` plays ``spec``'s query edge.
 
-    The edge label is already known to match (specs are looked up by it).
+    Each is appended as a partial in the primitive's slot layout.  The edge
+    label is already known to match (specs are looked up by it).
     """
     (
         bounded,
         duration,
         strict,
         seed_admitted,
-        seed_id,
         seed_check,
-        source_var,
-        target_var,
+        seed_loop,
         source_label,
         source_check,
         target_label,
@@ -173,14 +215,13 @@ def run_role(
         between,
         anchor_is_target,
         far_is_target,
-        free_var,
         free_label,
         free_check,
+        shape,
     ) = spec
     if seed_check is not None and not seed_check(new_edge.attrs):
         return
     source, target = new_edge.source, new_edge.target
-    seed_loop = source_var == target_var
     if (source == target) != seed_loop:
         return
     graph = searcher.graph
@@ -206,14 +247,8 @@ def run_role(
         return
     timestamp = new_edge.timestamp
     if partner_id < 0:
-        results.append(
-            Match._from_parts(
-                {source_var: source, target_var: target},
-                {seed_id: new_edge},
-                timestamp,
-                timestamp,
-            )
-        )
+        partial: Partial = (source, target, new_edge, timestamp, timestamp)
+        results.append(partial if shape is None else shape(partial))
         searcher.matches_found += 1
         return
 
@@ -252,7 +287,7 @@ def run_role(
             if (span >= duration) if strict else (span > duration):
                 continue
         if between:
-            vertex_map = {source_var: source, target_var: target}
+            partial = (source, target, new_edge, candidate, earliest, latest)
         else:
             far = candidate.target if outward else candidate.source
             # a non-loop query edge cannot take a data self loop
@@ -269,11 +304,7 @@ def run_role(
             # injectivity: the free vertex may not reuse the seed's other end
             if far == other:
                 continue
-            vertex_map = {source_var: source, target_var: target, free_var: far}
-        results.append(
-            Match._from_parts(
-                vertex_map, {seed_id: new_edge, partner_id: candidate}, earliest, latest
-            )
-        )
+            partial = (source, target, far, new_edge, candidate, earliest, latest)
+        results.append(partial if shape is None else shape(partial))
         found += 1
     searcher.matches_found += found

@@ -18,27 +18,123 @@ The leaves carry the *search primitives* produced by query decomposition;
 only leaves are searched against the stream (via local search around each
 new edge), and partial matches climb the tree through joins.
 
-Match collections are hash-indexed by the projection of the match onto the
-parent's cut vertices so that the sibling probe during a join is a dictionary
-lookup, not a scan.  Within a bucket a match is filed under an insertion
-serial: local search finds every embedding exactly once (the newest-edge
-rule, :mod:`repro.core.local_search`), so a node is never offered the same
-match twice and needs no identity check.  Each node also keeps an expiry
-queue so partial matches older than the query window can be swept out
-cheaply.
+Every node has a fixed :class:`SlotLayout`, derived from its subgraph: its
+vertex names, then its query edge ids, in the subgraph's order -- the
+root's in the query's declaration order.  A stored partial is one flat
+tuple in that layout, ``(v..., e..., earliest, latest)``: data vertex ids,
+bound data :class:`~repro.graph.types.Edge` values, then the temporal
+extent.  Nothing is a :class:`~repro.isomorphism.match.Match` until it
+completes at the root.
+
+Match collections are hash-indexed by the projection of the partial onto the
+parent's cut vertices -- one ``operator.itemgetter`` per node, computed once
+per store and reused for the sibling probe -- so the probe during a join is
+a dictionary lookup, not a scan.  Within a bucket a partial is filed under
+an insertion serial: local search finds every embedding exactly once (the
+newest-edge rule, :mod:`repro.core.local_search`), so a node is never
+offered the same partial twice and needs no identity check.  Each node also
+keeps an expiry queue so partials older than the query window can be swept
+out cheaply.  Every non-root node is wired to its sibling's buckets and its
+parent; :meth:`SJTree.compile_join` gives an internal node the merge plan
+(:mod:`repro.core.join`) that combines its children's partials.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..graph.types import Edge
 from ..graph.window import ExpiryQueue, TimeWindow
 from ..isomorphism.match import Match
 from ..query.query_graph import QueryGraph
+from .join import JoinPlan, compile_join
 
-__all__ = ["SJTreeNode", "SJTree", "SJTreeInvariantError"]
+__all__ = [
+    "EARLIEST",
+    "LATEST",
+    "Partial",
+    "SlotLayout",
+    "SJTreeNode",
+    "SJTree",
+    "SJTreeInvariantError",
+]
 
-MatchKey = Tuple
+#: A stored partial match: ``(v..., e..., earliest, latest)`` in its node's
+#: :class:`SlotLayout`.
+Partial = Tuple[Any, ...]
+#: Slots of a partial's temporal extent (least and greatest bound timestamp).
+EARLIEST = -2
+LATEST = -1
+
+#: A partial's bucket key: the projection onto the parent's cut vertices (a
+#: bare value for a one-vertex cut, ``()`` for an empty one).
+MatchKey = Any
+#: A node's join wiring: ``(sibling's buckets, parent, the parent's merge
+#: plan or ``None`` until :meth:`SJTree.compile_join` runs, whether this
+#: node is the left child)``.  The sibling is reached through its bucket
+#: dict, not the node, so no two nodes point at each other.
+NodeJoin = Tuple[Dict[MatchKey, Dict[int, Partial]], "SJTreeNode", Optional[JoinPlan], bool]
+
+
+#: The key of a partial whose parent's cut is empty (and of the root's).
+NO_KEY = itemgetter(slice(0, 0))
+
+
+class SlotLayout:
+    """Where a node's partials keep each binding: vertex slots, edge slots, extent."""
+
+    __slots__ = ("vertices", "edges", "first_edge", "width")
+
+    def __init__(self, vertices: Tuple[str, ...], edges: Tuple[int, ...]) -> None:
+        self.vertices = vertices
+        self.edges = edges
+        #: Slot of the first edge: the vertices come before it.
+        self.first_edge = len(vertices)
+        #: Slots in a partial, the extent included.
+        self.width = len(vertices) + len(edges) + 2
+
+    @classmethod
+    def of(cls, subgraph: QueryGraph) -> "SlotLayout":
+        """The layout of ``subgraph``: its vertices, then its edges, in declaration order."""
+        return cls(*subgraph.declaration_order())
+
+    def edges_of(self, partial: Partial) -> Tuple[Edge, ...]:
+        """The data edges a partial binds, in layout order."""
+        return partial[self.first_edge : -2]
+
+    def vertex_slot(self, name: str) -> int:
+        """Slot of a query vertex."""
+        return self.vertices.index(name)
+
+    def edge_slot(self, query_edge: int) -> int:
+        """Slot of a query edge."""
+        return self.first_edge + self.edges.index(query_edge)
+
+    def from_maps(
+        self, vertex_map: Mapping[str, Any], edge_map: Mapping[int, Edge]
+    ) -> Partial:
+        """Lay out bindings of exactly this layout's variables; the extent is read off the edges."""
+        edges = tuple(edge_map[query_edge] for query_edge in self.edges)
+        stamps = [edge.timestamp for edge in edges]
+        return (
+            *(vertex_map[name] for name in self.vertices),
+            *edges,
+            min(stamps),
+            max(stamps),
+        )
+
+    def to_match(self, partial: Partial) -> Match:
+        """Build the :class:`Match` of a partial, maps in layout order."""
+        return Match._from_parts(
+            dict(zip(self.vertices, partial)),
+            dict(zip(self.edges, partial[self.first_edge :])),
+            partial[EARLIEST],
+            partial[LATEST],
+        )
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"SlotLayout({self.vertices}, {self.edges})"
 
 
 class SJTreeInvariantError(AssertionError):
@@ -46,25 +142,32 @@ class SJTreeInvariantError(AssertionError):
 
 
 class SJTreeNode:
-    """One node of an SJ-Tree: a query subgraph plus its match collection."""
+    """One node of an SJ-Tree: a query subgraph plus its collection of partials."""
 
-    def __init__(self, node_id: int, subgraph: QueryGraph):
+    def __init__(self, node_id: int, subgraph: QueryGraph) -> None:
         self.id = node_id
         self.subgraph = subgraph
-        # structure (parent/left/right/cuts/keys) is rebuilt from the
-        # decomposition before load_state runs, never snapshotted
+        # structure (parent/left/right/cuts/keys/layout/joins) is rebuilt
+        # from the decomposition before load_state runs, never snapshotted
         self.parent_id: Optional[int] = None  # repro-lint: ignore[snapshot-coverage]
         self.left_id: Optional[int] = None  # repro-lint: ignore[snapshot-coverage]
         self.right_id: Optional[int] = None  # repro-lint: ignore[snapshot-coverage]
         #: Cut vertices shared by the two children (internal nodes only,
         #: Property 4).  Sorted so projection keys are canonical.
         self.cut_vertices: Tuple[str, ...] = ()  # repro-lint: ignore[snapshot-coverage]
-        #: Vertices on which *this* node's matches are keyed, i.e. the cut of
-        #: the parent node.  Empty for the root.
+        #: Vertices on which *this* node's partials are keyed, i.e. the cut
+        #: of the parent node.  Empty for the root.
         self.key_vertices: Tuple[str, ...] = ()  # repro-lint: ignore[snapshot-coverage]
-        # key -> {insertion serial -> Match}
-        self._matches: Dict[MatchKey, Dict[int, Match]] = {}
-        # the expiry queue and its counter are rebuilt by store_match
+        #: Slot layout of this node's partials, a function of the subgraph.
+        self.layout = SlotLayout.of(subgraph)
+        #: Picks a partial's bucket key (:data:`MatchKey`); set with
+        #: ``key_vertices`` by the tree build.
+        self.key_of: "itemgetter[Any]" = NO_KEY  # repro-lint: ignore[snapshot-coverage]
+        #: The :data:`NodeJoin`; ``None`` at the root.
+        self.join: Optional[NodeJoin] = None  # repro-lint: ignore[snapshot-coverage]
+        # key -> {insertion serial -> partial}
+        self._matches: Dict[MatchKey, Dict[int, Partial]] = {}
+        # the expiry queue and its counter are rebuilt by store_partial
         # during load_state re-insertion
         self._expiry: ExpiryQueue[Tuple[MatchKey, int]] = ExpiryQueue()  # repro-lint: ignore[snapshot-coverage]
         self._match_count = 0  # repro-lint: ignore[snapshot-coverage]
@@ -85,59 +188,56 @@ class SJTreeNode:
         return self.parent_id is None
 
     # ------------------------------------------------------------------
-    # match collection (Property 3)
+    # partial collection (Property 3)
     # ------------------------------------------------------------------
-    def match_key(self, match: Match) -> MatchKey:
-        """Return the join key of a match: its projection onto the key vertices."""
-        return match.projection_key(self.key_vertices)
-
-    def store_match(self, match: Match) -> None:
-        """Insert a match under the next insertion serial."""
-        key = self.match_key(match)
+    def store_partial(self, partial: Partial) -> MatchKey:
+        """Insert a partial under the next insertion serial; return its bucket key."""
+        key = self.key_of(partial)
         bucket = self._matches.get(key)
         if bucket is None:
             bucket = self._matches[key] = {}
         serial = self.total_inserted
-        bucket[serial] = match
-        self._expiry.push(match.earliest, (key, serial))
+        bucket[serial] = partial
+        self._expiry.push(partial[EARLIEST], (key, serial))
         self._match_count += 1
         self.total_inserted = serial + 1
+        return key
 
-    def matches_for_key(self, key: MatchKey) -> List[Match]:
-        """Return the stored matches whose projection equals ``key``."""
+    def partials_for_key(self, key: MatchKey) -> List[Partial]:
+        """Return the stored partials whose projection equals ``key``, oldest first."""
         bucket = self._matches.get(key)
         if not bucket:
             return []
         return list(bucket.values())
 
-    def all_matches(self) -> Iterator[Match]:
-        """Iterate over every stored match."""
+    def partials(self) -> Iterator[Partial]:
+        """Iterate over every stored partial, bucket by bucket."""
         for bucket in self._matches.values():
             yield from bucket.values()
 
     def match_count(self) -> int:
-        """Return the number of currently stored matches."""
+        """Return the number of currently stored partials."""
         return self._match_count
 
     def earliest_stored(self) -> float:
-        """Return the least ``earliest`` among the stored matches (``inf`` when none).
+        """Return the least ``earliest`` among the stored partials (``inf`` when none).
 
-        Every queued entry is a stored match (matches leave the collection
-        only through the queue), so the queue's head is exact.
+        Every queued entry is a stored partial (partials leave the
+        collection only through the queue), so the queue's head is exact.
         """
         oldest = self._expiry.peek_oldest()
         return float("inf") if oldest is None else oldest[0]
 
     def expire_matches(self, window: TimeWindow, now: float) -> int:
-        """Drop matches that can no longer participate in a new in-window match.
+        """Drop partials that can no longer participate in a new in-window match.
 
-        A partial match with earliest edge timestamp ``t`` is dead once
+        A partial with earliest edge timestamp ``t`` is dead once
         ``window.is_expired(t, now)``: any future edge only increases the
         span.  That is the span test joins and emission apply, computed the
         same way (``now - t`` against the duration), so a partial the sweep
         drops is one they would reject -- a threshold ``now - tW`` compared
         with ``t`` can round the other way on the boundary.  Returns the
-        number of matches dropped.
+        number of partials dropped.
         """
         if not window.bounded:
             return 0
@@ -160,7 +260,7 @@ class SJTreeNode:
         return dropped
 
     def clear_matches(self) -> None:
-        """Remove every stored match (used by tests and by plan switching)."""
+        """Remove every stored partial (used by tests and by plan switching)."""
         self._matches.clear()
         self._expiry = ExpiryQueue()
         self._match_count = 0
@@ -169,33 +269,49 @@ class SJTreeNode:
     # persistence support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Serialise the node's match collection and lifetime counters.
+        """Serialise the node's partials and lifetime counters.
 
-        Matches are listed bucket by bucket in the collection's iteration
-        order.  That order is load-bearing: ``matches_for_key`` feeds join
-        candidate enumeration, which decides the order same-trigger events
-        emit in, so :meth:`load_state` re-inserts in exactly this order.
+        Each partial is written as a match entry, ``{"v": [[name, vertex],
+        ...], "e": [[query edge, edge dict], ...]}`` in layout order, and
+        the entries are listed bucket by bucket in the collection's
+        iteration order.  That order is load-bearing: a bucket feeds join
+        candidate enumeration, which decides the order partials climb the
+        tree in, so :meth:`load_state` re-inserts in exactly this order.
         """
+        layout = self.layout
         return {
             "matches": [
-                match.state_dict()
-                for bucket in self._matches.values()
-                for match in bucket.values()
+                {
+                    "v": [list(pair) for pair in zip(layout.vertices, partial)],
+                    "e": [
+                        [query_edge, edge.to_dict()]
+                        for query_edge, edge in zip(layout.edges, layout.edges_of(partial))
+                    ],
+                }
+                for partial in self.partials()
             ],
             "total_inserted": self.total_inserted,
             "total_expired": self.total_expired,
         }
 
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore the match collection captured by :meth:`state_dict`.
+    def load_state(self, state: Mapping[str, Any]) -> None:
+        """Restore the partials captured by :meth:`state_dict`.
 
-        The node must be freshly built (keys assigned, no matches stored):
-        re-inserting through :meth:`store_match` reproduces the bucket
+        The node must be freshly built (keys assigned, nothing stored):
+        re-inserting through :meth:`store_partial` reproduces the bucket
         layout and the expiry queue's tie-break order.  Serials restart from
-        zero; only their order within a bucket is ever read.
+        zero; only their order within a bucket is ever read.  Entries are
+        read by name, so an entry's own binding order (older snapshots
+        wrote whatever order the match was built in) does not matter.
         """
+        from_maps = self.layout.from_maps
         for payload in state["matches"]:
-            self.store_match(Match.from_state(payload))
+            self.store_partial(
+                from_maps(
+                    {name: vertex for name, vertex in payload["v"]},
+                    {query_edge: Edge.from_dict(edge) for query_edge, edge in payload["e"]},
+                )
+            )
         self.total_inserted = state["total_inserted"]
         self.total_expired = state["total_expired"]
 
@@ -231,7 +347,7 @@ class SJTree:
         query: QueryGraph,
         leaf_subgraphs: Sequence[QueryGraph],
         shape: str = LEFT_DEEP,
-    ):
+    ) -> None:
         if not leaf_subgraphs:
             raise ValueError("an SJ-Tree needs at least one leaf primitive")
         if shape not in (self.LEFT_DEEP, self.BALANCED):
@@ -245,6 +361,12 @@ class SJTree:
         self.root_id: int = -1  # repro-lint: ignore[snapshot-coverage]
         self._next_id = 0  # repro-lint: ignore[snapshot-coverage]
         self._build(list(leaf_subgraphs), shape)
+        # completions are read in the query's declaration order, and an
+        # internal node's layout is free: so is the root's, leaf or not
+        root = self.nodes[self.root_id]
+        vertices, edges = query.declaration_order()
+        if root.layout.vertices != vertices or root.layout.edges != edges:
+            root.layout = SlotLayout(vertices, edges)
         self._assign_key_vertices()
 
     # ------------------------------------------------------------------
@@ -293,8 +415,33 @@ class SJTree:
         for node in self.nodes.values():
             if node.parent_id is None:
                 node.key_vertices = ()
-            else:
-                node.key_vertices = self.nodes[node.parent_id].cut_vertices
+                continue
+            parent = self.nodes[node.parent_id]
+            node.key_vertices = parent.cut_vertices
+            slots = [node.layout.vertices.index(name) for name in node.key_vertices]
+            # a one-vertex cut keys on the bare vertex id: both siblings
+            # project the same way, so their keys still agree
+            node.key_of = itemgetter(*slots) if slots else NO_KEY
+            left = parent.left_id == node.id
+            sibling_id = parent.right_id if left else parent.left_id
+            assert sibling_id is not None  # an internal node has two children
+            node.join = (self.nodes[sibling_id]._matches, parent, None, left)
+
+    def compile_join(self, parent: SJTreeNode, window: TimeWindow) -> JoinPlan:
+        """Compile ``parent``'s merge plan under ``window`` into both children's joins.
+
+        The matcher calls this the first time a partial meets a non-empty
+        sibling bucket below ``parent``, so a node no partial ever reaches
+        costs registration nothing.
+        """
+        assert parent.left_id is not None and parent.right_id is not None
+        left, right = self.nodes[parent.left_id], self.nodes[parent.right_id]
+        plan = compile_join(
+            left.subgraph, left.layout, right.subgraph, right.layout, parent.layout, window
+        )
+        left.join = (right._matches, parent, plan, True)
+        right.join = (left._matches, parent, plan, False)
+        return plan
 
     # ------------------------------------------------------------------
     # navigation
@@ -339,7 +486,7 @@ class SJTree:
         return node_depth(self.root_id)
 
     def total_stored_matches(self) -> int:
-        """Return the total number of partial matches currently stored in all nodes."""
+        """Return the total number of partials currently stored in all nodes."""
         return sum(node.match_count() for node in self.nodes.values())
 
     def match_counts_by_node(self) -> Dict[int, int]:
@@ -355,7 +502,7 @@ class SJTree:
     # persistence support
     # ------------------------------------------------------------------
     def state_dict(self) -> Dict[str, object]:
-        """Serialise every node's match collection (structure is rebuilt, not stored).
+        """Serialise every node's partials (structure is rebuilt, not stored).
 
         The tree *structure* is deterministic given the decomposition, so
         only the per-node collections are captured; :meth:`load_state`
@@ -366,7 +513,7 @@ class SJTree:
             "nodes": [[node_id, self.nodes[node_id].state_dict()] for node_id in self.nodes],
         }
 
-    def load_state(self, state: Dict[str, object]) -> None:
+    def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore per-node collections captured by :meth:`state_dict`.
 
         The retired ``last_expiry_sweep`` key, if present, is ignored, and
@@ -394,15 +541,19 @@ class SJTree:
                 raise SJTreeInvariantError(
                     f"internal node {node.id} must have exactly two children"
                 )
-            left = self.nodes[node.left_id]
-            right = self.nodes[node.right_id]
-            joined = left.subgraph.union(right.subgraph)
-            if not node.subgraph.same_structure(joined):
+            left = self.nodes[node.left_id].subgraph
+            right = self.nodes[node.right_id].subgraph
+            # same_structure against left.union(right), without building it
+            subgraph = node.subgraph
+            if (
+                subgraph.vertex_names() != left.vertex_names() | right.vertex_names()
+                or subgraph.edge_ids() != left.edge_ids() | right.edge_ids()
+            ):
                 raise SJTreeInvariantError(
                     f"Property 2 violated at node {node.id}: subgraph is not the "
                     "join of its children"
                 )
-            expected_cut = tuple(sorted(left.subgraph.vertex_intersection(right.subgraph)))
+            expected_cut = tuple(sorted(left.vertex_intersection(right)))
             if node.cut_vertices != expected_cut:
                 raise SJTreeInvariantError(
                     f"Property 4 violated at node {node.id}: cut vertices "

@@ -1,17 +1,20 @@
 """Match objects: bindings of query vertices/edges to data vertices/edges.
 
-A :class:`Match` is the unit of work everywhere in StreamWorks: the local
-search produces matches of leaf primitives, SJ-Tree nodes store partial
-matches, joins merge compatible matches, and the engine emits complete
-matches.  A match records
+A :class:`Match` is what StreamWorks reports and what its searches
+return: every emitted event carries one, and the VF2 matcher
+(:mod:`repro.isomorphism.vf2`) and the baselines produce them.  Inside the
+continuous matcher a partial match is not a ``Match`` but a flat tuple in
+its SJ-tree node's slot layout (:mod:`repro.core.sjtree`), joined by a
+compiled plan (:mod:`repro.core.join`); it becomes a ``Match`` when it
+completes at the root and is emitted.  A match records
 
 * the vertex binding (query variable -> data vertex id),
 * the edge binding (query edge id -> data :class:`Edge` object), and
 * its temporal extent (earliest/latest bound edge timestamp).
 
 Matches are value objects: merging two matches produces a new one.  Edge
-objects (not just ids) are stored so that a partial match keeps its
-timestamps even after the underlying edge is evicted from the window store.
+objects (not just ids) are stored so that a match keeps its timestamps even
+after the underlying edge is evicted from the window store.
 """
 
 from __future__ import annotations
@@ -59,9 +62,10 @@ class Match:
     ) -> "Match":
         """Adopt already-validated maps and a known extent: no copy, no rescan.
 
-        Internal to the compiled probes and the join: the caller owns
-        ``vertex_map`` / ``edge_map`` (fresh dicts nobody else holds) and
-        guarantees ``(earliest, latest)`` is the min / max bound timestamp.
+        Internal to building a match from a laid-out partial and to
+        merging: the caller owns ``vertex_map`` / ``edge_map`` (fresh dicts
+        nobody else holds) and guarantees ``(earliest, latest)`` is the
+        min / max bound timestamp.
         """
         match = cls.__new__(cls)
         match.vertex_map = vertex_map
@@ -250,10 +254,9 @@ class Match:
     def projection_key(self, query_vertices: Sequence[str]) -> Tuple[VertexId, ...]:
         """Return the tuple of data vertices bound to the given query vertices.
 
-        This is the join key used by SJ-Tree match collections: sibling
-        matches can only combine when they agree on the cut vertices, so
-        collections are hashed by this projection.
-        Unbound variables appear as ``None``.
+        Two matches can only combine when they agree on their shared
+        vertices, so this projection is a join key.  Unbound variables
+        appear as ``None``.
         """
         return tuple(self.vertex_map.get(name) for name in query_vertices)
 

@@ -344,7 +344,7 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
             registration.match_count = payload["match_count"]
             # pre-replan snapshots carry no version: they are plan version 0
             registration.plan_version = payload.get("plan_version", 0)
-            engine.queries[payload["name"]] = registration
+            engine.add_registration(registration)
             engine.dispatch.register(payload["name"], matcher.tree.leaves())
             intern_query_vocabulary(engine.interning, query)
         interning_state = sections.get("interning")

@@ -274,6 +274,10 @@ class QueryGraph:
         """Return the set of query edge ids."""
         return set(self._edges.keys())
 
+    def declaration_order(self) -> Tuple[Tuple[str, ...], Tuple[int, ...]]:
+        """Return the variable names and the query edge ids, each in declaration order."""
+        return tuple(self._vertices), tuple(self._edges)
+
     def vertex_count(self) -> int:
         """Return the number of query vertices."""
         return len(self._vertices)
@@ -319,12 +323,17 @@ class QueryGraph:
         (same id) appear once.
         """
         result = QueryGraph(name or f"({self.name})∪({other.name})")
-        for vertex in list(self.vertices()) + list(other.vertices()):
-            if not result.has_vertex(vertex.name):
-                result.add_query_vertex(vertex)
-        for edge in list(self.edges()) + list(other.edges()):
-            if not result.has_edge(edge.id):
-                result.add_query_edge(edge)
+        vertices = result._vertices = dict(self._vertices)
+        for vertex_name, vertex in other._vertices.items():
+            vertices.setdefault(vertex_name, vertex)
+        edges = result._edges = dict(self._edges)
+        for edge_id, edge in other._edges.items():
+            edges.setdefault(edge_id, edge)
+        incident = result._incident
+        for edge_id, edge in edges.items():
+            incident[edge.source].add(edge_id)
+            incident[edge.target].add(edge_id)
+        result._next_edge_id = max(edges, default=-1) + 1
         return result
 
     def vertex_intersection(self, other: "QueryGraph") -> Set[str]:

@@ -61,6 +61,7 @@ from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
 
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.route_plan import RoutePlan
+from repro.core.sjtree import EARLIEST
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
 from repro.query.builder import QueryBuilder
 from repro.query.compile import _never
@@ -296,9 +297,9 @@ class ProbedReferenceEngine(StreamWorksEngine):
                 # shorter than the (strict) query window
                 now = max(clock, edge.timestamp)
                 found = [
-                    (registration, match)
-                    for registration, match in found
-                    if now - match.earliest < registration.window.duration
+                    (registration, completion)
+                    for registration, completion in found
+                    if now - completion[EARLIEST] < registration.window.duration
                 ]
                 if found:
                     self._emit_trigger(found, edge.timestamp, self.edges_processed, events)
@@ -306,7 +307,7 @@ class ProbedReferenceEngine(StreamWorksEngine):
         self.graph.evict_expired()
 
     def _collect_matches(self, edge, found):
-        """Append ``(registration, match)`` for every completion ``edge`` makes.
+        """Append ``(registration, completion)`` for every completion ``edge`` makes.
 
         The dispatch index is probed afresh for this one edge: only the
         (query, leaf) pairs it names are searched.
@@ -319,8 +320,8 @@ class ProbedReferenceEngine(StreamWorksEngine):
             registration = self.queries[owner]
             matcher = registration.matcher
             leaves = [matcher.tree.node(leaf_id) for leaf_id in leaf_ids]
-            for match in matcher.process_edge_leaves(edge, leaves):
-                found.append((registration, match))
+            for completion in matcher.process_edge_leaves(edge, leaves):
+                found.append((registration, completion))
 
 
 class ExhaustiveReferenceEngine(ProbedReferenceEngine):
@@ -335,8 +336,8 @@ class ExhaustiveReferenceEngine(ProbedReferenceEngine):
     def _collect_matches(self, edge, found):
         for registration in self.queries.values():
             matcher = registration.matcher
-            for match in matcher.process_edge_leaves(edge, matcher.tree.leaves()):
-                found.append((registration, match))
+            for completion in matcher.process_edge_leaves(edge, matcher.tree.leaves()):
+                found.append((registration, completion))
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ import pytest
 from differential import ExhaustiveReferenceEngine, assert_live_legs_exact
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
+from repro.core.decomposition import Strategy
 from repro.persistence import (
     SnapshotCorruptError,
     SnapshotError,
@@ -1147,6 +1148,90 @@ def test_retired_knob_is_not_an_option(name, value):
     with pytest.raises(TypeError, match=name):
         EngineConfig(**{name: value})
     assert name in _RETIRED_CONFIG_FIELDS
+
+
+def live_partials_records():
+    rows = []
+    for index in range(30):
+        t = float(index)
+        a, b, c = f"a{index % 5}", f"b{index % 4}", f"c{index % 3}"
+        rows += [
+            StreamEdge(a, b, "rel_a", t, source_label="Leaf", target_label="Host"),
+            StreamEdge(b, c, "rel_b", t + 0.25, source_label="Host", target_label="Hub"),
+            StreamEdge(c, f"d{index % 6}", "rel_c", t + 0.5, source_label="Hub", target_label="Leaf"),
+            StreamEdge(f"d{(index + 2) % 6}", f"e{index % 2}", "rel_a", t + 0.75,
+                       source_label="Leaf", target_label="Host"),
+        ]
+    return rows
+
+
+def live_partials_engine():
+    chain = QueryGraph("chain")
+    chain.add_vertex("w", "Leaf")
+    chain.add_vertex("x", "Host")
+    chain.add_vertex("y", "Hub")
+    chain.add_vertex("z", "Leaf")
+    chain.add_vertex("v")
+    chain.add_edge("w", "x", "rel_a")
+    chain.add_edge("x", "y", "rel_b")
+    chain.add_edge("y", "z", "rel_c")
+    chain.add_edge("z", "v", "rel_a")
+    engine = StreamWorksEngine(config=EngineConfig())
+    engine.register_query(chain, name="chain", window=3.0, strategy=Strategy.EDGE_BY_EDGE)
+    return engine
+
+
+def node_entries(tree_state):
+    """A tree's stored partials, node by node in stored order, each as ``(vertices, edges)`` maps."""
+    return {
+        node_id: [
+            ({name: vertex for name, vertex in entry["v"]},
+             {query_edge: edge for query_edge, edge in entry["e"]})
+            for entry in node_state["matches"]
+        ]
+        for node_id, node_state in tree_state["nodes"]
+    }
+
+
+def test_snapshot_with_live_partials_restores_every_node_and_resumes(tmp_path):
+    """A snapshot whose SJ-tree holds partials in every non-root node.
+
+    ``tests/fixtures/persistence/engine_live_partials.snap`` was written
+    while partials were :class:`Match` objects: a four-edge chain planned
+    edge by edge (four leaves, two inner joins), cut when each of the six
+    non-root nodes held partials.  Restored, every node holds exactly the
+    snapshot's partials in its bucket and insertion order, a new checkpoint
+    writes them back in that order, and the rest of the stream gives the
+    event history of an uninterrupted run of today's engine.
+    """
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "persistence", "engine_live_partials.snap"
+    )
+    records = live_partials_records()
+    cut = 64  # the fixture was written after eight batches of 8
+    _, sections = read_snapshot(path)
+    (payload,) = sections["queries"]
+    saved = node_entries(payload["matcher"]["tree"])
+
+    resumed = StreamWorksEngine.restore(path)
+    matcher = resumed.queries["chain"].matcher
+    assert len(matcher.tree.leaves()) == 4
+    stored = {node.id: node.match_count() for node in matcher.tree.nodes.values() if not node.is_root}
+    assert stored == {node_id: len(entries) for node_id, entries in saved.items() if entries}
+    assert len(stored) == 6 and all(stored.values())
+    assert matcher.stored_partial_matches() == sum(stored.values()) == matcher._tree_stored
+    again = str(tmp_path / "again.snap")
+    resumed.checkpoint(again)
+    (rewritten,) = read_snapshot(again)[1]["queries"]
+    assert node_entries(rewritten["matcher"]["tree"]) == saved
+
+    oracle = live_partials_engine()
+    for start in range(0, len(records), 8):
+        oracle.process_batch(records[start : start + 8])
+    for start in range(cut, len(records), 8):
+        resumed.process_batch(records[start : start + 8])
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert len(oracle.events()) == 28 and len(resumed.events()) == 28
 
 
 #: The retired config keys each fixture in ``tests/fixtures/persistence/`` carries.

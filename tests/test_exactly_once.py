@@ -26,13 +26,24 @@ the rule from outside the matcher:
   batch size and replan.
 * **The retired duplicate memory** -- its metrics read zero on both engines,
   and a snapshot that still carries it loads with it ignored.
+* **Emit order** -- :func:`canonical_match_key` (the engine's same-trigger
+  key before partials became slot tuples) is kept here as the oracle: the
+  matcher's ``completion_key`` must sort any two completions of one query
+  exactly as it does (hypothesis, with a mutation meta-test that sorts raw
+  values instead of reprs); emitted bindings list in the query's
+  declaration order under every plan and feed; and the registration order
+  that ranks queries on one trigger survives unregister, replan and
+  restore.
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import random
+import sys
+import textwrap
 from collections import Counter
 
 import pytest
@@ -47,15 +58,18 @@ from repro.core import (
     local_search,
     probe,
 )
-from repro.core.decomposition import Decomposition, Strategy
+from repro.core.decomposition import Decomposition, Strategy, decompose
 from repro.core.engine import RETIRED_DEDUP_METRICS
-from repro.core.matcher import ContinuousQueryMatcher, canonical_match_key
+from repro.core.matcher import ContinuousQueryMatcher
 from repro.graph import DynamicGraph, TimeWindow
+from repro.graph.types import Edge
 from repro.isomorphism import SubgraphMatcher
 from repro.isomorphism.match import Match
 from repro.persistence.state import engine_sections, load_engine_sections
 from repro.query.query_graph import QueryGraph
 from repro.streaming import StreamEdge
+
+from test_sharded_conformance import rmat_queries, rmat_records
 
 STRATEGIES = (
     Strategy.SELECTIVITY,
@@ -126,6 +140,25 @@ def run_engine(specs, records, batch, decomposition=None, **config):
 
 def identities(engine):
     return Counter((event.query_name, event.match.portable_identity()) for event in engine.events())
+
+
+def canonical_match_key(match):
+    """The emit-order oracle: a match's bindings, ``repr``-sorted, as one string.
+
+    This is the key the engine ordered same-trigger completions by (and
+    ``dedupe_structural`` picked its variant by) while completions were
+    :class:`Match` objects.  ``ContinuousQueryMatcher.completion_key`` must
+    order the completions of one query exactly as it does.
+    """
+    vertices = sorted(match.vertex_map.items(), key=repr)
+    edges = sorted(
+        (
+            (query_edge, edge.source, edge.target, edge.label, edge.timestamp)
+            for query_edge, edge in match.edge_map.items()
+        ),
+        key=repr,
+    )
+    return repr((vertices, edges))
 
 
 def oracle_identities(specs, records):
@@ -455,3 +488,186 @@ def test_snapshot_with_duplicate_memory_loads_with_it_ignored():
         registration.matcher.stats.duplicate_matches_suppressed == 0
         for registration in resumed.queries.values()
     )
+
+
+# ----------------------------------------------------------------------
+# emit order: the completion key against its oracle, declaration order
+# ----------------------------------------------------------------------
+#: Query vertex names and edge labels, quotes and repr-prefixes included.
+KEY_QUERIES = [
+    [("b", "a", "x"), ("a", "c", "y"), ("c", "ab", "it's")],
+    [("v10", "v9", 'say "hi"'), ("v9", "v1", "x"), ("v1", "v10", "x")],
+    [("a'", 'q"', "l"), ('q"', "z", "l")],
+    [("hub", "s1", "p"), ("hub", "s2", "p"), ("hub", "s10", None)],
+    [("x", "y", "p", False), ("y", "z", "q"), ("z", "x", "p", False)],
+    [("a", "a", "l"), ("a", "b", "l")],
+]
+#: Vertex ids: ints whose reprs sort unlike their values, strings with
+#: quotes, floats whose reprs are prefixes of each other.  No two are equal,
+#: so any sample of them is an injective binding.
+KEY_VALUES = {
+    "int": [0, 2, 9, 11, 12, 100, 1000],
+    "str": ["v1", "v10", "v9", "a'b", 'q"t', "it's \"x\"", ""],
+    "float": [1.0, 1.05, 10.0, 1.5, 0.1, 2.25, 1e20],
+}
+KEY_VALUES["mixed"] = [value for pool in KEY_VALUES.values() for value in pool]
+TIMESTAMPS = [1.0, 1.05, 10.0, 10.5, 2.0, 0.5]
+EDGE_LABELS = ["x", "it's", 'say "hi"', "l"]
+
+
+def key_query(index):
+    return query(f"key{index}", KEY_QUERIES[index])
+
+
+def random_completion(rng, pattern, pool):
+    """Maps binding every variable of ``pattern``: injective vertices, edges in between."""
+    names = [vertex.name for vertex in pattern.vertices()]
+    vertex_map = dict(zip(names, rng.sample(pool, len(names))))
+    edge_map = {}
+    for edge in pattern.edges():
+        ends = (vertex_map[edge.source], vertex_map[edge.target])
+        if not edge.directed and rng.random() < 0.5:
+            ends = ends[::-1]  # an undirected query edge binds either way round
+        label = edge.label if edge.label is not None else rng.choice(EDGE_LABELS)
+        edge_map[edge.id] = Edge(rng.randrange(1000), *ends, label, rng.choice(TIMESTAMPS))
+    return vertex_map, edge_map
+
+
+def perturbed(rng, pattern, pool, vertex_map, edge_map):
+    """A second completion equal to the first but for one vertex or timestamp."""
+    vertex_map, edge_map = dict(vertex_map), dict(edge_map)
+    if rng.random() < 0.5:
+        name = rng.choice(list(vertex_map))
+        renamed = {vertex_map[name]: rng.choice([v for v in pool if v not in vertex_map.values()])}
+        vertex_map[name] = renamed[next(iter(renamed))]
+        for query_edge, old in list(edge_map.items()):
+            edge_map[query_edge] = Edge(
+                old.id,
+                renamed.get(old.source, old.source),
+                renamed.get(old.target, old.target),
+                old.label,
+                old.timestamp,
+            )
+    elif rng.random() < 0.3:
+        query_edge = rng.choice(list(edge_map))
+        old = edge_map[query_edge]
+        if not pattern.edge(query_edge).directed:
+            edge_map[query_edge] = Edge(old.id, old.target, old.source, old.label, old.timestamp)
+    else:
+        query_edge = rng.choice(list(edge_map))
+        old = edge_map[query_edge]
+        edge_map[query_edge] = Edge(old.id, old.source, old.target, old.label, rng.choice(TIMESTAMPS))
+    return vertex_map, edge_map
+
+
+def key_disagreement(rng):
+    """Draw two completions of one query; describe it if the keys order them unlike the oracle."""
+    pattern = key_query(rng.randrange(len(KEY_QUERIES)))
+    pool = KEY_VALUES[rng.choice(sorted(KEY_VALUES))]
+    matcher = ContinuousQueryMatcher(pattern, decompose(pattern), DynamicGraph(), TimeWindow(None))
+    root = matcher.tree.root.layout
+    first = random_completion(rng, pattern, pool)
+    if rng.random() < 0.7:
+        second = perturbed(rng, pattern, pool, *first)
+    else:
+        second = random_completion(rng, pattern, pool)
+    left, right = root.from_maps(*first), root.from_maps(*second)
+
+    def compare(a, b):
+        return (a > b) - (a < b)
+
+    expected = compare(
+        canonical_match_key(matcher.to_match(left)), canonical_match_key(matcher.to_match(right))
+    )
+    try:
+        found = compare(matcher.completion_key(left), matcher.completion_key(right))
+    except TypeError as error:
+        return f"{first} vs {second}: {error}"
+    if found != expected:
+        return f"{first} vs {second}: key says {found}, oracle says {expected}"
+    return None
+
+
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_completion_key_orders_as_the_oracle(rng):
+    assert key_disagreement(rng) is None
+
+
+def test_the_key_property_fails_on_raw_values(monkeypatch):
+    """Mutation: a key of raw values instead of their reprs fails the property."""
+    source = textwrap.dedent(inspect.getsource(ContinuousQueryMatcher.completion_key))
+    assert source.count("repr(") == 6
+    namespace = {}
+    exec(source.replace("repr(", "("), vars(sys.modules[ContinuousQueryMatcher.__module__]), namespace)
+    rngs = [random.Random(seed) for seed in range(300)]
+    assert all(key_disagreement(rng) is None for rng in rngs)
+    monkeypatch.setattr(ContinuousQueryMatcher, "completion_key", namespace["completion_key"])
+    rngs = [random.Random(seed) for seed in range(300)]
+    assert any(key_disagreement(rng) is not None for rng in rngs)
+
+
+PLANS = (
+    Strategy.SELECTIVITY,
+    Strategy.EDGE_BY_EDGE,
+    Strategy.ANTI_SELECTIVE,
+    Strategy.BALANCED_PAIRS,
+)
+
+
+def declaration_order_events(strategy, whole_batch):
+    records = rmat_records(400)
+    engine = StreamWorksEngine(config=EngineConfig(plan_strategy=strategy))
+    for name, pattern, window in rmat_queries():
+        engine.register_query(pattern, name=name, window=window)
+    if whole_batch:
+        engine.process_batch(records)
+    else:
+        for record in records:
+            engine.process_record(record)
+    return engine
+
+
+@pytest.mark.parametrize("whole_batch", [False, True], ids=["record-by-record", "whole-batch"])
+def test_emitted_bindings_list_in_declaration_order(whole_batch):
+    dumps = {}
+    for strategy in PLANS:
+        engine = declaration_order_events(strategy, whole_batch)
+        events = engine.events()
+        assert len({event.query_name for event in events}) > 1
+        for event in events:
+            pattern = engine.queries[event.query_name].query
+            assert list(event.match.vertex_map) == [vertex.name for vertex in pattern.vertices()]
+            assert list(event.match.edge_map) == [edge.id for edge in pattern.edges()]
+        dumps[strategy] = [json.dumps(event.to_dict()) for event in events]
+    assert all(dump == dumps[Strategy.SELECTIVITY] for dump in dumps.values())
+
+
+def test_registration_order_survives_unregister_replan_and_restore(tmp_path):
+    """Same-trigger events rank by registration order, however the engine got its queries."""
+    labels = ("x", "y")
+    shapes = {name: chain(name, ["x", "y"]) for name in ("p", "q", "r", "s")}
+    records = random_records(300, seed=9, vertices=5, labels=labels)
+    engine = StreamWorksEngine(config=EngineConfig())
+    for name in ("p", "q", "r"):
+        engine.register_query(shapes[name], name=name, window=1.0)
+    engine.process_batch(records[:100])
+    engine.unregister_query("q")
+    engine.register_query(shapes["s"], name="s", window=1.0)
+    engine.replan_query("p", strategy=Strategy.ANTI_SELECTIVE)
+    path = str(tmp_path / "order.snap")
+    engine.checkpoint(path)
+    restored = StreamWorksEngine.restore(path)
+    for candidate in (engine, restored):
+        ranks = [candidate.queries[name].order for name in ("p", "r", "s")]
+        assert ranks == sorted(ranks) and len(set(ranks)) == 3
+        candidate.process_batch(records[100:])
+    resumed = [(e.query_name, e.trigger_index) for e in restored.events()]
+    assert resumed == [(e.query_name, e.trigger_index) for e in engine.events()]
+    # p, r and s are one pattern: every completion ties three ways on its trigger
+    late = [e for e in engine.events() if e.trigger_index >= 100]
+    assert len({e.query_name for e in late}) == 3
+    rank = {name: engine.queries[name].order for name in ("p", "r", "s")}
+    for first, second in zip(late, late[1:]):
+        if first.trigger_index == second.trigger_index:
+            assert rank[first.query_name] <= rank[second.query_name]

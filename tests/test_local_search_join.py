@@ -1,4 +1,11 @@
-"""Tests for local search around new edges and for the windowed match join."""
+"""Tests for local search around new edges and for the windowed match join.
+
+The join is tested against the Match-level join it replaced
+(:func:`match_try_join`, kept here as the reference): on random queries,
+splits and bindings, joining two slot partials under a compiled plan gives
+the match the reference gives for their :class:`Match` forms, or ``None``
+where it gives ``None``.
+"""
 
 import inspect
 import random
@@ -8,10 +15,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import join as join_module
 from repro.core import local_search as local_search_module
 from repro.core import probe as probe_module
-from repro.core.join import joined_span, try_join
+from repro.core import sjtree as sjtree_module
+from repro.core.join import try_join
 from repro.core.local_search import LocalSearcher, find_primitive_matches
+from repro.core.sjtree import SJTree
 from repro.graph import DynamicGraph, TimeWindow
 from repro.graph.types import Edge
 from repro.isomorphism import Match
@@ -103,6 +113,36 @@ class TestLocalSearch:
         assert searcher.matches_found == 1
 
 
+def joined_span(left, right):
+    """Return the temporal extent of the union of two matches' edges."""
+    if not left.edge_map and not right.edge_map:
+        return 0.0
+    earliest = min(left.earliest, right.earliest)
+    latest = max(left.latest, right.latest)
+    return latest - earliest
+
+
+def match_try_join(left, right, window=None):
+    """The Match-level join the slot join replaced: window first, then compatibility."""
+    if window is not None and window.bounded:
+        if not window.admits_span(joined_span(left, right)):
+            return None
+    if not left.is_compatible(right):
+        return None
+    return left._merge_unchecked(right)
+
+
+def shared_keyword_tree(window, parallel=False):
+    """Two one-edge leaves, ``a1 -> k`` and ``a2 -> k`` (or both ``a1 -> k``), joined on ``k``."""
+    query = QueryGraph("shared")
+    query.add_edge("a1", "k", "mentions")
+    query.add_edge("a1" if parallel else "a2", "k", "mentions")
+    first, second = sorted(query.edge_ids())
+    tree = SJTree(query, [query.edge_subgraph([first]), query.edge_subgraph([second])])
+    tree.compile_join(tree.root, window)
+    return tree
+
+
 class TestJoin:
     def edge(self, eid, timestamp):
         return Edge(eid, f"s{eid}", f"t{eid}", "r", timestamp)
@@ -113,24 +153,57 @@ class TestJoin:
         assert joined_span(left, right) == pytest.approx(5.0)
         assert joined_span(Match(), Match()) == 0.0
 
+    @staticmethod
+    def partial(leaf, article, keyword, edge_id, timestamp):
+        edge = Edge(edge_id, article, keyword, "mentions", timestamp)
+        return leaf.layout.from_maps(
+            {name: article if name.startswith("a") else keyword for name in leaf.layout.vertices},
+            {leaf.layout.edges[0]: edge},
+        )
+
+    def join(self, tree, left, right):
+        first, second = tree.leaves()
+        assert first.join[2] is second.join[2]  # one plan, run left to right
+        joined = try_join(left, right, first.join[2])
+        return None if joined is None else tree.root.layout.to_match(joined)
+
     def test_try_join_compatible(self):
-        left = Match({"a1": "art1", "k": "kw"}, {0: Edge(0, "art1", "kw", "mentions", 1.0)})
-        right = Match({"a2": "art2", "k": "kw"}, {1: Edge(1, "art2", "kw", "mentions", 2.0)})
-        joined = try_join(left, right, TimeWindow(10.0))
+        tree = shared_keyword_tree(TimeWindow(10.0))
+        first, second = tree.leaves()
+        joined = self.join(
+            tree, self.partial(first, "art1", "kw", 0, 1.0), self.partial(second, "art2", "kw", 1, 2.0)
+        )
         assert joined is not None
         assert joined.size == 2
+        assert joined.vertex_map == {"a1": "art1", "k": "kw", "a2": "art2"}
+        assert (joined.earliest, joined.latest) == (1.0, 2.0)
 
     def test_try_join_window_violation(self):
-        left = Match({"a1": "art1", "k": "kw"}, {0: Edge(0, "art1", "kw", "mentions", 1.0)})
-        right = Match({"a2": "art2", "k": "kw"}, {1: Edge(1, "art2", "kw", "mentions", 50.0)})
-        assert try_join(left, right, TimeWindow(10.0)) is None
-        assert try_join(left, right, TimeWindow(100.0)) is not None
-        assert try_join(left, right, None) is not None
+        for window, admitted in [(TimeWindow(10.0), False), (TimeWindow(100.0), True), (TimeWindow(None), True)]:
+            tree = shared_keyword_tree(window)
+            first, second = tree.leaves()
+            joined = self.join(
+                tree, self.partial(first, "art1", "kw", 0, 1.0), self.partial(second, "art2", "kw", 1, 50.0)
+            )
+            assert (joined is not None) == admitted
 
     def test_try_join_incompatible_bindings(self):
-        left = Match({"k": "kw1"}, {0: Edge(0, "a", "kw1", "mentions", 1.0)})
-        right = Match({"k": "kw2"}, {1: Edge(1, "b", "kw2", "mentions", 1.0)})
-        assert try_join(left, right, TimeWindow(10.0)) is None
+        # the two articles may not be one vertex (injectivity) ...
+        tree = shared_keyword_tree(TimeWindow(10.0))
+        first, second = tree.leaves()
+        assert self.join(
+            tree, self.partial(first, "art1", "kw", 0, 1.0), self.partial(second, "art1", "kw", 1, 1.0)
+        ) is None
+        # ... and parallel query edges may not bind one data edge
+        tree = shared_keyword_tree(TimeWindow(10.0), parallel=True)
+        first, second = tree.leaves()
+        assert first.join[2][4]  # the only pair the plan tests
+        assert self.join(
+            tree, self.partial(first, "art1", "kw", 0, 1.0), self.partial(second, "art1", "kw", 0, 1.0)
+        ) is None
+        assert self.join(
+            tree, self.partial(first, "art1", "kw", 0, 1.0), self.partial(second, "art1", "kw", 1, 1.0)
+        ) is not None
 
 
 # ----------------------------------------------------------------------
@@ -207,6 +280,13 @@ def draw_case(rng):
     return graph, builder.build(), rng.choices(WINDOWS, WINDOW_WEIGHTS)[0]
 
 
+def partial_signature(partials):
+    """Everything observable about a list of partials, data edges by id."""
+    return [
+        tuple(slot.id if isinstance(slot, Edge) else slot for slot in partial) for partial in partials
+    ]
+
+
 def signature(matches):
     """Everything observable about a result list, map orders included."""
     return [
@@ -234,12 +314,12 @@ def probe_disagreement(graph, primitive, window):
         scans = graph.range_scan_stats()
         found = lowered.find(primitive, edge)
         probe_scans = {key: value - scans[key] for key, value in graph.range_scan_stats().items()}
-        if signature(found) != signature(expected):
-            return f"edge {edge}: probe {signature(found)} != generic {signature(expected)}"
+        if partial_signature(found) != partial_signature(expected):
+            return f"edge {edge}: probe {partial_signature(found)} != generic {partial_signature(expected)}"
         if probe_scans != generic_scans:
             return f"edge {edge}: probe scans {probe_scans} != generic {generic_scans}"
-        if len({match.identity() for match in found}) != len(found):
-            return f"edge {edge}: duplicate identities in {signature(found)}"
+        if len(set(partial_signature(found))) != len(found):
+            return f"edge {edge}: duplicate identities in {partial_signature(found)}"
     counters = lambda searcher: (searcher.searches_started, searcher.matches_found)  # noqa: E731
     if counters(lowered) != counters(generic):
         return f"counters: probe {counters(lowered)} != generic {counters(generic)}"
@@ -395,7 +475,7 @@ def reference_merge(self, other):
 
 
 def reference_try_join(left, right, window=None):
-    """``try_join`` as it stood before (compatibility checked twice)."""
+    """:func:`match_try_join` as it stood before (compatibility checked twice)."""
     if window is not None and window.bounded:
         if not window.admits_span(joined_span(left, right)):
             return None
@@ -421,7 +501,7 @@ class TestLeanAlgebraEqualsReference:
         compatible = reference_is_compatible(left, right)
         assert left.is_compatible(right) == compatible
         assert right.is_compatible(left) == reference_is_compatible(right, left)
-        joined = try_join(left, right, window)
+        joined = match_try_join(left, right, window)
         expected = reference_try_join(left, right, window)
         assert signature([joined] if joined else []) == signature([expected] if expected else [])
         if compatible:
@@ -439,3 +519,109 @@ class TestLeanAlgebraEqualsReference:
         except MatchConflictError:
             return
         assert signature([extended]) == signature([Match(extended.vertex_map, extended.edge_map)])
+
+
+# ----------------------------------------------------------------------
+# slot join under a compiled plan == the Match-level join
+# ----------------------------------------------------------------------
+#: Query shapes over a, b, c, d: paths, stars, parallel and reciprocal
+#: edges, loops; each is split into two edge-disjoint leaves at random.
+JOIN_SHAPES = [
+    [("a", "b"), ("b", "c")],
+    [("a", "b"), ("a", "b")],
+    [("a", "b"), ("b", "a"), ("a", "b")],
+    [("a", "b"), ("b", "c"), ("c", "d")],
+    [("a", "b"), ("a", "c"), ("a", "d")],
+    [("a", "a"), ("a", "b"), ("a", "a")],
+    [("a", "b"), ("c", "d")],
+    [("a", "b"), ("b", "c"), ("c", "a"), ("a", "b")],
+]
+
+
+def draw_join_case(rng):
+    """A query split into two leaves, and one partial of each under a common key.
+
+    Vertex ids come from a pool of five and data edges from a pool keyed by
+    ``(source, target, label, copy)``, so cross-side vertex collisions and
+    one data edge bound by two query edges are routine.
+    """
+    shape = rng.choice(JOIN_SHAPES)
+    query = QueryGraph("join")
+    for source, target in shape:
+        query.add_edge(source, target, rng.choice(["p", "p", "q", None]))
+    ids = sorted(query.edge_ids())
+    rng.shuffle(ids)
+    cut = rng.randrange(1, len(ids))
+    window = rng.choices(WINDOWS, WINDOW_WEIGHTS)[0]
+    tree = SJTree(query, [query.edge_subgraph(ids[:cut]), query.edge_subgraph(ids[cut:])])
+    tree.compile_join(tree.root, window)
+    left, right = tree.leaves()
+    pool = {}
+
+    def data_edge(source, target, label):
+        key = (source, target, label, rng.randrange(2))
+        if key not in pool:
+            pool[key] = Edge(len(pool), source, target, label, float(rng.randrange(7)))
+        return pool[key]
+
+    def bind(leaf, fixed):
+        names = [name for name in leaf.layout.vertices if name not in fixed]
+        values = [value for value in range(5) if value not in fixed.values()]
+        vertex_map = dict(fixed, **dict(zip(names, rng.sample(values, len(names)))))
+        edge_map = {}
+        for edge in leaf.subgraph.edges():
+            label = edge.label if edge.label is not None else rng.choice("pq")
+            edge_map[edge.id] = data_edge(vertex_map[edge.source], vertex_map[edge.target], label)
+        return leaf.layout.from_maps(vertex_map, edge_map)
+
+    first = bind(left, {})
+    shared = {name: first[left.layout.vertex_slot(name)] for name in left.key_vertices}
+    second = bind(right, shared)
+    assert left.key_of(first) == right.key_of(second)
+    return tree, window, first, second
+
+
+def join_disagreement(tree, window, first, second):
+    left, right = tree.leaves()
+    expected = match_try_join(left.layout.to_match(first), right.layout.to_match(second), window)
+    joined = try_join(first, second, left.join[2])
+    if (joined is None) != (expected is None):
+        return f"slot join {joined} != reference {expected}"
+    if joined is None:
+        return None
+    found = tree.root.layout.to_match(joined)
+    if (found.vertex_map, found.edge_map, found.earliest, found.latest) != (
+        expected.vertex_map, expected.edge_map, expected.earliest, expected.latest
+    ):
+        return f"slot join {found!r} != reference {expected!r}"
+    return None
+
+
+class TestSlotJoinEqualsMatchJoin:
+    @given(rng=st.randoms(use_true_random=False))
+    @settings(max_examples=300, deadline=None)
+    def test_same_partial_or_none(self, rng):
+        assert join_disagreement(*draw_join_case(rng)) is None
+
+    @pytest.mark.parametrize("mutant", ["no-vertex-pairs", "no-edge-pairs", "no-window"])
+    def test_differential_catches_a_plan_missing_a_test(self, mutant, monkeypatch):
+        cases = [draw_join_case(random.Random(seed)) for seed in range(400)]
+        assert all(join_disagreement(*case) is None for case in cases)
+        compile_join = join_module.compile_join
+
+        def weakened(plan):
+            bounded, duration, strict, vertex_pairs, edge_pairs, assemble = plan
+            if mutant == "no-vertex-pairs":
+                vertex_pairs = ()
+            elif mutant == "no-edge-pairs":
+                edge_pairs = ()
+            else:
+                bounded = False
+            return bounded, duration, strict, vertex_pairs, edge_pairs, assemble
+
+        def mutated(*args):
+            return weakened(compile_join(*args))
+
+        monkeypatch.setattr(sjtree_module, "compile_join", mutated)
+        cases = [draw_join_case(random.Random(seed)) for seed in range(400)]
+        assert any(join_disagreement(*case) is not None for case in cases)

@@ -29,6 +29,7 @@ that does the work the old way:
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -37,8 +38,11 @@ from hypothesis import strategies as st
 from differential import BAND_WINDOW, HOT, band_query, chain_query
 
 from repro.core import engine as engine_module
+from repro.core import matcher as matcher_module
+from repro.core.decomposition import Strategy
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.matcher import ContinuousQueryMatcher
+from repro.core.sjtree import EARLIEST, LATEST, SJTreeNode
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import AttrEquals
 from repro.streaming import (
@@ -103,9 +107,9 @@ def every_non_idle_sweep(self, now):
 
 def holds_an_expired_partial(matcher, anchor):
     return any(
-        matcher.window.is_expired(match.earliest, anchor)
+        matcher.window.is_expired(partial[EARLIEST], anchor)
         for node in matcher.tree.nodes.values()
-        for match in node.all_matches()
+        for partial in node.partials()
     )
 
 
@@ -211,7 +215,7 @@ def test_next_expiry_is_the_earliest_stored_partial_after_restore_and_replan(tmp
     engine.process_batch(records[:150])
 
     def earliest(matcher):
-        stored = [m.earliest for node in matcher.tree.nodes.values() for m in node.all_matches()]
+        stored = [p[EARLIEST] for node in matcher.tree.nodes.values() for p in node.partials()]
         return min(stored, default=float("inf"))
 
     path = str(tmp_path / "due.snap")
@@ -226,6 +230,133 @@ def test_next_expiry_is_the_earliest_stored_partial_after_restore_and_replan(tmp
     for candidate in (engine, restored):
         candidate.process_batch(records[150:])
     assert events_of(engine)[-5:] == events_of(restored)[-5:]
+
+
+# ----------------------------------------------------------------------
+# SJ-tree joins: the FO+MOD work pins
+# ----------------------------------------------------------------------
+def full_scan_insert(self, node, partial, out):
+    """Reference ``_insert`` that tries every partial the sibling holds.
+
+    Its events are right (a candidate under another key is dropped after
+    the attempt), but its join work grows with the sibling's whole
+    collection instead of the one bucket the partial's key selects.
+    """
+    join = node.join
+    if join is None:
+        if self.window.admits_span(partial[LATEST] - partial[EARLIEST]):
+            out.append(partial)
+        return
+    key = node.store_partial(partial)
+    self._tree_stored += 1
+    self.next_expiry = min(self.next_expiry, partial[EARLIEST])
+    buckets, parent, plan, left = join
+    if plan is None:
+        plan = self.tree.compile_join(parent, self.window)
+    under_key = {id(held) for held in buckets.get(key, {}).values()}
+    for candidate in [held for bucket in buckets.values() for held in bucket.values()]:
+        self.stats.joins_attempted += 1
+        pair = (partial, candidate) if left else (candidate, partial)
+        joined = matcher_module.try_join(*pair, plan)
+        if joined is None or id(candidate) not in under_key:
+            continue
+        self.stats.joins_succeeded += 1
+        full_scan_insert(self, parent, joined, out)
+
+
+INSERT = ContinuousQueryMatcher._insert
+
+
+def root_storing_insert(self, node, partial, out):
+    """Reference ``_insert`` that also files completions at the root, as roots once did."""
+    if node.join is None:
+        node.store_partial(partial)
+    return INSERT(self, node, partial, out)
+
+
+def join_ledger(insert=None, strategy=Strategy.EDGE_BY_EDGE, count=700):
+    """Run the sweep stream, recording the join work each stored partial caused.
+
+    Returns ``(engine, per-store (sibling bucket size, joins attempted),
+    partials stored)``.
+    """
+    engine = StreamWorksEngine(config=EngineConfig(plan_strategy=strategy))
+    for name, query, window in sweep_specs():
+        engine.register_query(query, name=name, window=window)
+    stored = []  # (partial, sibling bucket size when it was stored)
+    id_order = {}  # id(partial) -> its position in ``stored``
+    attempts = Counter()
+    store = SJTreeNode.store_partial
+    join = matcher_module.try_join
+
+    def logged_store(node, partial):
+        key = store(node, partial)
+        buckets = node.join[0] if node.join is not None else {}
+        id_order[id(partial)] = len(stored)
+        stored.append((partial, len(buckets.get(key, ()))))
+        return key
+
+    def counted_join(left, right, plan):
+        # charged to the newer of the two: the partial whose store caused it
+        attempts[max(id_order[id(left)], id_order[id(right)])] += 1
+        return join(left, right, plan)
+
+    records = sorted(sweep_records(count), key=lambda record: record.timestamp)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SJTreeNode, "store_partial", logged_store)
+        patch.setattr(matcher_module, "try_join", counted_join)
+        if insert is not None:
+            patch.setattr(ContinuousQueryMatcher, "_insert", insert)
+        for start in range(0, len(records), 9):
+            engine.process_batch(records[start : start + 9])
+    # ``stored`` keeps every partial alive, so no two share an id
+    work = [(bucket, attempts[index]) for index, (_, bucket) in enumerate(stored)]
+    return engine, work
+
+
+def join_totals(engine):
+    stats = [registration.matcher.stats for registration in engine.queries.values()]
+    return (
+        sum(s.leaf_matches_found for s in stats),
+        sum(s.joins_succeeded for s in stats),
+        sum(s.complete_matches for s in stats),
+    )
+
+
+@pytest.mark.parametrize("strategy", [Strategy.EDGE_BY_EDGE, Strategy.SELECTIVITY])
+def test_a_stored_partial_attempts_exactly_its_sibling_bucket(strategy):
+    """Pin (a): joins attempted per stored partial = the sibling bucket under its key."""
+    engine, work = join_ledger(strategy=strategy)
+    assert [attempted for _, attempted in work] == [bucket for bucket, _ in work]
+    buckets = Counter(bucket for bucket, _ in work)
+    assert buckets[0] and sum(count for bucket, count in buckets.items() if bucket > 1)
+    assert engine.events()
+
+
+def test_stores_equal_leaf_matches_plus_successful_non_root_joins():
+    """Pin (b): every partial stored is a leaf match or a join below the root.
+
+    Every query has two or more leaves, so each completion is a join that
+    reached the root: the successful non-root joins are the successful
+    joins less the completions.
+    """
+    engine, work = join_ledger()
+    leaf_matches, joined, completed = join_totals(engine)
+    assert completed and joined > completed
+    assert len(work) == leaf_matches + joined - completed
+
+
+def test_the_join_pins_fail_against_naive_references():
+    engine, work = join_ledger(count=300)
+    scanned, scan_work = join_ledger(full_scan_insert, count=300)
+    stored, store_work = join_ledger(root_storing_insert, count=300)
+    for reference in (scanned, stored):
+        assert events_of(reference) == events_of(engine)
+    # the full scan attempts more than the bucket; storing at the root
+    # stores more than the leaf matches and non-root joins
+    assert [attempted for _, attempted in scan_work] != [bucket for bucket, _ in scan_work]
+    leaf_matches, joined, completed = join_totals(stored)
+    assert len(store_work) != leaf_matches + joined - completed
 
 
 # ----------------------------------------------------------------------

@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.core.sjtree import SJTree, SJTreeInvariantError
+from repro.core.sjtree import EARLIEST, LATEST, SJTree, SJTreeInvariantError
 from repro.graph import TimeWindow
 from repro.graph.types import Edge
-from repro.isomorphism import Match
 from repro.query import QueryBuilder
 
 
@@ -99,48 +98,70 @@ class TestValidation:
 
 
 class TestMatchCollections:
-    def make_match(self, key_vertex_values, edge_id, timestamp):
-        vertex_map = {"k": key_vertex_values[0], "loc": key_vertex_values[1], "a1": f"art{edge_id}"}
-        return Match(vertex_map, {edge_id: Edge(edge_id, f"art{edge_id}", key_vertex_values[0], "mentions", timestamp)})
+    def make_partial(self, leaf, key_vertex_values, edge_id, timestamp):
+        """A partial of the first leaf (``a1`` mentions ``k``, ``a1`` locatedIn ``loc``)."""
+        keyword, location = key_vertex_values
+        article = f"art{edge_id}"
+        mentions, located = leaf.layout.edges
+        return leaf.layout.from_maps(
+            {"k": keyword, "loc": location, "a1": article},
+            {
+                mentions: Edge(edge_id, article, keyword, "mentions", timestamp),
+                located: Edge(edge_id + 100, article, location, "locatedIn", timestamp),
+            },
+        )
+
+    def test_leaf_layout_is_vertices_then_edges_then_extent(self, tree_and_query):
+        tree, query = tree_and_query
+        leaf = tree.leaves()[0]
+        assert leaf.layout.vertices == ("a1", "k", "loc")
+        assert leaf.layout.edges == tuple(sorted(query.edge_ids())[:2])
+        partial = self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0)
+        assert partial[:3] == ("art0", "kw1", "loc1")
+        assert [edge.id for edge in leaf.layout.edges_of(partial)] == [0, 100]
+        assert partial[EARLIEST] == partial[LATEST] == 1.0
+        match = leaf.layout.to_match(partial)
+        assert leaf.layout.from_maps(match.vertex_map, match.edge_map) == partial
 
     def test_store_and_lookup_by_key(self, tree_and_query):
         tree, _ = tree_and_query
         leaf = tree.leaves()[0]
-        match = self.make_match(("kw1", "loc1"), 0, 1.0)
-        leaf.store_match(match)
-        key = match.projection_key(leaf.key_vertices)
-        assert leaf.matches_for_key(key) == [match]
-        assert leaf.matches_for_key(("other", "loc1")) == []
+        assert leaf.key_vertices == ("k", "loc")
+        partial = self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0)
+        assert leaf.store_partial(partial) == ("kw1", "loc1")
+        assert leaf.partials_for_key(("kw1", "loc1")) == [partial]
+        assert leaf.partials_for_key(("other", "loc1")) == []
         assert leaf.match_count() == 1
 
     def test_expire_matches_drops_old_entries(self, tree_and_query):
         tree, _ = tree_and_query
         leaf = tree.leaves()[0]
-        old = self.make_match(("kw1", "loc1"), 0, 1.0)
-        new = self.make_match(("kw2", "loc2"), 1, 95.0)
-        leaf.store_match(old)
-        leaf.store_match(new)
+        old = self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0)
+        new = self.make_partial(leaf, ("kw2", "loc2"), 1, 95.0)
+        leaf.store_partial(old)
+        leaf.store_partial(new)
         dropped = leaf.expire_matches(TimeWindow(10.0), now=100.0)
         assert dropped == 1
         assert leaf.match_count() == 1
         assert leaf.total_expired == 1
-        remaining = list(leaf.all_matches())
-        assert remaining[0].earliest == 95.0
+        remaining = list(leaf.partials())
+        assert remaining == [new]
 
     def test_expire_with_unbounded_window_is_noop(self, tree_and_query):
         tree, _ = tree_and_query
         leaf = tree.leaves()[0]
-        leaf.store_match(self.make_match(("kw1", "loc1"), 0, 1.0))
+        leaf.store_partial(self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0))
         assert leaf.expire_matches(TimeWindow(None), now=1e9) == 0
 
     def test_load_state_ignores_a_stored_root_collection(self, tree_and_query):
         # older snapshots stored completions at the root, the last node built
         tree, query = tree_and_query
-        tree.leaves()[0].store_match(self.make_match(("kw1", "loc1"), 0, 1.0))
+        leaf = tree.leaves()[0]
+        leaf.store_partial(self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0))
         state = tree.state_dict()
         root_id, root_state = state["nodes"][-1]
         assert root_id == tree.root_id and root_state["matches"] == []
-        root_state["matches"] = [self.make_match(("kw2", "loc2"), 1, 2.0).state_dict()]
+        root_state["matches"] = [leaf.layout.to_match(self.make_partial(leaf, ("kw2", "loc2"), 1, 2.0)).state_dict()]
         restored = SJTree(query, [node.subgraph for node in tree.leaves()])
         restored.load_state(state)
         assert restored.root.match_count() == 0
@@ -150,7 +171,7 @@ class TestMatchCollections:
     def test_tree_level_counters(self, tree_and_query):
         tree, _ = tree_and_query
         leaf = tree.leaves()[0]
-        leaf.store_match(self.make_match(("kw1", "loc1"), 0, 1.0))
+        leaf.store_partial(self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0))
         assert tree.total_stored_matches() == 1
         counts = tree.match_counts_by_node()
         assert counts[leaf.id] == 1
