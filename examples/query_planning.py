@@ -41,13 +41,11 @@ def build_stream():
 
 def collect_statistics(stream, prefix_edges):
     graph = DynamicGraph(TimeWindow(None))
-    summarizer = StreamSummarizer(track_triads=True)
     for record in list(stream)[:prefix_edges]:
-        edge = graph.ingest(record.source, record.target, record.label, record.timestamp,
-                            record.attrs, source_label=record.source_label,
-                            target_label=record.target_label)
-        summarizer.observe(graph, edge)
-    return summarizer.summary()
+        graph.ingest(record.source, record.target, record.label, record.timestamp,
+                     record.attrs, source_label=record.source_label,
+                     target_label=record.target_label)
+    return StreamSummarizer(graph, track_triads=True).summary()
 
 
 def main():

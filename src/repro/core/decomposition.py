@@ -113,6 +113,16 @@ class Decomposition:
         """Return the number of search primitives."""
         return len(self.primitives)
 
+    def same_tree(self, other: "Decomposition") -> bool:
+        """Whether ``other`` builds this SJ-Tree: same shape, same primitives in order.
+
+        Primitives compare by their vertices and query edge ids in
+        declaration order, not by name.
+        """
+        return self.tree_shape == other.tree_shape and [
+            primitive.declaration_order() for primitive in self.primitives
+        ] == [primitive.declaration_order() for primitive in other.primitives]
+
     def build_tree(self) -> SJTree:
         """Materialise the SJ-Tree for this decomposition."""
         return SJTree(self.query, self.primitives, shape=self.tree_shape)

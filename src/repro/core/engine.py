@@ -4,8 +4,9 @@ This is the system façade a user of the reproduction interacts with (the
 role played by the C++ query engine plus UI in the demo).  It owns
 
 * the shared :class:`~repro.graph.dynamic_graph.DynamicGraph` window store,
-* the :class:`~repro.stats.summarizer.StreamSummarizer` that keeps the
-  planning statistics fresh (paper section 4.3),
+* the :class:`~repro.stats.summarizer.StreamSummarizer` that computes the
+  planning statistics of the window store when a plan is made (paper
+  section 4.3),
 * one :class:`~repro.core.matcher.ContinuousQueryMatcher` per registered
   query, built by the :class:`~repro.core.planner.QueryPlanner`,
 * event delivery (sinks / callbacks) and engine-level metrics.
@@ -414,8 +415,7 @@ class StreamWorksEngine(IngestFront):
         self._cold_gate: Tuple[int, bool] = (-1, False)
         self.summarizer: Optional[StreamSummarizer] = None
         if config.collect_statistics:
-            self.summarizer = StreamSummarizer(track_triads=config.track_triads)
-            self.summarizer.follow(self.graph)
+            self.summarizer = StreamSummarizer(self.graph, track_triads=config.track_triads)
         self.queries: Dict[str, RegisteredQuery] = {}
         #: Registrations so far: the next one's ``order``.
         self._registrations = 0
@@ -591,7 +591,7 @@ class StreamWorksEngine(IngestFront):
         )
 
     def replan_query(self, name: str, strategy: Optional[str] = None) -> RegisteredQuery:
-        """Re-plan a registered query using the statistics collected so far.
+        """Re-plan a registered query using the statistics of the window.
 
         The paper leaves "updating the query decomposition and search
         strategy" from continuously collected statistics as future work; this
@@ -605,14 +605,25 @@ class StreamWorksEngine(IngestFront):
         arrive.  Already-reported matches stay reported and are not reported
         again (the replay emits nothing), so a replan changes neither the
         match set nor the event order -- only the cost of computing it.
+        A new plan whose decomposition builds the installed tree
+        (:meth:`Decomposition.same_tree`) replaces the plan and its
+        estimates only: the matcher, its partials and its dispatch entries
+        stay, and nothing is migrated.
         Must be called at a quiescent boundary (between records or batches),
         which is the only place the engine itself ever replans.
         """
         if name not in self.queries:
             raise KeyError(name)
-        registration = self.queries[name]
-        planner = self._make_planner(strategy)
+        return self._replan(self.queries[name], self._make_planner(strategy), strategy)
+
+    def _replan(
+        self, registration: RegisteredQuery, planner: QueryPlanner, strategy: Optional[str]
+    ) -> RegisteredQuery:
         new_plan = planner.plan(registration.query, strategy=strategy)
+        installed = registration.plan
+        registration.plan = new_plan
+        if new_plan.decomposition.same_tree(installed.decomposition):
+            return registration
         old_matcher = registration.matcher
         # matcher construction is the compile point, so a migrated plan
         # always runs on freshly compiled predicate tables -- never the old
@@ -625,13 +636,12 @@ class StreamWorksEngine(IngestFront):
             dedupe_structural=old_matcher.dedupe_structural,
         )
         migrated, dropped = self._migrate_matcher_state(old_matcher, new_matcher)
-        registration.plan = new_plan
         registration.matcher = new_matcher
         registration.plan_version += 1
         self.plan_monitor.record_replan(migrated, dropped)
         # the SJ-Tree was rebuilt, so the dispatch index must be re-pointed at
         # the new leaves
-        self.dispatch.register(name, new_matcher.tree.leaves())
+        self.dispatch.register(registration.name, new_matcher.tree.leaves())
         return registration
 
     def _migrate_matcher_state(
@@ -698,7 +708,8 @@ class StreamWorksEngine(IngestFront):
         statistics existed scores infinite, so it is replaced at the first
         check with data).  Queries whose error exceeds
         ``EngineConfig.replan_threshold`` are re-planned in registration
-        order via :meth:`replan_query`.  Only plans produced by the
+        order via :meth:`replan_query`, all from one summary of the window.
+        Only plans produced by the
         selectivity-aware strategies are scored -- the other strategies never
         chose by cardinality, so there is no estimate to drift from.
 
@@ -716,7 +727,8 @@ class StreamWorksEngine(IngestFront):
             )
         monitor = self.plan_monitor
         monitor.checks_run += 1
-        estimator = self._make_planner(None)._estimator()
+        planner = self._make_planner(None)
+        estimator = planner._estimator()
         if estimator is None:  # no live statistics yet: nothing to compare
             return []
         replanned: List[str] = []
@@ -728,7 +740,7 @@ class StreamWorksEngine(IngestFront):
             monitor.observe_error(name, error)
             if error > monitor.threshold:
                 monitor.triggers_fired += 1
-                self.replan_query(name)
+                self._replan(registration, planner, None)
                 replanned.append(name)
         return replanned
 
@@ -858,8 +870,8 @@ class StreamWorksEngine(IngestFront):
         bind it -- goes to the cold ring instead.  Eviction is deferred to
         the end of the run: evicting against the run's latest timestamp up
         front could remove edges its earlier records can still legally
-        match.  Step 2 folds the hot records into the statistics in one
-        call.  Step 3 sweeps partial-match expiry at the run's stream
+        match.  Step 2 counts the hot records as observed.  Step 3 sweeps
+        partial-match expiry at the run's stream
         clock -- the clock before the run, or the run's first timestamp
         when that is later -- in every matcher holding a partial expired
         there, whether or not the run routes to it, and in no other
@@ -872,8 +884,8 @@ class StreamWorksEngine(IngestFront):
         A record already outside the retention horizon at its ingest point
         (``timestamp`` expired against the running stream clock) is *dead on
         arrival*: it is ingested and immediately evicted, counted in
-        ``records_dead_on_arrival``, and never routed, matched or folded
-        into the statistics.  Every match it could complete fails the window
+        ``records_dead_on_arrival``, and never routed, matched or counted
+        in the statistics.  Every match it could complete fails the window
         rule, so the skip only prunes.  Within a non-decreasing run dead
         records precede any record that advances the clock, so the mid-run
         eviction sweep removes only them.
@@ -892,7 +904,7 @@ class StreamWorksEngine(IngestFront):
             hot = self._route_run(records, used)
             self.records_batched += len(records)
             if self.summarizer is not None:
-                self.summarizer.observe_batch(self.graph, [edge for _, edge, _ in hot])
+                self.summarizer.observe_batch([edge for _, edge, _ in hot])
             self.expire_all_partials(clock)
             self._dispatch_run(hot, len(records), clock, events)
         finally:
@@ -934,7 +946,7 @@ class StreamWorksEngine(IngestFront):
         evaluated once per dispatch-index version).  No registered query
         edge can bind it, so it is never a search seed nor a search
         partner; it joins the cold ring -- in stream order, whichever way
-        it was found cold -- and is not interned, stored, folded into the
+        it was found cold -- and is not interned, stored, counted in the
         statistics, evicted or latency-sampled.  Every other live record is
         ingested with eviction deferred.  Cold records advance the stream
         clock once, after the loop: the run is non-decreasing, so its last
@@ -1171,8 +1183,8 @@ class StreamWorksEngine(IngestFront):
 
         A late registration must see the partners a store that kept every
         record would offer it.  Ring records the new query binds (route plan
-        survivors, judged against this query alone) are ingested and folded
-        into the statistics; a query that checks vertex attributes shuts the
+        survivors, judged against this query alone) are ingested and counted
+        as observed; a query that checks vertex attributes shuts the
         gate and takes the whole ring.  Promotion is not stream work: the
         dispatch counters probed here are restored and no stream counter
         moves.  A replan never promotes -- a plan change binds no new edge.
@@ -1206,7 +1218,7 @@ class StreamWorksEngine(IngestFront):
         self.reset_cold(kept)
         edges = [self._ingest(record) for record in promoted]
         if self.summarizer is not None:
-            self.summarizer.observe_batch(self.graph, edges)
+            self.summarizer.observe_batch(edges)
 
     def _endpoint_label(self, vertex: VertexId) -> Optional[str]:
         """Stored label of an edge endpoint (``None`` when it is not retained)."""
@@ -1239,8 +1251,8 @@ class StreamWorksEngine(IngestFront):
         The snapshot covers everything the resume contract needs: the
         window store (index iteration orders included), every matcher's
         partial-match collections, the reorder buffer (contents, watermark, late counters), the stream
-        summarizer (its live triad legs are not stored: restore recounts
-        them from the window store), registered queries with
+        summarizer's edge counter (its statistics are computed from the
+        window store), registered queries with
         their exact plans, collected events, and all deterministic
         counters.  The write is atomic (temp file + fsync + rename) with a
         monotone ``epoch`` in the manifest, so a crash mid-checkpoint

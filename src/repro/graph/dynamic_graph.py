@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from typing import Any, Callable, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from .property_graph import PropertyGraph
 from .types import Direction, Edge, EdgeId, Timestamp, Vertex, VertexId
@@ -62,8 +62,6 @@ class DynamicGraph:
         self._current_time: float = float("-inf")
         self._edges_ingested = 0
         self._edges_evicted = 0
-        # plain callables, deliberately not restored (see from_state)
-        self._eviction_listeners: List[Callable[[Edge], None]] = []  # repro-lint: ignore[snapshot-coverage]
 
     # ------------------------------------------------------------------
     # stream time
@@ -97,14 +95,6 @@ class DynamicGraph:
     def edges_evicted(self) -> int:
         """Total number of edges evicted by the window."""
         return self._edges_evicted
-
-    def add_eviction_listener(self, listener: Callable[[Edge], None]) -> None:
-        """Register a callback invoked with every evicted edge.
-
-        The continuous-query matcher uses this to drop partial matches that
-        reference evicted edges.
-        """
-        self._eviction_listeners.append(listener)
 
     # ------------------------------------------------------------------
     # ingestion
@@ -237,11 +227,7 @@ class DynamicGraph:
                 break
             if discard(edge, drop_isolated):
                 evicted.append(edge)
-        if evicted:
-            self._edges_evicted += len(evicted)
-            for listener in self._eviction_listeners:
-                for edge in evicted:
-                    listener(edge)
+        self._edges_evicted += len(evicted)
         return evicted
 
     # ------------------------------------------------------------------
@@ -343,12 +329,7 @@ class DynamicGraph:
 
     @classmethod
     def from_state(cls, state: dict) -> "DynamicGraph":
-        """Rebuild a windowed store from :meth:`state_dict` output.
-
-        Eviction listeners are *not* restored (they are plain callables);
-        the owning engine re-attaches its own after restore when it uses
-        any.
-        """
+        """Rebuild a windowed store from :meth:`state_dict` output."""
         window_state = state["window"]
         graph = cls(
             window=TimeWindow(window_state["duration"], strict=window_state["strict"]),

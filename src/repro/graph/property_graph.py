@@ -120,7 +120,7 @@ class PropertyGraph:
         except KeyError:
             raise VertexNotFoundError(vertex_id) from None
 
-    def vertices(self, label: Optional[str] = None) -> Iterator[Vertex]:
+    def vertices(self, label: Optional[str] = None) -> Iterator[VertexRecord]:
         """Iterate over stored vertices, optionally restricted to one label."""
         if label is None:
             yield from self._vertices.values()

@@ -18,8 +18,9 @@ watermark (including every per-source clock, lateness estimate and the
 monotone watermark floor of the multi-source buffer -- the ``kind`` tag in
 its payload picks the right class on load), and every deterministic
 counter.  State that is a pure function of other
-sections is recounted instead -- the expiry queue, and the summarizer's
-label memo and live triad legs, all from the window store.  An engine fed
+sections is recounted instead -- the expiry queue from the window store --
+and the planning statistics are never stored: they are computed from the
+window store whenever a plan is made.  An engine fed
 through an :class:`~repro.streaming.async_ingest.AsyncIngestFrontend`
 checkpoints via ``frontend.checkpoint``, which quiesces admission first so
 the buffer's pending tail here is exact.  Two things are deliberately
@@ -137,6 +138,31 @@ _RETIRED_CONFIG_FIELDS = (
 # ----------------------------------------------------------------------
 def _config_state(config: EngineConfig) -> Dict[str, Any]:
     return {name: getattr(config, name) for name in _CONFIG_FIELDS}
+
+
+#: Summarizer fields that earlier versions persisted and that are derivable
+#: from the window store: the folded label, signature and degree counts,
+#: the cumulative triad census and the label memo.  A section carrying them
+#: loads with them ignored, and logs a warning naming them.
+_DERIVED_SUMMARIZER_FIELDS = (
+    "vertex_labels",
+    "edge_labels",
+    "signatures",
+    "degree_tracker",
+    "triads",
+    "known_vertices",
+    "observed_through",
+    "sketch_stats",
+)
+
+
+def _summarizer_from_state(state: Mapping[str, Any], graph: DynamicGraph) -> StreamSummarizer:
+    derived = sorted(name for name in state if name in _DERIVED_SUMMARIZER_FIELDS)
+    if derived:
+        _LOG.warning(
+            "snapshot summarizer carries derived fields, ignored on load: %s", ", ".join(derived)
+        )
+    return StreamSummarizer.from_state(state, graph)
 
 
 def _config_from_state(state: Mapping[str, Any]) -> EngineConfig:
@@ -303,12 +329,7 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         engine.graph = DynamicGraph.from_state(sections["graph"])
         engine.summarizer = None
         if sections["summarizer"] is not None:
-            # live legs are recounted from the restored store, and the
-            # store does not restore listeners: hook the eviction again
-            engine.summarizer = StreamSummarizer.from_state(
-                sections["summarizer"], engine.graph
-            )
-            engine.summarizer.follow(engine.graph)
+            engine.summarizer = _summarizer_from_state(sections["summarizer"], engine.graph)
         engine.reorder = (
             # dispatch on the payload's "kind"; pre-multisource snapshots
             # are upgraded so the restored engine owns the multi-source

@@ -1,12 +1,13 @@
 """Stream summarization and selectivity estimation (paper section 4.3).
 
-Three statistic families are collected from the data stream -- degree
+Three statistic families describe the stream's retention window -- degree
 distribution, vertex/edge type distribution and the multi-relational triad
-census -- and combined into a :class:`GraphSummary` that the query planner
-uses through the :class:`SelectivityEstimator`.
+census -- combined into a :class:`GraphSummary`, computed from the window
+store when a plan is made, that the query planner uses through the
+:class:`SelectivityEstimator`.
 """
 
-from .degree import DegreeDistribution, StreamingDegreeTracker
+from .degree import DegreeDistribution
 from .labels import EdgeSignature, LabelDistribution, SignatureDistribution
 from .plan_cost import plan_cost
 from .plan_monitor import PlanMonitor
@@ -23,7 +24,6 @@ __all__ = [
     "SelectivityEstimator",
     "SignatureDistribution",
     "StreamSummarizer",
-    "StreamingDegreeTracker",
     "TriadCensus",
     "TriadKey",
     "plan_cost",

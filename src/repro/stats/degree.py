@@ -1,20 +1,18 @@
 """Degree-distribution summaries.
 
 Degree distribution is the first of the three summary-statistic families the
-paper's query planner consumes (section 4.3).  The implementation offers both
-a one-shot computation from a stored graph and a streaming tracker updated
-per edge, because the demo's summarisation runs continuously on the stream.
+paper's query planner consumes (section 4.3).  The window store keeps every
+vertex's live degree, so the distribution is built from those on demand
+(:class:`~repro.stats.summarizer.StreamSummarizer`) or from a stored graph.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import Counter
+from typing import Dict, Iterable, Optional
 
-from ..graph.types import Edge, VertexId
-
-__all__ = ["DegreeDistribution", "StreamingDegreeTracker"]
+__all__ = ["DegreeDistribution"]
 
 
 class DegreeDistribution:
@@ -148,75 +146,3 @@ class DegreeDistribution:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DegreeDistribution(n={self._count}, mean={self.mean():.2f}, max={self.max()})"
-
-
-class StreamingDegreeTracker:
-    """Maintain per-vertex degrees incrementally as edges stream in."""
-
-    def __init__(self) -> None:
-        self._degrees: Dict[VertexId, int] = defaultdict(int)
-        self._in_degrees: Dict[VertexId, int] = defaultdict(int)
-        self._out_degrees: Dict[VertexId, int] = defaultdict(int)
-
-    def observe_edge(self, edge: Edge) -> None:
-        """Record one edge (both endpoints gain a degree)."""
-        self._degrees[edge.source] += 1
-        self._degrees[edge.target] += 1
-        self._out_degrees[edge.source] += 1
-        self._in_degrees[edge.target] += 1
-
-    def retract_edge(self, edge: Edge) -> None:
-        """Undo :meth:`observe_edge` for an evicted edge."""
-        for mapping, key in (
-            (self._degrees, edge.source),
-            (self._degrees, edge.target),
-            (self._out_degrees, edge.source),
-            (self._in_degrees, edge.target),
-        ):
-            mapping[key] -= 1
-            if mapping[key] <= 0:
-                del mapping[key]
-
-    def degree(self, vertex_id: VertexId) -> int:
-        """Current total degree of a vertex (0 if unseen)."""
-        return self._degrees.get(vertex_id, 0)
-
-    def in_degree(self, vertex_id: VertexId) -> int:
-        """Current in degree of a vertex."""
-        return self._in_degrees.get(vertex_id, 0)
-
-    def out_degree(self, vertex_id: VertexId) -> int:
-        """Current out degree of a vertex."""
-        return self._out_degrees.get(vertex_id, 0)
-
-    def top_hubs(self, k: int = 10) -> List[Tuple[VertexId, int]]:
-        """Return the ``k`` highest-degree vertices as ``(vertex, degree)`` pairs."""
-        return sorted(self._degrees.items(), key=lambda item: item[1], reverse=True)[:k]
-
-    def distribution(self) -> DegreeDistribution:
-        """Snapshot the current degrees into a :class:`DegreeDistribution`."""
-        return DegreeDistribution(self._degrees.values())
-
-    def state_dict(self) -> Dict[str, list]:
-        """Serialise the per-vertex degree maps (pair lists: ids may be non-string)."""
-        return {
-            "degrees": [[vertex, count] for vertex, count in self._degrees.items()],
-            "in_degrees": [[vertex, count] for vertex, count in self._in_degrees.items()],
-            "out_degrees": [[vertex, count] for vertex, count in self._out_degrees.items()],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, list]) -> "StreamingDegreeTracker":
-        """Rebuild from :meth:`state_dict` output."""
-        tracker = cls()
-        for key, target in (
-            ("degrees", tracker._degrees),
-            ("in_degrees", tracker._in_degrees),
-            ("out_degrees", tracker._out_degrees),
-        ):
-            for vertex, count in state[key]:
-                target[vertex] = count
-        return tracker
-
-    def __len__(self) -> int:
-        return len(self._degrees)

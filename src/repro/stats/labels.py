@@ -69,22 +69,6 @@ class LabelDistribution:
         """Return a plain ``{label: count}`` dict."""
         return dict(self._counts)
 
-    def state_dict(self) -> list:
-        """Serialise as ``[[label, count], ...]`` preserving insertion order.
-
-        Order matters: ``most_common`` breaks count ties by insertion
-        order, and the planner's selectivity ranking reads it.
-        """
-        return [[label, count] for label, count in self._counts.items()]
-
-    @classmethod
-    def from_state(cls, state: list) -> "LabelDistribution":
-        """Rebuild from :meth:`state_dict` output."""
-        distribution = cls()
-        for label, count in state:
-            distribution._counts[label] = count
-        return distribution
-
     def __len__(self) -> int:
         return len(self._counts)
 
@@ -95,8 +79,8 @@ class LabelDistribution:
 class SignatureDistribution:
     """Counts of typed relationship signatures ``(src label, edge label, dst label)``."""
 
-    def __init__(self) -> None:
-        self._counts: Counter = Counter()
+    def __init__(self, counts: Optional[Mapping[EdgeSignature, int]] = None):
+        self._counts: Counter = Counter(counts or {})
 
     def observe(self, source_label: str, edge_label: str, target_label: str, count: int = 1) -> None:
         """Record occurrences of a fully-typed relationship."""
@@ -155,18 +139,6 @@ class SignatureDistribution:
     def to_dict(self) -> Dict[str, int]:
         """Return ``{"src|label|dst": count}`` suitable for JSON export."""
         return {"|".join(key): count for key, count in self._counts.items()}
-
-    def state_dict(self) -> list:
-        """Serialise as ``[[[src, label, dst], count], ...]`` in insertion order."""
-        return [[list(signature), count] for signature, count in self._counts.items()]
-
-    @classmethod
-    def from_state(cls, state: list) -> "SignatureDistribution":
-        """Rebuild from :meth:`state_dict` output."""
-        distribution = cls()
-        for signature, count in state:
-            distribution._counts[tuple(signature)] = count
-        return distribution
 
     def __len__(self) -> int:
         return len(self._counts)

@@ -4,21 +4,21 @@ Paper section 4.3 lists three families of summary statistics collected from
 the data stream: (1) degree distribution, (2) vertex and edge type
 distribution, (3) frequency distribution of multi-relational triads.  The
 :class:`GraphSummary` bundles all three plus the typed relationship-signature
-counts that drive selectivity estimation; :class:`StreamSummarizer` keeps a
-summary up to date as edges stream in, and retracts the live legs of the
-triad census as the window evicts them.
+counts that drive selectivity estimation; :class:`StreamSummarizer` computes
+one from the window store whenever the planner asks.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from collections import Counter
+from typing import Any, Dict, Mapping, Optional, Sequence, Union
 
 from ..graph.dynamic_graph import DynamicGraph
 from ..graph.property_graph import PropertyGraph
 from ..graph.types import Edge, VertexId
-from .degree import DegreeDistribution, StreamingDegreeTracker
+from .degree import DegreeDistribution
 from .labels import LabelDistribution, SignatureDistribution
-from .triads import LiveEdge, TriadCensus
+from .triads import TriadCensus
 
 __all__ = ["GraphSummary", "StreamSummarizer"]
 
@@ -44,8 +44,7 @@ class GraphSummary:
     ) -> None:
         # `x if x is not None else ...`, not `x or ...`: these classes define
         # __len__, so an *empty* component passed by the caller is falsy yet
-        # must be kept -- `or` would swap the caller's object for a fresh one
-        # (e.g. the census a summarizer is still folding into).
+        # must be kept -- `or` would swap the caller's object for a fresh one.
         self.vertex_labels = vertex_labels if vertex_labels is not None else LabelDistribution()
         self.edge_labels = edge_labels if edge_labels is not None else LabelDistribution()
         self.signatures = (
@@ -124,185 +123,84 @@ class GraphSummary:
 
 
 class StreamSummarizer:
-    """Maintain a :class:`GraphSummary` incrementally over the edge stream.
+    """Compute the :class:`GraphSummary` of a window store on demand.
 
-    The summarizer is driven by the engine: ``observe_batch(graph, edges)``
-    (or ``observe(graph, edge)``, its one-edge case) is called after edges
-    are ingested, so endpoint labels can be resolved, and once
-    :meth:`follow` has hooked it to the window store, every evicted edge's
-    live legs are retracted from the triad census.
+    Nothing is folded per record.  :meth:`summary` reads the store's
+    retained edges and their endpoint vertex records each time the planner
+    asks -- at registration, at a replan and from
+    ``engine.statistics_summary()`` -- so the statistics describe the
+    retention window.  Records the store never kept (cold ones, and dead
+    ones evicted by their own ingest) take no part.  A call costs
+    O(live edges + the sum over vertices of their distinct leg types
+    squared), and O(1) on an empty store.
+
+    ``observe_batch`` only counts the edges the engine stores, for
+    :attr:`edges_observed`.
     """
 
-    def __init__(self, track_triads: bool = True) -> None:
-        self.vertex_labels = LabelDistribution()
-        self.edge_labels = LabelDistribution()
-        self.signatures = SignatureDistribution()
-        self.degree_tracker = StreamingDegreeTracker()
+    def __init__(self, graph: GraphLike, track_triads: bool = True) -> None:
+        self.graph = graph
         self.track_triads = track_triads
-        self.triads = TriadCensus()
-        #: Every vertex ever seen, in first-sight order, with its label while
-        #: the vertex has live legs (``None`` = resolve from the store).  The
-        #: memo is what the eviction hook reads once an isolated endpoint has
-        #: left the store, and it is dropped with the vertex's last leg
-        #: because the store may re-create the id under another label.
-        self._known_vertices: Dict[VertexId, Optional[str]] = {}
         self._edge_count = 0
-        #: Largest edge id folded in.  The store assigns ids in ingest order
-        #: and edges are observed in that order, so an evicted edge with a
-        #: larger id was dead on arrival: never observed, nothing to retract.
-        self._observed_through = -1
 
-    def follow(self, graph: DynamicGraph) -> None:
-        """Retract live legs as ``graph``'s window evicts edges."""
-        if self.track_triads:
-            graph.add_eviction_listener(self.retract_legs)
-
-    def observe(self, graph: GraphLike, edge: Edge) -> None:
-        """Fold one freshly-ingested edge into the summary."""
-        self.observe_batch(graph, (edge,))
-
-    def observe_batch(self, graph: GraphLike, edges: Sequence[Edge]) -> None:
-        """Fold a run of freshly-ingested edges, in ingest order, into the summary.
-
-        Edges must already be stored in ``graph`` (so first-sight endpoint
-        labels resolve).  Feeding a stream edge by edge, in batches, or any
-        mix of the two yields the same statistics, with one exception: the
-        engine defers a run's eviction sweep to its end, so legs a finer
-        split would have retracted mid-run stay live until the run ends and
-        can form wedges with the run's later edges.
-        """
-        if not edges:
-            return
-        store = _store_of(graph)
-        known = self._known_vertices
-        degrees = self.degree_tracker
-        census = self.triads if self.track_triads else None
-        groups: Dict[Tuple[str, str, str], int] = {}
-        for edge in edges:
-            source = edge.source
-            target = edge.target
-            edge_label = edge.label
-            source_label = known.get(source)
-            if source_label is None:
-                source_label = self._admit(store, source)
-            target_label = known.get(target)
-            if target_label is None:
-                target_label = self._admit(store, target)
-            signature = (source_label, edge_label, target_label)
-            groups[signature] = groups.get(signature, 0) + 1
-            degrees.observe_edge(edge)
-            if census is not None:
-                census.observe_edge(source, target, edge_label, source_label, target_label)
-        for (source_label, edge_label, target_label), count in groups.items():
-            self.edge_labels.observe(edge_label, count)
-            self.signatures.observe(source_label, edge_label, target_label, count)
+    def observe_batch(self, edges: Sequence[Edge]) -> None:
+        """Count a run of freshly stored edges."""
         self._edge_count += len(edges)
-        self._observed_through = edges[-1].id
-
-    def _admit(self, store: PropertyGraph, vertex: VertexId) -> str:
-        """Resolve the label of a vertex that is new or whose memo was dropped."""
-        label = store.vertex(vertex).label
-        if vertex not in self._known_vertices:
-            self.vertex_labels.observe(label)
-        # without the census no retraction tells the memo when the store
-        # drops the vertex, so nothing is memoised
-        self._known_vertices[vertex] = label if self.track_triads else None
-        return label
-
-    def retract_legs(self, edge: Edge) -> None:
-        """Drop an evicted edge's live legs from the census (the eviction hook).
-
-        Retracts exactly what was observed: an edge that was dead on arrival
-        is evicted by its own ingest before any fold sees it, and is skipped.
-        """
-        if edge.id > self._observed_through or not self.track_triads:
-            return
-        known = self._known_vertices
-        source = edge.source
-        target = edge.target
-        source_label = known[source]
-        target_label = known[target]
-        assert source_label is not None and target_label is not None
-        for vertex in self.triads.retract_edge(
-            source, target, edge.label, source_label, target_label
-        ):
-            known[vertex] = None
 
     @property
     def edges_observed(self) -> int:
-        """Total number of edges folded into the summary."""
+        """Total number of edges the engine has stored and counted so far."""
         return self._edge_count
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Serialise the summarizer (distributions, trackers, cumulative census).
+    def summary(self) -> GraphSummary:
+        """Return the statistics of the edges the store retains right now.
 
-        The label memo and the census's live legs are derived from the window
-        store and rebuilt by :meth:`from_state`; only the vertex ids travel.
+        Only vertices with a live edge count.  On an unbounded window this
+        is the summary of every stored record so far.
         """
-        return {
-            "track_triads": self.track_triads,
-            "vertex_labels": self.vertex_labels.state_dict(),
-            "edge_labels": self.edge_labels.state_dict(),
-            "signatures": self.signatures.state_dict(),
-            "degree_tracker": self.degree_tracker.state_dict(),
-            "triads": self.triads.state_dict(),
-            "known_vertices": list(self._known_vertices),
-            "edge_count": self._edge_count,
-            "observed_through": self._observed_through,
-        }
+        store = _store_of(self.graph)
+        if not store.edge_count():
+            return GraphSummary()
+        label_of: Dict[VertexId, str] = {}
+        vertex_labels = LabelDistribution()
+        degrees = DegreeDistribution()
+        for vertex in store.vertices():
+            degree = vertex.degree
+            if degree:
+                label_of[vertex.id] = vertex.label
+                vertex_labels.observe(vertex.label)
+                degrees.add(degree)
+        edges = list(store.edges())
+        signatures = Counter((label_of[e.source], e.label, label_of[e.target]) for e in edges)
+        edge_labels = LabelDistribution()
+        for (_, edge_label, _), count in signatures.items():
+            edge_labels.observe(edge_label, count)
+        triads = None
+        if self.track_triads:
+            triads = TriadCensus.from_live_edges(
+                (
+                    (e.source, e.target, e.label, label_of[e.source], label_of[e.target])
+                    for e in edges
+                ),
+                label_of,
+            )
+        return GraphSummary(
+            vertex_labels=vertex_labels,
+            edge_labels=edge_labels,
+            signatures=SignatureDistribution(signatures),
+            degrees=degrees,
+            triads=triads,
+            vertex_count=len(label_of),
+            edge_count=len(edges),
+        )
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Serialise what the store cannot give back: the edge counter."""
+        return {"track_triads": self.track_triads, "edge_count": self._edge_count}
 
     @classmethod
     def from_state(cls, state: Mapping[str, Any], graph: GraphLike) -> "StreamSummarizer":
-        """Rebuild a summarizer from :meth:`state_dict` output.
-
-        ``graph`` is the restored window store: every edge live in it had
-        been observed when the snapshot was taken (snapshots are cut at
-        batch boundaries), so the label memo and the live legs are recounted
-        from its edges.  A section written by the retired count-min backend
-        (``sketch_stats`` set) holds no exact counts: its label and signature
-        distributions are recounted from the restored store instead, which
-        can only shift later plan choices, never events.
-        """
-        summarizer = cls(track_triads=state["track_triads"])
-        if state.get("sketch_stats"):
-            recounted = GraphSummary.from_graph(graph, with_triads=False)
-            summarizer.vertex_labels = recounted.vertex_labels
-            summarizer.edge_labels = recounted.edge_labels
-            summarizer.signatures = recounted.signatures
-        else:
-            summarizer.vertex_labels = LabelDistribution.from_state(state["vertex_labels"])
-            summarizer.edge_labels = LabelDistribution.from_state(state["edge_labels"])
-            summarizer.signatures = SignatureDistribution.from_state(state["signatures"])
-        summarizer.degree_tracker = StreamingDegreeTracker.from_state(state["degree_tracker"])
-        summarizer._known_vertices = dict.fromkeys(state["known_vertices"])
+        """Rebuild a summarizer over the restored store ``graph``."""
+        summarizer = cls(graph, track_triads=state["track_triads"])
         summarizer._edge_count = state["edge_count"]
-        live_edges: List[LiveEdge] = []
-        # a snapshot written before the mark existed: every live edge had
-        # been observed, so the mark is the largest live id
-        observed_through = state.get("observed_through", -1)
-        if summarizer.track_triads:
-            store = _store_of(graph)
-            for edge in store.edges():
-                source_label = store.vertex(edge.source).label
-                target_label = store.vertex(edge.target).label
-                summarizer._known_vertices[edge.source] = source_label
-                summarizer._known_vertices[edge.target] = target_label
-                live_edges.append(
-                    (edge.source, edge.target, edge.label, source_label, target_label)
-                )
-                observed_through = max(observed_through, edge.id)
-        summarizer._observed_through = observed_through
-        summarizer.triads = TriadCensus.from_state(state["triads"], live_edges)
         return summarizer
-
-    def summary(self) -> GraphSummary:
-        """Return a snapshot :class:`GraphSummary` of the current statistics."""
-        return GraphSummary(
-            vertex_labels=self.vertex_labels,
-            edge_labels=self.edge_labels,
-            signatures=self.signatures,
-            degrees=self.degree_tracker.distribution(),
-            triads=self.triads,
-            vertex_count=len(self._known_vertices),
-            edge_count=self._edge_count,
-        )

@@ -17,21 +17,20 @@ with the two legs sorted so the key is canonical.  Orientation is ``"out"``
 when the edge points away from the centre and ``"in"`` otherwise; a self-loop
 is a single ``"out"`` leg at its one endpoint.
 
-The streaming census is exact and its per-edge work does not depend on vertex
-degree.  For every centre vertex it keeps *typed-leg counters* ``{leg: number
-of live edges with that leg}``; a new edge forms, with each live leg type at
-an endpoint, as many wedges as that type's counter says, so one sweep over
-the endpoint's **distinct leg types** (a handful, even at a hub of degree
-10 000) adds the counters to the wedge counts, and the new edge then bumps
-its own leg.  When the window evicts an edge its two legs are decremented in
-O(1).  The wedge counts themselves are cumulative -- every wedge an edge
-formed, at insertion, with the edges live at that moment -- and are never
-retracted.
+The census is computed, not maintained: :meth:`TriadCensus.from_live_edges`
+counts the typed *legs* ``{leg: number of edges with that leg}`` at every
+centre vertex of a set of edges, then adds, per centre, ``n_A * n_B``
+wedges for every pair of distinct leg types and ``C(n_A, 2)`` for every
+repeated one.  Its cost is linear in the edges plus the square of each
+centre's **distinct** leg types (a handful, even at a hub of degree
+10 000).  :meth:`TriadCensus.observe_graph` enumerates every wedge pair by
+pair instead; it is quadratic in degree and is the ground truth the leg
+count is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from ..graph.dynamic_graph import DynamicGraph
 from ..graph.property_graph import PropertyGraph
@@ -54,11 +53,6 @@ def _leg_order(leg: TriadLeg) -> Tuple[str, str, str]:
     return (str(leg[0]), leg[1], str(leg[2]))
 
 
-def _leg_from_state(parts: Any) -> TriadLeg:
-    edge_label, orientation, leaf_label = parts
-    return (edge_label, orientation, leaf_label)
-
-
 def wedge_key_for_query(
     center_label: Optional[str],
     first_leg: TriadLeg,
@@ -78,26 +72,43 @@ def wedge_key_for_query(
 
 
 class TriadCensus:
-    """Exact incremental census of typed wedges in a dynamic graph.
+    """Exact census of the typed wedges in a set of edges."""
 
-    Parameters
-    ----------
-    live_edges:
-        Edges already live when the census starts counting: their legs are
-        registered, but no wedge is counted among them.  The leg counters are
-        derived from the window store and never serialised, so a restore
-        passes the restored graph's live edges here (see :meth:`from_state`).
-    """
+    def __init__(self) -> None:
+        # ints, summed exactly whatever the iteration order
+        self._counts: Dict[TriadKey, int] = {}
+        self._wedges = 0
 
-    def __init__(self, live_edges: Iterable[LiveEdge] = ()) -> None:
-        # plain ints while streaming; a census restored from a snapshot
-        # written by the retired sampling census may carry float weights
-        self._counts: Dict[TriadKey, float] = {}
-        self._wedges_observed: float = 0
-        #: Leg-counter entries visited by the insertion sweeps so far: the
-        #: census's unit of work, independent of vertex degree.
-        self.leg_sweep_steps = 0
-        self._legs = self._count_legs(live_edges)
+    @classmethod
+    def from_live_edges(
+        cls, live_edges: Iterable[LiveEdge], center_labels: Mapping[VertexId, str]
+    ) -> "TriadCensus":
+        """Count every wedge among ``live_edges`` from the legs at each centre.
+
+        ``center_labels`` gives the label of every endpoint.  Centres are
+        visited in the order the edges first name them, and the legs at a
+        centre sorted, so the key order is a function of the edge order
+        alone (never of hashing).
+        """
+        census = cls()
+        counts = census._counts
+        wedges = 0
+        for center, legs in cls._count_legs(live_edges).items():
+            center_label = center_labels[center]
+            typed = sorted(legs.items())
+            for index, (leg, live) in enumerate(typed):
+                if live > 1:
+                    pairs = live * (live - 1) // 2
+                    key = (center_label, (leg, leg))
+                    counts[key] = counts.get(key, 0) + pairs
+                    wedges += pairs
+                for other, other_live in typed[index + 1 :]:
+                    pairs = live * other_live
+                    key = (center_label, (leg, other))
+                    counts[key] = counts.get(key, 0) + pairs
+                    wedges += pairs
+        census._wedges = wedges
+        return census
 
     @staticmethod
     def _count_legs(live_edges: Iterable[LiveEdge]) -> Dict[VertexId, Dict[StreamLeg, int]]:
@@ -111,79 +122,11 @@ class TriadCensus:
                 at_center[leg] = at_center.get(leg, 0) + 1
         return legs
 
-    # ------------------------------------------------------------------
-    # updates
-    # ------------------------------------------------------------------
-    def observe_edge(
-        self,
-        source: VertexId,
-        target: VertexId,
-        edge_label: str,
-        source_label: str,
-        target_label: str,
-    ) -> None:
-        """Count the wedges a new edge forms with the live legs at its endpoints."""
-        self._add_leg(source, source_label, (edge_label, "out", target_label))
-        if target != source:
-            self._add_leg(target, target_label, (edge_label, "in", source_label))
-
-    def _add_leg(self, center: VertexId, center_label: str, leg: StreamLeg) -> None:
-        legs = self._legs.get(center)
-        if legs is None:
-            self._legs[center] = {leg: 1}
-            return
-        counts = self._counts
-        formed = 0
-        for other, live in legs.items():
-            key = (center_label, (leg, other) if leg <= other else (other, leg))
-            counts[key] = counts.get(key, 0) + live
-            formed += live
-        self._wedges_observed += formed
-        self.leg_sweep_steps += len(legs)
-        legs[leg] = legs.get(leg, 0) + 1
-
-    def retract_edge(
-        self,
-        source: VertexId,
-        target: VertexId,
-        edge_label: str,
-        source_label: str,
-        target_label: str,
-    ) -> Tuple[VertexId, ...]:
-        """Drop an evicted edge's legs (given exactly as they were observed).
-
-        Returns the endpoints this left without any live leg.
-        """
-        emptied: Tuple[VertexId, ...] = ()
-        if self._drop_leg(source, (edge_label, "out", target_label)):
-            emptied = (source,)
-        if target != source and self._drop_leg(target, (edge_label, "in", source_label)):
-            emptied += (target,)
-        return emptied
-
-    def _drop_leg(self, center: VertexId, leg: StreamLeg) -> bool:
-        legs = self._legs[center]
-        live = legs[leg] - 1
-        if live:
-            legs[leg] = live
-            return False
-        # emptied entries go: a leg or centre that churned through the
-        # window must not stay behind as a zero
-        del legs[leg]
-        if legs:
-            return False
-        del self._legs[center]
-        return True
-
-    def live_legs(self) -> Dict[VertexId, Dict[StreamLeg, int]]:
-        """Return a copy of the live leg counters ``{centre: {leg: live edges}}``."""
-        return {center: dict(legs) for center, legs in self._legs.items()}
-
     def observe_graph(self, graph: Union[DynamicGraph, PropertyGraph]) -> None:
         """Run a brute-force census over every wedge of an existing graph.
 
-        Quadratic in degree and independent of the leg counters: this is the
-        ground truth the streaming census is tested against.
+        Quadratic in degree and independent of the leg count: this is the
+        ground truth :meth:`from_live_edges` is tested against.
         """
         store = graph.graph if isinstance(graph, DynamicGraph) else graph
         for vertex in store.vertices():
@@ -199,7 +142,7 @@ class TriadCensus:
                         self._leg(incident[j], vertex.id, store),
                     )
                     self._counts[key] = self._counts.get(key, 0) + 1
-                    self._wedges_observed += 1
+                    self._wedges += 1
 
     @staticmethod
     def _leg(edge: Edge, center: VertexId, store: PropertyGraph) -> TriadLeg:
@@ -211,14 +154,14 @@ class TriadCensus:
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
-    def count(self, key: TriadKey) -> float:
+    def count(self, key: TriadKey) -> int:
         """Return the number of wedges matching ``key``."""
         return self._counts.get(key, 0)
 
-    def count_wildcard(self, key: TriadKey) -> float:
+    def count_wildcard(self, key: TriadKey) -> int:
         """Like :meth:`count` but ``None`` components act as wildcards."""
         center_label, (leg_a, leg_b) = key
-        total: float = 0
+        total = 0
         for (stored_center, legs), count in self._counts.items():
             if center_label is not None and stored_center != center_label:
                 continue
@@ -246,68 +189,35 @@ class TriadCensus:
             cls._leg_matches(a, y) and cls._leg_matches(b, x)
         )
 
-    def total_wedges(self) -> float:
-        """Return the total number of wedges observed."""
-        return self._wedges_observed
+    def total_wedges(self) -> int:
+        """Return the total number of wedges counted."""
+        return self._wedges
 
     def frequency(self, key: TriadKey) -> float:
         """Return the relative frequency of a wedge pattern in [0, 1]."""
-        if self._wedges_observed == 0:
+        if self._wedges == 0:
             return 0.0
-        return self.count(key) / self._wedges_observed
+        return self.count(key) / self._wedges
 
-    def most_common(self, k: Optional[int] = None) -> List[Tuple[TriadKey, float]]:
+    def most_common(self, k: Optional[int] = None) -> List[Tuple[TriadKey, int]]:
         """Return the ``k`` most frequent wedge patterns (ties in key order)."""
         ranked = sorted(self._counts.items(), key=lambda item: (-item[1], item[0]))
         return ranked if k is None else ranked[:k]
 
     def distinct_patterns(self) -> int:
-        """Return the number of distinct wedge patterns seen."""
+        """Return the number of distinct wedge patterns counted."""
         return len(self._counts)
 
-    def to_dict(self) -> Dict[str, float]:
+    def to_dict(self) -> Dict[str, int]:
         """Serialise into ``{"center|label,orient,leaf|label,orient,leaf": count}``."""
-        result: Dict[str, float] = {}
+        result: Dict[str, int] = {}
         for (center, legs), count in self._counts.items():
             leg_strs = [",".join(str(part) for part in leg) for leg in legs]
             result[f"{center}|{leg_strs[0]}|{leg_strs[1]}"] = count
         return result
 
-    def state_dict(self) -> Dict[str, Any]:
-        """Serialise the cumulative census; the live legs are derived state.
-
-        Counts travel in key order, not insertion order: which wedge key a
-        sweep creates first follows the leg dicts' insertion order, and a
-        census whose legs were recounted from a restored graph holds the same
-        legs in a different order than the run that never stopped.
-        """
-        return {
-            "wedges_observed": self._wedges_observed,
-            "leg_sweep_steps": self.leg_sweep_steps,
-            "counts": [
-                [[center, [list(legs[0]), list(legs[1])]], count]
-                for (center, legs), count in sorted(self._counts.items())
-            ],
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: Mapping[str, Any], live_edges: Iterable[LiveEdge] = ()
-    ) -> "TriadCensus":
-        """Rebuild a census from :meth:`state_dict` output plus the live edges.
-
-        Sections written by the retired sampling census also carry
-        ``sample_cap`` and ``rng_state``; both are ignored.
-        """
-        census = cls(live_edges)
-        census._wedges_observed = state["wedges_observed"]
-        census.leg_sweep_steps = state.get("leg_sweep_steps", 0)
-        for (center, (first, second)), count in state["counts"]:
-            census._counts[(center, (_leg_from_state(first), _leg_from_state(second)))] = count
-        return census
-
     def __len__(self) -> int:
         return len(self._counts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TriadCensus({len(self._counts)} patterns, {self._wedges_observed:.0f} wedges)"
+        return f"TriadCensus({len(self._counts)} patterns, {self._wedges} wedges)"

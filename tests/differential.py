@@ -4,7 +4,7 @@ The engine has one production path: records are routed through route plans
 (dispatch index, compiled leaf checks, interval index) *before* they are
 stored; only the leaves that can bind a record are searched, and a record
 no registered query edge can bind is kept out of the window store (the cold
-gate).  :class:`ExhaustiveReferenceEngine` stores, folds and evicts every
+gate).  :class:`ExhaustiveReferenceEngine` stores, counts and evicts every
 record, as the engine did before the gate, and runs every leaf of every
 matcher on every live record -- so it is the executable specification that
 routing and the gate must reproduce.  This module packages the machinery
@@ -27,9 +27,10 @@ the conformance suite (``tests/test_reference_conformance.py``) drives:
   compiled predicate tables), and the suite asserts the differential
   REJECTS the faulty engine.  A harness that cannot catch the bugs it
   exists for proves nothing.
-* :func:`assert_live_legs_exact` — the statistics-side invariant every
-  stream shape must leave behind: the triad census's live leg counters equal
-  a from-scratch recount over the window store's live edges.
+* :func:`assert_statistics_describe_the_window` — the statistics-side
+  invariant every stream shape must leave behind: the planner's summary
+  equals a from-scratch one (quadratic wedge census included) over the
+  window store.
 
 Engine and reference share the matcher, the SJ-tree and the local search,
 so a bug there is invisible to this differential; the oracles that share
@@ -42,7 +43,6 @@ canonical event list, byte for byte.
 """
 
 import random
-from collections import Counter
 
 from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
     canonical,
@@ -66,6 +66,7 @@ from repro.core.sharded import ShardConfig, ShardedStreamEngine
 from repro.query.builder import QueryBuilder
 from repro.query.compile import _never
 from repro.query.predicates import And, AttrCompare, AttrIn, AttrRange
+from repro.stats import GraphSummary
 from repro.streaming.edge_stream import StreamEdge
 
 #: Records per process_batch call -- matches the sharded-conformance suite.
@@ -253,11 +254,11 @@ class ProbedReferenceEngine(StreamWorksEngine):
 
     Each ordered run is handled as the engine did before its cold gate:
     every record is ingested (dead-on-arrival ones evicted at once), the
-    whole run is folded into the statistics, partial-match expiry is swept
+    whole run is counted in the statistics, partial-match expiry is swept
     once per matcher at the stream clock, and only then is each live record
     routed; its completions that fit the window as of the stream clock emit
     at it (the rule is applied here, not borrowed from the engine).  So
-    this engine stores, folds and evicts every record -- the store the gate
+    this engine stores, counts and evicts every record -- the store the gate
     must be indistinguishable from.  Routing is not the engine's
     either: every live record runs :meth:`_collect_matches`, a fresh
     dispatch-index probe, with no cached plan, compiled leaf check or
@@ -281,9 +282,7 @@ class ProbedReferenceEngine(StreamWorksEngine):
                 ingested.append(edge)
         self.records_batched += len(records)
         if self.summarizer is not None:
-            self.summarizer.observe_batch(
-                self.graph, [edge for edge in ingested if edge is not None]
-            )
+            self.summarizer.observe_batch([edge for edge in ingested if edge is not None])
         for registration in self.queries.values():
             if not registration.matcher.idle:
                 registration.matcher.expire_partials(clock)
@@ -343,31 +342,25 @@ class ExhaustiveReferenceEngine(ProbedReferenceEngine):
 # ----------------------------------------------------------------------
 # deliberate faults (meta-tests: the oracle must catch these)
 # ----------------------------------------------------------------------
-def recount_live_legs(graph):
-    """``{centre: {(edge label, orientation, leaf label): live edges}}`` of a store.
-
-    Recounted from the stored edges and the store's own vertex labels alone
-    -- nothing the summarizer remembers takes part.
-    """
-    incidences = Counter()
-    for edge in graph.edges():
-        source_label = graph.vertex(edge.source).label
-        target_label = graph.vertex(edge.target).label
-        incidences[edge.source, (edge.label, "out", target_label)] += 1
-        if edge.target != edge.source:
-            incidences[edge.target, (edge.label, "in", source_label)] += 1
-    legs = {}
-    for (center, leg), live in incidences.items():
-        legs.setdefault(center, {})[leg] = live
-    return legs
+def summary_facts(summary):
+    """Every count a :class:`GraphSummary` holds, as comparable plain data."""
+    return {
+        "vertex_count": summary.vertex_count,
+        "edge_count": summary.edge_count,
+        "vertex_labels": summary.vertex_labels.to_dict(),
+        "edge_labels": summary.edge_labels.to_dict(),
+        "signatures": summary.signatures.to_dict(),
+        "degrees": summary.degrees.histogram(),
+        "triads": dict(summary.triads.most_common()),
+        "wedges": summary.triads.total_wedges(),
+    }
 
 
-def assert_live_legs_exact(engine, context=""):
-    """Every (shard) engine's live legs equal the recount; no counter is <= 0."""
+def assert_statistics_describe_the_window(engine, context=""):
+    """Every (shard) engine's summary equals one recounted from its store alone."""
     for shard in getattr(engine, "shards", None) or [engine]:
-        live = shard.summarizer.triads.live_legs()
-        assert live == recount_live_legs(shard.graph), context
-        assert all(count > 0 for legs in live.values() for count in legs.values()), context
+        expected = summary_facts(GraphSummary.from_graph(shard.graph))
+        assert summary_facts(shard.statistics_summary()) == expected, context
 
 
 def skew_expiry(delta=0.05):
@@ -446,14 +439,14 @@ def sabotage_recompile(engine):
     inverts one edge check -- an always-true slot becomes never-true.
     Requires ``replan=True`` so a replan actually fires.
     """
-    original = engine.replan_query
+    original = engine._replan
 
-    def patched(name, strategy=None):
-        registration = original(name, strategy=strategy)
+    def patched(registration, planner, strategy):
+        registration = original(registration, planner, strategy)
         compiled = registration.matcher.compiled
         for edge_id, check in compiled.edge_checks.items():
             compiled.edge_checks[edge_id] = _never if check is None else None
             break
         return registration
 
-    engine.replan_query = patched
+    engine._replan = patched

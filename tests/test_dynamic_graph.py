@@ -97,14 +97,13 @@ class TestEviction:
         assert graph.edge_count() == 2
         assert graph.edges_evicted == 0
 
-    def test_eviction_listener_invoked(self):
+    def test_ingest_evicts_the_expired_edge_and_its_endpoints(self):
         graph = DynamicGraph(window=TimeWindow(5.0))
-        evicted = []
-        graph.add_eviction_listener(evicted.append)
         graph.ingest("a", "b", "link", 0.0)
         graph.ingest("c", "d", "link", 50.0)
-        assert len(evicted) == 1
-        assert evicted[0].source == "a"
+        assert graph.edges_evicted == 1
+        assert [edge.source for edge in graph.edges()] == ["c"]
+        assert not graph.has_vertex("a") and not graph.has_vertex("b")
 
     def test_vertex_shared_by_live_edge_survives_eviction(self):
         graph = DynamicGraph(window=TimeWindow(10.0))

@@ -3,6 +3,9 @@
 import pytest
 
 from repro.core import EngineConfig, Strategy, StreamWorksEngine
+from repro.core.decomposition import Decomposition
+from repro.core.sjtree import SJTree
+from repro.query import QueryBuilder
 from repro.queries.news import common_topic_location_query
 from repro.streaming import StreamEdge
 from repro.workloads import NewsStreamConfig, NewsStreamGenerator
@@ -82,7 +85,9 @@ class TestReplanQuery:
             StreamEdge("a2", "kw:z", "mentions", 3.0, source_label="Article", target_label="Keyword"),
         ]
         assert engine.process_stream(prefix) == []
-        engine.replan_query("q")
+        # another strategy, so the tree is rebuilt: a replan to the tree
+        # already installed keeps the matcher and migrates nothing
+        engine.replan_query("q", strategy=Strategy.EDGE_BY_EDGE)
         assert engine.metrics()["replan"]["partials_migrated"] > 0
         # the last edge of the straddling match arrives under the NEW plan
         suffix = [
@@ -100,3 +105,91 @@ class TestReplanQuery:
         assert engine.queries["a"].plan.summary_edge_count > 0
         assert engine.queries["b"].plan.summary_edge_count > 0
 
+
+
+def chain(name, labels):
+    builder = QueryBuilder(name)
+    for position in range(len(labels) + 1):
+        builder.vertex(f"v{position}", "Host")
+    for position, label in enumerate(labels):
+        builder.edge(f"v{position}", f"v{position + 1}", label)
+    return builder.build()
+
+
+def chain_records(count=60):
+    labels = ("a", "b", "c")
+    return [
+        StreamEdge(f"h{index % 7}", f"h{(index * 3 + 1) % 7}", labels[index % 3], float(index),
+                   source_label="Host", target_label="Host")
+        for index in range(count)
+    ]
+
+
+def canonical(events):
+    return [(e.query_name, e.match.portable_identity(), e.sequence) for e in events]
+
+
+class TestReplanToTheInstalledTree:
+    """A replan whose decomposition builds the installed tree keeps the matcher."""
+
+    def test_the_matcher_and_its_partials_survive(self):
+        records = chain_records()
+        never = StreamWorksEngine()
+        never.register_query(chain("q", ["a", "b", "c"]), window=8.0)
+        never.process_batch(records)
+
+        engine = StreamWorksEngine()
+        registration = engine.register_query(chain("q", ["a", "b", "c"]), window=8.0)
+        engine.process_batch(records[:30])
+        engine.replan_query("q")  # statistics now exist: this one may rebuild
+        matcher = registration.matcher
+        partials = {node.id: list(node.partials()) for node in matcher.tree.nodes.values()}
+        assert any(partials.values())
+        installed = registration.plan
+        version = registration.plan_version
+        dispatch_version = engine.dispatch.version
+        applied = engine.plan_monitor.plans_applied
+        migrated = engine.plan_monitor.partials_migrated
+
+        engine.replan_query("q")  # same statistics, same tree
+        assert registration.plan is not installed
+        assert registration.plan.decomposition.same_tree(installed.decomposition)
+        assert registration.matcher is matcher
+        assert {node.id: list(node.partials()) for node in matcher.tree.nodes.values()} == partials
+        assert registration.plan_version == version
+        assert engine.dispatch.version == dispatch_version
+        assert engine.plan_monitor.plans_applied == applied
+        assert engine.plan_monitor.partials_migrated == migrated
+
+        engine.process_batch(records[30:])
+        assert canonical(engine.events()) == canonical(never.events()) != []
+
+    def test_a_triggered_replan_counts_the_trigger_and_rescores_to_zero(self):
+        # two edges are one pair primitive whatever the statistics say
+        engine = StreamWorksEngine(config=EngineConfig(replan_threshold=0.5))
+        registration = engine.register_query(chain("ab", ["a", "b"]), window=8.0)
+        matcher = registration.matcher
+        engine.process_batch(chain_records())
+        # the plan was made before any statistics: it scores infinite
+        assert engine.run_replan_check() == ["ab"]
+        monitor = engine.plan_monitor
+        assert (monitor.triggers_fired, monitor.plans_applied, monitor.partials_migrated) == (1, 0, 0)
+        assert registration.matcher is matcher and registration.plan_version == 0
+        assert registration.plan.summary_edge_count > 0
+        # the stored plan carries the live estimates: the next check is quiet
+        assert engine.run_replan_check() == []
+        assert monitor.last_errors["ab"] == 0.0
+        assert engine.metrics()["replan"]["plan_versions"] == {"ab": 0}
+
+
+def test_same_tree_compares_shape_and_ordered_primitives():
+    query = chain("q", ["a", "b", "c"])
+    first, second, third = (query.edge_subgraph([edge_id]) for edge_id in (0, 1, 2))
+    pair = query.edge_subgraph([0, 1], name="renamed")
+    base = Decomposition(query, [query.edge_subgraph([0, 1]), third])
+    assert base.same_tree(Decomposition(query, [pair, third]))  # names do not count
+    assert not base.same_tree(Decomposition(query, [third, pair]))  # order does
+    assert not base.same_tree(Decomposition(query, [first, second, third]))
+    assert not base.same_tree(
+        Decomposition(query, [pair, third], tree_shape=SJTree.BALANCED)
+    )

@@ -118,13 +118,12 @@ class TestStatisticsDrivenPipeline:
 
         # phase 1: collect statistics on a prefix
         graph = DynamicGraph(TimeWindow(None))
-        summarizer = StreamSummarizer(track_triads=True)
+        summarizer = StreamSummarizer(graph, track_triads=True)
         prefix = list(stream)[: len(stream) // 4]
         for record in prefix:
-            edge = graph.ingest(record.source, record.target, record.label, record.timestamp,
-                                record.attrs, source_label=record.source_label,
-                                target_label=record.target_label)
-            summarizer.observe(graph, edge)
+            graph.ingest(record.source, record.target, record.label, record.timestamp,
+                         record.attrs, source_label=record.source_label,
+                         target_label=record.target_label)
 
         # phase 2: plan with those statistics
         query = smurf_ddos_query(3)

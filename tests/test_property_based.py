@@ -528,17 +528,16 @@ class TestCheckpointRecoveryProperty:
 
 
 # ----------------------------------------------------------------------
-# Statistics upkeep: live legs == recount over the live edges, whatever
+# Statistics: the summary == a recount over the window store, whatever
 # path the records took
 # ----------------------------------------------------------------------
-class TestLiveLegInvariantProperty:
+class TestWindowStatisticsProperty:
     """After any stream shape -- per-record and batched feeds mixed, arbitrary
     disorder (run splits, dead-on-arrival records), event-time reordering
     with dropped or ``process_degraded`` late records, a checkpoint/restore
-    in the middle, one engine or two shards -- the triad census's live leg
-    counters equal a from-scratch recount over each window store's live
-    edges, and a resumed engine's statistics serialise exactly like the
-    uninterrupted run's."""
+    in the middle, one engine or two shards -- every window store's summary
+    equals a from-scratch recount over it, and a resumed engine's
+    statistics serialise exactly like the uninterrupted run's."""
 
     @staticmethod
     def build(shard_count, lateness, degraded):
@@ -573,12 +572,12 @@ class TestLiveLegInvariantProperty:
         shard_count=st.sampled_from([None, 2]),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=SUPPRESS)
-    def test_live_legs_equal_a_recount_after_any_stream_shape(
+    def test_statistics_describe_the_window_after_any_stream_shape(
         self, rows, split_seed, checkpoint_index, lateness, degraded, shard_count
     ):
-        from differential import assert_live_legs_exact
+        from differential import assert_statistics_describe_the_window
 
-        # vertex type by id parity, so legs differ in their leaf labels too
+        # vertex type by id parity, so wedges differ in their leaf labels too
         records = [
             StreamEdge(f"n{source}", f"n{target}", label, timestamp,
                        source_label=f"T{source % 2}", target_label=f"T{target % 2}")
@@ -590,7 +589,7 @@ class TestLiveLegInvariantProperty:
         oracle = self.build(shard_count, lateness, degraded)
         self.feed(oracle, records, splits)
         oracle.flush()
-        assert_live_legs_exact(oracle, "uninterrupted")
+        assert_statistics_describe_the_window(oracle, "uninterrupted")
 
         crashed = self.build(shard_count, lateness, degraded)
         self.feed(crashed, records, splits[:cut])
@@ -601,10 +600,10 @@ class TestLiveLegInvariantProperty:
             resumed = type(crashed).restore(path)
         finally:
             os.unlink(path)
-        assert_live_legs_exact(resumed, "just restored")
+        assert_statistics_describe_the_window(resumed, "just restored")
         self.feed(resumed, records, splits[cut:])
         resumed.flush()
-        assert_live_legs_exact(resumed, "resumed")
+        assert_statistics_describe_the_window(resumed, "resumed")
         for ran, kept in zip(
             getattr(resumed, "shards", None) or [resumed],
             getattr(oracle, "shards", None) or [oracle],

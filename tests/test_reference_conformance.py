@@ -216,6 +216,9 @@ def test_oracle_catches_corrupted_recompile_on_replan():
         lambda: [
             ("ab", chain_query("ab", ["alpha", "beta"]), 0.5),
             ("ggg", chain_query("ggg", ["gamma", "gamma", "gamma"]), 0.5),
+            # a replan that keeps the installed tree compiles nothing: this
+            # query's tree is rebuilt as the drift sets in
+            ("abg", chain_query("abg", ["alpha", "beta", "gamma"]), 0.5),
         ],
         replan=True,
         candidate_kwargs={"mutate": sabotage_recompile},

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.graph import DynamicGraph, TimeWindow
 from repro.graph.types import Edge
-from repro.stats.degree import DegreeDistribution, StreamingDegreeTracker
+from repro.stats import StreamSummarizer
+from repro.stats.degree import DegreeDistribution
 from repro.stats.labels import LabelDistribution, SignatureDistribution
 
 
@@ -59,31 +61,30 @@ class TestDegreeDistribution:
         assert {"vertex_count", "mean", "max", "p50", "p90", "p99", "skew_ratio"} <= set(payload)
 
 
-class TestStreamingDegreeTracker:
-    def test_observe_and_retract(self):
-        tracker = StreamingDegreeTracker()
-        edge = Edge(0, "a", "b", "link", 1.0)
-        tracker.observe_edge(edge)
-        assert tracker.degree("a") == 1
-        assert tracker.out_degree("a") == 1
-        assert tracker.in_degree("b") == 1
-        tracker.retract_edge(edge)
-        assert tracker.degree("a") == 0
-        assert len(tracker) == 0
+class TestWindowDegrees:
+    """The summarizer's degrees are the window store's live vertex degrees."""
 
-    def test_top_hubs(self):
-        tracker = StreamingDegreeTracker()
-        for index in range(5):
-            tracker.observe_edge(Edge(index, "hub", f"leaf{index}", "link", 0.0))
-        hubs = tracker.top_hubs(1)
-        assert hubs[0][0] == "hub" and hubs[0][1] == 5
+    @staticmethod
+    def summarize(window, edges):
+        graph = DynamicGraph(TimeWindow(window))
+        for source, target, timestamp in edges:
+            graph.ingest(source, target, "link", timestamp)
+        return graph, StreamSummarizer(graph).summary().degrees
 
-    def test_distribution_snapshot(self):
-        tracker = StreamingDegreeTracker()
-        tracker.observe_edge(Edge(0, "a", "b", "link", 0.0))
-        dist = tracker.distribution()
-        assert dist.vertex_count == 2
-        assert dist.mean() == pytest.approx(1.0)
+    def test_degrees_follow_eviction(self):
+        graph, degrees = self.summarize(5.0, [("a", "b", 0.0), ("a", "c", 1.0), ("c", "d", 9.0)])
+        # a-b aged out, and so did a-c: only c-d is live
+        assert graph.edge_count() == 1
+        assert degrees.histogram() == {1: 2}
+
+    def test_a_self_loop_counts_twice(self):
+        _, degrees = self.summarize(None, [("a", "a", 0.0), ("a", "b", 1.0)])
+        assert degrees.histogram() == {3: 1, 1: 1}
+        assert degrees.total_degree == 4
+
+    def test_distribution_equals_the_one_read_from_the_graph(self):
+        graph, degrees = self.summarize(None, [("hub", f"leaf{i}", float(i)) for i in range(5)])
+        assert degrees.histogram() == DegreeDistribution.from_graph(graph).histogram() == {5: 1, 1: 5}
 
 
 class TestLabelDistribution:

@@ -1,7 +1,7 @@
 """Tests for the triad census, the stream summarizer and selectivity estimation."""
 
 import pytest
-from differential import recount_live_legs
+from differential import summary_facts
 
 from repro.core import EngineConfig, StreamWorksEngine
 from repro.graph import DynamicGraph, PropertyGraph, TimeWindow
@@ -53,16 +53,17 @@ def wedge_graph():
     return build_wedge_graph()
 
 
-def stream_into_census(graph, census):
-    """Feed ``graph``'s edges to ``census`` one at a time, in timestamp order."""
-    for edge in sorted(graph.edges(), key=lambda e: e.timestamp):
-        census.observe_edge(
-            edge.source,
-            edge.target,
-            edge.label,
-            graph.vertex(edge.source).label,
-            graph.vertex(edge.target).label,
-        )
+def live_edges_of(graph, edges=None):
+    """``(source, target, label, source label, target label)`` per edge."""
+    return [
+        (e.source, e.target, e.label, graph.vertex(e.source).label, graph.vertex(e.target).label)
+        for e in (graph.edges() if edges is None else edges)
+    ]
+
+
+def leg_count(graph, edges=None):
+    labels = {vertex.id: vertex.label for vertex in graph.vertices()}
+    return TriadCensus.from_live_edges(live_edges_of(graph, edges), labels)
 
 
 class TestTriadCensus:
@@ -80,46 +81,35 @@ class TestTriadCensus:
         graph.add_vertex("w", "W")
         graph.add_edge("v", "v", "loop", 1.0)
         graph.add_edge("v", "w", "link", 2.0)
-        census = TriadCensus()
-        census.observe_graph(graph)
-        # one wedge, centred at v: the loop never pairs with itself
-        assert census.total_wedges() == 1
-        assert census.count(wedge_key_for_query("V", ("loop", "out", "V"), ("link", "out", "W"))) == 1
+        key = wedge_key_for_query("V", ("loop", "out", "V"), ("link", "out", "W"))
+        brute_force = TriadCensus()
+        brute_force.observe_graph(graph)
+        for census in (brute_force, leg_count(graph)):
+            # one wedge, centred at v: the loop never pairs with itself
+            assert census.total_wedges() == 1
+            assert census.count(key) == 1
 
     @pytest.mark.parametrize(
         "build", [build_wedge_graph, build_self_loop_graph, build_hub_graph],
         ids=["wedge", "self-loops", "hub"],
     )
-    def test_streamed_census_equals_brute_force_exactly(self, build):
+    def test_leg_count_equals_brute_force_exactly(self, build):
         graph = build()
         brute_force = TriadCensus()
         brute_force.observe_graph(graph)
-        streamed = TriadCensus()
-        stream_into_census(graph, streamed)
-        assert streamed.total_wedges() == brute_force.total_wedges()
-        assert dict(streamed.most_common()) == dict(brute_force.most_common())
-        # no eviction: every edge's legs are still live
-        assert streamed.live_legs() == recount_live_legs(graph)
+        counted = leg_count(graph)
+        assert counted.total_wedges() == brute_force.total_wedges()
+        assert dict(counted.most_common()) == dict(brute_force.most_common())
 
     @pytest.mark.parametrize(
         "build", [build_wedge_graph, build_self_loop_graph], ids=["wedge", "self-loops"]
     )
-    def test_retract_to_zero_leaves_no_legs_and_keeps_the_wedge_counts(self, build):
+    def test_leg_count_does_not_depend_on_the_edge_order(self, build):
         graph = build()
-        census = TriadCensus()
-        stream_into_census(graph, census)
-        counted = census.state_dict()["counts"]
-        for edge in graph.edges():
-            census.retract_edge(
-                edge.source, edge.target, edge.label,
-                graph.vertex(edge.source).label, graph.vertex(edge.target).label,
-            )
-        assert census.live_legs() == {}
-        assert census.state_dict()["counts"] == counted
-        # nothing is live, so the next edge forms no wedge
-        before = census.total_wedges()
-        census.observe_edge("a1", "k", "mentions", "Article", "Keyword")
-        assert census.total_wedges() == before
+        forward = leg_count(graph)
+        backward = leg_count(graph, reversed(list(graph.edges())))
+        assert backward.most_common() == forward.most_common()
+        assert backward.to_dict() == forward.to_dict()
 
     def test_wildcard_count(self, wedge_graph):
         census = TriadCensus()
@@ -128,9 +118,13 @@ class TestTriadCensus:
         assert census.count_wildcard(wildcard) == 1
 
     def test_query_key_equals_stream_key_in_either_leg_order(self):
-        census = TriadCensus()
-        census.observe_edge("a", "k", "mentions", "Article", "Keyword")
-        census.observe_edge("a", "loc", "locatedIn", "Article", "Location")
+        census = TriadCensus.from_live_edges(
+            [
+                ("a", "k", "mentions", "Article", "Keyword"),
+                ("a", "loc", "locatedIn", "Article", "Location"),
+            ],
+            {"a": "Article", "k": "Keyword", "loc": "Location"},
+        )
         legs = (("mentions", "out", "Keyword"), ("locatedIn", "out", "Location"))
         assert census.count(wedge_key_for_query("Article", *legs)) == 1
         assert census.count(wedge_key_for_query("Article", *reversed(legs))) == 1
@@ -142,84 +136,45 @@ class TestTriadCensus:
         key = census.most_common(1)[0][0]
         assert 0 < census.frequency(key) <= 1.0
 
-    def test_state_round_trip_recounts_legs_from_the_live_edges(self):
-        graph = build_self_loop_graph()
-        census = TriadCensus()
-        stream_into_census(graph, census)
-        live = [
-            (e.source, e.target, e.label, graph.vertex(e.source).label, graph.vertex(e.target).label)
-            for e in graph.edges()
+    def test_no_edges_and_lone_legs_count_nothing(self):
+        assert TriadCensus.from_live_edges([], {}).total_wedges() == 0
+        lone = TriadCensus.from_live_edges(
+            [("a", "b", "link", "A", "B"), ("c", "d", "link", "A", "B")],
+            {"a": "A", "b": "B", "c": "A", "d": "B"},
+        )
+        assert lone.total_wedges() == 0 and len(lone) == 0
+
+
+class TestCensusWork:
+    def test_a_hub_is_counted_from_its_distinct_legs(self):
+        # 5 000 spokes of four leg types: C(1250, 2) wedges per type and
+        # 1250**2 per pair of types, from four leg entries at the hub
+        edges = [
+            ("hub", f"leaf{index}", f"rel{index % 4}", "Hub", f"Leaf{index % 4}")
+            for index in range(5000)
         ]
-        restored = TriadCensus.from_state(census.state_dict(), reversed(live))
-        assert restored.state_dict() == census.state_dict()
-        assert restored.live_legs() == census.live_legs()
-        assert set(census.state_dict()) == {"wedges_observed", "leg_sweep_steps", "counts"}
+        legs = TriadCensus._count_legs(edges)
+        assert len(legs["hub"]) == 4
+        labels = {"hub": "Hub", **{f"leaf{index}": f"Leaf{index % 4}" for index in range(5000)}}
+        census = TriadCensus.from_live_edges(edges, labels)
+        assert census.total_wedges() == 5000 * 4999 // 2
+        assert census.distinct_patterns() == 4 + 6
 
 
-# ----------------------------------------------------------------------
-# FO+MOD-style work bound: per-edge census work is independent of degree
-# ----------------------------------------------------------------------
-class PerIncidentEdgeCensus(TriadCensus):
-    """The shape the leg counters replaced: one sweep step per live incident edge."""
-
-    def __init__(self):
-        super().__init__()
-        self._incident = {}
-
-    def _add_leg(self, center, center_label, leg):
-        incident = self._incident.setdefault(center, [])
-        for other in incident:
-            key = wedge_key_for_query(center_label, leg, other)
-            self._counts[key] = self._counts.get(key, 0) + 1
-        self._wedges_observed += len(incident)
-        self.leg_sweep_steps += len(incident)
-        incident.append(leg)
-
-
-def sweep_steps_per_edge_at_hub_degree(census, degree, probes=50):
-    """Grow one hub to ``degree`` spokes of four leg types, then measure
-    the sweep steps of ``probes`` further edges at the hub."""
-    for index in range(degree):
-        kind = index % 4
-        census.observe_edge("hub", f"leaf{index}", f"rel{kind}", "Hub", f"Leaf{kind}")
-    before = census.leg_sweep_steps
-    for index in range(probes):
-        census.observe_edge("hub", f"probe{index}", "rel0", "Hub", "Leaf0")
-    return (census.leg_sweep_steps - before) / probes
-
-
-def assert_work_is_flat_in_degree(census_class, growth=100):
-    small = sweep_steps_per_edge_at_hub_degree(census_class(), 50)
-    large = sweep_steps_per_edge_at_hub_degree(census_class(), 50 * growth)
-    assert large == small, f"steps per edge grew from {small} to {large} with hub degree x{growth}"
-
-
-class TestCensusWorkBound:
-    def test_leg_sweep_steps_per_edge_stay_flat_as_a_hub_grows_100x(self):
-        assert_work_is_flat_in_degree(TriadCensus)
-        # four leg types live at the hub: four steps per new hub edge
-        assert sweep_steps_per_edge_at_hub_degree(TriadCensus(), 5000) == 4
-
-    def test_the_pin_fails_against_a_per_incident_edge_census(self):
-        # same wedges, degree-proportional work: the pin must notice
-        reference, exact = PerIncidentEdgeCensus(), TriadCensus()
-        for census in (reference, exact):
-            sweep_steps_per_edge_at_hub_degree(census, 40, probes=5)
-        assert dict(reference.most_common()) == dict(exact.most_common())
-        with pytest.raises(AssertionError, match="grew"):
-            assert_work_is_flat_in_degree(PerIncidentEdgeCensus, growth=10)
+def ingest_all(graph, records):
+    return [
+        graph.ingest(record.source, record.target, record.label, record.timestamp,
+                     record.attrs, source_label=record.source_label,
+                     target_label=record.target_label)
+        for record in records
+    ]
 
 
 class TestStreamSummarizer:
-    def test_observe_builds_all_statistics(self, small_news_stream):
+    def test_summary_builds_all_statistics(self, small_news_stream):
         graph = DynamicGraph(TimeWindow(None))
-        summarizer = StreamSummarizer(track_triads=True)
-        for record in small_news_stream:
-            edge = graph.ingest(record.source, record.target, record.label, record.timestamp,
-                                record.attrs, source_label=record.source_label,
-                                target_label=record.target_label)
-            summarizer.observe(graph, edge)
-        summary = summarizer.summary()
+        ingest_all(graph, small_news_stream)
+        summary = StreamSummarizer(graph).summary()
         assert summary.edge_count == len(small_news_stream)
         assert summary.vertex_labels.count("Article") == 50
         assert summary.edge_labels.count("mentions") == 50
@@ -228,19 +183,17 @@ class TestStreamSummarizer:
         assert summary.degrees.vertex_count == summary.vertex_count
 
     @pytest.mark.parametrize("track_triads", [False, True])
-    def test_a_count_min_section_loads_recounted_from_the_store(
-        self, small_news_stream, track_triads
+    def test_a_section_with_folded_statistics_loads_them_ignored(
+        self, small_news_stream, track_triads, caplog
     ):
-        # snapshots written with the retired count-min backend hold tables,
-        # not counts: the label and signature distributions are recounted
-        # from the restored store and everything else loads as saved
+        # snapshots written while statistics were folded per record carry
+        # the folded counts (count-min tables, in some); the store derives
+        # all of them, so they are ignored and only the counter is kept
+        from repro.persistence.state import _summarizer_from_state
+
         graph = DynamicGraph(TimeWindow(None))
-        summarizer = StreamSummarizer(track_triads=track_triads)
-        for record in small_news_stream:
-            edge = graph.ingest(record.source, record.target, record.label, record.timestamp,
-                                record.attrs, source_label=record.source_label,
-                                target_label=record.target_label)
-            summarizer.observe(graph, edge)
+        summarizer = StreamSummarizer(graph, track_triads=track_triads)
+        summarizer.observe_batch(ingest_all(graph, small_news_stream))
         state = summarizer.state_dict()
         state["sketch_stats"] = True
         for name in ("vertex_labels", "edge_labels", "signatures"):
@@ -250,44 +203,31 @@ class TestStreamSummarizer:
                 "heavy": [],
                 "total_count": 0,
             }
-        restored = StreamSummarizer.from_state(state, graph)
+        with caplog.at_level("WARNING", logger="repro.persistence"):
+            restored = _summarizer_from_state(state, graph)
+        (record,) = caplog.records
+        assert record.getMessage().endswith("edge_labels, signatures, sketch_stats, vertex_labels")
         assert restored.summary().edge_labels.count("mentions") == 50
         assert restored.state_dict() == summarizer.state_dict()
+        assert restored.edges_observed == len(small_news_stream)
 
     def test_summary_from_graph_matches_streaming(self, small_news_stream):
         graph = DynamicGraph(TimeWindow(None))
-        summarizer = StreamSummarizer(track_triads=True)
-        for record in small_news_stream:
-            edge = graph.ingest(record.source, record.target, record.label, record.timestamp,
-                                record.attrs, source_label=record.source_label,
-                                target_label=record.target_label)
-            summarizer.observe(graph, edge)
-        streaming = summarizer.summary()
-        batch = GraphSummary.from_graph(graph)
-        assert batch.edge_count == streaming.edge_count
-        assert batch.vertex_count == streaming.vertex_count
-        assert batch.signatures.count(("Article", "mentions", "Keyword")) == streaming.signatures.count(
-            ("Article", "mentions", "Keyword")
+        ingest_all(graph, small_news_stream)
+        assert summary_facts(StreamSummarizer(graph).summary()) == summary_facts(
+            GraphSummary.from_graph(graph)
         )
-        assert batch.triads.total_wedges() == pytest.approx(streaming.triads.total_wedges())
 
-    def test_observe_batch_is_the_same_fold_as_observe(self, small_news_stream):
-        def fed(chunk):
-            graph = DynamicGraph(TimeWindow(None))
-            summarizer = StreamSummarizer(track_triads=True)
-            for start in range(0, len(small_news_stream), chunk):
-                summarizer.observe_batch(
-                    graph,
-                    [
-                        graph.ingest(record.source, record.target, record.label, record.timestamp,
-                                     record.attrs, source_label=record.source_label,
-                                     target_label=record.target_label)
-                        for record in small_news_stream[start:start + chunk]
-                    ],
-                )
-            return summarizer.state_dict()
-
-        assert fed(1) == fed(7) == fed(len(small_news_stream))
+    def test_observe_batch_only_counts_edges(self, small_news_stream):
+        graph = DynamicGraph(TimeWindow(None))
+        summarizer = StreamSummarizer(graph)
+        edges = ingest_all(graph, small_news_stream)
+        before = summary_facts(summarizer.summary())
+        summarizer.observe_batch(edges[:7])
+        summarizer.observe_batch(edges[7:])
+        assert summarizer.edges_observed == len(edges)
+        assert summary_facts(summarizer.summary()) == before
+        assert set(vars(summarizer)) == {"graph", "track_triads", "_edge_count"}
 
     def test_describe_and_to_dict(self, news_graph):
         summary = GraphSummary.from_graph(news_graph)
@@ -304,7 +244,7 @@ def star_records(spokes=10):
 
 
 class TestEngineStatisticsUpkeep:
-    """The summarizer as the engine drives it: batch fold, eviction hook."""
+    """The summary as the engine serves it: from the window store, on demand."""
 
     @staticmethod
     def engine(**config):
@@ -316,8 +256,7 @@ class TestEngineStatisticsUpkeep:
         return engine
 
     def test_batched_feed_counts_in_run_wedges_once(self):
-        # the batched path ingests the whole run before folding it; a census
-        # that read the *graph* saw each in-run pair from both sides (90)
+        # a census that read each in-run pair from both sides would say 90
         records = star_records(10)
         batched = self.engine()
         batched.process_batch(records)
@@ -327,9 +266,11 @@ class TestEngineStatisticsUpkeep:
         truth = GraphSummary.from_graph(batched.graph).triads
         assert truth.total_wedges() == 45
         for engine in (batched, per_record):
-            assert engine.summarizer.triads.total_wedges() == 45
-            assert dict(engine.summarizer.triads.most_common()) == dict(truth.most_common())
-        assert batched.summarizer.state_dict() == per_record.summarizer.state_dict()
+            assert engine.statistics_summary().triads.total_wedges() == 45
+            assert dict(engine.statistics_summary().triads.most_common()) == dict(truth.most_common())
+        assert summary_facts(batched.statistics_summary()) == summary_facts(
+            per_record.statistics_summary()
+        )
 
     def test_wedge_estimates_on_a_hub_equal_the_ground_truth(self):
         # the sampled census this replaced was within ~35 % here; exact is 0 %
@@ -345,7 +286,7 @@ class TestEngineStatisticsUpkeep:
         assert truth.estimate_primitive(query, query) == 60 * 59 / 2
 
     @pytest.mark.parametrize("batched", [False, True], ids=["per-record", "batched"])
-    def test_eviction_retracts_legs_but_not_wedge_counts(self, batched):
+    def test_statistics_describe_the_window_after_eviction(self, batched):
         engine = self.engine(default_window=3.0)
         records = star_records(10)
         if batched:
@@ -354,23 +295,26 @@ class TestEngineStatisticsUpkeep:
         else:
             for record in records:
                 engine.process_record(record)
-        census = engine.summarizer.triads
-        assert engine.graph.edge_count() == 3
-        assert census.live_legs() == recount_live_legs(engine.graph)
-        assert census.live_legs()["hub"] == {("link", "out", "Leaf"): 3}
-        # cumulative: more than the 3 wedges among the live edges
-        assert census.total_wedges() > 3
+        summary = engine.statistics_summary()
+        assert engine.graph.edge_count() == summary.edge_count == 3
+        assert summary.edge_labels.to_dict() == {"link": 3}
+        assert summary.vertex_labels.to_dict() == {"Hub": 1, "Leaf": 3}
+        assert summary.degrees.histogram() == {3: 1, 1: 3}
+        # the wedges among the live edges, not every wedge ever formed
+        assert summary.triads.total_wedges() == 3
+        assert engine.summarizer.edges_observed == 10
 
-    def test_dead_on_arrival_records_are_neither_folded_nor_retracted(self):
+    def test_dead_on_arrival_records_are_not_counted(self):
         engine = self.engine(default_window=3.0)
         engine.process_batch(star_records(10))
-        before = engine.summarizer.state_dict()
+        before = summary_facts(engine.statistics_summary())
+        observed = engine.summarizer.edges_observed
         stale = StreamEdge("hub", "leaf0", "link", 1.0, source_label="Hub", target_label="Leaf")
         engine.process_record(stale)
         engine.process_batch([stale, stale])
         assert engine.records_dead_on_arrival == 3
-        assert engine.summarizer.state_dict() == before
-        assert engine.summarizer.triads.live_legs() == recount_live_legs(engine.graph)
+        assert summary_facts(engine.statistics_summary()) == before
+        assert engine.summarizer.edges_observed == observed
 
     def test_vertex_recreated_under_another_label_is_read_from_the_store_again(self):
         engine = self.engine(default_window=2.0)
@@ -380,8 +324,18 @@ class TestEngineStatisticsUpkeep:
         assert not engine.graph.has_vertex("x")
         engine.process_record(StreamEdge("p", "x", "link", 11.0, source_label="Hub", target_label="Leaf"))
         assert engine.graph.vertex("x").label == "Leaf"
-        assert engine.summarizer.triads.live_legs() == recount_live_legs(engine.graph)
-        assert engine.summarizer.signatures.count(("Hub", "link", "Leaf")) == 3
+        summary = engine.statistics_summary()
+        assert summary.signatures.to_dict() == {"Hub|link|Leaf": 2}
+        assert summary.vertex_labels.to_dict() == {"Hub": 1, "Leaf": 2}
+        assert summary_facts(summary) == summary_facts(GraphSummary.from_graph(engine.graph))
+
+    def test_an_empty_store_summarizes_without_reading_it(self, monkeypatch):
+        # registration before the first record must stay O(1)
+        engine = self.engine()
+        monkeypatch.setattr(type(engine.graph.graph), "edges", None)
+        monkeypatch.setattr(type(engine.graph.graph), "vertices", None)
+        summary = engine.statistics_summary()
+        assert summary.edge_count == summary.vertex_count == 0
 
 
 class TestSelectivityEstimator:
