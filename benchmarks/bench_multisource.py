@@ -10,9 +10,7 @@ every record is released that late, always.  Per-source watermarks
 at per-source lateness, and the release horizon tracks the collectors'
 *actual current* lag instead of the provisioned worst case.  The dual
 failure mode -- one silent collector freezing the min-watermark -- is
-bounded by the idle-source timeout.  An async ingestion front-end
-(admission on its own thread) rides along with a byte-for-byte equivalence
-contract against the synchronous path.
+bounded by the idle-source timeout.
 
 Assertions (all deterministic, so they run at every scale including the CI
 smoke):
@@ -24,9 +22,8 @@ smoke):
   larger peak buffer;
 * the idle-source timeout keeps the held tail bounded when a collector
   goes silent (vs the frozen min-watermark);
-* the multi-source engine -- single, sharded, and sharded behind the
-  async front-end -- emits exactly the sorted-merge oracle's match
-  multiset with zero late records.
+* the multi-source engine -- single and sharded -- emits exactly the
+  sorted-merge oracle's match multiset with zero late records.
 
 Runnable standalone (CI smoke)::
 
@@ -44,9 +41,6 @@ def check_result(result):
     )
     assert result["multisource_sharded_exact"], (
         "sharded multi-source run diverged from the sorted-merge oracle"
-    )
-    assert result["async_exact"], (
-        "async front-end run diverged from the synchronous sorted-merge oracle"
     )
     assert result["multisource_zero_late"], (
         "per-source watermarks declared records late on per-source-ordered input"
@@ -100,7 +94,7 @@ if __name__ == "__main__":
     )
     check_result(result)
     print(
-        f"conformance OK (single, sharded, async); global watermark at honest "
+        f"conformance OK (single, sharded); global watermark at honest "
         f"lateness kept {result['global_small_recall']:.1%} of records, per-source "
         f"kept 100%; release staleness {result['staleness_improvement']:.2f}x "
         f"fresher than the worst-case horizon; silent-collector tail "

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Multi-source ingestion: per-source watermarks, idle timeout, async front-end.
+"""Multi-source ingestion: per-source watermarks and the idle-source timeout.
 
 A monitoring deployment rarely has ONE event feed: here two netflow
 collectors watch the same network, and collector "B"'s clock delivers
@@ -14,9 +14,7 @@ three seconds behind collector "A".  The walk-through shows:
    collector *holds* the horizon instead of losing records, and the
    result is exactly the sorted merge of the two feeds;
 3. the idle-source timeout: when a collector goes silent it would freeze
-   that minimum forever -- ``idle_source_timeout`` bounds the wait;
-4. the asynchronous ingestion front-end, which admits records on its own
-   thread and still produces byte-for-byte the synchronous results.
+   that minimum forever -- ``idle_source_timeout`` bounds the wait.
 
 Run with::
 
@@ -25,7 +23,7 @@ Run with::
 
 from repro.core import EngineConfig, StreamWorksEngine
 from repro.query import QueryBuilder
-from repro.streaming import AsyncIngestFrontend, StreamEdge, skewed_interleave
+from repro.streaming import StreamEdge, skewed_interleave
 
 
 def build_query():
@@ -103,26 +101,7 @@ def main():
     stats = engine.metrics()["reorder"]
     print(f"  idle sources at end of stream: {stats['idle_sources']}")
     print()
-
-    print("Async ingestion front-end (admission on its own thread):")
-    async_engine = StreamWorksEngine(config=EngineConfig(allowed_lateness=0.0))
-    async_engine.register_source("A")
-    async_engine.register_source("B")
-    async_engine.register_query(build_query(), name="two_hop", window=30.0)
-    with AsyncIngestFrontend(async_engine) as frontend:
-        for record in arrival:
-            frontend.submit([record])
-        events = frontend.drain() + frontend.flush()
-    sync_engine = run_engine(arrival=arrival)
-    identical = [
-        (e.query_name, e.match.portable_identity(), e.sequence) for e in events
-    ] == [
-        (e.query_name, e.match.portable_identity(), e.sequence)
-        for e in sync_engine.events()
-    ]
-    print(f"  async front-end produced identical events: {identical}")
-    print()
-    print(async_engine.describe())
+    print(engine.describe())
 
 
 if __name__ == "__main__":

@@ -14,8 +14,8 @@ classes mechanically, so CI fails when docs and code diverge:
    document *every* ``EngineConfig`` constructor parameter, and must not
    document parameters that no longer exist.
 4. **Metrics coverage** -- every key returned by ``metrics()`` (single
-   engine, sharded engine, reorder stats, async front-end stats) must
-   appear in the operations guide.
+   engine, sharded engine, reorder stats) must appear in the operations
+   guide.
 
 Run from the repository root::
 
@@ -108,7 +108,7 @@ def check_engine_config_coverage(errors: list) -> None:
 def check_metrics_coverage(errors: list) -> None:
     from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
     from repro.query.query_graph import QueryGraph
-    from repro.streaming import AsyncIngestFrontend, StreamEdge
+    from repro.streaming import StreamEdge
 
     def tiny_query():
         query = QueryGraph("q")
@@ -125,8 +125,6 @@ def check_metrics_coverage(errors: list) -> None:
     sharded = ShardedStreamEngine(config=ShardConfig(shard_count=2))
     sharded.register_query(tiny_query(), window=5.0)
     sharded.process_batch([record])
-    frontend = AsyncIngestFrontend(single)
-    frontend.close()
 
     operations = (REPO_ROOT / "docs" / "operations.md").read_text()
     sketch = single.metrics()["sketch"]
@@ -134,7 +132,6 @@ def check_metrics_coverage(errors: list) -> None:
         "single-engine metrics": single.metrics(),
         "reorder stats": single.metrics()["reorder"],
         "sharded metrics": sharded.metrics(),
-        "async front-end stats": frontend.stats(),
         # the sketch surface is nested one level; flatten so every leaf
         # counter (and the sub-surface names themselves) is enforced
         "sketch stats": {**sketch, **sketch["dedup_memory"]},

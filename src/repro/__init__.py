@@ -11,8 +11,8 @@ High-level entry points
 :class:`repro.core.engine.StreamWorksEngine`
     Register continuous queries, feed edges, receive match events.
 :class:`repro.core.sharded.ShardedStreamEngine`
-    The same contract with queries partitioned across N shards (serial or
-    multiprocessing), emitting the identical event stream.
+    The same contract with queries partitioned across N shards, run one
+    after another in-process, emitting the identical event stream.
 :class:`repro.query.builder.QueryBuilder` / :func:`repro.query.parser.parse_query`
     Construct query graphs programmatically or from text.
 :mod:`repro.workloads`

@@ -7,9 +7,7 @@ that violate the engine's byte-for-byte determinism contract:
 * id-hash-ordered adjacency enumeration (PR 2) -- iteration order leaked
   from ``id()``/``hash()`` into event order;
 * the empty-``ReorderBuffer``-is-falsy snapshot drop (PR 4) -- ``if x:``
-  on an Optional whose empty value is meaningful;
-* per-source counters read outside the buffer lock (PR 5) -- shared
-  mutable state touched off-lock.
+  on an Optional whose empty value is meaningful.
 
 This package catches those classes (and their relatives: unseeded RNG,
 wall-clock reads on the hot path, ``state_dict`` fields that skip

@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 #: Bump whenever the summary or cache schema changes shape; old caches
 #: are then ignored wholesale and rebuilt.
-CACHE_VERSION = 1
+CACHE_VERSION = 2
 
 __all__ = ["AnalysisCache", "CACHE_VERSION", "text_hash"]
 

@@ -9,28 +9,7 @@ into the interprocedural facts the whole-program rules consume:
   definitions and project imports;
 * **raise reachability** -- whether a node can propagate an exception to
   its caller (a ``raise`` outside any ``try``/``except`` in the node
-  itself, or transitively through an unguarded call);
-* **entry lock contexts** -- for each method of a class, the set of the
-  class's locks that is *provably held on every path into the method*.
-  Public methods (anything without a leading underscore, plus dunders)
-  are externally callable, so their entry context is empty; a private
-  helper's context is the intersection over its intra-class call sites of
-  (caller's entry context + locks held at the site).  A private helper
-  whose only callers are ``__init__``-reachable never runs concurrently
-  and is exempt (context ``None``);
-* **lock-order graph** -- edges ``held -> acquired`` from nested ``with``
-  blocks and from calls made while holding a lock into methods that
-  (transitively) acquire another; cycles are potential deadlocks.
-  Re-acquiring a plain ``threading.Lock`` already held is a self-deadlock
-  and reported as a one-node cycle; ``RLock``/``Condition`` re-entry is
-  legal and exempt;
-* **thread partition** -- for classes that spawn ``Thread(target=self.m)``,
-  the split of methods into the spawned thread's side (closure of the
-  targets over ``self`` calls) and the caller side (closure of the public
-  surface), which the escape analysis uses to find attributes reachable
-  from both threads with no common lock;
-* **worker closure** -- for classes that spawn ``Process(target=...)``,
-  the set of module-level functions reachable in the child process.
+  itself, or transitively through an unguarded call).
 
 Everything here is derived data: it is rebuilt from summaries on each run
 (cheap -- no parsing) and never cached on disk.
@@ -38,33 +17,14 @@ Everything here is derived data: it is rebuilt from summaries on each run
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from .model import ClassSummary, FileSummary, MethodSummary, ProjectModel
 
-__all__ = ["CallGraph", "LockCycle", "NodeKey"]
+__all__ = ["CallGraph", "NodeKey"]
 
 #: ``("m", path, class, method)`` or ``("f", path, function)``.
 NodeKey = Tuple[str, ...]
-
-
-def is_public_method(name: str) -> bool:
-    """Externally callable by convention: no leading underscore, or dunder."""
-    if not name.startswith("_"):
-        return True
-    return name.startswith("__") and name.endswith("__")
-
-
-class LockCycle:
-    """A cycle in a class's lock-acquisition graph."""
-
-    __slots__ = ("locks", "sites")
-
-    def __init__(self, locks: Tuple[str, ...], sites: List[Tuple[str, str, int]]):
-        #: The locks on the cycle, in traversal order.
-        self.locks = locks
-        #: One ``(method, "held -> acquired", line)`` witness per edge.
-        self.sites = sites
 
 
 class CallGraph:
@@ -144,9 +104,6 @@ class CallGraph:
                 return ("m", file_summary.display_path, name, "__init__")
         return None
 
-    def node(self, key: NodeKey) -> MethodSummary:
-        return self._nodes[key]
-
     # ------------------------------------------------------------------
     # raise reachability
     # ------------------------------------------------------------------
@@ -195,218 +152,3 @@ class CallGraph:
         """Does a spelled call site (outside ``try``) risk an exception?"""
         key = self.resolve(file_summary, class_summary, spelled)
         return key is not None and self.raises(key)
-
-    # ------------------------------------------------------------------
-    # entry lock contexts
-    # ------------------------------------------------------------------
-    def entry_locks(
-        self, class_summary: ClassSummary
-    ) -> Dict[str, Optional[FrozenSet[str]]]:
-        """Locks provably held on every entry into each method.
-
-        Returns ``frozenset()`` for externally callable methods, a
-        non-empty frozenset for helpers always invoked under those locks,
-        and ``None`` for helpers only ever reached from ``__init__`` (or
-        not at all) -- those never run concurrently and are exempt from
-        lock-discipline findings.
-        """
-        methods = class_summary.methods
-        sites: Dict[str, List[Tuple[str, Tuple[str, ...]]]] = {name: [] for name in methods}
-        for caller_name, caller in methods.items():
-            if caller_name == "__init__":
-                continue  # construction is single-threaded by contract
-            for callee, locks, _line in caller.self_calls:
-                if callee in sites:
-                    sites[callee].append((caller_name, locks))
-
-        entry: Dict[str, Optional[FrozenSet[str]]] = {}
-        for name in methods:
-            if name == "__init__" or is_public_method(name) or not sites[name]:
-                # public surface and uncalled privates: assume bare entry
-                entry[name] = frozenset()
-            else:
-                entry[name] = None  # to be narrowed by the fixed point
-
-        changed = True
-        while changed:
-            changed = False
-            for name in methods:
-                if entry[name] is not None and not sites[name]:
-                    continue
-                if name == "__init__" or is_public_method(name):
-                    continue
-                contributions: List[FrozenSet[str]] = []
-                for caller_name, locks in sites[name]:
-                    base = entry.get(caller_name)
-                    if base is None:
-                        continue  # caller unconstrained so far: no contribution yet
-                    contributions.append(base | frozenset(locks))
-                if contributions:
-                    narrowed: FrozenSet[str] = contributions[0]
-                    for contribution in contributions[1:]:
-                        narrowed &= contribution
-                    if narrowed != entry[name]:
-                        entry[name] = narrowed
-                        changed = True
-        return entry
-
-    # ------------------------------------------------------------------
-    # lock-order graph
-    # ------------------------------------------------------------------
-    def transitive_acquisitions(
-        self, class_summary: ClassSummary
-    ) -> Dict[str, Dict[str, Tuple[str, int]]]:
-        """Per method: every lock it (or a callee) acquires, with a witness.
-
-        The witness is ``(method, line)`` of one syntactic acquisition site
-        so the deadlock report can point somewhere real.
-        """
-        methods = class_summary.methods
-        acquired: Dict[str, Dict[str, Tuple[str, int]]] = {}
-        for name, method in methods.items():
-            acquired[name] = {
-                lock: (name, line) for lock, _held, line in method.acquisitions
-            }
-        changed = True
-        while changed:
-            changed = False
-            for name, method in methods.items():
-                for callee, _locks, _line in method.self_calls:
-                    if callee not in acquired:
-                        continue
-                    for lock, site in acquired[callee].items():
-                        if lock not in acquired[name]:
-                            acquired[name][lock] = site
-                            changed = True
-        return acquired
-
-    def lock_order_cycles(self, class_summary: ClassSummary) -> List[LockCycle]:
-        """Cycles in the class's lock-acquisition graph (potential deadlocks)."""
-        entry = self.entry_locks(class_summary)
-        transitive = self.transitive_acquisitions(class_summary)
-        # edges: held -> acquired, with one (method, line) witness each
-        edges: Dict[Tuple[str, str], Tuple[str, int]] = {}
-        reentrant = {
-            lock
-            for lock, factory in class_summary.lock_attrs.items()
-            if factory in ("RLock", "Condition")
-        }
-        for name, method in class_summary.methods.items():
-            base = entry.get(name) or frozenset()
-            for lock, held, line in method.acquisitions:
-                for holding in frozenset(held) | base:
-                    if holding == lock and lock in reentrant:
-                        continue
-                    edges.setdefault((holding, lock), (name, line))
-            for callee, locks, line in method.self_calls:
-                if callee not in transitive:
-                    continue
-                holding_set = frozenset(locks) | base
-                for lock, site in transitive[callee].items():
-                    for holding in holding_set:
-                        if holding == lock and lock in reentrant:
-                            continue
-                        edges.setdefault((holding, lock), (name, line))
-
-        graph: Dict[str, Set[str]] = {}
-        for holding, lock in edges:
-            graph.setdefault(holding, set()).add(lock)
-            graph.setdefault(lock, set())
-
-        cycles: List[LockCycle] = []
-        seen_cycles: Set[FrozenSet[str]] = set()
-
-        def dfs(start: str, current: str, path: List[str]) -> None:
-            for successor in sorted(graph.get(current, ())):
-                if successor == start:
-                    if len(path) == 1:
-                        continue  # self-loops are reported separately below
-                    signature = frozenset(path)
-                    if signature in seen_cycles:
-                        continue
-                    seen_cycles.add(signature)
-                    ordered = tuple(path)
-                    sites = []
-                    for index, lock in enumerate(ordered):
-                        follower = ordered[(index + 1) % len(ordered)]
-                        method, line = edges[(lock, follower)]
-                        sites.append((method, f"{lock} -> {follower}", line))
-                    cycles.append(LockCycle(ordered, sites))
-                elif successor not in path and successor > start:
-                    # only walk nodes after `start` so each cycle is found
-                    # once, from its smallest member
-                    dfs(start, successor, path + [successor])
-
-        for lock in sorted(graph):
-            if (lock, lock) in edges:
-                method, line = edges[(lock, lock)]
-                cycles.append(LockCycle((lock,), [(method, f"{lock} -> {lock}", line)]))
-            dfs(lock, lock, [lock])
-        return cycles
-
-    # ------------------------------------------------------------------
-    # thread partition (escape analysis)
-    # ------------------------------------------------------------------
-    def thread_partition(
-        self, class_summary: ClassSummary
-    ) -> Optional[Tuple[Set[str], Set[str]]]:
-        """``(thread-side methods, caller-side methods)`` or ``None``.
-
-        Only classes that spawn ``Thread(target=self.m)`` have a partition.
-        A method can appear on both sides (a helper shared by the spawned
-        thread and the public surface) -- its accesses then count on both.
-        """
-        targets = [
-            target for target in class_summary.thread_targets
-            if target in class_summary.methods
-        ]
-        if not targets:
-            return None
-        thread_side = self._closure(class_summary, targets)
-        public_roots = [
-            name
-            for name in class_summary.methods
-            if name != "__init__" and is_public_method(name) and name not in targets
-        ]
-        caller_side = self._closure(class_summary, public_roots)
-        return thread_side, caller_side
-
-    def _closure(self, class_summary: ClassSummary, roots: Sequence[str]) -> Set[str]:
-        reached: Set[str] = set()
-        queue = list(roots)
-        while queue:
-            name = queue.pop()
-            if name in reached or name not in class_summary.methods:
-                continue
-            reached.add(name)
-            for callee, _locks, _line in class_summary.methods[name].self_calls:
-                queue.append(callee)
-        return reached
-
-    # ------------------------------------------------------------------
-    # worker closure (fork safety)
-    # ------------------------------------------------------------------
-    def worker_closure(
-        self, file_summary: FileSummary, class_summary: ClassSummary
-    ) -> List[Tuple[FileSummary, MethodSummary]]:
-        """Functions/methods reachable inside spawned worker processes."""
-        queue: List[NodeKey] = []
-        for spelled in class_summary.process_targets:
-            key = self.resolve(file_summary, class_summary, spelled)
-            if key is not None:
-                queue.append(key)
-        reached: List[Tuple[FileSummary, MethodSummary]] = []
-        seen: Set[NodeKey] = set()
-        while queue:
-            key = queue.pop()
-            if key in seen:
-                continue
-            seen.add(key)
-            summary = self._nodes[key]
-            node_file, node_class = self._node_class[key]
-            reached.append((node_file, summary))
-            for spelled, _line in summary.calls:
-                callee = self.resolve(node_file, node_class, spelled)
-                if callee is not None:
-                    queue.append(callee)
-        return reached

@@ -60,9 +60,9 @@ def documented_fields(text: str, section_heading: str) -> Set[str]:
 def backticked_terms(text: str) -> Set[str]:
     """Every word token inside a backticked code span of ``text``.
 
-    ``frontend.metrics()["async_ingest"]`` documents ``async_ingest`` just
-    as well as a bare ``` `async_ingest` ``` does, so metrics-key coverage
-    accepts mentions inside longer code spans.
+    ``engine.metrics()["reorder"]`` documents ``reorder`` just as well as
+    a bare ``` `reorder` ``` does, so metrics-key coverage accepts
+    mentions inside longer code spans.
     """
     # drop fenced code blocks first: a ``` fence would otherwise mispair
     # with inline backticks and shift every span after it

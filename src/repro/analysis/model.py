@@ -1,9 +1,9 @@
 """The project model: per-file interprocedural summaries, JSON-cacheable.
 
 PR 6's repro-lint rules are per-file and syntactic; the rule classes this
-package grew next (fork-safety, lock-order, exception-atomicity) need the
-*whole program*: who calls whom, which locks are held where, which
-attributes a class persists.  Re-deriving that from every AST on every run
+package grew next (exception-atomicity, config drift, optional
+truthiness) need the *whole program*: who calls whom, which calls can
+raise, which attributes a class persists.  Re-deriving that from every AST on every run
 would blow the tier-1 runtime budget, so the model follows the same
 incremental-maintenance discipline as the engine it checks (small
 per-update work, never a full recompute): each file reduces to a
@@ -15,19 +15,12 @@ and rebuilds the cheap derived indexes (:class:`ProjectModel`,
 
 What a summary records, per method (:class:`MethodSummary`):
 
-* every ``self.<attr>`` access -- read / write / delete -- with the set of
-  the class's locks syntactically held at the access;
-* every ``self.<method>()`` call with the locks held at the call site
-  (the call-graph layer propagates lock contexts through these edges);
-* every lock *acquisition* (``with self.<lock>:``) with the locks already
-  held -- the edges of the lock-order graph;
-* an ordered event stream (attribute writes, calls, ``raise``) in
-  evaluation order, each tagged with whether a ``try``/``except`` guards
-  it -- what the exception-atomicity rule replays;
-* worker-boundary facts: ``Thread(target=self.x)`` / ``Process(target=…,
-  args=…)`` spawn sites with the ``self`` attributes shipped to the
-  child, payload hygiene issues on ``conn.send`` / ``ShardBatch`` /
-  ``Process`` argument expressions, and module-``global`` writes.
+* an ordered event stream (``self`` attribute writes, calls, ``raise``)
+  in evaluation order, each tagged with whether a ``try``/``except``
+  guards it -- what the exception-atomicity rule replays, and what the
+  call graph resolves calls from;
+* whether a ``raise`` is reachable outside any ``try``/``except``;
+* the dict keys a ``metrics()`` / ``stats()`` method emits.
 
 Scope limits, shared with the syntactic rules and documented here once:
 lambda bodies and nested functions are **not** traversed (they execute
@@ -68,9 +61,6 @@ __all__ = [
     "paths_compatible",
     "restored_keys",
 ]
-
-#: Constructors recognised as lock factories in ``__init__``.
-LOCK_FACTORIES = ("Lock", "RLock", "Condition")
 
 #: Loader method names the snapshot rules accept (kept in one place).
 LOADER_NAMES = ("from_state", "load_state", "_load_base_state")
@@ -289,48 +279,23 @@ def module_name_of(path_parts: Sequence[str]) -> str:
 class MethodSummary:
     """Everything the interprocedural rules need to know about one method."""
 
-    __slots__ = (
-        "name",
-        "accesses",
-        "self_calls",
-        "calls",
-        "acquisitions",
-        "raises_directly",
-        "events",
-        "payload_issues",
-        "global_writes",
-        "emitted_keys",
-        "line",
-    )
+    __slots__ = ("name", "raises_directly", "events", "emitted_keys", "line")
 
     def __init__(self, name: str, line: int = 0):
         self.name = name
         self.line = line
-        #: ``(attr, "read"|"write"|"del", sorted locks held, line)``.
-        self.accesses: List[Tuple[str, str, Tuple[str, ...], int]] = []
-        #: ``(method name, sorted locks held, line)`` for ``self.m()`` calls.
-        self.self_calls: List[Tuple[str, Tuple[str, ...], int]] = []
-        #: ``(spelled callee, line)`` for every other call -- ``"name"``,
-        #: ``"self.m"`` (duplicated from self_calls for event replay) or
-        #: ``"?.m"`` when the receiver is not resolvable statically.
-        self.calls: List[Tuple[str, int]] = []
-        #: ``(lock acquired, sorted locks already held, line)``.
-        self.acquisitions: List[Tuple[str, Tuple[str, ...], int]] = []
         #: ``raise`` reachable in this body outside a try/except guard.
         self.raises_directly = False
         #: Ordered ``(kind, payload, line, in_try, path)`` events in
         #: evaluation order; kinds: ``write`` (payload = attr), ``call``
-        #: (payload = spelled callee), ``raise`` (payload = "").  ``path``
-        #: is the enclosing ``if``-branch trail as ``((lineno, arm), ...)``
-        #: with arm ``"t"``/``"e"`` -- two events whose paths diverge at
-        #: the same ``if`` into different arms are mutually exclusive and
-        #: never execute in one pass through the method.
+        #: (payload = spelled callee: ``"name"``, ``"self.m"``, ``"mod.f"``
+        #: or ``"?.m"`` when the receiver is not resolvable statically),
+        #: ``raise`` (payload = "").  ``path`` is the enclosing
+        #: ``if``-branch trail as ``((lineno, arm), ...)`` with arm
+        #: ``"t"``/``"e"`` -- two events whose paths diverge at the same
+        #: ``if`` into different arms are mutually exclusive and never
+        #: execute in one pass through the method.
         self.events: List[Tuple[str, str, int, bool, Tuple[Tuple[int, str], ...]]] = []
-        #: ``(boundary, description, line)`` payload hygiene issues at
-        #: worker boundaries; boundary in {"send", "ShardBatch", "Process"}.
-        self.payload_issues: List[Tuple[str, str, int]] = []
-        #: ``(name, line)`` writes to module globals (``global x; x = ...``).
-        self.global_writes: List[Tuple[str, int]] = []
         #: ``(key, line)`` dict keys emitted by metrics()/stats() methods.
         self.emitted_keys: List[Tuple[str, int]] = []
 
@@ -338,40 +303,19 @@ class MethodSummary:
         return {
             "name": self.name,
             "line": self.line,
-            "accesses": [list(item) for item in self.accesses],
-            "self_calls": [list(item) for item in self.self_calls],
-            "calls": [list(item) for item in self.calls],
-            "acquisitions": [list(item) for item in self.acquisitions],
             "raises_directly": self.raises_directly,
             "events": [list(item) for item in self.events],
-            "payload_issues": [list(item) for item in self.payload_issues],
-            "global_writes": [list(item) for item in self.global_writes],
             "emitted_keys": [list(item) for item in self.emitted_keys],
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "MethodSummary":
         summary = cls(payload["name"], payload.get("line", 0))
-        summary.accesses = [
-            (attr, kind, tuple(locks), line)
-            for attr, kind, locks, line in payload["accesses"]
-        ]
-        summary.self_calls = [
-            (name, tuple(locks), line) for name, locks, line in payload["self_calls"]
-        ]
-        summary.calls = [(name, line) for name, line in payload["calls"]]
-        summary.acquisitions = [
-            (lock, tuple(held), line) for lock, held, line in payload["acquisitions"]
-        ]
         summary.raises_directly = bool(payload["raises_directly"])
         summary.events = [
             (kind, value, line, bool(in_try), tuple((int(at), arm) for at, arm in path))
             for kind, value, line, in_try, path in payload["events"]
         ]
-        summary.payload_issues = [
-            (target, desc, line) for target, desc, line in payload["payload_issues"]
-        ]
-        summary.global_writes = [(name, line) for name, line in payload["global_writes"]]
         summary.emitted_keys = [(key, line) for key, line in payload["emitted_keys"]]
         return summary
 
@@ -381,14 +325,13 @@ class FunctionSummary(MethodSummary):
 
 
 class ClassSummary:
-    """Class-level facts: locks, persistence surface, worker boundaries."""
+    """Class-level facts: bases, persistence surface, constructor, methods."""
 
     __slots__ = (
         "name",
         "line",
         "bases",
         "defines_len",
-        "lock_attrs",
         "has_state_dict",
         "has_loader",
         "captured_keys",
@@ -396,10 +339,6 @@ class ClassSummary:
         "init_params",
         "init_line",
         "init_attrs",
-        "thread_targets",
-        "process_targets",
-        "ship_roots",
-        "ship_root_writes",
         "methods",
     )
 
@@ -408,8 +347,6 @@ class ClassSummary:
         self.line = line
         self.bases: List[str] = []
         self.defines_len = False
-        #: ``{lock attribute: factory name}`` (Lock / RLock / Condition).
-        self.lock_attrs: Dict[str, str] = {}
         self.has_state_dict = False
         self.has_loader = False
         self.captured_keys: List[str] = []
@@ -419,14 +356,6 @@ class ClassSummary:
         self.init_line = 0
         #: Stateful ``(attr, line)`` pairs from ``__init__`` (snapshot rule).
         self.init_attrs: List[Tuple[str, int]] = []
-        #: Method names passed as ``Thread(target=self.<m>)``.
-        self.thread_targets: List[str] = []
-        #: Spelled targets of ``Process(target=...)`` spawn sites.
-        self.process_targets: List[str] = []
-        #: ``self`` attributes shipped into worker processes via Process args.
-        self.ship_roots: List[str] = []
-        #: ``(attr, method, line)`` post-spawn-capable writes to ship roots.
-        self.ship_root_writes: List[Tuple[str, str, int]] = []
         self.methods: Dict[str, MethodSummary] = {}
 
     def to_dict(self) -> Dict[str, Any]:
@@ -435,7 +364,6 @@ class ClassSummary:
             "line": self.line,
             "bases": list(self.bases),
             "defines_len": self.defines_len,
-            "lock_attrs": dict(self.lock_attrs),
             "has_state_dict": self.has_state_dict,
             "has_loader": self.has_loader,
             "captured_keys": list(self.captured_keys),
@@ -443,10 +371,6 @@ class ClassSummary:
             "init_params": list(self.init_params),
             "init_line": self.init_line,
             "init_attrs": [list(item) for item in self.init_attrs],
-            "thread_targets": list(self.thread_targets),
-            "process_targets": list(self.process_targets),
-            "ship_roots": list(self.ship_roots),
-            "ship_root_writes": [list(item) for item in self.ship_root_writes],
             "methods": {name: method.to_dict() for name, method in self.methods.items()},
         }
 
@@ -455,7 +379,6 @@ class ClassSummary:
         summary = cls(payload["name"], payload.get("line", 0))
         summary.bases = list(payload["bases"])
         summary.defines_len = bool(payload["defines_len"])
-        summary.lock_attrs = dict(payload["lock_attrs"])
         summary.has_state_dict = bool(payload["has_state_dict"])
         summary.has_loader = bool(payload["has_loader"])
         summary.captured_keys = list(payload["captured_keys"])
@@ -463,12 +386,6 @@ class ClassSummary:
         summary.init_params = list(payload["init_params"])
         summary.init_line = int(payload["init_line"])
         summary.init_attrs = [(attr, line) for attr, line in payload["init_attrs"]]
-        summary.thread_targets = list(payload["thread_targets"])
-        summary.process_targets = list(payload["process_targets"])
-        summary.ship_roots = list(payload["ship_roots"])
-        summary.ship_root_writes = [
-            (attr, method, line) for attr, method, line in payload["ship_root_writes"]
-        ]
         summary.methods = {
             name: MethodSummary.from_dict(method)
             for name, method in payload["methods"].items()
@@ -558,14 +475,6 @@ class FileSummary:
 # ----------------------------------------------------------------------
 # the summary builder
 # ----------------------------------------------------------------------
-def _call_leaf(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    return None
-
-
 def _spell_call(func: ast.AST, self_name: Optional[str]) -> str:
     """Spell a call target for later resolution.
 
@@ -596,151 +505,44 @@ def _self_attr(node: ast.AST, self_name: Optional[str]) -> Optional[str]:
     return None
 
 
-def _is_setish(node: ast.AST, set_names: Set[str]) -> Optional[str]:
-    """Describe ``node`` if it is an order-unstable or unpicklable payload."""
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return "a set expression (iteration order varies across processes)"
-    if isinstance(node, ast.Call):
-        name = _call_leaf(node.func)
-        if name in ("set", "frozenset"):
-            return "a set() value (iteration order varies across processes)"
-    if isinstance(node, ast.GeneratorExp):
-        return "a generator expression (not picklable)"
-    if isinstance(node, ast.Lambda):
-        return "a lambda (not picklable)"
-    if isinstance(node, ast.Name) and node.id in set_names:
-        return f"`{node.id}`, assigned a set in this scope (order-unstable)"
-    return None
-
-
-def _local_set_names(func: ast.AST) -> Set[str]:
-    """Names assigned a set expression (and never anything else) in ``func``."""
-    set_names: Set[str] = set()
-    other_names: Set[str] = set()
-    for node in _scope_walk(func):
-        targets: List[ast.AST] = []
-        value: Optional[ast.AST] = None
-        if isinstance(node, ast.Assign):
-            targets, value = node.targets, node.value
-        elif isinstance(node, ast.AnnAssign) and node.value is not None:
-            targets, value = [node.target], node.value
-        elif isinstance(node, ast.AugAssign):
-            targets, value = [node.target], None
-        for target in targets:
-            if isinstance(target, ast.Name):
-                is_set = value is not None and (
-                    isinstance(value, (ast.Set, ast.SetComp))
-                    or (
-                        isinstance(value, ast.Call)
-                        and _call_leaf(value.func) in ("set", "frozenset")
-                    )
-                )
-                (set_names if is_set else other_names).add(target.id)
-    return set_names - other_names
-
-
-def _scope_walk(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function scope without descending into nested scopes."""
-    queue: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while queue:
-        node = queue.pop(0)
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        queue.extend(ast.iter_child_nodes(node))
-
-
-def _self_roots(expr: ast.AST, self_name: Optional[str], local_roots: Dict[str, Set[str]]) -> Set[str]:
-    """``self`` attributes an expression's value is derived from.
-
-    Follows one level of local-variable indirection (``owned = {...
-    self.shards[i] ...}; Process(args=(conn, owned))``) via
-    ``local_roots``, the per-method map of local name -> self-attr roots.
-    """
-    roots: Set[str] = set()
-    for node in ast.walk(expr):
-        attr = _self_attr(node, self_name)
-        if attr is not None:
-            roots.add(attr)
-        elif isinstance(node, ast.Name) and node.id in local_roots:
-            roots.update(local_roots[node.id])
-    return roots
-
-
 class _FunctionScanner:
-    """One pass over a function/method body, carrying (locks, try) context."""
+    """One pass over a function/method body, carrying the (try, path) context."""
 
-    def __init__(
-        self,
-        summary: MethodSummary,
-        self_name: Optional[str],
-        lock_attrs: Set[str],
-        class_context: Optional["_ClassContext"],
-    ):
+    def __init__(self, summary: MethodSummary, self_name: Optional[str]):
         self.summary = summary
         self.self_name = self_name
-        self.lock_attrs = lock_attrs
-        self.class_context = class_context
-        self.global_names: Set[str] = set()
-        self.set_names: Set[str] = set()
-        #: local name -> self-attr roots its value was derived from
-        self.local_roots: Dict[str, Set[str]] = {}
 
     # -- entry -----------------------------------------------------------
     def scan(self, func: ast.AST) -> None:
-        self.set_names = _local_set_names(func)
         for stmt in func.body:
-            self._visit(stmt, frozenset(), False, ())
+            self._visit(stmt, False, ())
 
     # -- the recursive walk ---------------------------------------------
-    def _visit(
-        self,
-        node: ast.AST,
-        locks: frozenset,
-        in_try: bool,
-        path: Tuple[Tuple[int, str], ...],
-    ) -> None:
+    def _visit(self, node: ast.AST, in_try: bool, path: Tuple[Tuple[int, str], ...]) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             return  # nested scopes execute later; out of the model's scope
-        if isinstance(node, ast.Global):
-            self.global_names.update(node.names)
-            return
         if isinstance(node, ast.If):
             # branch arms are mutually exclusive: tag their events so the
             # atomicity scan never fabricates a cross-arm ordering
-            self._visit(node.test, locks, in_try, path)
+            self._visit(node.test, in_try, path)
             for stmt in node.body:
-                self._visit(stmt, locks, in_try, path + ((node.lineno, "t"),))
+                self._visit(stmt, in_try, path + ((node.lineno, "t"),))
             for stmt in node.orelse:
-                self._visit(stmt, locks, in_try, path + ((node.lineno, "e"),))
-            return
-        if isinstance(node, ast.With):
-            acquired: List[str] = []
-            for item in node.items:
-                self._visit(item.context_expr, locks, in_try, path)
-                lock = _self_attr(item.context_expr, self.self_name)
-                if lock in self.lock_attrs:
-                    self.summary.acquisitions.append(
-                        (lock, tuple(sorted(locks | set(acquired))), item.context_expr.lineno)
-                    )
-                    acquired.append(lock)
-            inner = locks | set(acquired) if acquired else locks
-            for stmt in node.body:
-                self._visit(stmt, inner, in_try, path)
+                self._visit(stmt, in_try, path + ((node.lineno, "e"),))
             return
         if isinstance(node, ast.Try):
             guarded = in_try or bool(node.handlers)
             for stmt in node.body:
-                self._visit(stmt, locks, guarded, path)
+                self._visit(stmt, guarded, path)
             for handler in node.handlers:
                 for stmt in handler.body:
-                    self._visit(stmt, locks, in_try, path)
+                    self._visit(stmt, in_try, path)
             for stmt in list(node.orelse) + list(node.finalbody):
-                self._visit(stmt, locks, in_try, path)
+                self._visit(stmt, in_try, path)
             return
         if isinstance(node, ast.Raise):
             for child in ast.iter_child_nodes(node):
-                self._visit(child, locks, in_try, path)
+                self._visit(child, in_try, path)
             if not in_try:
                 self.summary.raises_directly = True
             self.summary.events.append(("raise", "", node.lineno, in_try, path))
@@ -749,168 +551,30 @@ class _FunctionScanner:
             # evaluation order: the RHS (and its calls) run before the store
             value = getattr(node, "value", None)
             if value is not None:
-                self._visit(value, locks, in_try, path)
+                self._visit(value, in_try, path)
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                self._record_local_root(target, value)
-                self._visit(target, locks, in_try, path)
+                self._visit(target, in_try, path)
             return
         if isinstance(node, ast.For):
-            self._visit(node.iter, locks, in_try, path)
-            self._record_local_root(node.target, node.iter)
-            self._visit(node.target, locks, in_try, path)
+            self._visit(node.iter, in_try, path)
+            self._visit(node.target, in_try, path)
             for stmt in list(node.body) + list(node.orelse):
-                self._visit(stmt, locks, in_try, path)
+                self._visit(stmt, in_try, path)
             return
         if isinstance(node, ast.Call):
-            self._record_call(node, locks, in_try, path)
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, locks, in_try, path)
-            return
-        if isinstance(node, ast.Attribute):
+            spelled = _spell_call(node.func, self.self_name)
+            self.summary.events.append(("call", spelled, node.lineno, in_try, path))
+        elif isinstance(node, ast.Attribute):
             attr = _self_attr(node, self.self_name)
-            if attr is not None and attr not in self.lock_attrs:
-                kind = (
-                    "write"
-                    if isinstance(node.ctx, ast.Store)
-                    else "del" if isinstance(node.ctx, ast.Del) else "read"
-                )
-                self.summary.accesses.append(
-                    (attr, kind, tuple(sorted(locks)), node.lineno)
-                )
-                if kind in ("write", "del"):
-                    self.summary.events.append(("write", attr, node.lineno, in_try, path))
-            for child in ast.iter_child_nodes(node):
-                self._visit(child, locks, in_try, path)
-            return
+            if attr is not None and isinstance(node.ctx, (ast.Store, ast.Del)):
+                self.summary.events.append(("write", attr, node.lineno, in_try, path))
         for child in ast.iter_child_nodes(node):
-            self._visit(child, locks, in_try, path)
-
-    # -- pieces ----------------------------------------------------------
-    def _record_local_root(self, target: ast.AST, value: Optional[ast.AST]) -> None:
-        """Track ``name = <expr over self.X>`` / ``for name in self.X`` aliases."""
-        if value is None or not isinstance(target, ast.Name):
-            return
-        roots = _self_roots(value, self.self_name, self.local_roots)
-        if roots:
-            self.local_roots.setdefault(target.id, set()).update(roots)
-
-    def _record_call(
-        self,
-        node: ast.Call,
-        locks: frozenset,
-        in_try: bool,
-        path: Tuple[Tuple[int, str], ...],
-    ) -> None:
-        spelled = _spell_call(node.func, self.self_name)
-        self.summary.calls.append((spelled, node.lineno))
-        self.summary.events.append(("call", spelled, node.lineno, in_try, path))
-        if spelled.startswith("self."):
-            self.summary.self_calls.append(
-                (spelled[5:], tuple(sorted(locks)), node.lineno)
-            )
-        leaf = _call_leaf(node.func)
-        if leaf == "Thread" and self.class_context is not None:
-            for keyword in node.keywords:
-                if keyword.arg == "target":
-                    target = _self_attr(keyword.value, self.self_name)
-                    if target is not None:
-                        self.class_context.thread_targets.append(target)
-        if leaf == "Process" and self.class_context is not None:
-            for keyword in node.keywords:
-                if keyword.arg == "target":
-                    self.class_context.process_targets.append(
-                        _spell_call(keyword.value, self.self_name)
-                    )
-                if keyword.arg == "args":
-                    self.class_context.ship_roots.update(
-                        _self_roots(keyword.value, self.self_name, self.local_roots)
-                    )
-                    self._scan_payload(keyword.value, "Process")
-        if leaf == "send" and isinstance(node.func, ast.Attribute):
-            receiver = node.func.value
-            is_conn = (isinstance(receiver, ast.Name) and receiver.id == "conn") or (
-                isinstance(receiver, ast.Attribute) and receiver.attr == "conn"
-            )
-            if is_conn:
-                for arg in node.args:
-                    self._scan_payload(arg, "send")
-        if leaf == "ShardBatch":
-            for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                self._scan_payload(arg, "ShardBatch")
-
-    def _scan_payload(self, expr: ast.AST, boundary: str) -> None:
-        # a comprehension fed straight into a materializer is consumed
-        # before pickling -- ``sorted(x for ...)`` is an ordered list
-        materialized = {
-            id(call.args[0])
-            for call in ast.walk(expr)
-            if isinstance(call, ast.Call)
-            and _call_leaf(call.func) in ("sorted", "list", "tuple")
-            and call.args
-        }
-        for node in ast.walk(expr):
-            if id(node) in materialized and isinstance(node, ast.GeneratorExp):
-                continue
-            issue = _is_setish(node, self.set_names)
-            if issue is not None:
-                self.summary.payload_issues.append(
-                    (boundary, issue, getattr(node, "lineno", getattr(expr, "lineno", 0)))
-                )
+            self._visit(child, in_try, path)
 
 
-class _ClassContext:
-    """Mutable scratch state shared by a class's method scans."""
-
-    def __init__(self) -> None:
-        self.thread_targets: List[str] = []
-        self.process_targets: List[str] = []
-        self.ship_roots: Set[str] = set()
-
-
-def _scan_global_stores(func: ast.AST, declared: Set[str]) -> List[Tuple[str, int]]:
-    """``(name, line)`` stores to names the function declared ``global``."""
-    writes: List[Tuple[str, int]] = []
-    if not declared:
-        return writes
-    for node in _scope_walk(func):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
-            if node.id in declared:
-                writes.append((node.id, node.lineno))
-    return writes
-
-
-def _lock_attr_factories(class_node: ast.ClassDef) -> Dict[str, str]:
-    """Lock attributes assigned ``threading.Lock()``-style in ``__init__``."""
-    locks: Dict[str, str] = {}
-    for item in class_node.body:
-        if not (isinstance(item, ast.FunctionDef) and item.name == "__init__"):
-            continue
-        for node in ast.walk(item):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if not isinstance(value, ast.Call):
-                continue
-            name = _call_leaf(value.func)
-            if name not in LOCK_FACTORIES:
-                continue
-            for target in node.targets:
-                if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name):
-                    locks[target.attr] = name
-    return locks
-
-
-def _scan_function(
-    func: ast.AST,
-    summary: MethodSummary,
-    self_name: Optional[str],
-    lock_attrs: Set[str],
-    class_context: Optional[_ClassContext],
-) -> None:
-    scanner = _FunctionScanner(summary, self_name, lock_attrs, class_context)
-    scanner.scan(func)
-    summary.global_writes.extend(_scan_global_stores(func, scanner.global_names))
+def _scan_function(func: ast.AST, summary: MethodSummary, self_name: Optional[str]) -> None:
+    _FunctionScanner(summary, self_name).scan(func)
     if summary.name in ("metrics", "stats"):
         for node in ast.walk(func):
             if isinstance(node, ast.Dict):
@@ -935,8 +599,6 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
             summary.bases.append(base.id)
         elif isinstance(base, ast.Attribute):
             summary.bases.append(base.attr)
-    summary.lock_attrs = _lock_attr_factories(node)
-    context = _ClassContext()
     captured: Set[str] = set()
     restored: Set[str] = set()
     for item in node.body:
@@ -961,90 +623,12 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
             ]
         self_name = item.args.args[0].arg if item.args.args else None
         method = MethodSummary(item.name, item.lineno)
-        _scan_function(item, method, self_name, set(summary.lock_attrs), context)
+        _scan_function(item, method, self_name)
         summary.methods[item.name] = method
     summary.captured_keys = sorted(captured)
     summary.restored_keys = sorted(restored)
     summary.init_attrs = init_attributes(node)
-    summary.thread_targets = sorted(dict.fromkeys(context.thread_targets))
-    summary.process_targets = sorted(dict.fromkeys(context.process_targets))
-    summary.ship_roots = sorted(context.ship_roots)
-    summary.ship_root_writes = _ship_root_writes(node, summary)
     return summary
-
-
-def _ship_root_writes(node: ast.ClassDef, summary: ClassSummary) -> List[Tuple[str, str, int]]:
-    """Direct stores to fork-shipped attributes outside ``__init__``/spawn.
-
-    Detects ``self.R = ...`` / ``self.R[...] = ...`` / ``del self.R`` and
-    one level of alias indirection (``for engine in self.R: engine.x = ...``
-    or ``e = self.R[i]; e.x = ...``).  Calls that mutate (``self.R[i].m()``)
-    are out of scope -- documented in the fork-safety rule.
-    """
-    if not summary.ship_roots:
-        return []
-    roots = set(summary.ship_roots)
-    spawn_methods = {
-        target[5:] for target in summary.process_targets if target.startswith("self.")
-    }
-    # the method that performs the Process() call is the spawn boundary
-    spawners: Set[str] = set()
-    for item in node.body:
-        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for inner in ast.walk(item):
-            if isinstance(inner, ast.Call) and _call_leaf(inner.func) == "Process":
-                spawners.add(item.name)
-    writes: List[Tuple[str, str, int]] = []
-    for item in node.body:
-        if not isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if item.name == "__init__" or item.name in spawners or item.name in spawn_methods:
-            continue
-        self_name = item.args.args[0].arg if item.args.args else None
-        if self_name is None:
-            continue
-        aliases: Dict[str, str] = {}
-        for inner in _scope_walk(item):
-            # build alias map in walk order (assignments precede later uses)
-            if isinstance(inner, ast.Assign) and isinstance(inner.value, (ast.Attribute, ast.Subscript)):
-                root = _root_of(inner.value, self_name, roots)
-                if root is not None:
-                    for target in inner.targets:
-                        if isinstance(target, ast.Name):
-                            aliases[target.id] = root
-            if isinstance(inner, ast.For):
-                root = _root_of(inner.iter, self_name, roots)
-                if root is not None and isinstance(inner.target, ast.Name):
-                    aliases[inner.target.id] = root
-            if isinstance(inner, (ast.Attribute, ast.Subscript)) and isinstance(
-                inner.ctx, (ast.Store, ast.Del)
-            ):
-                root = _root_of(inner, self_name, roots)
-                if root is None:
-                    base = inner
-                    while isinstance(base, (ast.Attribute, ast.Subscript)):
-                        base = base.value
-                    if isinstance(base, ast.Name) and base.id in aliases:
-                        root = aliases[base.id]
-                if root is not None:
-                    writes.append((root, item.name, inner.lineno))
-    return writes
-
-
-def _root_of(node: ast.AST, self_name: str, roots: Set[str]) -> Optional[str]:
-    """The shipped root attribute an attribute/subscript chain is based on."""
-    base = node
-    while isinstance(base, (ast.Attribute, ast.Subscript)):
-        if (
-            isinstance(base, ast.Attribute)
-            and isinstance(base.value, ast.Name)
-            and base.value.id == self_name
-            and base.attr in roots
-        ):
-            return base.attr
-        base = base.value
-    return None
 
 
 def build_file_summary(source: "SourceFile") -> FileSummary:
@@ -1075,7 +659,7 @@ def build_file_summary(source: "SourceFile") -> FileSummary:
             summary.classes[node.name] = _summarize_class(node)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = FunctionSummary(node.name, node.lineno)
-            _scan_function(node, function, None, set(), None)
+            _scan_function(node, function, None)
             summary.functions[node.name] = function
     for node in ast.walk(source.tree):
         if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Attribute):

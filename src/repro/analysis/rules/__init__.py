@@ -20,9 +20,6 @@ from .determinism import (
     WallClockRule,
 )
 from .drift import ConfigDriftRule, MetricsDocsRule
-from .forksafety import ForkSafetyRule
-from .lockorder import LockOrderRule
-from .locks import LockDisciplineRule
 from .snapshots import SnapshotCoverageRule
 from .truthiness import OptionalTruthinessRule
 
@@ -35,9 +32,6 @@ ALL_RULES = [
     WallClockRule,
     SnapshotCoverageRule,
     OptionalTruthinessRule,
-    LockDisciplineRule,
-    LockOrderRule,
-    ForkSafetyRule,
     ExceptionAtomicityRule,
     ConfigDriftRule,
     MetricsDocsRule,

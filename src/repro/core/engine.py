@@ -30,8 +30,7 @@ bounded-lateness, multi-source reorder buffer that releases
 watermark-closed prefixes as in-order batches and applies an explicit
 late-data policy), flush, batch-cadence autosave and the replan cadence --
 is the :class:`~repro.core.ingest.IngestFront` this engine shares with the
-sharded one, and admission can run off the matcher's thread via
-:class:`~repro.streaming.async_ingest.AsyncIngestFrontend`.
+sharded one.
 
 Typical use::
 

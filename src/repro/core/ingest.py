@@ -8,10 +8,7 @@ Every way a record enters an engine ends in that engine's ``_run_batch``:
   ``process_batch`` call);
 * a late record the ``process_degraded`` policy hands back -- a one-record
   batch, after the release it arrived with;
-* ``flush()`` -- the reorder buffer's tail;
-* :class:`~repro.streaming.async_ingest.AsyncIngestFrontend` -- the same
-  release and flush methods the synchronous calls use, on the consumer
-  thread.
+* ``flush()`` -- the reorder buffer's tail.
 
 So there is one execution path per engine: the single engine runs each
 batch as ordered runs of its fast path, the sharded engine routes it to its
@@ -38,9 +35,9 @@ if TYPE_CHECKING:
 
 __all__ = ["IngestFront"]
 
-#: One release: the sorted ready prefix, the late records handed back to be
-#: processed anyway, and the watermark at release (``None`` without a buffer).
-Release = Tuple[Sequence[StreamEdge], Sequence[StreamEdge], Optional[float]]
+#: One release: the sorted ready prefix and the late records handed back to
+#: be processed anyway.
+Release = Tuple[Sequence[StreamEdge], Sequence[StreamEdge]]
 
 
 class IngestFront:
@@ -149,7 +146,10 @@ class IngestFront:
         runs as a one-record batch (``drop`` only counts them).  Every call
         counts towards ``checkpoint_every``.
         """
-        return self._process_batch_release(*self._admit(list(records)))
+        events = self._process_released(*self._admit(list(records)))
+        self.batches_processed += 1
+        self._maybe_autosave()
+        return events
 
     def flush(self) -> List[MatchEvent]:
         """Release and process everything still held by the reorder buffer.
@@ -161,7 +161,7 @@ class IngestFront:
         """
         if self.reorder is None:
             return []
-        return self._process_released(self.reorder.flush(), (), self.reorder.watermark)
+        return self._process_released(self.reorder.flush(), ())
 
     def process_stream(
         self, stream: Iterable[StreamEdge], batch_size: Optional[int] = None
@@ -181,49 +181,26 @@ class IngestFront:
         return events
 
     # ------------------------------------------------------------------
-    # release plumbing (shared with the async front-end)
+    # release plumbing
     # ------------------------------------------------------------------
     def _admit(self, records: List[StreamEdge]) -> Release:
         """Offer records to the reorder buffer; return what it releases."""
         if self.reorder is None:
-            return records, (), None
+            return records, ()
         late = self.reorder.offer_all(records)
-        return self.reorder.drain_ready(), late, self.reorder.watermark
-
-    def _process_batch_release(
-        self,
-        ready: Sequence[StreamEdge],
-        late: Sequence[StreamEdge],
-        watermark: Optional[float],
-    ) -> List[MatchEvent]:
-        """Process one ``process_batch`` call's release, then count the batch and autosave.
-
-        The async front-end calls this once per submitted batch, with the
-        release its ingest thread captured, so the batch count and the
-        autosave cadence are those of the synchronous path.
-        """
-        events = self._process_released(ready, late, watermark)
-        self.batches_processed += 1
-        self._maybe_autosave()
-        return events
+        return self.reorder.drain_ready(), late
 
     def _process_released(
-        self,
-        ready: Sequence[StreamEdge],
-        late: Sequence[StreamEdge],
-        watermark: Optional[float],
+        self, ready: Sequence[StreamEdge], late: Sequence[StreamEdge]
     ) -> List[MatchEvent]:
         """Process one release: the sorted ready prefix, then each late record alone.
 
-        ``watermark`` is the buffer's watermark at the moment of release --
-        passed explicitly (rather than read back from the buffer) so the
-        async front-end, whose admission thread may already be ahead,
-        stamps exactly the value the synchronous path would have.  Late
+        The release is stamped with the reorder buffer's watermark.  Late
         records run after the prefix, so they see the most history the
         store can still offer.
         """
-        if watermark is not None:
-            self.event_time_watermark = watermark
+        if self.reorder is not None:
+            self.event_time_watermark = self.reorder.watermark
         events: List[MatchEvent] = self._run_batch(list(ready)) if ready else []
         for record in late:
             events.extend(self._run_batch([record]))

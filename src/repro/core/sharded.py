@@ -3,10 +3,11 @@
 The single :class:`~repro.core.engine.StreamWorksEngine` already makes
 multi-query ingest sub-linear in the number of registered queries (the
 shared dispatch index only touches the (query, leaf) pairs an edge can
-bind).  The next scaling axis is *parallelism*: registered queries are
-partitioned across N shards, each shard owning a full private engine --
-graph window store, summarizer, dispatch index, matchers -- so shards share
-no mutable state and can run on separate cores.
+bind).  This engine partitions the registered queries across N shards
+instead, each shard owning a full private engine -- graph window store,
+summarizer, dispatch index, matchers -- so shards share no mutable state.
+The shards run one after another in the calling thread; a shard count above
+one costs routing and a merge and buys no parallelism.
 
 Correctness is by construction:
 
@@ -39,16 +40,6 @@ hands over -- a single record included -- is routed as it is; the parent
 tags each record with the global stream clock its ordered run began at,
 the one thing a shard cannot know by itself (see :func:`_execute_sub_batch`).
 
-Two schedulers are provided, selected by :class:`ShardConfig`:
-
-* ``workers=0`` (default): shards execute serially in-process -- zero
-  dependencies, deterministic, what the conformance tests run;
-* ``workers=N``: shards execute in a pool of N persistent worker processes
-  (``multiprocessing``, fork-based where available), one message round-trip
-  per worker per batch with pickle-safe :class:`StreamEdge` sub-batches.
-  Register every query *before* the first batch; the pool is started
-  lazily on first use and shard state then lives in the workers.
-
 Conformance envelope: routing by label is necessary-condition filtering and
 never changes the match set, given the data model's rule that a vertex
 identity has exactly one type -- a stream that names the same vertex id
@@ -71,8 +62,6 @@ shard state bit-identical to the single engine's.
 from __future__ import annotations
 
 import copy
-import multiprocessing
-import traceback
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..graph.interning import InternTable
@@ -118,9 +107,9 @@ class ShardConfig:
     shard_count:
         Number of query shards (each owns a private engine).
     workers:
-        ``0`` runs every shard serially in-process; ``N > 0`` runs the
-        shards inside ``min(N, shard_count)`` persistent worker processes
-        (round-robin shard ownership).
+        Accepted for compatibility and must be ``0``: every shard runs
+        serially in the calling thread.  Any other value raises
+        ``ValueError`` (the worker-process pool was removed).
     routing:
         :attr:`Routing.LABELS` (default) or :attr:`Routing.BROADCAST`; see
         the module docstring for the conformance envelope of each.
@@ -145,8 +134,11 @@ class ShardConfig:
     ):
         if shard_count < 1:
             raise ValueError("shard_count must be >= 1")
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
+        if workers != 0:
+            raise ValueError(
+                f"workers={workers!r} is not supported: the shard worker pool was "
+                "removed and every shard runs serially in-process (workers=0)"
+            )
         if routing not in Routing.ALL:
             raise ValueError(f"unknown routing mode {routing!r}")
         if engine is None:
@@ -157,7 +149,6 @@ class ShardConfig:
             engine = copy.copy(engine)
             engine.default_window = EngineConfig.validate_default_window(default_window)
         self.shard_count = shard_count
-        self.workers = workers
         self.routing = routing
         self.engine = engine
 
@@ -256,60 +247,6 @@ def _execute_sub_batch(engine: StreamWorksEngine, batch: ShardBatch) -> List[Mat
     return events
 
 
-def _shard_worker_main(conn, engines: Dict[int, StreamWorksEngine]) -> None:
-    """Worker-process loop: own a set of shard engines, serve batch requests.
-
-    Messages from the parent are tuples tagged by their first element:
-    ``("batch", [ShardBatch, ...])`` processes each shard batch and replies
-    ``("events", [(shard id, events), ...])``;
-    ``("metrics",)`` replies with every owned shard's metrics;
-    ``("state",)`` replies with every owned shard's serialised engine state
-    (snapshot section payloads, used by parent-level checkpointing);
-    ``("stop",)`` acknowledges and exits.  Any exception is reported back as
-    ``("error", traceback)`` instead of killing the worker silently.
-    """
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # parent went away
-            return
-        kind = message[0]
-        try:
-            if kind == "batch":
-                replies: List[Tuple[int, List[MatchEvent]]] = []
-                for batch in message[1]:
-                    events = _execute_sub_batch(engines[batch.shard_id], batch)
-                    replies.append((batch.shard_id, events))
-                conn.send(("events", replies))
-            elif kind == "metrics":
-                conn.send(
-                    ("metrics", {shard_id: engine.metrics() for shard_id, engine in engines.items()})
-                )
-            elif kind == "state":
-                from ..persistence.state import engine_sections
-
-                conn.send(
-                    ("state", {shard_id: engine_sections(engine) for shard_id, engine in engines.items()})
-                )
-            elif kind == "stop":
-                conn.send(("stopped",))
-                return
-            else:
-                conn.send(("error", f"unknown message kind {kind!r}"))
-        except Exception:
-            conn.send(("error", traceback.format_exc()))
-
-
-class _WorkerHandle:
-    """Parent-side handle on one worker process."""
-
-    __slots__ = ("process", "conn")
-
-    def __init__(self, process, conn):
-        self.process = process
-        self.conn = conn
-
-
 class ShardedStreamEngine(IngestFront):
     """Continuous multi-query matching with queries partitioned across shards.
 
@@ -318,31 +255,24 @@ class ShardedStreamEngine(IngestFront):
     / ``metrics``) and produces, batch for batch, the identical event list a
     single engine would -- same matches, same order, same sequence numbers,
     same detection timestamps.
-
-    Usable as a context manager; :meth:`close` shuts the worker pool down
-    (a no-op for the serial scheduler).
     """
 
     def __init__(
         self,
         config: Optional[ShardConfig] = None,
         shard_count: Optional[int] = None,
-        workers: Optional[int] = None,
         default_window: Optional[float] = None,
         routing: Optional[str] = None,
     ):
         if config is None:
             config = ShardConfig(
                 shard_count=shard_count if shard_count is not None else 1,
-                workers=workers if workers is not None else 0,
                 routing=routing if routing is not None else Routing.LABELS,
                 default_window=default_window,
             )
         else:
             if shard_count is not None and shard_count != config.shard_count:
                 raise ValueError("pass shard_count either via config or directly, not both")
-            if workers is not None and workers != config.workers:
-                raise ValueError("pass workers either via config or directly, not both")
             if default_window is not None:
                 engine_config = copy.copy(config.engine)
                 engine_config.default_window = EngineConfig.validate_default_window(
@@ -350,7 +280,6 @@ class ShardedStreamEngine(IngestFront):
                 )
                 config = ShardConfig(
                     shard_count=config.shard_count,
-                    workers=config.workers,
                     routing=config.routing,
                     engine=engine_config,
                 )
@@ -378,8 +307,7 @@ class ShardedStreamEngine(IngestFront):
         # mid-batch would race the parent's snapshot and clobber its path
         shard_engine_config.checkpoint_every = None
         shard_engine_config.checkpoint_path = None
-        #: One private engine per shard (state moves into the worker
-        #: processes once a pool scheduler starts).
+        #: One private engine per shard.
         self.shards: List[StreamWorksEngine] = [
             StreamWorksEngine(config=copy.copy(shard_engine_config))
             for _ in range(config.shard_count)
@@ -405,10 +333,6 @@ class ShardedStreamEngine(IngestFront):
         #: late record is tagged with, since a shard's own clock does not see
         #: the records routed elsewhere.
         self._clock = float("-inf")
-        self._started = False
-        self._closed = False
-        self._workers: Optional[List[_WorkerHandle]] = None
-        self._worker_of: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # query registration / partitioning
@@ -430,10 +354,10 @@ class ShardedStreamEngine(IngestFront):
         :func:`~repro.stats.plan_cost.plan_cost` and the query goes to the
         currently least-loaded shard (``shard`` overrides the choice).
         ``on_match`` callbacks run in the parent, after the merge, so they
-        observe globally ordered events regardless of the scheduler.
+        observe globally ordered events.
 
-        Every query must be registered before the first batch is processed,
-        under either scheduler.  Label routing means a shard only holds the
+        Every query must be registered before the first batch is processed.
+        Label routing means a shard only holds the
         history *its* queries needed; a query registered mid-stream would
         land on a shard missing the in-window edges routing skipped, and
         silently miss matches the single engine would report.  (The single
@@ -443,10 +367,8 @@ class ShardedStreamEngine(IngestFront):
         query_name = name or query.name
         if query_name in self.queries:
             raise ValueError(f"a query named {query_name!r} is already registered")
-        self._check_mutable("register_query")
-        # keyed on ingest, not on scheduler state: close() resets _started
-        # on serial engines, but the missing-history problem is about
-        # records already routed past the new query's shard
+        # the missing-history problem is about records already routed past
+        # the new query's shard
         if self.edges_processed > 0:
             raise RuntimeError(
                 "register_query is not allowed once the sharded engine has "
@@ -474,9 +396,8 @@ class ShardedStreamEngine(IngestFront):
             dedupe_structural=dedupe_structural,
         )
         self.router.add_query(shard, query)
-        # registration precedes any pool start (enforced above), so the
-        # shard engines are still in-process: push the parent table to ALL
-        # shards, not just the owner, keeping query-label ids aligned
+        # push the parent table to ALL shards, not just the owner, keeping
+        # query-label ids aligned
         intern_query_vocabulary(self.interning, query)
         adopted = self.interning.labels()
         for shard_engine in self.shards:
@@ -581,7 +502,6 @@ class ShardedStreamEngine(IngestFront):
         """Remove a registered query from its shard (partial matches discarded)."""
         if name not in self.queries:
             raise KeyError(name)
-        self._check_mutable("unregister_query")
         registration = self.queries.pop(name)
         self.shards[registration.shard_id].unregister_query(name)
         self.router.remove_query(registration.shard_id, registration.query)
@@ -609,20 +529,7 @@ class ShardedStreamEngine(IngestFront):
             (q.window for q in self.queries.values()), self.config.engine.default_window
         )
         for engine in self.shards:
-            # pre-fork only by design: register/unregister call _check_mutable
-            # first, which refuses once the worker pool has started, so this
-            # write never happens after the shards were shipped to workers
-            engine.graph.window = retention  # repro-lint: ignore[fork-safety]
-
-    def _check_mutable(self, operation: str) -> None:
-        if self._closed:
-            raise RuntimeError(f"{operation} is not allowed on a closed sharded engine")
-        if self._started and self.config.workers > 0:
-            raise RuntimeError(
-                f"{operation} is not allowed after the worker pool has started: "
-                "shard state lives in the worker processes; close() the engine "
-                "and build a new one to change the registered queries"
-            )
+            engine.graph.window = retention
 
     def assignments(self) -> Dict[str, int]:
         """Return ``{query name: shard id}`` for every registered query."""
@@ -641,105 +548,16 @@ class ShardedStreamEngine(IngestFront):
         """Attach an additional event sink (delivered merged, in global order).
 
         Sinks run in the parent after the deterministic merge, so they
-        observe the exact single-engine event order under either
-        scheduler.  Not serialised by :meth:`checkpoint`; re-attach after
-        :meth:`restore`.
+        observe the exact single-engine event order.  Not serialised by
+        :meth:`checkpoint`; re-attach after :meth:`restore`.
         """
         self._sinks.add(sink)
 
-    # ------------------------------------------------------------------
-    # scheduler lifecycle
-    # ------------------------------------------------------------------
-    @staticmethod
-    def fork_available() -> bool:
-        """Return ``True`` when fork-based worker processes are supported."""
-        return "fork" in multiprocessing.get_all_start_methods()
-
-    def start(self) -> None:
-        """Start the scheduler (lazy; called automatically on first batch).
-
-        The worker pool prefers the ``fork`` start method -- the workers
-        inherit the fully-registered shard engines with no pickling.  On
-        platforms without fork the engines are pickled to spawned workers.
-        """
-        if self._closed:
-            raise RuntimeError(
-                "this sharded engine has been closed: its stream state was "
-                "lost with the worker pool; build a new engine"
-            )
-        if self._started:
-            return
-        self._started = True
-        if self.config.workers <= 0:
-            return
-        method = "fork" if self.fork_available() else None
-        context = multiprocessing.get_context(method)
-        worker_count = min(self.config.workers, self.config.shard_count)
-        self._worker_of = {
-            shard_id: shard_id % worker_count for shard_id in range(self.config.shard_count)
-        }
-        self._workers = []
-        for worker_index in range(worker_count):
-            owned = {
-                shard_id: self.shards[shard_id]
-                for shard_id, owner in self._worker_of.items()
-                if owner == worker_index
-            }
-            parent_conn, child_conn = context.Pipe()
-            process = context.Process(
-                target=_shard_worker_main,
-                args=(child_conn, owned),
-                daemon=True,
-                name=f"shard-worker-{worker_index}",
-            )
-            process.start()
-            child_conn.close()
-            self._workers.append(_WorkerHandle(process, parent_conn))
-
     def close(self) -> None:
-        """Shut down the worker pool (no-op for the serial scheduler).
+        """Release nothing: a no-op kept so callers that close engines still work.
 
-        Closing a pool-mode engine (``workers > 0``) makes it unusable --
-        whether or not the pool had started -- because a started pool's
-        shard state dies with the workers, and allowing reuse of a
-        never-started one would silently spawn a fresh pool outside the
-        caller's lifecycle management.  Further ingest or metrics calls
-        raise.  Serial engines keep all state in-process and stay usable.
+        Every shard lives in-process, so the engine stays usable after it.
         """
-        if self.config.workers > 0:
-            self._closed = True
-        workers, self._workers = self._workers, None
-        self._started = False
-        if not workers:
-            return
-        for handle in workers:
-            try:
-                handle.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for handle in workers:
-            try:
-                if handle.conn.poll(1.0):
-                    handle.conn.recv()
-            except (EOFError, OSError):
-                pass
-            handle.conn.close()
-            handle.process.join(timeout=2.0)
-            if handle.process.is_alive():  # pragma: no cover - defensive
-                handle.process.terminate()
-                handle.process.join(timeout=1.0)
-
-    def __enter__(self) -> "ShardedStreamEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - best-effort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass
 
     # ------------------------------------------------------------------
     # stream processing
@@ -748,12 +566,11 @@ class ShardedStreamEngine(IngestFront):
         """Route one batch to the shards, run it there, merge the events.
 
         Every ingest entry point of the front ends here
-        (:mod:`repro.core.ingest`), a single record included.  A shard gets
-        a message only when the batch routed it records or a replan check
-        is due; each record carries the global stream clock its ordered run
-        began at (see :func:`_execute_sub_batch`).
+        (:mod:`repro.core.ingest`), a single record included.  A shard runs
+        only when the batch routed it records or a replan check is due;
+        each record carries the global stream clock its ordered run began
+        at (see :func:`_execute_sub_batch`).
         """
-        self.start()
         self.throughput.start()
         base_index = self.edges_processed
         self.edges_processed += len(records)
@@ -773,7 +590,8 @@ class ShardedStreamEngine(IngestFront):
             clock = max(clock, records[end - 1].timestamp)
         self._clock = clock
         per_shard = self.router.route(records, base_index)
-        dispatch: List[Tuple[ShardBatch, int]] = []
+        #: ``(global trigger index, query registration order, event)``
+        tagged: List[Tuple[int, int, MatchEvent]] = []
         for shard_id in range(self.config.shard_count):
             entries = per_shard.get(shard_id, [])
             if not entries and not replan_checks:
@@ -787,15 +605,9 @@ class ShardedStreamEngine(IngestFront):
             )
             # the shard's local record base maps its events' trigger
             # indices back into this sub-batch
-            dispatch.append((batch, self._records_sent[shard_id]))
+            local_base = self._records_sent[shard_id]
             self._records_sent[shard_id] += len(entries)
-        #: ``(global trigger index, query registration order, event)``
-        tagged: List[Tuple[int, int, MatchEvent]] = []
-        if self._workers is None:
-            for batch, local_base in dispatch:
-                tagged.extend(self._run_shard_serial(batch, local_base))
-        else:
-            tagged.extend(self._run_shards_pooled(dispatch))
+            tagged.extend(self._run_shard_serial(batch, local_base))
         # a query lives in exactly one shard, so events tied on (trigger,
         # registration order) all come from one shard and the stable sort
         # preserves their emission order -- this is precisely the order the
@@ -818,31 +630,6 @@ class ShardedStreamEngine(IngestFront):
         events = _execute_sub_batch(self.shards[batch.shard_id], batch)
         return self._tag_events(events, batch.entries, local_base)
 
-    def _run_shards_pooled(
-        self, dispatch: List[Tuple[ShardBatch, int]]
-    ) -> List[Tuple[int, int, MatchEvent]]:
-        by_worker: Dict[int, List[Tuple[ShardBatch, int]]] = {}
-        for batch, local_base in dispatch:
-            by_worker.setdefault(self._worker_of[batch.shard_id], []).append(
-                (batch, local_base)
-            )
-        pending: List[Tuple[int, List[Tuple[ShardBatch, int]]]] = []
-        for worker_index in sorted(by_worker):
-            items = by_worker[worker_index]
-            self._workers[worker_index].conn.send(("batch", [batch for batch, _ in items]))
-            pending.append((worker_index, items))
-        tagged: List[Tuple[int, int, MatchEvent]] = []
-        for worker_index, items in pending:
-            reply = self._receive(worker_index)
-            for (batch, local_base), (reply_shard, events) in zip(items, reply[1]):
-                if reply_shard != batch.shard_id:  # pragma: no cover - defensive
-                    raise RuntimeError(
-                        f"worker {worker_index} replied for shard {reply_shard}, "
-                        f"expected {batch.shard_id}"
-                    )
-                tagged.extend(self._tag_events(events, batch.entries, local_base))
-        return tagged
-
     def _tag_events(
         self,
         events: List[MatchEvent],
@@ -856,21 +643,6 @@ class ShardedStreamEngine(IngestFront):
             tagged.append((global_index, self.queries[event.query_name].order, event))
         return tagged
 
-    def _receive(self, worker_index: int):
-        try:
-            reply = self._workers[worker_index].conn.recv()
-        except (EOFError, OSError) as exc:
-            self.close()
-            raise RuntimeError(f"shard worker {worker_index} died mid-request") from exc
-        if reply[0] == "error":
-            # other workers may still have replies queued for this request;
-            # the pipe protocol is desynchronized, so tear the pool down and
-            # leave the engine closed rather than let a later metrics() or
-            # process_batch() read a stale reply
-            self.close()
-            raise RuntimeError(f"shard worker {worker_index} failed:\n{reply[1]}")
-        return reply
-
     # ------------------------------------------------------------------
     # checkpoint / restore
     # ------------------------------------------------------------------
@@ -879,29 +651,13 @@ class ShardedStreamEngine(IngestFront):
 
         Captures the parent state (reorder buffer, registrations, clocks,
         counters, collected events) plus a full per-shard engine snapshot
-        under one manifest.  With a running worker pool the shard states
-        are fetched from the workers, so a pool-mode engine checkpoints
-        exactly like a serial one.  Returns the snapshot manifest (monotone
+        under one manifest.  Returns the snapshot manifest (monotone
         ``epoch`` included).  See :meth:`restore` for the resume contract.
         """
         from ..persistence.snapshot import write_snapshot
         from ..persistence.state import SHARDED_KIND, engine_sections, sharded_sections
 
-        if self._closed:
-            raise RuntimeError(
-                "checkpoint is not allowed on a closed sharded engine: its "
-                "shard state died with the worker pool"
-            )
-        if self._workers:
-            by_shard: Dict[int, Dict[str, Any]] = {}
-            for handle in self._workers:
-                handle.conn.send(("state",))
-            for worker_index in range(len(self._workers)):
-                reply = self._receive(worker_index)
-                by_shard.update(reply[1])
-            shard_states = [by_shard[shard_id] for shard_id in range(self.config.shard_count)]
-        else:
-            shard_states = [engine_sections(engine) for engine in self.shards]
+        shard_states = [engine_sections(engine) for engine in self.shards]
         self.checkpoint_epoch += 1
         return write_snapshot(
             path, SHARDED_KIND, self.checkpoint_epoch, sharded_sections(self, shard_states)
@@ -913,9 +669,9 @@ class ShardedStreamEngine(IngestFront):
 
         The restored engine resumes exactly at its watermark: feeding it
         the remainder of the stream yields byte-for-byte the events
-        (matches, order, sequence numbers) of the uninterrupted run, under
-        either scheduler -- a pool-configured engine restores its shard
-        state in-process and re-forks the pool lazily on the next batch.
+        (matches, order, sequence numbers) of the uninterrupted run.  A
+        snapshot written by a worker-pool engine (``workers > 0``) restores
+        as a serial one, with one ``repro.persistence`` warning.
         ``on_match`` callbacks and custom sinks are not serialisable and
         must be re-attached via :meth:`add_sink`.  Raises
         :class:`~repro.persistence.snapshot.SnapshotCorruptError` on any
@@ -948,28 +704,12 @@ class ShardedStreamEngine(IngestFront):
     def metrics(self) -> Dict[str, Any]:
         """Return merged metrics: routing, throughput, per-shard engine metrics.
 
-        Per-shard metrics are fetched from the worker processes when a pool
-        scheduler is running; shard-level totals (edges, graph sizes,
-        stored partial matches) are folded into ``totals``.  Collect them
-        before :meth:`close` on a pool engine -- the shard state dies with
-        the workers.
+        Shard-level totals (edges, graph sizes, stored partial matches) are
+        folded into ``totals``.
         """
-        if self._closed:
-            raise RuntimeError(
-                "this sharded engine has been closed: per-shard metrics were "
-                "lost with the worker pool; collect metrics before close()"
-            )
-        if self._workers:
-            shard_metrics: Dict[int, Dict[str, Any]] = {}
-            for handle in self._workers:
-                handle.conn.send(("metrics",))
-            for worker_index in range(len(self._workers)):
-                reply = self._receive(worker_index)
-                shard_metrics.update(reply[1])
-        else:
-            shard_metrics = {
-                shard_id: engine.metrics() for shard_id, engine in enumerate(self.shards)
-            }
+        shard_metrics = {
+            shard_id: engine.metrics() for shard_id, engine in enumerate(self.shards)
+        }
         # a shard hears only of the batches routed to it, so its horizon is
         # the parent's: the last release's watermark, or the global clock
         horizon = self._clock if self.reorder is None else self.event_time_watermark
@@ -1044,7 +784,6 @@ class ShardedStreamEngine(IngestFront):
         }
         return {
             "shard_count": self.config.shard_count,
-            "workers": len(self._workers) if self._workers else 0,
             "edges_processed": self.edges_processed,
             "events_emitted": self._sequence,
             "reorder": self.reorder.stats() if self.reorder is not None else None,
@@ -1061,11 +800,8 @@ class ShardedStreamEngine(IngestFront):
 
     def describe(self) -> str:
         """Return a human-readable status report of the sharded engine."""
-        scheduler = (
-            f"pool({len(self._workers)} workers)" if self._workers else "serial"
-        )
         lines = [
-            f"ShardedStreamEngine: {self.config.shard_count} shards ({scheduler}), "
+            f"ShardedStreamEngine: {self.config.shard_count} shards (serial), "
             f"{len(self.queries)} queries, {self.edges_processed} records offered, "
             f"{self._sequence} events emitted",
         ]
@@ -1083,5 +819,5 @@ class ShardedStreamEngine(IngestFront):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedStreamEngine(shards={self.config.shard_count}, "
-            f"workers={self.config.workers}, queries={len(self.queries)})"
+            f"queries={len(self.queries)})"
         )

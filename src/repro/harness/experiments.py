@@ -39,7 +39,6 @@ from ..stats.selectivity import SelectivityEstimator
 from ..stats.summarizer import GraphSummary, StreamSummarizer
 from ..streaming.batching import BatchReplay
 from ..streaming.edge_stream import EdgeStream, StreamEdge, merge_streams
-from ..streaming.async_ingest import AsyncIngestFrontend
 from ..streaming.metrics import Stopwatch
 from ..streaming.reorder import ReorderBuffer, bounded_shuffle, max_time_displacement
 from ..streaming.sources import (
@@ -66,7 +65,6 @@ __all__ = [
     "experiment_tab3_selectivity_ablation",
     "experiment_tab4_summarization",
     "experiment_tab5_window_sweep",
-    "experiment_sharded_scaling",
     "experiment_out_of_order_throughput",
     "experiment_checkpoint_recovery",
     "experiment_multisource_ingest",
@@ -763,7 +761,7 @@ def experiment_tab5_window_sweep(scale: float = 1.0, seed: int = 47) -> Dict[str
 
 
 # ----------------------------------------------------------------------
-# shared multi-query workload (E12-E15): label-disjoint chain queries
+# shared multi-query workload (E13-E15): label-disjoint chain queries
 # ----------------------------------------------------------------------
 def _label_disjoint_chain_queries(query_count: int, chain_length: int) -> List[QueryGraph]:
     """Build ``query_count`` path queries over mutually disjoint edge labels."""
@@ -830,149 +828,6 @@ def _multiquery_dispatch_stream(
 
 
 # ----------------------------------------------------------------------
-# E12: query-sharded engine scaling and conformance
-# ----------------------------------------------------------------------
-def experiment_sharded_scaling(
-    scale: float = 1.0,
-    seed: int = 61,
-    query_count: int = 20,
-    chain_length: int = 6,
-    batch_size: int = 200,
-    shard_counts: Sequence[int] = (1, 2, 4),
-    workers: int = 4,
-) -> Dict[str, object]:
-    """Measure query sharding on a label-disjoint multi-query workload.
-
-    ``query_count`` label-disjoint chain queries are registered (so routing
-    sends each record to exactly one shard) and the same stream is replayed
-    through:
-
-    * ``single`` -- the unsharded :class:`StreamWorksEngine` (batched);
-    * ``serial xN`` -- :class:`ShardedStreamEngine` with N shards on the
-      in-process serial scheduler, for each N in ``shard_counts``;
-    * ``pool x<max>`` -- the largest shard count again, on the
-      ``multiprocessing`` worker-pool scheduler (skipped when the platform
-      cannot fork).
-
-    Every configuration must produce the identical event list (same
-    matches, same order, same sequence numbers) -- ``conformant`` reports
-    that.  Serial sharding is a correctness baseline, not an optimisation:
-    it pays routing overhead without parallel execution, so its throughput
-    sits at or slightly below the single engine's.  The parallel payoff is
-    ``speedup_parallel`` (pool vs. the smallest serial shard count run,
-    ``baseline_mode``), which needs real cores:
-    ``cpu_count`` records what the host offered, and callers asserting
-    scaling thresholds should gate on it.
-    """
-    edge_count = max(400, int(4000 * scale))
-    window = 10.0
-    queries = _label_disjoint_chain_queries(query_count, chain_length)
-    records = _multiquery_dispatch_stream(query_count, edge_count, seed, chain_length)
-
-    def engine_config() -> EngineConfig:
-        return EngineConfig(collect_statistics=False, record_latency=False)
-
-    def register_all(engine) -> None:
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-
-    def canonical(events) -> List[tuple]:
-        return [
-            (event.query_name, event.match.portable_identity(), event.detected_at, event.sequence)
-            for event in events
-        ]
-
-    def replay(engine) -> list:
-        collected = []
-        for start in range(0, len(records), batch_size):
-            collected.extend(engine.process_batch(records[start : start + batch_size]))
-        return collected
-
-    pool_shards = max(shard_counts)
-    # the pool row is a real worker pool or nothing: with workers=0 (or no
-    # fork) it would silently measure another serial run under a parallel
-    # label
-    pool_ok = workers > 0 and ShardedStreamEngine.fork_available()
-    modes: List[Tuple[str, Optional[int], int]] = [("single", None, 0)]
-    modes.extend((f"serial x{count}", count, 0) for count in shard_counts)
-    if pool_ok:
-        modes.append((f"pool x{pool_shards}", pool_shards, workers))
-
-    rows = []
-    canonical_events: Dict[str, List[tuple]] = {}
-    routing_stats: Dict[str, object] = {}
-    for mode_name, shard_count, mode_workers in modes:
-        if shard_count is None:
-            engine = StreamWorksEngine(config=engine_config())
-        else:
-            engine = ShardedStreamEngine(
-                config=ShardConfig(
-                    shard_count=shard_count, workers=mode_workers, engine=engine_config()
-                )
-            )
-        register_all(engine)
-        if shard_count is not None:
-            # pay the one-time scheduler startup (pool fork/spawn) outside
-            # the stopwatch; the measurement is steady-state throughput
-            engine.start()
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        collected = replay(engine)
-        elapsed = stopwatch.stop()
-        # canonicalisation (frozensets + sorts per match) happens outside
-        # the stopwatch -- the measurement is ingest throughput
-        keyed = canonical(collected)
-        canonical_events[mode_name] = keyed
-        if shard_count == pool_shards and mode_workers == 0:
-            routing_stats = engine.router.stats()
-        if shard_count is not None:
-            engine.close()
-        rows.append(
-            {
-                "mode": mode_name,
-                "shards": shard_count if shard_count is not None else 1,
-                "workers": mode_workers,
-                "edges": len(records),
-                "elapsed_s": elapsed,
-                "edges_per_s": len(records) / elapsed if elapsed > 0 else float("inf"),
-                "events": len(keyed),
-            }
-        )
-
-    reference = canonical_events["single"]
-    conformant = all(keyed == reference for keyed in canonical_events.values())
-    by_mode = {row["mode"]: row for row in rows}
-    # the speedup baseline is the smallest serial shard count actually run
-    # (callers may pass shard_counts without 1)
-    baseline_mode = f"serial x{min(shard_counts)}"
-    baseline_elapsed = by_mode[baseline_mode]["elapsed_s"]
-    for row in rows:
-        row["speedup_vs_baseline"] = (
-            baseline_elapsed / row["elapsed_s"] if row["elapsed_s"] > 0 else float("inf")
-        )
-    pool_mode = f"pool x{pool_shards}"
-    try:
-        cpu_count = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-linux
-        cpu_count = os.cpu_count() or 1
-    return {
-        "experiment": "E12_sharded_scaling",
-        "query_count": query_count,
-        "stream_edges": len(records),
-        "batch_size": batch_size,
-        "shard_counts": list(shard_counts),
-        "conformant": conformant,
-        "parallel_capable": pool_ok,
-        "cpu_count": cpu_count,
-        "baseline_mode": baseline_mode,
-        "speedup_serial_max": by_mode[f"serial x{pool_shards}"]["speedup_vs_baseline"],
-        "speedup_parallel": by_mode[pool_mode]["speedup_vs_baseline"] if pool_ok else None,
-        "routing": routing_stats,
-        "rows": rows,
-    }
-
-
-# ----------------------------------------------------------------------
 # E13: event-time reordering keeps disordered streams on the fast path
 # ----------------------------------------------------------------------
 def experiment_out_of_order_throughput(
@@ -986,7 +841,7 @@ def experiment_out_of_order_throughput(
 ) -> Dict[str, object]:
     """Measure event-time ingestion (reorder buffer + watermark) under disorder.
 
-    The same multi-query stream as E12 (``query_count`` label-disjoint
+    The shared multi-query stream (``query_count`` label-disjoint
     chains) is shuffled with bounded positional displacement
     (``max_displacement``) -- the shape of a feed assembled from
     slightly-skewed parallel collectors -- and replayed through:
@@ -1093,8 +948,6 @@ def experiment_out_of_order_throughput(
             metrics = engine.metrics()
             reorder_stats = metrics["reorder"]
             ingest_paths = metrics["ingest_paths"]
-        if hasattr(engine, "close"):
-            engine.close()
         rows.append(
             {
                 "mode": mode_name,
@@ -1155,7 +1008,7 @@ def experiment_checkpoint_recovery(
 ) -> Dict[str, object]:
     """Measure checkpoint/restore against replaying the stream from scratch.
 
-    Two claims are measured on the E12 multi-query workload:
+    Two claims are measured on the shared multi-query workload:
 
     * **Exact resume** (the correctness half, asserted at every scale):
       process half the stream, ``checkpoint()``, ``restore()`` into a fresh
@@ -1299,7 +1152,7 @@ def experiment_multisource_ingest(
 ) -> Dict[str, object]:
     """Measure per-source watermarks against a single global watermark.
 
-    The E12 multi-query stream is split round-robin across
+    The shared multi-query stream is split round-robin across
     ``source_count`` collectors, and each collector's records arrive with a
     *time-varying* delivery lag (small at the edges of the stream, spiking
     in the middle third) -- the shape of real per-collector feeds whose
@@ -1332,11 +1185,9 @@ def experiment_multisource_ingest(
     stays bounded -- both remain exact.
 
     **Engine-level conformance** (asserted at every scale): the
-    multi-source engine (single, ``shard_count``-sharded, and sharded
-    behind the :class:`AsyncIngestFrontend`) must emit exactly the
-    sorted-merge oracle's match multiset with zero late records; wall
-    clock is reported for context (the async row additionally proves the
-    synchronous-equivalence contract end to end).
+    multi-source engine (single and ``shard_count``-sharded) must emit
+    exactly the sorted-merge oracle's match multiset with zero late
+    records; wall clock is reported for context.
     """
     edge_count = max(400, int(4000 * scale))
     window = 10.0
@@ -1478,16 +1329,6 @@ def experiment_multisource_ingest(
         collected.extend(engine.flush())
         return collected
 
-    def replay_async(engine, stream) -> list:
-        register_sources(engine)
-        frontend = AsyncIngestFrontend(engine)
-        collected = []
-        for start in range(0, len(stream), batch_size):
-            frontend.submit(stream[start : start + batch_size])
-            collected.extend(frontend.drain())
-        collected.extend(frontend.close())
-        return collected
-
     def build_registered(factory):
         engine = factory()
         register_sources(engine)
@@ -1504,10 +1345,6 @@ def experiment_multisource_ingest(
             f"multisource sharded x{shard_count}",
             lambda: (build_registered(build_sharded), replay_batched, arrival),
         ),
-        (
-            f"async sharded x{shard_count}",
-            lambda: (build_sharded(), replay_async, arrival),
-        ),
     ]
     engine_rows = []
     multisets: Dict[str, Dict[tuple, int]] = {}
@@ -1521,8 +1358,6 @@ def experiment_multisource_ingest(
         multisets[mode_name] = multiset(events)
         if mode_name == "multisource":
             reorder_stats = engine.metrics()["reorder"]
-        if hasattr(engine, "close"):
-            engine.close()
         engine_rows.append(
             {
                 "mode": mode_name,
@@ -1561,7 +1396,6 @@ def experiment_multisource_ingest(
         # engine-level conformance flags
         "multisource_exact": multisets["multisource"] == oracle,
         "multisource_sharded_exact": multisets[f"multisource sharded x{shard_count}"] == oracle,
-        "async_exact": multisets[f"async sharded x{shard_count}"] == oracle,
         "multisource_zero_late": reorder_stats.get("records_late") == 0,
         "reorder": reorder_stats,
         "buffer_rows": buffer_rows,
@@ -1582,7 +1416,6 @@ ALL_EXPERIMENTS = {
     "E8": experiment_tab3_selectivity_ablation,
     "E9": experiment_tab4_summarization,
     "E10": experiment_tab5_window_sweep,
-    "E12": experiment_sharded_scaling,
     "E13": experiment_out_of_order_throughput,
     "E14": experiment_checkpoint_recovery,
     "E15": experiment_multisource_ingest,

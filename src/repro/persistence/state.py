@@ -20,11 +20,8 @@ its payload picks the right class on load), and every deterministic
 counter.  State that is a pure function of other
 sections is recounted instead -- the expiry queue from the window store --
 and the planning statistics are never stored: they are computed from the
-window store whenever a plan is made.  An engine fed
-through an :class:`~repro.streaming.async_ingest.AsyncIngestFrontend`
-checkpoints via ``frontend.checkpoint``, which quiesces admission first so
-the buffer's pending tail here is exact.  Two things are deliberately
-*not* captured:
+window store whenever a plan is made.  Two things are deliberately *not*
+captured:
 
 * wall-clock measurements (latency samples, throughput elapsed time) are
   carried over as recorded but obviously cannot be byte-identical across a
@@ -430,17 +427,15 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
 def sharded_sections(
     engine: "ShardedStreamEngine", shard_states: List[Dict[str, Any]]
 ) -> Dict[str, Any]:
-    """Capture a sharded engine's parent state plus pre-collected shard states.
+    """Capture a sharded engine's parent state plus its shard states.
 
     ``shard_states`` is one :func:`engine_sections` payload per shard, in
-    shard-id order -- collected by the caller because only it knows whether
-    shard state lives in-process or in worker processes.
+    shard-id order.
     """
     registrations = sorted(engine.queries.values(), key=lambda reg: reg.order)
     sections: Dict[str, Any] = {
         "config": {
             "shard_count": engine.config.shard_count,
-            "workers": engine.config.workers,
             "routing": engine.config.routing,
             "engine": _config_state(engine.config.engine),
         },
@@ -484,14 +479,23 @@ def sharded_sections(
 
 
 def load_sharded_sections(sections: Mapping[str, Any]) -> "ShardedStreamEngine":
-    """Rebuild a sharded engine (serial state; pool restarts lazily) from sections."""
+    """Rebuild a sharded engine from sections.
+
+    Snapshots written while the engine had a worker-process pool carry
+    ``workers``; one with ``workers > 0`` restores as the serial engine it
+    is today and logs one warning on ``repro.persistence``.
+    """
     from ..core.sharded import ShardConfig, ShardedQuery, ShardedStreamEngine
 
     try:
         config_state = sections["config"]
+        if config_state.get("workers", 0) > 0:
+            _LOG.warning(
+                "snapshot sharded config carries a worker pool, restored serially: workers=%s",
+                config_state["workers"],
+            )
         config = ShardConfig(
             shard_count=config_state["shard_count"],
-            workers=config_state["workers"],
             routing=config_state["routing"],
             engine=_config_from_state(config_state["engine"]),
         )

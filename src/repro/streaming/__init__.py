@@ -30,11 +30,9 @@ from .sources import (
     split_by_source,
     tag_sources,
 )
-from .async_ingest import AsyncIngestFrontend
 
 __all__ = [
     "ADAPTIVE_LATENESS",
-    "AsyncIngestFrontend",
     "BatchReplay",
     "BatchResult",
     "BatchRouter",

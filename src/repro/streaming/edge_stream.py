@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..graph.types import Edge, Timestamp, VertexId
@@ -28,6 +29,11 @@ class StreamEdge:
     (:class:`~repro.streaming.sources.MultiSourceReorderBuffer`) tracks one
     watermark per ``source_id`` so independently-skewed collector clocks do
     not push each other's records past the lateness horizon.
+
+    The timestamp must be finite: a NaN compares false against every
+    eviction horizon and would stay in the window store forever, and an
+    infinite one would advance the stream clock past every window.  Either
+    raises ``ValueError`` naming the record.
     """
 
     __slots__ = (
@@ -60,6 +66,11 @@ class StreamEdge:
         self.target = target
         self.label = label
         self.timestamp = float(timestamp)
+        if not math.isfinite(self.timestamp):
+            raise ValueError(
+                f"StreamEdge {source!r}-[{label}]->{target!r} has a non-finite "
+                f"timestamp {timestamp!r}; stream time must be a finite number"
+            )
         self.attrs = dict(attrs or {})
         self.source_label = source_label
         self.target_label = target_label

@@ -152,17 +152,16 @@ def build_engine(
     *,
     reference=False,
     shard_count=1,
-    workers=0,
     replan=False,
     unbounded=False,
 ):
     """Build a registered engine for one cell of the config matrix.
 
     ``reference`` builds the :class:`ExhaustiveReferenceEngine`.  Otherwise
-    ``shard_count == 1`` with no workers builds a plain single engine (the
-    fastest differential); anything else builds the sharded engine, serial
-    or pool-scheduled.  ``unbounded`` registers every query with no window,
-    so nothing expires and every completion stays derivable to the end.
+    ``shard_count == 1`` builds a plain single engine (the fastest
+    differential); anything else builds the sharded engine.  ``unbounded``
+    registers every query with no window, so nothing expires and every
+    completion stays derivable to the end.
     """
     engine_config = EngineConfig(
         replan_threshold=0.4 if replan else None,
@@ -170,22 +169,15 @@ def build_engine(
     )
     if reference:
         engine = ExhaustiveReferenceEngine(config=engine_config)
-    elif shard_count == 1 and workers == 0:
+    elif shard_count == 1:
         engine = StreamWorksEngine(config=engine_config)
     else:
         engine = ShardedStreamEngine(
-            config=ShardConfig(
-                shard_count=shard_count, workers=workers, engine=engine_config
-            )
+            config=ShardConfig(shard_count=shard_count, engine=engine_config)
         )
     for name, query, window in query_specs():
         engine.register_query(query, name=name, window=None if unbounded else window)
     return engine
-
-
-def _close(engine):
-    if isinstance(engine, ShardedStreamEngine):
-        engine.close()
 
 
 def run(
@@ -214,7 +206,6 @@ def run(
         if batch_index in checkpoint_cuts:
             path = str(snapshot_dir / f"cut-{batch_index}.snap")
             engine.checkpoint(path)
-            _close(engine)
             engine = restore_cls.restore(path)
             if mutate is not None:
                 mutate(engine)
@@ -223,12 +214,11 @@ def run(
     # the collector holds the full history across restores, so this is the
     # whole run's event stream regardless of where the cuts fell
     events = canonical(list(engine.collector.events))
-    _close(engine)
     return events, metrics
 
 
 def differential(
-    records, query_specs, *, candidate_kwargs=None, shard_count=1, workers=0, **shared_kwargs
+    records, query_specs, *, candidate_kwargs=None, shard_count=1, **shared_kwargs
 ):
     """Run the engine (candidate) and the reference (oracle); return both.
 
@@ -241,7 +231,6 @@ def differential(
         records,
         query_specs,
         shard_count=shard_count,
-        workers=workers,
         **shared_kwargs,
         **(candidate_kwargs or {}),
     )

@@ -8,13 +8,14 @@ Four layers, mirroring the guarantees the suite makes:
    finding; stale or unknown ignores are `unused-suppression` errors.
 3. **The real tree** -- `run_analysis(["src/repro"])` is clean (this is
    the same gate CI runs) and fast (<10s, so the lint suite stays
-   tier-1-cheap).
+   tier-1-cheap), and no module imports `threading` or `multiprocessing`.
 4. **Mutation meta-tests** -- deleting a `state_dict` key from
    `ReorderBuffer`, or adding an unpersisted `__init__` attribute, makes
    the suite fail.  This pins that the snapshot rule actually guards the
    exact-resume contract rather than merely passing on today's code.
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -35,9 +36,6 @@ RULE_FIXTURES = {
     "wall-clock": "repro/streaming/wall_clock",
     "snapshot-coverage": "repro/streaming/snapshot",
     "optional-truthiness": "repro/streaming/truthiness",
-    "lock-discipline": "repro/streaming/locks",
-    "lock-order": "repro/streaming/lock_order",
-    "fork-safety": "repro/core/fork_safety",
     "exception-atomicity": "repro/streaming/atomicity",
     "config-drift": "repro/core/config_drift",
 }
@@ -112,6 +110,17 @@ def test_stale_and_unknown_suppressions_are_errors():
     assert "unknown rule 'not-a-rule'" in messages
 
 
+@pytest.mark.parametrize("rule_id", ["fork-safety", "lock-discipline", "lock-order"])
+def test_suppression_naming_a_removed_rule_is_an_error(rule_id):
+    """The thread and process rules were deleted with the code they policed;
+    an ignore left behind for one is reported, not silently kept."""
+    text = f"def f(shards):\n    shards.append(1)  # repro-lint: ignore[{rule_id}]\n"
+    source = SourceFile(Path("repro/core/stale.py"), "repro/core/stale.py", text)
+    report = run_analysis([], sources=[source])
+    assert [finding.rule for finding in report.findings] == ["unused-suppression"]
+    assert f"unknown rule {rule_id!r}" in report.findings[0].message
+
+
 def test_suppression_marker_inside_a_docstring_is_inert():
     source = SourceFile(
         Path("repro/streaming/doc.py"),
@@ -154,6 +163,23 @@ def test_the_real_tree_is_clean_and_fast(tmp_path):
     assert warm.clean
     assert warm.files_parsed == 0
     assert warm.duration_seconds < 10.0
+
+
+@pytest.mark.parametrize("module", ["threading", "multiprocessing"])
+def test_the_real_tree_runs_on_one_thread_in_one_process(module):
+    """No module under ``src/repro`` imports a thread or process API."""
+    importers = []
+    for path in sorted((REPO_ROOT / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name == module or name.startswith(f"{module}.") for name in names):
+                importers.append(str(path.relative_to(REPO_ROOT)))
+    assert importers == []
 
 
 def test_cli_reports_clean_json_on_the_real_tree():
@@ -236,54 +262,20 @@ def test_adding_an_unpersisted_init_attribute_to_reorder_buffer_fails_the_suite(
     assert any("phantom_counter" in f.message for f in findings)
 
 
-def test_unsuppressing_the_shard_retention_write_fails_the_suite():
-    """Deleting the documented fork-safety ignore on `_sync_retention`'s
-    write-through-`shards` resurfaces the finding -- the suppression is
-    load-bearing, not decoration."""
+def test_unsuppressing_a_derived_sjtree_counter_fails_the_suite():
+    """``_match_count`` is rebuilt on restore, not captured, and says so with
+    a snapshot-coverage ignore; deleting that ignore resurfaces the finding,
+    so the suppression is load-bearing, not decoration."""
     report = _analyse_mutated(
-        "src/repro/core/sharded.py",
-        lambda text: text.replace("  # repro-lint: ignore[fork-safety]", ""),
-    )
-    findings = [f for f in report.findings if f.rule == "fork-safety"]
-    assert findings, "the shipped-state write must raise fork-safety once unsuppressed"
-    assert any("`shards`" in f.message for f in findings)
-
-
-def test_unlocking_the_ingest_error_publication_fails_the_suite():
-    """Reintroducing the fixed `_error` race (ingest thread publishing the
-    failure without `_released_lock`) must trip interprocedural
-    lock-discipline's escape analysis."""
-    report = _analyse_mutated(
-        "src/repro/streaming/async_ingest.py",
+        "src/repro/core/sjtree.py",
         lambda text: text.replace(
-            "            except BaseException as error:  # surfaced on the next API call\n"
-            "                with self._released_lock:\n"
-            "                    self._error = error",
-            "            except BaseException as error:  # surfaced on the next API call\n"
-            "                self._error = error",
+            "self._match_count = 0  # repro-lint: ignore[snapshot-coverage]",
+            "self._match_count = 0",
         ),
     )
-    findings = [f for f in report.findings if f.rule == "lock-discipline"]
-    assert findings, "an off-lock _error write must raise lock-discipline"
-    assert any("_error" in f.message for f in findings)
-
-
-def test_inverting_a_lock_acquisition_order_fails_the_suite():
-    """`_quiesced` takes `_buffer_lock` then `_released_lock`; making
-    `stats()` nest them the other way round creates a deadlock cycle the
-    lock-order rule must report."""
-    report = _analyse_mutated(
-        "src/repro/streaming/async_ingest.py",
-        lambda text: text.replace(
-            "        with self._released_lock:\n            return {",
-            "        with self._released_lock:\n"
-            "            with self._buffer_lock:\n"
-            "                return {",
-        ),
-    )
-    findings = [f for f in report.findings if f.rule == "lock-order"]
-    assert findings, "opposite-order acquisitions must raise lock-order"
-    assert any("_buffer_lock" in f.message for f in findings)
+    findings = [f for f in report.findings if f.rule == "snapshot-coverage"]
+    assert findings, "the uncaptured counter must raise snapshot-coverage once unsuppressed"
+    assert any("_match_count" in f.message for f in findings)
 
 
 def test_raising_between_persisted_writes_fails_the_suite():

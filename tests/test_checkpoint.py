@@ -14,11 +14,10 @@ nothing in-process survives the "crash"), the remaining batches are fed,
 and the full event history plus deterministic metrics are diffed against
 the uninterrupted oracle.  A sampled set of *intra-batch* boundaries is
 crashed the same way through the per-record path.  The matrix covers the
-single engine and the sharded engine at shard counts 1/2/4, both
-schedulers (serial and worker pool), two oracles (an uninterrupted run of
-the same engine, and of the exhaustive reference that searches every leaf
-on every record), and event-time (reorder-buffer) configurations whose
-buffered tail must survive the crash.
+single engine and the sharded engine at shard counts 1/2/4, two oracles
+(an uninterrupted run of the same engine, and of the exhaustive reference
+that searches every leaf on every record), and event-time (reorder-buffer)
+configurations whose buffered tail must survive the crash.
 
 Torn-snapshot robustness rides along: every section of a snapshot file is
 truncated and bit-flipped in turn, and ``restore`` must raise a typed
@@ -52,7 +51,6 @@ from repro.persistence import (
 from repro.persistence.state import _RETIRED_CONFIG_FIELDS
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
-    AsyncIngestFrontend,
     MultiSourceReorderBuffer,
     StreamEdge,
     bounded_shuffle,
@@ -165,17 +163,8 @@ def deterministic_metrics(engine):
 
 
 def statistics_state(engine):
-    """The statistics, serialised and as the planner reads them, per (shard) engine.
-
-    ``None`` for a pooled sharded engine: its shard state lives in the
-    worker processes.
-    """
-    if isinstance(engine, StreamWorksEngine):
-        shards = [engine]
-    elif engine.config.workers > 0:
-        return None
-    else:
-        shards = engine.shards
+    """The statistics, serialised and as the planner reads them, per (shard) engine."""
+    shards = [engine] if isinstance(engine, StreamWorksEngine) else engine.shards
     return [
         (shard.summarizer.state_dict(), summary_facts(shard.statistics_summary()))
         for shard in shards
@@ -192,10 +181,8 @@ def assert_resumed_equals_oracle(oracle, resumed, context):
     else:
         assert resumed.edges_processed == oracle.edges_processed, context
         assert resumed._sequence == oracle._sequence, context
-    statistics = statistics_state(resumed)
-    assert statistics == statistics_state(oracle), context
-    if statistics is not None:
-        assert_statistics_describe_the_window(resumed, context)
+    assert statistics_state(resumed) == statistics_state(oracle), context
+    assert_statistics_describe_the_window(resumed, context)
 
 
 def assert_resumed_equals_reference(reference, resumed, context):
@@ -416,13 +403,11 @@ def test_sharded_replan_crash_at_every_batch_boundary(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# sharded engine: shards 1/2/4 x serial/pool schedulers
+# sharded engine: shards 1/2/4
 # ----------------------------------------------------------------------
-def _sharded_config(shard_count, workers, allowed_lateness=None):
+def _sharded_config(shard_count, allowed_lateness=None):
     return ShardConfig(
-        shard_count=shard_count,
-        workers=workers,
-        engine=EngineConfig(allowed_lateness=allowed_lateness),
+        shard_count=shard_count, engine=EngineConfig(allowed_lateness=allowed_lateness)
     )
 
 
@@ -438,7 +423,7 @@ def test_sharded_serial_crash_at_every_batch_boundary(
     oracle_cls, assert_resumed = ORACLES[oracle_kind]
 
     def build():
-        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 0))
+        engine = ShardedStreamEngine(config=_sharded_config(shard_count))
         register_all(engine, query_specs())
         return engine
 
@@ -469,17 +454,14 @@ def test_sharded_serial_crash_at_every_batch_boundary(
         )
 
 
-@pytest.mark.skipif(
-    not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-)
 @pytest.mark.parametrize("shard_count", [2, 4])
-def test_sharded_pool_checkpoint_and_restore_through_pool(tmp_path, shard_count):
-    """Checkpoint a RUNNING pool (state fetched from workers); resume into a pool."""
+def test_sharded_resumed_engine_checkpoints_and_resumes_again(tmp_path, shard_count):
+    """A restored engine is a full engine: its own snapshot resumes exactly too."""
     records = rmat_records()
     batches = batches_of(records)
 
     def build():
-        engine = ShardedStreamEngine(config=_sharded_config(shard_count, 2))
+        engine = ShardedStreamEngine(config=_sharded_config(shard_count))
         register_all(engine, rmat_queries())
         return engine
 
@@ -487,25 +469,26 @@ def test_sharded_pool_checkpoint_and_restore_through_pool(tmp_path, shard_count)
     for batch in batches:
         oracle.process_batch(batch)
     reference = canonical(oracle.events())
-    oracle.close()
     assert reference
 
-    path = str(tmp_path / "sharded.snap")
-    crash_points = [0, len(batches) // 2, len(batches) - 1]
-    for crash_after in crash_points:
+    first, second = str(tmp_path / "first.snap"), str(tmp_path / "second.snap")
+    for crash_after in [0, len(batches) // 2, len(batches) - 2]:
         engine = build()
         for batch in batches[: crash_after + 1]:
             engine.process_batch(batch)
-        engine.checkpoint(path)  # shard state lives in the workers here
-        engine.close()
-        resumed = ShardedStreamEngine.restore(path)
-        assert resumed.config.workers == 2  # resumes as a pool engine
-        for batch in batches[crash_after + 1 :]:
-            resumed.process_batch(batch)
-        assert canonical(resumed.events()) == reference, (
-            f"{shard_count}-shard pool, crash after batch {crash_after}"
+        engine.checkpoint(first)
+        del engine
+        resumed = ShardedStreamEngine.restore(first)
+        resumed.process_batch(batches[crash_after + 1])
+        resumed.checkpoint(second)
+        del resumed
+        again = ShardedStreamEngine.restore(second)
+        for batch in batches[crash_after + 2 :]:
+            again.process_batch(batch)
+        assert canonical(again.events()) == reference, (
+            f"{shard_count} shards, crash after batch {crash_after} and again after the next"
         )
-        resumed.close()
+        assert_resumed_equals_oracle(oracle, again, f"{shard_count} shards, double crash")
 
 
 def test_sharded_event_time_parent_buffer_survives_crash(tmp_path):
@@ -513,7 +496,7 @@ def test_sharded_event_time_parent_buffer_survives_crash(tmp_path):
     batches = batches_of(records)
 
     def build():
-        engine = ShardedStreamEngine(config=_sharded_config(2, 0, allowed_lateness=1.0))
+        engine = ShardedStreamEngine(config=_sharded_config(2, allowed_lateness=1.0))
         register_all(engine, rmat_queries())
         return engine
 
@@ -650,7 +633,7 @@ def test_autosave_failure_does_not_lose_the_processed_batch(tmp_path, sharded):
 def _snapshot_engine(tmp_path, sharded=False):
     path = str(tmp_path / ("sharded.snap" if sharded else "engine.snap"))
     if sharded:
-        engine = ShardedStreamEngine(config=_sharded_config(2, 0))
+        engine = ShardedStreamEngine(config=_sharded_config(2))
     else:
         engine = StreamWorksEngine(config=EngineConfig())
     register_all(engine, rmat_queries())
@@ -826,7 +809,7 @@ class TestDeadOnArrivalUnification:
     def test_sharded_batched_agrees_on_dead_records(self, shard_count):
         single = self.build()
         single.process_batch(self.RECORDS)
-        sharded = ShardedStreamEngine(config=_sharded_config(shard_count, 0))
+        sharded = ShardedStreamEngine(config=_sharded_config(shard_count))
         sharded.register_query(chain_query("ab", ["a", "b"]), name="ab", window=10.0)
         sharded.register_query(chain_query("zz", ["z"]), name="zz", window=10.0)
         sharded.process_batch(self.RECORDS)
@@ -983,7 +966,7 @@ def retired_knob_records():
     return rows
 
 
-def retired_knob_engine():
+def register_retired_knob_queries(engine):
     ab = QueryGraph("ab")
     ab.add_vertex("x", "Leaf")
     ab.add_vertex("y", "Host")
@@ -996,10 +979,13 @@ def retired_knob_engine():
     la.add_vertex("y", "Host")
     la.add_edge("h", "x", "link")
     la.add_edge("x", "y", "rel_a")
-    engine = StreamWorksEngine(config=EngineConfig())
     engine.register_query(ab, name="ab", window=4.0)
     engine.register_query(la, name="la", window=2.0)
     return engine
+
+
+def retired_knob_engine():
+    return register_retired_knob_queries(StreamWorksEngine(config=EngineConfig()))
 
 
 @pytest.mark.parametrize(
@@ -1293,6 +1279,47 @@ def test_loading_retired_fields_logs_one_warning_naming_them(fixture, caplog):
     assert named == expected
 
 
+def test_sharded_snapshot_from_a_worker_pool_restores_serially(tmp_path, caplog):
+    """A snapshot a worker-pool engine wrote restores as a serial engine.
+
+    ``tests/fixtures/persistence/sharded_pool_workers.snap`` was written by a
+    two-shard engine running two worker processes (``workers: 2``), after
+    seven batches of 8 of the retired-knob stream.  The pool no longer
+    exists: the snapshot restores with one ``repro.persistence`` warning
+    naming it, and the rest of the stream gives the event history of an
+    uninterrupted serial run.
+    """
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "persistence", "sharded_pool_workers.snap"
+    )
+    _, sections = read_snapshot(path)
+    assert sections["config"]["workers"] == 2
+    records = retired_knob_records()
+    cut = 56
+    with caplog.at_level("WARNING", logger="repro.persistence"):
+        resumed = ShardedStreamEngine.restore(path)
+    warnings = [record for record in caplog.records if record.name == "repro.persistence"]
+    assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
+    assert "worker pool" in warnings[0].getMessage()
+    assert "workers=2" in warnings[0].getMessage()
+    assert len(resumed.events()) == 50
+    oracle = register_retired_knob_queries(ShardedStreamEngine(shard_count=2))
+    single = retired_knob_engine()
+    for start in range(0, len(records), 8):
+        oracle.process_batch(records[start : start + 8])
+        single.process_batch(records[start : start + 8])
+    for start in range(cut, len(records), 8):
+        resumed.process_batch(records[start : start + 8])
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert canonical(resumed.events()) == canonical(single.events())
+    assert len(resumed.events()) == 90
+    assert resumed.match_counts() == oracle.match_counts()
+    # it checkpoints again without the pool
+    again = str(tmp_path / "again.snap")
+    resumed.checkpoint(again)
+    assert "workers" not in read_snapshot(again)[1]["config"]
+
+
 def test_loading_a_current_snapshot_logs_nothing(tmp_path, caplog):
     path = str(tmp_path / "current.snap")
     StreamWorksEngine(config=EngineConfig()).checkpoint(path)
@@ -1318,7 +1345,7 @@ def test_snapshot_sections_are_inspectable(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# multi-source event time + async front-end: crash at every boundary
+# multi-source event time: crash at every boundary
 # ----------------------------------------------------------------------
 def multisource_rmat_arrival(count=200, seed=29, skews={"probe0": 0.0, "probe1": 0.2}):
     """The rmat stream split across skewed collectors, in arrival order."""
@@ -1379,34 +1406,27 @@ def test_multisource_buffer_state_survives_crash_at_every_boundary(tmp_path, sha
         )
 
 
-def test_async_frontend_checkpoint_at_every_submitted_batch(tmp_path):
-    """frontend.checkpoint quiesces admission, so a crash at any submitted-
-    batch boundary resumes byte-for-byte -- the async pending tail is
-    engine state and must not be lost or double-fed."""
-    arrival = multisource_rmat_arrival(count=160)
-    batches = batches_of(arrival)
+@pytest.mark.parametrize("shard_count", [None, 2], ids=["single", "sharded_x2"])
+def test_multisource_snapshot_before_the_first_batch_resumes(tmp_path, shard_count):
+    """A snapshot of registered but silent collectors holds their registration:
+    the resumed engine waits for both, as the uninterrupted one does."""
+    batches = batches_of(multisource_rmat_arrival())
+    engine_cls = StreamWorksEngine if shard_count is None else ShardedStreamEngine
 
-    oracle = build_multisource_engine()
-    with AsyncIngestFrontend(oracle) as frontend:
-        for batch in batches:
-            frontend.submit(batch)
+    oracle = build_multisource_engine(shard_count)
+    for batch in batches:
+        oracle.process_batch(batch)
+    oracle.flush()
     assert oracle.events()
 
-    path = str(tmp_path / "async.snap")
-    for crash_after in range(len(batches) + 1):
-        engine = build_multisource_engine()
-        frontend = AsyncIngestFrontend(engine)
-        for batch in batches[:crash_after]:
-            frontend.submit(batch)
-        frontend.checkpoint(path)
-        frontend.close()  # stop the ingest thread (a real crash would kill it)
-        del frontend, engine
-        resumed = StreamWorksEngine.restore(path)
-        frontend = AsyncIngestFrontend(resumed)
-        for batch in batches[crash_after:]:
-            frontend.submit(batch)
-        frontend.close()
-        assert_resumed_equals_oracle(oracle, resumed, f"async crash after {crash_after}")
+    path = str(tmp_path / "empty.snap")
+    build_multisource_engine(shard_count).checkpoint(path)
+    resumed = engine_cls.restore(path)
+    assert resumed.reorder.sources() == ["probe0", "probe1"]
+    for batch in batches:
+        resumed.process_batch(batch)
+    resumed.flush()
+    assert_resumed_equals_oracle(oracle, resumed, f"multisource shards={shard_count}, empty cut")
 
 
 def test_idle_timeout_state_survives_crash(tmp_path):

@@ -1,9 +1,9 @@
 """One way in: every ingest entry point is a batch through one front.
 
 ``process_record(r)`` is ``process_batch([r])`` minus the batch count, on
-both engines; late ``process_degraded`` records, ``flush`` and the async
-front-end's drains reach the same run loop; and the replan cadence is
-counted once per batch whichever entry point made it.
+both engines; late ``process_degraded`` records and ``flush`` reach the
+same run loop; and the replan cadence is counted once per batch whichever
+entry point made it.
 """
 
 import random
@@ -21,7 +21,6 @@ from test_sharded_conformance import (
 
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
-from repro.streaming.async_ingest import AsyncIngestFrontend
 from repro.streaming.edge_stream import StreamEdge
 from repro.streaming.reorder import LatePolicy
 
@@ -72,11 +71,7 @@ def build(specs, layout="single", **config):
     if layout == "single":
         engine = StreamWorksEngine(config=engine_config)
     else:
-        engine = ShardedStreamEngine(
-            config=ShardConfig(
-                shard_count=2, workers=2 if layout == "pool" else 0, engine=engine_config
-            )
-        )
+        engine = ShardedStreamEngine(config=ShardConfig(shard_count=2, engine=engine_config))
     for name, query, window in specs():
         engine.register_query(query, name=name, window=window)
     return engine
@@ -107,12 +102,7 @@ def assert_record_equals_batch(records, specs, layout="single", mutate=None, **c
     one_record_batches = build(specs, layout, **config)
     if mutate is not None:
         mutate(per_record)
-    try:
-        assert feed(per_record, records, True) == feed(one_record_batches, records, False)
-    finally:
-        for engine in (per_record, one_record_batches):
-            if isinstance(engine, ShardedStreamEngine):
-                engine.close()
+    assert feed(per_record, records, True) == feed(one_record_batches, records, False)
 
 
 BUFFERS = {
@@ -127,7 +117,7 @@ class TestRecordIsAOneRecordBatch:
         seed=st.integers(min_value=0, max_value=10_000),
         disordered=st.booleans(),
         buffer=st.sampled_from(sorted(BUFFERS)),
-        layout=st.sampled_from(["single", "serial", "pool"]),
+        layout=st.sampled_from(["single", "serial"]),
     )
     @settings(
         max_examples=24,
@@ -136,8 +126,6 @@ class TestRecordIsAOneRecordBatch:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_process_record_equals_a_one_record_batch(self, seed, disordered, buffer, layout):
-        if layout == "pool" and not ShardedStreamEngine.fork_available():
-            pytest.skip("multiprocessing fork unavailable")
         records = chain_records(random.Random(seed), 40, disordered)
         assert_record_equals_batch(records, chain_specs, layout, **BUFFERS[buffer])
 
@@ -213,8 +201,6 @@ class TestLateRecordAgainstTheSweptClock:
         engine = build(late_completion_specs, layout)
         events, _ = feed(engine, LATE_COMPLETION, one_by_one=True)
         assert [key[0] for key in events] == ["zz"]
-        if layout == "serial":
-            engine.close()
 
     def test_the_record_equals_batch_property_catches_the_old_sweep_set(self):
         # under the run-minimum rule the whole stream as one batch runs
@@ -255,9 +241,8 @@ class TestEveryEntryPointRunsTheFastPath:
         buffered.process_batch([StreamEdge("a", "b", "rel_a", 5.0)])
         buffered.process_record(StreamEdge("b", "c", "rel_b", 10.0))  # releases t=5
         buffered.process_record(StreamEdge("c", "d", "rel_c", 1.0))  # late: degraded
-        with AsyncIngestFrontend(buffered) as frontend:
-            frontend.submit([StreamEdge("d", "e", "rel_a", 12.0)])
-        # the drain releases t=10, the flush in close() t=12
+        buffered.process_batch([StreamEdge("d", "e", "rel_a", 12.0)])  # releases t=10
+        buffered.flush()  # releases t=12
         assert [record.timestamp for record in ran] == [5.0, 1.0, 10.0, 12.0]
 
 
@@ -267,7 +252,7 @@ class TestReplanCadenceParity:
     CONFIG = dict(allowed_lateness=0.05, replan_threshold=0.4, replan_check_every=50)
 
     @staticmethod
-    def run(shard_count, use_async):
+    def run(shard_count, one_by_one):
         config = EngineConfig(**TestReplanCadenceParity.CONFIG)
         if shard_count == 1:
             engine = StreamWorksEngine(config=config)
@@ -279,23 +264,22 @@ class TestReplanCadenceParity:
             engine.register_query(query, name=name, window=window)
         records = drifting_records(300)
         batches = [records[start : start + 50] for start in range(0, len(records), 50)]
-        if use_async:
-            with AsyncIngestFrontend(engine) as frontend:
-                for batch in batches:
-                    frontend.submit(batch)
+        if one_by_one:
+            for record in records:
+                engine.process_record(record)
         else:
             for batch in batches:
                 engine.process_batch(batch)
-            engine.flush()
+        engine.flush()
         return engine.metrics()["replan"]["checks_run"], canonical(engine.events())
 
     def test_checks_run_once_per_cadence_mark_on_every_path(self):
         # 300 records, a check every 50: six checks, the last one earned by
         # the flushed tail; the sharded rollup counts one per shard
         results = {
-            (shard_count, use_async): self.run(shard_count, use_async)
+            (shard_count, one_by_one): self.run(shard_count, one_by_one)
             for shard_count in (1, 2)
-            for use_async in (False, True)
+            for one_by_one in (False, True)
         }
         checks = {key: count for key, (count, _) in results.items()}
         assert checks == {(1, False): 6, (1, True): 6, (2, False): 12, (2, True): 12}

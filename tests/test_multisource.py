@@ -1,4 +1,4 @@
-"""Multi-source event-time ingestion: per-source watermarks + async front-end.
+"""Multi-source event-time ingestion: per-source watermarks.
 
 Covers the multi-source subsystem end to end:
 
@@ -11,12 +11,13 @@ Covers the multi-source subsystem end to end:
   byte-for-byte like the PR-3 single-watermark :class:`ReorderBuffer`;
 * engine-level conformance: per-source skewed interleavings, released by
   min-watermark, equal the sorted-merge oracle byte-for-byte (matches,
-  event order, sequence numbers) across shard counts 1/2/4 and both
-  schedulers -- property-tested with Hypothesis;
-* :class:`AsyncIngestFrontend`: threaded admission with a synchronous
-  ``flush()``/``close()`` drain contract whose results are byte-for-byte
-  the synchronous path's, including across a checkpoint/restore cut at
-  every submitted-batch boundary.
+  event order, sequence numbers) across shard counts 1/2/4 --
+  property-tested with Hypothesis;
+* one ingest path: per-record, fixed and random batching give the same
+  events, late records under ``PROCESS_DEGRADED`` still reach the engine,
+  and an autosave between batches resumes with the held tail;
+* checkpoint/restore of the multi-source buffer, including a snapshot from
+  before it existed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from repro.core import (
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
     ADAPTIVE_LATENESS,
-    AsyncIngestFrontend,
     LatePolicy,
     MultiSourceReorderBuffer,
     ReorderBuffer,
@@ -102,13 +102,13 @@ def round_robin_sources(records, source_names):
     return split_by_source(tagged)
 
 
-def build_engine(shards=None, workers=0, **config_kwargs):
+def build_engine(shards=None, **config_kwargs):
     config = EngineConfig(collect_statistics=False, record_latency=False, **config_kwargs)
     if shards is None:
         engine = StreamWorksEngine(config=config)
     else:
         engine = ShardedStreamEngine(
-            config=ShardConfig(shard_count=shards, workers=workers, engine=config)
+            config=ShardConfig(shard_count=shards, engine=config)
         )
     engine.register_query(chain_query("xy", ["x", "y"]), name="xy", window=5.0)
     engine.register_query(chain_query("yx", ["y", "x"]), name="yx", window=4.0)
@@ -465,20 +465,6 @@ class TestEngineMultiSource:
         assert multi.offer_all(arrival) == []
         assert multi.records_late == 0
 
-    def test_pool_scheduler_matches_serial(self):
-        pytest.importorskip("multiprocessing")
-        if not ShardedStreamEngine.fork_available():
-            pytest.skip("fork start method unavailable")
-        arrival = self.make_arrival(13, count=160)
-        serial = build_engine(shards=2, allowed_lateness=0.0)
-        pooled = build_engine(shards=2, workers=2, allowed_lateness=0.0)
-        for engine in (serial, pooled):
-            for source in ("a", "b", "c"):
-                engine.register_source(source)
-        reference = canonical(run_batches(serial, arrival, 32))
-        with pooled:
-            assert canonical(run_batches(pooled, arrival, 32)) == reference
-
     def test_engine_idle_timeout_releases_despite_silent_source(self):
         rng = random.Random(19)
         per_source = round_robin_sources(host_records(rng, 200), ["live", "dying"])
@@ -526,14 +512,9 @@ class TestMultiSourceOracleProperty:
         seed=st.integers(min_value=0, max_value=10_000),
         source_count=st.integers(min_value=1, max_value=4),
         shard_count=st.sampled_from([1, 2, 4]),
-        workers=st.sampled_from([0, 0, 0, 2]),  # pool examples are pricey: 1 in 4
     )
     @settings(max_examples=15, deadline=None, suppress_health_check=SUPPRESS)
-    def test_skewed_interleaving_equals_sorted_merge_oracle(
-        self, seed, source_count, shard_count, workers
-    ):
-        if workers and not ShardedStreamEngine.fork_available():
-            workers = 0
+    def test_skewed_interleaving_equals_sorted_merge_oracle(self, seed, source_count, shard_count):
         rng = random.Random(seed)
         names = [f"s{i}" for i in range(source_count)]
         per_source = round_robin_sources(host_records(rng, 100), names)
@@ -547,285 +528,127 @@ class TestMultiSourceOracleProperty:
         reference = canonical(segment_oracle_events(segments))
 
         engine = build_engine(
-            shards=shard_count if shard_count > 1 else None,
-            workers=workers if shard_count > 1 else 0,
-            allowed_lateness=0.0,
+            shards=shard_count if shard_count > 1 else None, allowed_lateness=0.0
         )
         for name in names:
             engine.register_source(name)
         events = run_batches(engine, arrival, batch_size)
-        if hasattr(engine, "close"):
-            engine.close()
         assert canonical(events) == reference
 
 
 # ----------------------------------------------------------------------
-# async ingestion front-end
+# one ingest path: how the caller slices the stream changes nothing
 # ----------------------------------------------------------------------
-class TestAsyncIngestFrontend:
+class TestMultiSourceIngestPath:
     def make_arrival(self, seed, count=200):
         rng = random.Random(seed)
         per_source = round_robin_sources(host_records(rng, count), ["a", "b"])
         return skewed_interleave(per_source, {"a": 0.0, "b": 3.0})
 
-    def sync_reference(self, arrival, batch_size=40, shards=None):
-        engine = build_engine(shards=shards, allowed_lateness=0.0)
+    def build(self, shards=None, **config_kwargs):
+        engine = build_engine(shards=shards, allowed_lateness=0.0, **config_kwargs)
         engine.register_source("a")
         engine.register_source("b")
-        events = run_batches(engine, arrival, batch_size)
-        if hasattr(engine, "close"):
-            engine.close()
-        return canonical(events)
+        return engine
 
     @pytest.mark.parametrize("shards", [None, 2])
-    def test_async_results_equal_synchronous_path(self, shards):
+    def test_per_record_ingest_equals_batched(self, shards):
         arrival = self.make_arrival(29)
-        reference = self.sync_reference(arrival, shards=shards)
-        engine = build_engine(shards=shards, allowed_lateness=0.0)
-        engine.register_source("a")
-        engine.register_source("b")
-        with AsyncIngestFrontend(engine) as frontend:
-            events = []
-            for start in range(0, len(arrival), 40):
-                frontend.submit(arrival[start : start + 40])
-                events.extend(frontend.drain())  # interleave draining...
-            events.extend(frontend.flush())
+        reference = canonical(run_batches(self.build(shards), arrival, 40))
+        assert reference
+        engine = self.build(shards)
+        events = [event for record in arrival for event in engine.process_record(record)]
+        events.extend(engine.flush())
         assert canonical(events) == reference
         assert canonical(engine.events()) == reference
-        if hasattr(engine, "close"):
-            engine.close()
 
-    def test_drain_schedule_does_not_change_results(self):
+    def test_random_batching_does_not_change_results(self):
         arrival = self.make_arrival(31)
-        reference = self.sync_reference(arrival, batch_size=25)
+        reference = canonical(run_batches(self.build(), arrival, 25))
         rng = random.Random(0)
-        engine = build_engine(allowed_lateness=0.0)
-        engine.register_source("a")
-        engine.register_source("b")
-        frontend = AsyncIngestFrontend(engine, max_queue_batches=4)
+        engine = self.build()
         events = []
-        for start in range(0, len(arrival), 25):
-            frontend.submit(arrival[start : start + 25])
-            if rng.random() < 0.3:  # ...or never draining until the end
-                events.extend(frontend.drain())
-        events.extend(frontend.close())
+        start = 0
+        while start < len(arrival):
+            end = start + rng.randrange(1, 60)
+            events.extend(engine.process_batch(arrival[start:end]))
+            start = end
+        events.extend(engine.flush())
         assert canonical(events) == reference
 
-    def test_flush_is_synchronous_and_engine_holds_everything(self):
+    def test_flush_releases_everything_to_the_engine(self):
         arrival = self.make_arrival(37, count=80)
-        engine = build_engine(allowed_lateness=0.0)
-        engine.register_source("a")
-        engine.register_source("b")
-        frontend = AsyncIngestFrontend(engine)
+        engine = self.build()
         for start in range(0, len(arrival), 20):
-            frontend.submit(arrival[start : start + 20])
-        frontend.flush()
+            engine.process_batch(arrival[start : start + 20])
+        assert len(engine.reorder) > 0  # the skewed source holds a tail back
+        engine.flush()
         assert len(engine.reorder) == 0
-        stats = frontend.stats()
-        assert stats["batches_admitted"] == stats["batches_submitted"]
-        assert stats["records_submitted"] == len(arrival)
-        assert frontend.metrics()["async_ingest"]["queue_depth"] == 0
-        frontend.close()
+        assert engine.records_batched == len(arrival)
+        stats = engine.metrics()["reorder"]
+        assert stats["records_late"] == 0
+        assert stats["records_released"] == len(arrival)
 
-    def test_lifecycle_errors(self):
-        engine = build_engine()
-        with pytest.raises(ValueError, match="allowed_lateness"):
-            AsyncIngestFrontend(engine)
-        engine = build_engine(allowed_lateness=1.0)
-        with pytest.raises(ValueError, match="max_queue_batches"):
-            AsyncIngestFrontend(engine, max_queue_batches=0)
-        frontend = AsyncIngestFrontend(engine)
-        assert frontend.close() == []
-        assert frontend.close() == []  # idempotent
-        with pytest.raises(RuntimeError, match="closed"):
-            frontend.submit([edge(1.0)])
-
-    def test_autosave_configs_are_rejected_up_front(self, tmp_path):
-        """Batch-cadence autosave fires inside process_batch, which the
-        frontend bypasses -- silently never autosaving would betray the
-        operator, so construction refuses (single and sharded)."""
-        path = str(tmp_path / "auto.snap")
-        engine = build_engine(
-            allowed_lateness=1.0, checkpoint_every=2, checkpoint_path=path
-        )
-        with pytest.raises(ValueError, match="frontend.checkpoint"):
-            AsyncIngestFrontend(engine)
-        sharded = build_engine(
-            shards=2, allowed_lateness=1.0, checkpoint_every=2, checkpoint_path=path
-        )
-        with pytest.raises(ValueError, match="frontend.checkpoint"):
-            AsyncIngestFrontend(sharded)
-
-    def test_batches_processed_matches_the_synchronous_path(self):
+    def test_batch_count_and_watermark_do_not_depend_on_sharding(self):
         arrival = self.make_arrival(53, count=80)
-        sync_engine = build_engine(allowed_lateness=0.0)
-        sync_engine.register_source("a")
-        sync_engine.register_source("b")
-        run_batches(sync_engine, arrival, 20)
-        async_engine = build_engine(allowed_lateness=0.0)
-        async_engine.register_source("a")
-        async_engine.register_source("b")
-        with AsyncIngestFrontend(async_engine) as frontend:
+        single = self.build()
+        sharded = self.build(shards=2)
+        for engine in (single, sharded):
             for start in range(0, len(arrival), 20):
-                frontend.submit(arrival[start : start + 20])
-        assert async_engine.batches_processed == sync_engine.batches_processed
+                engine.process_batch(arrival[start : start + 20])
+        assert single.batches_processed == sharded.batches_processed == 4
         assert (
-            async_engine.metrics()["event_time_watermark"]
-            == sync_engine.metrics()["event_time_watermark"]
+            single.metrics()["event_time_watermark"]
+            == sharded.metrics()["reorder"]["watermark"]
+            > float("-inf")
         )
 
-    def test_ingest_error_is_sticky_and_close_stops_the_thread(self):
-        engine = build_engine(allowed_lateness=1.0)
-        frontend = AsyncIngestFrontend(engine)
-        frontend.submit([None])  # not a StreamEdge: admission explodes
-        with pytest.raises(RuntimeError, match="ingest thread failed"):
-            frontend.flush()
-        # sticky: a retry must NOT silently pretend the frontend is healthy
-        with pytest.raises(RuntimeError, match="ingest thread failed"):
-            frontend.drain()
-        with pytest.raises(RuntimeError, match="ingest thread failed"):
-            frontend.submit([edge(1.0)])
-        # close still shuts the thread down, re-raising after cleanup
-        with pytest.raises(RuntimeError, match="ingest thread failed"):
-            frontend.close()
-        frontend._thread.join(timeout=5.0)
-        assert not frontend._thread.is_alive()
-        assert frontend.close() == []  # idempotent after the failed close
-
-    def test_error_publication_synchronizes_on_released_lock(self):
-        """Regression: ``_error`` used to be written by the ingest thread and
-        read by ``_check_error`` with no lock -- a data race flagged by
-        repro-lint's interprocedural lock-discipline.  Publication now holds
-        ``_released_lock``: while a consumer holds that lock, the ingest
-        thread cannot make a failure visible (or even finish the poisoned
-        batch)."""
-        import time
-
-        engine = build_engine(allowed_lateness=1.0)
-        frontend = AsyncIngestFrontend(engine)
-        frontend._released_lock.acquire()
-        try:
-            # bypass submit(): it takes _released_lock for its own counters
-            frontend._submitted.put([None])  # not a StreamEdge: admission explodes
-            deadline = time.monotonic() + 0.5
-            while frontend._submitted.unfinished_tasks and time.monotonic() < deadline:
-                if frontend._error is not None:
-                    break
-                time.sleep(0.01)
-            # the thread is parked on the lock we hold; the failure is not
-            # published past it (pre-fix, _error flips while we hold the lock)
-            assert frontend._error is None
-        finally:
-            frontend._released_lock.release()
-        frontend._submitted.join()
-        with pytest.raises(RuntimeError, match="ingest thread failed"):
-            frontend.drain()
-        with pytest.raises(RuntimeError, match="ingest thread failed"):
-            frontend.close()
-        frontend._thread.join(timeout=5.0)
-        assert not frontend._thread.is_alive()
-
-    def test_repr_reads_counters_under_the_lock(self):
-        """Regression companion to the lock-discipline audit: ``__repr__``
-        used to read ``batches_submitted`` off-lock under a suppression; it
-        now takes ``_released_lock`` like every other reader."""
-        engine = build_engine(allowed_lateness=1.0)
-        with AsyncIngestFrontend(engine) as frontend:
-            frontend.submit([edge(1.0)])
-            frontend.flush()
-            text = repr(frontend)
-            assert "submitted=1" in text
-            assert "closed=False" in text
-        assert "closed=True" in repr(frontend)
-
-    def test_process_degraded_late_records_flow_through(self):
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_process_degraded_late_records_flow_through(self, shards):
         engine = build_engine(
+            shards=shards,
             allowed_lateness=0.0,
             late_policy=LatePolicy.PROCESS_DEGRADED,
             idle_source_timeout=1.0,
         )
-        frontend = AsyncIngestFrontend(engine)
-        frontend.submit([edge(t, source_id="a") for t in (1.0, 6.0)])
-        frontend.submit([edge(2.0, source_id="b")])  # late: degraded, not lost
-        frontend.close()
+        engine.process_batch([edge(t, label="x", source_id="a") for t in (1.0, 6.0)])
+        engine.process_batch([edge(2.0, label="x", source_id="b")])  # late: degraded, not lost
+        engine.flush()
         assert engine.metrics()["reorder"]["records_late_degraded"] == 1
         # the two released records and the late one, each run by the engine
-        assert engine.records_batched == 3
+        assert engine.edges_processed == 3
+        # and by every shard, since both queries bind ``x`` records
+        for shard in [engine] if shards is None else engine.shards:
+            assert shard.records_batched == 3
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_autosave_resumes_with_the_held_tail(self, shards, tmp_path):
+        arrival = self.make_arrival(41, count=160)
+        batches = [arrival[start : start + 20] for start in range(0, len(arrival), 20)]
+        reference = canonical(run_batches(self.build(shards), arrival, 20))
+        path = str(tmp_path / "auto.snap")
+        engine = self.build(shards, checkpoint_every=3, checkpoint_path=path)
+        for batch in batches[:4]:
+            engine.process_batch(batch)
+        held = len(engine.reorder)
+        assert held > 0
+        # the autosave ran after batch 3; batch 4 is lost with the process
+        del engine
+        engine_cls = StreamWorksEngine if shards is None else ShardedStreamEngine
+        resumed = engine_cls.restore(path)
+        assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
+        assert resumed.batches_processed == 3
+        events = list(resumed.events())
+        for batch in batches[3:]:
+            events.extend(resumed.process_batch(batch))
+        events.extend(resumed.flush())
+        assert canonical(events) == reference
 
 
 # ----------------------------------------------------------------------
-# checkpoint/restore across the async front-end (crash at every boundary)
+# checkpoint/restore of the multi-source buffer
 # ----------------------------------------------------------------------
-class TestAsyncCheckpointRestore:
-    def test_crash_at_every_submitted_batch_boundary(self, tmp_path):
-        rng = random.Random(41)
-        per_source = round_robin_sources(host_records(rng, 120), ["a", "b"])
-        arrival = skewed_interleave(per_source, {"a": 0.0, "b": 2.0})
-        batch_size = 30
-        batches = [
-            arrival[start : start + batch_size]
-            for start in range(0, len(arrival), batch_size)
-        ]
-
-        oracle = build_engine(allowed_lateness=0.0)
-        oracle.register_source("a")
-        oracle.register_source("b")
-        with AsyncIngestFrontend(oracle) as frontend:
-            for batch in batches:
-                frontend.submit(batch)
-        reference = canonical(oracle.events())
-
-        for cut in range(len(batches) + 1):
-            engine = build_engine(allowed_lateness=0.0)
-            engine.register_source("a")
-            engine.register_source("b")
-            frontend = AsyncIngestFrontend(engine)
-            for batch in batches[:cut]:
-                frontend.submit(batch)
-            path = tmp_path / f"cut{cut}.snap"
-            frontend.checkpoint(str(path))
-            frontend.close()  # stop the ingest thread (a real crash would kill it)
-            del frontend, engine  # the crash: only the snapshot survives
-
-            resumed = StreamWorksEngine.restore(str(path))
-            assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
-            frontend = AsyncIngestFrontend(resumed)
-            for batch in batches[cut:]:
-                frontend.submit(batch)
-            frontend.close()
-            assert canonical(resumed.events()) == reference, f"cut={cut}"
-
-    def test_sharded_async_checkpoint_mid_stream(self, tmp_path):
-        rng = random.Random(43)
-        per_source = round_robin_sources(host_records(rng, 160), ["a", "b"])
-        arrival = skewed_interleave(per_source, {"a": 0.0, "b": 2.0})
-        batches = [arrival[start : start + 40] for start in range(0, len(arrival), 40)]
-
-        oracle = build_engine(shards=2, allowed_lateness=0.0)
-        oracle.register_source("a")
-        oracle.register_source("b")
-        with AsyncIngestFrontend(oracle) as frontend:
-            for batch in batches:
-                frontend.submit(batch)
-        reference = canonical(oracle.events())
-
-        engine = build_engine(shards=2, allowed_lateness=0.0)
-        engine.register_source("a")
-        engine.register_source("b")
-        frontend = AsyncIngestFrontend(engine)
-        for batch in batches[: len(batches) // 2]:
-            frontend.submit(batch)
-        path = tmp_path / "sharded.snap"
-        frontend.checkpoint(str(path))
-        frontend.close()
-
-        resumed = ShardedStreamEngine.restore(str(path))
-        frontend = AsyncIngestFrontend(resumed)
-        for batch in batches[len(batches) // 2 :]:
-            frontend.submit(batch)
-        frontend.close()
-        assert canonical(resumed.events()) == reference
-
+class TestMultiSourceCheckpointRestore:
     def test_legacy_single_buffer_snapshot_upgrades_on_restore(self, tmp_path):
         """A pre-multisource snapshot (plain ReorderBuffer payload) must
         restore into an engine whose buffer supports the new API --
@@ -855,6 +678,34 @@ class TestAsyncCheckpointRestore:
             events.extend(resumed.process_batch(shuffled[start : start + 20]))
         events.extend(resumed.flush())
         assert canonical(events) == reference
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_mid_stream_checkpoint_resumes_per_record(self, shards, tmp_path):
+        """A snapshot taken between batches resumes through ``process_record``
+        to the events of an uninterrupted batched run."""
+        rng = random.Random(43)
+        per_source = round_robin_sources(host_records(rng, 160), ["a", "b"])
+        arrival = skewed_interleave(per_source, {"a": 0.0, "b": 2.0})
+
+        def build():
+            engine = build_engine(shards=shards, allowed_lateness=0.0)
+            engine.register_source("a")
+            engine.register_source("b")
+            return engine
+
+        reference = canonical(run_batches(build(), arrival, 40))
+        engine = build()
+        for start in range(0, len(arrival) // 2, 40):
+            engine.process_batch(arrival[start : start + 40])
+        path = str(tmp_path / "mid.snap")
+        engine.checkpoint(path)
+        del engine
+        engine_cls = StreamWorksEngine if shards is None else ShardedStreamEngine
+        resumed = engine_cls.restore(path)
+        for record in arrival[len(arrival) // 2 :]:
+            resumed.process_record(record)
+        resumed.flush()
+        assert canonical(resumed.events()) == reference
 
     def test_multisource_buffer_state_round_trips_exactly(self, tmp_path):
         buffer = MultiSourceReorderBuffer(

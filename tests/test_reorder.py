@@ -398,10 +398,7 @@ class TestShardedEventTime:
             for shard_engine in sharded.shards:
                 assert shard_engine.reorder is None
 
-    @pytest.mark.skipif(
-        not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-    )
-    def test_worker_pool_event_time_identical(self):
+    def test_three_shard_event_time_identical(self):
         rng = random.Random(31)
         records = stream_records(rng, 200)
         shuffled = bounded_shuffle(records, 12, seed=4)
@@ -416,16 +413,15 @@ class TestShardedEventTime:
 
         reference = run(build_single(allowed_lateness=lateness))
         assert reference
-        with ShardedStreamEngine(
+        sharded = ShardedStreamEngine(
             config=ShardConfig(
                 shard_count=3,
-                workers=2,
                 engine=EngineConfig(collect_statistics=False, allowed_lateness=lateness),
             )
-        ) as pooled:
-            pooled.register_query(chain_query("ab", ["rel_a", "rel_b"]), name="ab", window=5.0)
-            pooled.register_query(chain_query("bc", ["rel_b", "rel_c"]), name="bc", window=4.0)
-            assert run(pooled) == reference
+        )
+        sharded.register_query(chain_query("ab", ["rel_a", "rel_b"]), name="ab", window=5.0)
+        sharded.register_query(chain_query("bc", ["rel_b", "rel_c"]), name="bc", window=4.0)
+        assert run(sharded) == reference
 
     def test_dead_on_arrival_record_is_skipped_deterministically(self):
         # regression (confirmed divergence): a record later than the

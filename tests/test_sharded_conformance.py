@@ -1,10 +1,10 @@
 """Differential conformance suite: sharded engines vs. the single engine.
 
 The sharded engine's contract is strong: fed the same stream with the same
-batch boundaries, a :class:`ShardedStreamEngine` at *any* shard count (and
-under either scheduler) must emit the byte-identical event list the single
-:class:`StreamWorksEngine` emits -- same matches, same order, same sequence
-numbers, same detection timestamps.  This suite checks that differentially
+batch boundaries, a :class:`ShardedStreamEngine` at *any* shard count must
+emit the byte-identical event list the single :class:`StreamWorksEngine`
+emits -- same matches, same order, same sequence numbers, same detection
+timestamps.  This suite checks that differentially
 over seeded randomized workloads covering the paths that historically
 diverge:
 
@@ -16,11 +16,12 @@ diverge:
 * duplicate-edge streams (parallel edges with identical content, where
   id-based identities are ambiguous and enumeration order is fragile),
 * eviction-heavy streams (tiny windows, constant expiry/recreation),
+* label-disjoint chain queries, where routing sends each record to exactly
+  one shard,
 
-for shard counts 1, 2 and 4, label and broadcast routing, and the serial and
-multiprocessing schedulers.  The main matrix also holds the shards against
-the exhaustive reference (``tests/differential.py``), which searches every
-leaf on every record.
+for shard counts 1, 2 and 4 and label and broadcast routing.  The main
+matrix also holds the shards against the exhaustive reference
+(``tests/differential.py``), which searches every leaf on every record.
 
 Events are compared on ``(query, portable match identity, detection time,
 sequence)`` as ordered lists -- :meth:`Match.portable_identity` keys edges
@@ -36,6 +37,10 @@ from collections import Counter
 import pytest
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
+from repro.harness.experiments import (
+    _label_disjoint_chain_queries,
+    _multiquery_dispatch_stream,
+)
 from repro.persistence import read_snapshot
 from repro.persistence.state import load_sharded_sections
 from repro.query.predicates import AttrEquals
@@ -140,6 +145,16 @@ def netflow_records(count, seed=11):
     return list(NetflowGenerator(NetflowConfig(seed=seed)).stream(count))
 
 
+def label_disjoint_queries():
+    """Twenty six-edge chains over mutually disjoint edge labels."""
+    return [(query.name, query, 10.0) for query in _label_disjoint_chain_queries(20, 6)]
+
+
+def label_disjoint_records(count, seed=61):
+    """Each record carries one chain's label; complete chains are planted."""
+    return _multiquery_dispatch_stream(20, count, seed, 6)
+
+
 CASES = {
     "rmat_inorder": (lambda: rmat_records(300), rmat_queries),
     "rmat_out_of_order": (lambda: out_of_order_records(300), rmat_queries),
@@ -147,6 +162,7 @@ CASES = {
     "rmat_duplicates": (lambda: duplicate_records(240), rmat_queries),
     "rmat_eviction_heavy": (lambda: eviction_heavy_records(300), rmat_queries),
     "netflow": (lambda: netflow_records(300), netflow_queries),
+    "label_disjoint_chains": (lambda: label_disjoint_records(480), label_disjoint_queries),
 }
 
 
@@ -288,88 +304,41 @@ def test_vertex_attributes_identical(batch_size, routing):
     assert sharded.assignments()["admin"] != sharded.assignments()["cc"]
 
 
-@pytest.mark.skipif(
-    not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-)
-def test_worker_pool_identical_to_serial_and_single():
+@pytest.mark.parametrize("workers", [1, 2, -1])
+def test_worker_pool_is_rejected(workers):
+    """The worker-process pool was removed: ``workers`` accepts only 0."""
+    with pytest.raises(ValueError, match="worker pool was removed"):
+        ShardConfig(shard_count=2, workers=workers)
+
+
+def test_zero_workers_is_accepted_and_not_stored():
+    assert ShardConfig(shard_count=2, workers=0).shard_count == 2
+    assert not hasattr(ShardConfig(shard_count=2), "workers")
+
+
+def test_three_shards_identical_to_single():
+    """An odd shard count splits queries and vertices unevenly; events still match."""
     records = rmat_records(250)
     _, reference = single_engine_reference(records, rmat_queries)
-    with ShardedStreamEngine(
-        config=ShardConfig(shard_count=3, workers=2, engine=EngineConfig(collect_statistics=False))
-    ) as pooled:
-        register_all(pooled, rmat_queries())
-        assert canonical(replay_batched(pooled, records)) == reference
-        metrics = pooled.metrics()
-        assert metrics["workers"] == 2
-        assert metrics["totals"]["shard_edges_processed"] > 0
-        assert sorted(metrics["shards"]) == [0, 1, 2]
-
-
-@pytest.mark.skipif(
-    not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-)
-def test_worker_pool_out_of_order_fallback_identical():
-    records = out_of_order_records(200)
-    single = StreamWorksEngine(config=EngineConfig(collect_statistics=False))
-    register_all(single, rmat_queries())
-    reference = canonical(replay_batched(single, records))
-    with ShardedStreamEngine(
-        config=ShardConfig(shard_count=4, workers=4, engine=EngineConfig(collect_statistics=False))
-    ) as pooled:
-        register_all(pooled, rmat_queries())
-        assert canonical(replay_batched(pooled, records)) == reference
-
-
-@pytest.mark.skipif(
-    not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-)
-def test_worker_pool_blocks_registration_after_start():
-    with ShardedStreamEngine(
-        config=ShardConfig(shard_count=2, workers=2, engine=EngineConfig(collect_statistics=False))
-    ) as pooled:
-        register_all(pooled, rmat_queries())
-        pooled.process_batch(rmat_records(20))
-        with pytest.raises(RuntimeError):
-            pooled.register_query(chain_query("late", ["rel_b"]), name="late")
-        with pytest.raises(RuntimeError):
-            pooled.unregister_query("ab")
-
-
-@pytest.mark.skipif(
-    not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-)
-def test_worker_pool_unusable_after_close():
-    # regression: reusing a closed pool engine used to silently re-fork from
-    # the stale pre-fork shard state and drop every in-flight partial match
-    pooled = ShardedStreamEngine(
-        config=ShardConfig(shard_count=1, workers=1, engine=EngineConfig(collect_statistics=False))
+    sharded = ShardedStreamEngine(
+        config=ShardConfig(shard_count=3, engine=EngineConfig(collect_statistics=False))
     )
-    pooled.register_query(chain_query("ab", ["rel_a", "rel_b"]), name="ab", window=10.0)
-    pooled.process_batch([StreamEdge("x", "y", "rel_a", 1.0)])
-    pooled.close()
-    with pytest.raises(RuntimeError):
-        pooled.process_batch([StreamEdge("y", "z", "rel_b", 1.1)])
-    with pytest.raises(RuntimeError):
-        pooled.metrics()
-    with pytest.raises(RuntimeError):
-        pooled.register_query(chain_query("cd", ["rel_c"]), name="cd")
-    pooled.close()  # idempotent
-    # parent-side results collected before close stay readable
-    assert pooled.match_counts() == {"ab": 0}
-    # a pool-configured engine closed before ever starting is closed too
-    # (reuse would silently spawn a fresh pool outside the caller's control)
-    never_started = ShardedStreamEngine(
-        config=ShardConfig(shard_count=2, workers=2, engine=EngineConfig(collect_statistics=False))
-    )
-    never_started.close()
-    with pytest.raises(RuntimeError):
-        never_started.process_batch([StreamEdge("x", "y", "rel_a", 1.0)])
-    # a serial engine is unaffected by close()
-    serial = ShardedStreamEngine(shard_count=2)
-    serial.register_query(chain_query("ab", ["rel_a", "rel_b"]), name="ab", window=10.0)
-    serial.process_batch([StreamEdge("x", "y", "rel_a", 1.0)])
-    serial.close()
-    assert serial.process_batch([StreamEdge("y", "z", "rel_b", 1.1)])  # completes the chain
+    register_all(sharded, rmat_queries())
+    assert canonical(replay_batched(sharded, records)) == reference
+    metrics = sharded.metrics()
+    assert metrics["totals"]["shard_edges_processed"] > 0
+    assert sorted(metrics["shards"]) == [0, 1, 2]
+
+
+def test_close_leaves_the_engine_usable():
+    """``close()`` is a documented no-op: every shard lives in-process."""
+    sharded = ShardedStreamEngine(shard_count=2)
+    sharded.register_query(chain_query("ab", ["rel_a", "rel_b"]), name="ab", window=10.0)
+    sharded.process_batch([StreamEdge("x", "y", "rel_a", 1.0)])
+    sharded.close()
+    assert sharded.process_batch([StreamEdge("y", "z", "rel_b", 1.1)])  # completes the chain
+    assert sharded.match_counts() == {"ab": 1}
+    assert "workers" not in sharded.metrics()
 
 
 def drifting_queries():
@@ -425,9 +394,8 @@ def with_retired_knobs(sections, completions):
 
 
 def resume_from_retired_knobs(engine, path):
-    """Checkpoint ``engine``, close it, and restore it as a retired-knob snapshot."""
+    """Checkpoint ``engine`` and restore it as a retired-knob snapshot."""
     engine.checkpoint(path)
-    engine.close()
     _, sections = read_snapshot(path)
     sections["config"]["engine"].update(RETIRED_KNOBS)
     # the parent collects the events; each shard's roots get their queries'
@@ -475,24 +443,19 @@ class TestRetiredKnobSnapshotResume:
                 f"case {case}: {shard_count}-shard retired-knob resume diverged"
             )
 
-    @pytest.mark.skipif(
-        not ShardedStreamEngine.fork_available(), reason="multiprocessing fork unavailable"
-    )
-    def test_resumes_identical_under_worker_pool(self, case, tmp_path):
+    def test_resumes_identical_at_three_shards(self, case, tmp_path):
         make_records, query_specs = RETIRED_KNOB_CASES[case]
         records = make_records()
         _, reference = single_engine_reference(records, query_specs)
         cut = (len(records) // BATCH_SIZE // 2) * BATCH_SIZE
-        pooled = ShardedStreamEngine(
-            config=ShardConfig(shard_count=3, workers=2, engine=EngineConfig())
-        )
-        register_all(pooled, query_specs())
-        replay_batched(pooled, records[:cut])
-        with resume_from_retired_knobs(pooled, str(tmp_path / "pooled.snap")) as resumed:
-            assert not any(hasattr(resumed.config.engine, name) for name in RETIRED_KNOBS)
-            replay_batched(resumed, records[cut:])
-            assert resumed.metrics()["workers"] == 2
-            assert canonical(resumed.collector.events) == reference
+        sharded = ShardedStreamEngine(config=ShardConfig(shard_count=3, engine=EngineConfig()))
+        register_all(sharded, query_specs())
+        replay_batched(sharded, records[:cut])
+        resumed = resume_from_retired_knobs(sharded, str(tmp_path / "three.snap"))
+        assert not any(hasattr(resumed.config.engine, name) for name in RETIRED_KNOBS)
+        replay_batched(resumed, records[cut:])
+        assert sorted(resumed.metrics()["shards"]) == [0, 1, 2]
+        assert canonical(resumed.collector.events) == reference
 
 
 class TestShardedEngineBehaviour:
@@ -705,11 +668,11 @@ class TestShardedEngineBehaviour:
         sharded.process_record(StreamEdge("x", "y", "rel_a", 1.0))
         with pytest.raises(RuntimeError):
             sharded.register_query(chain_query("late", ["rel_b"]), name="late", window=1.0)
-        # close() must not re-open the registration window on serial engines
+        # close() must not re-open the registration window
         sharded.close()
         with pytest.raises(RuntimeError):
             sharded.register_query(chain_query("late", ["rel_b"]), name="late", window=1.0)
-        # unregistering stays possible on the serial scheduler
+        # unregistering stays possible
         sharded.unregister_query("ab")
 
     def test_retention_synced_to_global_window(self):
@@ -759,13 +722,3 @@ class TestShardedEngineBehaviour:
             [(query, {"name": name, "window": window}) for name, query, window in rmat_queries()]
         )
         assert canonical(replay_batched(sharded, records)) == reference
-
-    def test_sharded_smoke_of_e12_experiment(self):
-        # tier-1 smoke of the E12 benchmark: conformance must hold at every
-        # shard count; wall-clock thresholds stay in benchmarks/ where the
-        # hardware gate lives
-        from repro.harness.experiments import experiment_sharded_scaling
-
-        result = experiment_sharded_scaling(scale=0.12, workers=2)
-        assert result["conformant"]
-        assert result["rows"][0]["events"] > 0

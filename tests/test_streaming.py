@@ -44,6 +44,48 @@ class TestStreamEdge:
         assert isinstance(edge, Edge)
         assert edge.id == 7 and edge.timestamp == 1.0
 
+    @pytest.mark.parametrize(
+        "timestamp", [math.nan, math.inf, -math.inf, "nan"], ids=["nan", "inf", "-inf", "nan_text"]
+    )
+    def test_non_finite_timestamp_is_rejected_naming_the_record(self, timestamp):
+        with pytest.raises(ValueError, match=r"'q'-\[a\]->'r'.*non-finite timestamp"):
+            StreamEdge("q", "r", "a", timestamp)
+        with pytest.raises(ValueError, match="non-finite timestamp"):
+            StreamEdge.from_dict(
+                {"source": "q", "target": "r", "label": "a", "timestamp": timestamp}
+            )
+
+
+@pytest.mark.parametrize("allowed_lateness", [None, 2.0], ids=["no_buffer", "lateness"])
+@pytest.mark.parametrize("batch_size", [1, 3])
+def test_a_nan_stamped_record_cannot_reach_the_window_store(allowed_lateness, batch_size):
+    """A NaN timestamp compares false against every eviction horizon, so a
+    NaN-stamped edge that got into the store would stay there forever: the
+    chain below would end with 3 stored edges instead of 2.  The record is
+    refused where it is built, and the stream without it evicts normally."""
+    from repro.core import EngineConfig, StreamWorksEngine
+    from repro.query.query_graph import QueryGraph
+
+    query = QueryGraph("ab")
+    for name in ("x", "y", "z"):
+        query.add_vertex(name)
+    query.add_edge("x", "y", "a")
+    query.add_edge("y", "z", "b")
+    engine = StreamWorksEngine(config=EngineConfig(allowed_lateness=allowed_lateness))
+    engine.register_query(query, window=5.0)
+    records = [
+        StreamEdge(f"v{index}", f"v{index + 1}", "ab"[index % 2], float(timestamp))
+        for index, timestamp in enumerate([1, 2, 3, 4, 30, 31])
+    ]
+    try:
+        records.insert(2, StreamEdge("q", "r", "a", math.nan))
+    except ValueError:
+        pass  # refused at construction: the stream goes on without it
+    for start in range(0, len(records), batch_size):
+        engine.process_batch(records[start : start + batch_size])
+    engine.flush()
+    assert engine.metrics()["graph_edges"] == 2
+
 
 class TestEdgeStream:
     def make_stream(self):
