@@ -6,7 +6,8 @@ the table it produces.  Run with::
 
     pytest benchmarks/ --benchmark-only -s
 
-``-s`` shows the regenerated tables; EXPERIMENTS.md records a reference copy.
+``-s`` shows the regenerated tables; the experiments table in
+``docs/architecture.md`` lists which paper artefact each one reproduces.
 The workload scale can be adjusted with ``--repro-scale`` (default 1.0).
 """
 

@@ -81,7 +81,7 @@ def main():
     engine = run_engine(arrival=arrival)
     stats = engine.metrics()["reorder"]
     print(f"  released {stats['records_released']:.0f}/{stats['records_seen']:.0f} "
-          f"records, late: {stats['records_late']:.0f}")
+          f"records, late: {stats['records_late_dropped']:.0f}")
     print("  per-source watermarks:",
           {name: s["watermark"] for name, s in stats["sources"].items()})
     print()

@@ -48,7 +48,7 @@ from collections import deque
 from itertools import compress
 from operator import attrgetter, not_
 from time import perf_counter
-from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..graph.dynamic_graph import DynamicGraph
 from ..graph.interning import InternTable
@@ -59,8 +59,7 @@ from ..query.query_graph import QueryGraph
 from ..stats.plan_monitor import PlanMonitor
 from ..stats.summarizer import StreamSummarizer
 from ..streaming.edge_stream import StreamEdge
-from ..streaming.reorder import LatePolicy, ordered_run_slices
-from ..streaming.sources import ADAPTIVE_LATENESS
+from ..streaming.reorder import ordered_run_slices
 from ..streaming.events import (
     CallbackSink,
     CollectingSink,
@@ -161,8 +160,8 @@ class EngineConfig:
     * **ingest**: ``record_latency`` (the ingest path itself is always the
       compiled one: interned labels, route plans, compiled predicates and
       probes -- ``docs/architecture.md``);
-    * **event time**: ``allowed_lateness`` (float, ``"adaptive"``, or
-      ``None``), ``late_policy``, ``idle_source_timeout`` -- see the
+    * **event time**: ``allowed_lateness`` (float or ``None``),
+      ``late_policy``, ``idle_source_timeout`` -- see the
       per-attribute comments below and
       :class:`~repro.streaming.sources.MultiSourceReorderBuffer`;
     * **persistence**: ``checkpoint_every`` + ``checkpoint_path``
@@ -178,8 +177,8 @@ class EngineConfig:
         plan_strategy: str = Strategy.SELECTIVITY,
         primitive_size: int = 2,
         record_latency: bool = True,
-        allowed_lateness: Optional[Union[float, str]] = None,
-        late_policy: str = LatePolicy.DROP,
+        allowed_lateness: Optional[float] = None,
+        late_policy: str = "drop",
         idle_source_timeout: Optional[float] = None,
         checkpoint_every: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
@@ -200,27 +199,29 @@ class EngineConfig:
         #: behave exactly as a single global watermark).  ``process_record``
         #: / ``process_batch`` then admit records into the buffer and
         #: process watermark-closed prefixes as in-order batches on the
-        #: batched fast path; genuinely-late records follow ``late_policy``.
-        #: The string ``"adaptive"`` makes each source's horizon track a
-        #: running quantile of its own observed displacement instead of a
-        #: fixed value.  ``None`` (default) processes records exactly as
-        #: they arrive.
-        if allowed_lateness is not None and allowed_lateness != ADAPTIVE_LATENESS:
+        #: batched fast path; genuinely-late records are dropped and counted.
+        #: ``None`` (default) processes records exactly as they arrive.
+        if allowed_lateness is not None:
+            if isinstance(allowed_lateness, str):
+                raise ValueError(
+                    f"allowed_lateness must be a number of stream-time units or "
+                    f"None, got {allowed_lateness!r}"
+                )
             allowed_lateness = float(allowed_lateness)
             if not allowed_lateness >= 0.0:  # also rejects NaN
                 raise ValueError(
                     "allowed_lateness must be >= 0 in stream-time units, "
-                    f"{ADAPTIVE_LATENESS!r}, or None to disable event-time reordering"
+                    "or None to disable event-time reordering"
                 )
         self.allowed_lateness = allowed_lateness
-        if late_policy not in LatePolicy.ALL:
+        #: What happens to a record below the watermark: it is dropped and
+        #: counted (``records_late_dropped``).  The field accepts that one
+        #: value only, so configurations that name it keep working.
+        if late_policy != "drop":
             raise ValueError(
-                f"unknown late policy {late_policy!r}; expected one of {LatePolicy.ALL}"
+                f"late_policy {late_policy!r} was removed: late records are "
+                "dropped and counted (late_policy='drop')"
             )
-        #: What to do with a record below the watermark (see
-        #: :class:`~repro.streaming.reorder.LatePolicy`): ``"drop"`` discards
-        #: and counts it; ``"process_degraded"`` processes it at once, as a
-        #: one-record batch against whatever history is retained.
         self.late_policy = late_policy
         #: Idle-source timeout (stream-time units) for multi-source
         #: event-time ingestion: a source whose clock lags the global
@@ -665,11 +666,9 @@ class StreamWorksEngine(IngestFront):
         Returns ``(migrated, dropped)``: partials stored in the new tree
         after the replay, and old partials referencing already-evicted edges,
         which cannot be rebuilt.  A dropped partial's earliest edge is older
-        than ``now - retention <= now - window``, so on an in-order stream it
-        could never have completed anyway; under the ``process_degraded``
-        late policy a replan boundary therefore acts as one additional expiry
-        sweep (deterministic, and counted in
-        ``metrics()["replan"]["partials_dropped"]``).
+        than ``now - retention <= now - window``, so it fails the window as
+        of the stream clock and could never complete: dropping it changes no
+        event (the count is in ``metrics()["replan"]["partials_dropped"]``).
         """
         dropped = 0
         has_edge = self.graph.has_edge

@@ -6,8 +6,6 @@ Every way a record enters an engine ends in that engine's ``_run_batch``:
   releases once it is admitted;
 * ``process_record(record)`` -- a one-record batch (not counted as a
   ``process_batch`` call);
-* a late record the ``process_degraded`` policy hands back -- a one-record
-  batch, after the release it arrived with;
 * ``flush()`` -- the reorder buffer's tail.
 
 So there is one execution path per engine: the single engine runs each
@@ -23,7 +21,7 @@ the due checks, the sharded engine ships the count to every shard.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 
 from ..streaming.batching import batch_by_count
 from ..streaming.edge_stream import StreamEdge
@@ -34,10 +32,6 @@ if TYPE_CHECKING:
     from .engine import EngineConfig
 
 __all__ = ["IngestFront"]
-
-#: One release: the sorted ready prefix and the late records handed back to
-#: be processed anyway.
-Release = Tuple[Sequence[StreamEdge], Sequence[StreamEdge]]
 
 
 class IngestFront:
@@ -55,7 +49,6 @@ class IngestFront:
         if engine_config.allowed_lateness is not None:
             self.reorder = MultiSourceReorderBuffer(
                 engine_config.allowed_lateness,
-                late_policy=engine_config.late_policy,
                 idle_timeout=engine_config.idle_source_timeout,
             )
         #: Records run so far (admitted; late-dropped records never count).
@@ -120,7 +113,7 @@ class IngestFront:
         the admission released (possibly nothing, and possibly triggered by
         *earlier* records).  Call :meth:`flush` at end of stream.
         """
-        return self._process_released(*self._admit([record]))
+        return self._process_released(self._admit([record]))
 
     def process_batch(self, records: Sequence[StreamEdge]) -> List[MatchEvent]:
         """Ingest a batch of records; returns all events raised by the batch.
@@ -142,11 +135,10 @@ class IngestFront:
         With event-time ingestion configured (``allowed_lateness``) the
         batch is admitted into the reorder buffer instead: the
         watermark-closed prefix is released and run as one in-order batch,
-        then each late record the ``process_degraded`` policy hands back
-        runs as a one-record batch (``drop`` only counts them).  Every call
-        counts towards ``checkpoint_every``.
+        and late records are dropped and counted.  Every call counts
+        towards ``checkpoint_every``.
         """
-        events = self._process_released(*self._admit(list(records)))
+        events = self._process_released(self._admit(list(records)))
         self.batches_processed += 1
         self._maybe_autosave()
         return events
@@ -161,7 +153,7 @@ class IngestFront:
         """
         if self.reorder is None:
             return []
-        return self._process_released(self.reorder.flush(), ())
+        return self._process_released(self.reorder.flush())
 
     def process_stream(
         self, stream: Iterable[StreamEdge], batch_size: Optional[int] = None
@@ -183,28 +175,18 @@ class IngestFront:
     # ------------------------------------------------------------------
     # release plumbing
     # ------------------------------------------------------------------
-    def _admit(self, records: List[StreamEdge]) -> Release:
+    def _admit(self, records: List[StreamEdge]) -> List[StreamEdge]:
         """Offer records to the reorder buffer; return what it releases."""
         if self.reorder is None:
-            return records, ()
-        late = self.reorder.offer_all(records)
-        return self.reorder.drain_ready(), late
+            return records
+        self.reorder.offer_all(records)
+        return self.reorder.drain_ready()
 
-    def _process_released(
-        self, ready: Sequence[StreamEdge], late: Sequence[StreamEdge]
-    ) -> List[MatchEvent]:
-        """Process one release: the sorted ready prefix, then each late record alone.
-
-        The release is stamped with the reorder buffer's watermark.  Late
-        records run after the prefix, so they see the most history the
-        store can still offer.
-        """
+    def _process_released(self, ready: List[StreamEdge]) -> List[MatchEvent]:
+        """Process one release, stamped with the reorder buffer's watermark."""
         if self.reorder is not None:
             self.event_time_watermark = self.reorder.watermark
-        events: List[MatchEvent] = self._run_batch(list(ready)) if ready else []
-        for record in late:
-            events.extend(self._run_batch([record]))
-        return events
+        return self._run_batch(ready) if ready else []
 
     def _due_replan_checks(self) -> int:
         """Count the automatic replan checks the record cadence has earned.

@@ -1,4 +1,4 @@
-"""Experiment harness: one function per reproduced figure/table (see DESIGN.md).
+"""Experiment harness: one function per reproduced figure/table.
 
 Every function is deterministic (seeded generators), takes a ``scale``
 parameter so tests can run a small version and the benchmarks the full
@@ -8,26 +8,22 @@ version, and returns a plain dictionary with
   :func:`repro.harness.reporting.format_table`;
 * scalar summary fields (totals, speedups, shape-check booleans).
 
-The experiment ids (E1..E10) map to paper artefacts as documented in
-DESIGN.md section 4 and EXPERIMENTS.md.
+The experiment ids (E1..E10) map to paper artefacts as listed in the
+experiments table of ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-import os
-import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..baselines.repeated_search import RepeatedSearchEngine
 from ..core.decomposition import Strategy
 from ..core.engine import EngineConfig, StreamWorksEngine
-from ..core.sharded import ShardConfig, ShardedStreamEngine
 from ..core.matcher import ContinuousQueryMatcher
 from ..core.planner import PlannerConfig, QueryPlanner
 from ..graph.dynamic_graph import DynamicGraph
 from ..graph.window import TimeWindow
 from ..isomorphism.vf2 import SubgraphMatcher
-from ..query.query_graph import QueryGraph
 from ..queries.cyber import (
     data_exfiltration_query,
     port_scan_query,
@@ -38,15 +34,8 @@ from ..queries.news import common_topic_location_query, labelled_topic_query
 from ..stats.selectivity import SelectivityEstimator
 from ..stats.summarizer import GraphSummary, StreamSummarizer
 from ..streaming.batching import BatchReplay
-from ..streaming.edge_stream import EdgeStream, StreamEdge, merge_streams
+from ..streaming.edge_stream import EdgeStream, merge_streams
 from ..streaming.metrics import Stopwatch
-from ..streaming.reorder import ReorderBuffer, bounded_shuffle, max_time_displacement
-from ..streaming.sources import (
-    MultiSourceReorderBuffer,
-    skewed_interleave,
-    split_by_source,
-    tag_sources,
-)
 from ..viz.geo import EventGrid, location_of_match, subnet_of_vertex
 from ..viz.snapshots import EmergingMatchTracker
 from ..workloads.attacks import AttackInjector
@@ -65,9 +54,6 @@ __all__ = [
     "experiment_tab3_selectivity_ablation",
     "experiment_tab4_summarization",
     "experiment_tab5_window_sweep",
-    "experiment_out_of_order_throughput",
-    "experiment_checkpoint_recovery",
-    "experiment_multisource_ingest",
     "ALL_EXPERIMENTS",
 ]
 
@@ -760,650 +746,6 @@ def experiment_tab5_window_sweep(scale: float = 1.0, seed: int = 47) -> Dict[str
     }
 
 
-# ----------------------------------------------------------------------
-# shared multi-query workload (E13-E15): label-disjoint chain queries
-# ----------------------------------------------------------------------
-def _label_disjoint_chain_queries(query_count: int, chain_length: int) -> List[QueryGraph]:
-    """Build ``query_count`` path queries over mutually disjoint edge labels."""
-    queries = []
-    for index in range(query_count):
-        query = QueryGraph(f"chain{index}")
-        for position in range(chain_length + 1):
-            query.add_vertex(f"v{position}", "Host")
-        for position in range(chain_length):
-            query.add_edge(f"v{position}", f"v{position + 1}", f"rel{index}_{position}")
-        queries.append(query)
-    return queries
-
-
-def _multiquery_dispatch_stream(
-    query_count: int,
-    edge_count: int,
-    seed: int,
-    chain_length: int,
-    vertex_pool: int = 40,
-    plant_probability: float = 0.08,
-    interarrival: float = 0.02,
-) -> List[StreamEdge]:
-    """Generate a stream whose edges each target exactly one query's labels.
-
-    Most records are single noise edges carrying a random label of a random
-    query; occasionally a complete chain instance is planted so every query
-    fires now and then.
-    """
-    rng = random.Random(seed)
-    records: List[StreamEdge] = []
-    timestamp = 0.0
-    while len(records) < edge_count:
-        query_index = rng.randrange(query_count)
-        if rng.random() < plant_probability:
-            vertices = [
-                f"q{query_index}v{rng.randrange(vertex_pool)}" for _ in range(chain_length + 1)
-            ]
-            for position in range(chain_length):
-                timestamp += interarrival
-                records.append(
-                    StreamEdge(
-                        vertices[position],
-                        vertices[position + 1],
-                        f"rel{query_index}_{position}",
-                        timestamp,
-                        source_label="Host",
-                        target_label="Host",
-                    )
-                )
-        else:
-            timestamp += interarrival
-            records.append(
-                StreamEdge(
-                    f"q{query_index}v{rng.randrange(vertex_pool)}",
-                    f"q{query_index}v{rng.randrange(vertex_pool)}",
-                    f"rel{query_index}_{rng.randrange(chain_length)}",
-                    timestamp,
-                    source_label="Host",
-                    target_label="Host",
-                )
-            )
-    return records[:edge_count]
-
-
-# ----------------------------------------------------------------------
-# E13: event-time reordering keeps disordered streams on the fast path
-# ----------------------------------------------------------------------
-def experiment_out_of_order_throughput(
-    scale: float = 1.0,
-    seed: int = 67,
-    query_count: int = 20,
-    chain_length: int = 6,
-    batch_size: int = 200,
-    max_displacement: int = 64,
-    shard_count: int = 2,
-) -> Dict[str, object]:
-    """Measure event-time ingestion (reorder buffer + watermark) under disorder.
-
-    The shared multi-query stream (``query_count`` label-disjoint
-    chains) is shuffled with bounded positional displacement
-    (``max_displacement``) -- the shape of a feed assembled from
-    slightly-skewed parallel collectors -- and replayed through:
-
-    * ``sorted_oracle`` -- the sorted stream on the batched fast path: the
-      reference match set/order and the throughput ceiling;
-    * ``fallback_per_record`` -- the shuffled stream per record: every
-      record its own one-record run, the finest split of the stream;
-    * ``runsplit_batched`` -- the shuffled stream through ``process_batch``
-      directly: disordered batches split at inversion points, ordered runs
-      keep the fast path;
-    * ``reordered`` -- ``EngineConfig(allowed_lateness=...)`` sized from the
-      stream's measured displacement: the reorder buffer re-sorts within
-      the lateness horizon and releases watermark-closed prefixes onto the
-      fast path (nothing is late, nothing drops);
-    * ``reordered sharded xN`` -- the same event-time config on the
-      query-sharded engine (parent-level buffer, conformance must hold).
-
-    The windows are wide relative to the disorder, so every mode can find
-    every match and the comparison is equal-work: ``recall`` (fraction of
-    oracle matches found) is 1.0 everywhere, and the ``reordered`` modes
-    must be *identical* to the oracle as an event multiset
-    (``reordered_exact``).  ``fast_path_retained`` checks the deterministic
-    part of the claim: the reordered engine ran every record (the
-    ``ingest_paths`` counter) and none arrived late.
-    """
-    edge_count = max(400, int(4000 * scale))
-    window = 10.0
-    queries = _label_disjoint_chain_queries(query_count, chain_length)
-    records = _multiquery_dispatch_stream(query_count, edge_count, seed, chain_length)
-    shuffled = bounded_shuffle(records, max_displacement, seed=seed + 1)
-    lateness = max_time_displacement(shuffled)
-    sorted_records = sorted(shuffled, key=lambda record: record.timestamp)
-
-    def build_engine(allowed_lateness: Optional[float] = None):
-        engine = StreamWorksEngine(
-            config=EngineConfig(
-                collect_statistics=False,
-                record_latency=False,
-                allowed_lateness=allowed_lateness,
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    def build_sharded(allowed_lateness: Optional[float]):
-        engine = ShardedStreamEngine(
-            config=ShardConfig(
-                shard_count=shard_count,
-                engine=EngineConfig(
-                    collect_statistics=False,
-                    record_latency=False,
-                    allowed_lateness=allowed_lateness,
-                ),
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    def multiset(events) -> Dict[tuple, int]:
-        counts: Dict[tuple, int] = {}
-        for event in events:
-            key = (event.query_name, event.match.portable_identity())
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def replay_per_record(engine, stream) -> list:
-        collected = []
-        for record in stream:
-            collected.extend(engine.process_record(record))
-        return collected
-
-    def replay_batched(engine, stream) -> list:
-        collected = []
-        for start in range(0, len(stream), batch_size):
-            collected.extend(engine.process_batch(stream[start : start + batch_size]))
-        collected.extend(engine.flush())
-        return collected
-
-    modes = [
-        ("sorted_oracle", lambda: (build_engine(), replay_batched, sorted_records)),
-        ("fallback_per_record", lambda: (build_engine(), replay_per_record, shuffled)),
-        ("runsplit_batched", lambda: (build_engine(), replay_batched, shuffled)),
-        ("reordered", lambda: (build_engine(allowed_lateness=lateness), replay_batched, shuffled)),
-        (
-            f"reordered sharded x{shard_count}",
-            lambda: (build_sharded(allowed_lateness=lateness), replay_batched, shuffled),
-        ),
-    ]
-    rows = []
-    multisets: Dict[str, Dict[tuple, int]] = {}
-    reorder_stats: Dict[str, object] = {}
-    ingest_paths: Dict[str, object] = {}
-    for mode_name, make in modes:
-        engine, replay, stream = make()
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        events = replay(engine, stream)
-        elapsed = stopwatch.stop()
-        multisets[mode_name] = multiset(events)
-        if mode_name == "reordered":
-            metrics = engine.metrics()
-            reorder_stats = metrics["reorder"]
-            ingest_paths = metrics["ingest_paths"]
-        rows.append(
-            {
-                "mode": mode_name,
-                "edges": len(stream),
-                "elapsed_s": elapsed,
-                "edges_per_s": len(stream) / elapsed if elapsed > 0 else float("inf"),
-                "events": sum(multisets[mode_name].values()),
-            }
-        )
-
-    oracle = multisets["sorted_oracle"]
-    oracle_total = sum(oracle.values())
-    by_mode = {row["mode"]: row for row in rows}
-    for row in rows:
-        found = multisets[row["mode"]]
-        correct = sum(min(count, oracle.get(key, 0)) for key, count in found.items())
-        row["recall"] = correct / oracle_total if oracle_total else 1.0
-        baseline_elapsed = by_mode["fallback_per_record"]["elapsed_s"]
-        row["speedup_vs_per_record"] = (
-            baseline_elapsed / row["elapsed_s"] if row["elapsed_s"] > 0 else float("inf")
-        )
-    reordered_sharded = f"reordered sharded x{shard_count}"
-    return {
-        "experiment": "E13_out_of_order_throughput",
-        "query_count": query_count,
-        "stream_edges": len(records),
-        "batch_size": batch_size,
-        "max_displacement": max_displacement,
-        "allowed_lateness": lateness,
-        "reordered_exact": multisets["reordered"] == oracle,
-        "reordered_sharded_exact": multisets[reordered_sharded] == oracle,
-        "runsplit_recall": by_mode["runsplit_batched"]["recall"],
-        "fallback_recall": by_mode["fallback_per_record"]["recall"],
-        # the deterministic half of the claim: every shuffled record was
-        # run, nothing was late or dropped
-        "fast_path_retained": (
-            ingest_paths.get("batched_fast_path") == len(shuffled)
-            and reorder_stats.get("records_late") == 0
-        ),
-        "speedup_vs_per_record": by_mode["reordered"]["speedup_vs_per_record"],
-        "reorder": reorder_stats,
-        "ingest_paths": ingest_paths,
-        "rows": rows,
-    }
-
-
-# ----------------------------------------------------------------------
-# E14: crash-consistent checkpoint/restore vs replay-from-scratch
-# ----------------------------------------------------------------------
-def experiment_checkpoint_recovery(
-    scale: float = 1.0,
-    seed: int = 71,
-    query_count: int = 12,
-    chain_length: int = 4,
-    batch_size: int = 100,
-    windows: Sequence[float] = (2.5, 5.0, 10.0, 20.0),
-    shard_count: int = 2,
-) -> Dict[str, object]:
-    """Measure checkpoint/restore against replaying the stream from scratch.
-
-    Two claims are measured on the shared multi-query workload:
-
-    * **Exact resume** (the correctness half, asserted at every scale):
-      process half the stream, ``checkpoint()``, ``restore()`` into a fresh
-      engine, feed the remainder -- the full event history (matches, order,
-      sequence numbers) must be byte-identical to the uninterrupted run.
-      Checked for the single engine and the ``shard_count``-shard serial
-      sharded engine (the crash-at-every-boundary matrix lives in
-      ``tests/test_checkpoint.py``; this is the harness-level smoke).
-    * **Recovery cost** (the performance half): for each window in
-      ``windows``, restoring from a snapshot is compared with the only
-      alternative after a crash -- replaying the processed prefix from
-      scratch.  Replay cost grows with everything the engine ever saw
-      (fixed here: the same prefix re-run per window), while snapshot size
-      and checkpoint/restore time grow only with the *live* state
-      (windowed store + in-flight partials), so the sweep shows snapshot
-      cost tracking the window while restore stays ahead of replay across
-      the board -- most dramatically when the window (live state) is small
-      relative to the history.  ``rows`` reports snapshot bytes,
-      checkpoint/restore/replay seconds and the restore-vs-replay speedup
-      per window.
-    """
-    import tempfile
-
-    edge_count = max(400, int(4000 * scale))
-    queries = _label_disjoint_chain_queries(query_count, chain_length)
-    records = _multiquery_dispatch_stream(query_count, edge_count, seed, chain_length)
-    half = (len(records) // (2 * batch_size)) * batch_size or min(batch_size, len(records))
-
-    def build_single(window: float) -> StreamWorksEngine:
-        engine = StreamWorksEngine(
-            config=EngineConfig(collect_statistics=False, record_latency=False)
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    def build_sharded(window: float) -> ShardedStreamEngine:
-        engine = ShardedStreamEngine(
-            config=ShardConfig(
-                shard_count=shard_count,
-                engine=EngineConfig(collect_statistics=False, record_latency=False),
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    def replay(engine, slice_records) -> None:
-        for start in range(0, len(slice_records), batch_size):
-            engine.process_batch(slice_records[start : start + batch_size])
-
-    def canonical(events) -> List[tuple]:
-        return [
-            (event.query_name, event.match.portable_identity(), event.detected_at, event.sequence)
-            for event in events
-        ]
-
-    recovery_window = windows[len(windows) // 2]
-    identical: Dict[str, bool] = {}
-    with tempfile.TemporaryDirectory(prefix="streamworks-e14-") as tmp:
-        # --- exact-resume smoke: single and sharded ---------------------
-        for mode, build, engine_cls in (
-            ("single", build_single, StreamWorksEngine),
-            (f"sharded x{shard_count}", build_sharded, ShardedStreamEngine),
-        ):
-            oracle = build(recovery_window)
-            replay(oracle, records)
-            reference = canonical(oracle.events())
-            crashed = build(recovery_window)
-            replay(crashed, records[:half])
-            path = os.path.join(tmp, "recovery.snap")
-            crashed.checkpoint(path)
-            del crashed  # the crash: only the snapshot survives
-            resumed = engine_cls.restore(path)
-            replay(resumed, records[half:])
-            identical[mode] = canonical(resumed.events()) == reference
-
-        # --- recovery cost vs window size -------------------------------
-        rows = []
-        for window in windows:
-            engine = build_single(window)
-            replay(engine, records[:half])
-            path = os.path.join(tmp, f"w{window}.snap")
-            stopwatch = Stopwatch()
-            stopwatch.start()
-            engine.checkpoint(path)
-            checkpoint_s = stopwatch.stop()
-            snapshot_bytes = os.path.getsize(path)
-            stored_partials = sum(
-                registration.matcher.stored_partial_matches()
-                for registration in engine.queries.values()
-            )
-            stopwatch.start()
-            restored = StreamWorksEngine.restore(path)
-            restore_s = stopwatch.stop()
-            # the crash alternative: rebuild the same state by replaying the
-            # prefix from scratch into a fresh engine
-            fresh = build_single(window)
-            stopwatch.start()
-            replay(fresh, records[:half])
-            replay_s = stopwatch.stop()
-            rows.append(
-                {
-                    "window": window,
-                    "prefix_records": half,
-                    "graph_edges": restored.graph.edge_count(),
-                    "stored_partials": stored_partials,
-                    "snapshot_kib": snapshot_bytes / 1024.0,
-                    "checkpoint_s": checkpoint_s,
-                    "restore_s": restore_s,
-                    "replay_s": replay_s,
-                    "restore_speedup": replay_s / restore_s if restore_s > 0 else float("inf"),
-                }
-            )
-
-    return {
-        "experiment": "E14_checkpoint_recovery",
-        "query_count": query_count,
-        "stream_edges": len(records),
-        "batch_size": batch_size,
-        "checkpoint_at": half,
-        "recovery_window": recovery_window,
-        "identical_single": identical["single"],
-        "identical_sharded": identical[f"sharded x{shard_count}"],
-        "max_restore_speedup": max(row["restore_speedup"] for row in rows),
-        "rows": rows,
-    }
-
-
-# ----------------------------------------------------------------------
-# E15: multi-source event time -- per-source watermarks vs one global one
-# ----------------------------------------------------------------------
-def experiment_multisource_ingest(
-    scale: float = 1.0,
-    seed: int = 79,
-    query_count: int = 12,
-    chain_length: int = 4,
-    batch_size: int = 100,
-    source_count: int = 4,
-    shard_count: int = 2,
-) -> Dict[str, object]:
-    """Measure per-source watermarks against a single global watermark.
-
-    The shared multi-query stream is split round-robin across
-    ``source_count`` collectors, and each collector's records arrive with a
-    *time-varying* delivery lag (small at the edges of the stream, spiking
-    in the middle third) -- the shape of real per-collector feeds whose
-    clocks skew independently.  Per-collector streams stay internally
-    ordered; all disorder in the merged arrival sequence is inter-source
-    skew.
-
-    **Buffer-level comparison** (deterministic, asserted at every scale)
-    replays the identical arrival sequence through three release policies:
-
-    * ``global_small`` -- one global watermark with the lateness each
-      *source* actually needs (zero: every collector is internally
-      ordered).  The fast collector drags the watermark past the slow
-      ones: their records are declared late and lost (``recall < 1``).
-    * ``global_exact`` -- one global watermark with the lateness the
-      *merged* stream needs (its measured maximum displacement, i.e. the
-      worst-case skew).  Nothing is lost, but the horizon trails by the
-      worst case **always**, so every record is released late (high mean
-      staleness) and the buffer holds the worst case permanently.
-    * ``per_source`` -- one watermark per collector, released on the
-      minimum across active sources, lateness zero.  Nothing is lost
-      *and* the horizon tracks the collectors' actual current lag, so
-      release staleness and buffered depth undercut ``global_exact``
-      whenever the skew is below its worst case.
-
-    **Idle-source comparison**: the slowest collector goes silent two
-    thirds in.  Without a timeout the min-watermark freezes (the held
-    tail grows with everything after the silence); with
-    ``idle_source_timeout`` the silent source is excluded and the tail
-    stays bounded -- both remain exact.
-
-    **Engine-level conformance** (asserted at every scale): the
-    multi-source engine (single and ``shard_count``-sharded) must emit
-    exactly the sorted-merge oracle's match multiset with zero late
-    records; wall clock is reported for context.
-    """
-    edge_count = max(400, int(4000 * scale))
-    window = 10.0
-    queries = _label_disjoint_chain_queries(query_count, chain_length)
-    records = _multiquery_dispatch_stream(query_count, edge_count, seed, chain_length)
-    span = records[-1].timestamp - records[0].timestamp
-    max_lag = span * 0.08
-    source_names = [f"collector{index}" for index in range(source_count)]
-    spike_start, spike_end = (
-        records[0].timestamp + span / 3.0,
-        records[0].timestamp + 2.0 * span / 3.0,
-    )
-
-    def lag(source: str, timestamp: float) -> float:
-        base = max_lag * source_names.index(source) / max(1, source_count - 1)
-        if spike_start <= timestamp <= spike_end:
-            return base
-        return base * 0.125
-
-    tagged = tag_sources(records, lambda index, record: source_names[index % source_count])
-    arrival = skewed_interleave(split_by_source(tagged), lag)
-    global_lateness = max_time_displacement(arrival)
-
-    # --- buffer-level release comparison --------------------------------
-    def replay_buffer(buffer) -> Dict[str, float]:
-        stream_clock = float("-inf")
-        staleness_total = 0.0
-        released = 0
-        peak_depth = 0
-        for start in range(0, len(arrival), batch_size):
-            chunk = arrival[start : start + batch_size]
-            buffer.offer_all(chunk)
-            for record in chunk:
-                if record.timestamp > stream_clock:
-                    stream_clock = record.timestamp
-            if len(buffer) > peak_depth:
-                peak_depth = len(buffer)
-            for record in buffer.drain_ready():
-                staleness_total += stream_clock - record.timestamp
-                released += 1
-        tail = buffer.flush()
-        for record in tail:
-            staleness_total += stream_clock - record.timestamp
-            released += 1
-        stats = buffer.stats()
-        return {
-            "released": released,
-            "late_dropped": stats["records_late_dropped"],
-            "recall": released / len(arrival),
-            "mean_staleness": staleness_total / released if released else 0.0,
-            "peak_buffered": peak_depth,
-            "tail_before_flush": len(tail),
-        }
-
-    def per_source_buffer(idle_timeout=None) -> MultiSourceReorderBuffer:
-        buffer = MultiSourceReorderBuffer(0.0, idle_timeout=idle_timeout)
-        for name in source_names:
-            buffer.register_source(name)
-        return buffer
-
-    buffer_modes = [
-        ("global_small", ReorderBuffer(0.0)),
-        ("global_exact", ReorderBuffer(global_lateness)),
-        ("per_source", per_source_buffer()),
-    ]
-    buffer_rows = []
-    for mode_name, buffer in buffer_modes:
-        row = {"mode": mode_name}
-        row.update(replay_buffer(buffer))
-        buffer_rows.append(row)
-    by_buffer = {row["mode"]: row for row in buffer_rows}
-
-    # --- idle-source comparison: slowest collector goes silent ----------
-    cutoff = records[0].timestamp + 2.0 * span / 3.0
-    silent_arrival = [
-        record
-        for record in arrival
-        if record.source_id != source_names[-1] or record.timestamp <= cutoff
-    ]
-    idle_rows = []
-    for mode_name, timeout in (("idle_frozen", None), ("idle_timeout", max_lag * 2 or 1.0)):
-        buffer = per_source_buffer(idle_timeout=timeout)
-        for start in range(0, len(silent_arrival), batch_size):
-            chunk = silent_arrival[start : start + batch_size]
-            buffer.offer_all(chunk)
-            buffer.drain_ready()
-        tail = buffer.flush()
-        idle_rows.append(
-            {
-                "mode": mode_name,
-                "tail_before_flush": len(tail),
-                "late": buffer.records_late,
-                "released": buffer.records_released,
-            }
-        )
-    by_idle = {row["mode"]: row for row in idle_rows}
-
-    # --- engine-level conformance + wall clock --------------------------
-    def build_single(allowed_lateness: Optional[float]) -> StreamWorksEngine:
-        engine = StreamWorksEngine(
-            config=EngineConfig(
-                collect_statistics=False,
-                record_latency=False,
-                allowed_lateness=allowed_lateness,
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    def build_sharded() -> ShardedStreamEngine:
-        engine = ShardedStreamEngine(
-            config=ShardConfig(
-                shard_count=shard_count,
-                engine=EngineConfig(
-                    collect_statistics=False, record_latency=False, allowed_lateness=0.0
-                ),
-            )
-        )
-        for index, query in enumerate(queries):
-            engine.register_query(query, name=f"chain{index}", window=window)
-        return engine
-
-    def register_sources(engine) -> None:
-        for name in source_names:
-            engine.register_source(name)
-
-    def multiset(events) -> Dict[tuple, int]:
-        counts: Dict[tuple, int] = {}
-        for event in events:
-            key = (event.query_name, event.match.portable_identity())
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def replay_batched(engine, stream) -> list:
-        collected = []
-        for start in range(0, len(stream), batch_size):
-            collected.extend(engine.process_batch(stream[start : start + batch_size]))
-        collected.extend(engine.flush())
-        return collected
-
-    def build_registered(factory):
-        engine = factory()
-        register_sources(engine)
-        return engine
-
-    sorted_arrival = sorted(arrival, key=lambda record: record.timestamp)
-    modes = [
-        ("sorted_oracle", lambda: (build_single(None), replay_batched, sorted_arrival)),
-        (
-            "multisource",
-            lambda: (build_registered(lambda: build_single(0.0)), replay_batched, arrival),
-        ),
-        (
-            f"multisource sharded x{shard_count}",
-            lambda: (build_registered(build_sharded), replay_batched, arrival),
-        ),
-    ]
-    engine_rows = []
-    multisets: Dict[str, Dict[tuple, int]] = {}
-    reorder_stats: Dict[str, object] = {}
-    for mode_name, make in modes:
-        engine, replay, stream = make()
-        stopwatch = Stopwatch()
-        stopwatch.start()
-        events = replay(engine, stream)
-        elapsed = stopwatch.stop()
-        multisets[mode_name] = multiset(events)
-        if mode_name == "multisource":
-            reorder_stats = engine.metrics()["reorder"]
-        engine_rows.append(
-            {
-                "mode": mode_name,
-                "edges": len(stream),
-                "elapsed_s": elapsed,
-                "edges_per_s": len(stream) / elapsed if elapsed > 0 else float("inf"),
-                "events": sum(multisets[mode_name].values()),
-            }
-        )
-
-    oracle = multisets["sorted_oracle"]
-    per_source_row = by_buffer["per_source"]
-    global_exact_row = by_buffer["global_exact"]
-    return {
-        "experiment": "E15_multisource_ingest",
-        "stream_edges": len(arrival),
-        "source_count": source_count,
-        "batch_size": batch_size,
-        "max_lag": max_lag,
-        "global_lateness_needed": global_lateness,
-        # the tentpole, in numbers: same per-source lateness, three outcomes
-        "global_small_recall": by_buffer["global_small"]["recall"],
-        "per_source_recall": per_source_row["recall"],
-        "per_source_late": per_source_row["late_dropped"],
-        "staleness_global_exact": global_exact_row["mean_staleness"],
-        "staleness_per_source": per_source_row["mean_staleness"],
-        "staleness_improvement": (
-            global_exact_row["mean_staleness"] / per_source_row["mean_staleness"]
-            if per_source_row["mean_staleness"] > 0
-            else float("inf")
-        ),
-        "peak_depth_global_exact": global_exact_row["peak_buffered"],
-        "peak_depth_per_source": per_source_row["peak_buffered"],
-        "idle_frozen_tail": by_idle["idle_frozen"]["tail_before_flush"],
-        "idle_timeout_tail": by_idle["idle_timeout"]["tail_before_flush"],
-        # engine-level conformance flags
-        "multisource_exact": multisets["multisource"] == oracle,
-        "multisource_sharded_exact": multisets[f"multisource sharded x{shard_count}"] == oracle,
-        "multisource_zero_late": reorder_stats.get("records_late") == 0,
-        "reorder": reorder_stats,
-        "buffer_rows": buffer_rows,
-        "idle_rows": idle_rows,
-        "rows": engine_rows,
-    }
-
-
 #: Experiment id -> callable, used by the CLI runner and the benchmarks.
 ALL_EXPERIMENTS = {
     "E1": experiment_fig2_news_decomposition,
@@ -1416,7 +758,4 @@ ALL_EXPERIMENTS = {
     "E8": experiment_tab3_selectivity_ablation,
     "E9": experiment_tab4_summarization,
     "E10": experiment_tab5_window_sweep,
-    "E13": experiment_out_of_order_throughput,
-    "E14": experiment_checkpoint_recovery,
-    "E15": experiment_multisource_ingest,
 }

@@ -4,7 +4,7 @@ Every experiment in :mod:`repro.harness.experiments` returns a dictionary
 containing (at least) a ``rows`` list of flat dictionaries.  The helpers here
 render those rows as aligned text tables -- the reproduction's stand-in for
 the paper's figures -- and provide simple shape checks (monotonicity,
-dominance) that EXPERIMENTS.md references.
+dominance) for reading them.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Command-line entry point: run reproduction experiments and print their tables.
 
-Installed as the ``streamworks`` console script::
+Run it as a module from the repository root::
 
-    streamworks --list
-    streamworks E2 E5 --scale 0.5
-    streamworks all --scale 1.0 --json results.json
+    PYTHONPATH=src python -m repro.harness.runner --list
+    PYTHONPATH=src python -m repro.harness.runner E2 E5 --scale 0.5
+    PYTHONPATH=src python -m repro.harness.runner all --scale 1.0 --json results.json
 """
 
 from __future__ import annotations
@@ -38,7 +38,10 @@ def run_experiments(ids: Sequence[str], scale: float = 1.0) -> Dict[str, dict]:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamworks",
-        description="Run StreamWorks reproduction experiments (see DESIGN.md / EXPERIMENTS.md).",
+        description=(
+            "Run StreamWorks reproduction experiments (see the experiments table "
+            "in docs/architecture.md)."
+        ),
     )
     parser.add_argument(
         "experiments",

@@ -14,13 +14,12 @@ ring of records kept out of it (in stream order: a late registration
 promotes from it; snapshots older than the ring load with it empty), every
 SJ-Tree's partial-match collections (bucket order included -- it decides
 join candidate enumeration), the reorder buffer's pending tail and
-watermark (including every per-source clock, lateness estimate and the
-monotone watermark floor of the multi-source buffer -- the ``kind`` tag in
-its payload picks the right class on load), and every deterministic
-counter.  State that is a pure function of other
-sections is recounted instead -- the expiry queue from the window store --
-and the planning statistics are never stored: they are computed from the
-window store whenever a plan is made.  Two things are deliberately *not*
+watermark (including every per-source clock and the monotone watermark
+floor of the multi-source buffer -- the ``kind`` tag in its payload picks
+the right class on load), and every deterministic counter.  State that is
+a pure function of other sections is recounted instead -- the expiry
+queue from the window store -- and the planning statistics are never
+stored: they are computed from the window store whenever a plan is made.  Two things are deliberately *not*
 captured:
 
 * wall-clock measurements (latency samples, throughput elapsed time) are
@@ -45,7 +44,7 @@ naming the query.
 from __future__ import annotations
 
 import logging
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from ..core.decomposition import Decomposition
 from ..core.dispatch import DispatchIndex
@@ -171,6 +170,52 @@ def _config_from_state(state: Mapping[str, Any]) -> EngineConfig:
     return EngineConfig(
         **{name: value for name, value in state.items() if name not in _RETIRED_CONFIG_FIELDS}
     )
+
+
+#: Event-time values that earlier versions accepted.  A snapshot written
+#: with per-source adaptive horizons restores with one fixed horizon, the
+#: largest its buffer recorded; one written with the degraded late policy
+#: restores on ``"drop"``.  Each config section that carries one logs a
+#: warning naming what changed on ``repro.persistence``.
+_ADAPTIVE_LATENESS = "adaptive"
+_PROCESS_DEGRADED = "process_degraded"
+
+
+def _event_time_from_state(
+    config: Mapping[str, Any], reorder: Optional[Mapping[str, Any]]
+) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
+    """Return the config and reorder payloads with retired event-time values replaced.
+
+    The adaptive-only keys of the reorder payload (the tuning, the per-source
+    ``lateness`` / ``samples`` / ``since_refresh``) and its
+    ``records_late_degraded`` counter are left for the buffer's loader to
+    ignore.
+    """
+    config_state = dict(config)
+    reorder_state = dict(reorder) if reorder is not None else None
+    if config_state.get("allowed_lateness") == _ADAPTIVE_LATENESS:
+        horizon = 0.0
+        if reorder_state is not None:
+            # a buffer with no source yet would have started one at the floor
+            horizon = max(
+                (float(source["lateness"]) for _, source in reorder_state["sources"]),
+                default=float(reorder_state["adaptive_floor"]),
+            )
+            reorder_state["allowed_lateness"] = horizon
+        config_state["allowed_lateness"] = horizon
+        _LOG.warning(
+            "snapshot config sets allowed_lateness=%r, restored with the largest "
+            "per-source horizon it recorded: allowed_lateness=%s",
+            _ADAPTIVE_LATENESS,
+            horizon,
+        )
+    if config_state.get("late_policy") == _PROCESS_DEGRADED:
+        config_state["late_policy"] = "drop"
+        _LOG.warning(
+            "snapshot config sets late_policy=%r, restored on 'drop': late records are dropped",
+            _PROCESS_DEGRADED,
+        )
+    return config_state, reorder_state
 
 
 def _window_state(window: TimeWindow) -> Dict[str, Any]:
@@ -321,7 +366,10 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
 def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
     """Rebuild a single engine from :func:`engine_sections` payloads."""
     try:
-        config = _config_from_state(sections["config"])
+        config_state, reorder_state = _event_time_from_state(
+            sections["config"], sections["reorder"]
+        )
+        config = _config_from_state(config_state)
         engine = StreamWorksEngine(config=config)
         engine.graph = DynamicGraph.from_state(sections["graph"])
         engine.summarizer = None
@@ -331,8 +379,8 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
             # dispatch on the payload's "kind"; pre-multisource snapshots
             # are upgraded so the restored engine owns the multi-source
             # buffer a fresh engine would (register_source keeps working)
-            reorder_buffer_from_state(sections["reorder"])
-            if sections["reorder"] is not None
+            reorder_buffer_from_state(reorder_state)
+            if reorder_state is not None
             else None
         )
         for payload in sections["queries"]:
@@ -494,10 +542,13 @@ def load_sharded_sections(sections: Mapping[str, Any]) -> "ShardedStreamEngine":
                 "snapshot sharded config carries a worker pool, restored serially: workers=%s",
                 config_state["workers"],
             )
+        engine_state, reorder_state = _event_time_from_state(
+            config_state["engine"], sections["reorder"]
+        )
         config = ShardConfig(
             shard_count=config_state["shard_count"],
             routing=config_state["routing"],
-            engine=_config_from_state(config_state["engine"]),
+            engine=_config_from_state(engine_state),
         )
         engine = ShardedStreamEngine(config=config)
         engine.shards = [
@@ -522,9 +573,7 @@ def load_sharded_sections(sections: Mapping[str, Any]) -> "ShardedStreamEngine":
             # exactly; the shards' own tables were restored verbatim above
             intern_query_vocabulary(engine.interning, query)
         engine.reorder = (
-            reorder_buffer_from_state(sections["reorder"])
-            if sections["reorder"] is not None
-            else None
+            reorder_buffer_from_state(reorder_state) if reorder_state is not None else None
         )
         counters = sections["counters"]
         engine._sequence = counters["sequence"]

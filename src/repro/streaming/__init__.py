@@ -15,14 +15,12 @@ from .events import (
 from .metrics import LatencyRecorder, Stopwatch, ThroughputMeter
 from .partition import BatchRouter, LabelShardMap, Routing, ShardBatch, greedy_partition
 from .reorder import (
-    LatePolicy,
     ReorderBuffer,
     bounded_shuffle,
     max_time_displacement,
     ordered_run_slices,
 )
 from .sources import (
-    ADAPTIVE_LATENESS,
     DEFAULT_SOURCE,
     MultiSourceReorderBuffer,
     reorder_buffer_from_state,
@@ -32,7 +30,6 @@ from .sources import (
 )
 
 __all__ = [
-    "ADAPTIVE_LATENESS",
     "BatchReplay",
     "BatchResult",
     "BatchRouter",
@@ -43,7 +40,6 @@ __all__ = [
     "EdgeStream",
     "EventSink",
     "LabelShardMap",
-    "LatePolicy",
     "LatencyRecorder",
     "MatchEvent",
     "MultiSink",

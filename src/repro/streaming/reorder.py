@@ -16,15 +16,14 @@ that keeps disordered streams on the batched fast path:
   lateness contract), so the watermark-closed prefix is released as a
   sorted, in-order batch -- exactly what the engines' batched ingest fast
   path requires.  Records arriving *below* the watermark are genuinely
-  late and handled by an explicit :class:`LatePolicy` with counters, never
-  silently.
+  late: they are dropped and counted, never silently.
 * :func:`ordered_run_slices` -- split a batch at its inversion points into
   maximal non-decreasing runs, so engines can keep the ordered stretches of
   a disordered batch on the batched path instead of demoting the whole
   batch.
 * :func:`bounded_shuffle` / :func:`max_time_displacement` -- workload
   helpers producing (and measuring) bounded-displacement disorder, used by
-  the out-of-order experiment (E13), the benchmarks and the property tests.
+  the property tests.
 
 Ordering the cheap admission check (one watermark comparison) ahead of the
 expensive matching work is the same argument as predicate ordering for
@@ -37,36 +36,16 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from operator import attrgetter
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .edge_stream import StreamEdge
 
 __all__ = [
-    "LatePolicy",
     "ReorderBuffer",
     "bounded_shuffle",
     "max_time_displacement",
     "ordered_run_slices",
 ]
-
-
-class LatePolicy:
-    """Policy names for records arriving below the watermark.
-
-    ``DROP`` (default) discards genuinely-late records, counting them --
-    the classic streaming choice when downstream exactness matters more
-    than completeness.  ``PROCESS_DEGRADED`` hands them back to the caller
-    for immediate out-of-band processing (the engines run each as a
-    one-record batch): the record is not lost, but it is matched against
-    whatever history the store still retains (earlier context may already
-    be evicted or swept), so its results carry best-effort rather than
-    in-order semantics.
-    """
-
-    DROP = "drop"
-    PROCESS_DEGRADED = "process_degraded"
-
-    ALL = (DROP, PROCESS_DEGRADED)
 
 
 def ordered_run_slices(records: Sequence[StreamEdge]) -> List[Tuple[int, int]]:
@@ -138,20 +117,17 @@ def bounded_shuffle(
 
 
 class ReorderBuffer:
-    """Bounded-lateness reorder buffer with an explicit late-data policy.
+    """Bounded-lateness reorder buffer that drops and counts late records.
 
     Parameters
     ----------
     allowed_lateness:
         The lateness horizon in stream-time units.  The watermark trails
         the largest timestamp seen by this amount; records within the
-        horizon are re-sorted, records below it are *late* and handled by
-        ``late_policy``.  ``0.0`` admits only non-decreasing input (every
-        inversion is late); ``float("inf")`` buffers the entire stream
-        until :meth:`flush`.
-    late_policy:
-        :attr:`LatePolicy.DROP` (default) or
-        :attr:`LatePolicy.PROCESS_DEGRADED`; see :class:`LatePolicy`.
+        horizon are re-sorted, records below it are *late*: dropped and
+        counted (``records_late_dropped``).  ``0.0`` admits only non-decreasing
+        input (every inversion is late); ``float("inf")`` buffers the
+        entire stream until :meth:`flush`.
 
     The buffer releases records through :meth:`drain_ready`, which pops the
     watermark-closed prefix in ``(timestamp, arrival index)`` order.  The
@@ -160,16 +136,16 @@ class ReorderBuffer:
     is exactly the stable timestamp sort of the arrival sequence.
     """
 
-    def __init__(self, allowed_lateness: float, late_policy: str = LatePolicy.DROP):
+    def __init__(self, allowed_lateness: float):
+        if isinstance(allowed_lateness, str):
+            raise ValueError(
+                f"allowed_lateness must be a number of stream-time units, "
+                f"got {allowed_lateness!r}"
+            )
         allowed_lateness = float(allowed_lateness)
         if not allowed_lateness >= 0.0:  # also rejects NaN
             raise ValueError("allowed_lateness must be >= 0 (stream-time units)")
-        if late_policy not in LatePolicy.ALL:
-            raise ValueError(
-                f"unknown late policy {late_policy!r}; expected one of {LatePolicy.ALL}"
-            )
         self.allowed_lateness = allowed_lateness
-        self.late_policy = late_policy
         #: Buffered records: a sorted prefix (the tail of the previous
         #: drain) followed by new arrivals in arrival order.  Draining
         #: stable-sorts by timestamp -- timsort is near-linear on this
@@ -189,10 +165,8 @@ class ReorderBuffer:
         #: Records that arrived behind the running maximum but within the
         #: lateness horizon -- the disorder the buffer absorbed.
         self.records_reordered = 0
-        #: Records below the watermark on arrival (genuinely late).
-        self.records_late = 0
+        #: Records below the watermark on arrival (genuinely late), dropped.
         self.records_late_dropped = 0
-        self.records_late_degraded = 0
         #: Records released through drain_ready()/flush().
         self.records_released = 0
         #: Largest event-time displacement observed on arrival (late or not).
@@ -208,29 +182,24 @@ class ReorderBuffer:
             return float("-inf")
         return self._max_seen - self.allowed_lateness
 
-    def offer(self, record: StreamEdge) -> Optional[StreamEdge]:
-        """Admit one record; return it back only if it is late *and* the
-        policy is :attr:`LatePolicy.PROCESS_DEGRADED` (the caller must then
-        process it immediately, out of band).  Returns ``None`` otherwise
-        (admitted into the buffer, or dropped under :attr:`LatePolicy.DROP`).
+    def offer(self, record: StreamEdge) -> None:
+        """Admit one record: buffer it, or drop it if it is late.
+
         The one-record case of :meth:`offer_all`.
         """
-        handed_back = self._admit((record,))
-        return handed_back[0] if handed_back else None
+        self._admit((record,))
 
-    def offer_all(self, records: Iterable[StreamEdge]) -> List[StreamEdge]:
-        """Admit many records in arrival order; return the late ones handed back by the policy.
+    def offer_all(self, records: Iterable[StreamEdge]) -> None:
+        """Admit many records in arrival order, dropping the late ones.
 
         Admitting a batch is exactly admitting its records one by one
         (:meth:`offer`); both run the buffer's one admission loop.
         """
-        return self._admit(records)
+        self._admit(records)
 
-    def _admit(self, records: Iterable[StreamEdge]) -> List[StreamEdge]:
+    def _admit(self, records: Iterable[StreamEdge]) -> None:
         """The admission loop: the hook a buffer with other watermark
         arithmetic overrides (:class:`~repro.streaming.sources.MultiSourceReorderBuffer`)."""
-        late: List[StreamEdge] = []
-        degrade = self.late_policy == LatePolicy.PROCESS_DEGRADED
         pending = self._pending
         for record in records:
             self.records_seen += 1
@@ -239,12 +208,7 @@ class ReorderBuffer:
             if displacement > self.max_displacement_seen:
                 self.max_displacement_seen = displacement
             if displacement > self.allowed_lateness:
-                self.records_late += 1
-                if degrade:
-                    self.records_late_degraded += 1
-                    late.append(record)
-                else:
-                    self.records_late_dropped += 1
+                self.records_late_dropped += 1
                 continue
             if displacement > 0:
                 self.records_reordered += 1
@@ -253,7 +217,6 @@ class ReorderBuffer:
                 self._min_pending = timestamp
             if timestamp > self._max_seen:
                 self._max_seen = timestamp
-        return late
 
     # ------------------------------------------------------------------
     # release
@@ -306,15 +269,12 @@ class ReorderBuffer:
         return {
             "kind": "single",
             "allowed_lateness": self.allowed_lateness,
-            "late_policy": self.late_policy,
             "pending": [record.to_dict() for record in self._pending],
             "min_pending": self._min_pending,
             "max_seen": self._max_seen,
             "records_seen": self.records_seen,
             "records_reordered": self.records_reordered,
-            "records_late": self.records_late,
             "records_late_dropped": self.records_late_dropped,
-            "records_late_degraded": self.records_late_degraded,
             "records_released": self.records_released,
             "max_displacement_seen": self.max_displacement_seen,
         }
@@ -324,16 +284,16 @@ class ReorderBuffer:
 
         The single shared restoration block: subclasses' loaders call this
         for the pending list and counters so a field added to
-        :meth:`state_dict` only needs one matching loader change.
+        :meth:`state_dict` only needs one matching loader change.  The
+        ``records_late`` count of older payloads, always at least
+        ``records_late_dropped``, is ignored.
         """
         self._pending = [StreamEdge.from_dict(payload) for payload in state["pending"]]
         self._min_pending = float(state["min_pending"])
         self._max_seen = float(state["max_seen"])
         self.records_seen = state["records_seen"]
         self.records_reordered = state["records_reordered"]
-        self.records_late = state["records_late"]
         self.records_late_dropped = state["records_late_dropped"]
-        self.records_late_degraded = state["records_late_degraded"]
         self.records_released = state["records_released"]
         self.max_displacement_seen = float(state["max_displacement_seen"])
 
@@ -343,31 +303,28 @@ class ReorderBuffer:
         the restored buffer releases future records identically).  Loaders
         that may encounter either buffer kind should dispatch through
         :func:`repro.streaming.sources.reorder_buffer_from_state` instead."""
-        buffer = cls(state["allowed_lateness"], late_policy=state["late_policy"])
+        buffer = cls(state["allowed_lateness"])
         buffer._load_base_state(state)
         return buffer
 
     def stats(self) -> Dict[str, float]:
         """Return admission/lateness counters as a plain JSON-safe dict.
 
-        Keys: configuration (``allowed_lateness``, ``late_policy``), the
-        current ``watermark`` and ``buffered`` depth, and the admission
-        counters (``records_seen`` / ``records_reordered`` /
-        ``records_late`` + per-policy splits / ``records_released`` /
+        Keys: configuration (``allowed_lateness``), the current
+        ``watermark`` and ``buffered`` depth, and the admission counters
+        (``records_seen`` / ``records_reordered`` /
+        ``records_late_dropped`` / ``records_released`` /
         ``max_displacement_seen``) -- the dictionary surfaced as
         ``engine.metrics()["reorder"]`` and documented in
         ``docs/operations.md``.
         """
         return {
             "allowed_lateness": self.allowed_lateness,
-            "late_policy": self.late_policy,
             "watermark": self.watermark,
             "buffered": float(len(self._pending)),
             "records_seen": float(self.records_seen),
             "records_reordered": float(self.records_reordered),
-            "records_late": float(self.records_late),
             "records_late_dropped": float(self.records_late_dropped),
-            "records_late_degraded": float(self.records_late_degraded),
             "records_released": float(self.records_released),
             "max_displacement_seen": self.max_displacement_seen,
         }
@@ -375,6 +332,6 @@ class ReorderBuffer:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ReorderBuffer(lateness={self.allowed_lateness}, "
-            f"policy={self.late_policy!r}, buffered={len(self._pending)}, "
+            f"buffered={len(self._pending)}, "
             f"watermark={self.watermark})"
         )

@@ -1,4 +1,4 @@
-"""Multi-source event time: per-source watermarks, idle timeout, adaptive lateness.
+"""Multi-source event time: per-source watermarks and an idle-source timeout.
 
 The single-buffer event-time layer (:mod:`repro.streaming.reorder`) models
 the input as ONE merged feed: a global watermark trails the largest
@@ -13,8 +13,8 @@ collector's own stream is perfectly ordered.
 This module implements the classic multi-input fix:
 
 * :class:`MultiSourceReorderBuffer` -- one watermark per ``source_id``
-  (``max timestamp seen from that source - its lateness``), releasing on the
-  **minimum across active sources**.  A slow collector then *holds* the
+  (``max timestamp seen from that source - allowed_lateness``), releasing on
+  the **minimum across active sources**.  A slow collector then *holds* the
   release horizon instead of losing records, and the lateness horizon only
   needs to cover each source's *own* disorder, not the inter-source skew.
 * **Idle-source timeout** (``idle_timeout``, stream-time units) -- the dual
@@ -22,13 +22,8 @@ This module implements the classic multi-input fix:
   horizon forever.  A source whose clock lags the global maximum by more
   than the timeout is excluded from the minimum until it speaks again;
   records it then delivers below the (monotone) watermark are late and
-  follow the normal late policy.  The timeout is therefore also the largest
-  inter-source skew the buffer tolerates without declaring records late.
-* **Adaptive lateness** (``allowed_lateness="adaptive"``) -- each source's
-  lateness horizon tracks a running quantile of its own observed
-  displacement (how far records arrive behind that source's clock), so the
-  completeness/latency trade-off is made online per collector instead of
-  provisioned for the worst case up front.
+  dropped.  The timeout is therefore also the largest inter-source skew the
+  buffer tolerates without declaring records late.
 
 The released stream is kept globally non-decreasing by a **monotone
 watermark floor**: the raw minimum can regress when a source (re)appears
@@ -49,7 +44,6 @@ tests).
 
 from __future__ import annotations
 
-import math
 from typing import (
     Any,
     Callable,
@@ -64,10 +58,9 @@ from typing import (
 )
 
 from .edge_stream import StreamEdge
-from .reorder import LatePolicy, ReorderBuffer
+from .reorder import ReorderBuffer
 
 __all__ = [
-    "ADAPTIVE_LATENESS",
     "DEFAULT_SOURCE",
     "MultiSourceReorderBuffer",
     "reorder_buffer_from_state",
@@ -79,9 +72,6 @@ __all__ = [
 #: Source key used for records that carry no ``source_id``.
 DEFAULT_SOURCE = "__default__"
 
-#: ``allowed_lateness`` sentinel selecting per-source adaptive horizons.
-ADAPTIVE_LATENESS = "adaptive"
-
 _NEG_INF = float("-inf")
 
 
@@ -91,16 +81,13 @@ class _SourceState:
     __slots__ = (
         "max_seen",
         "baseline",
-        "lateness",
         "records_seen",
         "records_reordered",
         "records_late",
         "max_displacement_seen",
-        "samples",
-        "since_refresh",
     )
 
-    def __init__(self, lateness: float, baseline: float = _NEG_INF):
+    def __init__(self, baseline: float = _NEG_INF):
         #: Largest event timestamp this source has delivered (its clock).
         self.max_seen = _NEG_INF
         #: Stream time at which this source became known (its registration
@@ -109,8 +96,6 @@ class _SourceState:
         #: silence measured from here -- NOT treated as idle immediately --
         #: so a skewed-but-live collector's first record is not orphaned.
         self.baseline = baseline
-        #: This source's lateness horizon (fixed, or the adaptive estimate).
-        self.lateness = lateness
         self.records_seen = 0
         #: Records behind this source's own clock but not late.
         self.records_reordered = 0
@@ -118,17 +103,6 @@ class _SourceState:
         self.records_late = 0
         #: Largest displacement behind this source's own clock.
         self.max_displacement_seen = 0.0
-        #: Recent own-clock displacements (adaptive mode only; bounded).
-        self.samples: List[float] = []
-        self.since_refresh = 0
-
-
-def _quantile(sorted_samples: Sequence[float], q: float) -> float:
-    """Return the ``q``-quantile of an ascending sample list (nearest-rank)."""
-    if not sorted_samples:
-        return 0.0
-    rank = math.ceil(q * len(sorted_samples)) - 1
-    return sorted_samples[max(0, min(rank, len(sorted_samples) - 1))]
 
 
 class MultiSourceReorderBuffer(ReorderBuffer):
@@ -137,68 +111,32 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     Parameters
     ----------
     allowed_lateness:
-        A float horizon (stream-time units, applied to every source), or the
-        string ``"adaptive"`` to let each source's horizon track the
-        ``adaptive_quantile`` of its own observed displacement.
-    late_policy:
-        :attr:`~repro.streaming.reorder.LatePolicy.DROP` (default) or
-        :attr:`~repro.streaming.reorder.LatePolicy.PROCESS_DEGRADED`; a
-        record is *late* when its timestamp lies below the current release
-        watermark (it can no longer be released in sorted position).
+        The lateness horizon in stream-time units, shared by every source.
+        A record is *late* -- dropped and counted -- when its timestamp lies
+        below the current release watermark (it can no longer be released
+        in sorted position).
     idle_timeout:
         Stream-time units after which a source whose clock lags the global
         maximum is excluded from the release minimum (``None`` -- never:
         a silent source holds the horizon indefinitely).  Doubles as the
         largest tolerated inter-source skew: a live source lagging by more
         than the timeout is treated as idle and its records may be late.
-    adaptive_quantile / adaptive_sample_cap / adaptive_refresh / adaptive_floor:
-        Adaptive-mode tuning: the per-source horizon is
-        ``max(adaptive_floor, quantile(last adaptive_sample_cap own-clock
-        displacements))``, recomputed every ``adaptive_refresh`` records per
-        source (quantiles are amortised off the per-record hot path).
 
     Raises
     ------
     ValueError
-        On a negative/NaN ``allowed_lateness`` (anything that is neither a
-        non-negative float nor ``"adaptive"``), a non-positive
-        ``idle_timeout``, an unknown ``late_policy``, or an
-        ``adaptive_quantile`` outside ``(0, 1]``.
+        On a negative, NaN or non-numeric ``allowed_lateness`` or a
+        non-positive ``idle_timeout``.
 
     Release semantics are inherited from :class:`ReorderBuffer` (stable
     timestamp sort of the pending list, watermark-closed prefix per
     :meth:`drain_ready`); only the watermark arithmetic and the admission
-    bookkeeping differ.  With a single (implicit) source, fixed lateness and
-    no idle timeout, behaviour is byte-for-byte the single-buffer one.
+    bookkeeping differ.  With a single (implicit) source and no idle
+    timeout, behaviour is byte-for-byte the single-buffer one.
     """
 
-    def __init__(
-        self,
-        allowed_lateness: Union[float, str],
-        late_policy: str = LatePolicy.DROP,
-        idle_timeout: Optional[float] = None,
-        adaptive_quantile: float = 0.99,
-        adaptive_sample_cap: int = 256,
-        adaptive_refresh: int = 32,
-        adaptive_floor: float = 0.0,
-    ):
-        self.adaptive = allowed_lateness == ADAPTIVE_LATENESS
-        if self.adaptive:
-            if not 0.0 < adaptive_quantile <= 1.0:
-                raise ValueError("adaptive_quantile must be in (0, 1]")
-            if adaptive_sample_cap <= 0 or adaptive_refresh <= 0:
-                raise ValueError("adaptive_sample_cap and adaptive_refresh must be positive")
-            adaptive_floor = float(adaptive_floor)
-            if not adaptive_floor >= 0.0:  # also rejects NaN
-                raise ValueError("adaptive_floor must be >= 0 (stream-time units)")
-            super().__init__(0.0, late_policy=late_policy)
-        elif isinstance(allowed_lateness, str):
-            raise ValueError(
-                f"allowed_lateness must be a non-negative float or "
-                f"{ADAPTIVE_LATENESS!r}, got {allowed_lateness!r}"
-            )
-        else:
-            super().__init__(allowed_lateness, late_policy=late_policy)
+    def __init__(self, allowed_lateness: float, idle_timeout: Optional[float] = None):
+        super().__init__(allowed_lateness)
         if idle_timeout is not None:
             idle_timeout = float(idle_timeout)
             if not idle_timeout > 0.0:  # also rejects NaN
@@ -207,10 +145,6 @@ class MultiSourceReorderBuffer(ReorderBuffer):
                     "units (or None to let silent sources hold the watermark)"
                 )
         self.idle_timeout = idle_timeout
-        self.adaptive_quantile = adaptive_quantile
-        self.adaptive_sample_cap = adaptive_sample_cap
-        self.adaptive_refresh = adaptive_refresh
-        self.adaptive_floor = adaptive_floor
         #: ``{source key: _SourceState}`` in first-seen/registration order.
         self._sources: Dict[str, _SourceState] = {}
         #: Monotone release horizon: the raw min-watermark can regress when a
@@ -219,16 +153,14 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         #: running maximum of the raw one and such records are late instead.
         self._watermark_floor = _NEG_INF
         #: The least source clock (``None`` until recomputed), read by the
-        #: fixed-horizon admission test (:meth:`_admit`).  Derived from the
-        #: source clocks, so a restored buffer recomputes it on first use.
+        #: admission test when there is no idle timeout (:meth:`_admit`).
+        #: Derived from the source clocks, so a restored buffer recomputes
+        #: it on first use.
         self._min_clock: Optional[float] = None  # repro-lint: ignore[snapshot-coverage]
 
     # ------------------------------------------------------------------
     # sources
     # ------------------------------------------------------------------
-    def _initial_lateness(self) -> float:
-        return self.adaptive_floor if self.adaptive else self.allowed_lateness
-
     def register_source(self, source_id: str) -> None:
         """Declare a collector before its first record arrives.
 
@@ -249,9 +181,7 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         """
         key = source_id if source_id is not None else DEFAULT_SOURCE
         if key not in self._sources:
-            self._sources[key] = _SourceState(
-                self._initial_lateness(), baseline=self._max_seen
-            )
+            self._sources[key] = _SourceState(baseline=self._max_seen)
             self._min_clock = _NEG_INF  # the newcomer's clock
 
     def sources(self) -> List[str]:
@@ -272,53 +202,22 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     # ------------------------------------------------------------------
     # watermark arithmetic
     # ------------------------------------------------------------------
+    def _active_min_clock(self) -> Optional[float]:
+        """The least clock among the sources not idle (``None`` when every one is)."""
+        clocks = [state.max_seen for state in self._sources.values() if not self._is_idle(state)]
+        return min(clocks) if clocks else None
+
     def _raw_watermark(self) -> float:
-        if not self._sources or self._max_seen == _NEG_INF:
-            return _NEG_INF
-        horizon = float("inf")
-        any_active = False
-        for state in self._sources.values():
-            if self._is_idle(state):
-                continue
-            any_active = True
-            candidate = state.max_seen - state.lateness
-            if candidate < horizon:
-                horizon = candidate
+        clock = self._active_min_clock() if self._max_seen != _NEG_INF else None
         # the source holding the global maximum is never idle, so with any
         # record seen at least one source is active; defensive nonetheless
-        return horizon if any_active else _NEG_INF
+        return _NEG_INF if clock is None else clock - self.allowed_lateness
 
     def _current_watermark(self) -> float:
         raw = self._raw_watermark()
         if raw > self._watermark_floor:
             self._watermark_floor = raw
         return self._watermark_floor
-
-    def _late_for_every_source(self, timestamp: float) -> Tuple[float, bool]:
-        """``(raw watermark, late for every active source)`` from the source clocks.
-
-        The min-watermark test runs in *displacement space* -- late iff
-        ``max_seen - timestamp > lateness`` for **every** active source --
-        rather than comparing against the subtraction-form watermark, so a
-        borderline record (displacement exactly equal to the horizon, e.g.
-        when the horizon was sized with
-        :func:`~repro.streaming.reorder.max_time_displacement`) classifies
-        bit-for-bit as the single-watermark buffer classifies it.
-        """
-        raw = self._raw_watermark()
-        late = False
-        if self._sources and self._max_seen != _NEG_INF:
-            any_active = False
-            late = True
-            for state in self._sources.values():
-                if self._is_idle(state):
-                    continue
-                any_active = True
-                if not state.max_seen - timestamp > state.lateness:
-                    late = False
-                    break
-            late = late and any_active
-        return raw, late
 
     def _apply_floor(self, raw: float, late: bool, timestamp: float) -> bool:
         """Raise the monotone watermark floor to ``raw``; return the final lateness.
@@ -337,7 +236,7 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     def watermark(self) -> float:
         """The monotone release watermark: min over active per-source watermarks.
 
-        Each source's watermark is its largest delivered timestamp minus its
+        Each source's watermark is its largest delivered timestamp minus the
         lateness horizon; idle sources (see ``idle_timeout``) are excluded;
         the result never regresses (see the class docstring).
         """
@@ -346,42 +245,42 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
-    def _admit(self, records: Iterable[StreamEdge]) -> List[StreamEdge]:
+    def _admit(self, records: Iterable[StreamEdge]) -> None:
         """Admit records in arrival order under their sources' watermark bookkeeping.
 
         The one admission loop behind :meth:`offer` and :meth:`offer_all`
         (see :meth:`ReorderBuffer._admit`): each record is classified
         against the watermark as the records before it left it, so a batch
-        admits exactly as its records offered one by one.  Returns the late
-        records the :attr:`~repro.streaming.reorder.LatePolicy.PROCESS_DEGRADED`
-        policy hands back.  A late record still advances its source's clock
-        -- the record is dropped or degraded, but the collector's progress
-        is real, so a source that fell behind the released horizon catches
-        back up instead of pinning the watermark (or the idle test) at its
-        last good record forever.
+        admits exactly as its records offered one by one.  A late record is
+        dropped but still advances its source's clock -- the collector's
+        progress is real, so a source that fell behind the released horizon
+        catches back up instead of pinning the watermark (or the idle test)
+        at its last good record forever.
 
-        With one fixed horizon and no idle timeout every source is active
-        and shares the lateness ``L``, so "late for every active source"
-        (``clock - t > L`` for each source clock) is the test against the
-        minimum clock alone -- bit for bit, since ``fl(clock - t)`` is
-        monotone in ``clock`` -- and so is the raw watermark
-        (``min clock - L``).  The minimum is cached and recomputed only when
-        the source holding it advances or a source joins.  Adaptive and
-        idle-timeout buffers run the per-source test
-        (:meth:`_late_for_every_source`); both then apply the watermark
-        floor (:meth:`_apply_floor`).
+        Every source shares the lateness ``L``, so "late for every active
+        source" (``clock - t > L`` for each active source clock) is the test
+        against the least active clock alone -- bit for bit, since
+        ``fl(clock - t)`` is monotone in ``clock`` -- and so is the raw
+        watermark (``least clock - L``).  The test runs in displacement
+        space, not against the subtraction-form watermark, so a borderline
+        record (displacement exactly the horizon, e.g. when the horizon was
+        sized with :func:`~repro.streaming.reorder.max_time_displacement`)
+        classifies bit for bit as the single-watermark buffer classifies
+        it.  Without an idle timeout every source is active, so the least
+        clock is cached and recomputed only when the source holding it
+        advances or a source joins; with one, it is taken over the sources
+        active at each record.  Either way the watermark floor
+        (:meth:`_apply_floor`) applies last.
         """
-        handed_back: List[StreamEdge] = []
         sources = self._sources
-        degrade = self.late_policy == LatePolicy.PROCESS_DEGRADED
-        uniform = not self.adaptive and self.idle_timeout is None
+        cached = self.idle_timeout is None
         lateness = self.allowed_lateness
         pending = self._pending
         for record in records:
             key = record.source_id if record.source_id is not None else DEFAULT_SOURCE
             state = sources.get(key)
             if state is None:
-                state = sources[key] = _SourceState(self._initial_lateness())
+                state = sources[key] = _SourceState()
                 self._min_clock = _NEG_INF  # the newcomer's clock
             self.records_seen += 1
             state.records_seen += 1
@@ -395,31 +294,24 @@ class MultiSourceReorderBuffer(ReorderBuffer):
                 own_displacement = 0.0
             if own_displacement > state.max_displacement_seen:
                 state.max_displacement_seen = own_displacement
-            if uniform:
+            if cached:
                 clock = self._min_clock
                 if clock is None:
                     clock = self._min_clock = min(source.max_seen for source in sources.values())
-                if self._max_seen == _NEG_INF:
-                    raw, late = _NEG_INF, False
-                else:
-                    raw, late = clock - lateness, clock - timestamp > lateness
             else:
-                if self.adaptive:
-                    self._observe_displacement(state, own_displacement)
-                raw, late = self._late_for_every_source(timestamp)
+                clock = self._active_min_clock()
+            if clock is None or self._max_seen == _NEG_INF:
+                raw, late = _NEG_INF, False
+            else:
+                raw, late = clock - lateness, clock - timestamp > lateness
             late = self._apply_floor(raw, late, timestamp)
             if timestamp > state.max_seen:
                 if state.max_seen == self._min_clock:
                     self._min_clock = None  # the source holding the minimum advanced
                 state.max_seen = timestamp
             if late:
-                self.records_late += 1
                 state.records_late += 1
-                if degrade:
-                    self.records_late_degraded += 1
-                    handed_back.append(record)
-                else:
-                    self.records_late_dropped += 1
+                self.records_late_dropped += 1
                 continue
             if displacement > 0:
                 self.records_reordered += 1
@@ -437,20 +329,6 @@ class MultiSourceReorderBuffer(ReorderBuffer):
                     for other in sources.values():
                         if other.baseline == _NEG_INF:
                             other.baseline = timestamp
-        return handed_back
-
-    def _observe_displacement(self, state: _SourceState, own_displacement: float) -> None:
-        """Fold one own-clock displacement into the source's adaptive horizon."""
-        samples = state.samples
-        samples.append(own_displacement)
-        if len(samples) > self.adaptive_sample_cap:
-            del samples[: len(samples) - self.adaptive_sample_cap]
-        state.since_refresh += 1
-        # quantiles are O(n log n); recompute on a cadence, not per record
-        if state.since_refresh >= self.adaptive_refresh or state.records_seen <= 1:
-            state.since_refresh = 0
-            estimate = _quantile(sorted(samples), self.adaptive_quantile)
-            state.lateness = max(self.adaptive_floor, estimate)
 
     # ------------------------------------------------------------------
     # introspection / persistence
@@ -460,21 +338,19 @@ class MultiSourceReorderBuffer(ReorderBuffer):
 
         The top-level keys match :meth:`ReorderBuffer.stats` (so existing
         ``metrics()["reorder"]`` consumers keep working); ``sources`` maps
-        each source key to its watermark, clock, lateness horizon, idle
-        flag and admission counters.
+        each source key to its watermark, clock, idle flag and admission
+        counters.
         """
         data = super().stats()
         data["kind"] = "multisource"
-        data["allowed_lateness"] = ADAPTIVE_LATENESS if self.adaptive else self.allowed_lateness
         data["idle_timeout"] = self.idle_timeout
         idle = [key for key, state in self._sources.items() if self._is_idle(state)]
         data["source_count"] = len(self._sources)
         data["idle_sources"] = idle
         data["sources"] = {
             key: {
-                "watermark": state.max_seen - state.lateness,
+                "watermark": state.max_seen - self.allowed_lateness,
                 "max_seen": state.max_seen,
-                "lateness": state.lateness,
                 "idle": key in idle,
                 "records_seen": float(state.records_seen),
                 "records_reordered": float(state.records_reordered),
@@ -488,20 +364,14 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     def state_dict(self) -> Dict[str, Any]:
         """Serialise the buffer: single-buffer state + per-source states.
 
-        Source order is preserved (a dict round-trips insertion order), the
-        watermark floor is explicit (it is *not* derivable from the source
-        clocks -- it remembers horizons reached before a source appeared),
-        and adaptive sample windows round-trip exactly so a restored buffer
-        computes the same horizons at the same refresh points.
+        Source order is preserved (a dict round-trips insertion order) and
+        the watermark floor is explicit (it is *not* derivable from the
+        source clocks -- it remembers horizons reached before a source
+        appeared).
         """
         state = super().state_dict()
         state["kind"] = "multisource"
-        state["allowed_lateness"] = ADAPTIVE_LATENESS if self.adaptive else self.allowed_lateness
         state["idle_timeout"] = self.idle_timeout
-        state["adaptive_quantile"] = self.adaptive_quantile
-        state["adaptive_sample_cap"] = self.adaptive_sample_cap
-        state["adaptive_refresh"] = self.adaptive_refresh
-        state["adaptive_floor"] = self.adaptive_floor
         state["watermark_floor"] = self._watermark_floor
         state["sources"] = [
             [
@@ -509,13 +379,10 @@ class MultiSourceReorderBuffer(ReorderBuffer):
                 {
                     "max_seen": source.max_seen,
                     "baseline": source.baseline,
-                    "lateness": source.lateness,
                     "records_seen": source.records_seen,
                     "records_reordered": source.records_reordered,
                     "records_late": source.records_late,
                     "max_displacement_seen": source.max_displacement_seen,
-                    "samples": list(source.samples),
-                    "since_refresh": source.since_refresh,
                 },
             ]
             for key, source in self._sources.items()
@@ -530,20 +397,19 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         written before it existed carry a plain single-buffer state.  The
         upgrade is behaviour-preserving: the whole history is attributed to
         the implicit default source (its clock is the old global maximum,
-        its lateness the old horizon, and the watermark floor is the old
-        watermark), so a sourceless resumed stream releases byte-for-byte
-        as the old buffer would -- while ``register_source`` and
-        ``source_id``-tagged records work on the restored engine exactly as
-        on a fresh one.
+        and the watermark floor is the old watermark), so a sourceless
+        resumed stream releases byte-for-byte as the old buffer would --
+        while ``register_source`` and ``source_id``-tagged records work on
+        the restored engine exactly as on a fresh one.
         """
-        buffer = cls(state["allowed_lateness"], late_policy=state["late_policy"])
+        buffer = cls(state["allowed_lateness"])
         buffer._load_base_state(state)
         if buffer._max_seen != _NEG_INF:
-            source = _SourceState(buffer.allowed_lateness, baseline=buffer._max_seen)
+            source = _SourceState(baseline=buffer._max_seen)
             source.max_seen = buffer._max_seen
             source.records_seen = buffer.records_seen
             source.records_reordered = buffer.records_reordered
-            source.records_late = buffer.records_late
+            source.records_late = buffer.records_late_dropped
             source.max_displacement_seen = buffer.max_displacement_seen
             buffer._sources[DEFAULT_SOURCE] = source
             buffer._watermark_floor = buffer._max_seen - buffer.allowed_lateness
@@ -552,35 +418,22 @@ class MultiSourceReorderBuffer(ReorderBuffer):
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "MultiSourceReorderBuffer":
         """Rebuild a buffer from :meth:`state_dict` output (exact resume)."""
-        buffer = cls(
-            state["allowed_lateness"],
-            late_policy=state["late_policy"],
-            idle_timeout=state["idle_timeout"],
-            adaptive_quantile=state["adaptive_quantile"],
-            adaptive_sample_cap=state["adaptive_sample_cap"],
-            adaptive_refresh=state["adaptive_refresh"],
-            adaptive_floor=state["adaptive_floor"],
-        )
+        buffer = cls(state["allowed_lateness"], idle_timeout=state["idle_timeout"])
         buffer._load_base_state(state)
         buffer._watermark_floor = float(state["watermark_floor"])
         for key, payload in state["sources"]:
-            source = _SourceState(
-                float(payload["lateness"]), baseline=float(payload["baseline"])
-            )
+            source = _SourceState(baseline=float(payload["baseline"]))
             source.max_seen = float(payload["max_seen"])
             source.records_seen = payload["records_seen"]
             source.records_reordered = payload["records_reordered"]
             source.records_late = payload["records_late"]
             source.max_displacement_seen = float(payload["max_displacement_seen"])
-            source.samples = [float(sample) for sample in payload["samples"]]
-            source.since_refresh = payload["since_refresh"]
             buffer._sources[key] = source
         return buffer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"MultiSourceReorderBuffer(lateness="
-            f"{ADAPTIVE_LATENESS if self.adaptive else self.allowed_lateness!r}, "
+            f"MultiSourceReorderBuffer(lateness={self.allowed_lateness!r}, "
             f"sources={len(self._sources)}, buffered={len(self._pending)}, "
             f"watermark={self.watermark})"
         )

@@ -41,6 +41,7 @@ from differential import (
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.core.decomposition import Strategy
+from repro.core.matcher import ContinuousQueryMatcher
 from repro.persistence import (
     SnapshotCorruptError,
     SnapshotError,
@@ -48,6 +49,7 @@ from repro.persistence import (
     read_manifest,
     read_snapshot,
 )
+from repro.persistence.snapshot import write_snapshot
 from repro.persistence.state import _RETIRED_CONFIG_FIELDS
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
@@ -278,7 +280,7 @@ def test_single_engine_event_time_tail_survives_crash(tmp_path):
 
     def build():
         engine = StreamWorksEngine(
-            config=EngineConfig(allowed_lateness=1.0, late_policy="process_degraded")
+            config=EngineConfig(allowed_lateness=1.0)
         )
         register_all(engine, rmat_queries())
         return engine
@@ -303,6 +305,57 @@ def test_single_engine_event_time_tail_survives_crash(tmp_path):
             resumed.process_batch(batch)
         resumed.flush()
         assert_resumed_equals_oracle(oracle, resumed, f"event-time crash after batch {crash_after}")
+
+
+# ----------------------------------------------------------------------
+# recovery cost: a restore does no matcher work, a replay redoes the prefix
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("shard_count", [None, 2], ids=["single", "sharded_x2"])
+def test_restore_runs_no_matcher_work_where_replay_reruns_the_prefix(
+    tmp_path, monkeypatch, shard_count
+):
+    """After a crash the engine gets its state back by restoring a snapshot
+    or by replaying what it processed.  The restore searches nothing; the
+    replay searches every record of the prefix again, as the first run did."""
+    searched = []
+    search = ContinuousQueryMatcher.process_edge_leaves
+
+    def counted(self, edge, leaves, *args, **kwargs):
+        searched.append(edge.timestamp)
+        return search(self, edge, leaves, *args, **kwargs)
+
+    monkeypatch.setattr(ContinuousQueryMatcher, "process_edge_leaves", counted)
+    batches = batches_of(rmat_records())
+    prefix, rest = batches[: len(batches) // 2], batches[len(batches) // 2 :]
+
+    def build():
+        if shard_count is None:
+            engine = StreamWorksEngine(config=EngineConfig())
+        else:
+            engine = ShardedStreamEngine(config=_sharded_config(shard_count))
+        register_all(engine, rmat_queries())
+        return engine
+
+    crashed = build()
+    for batch in prefix:
+        crashed.process_batch(batch)
+    prefix_work = list(searched)
+    assert prefix_work
+    path = str(tmp_path / "recovery.snap")
+    crashed.checkpoint(path)
+
+    searched.clear()
+    restored = type(crashed).restore(path)
+    assert searched == []
+
+    replayed = build()
+    for batch in prefix:
+        replayed.process_batch(batch)
+    assert searched == prefix_work
+    for engine in (restored, replayed):
+        for batch in rest:
+            engine.process_batch(batch)
+    assert canonical(restored.events()) == canonical(replayed.events())
 
 
 # ----------------------------------------------------------------------
@@ -1318,6 +1371,147 @@ def test_sharded_snapshot_from_a_worker_pool_restores_serially(tmp_path, caplog)
     again = str(tmp_path / "again.snap")
     resumed.checkpoint(again)
     assert "workers" not in read_snapshot(again)[1]["config"]
+
+
+ADAPTIVE_DEGRADED_SOURCES = ("probe", "wire")
+
+
+def adaptive_degraded_records():
+    """Two collectors: "probe" jitters by up to 1.5 within its own feed and
+    runs 3.0 ahead of "wire", whose feed is in order.  The lag covers the
+    jitter, so "wire" holds the release horizon and nothing is late."""
+    rng = random.Random(7)
+    per_source = {source: [] for source in ADAPTIVE_DEGRADED_SOURCES}
+    for index in range(160):
+        t = index * 0.25
+        source = ADAPTIVE_DEGRADED_SOURCES[index % 2]
+        label = ("rel_a", "rel_b", "rel_c")[index % 3]
+        per_source[source].append(
+            StreamEdge(f"h{rng.randrange(6)}", f"h{rng.randrange(6)}", label, t,
+                       source_label="Host", target_label="Host")
+        )
+    probe = per_source["probe"]
+    for start in range(0, len(probe), 4):  # local jitter inside each block of 4
+        block = probe[start : start + 4]
+        rng.shuffle(block)
+        probe[start : start + 4] = block
+    return skewed_interleave(per_source, {"probe": 0.0, "wire": 3.0})
+
+
+def adaptive_degraded_engine(allowed_lateness):
+    engine = StreamWorksEngine(config=EngineConfig(allowed_lateness=allowed_lateness))
+    for name, labels, window in (("ab", ("rel_a", "rel_b"), 3.0), ("bc", ("rel_b", "rel_c"), 2.0)):
+        query = QueryGraph(name)
+        for vertex in ("x", "y", "z"):
+            query.add_vertex(vertex, "Host")
+        query.add_edge("x", "y", labels[0])
+        query.add_edge("y", "z", labels[1])
+        engine.register_query(query, name=name, window=window)
+    for source in ADAPTIVE_DEGRADED_SOURCES:
+        engine.register_source(source)
+    return engine
+
+
+def test_snapshot_with_adaptive_lateness_and_degraded_policy_restores_fixed_and_dropping(
+    tmp_path, caplog
+):
+    """A snapshot of the retired event-time options restores on today's ones.
+
+    ``tests/fixtures/persistence/engine_adaptive_degraded.snap`` was written
+    with ``allowed_lateness="adaptive"`` and ``late_policy="process_degraded"``
+    by an engine with two registered collectors, after twelve batches of 8,
+    with six records still buffered.  It restores with the largest
+    per-source horizon it recorded (1.5) and on ``"drop"``, logging one
+    ``repro.persistence`` warning for each, and the rest of the stream
+    gives the event history of an uninterrupted run at that horizon.
+    """
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "persistence", "engine_adaptive_degraded.snap"
+    )
+    _, sections = read_snapshot(path)
+    assert sections["config"]["allowed_lateness"] == "adaptive"
+    assert sections["config"]["late_policy"] == "process_degraded"
+    with caplog.at_level("WARNING", logger="repro.persistence"):
+        resumed = StreamWorksEngine.restore(path)
+    warnings = [record.getMessage() for record in caplog.records if record.name == "repro.persistence"]
+    assert len(warnings) == 2
+    assert "allowed_lateness='adaptive'" in warnings[0] and "allowed_lateness=1.5" in warnings[0]
+    assert "late_policy='process_degraded'" in warnings[1] and "'drop'" in warnings[1]
+    assert resumed.config.allowed_lateness == resumed.reorder.allowed_lateness == 1.5
+    assert resumed.config.late_policy == "drop"
+    assert resumed.reorder.sources() == list(ADAPTIVE_DEGRADED_SOURCES)
+    assert len(resumed.reorder) == 6 and len(resumed.events()) == 35
+
+    records = adaptive_degraded_records()
+    oracle = adaptive_degraded_engine(1.5)
+    for start in range(0, len(records), 8):
+        oracle.process_batch(records[start : start + 8])
+    oracle.flush()
+    for start in range(96, len(records), 8):
+        resumed.process_batch(records[start : start + 8])
+    resumed.flush()
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert len(resumed.events()) == 59
+    assert resumed.metrics()["reorder"]["records_late_dropped"] == 0
+    # it checkpoints again with today's values
+    again = str(tmp_path / "again.snap")
+    resumed.checkpoint(again)
+    config = read_snapshot(again)[1]["config"]
+    assert (config["allowed_lateness"], config["late_policy"]) == (1.5, "drop")
+
+
+def test_sharded_snapshot_with_retired_event_time_values_restores(tmp_path, caplog):
+    """The sharded loader maps the retired values as the single one does:
+    the parent buffer's largest per-source horizon becomes the fixed one,
+    and each config carrying the degraded policy restores on ``"drop"``."""
+    arrival = multisource_rmat_arrival()
+    batches = batches_of(arrival)
+
+    def build():
+        engine = ShardedStreamEngine(
+            config=ShardConfig(shard_count=2, engine=EngineConfig(allowed_lateness=0.05))
+        )
+        for source in ("probe0", "probe1"):
+            engine.register_source(source)
+        register_all(engine, rmat_queries())
+        return engine
+
+    oracle = build()
+    for batch in batches:
+        oracle.process_batch(batch)
+    oracle.flush()
+    assert oracle.events()
+
+    engine = build()
+    for batch in batches[:2]:
+        engine.process_batch(batch)
+    path = str(tmp_path / "old.snap")
+    engine.checkpoint(path)
+    manifest, sections = read_snapshot(path)
+    # rewrite the snapshot as the retired options wrote it
+    sections["config"]["engine"].update(allowed_lateness="adaptive", late_policy="process_degraded")
+    for shard_id in range(2):
+        sections[f"shard_{shard_id}"]["config"]["late_policy"] = "process_degraded"
+    reorder = sections["reorder"]
+    reorder.update(
+        allowed_lateness="adaptive", late_policy="process_degraded", records_late_degraded=0,
+        adaptive_quantile=0.99, adaptive_sample_cap=256, adaptive_refresh=32, adaptive_floor=0.0,
+    )
+    for (_, source), lateness in zip(reorder["sources"], (0.05, 0.01)):
+        source.update(lateness=lateness, samples=[0.0, lateness], since_refresh=2)
+    write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
+
+    with caplog.at_level("WARNING", logger="repro.persistence"):
+        resumed = ShardedStreamEngine.restore(path)
+    warnings = [record.getMessage() for record in caplog.records if record.name == "repro.persistence"]
+    assert sum("allowed_lateness=0.05" in warning for warning in warnings) == 1
+    assert sum("'process_degraded'" in warning for warning in warnings) == 3  # parent + shards
+    assert len(warnings) == 4
+    assert resumed.config.engine.allowed_lateness == resumed.reorder.allowed_lateness == 0.05
+    for batch in batches[2:]:
+        resumed.process_batch(batch)
+    resumed.flush()
+    assert canonical(resumed.events()) == canonical(oracle.events())
 
 
 def test_loading_a_current_snapshot_logs_nothing(tmp_path, caplog):

@@ -1,12 +1,16 @@
 """Tests for the experiment harness: reporting, runner CLI and small-scale experiments."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.harness import ALL_EXPERIMENTS, format_report, format_table, run_experiments
+import repro
+from repro.harness import ALL_EXPERIMENTS, format_report, format_table
 from repro.harness.reporting import monotonic_non_decreasing, save_json, speedup
-from repro.harness.runner import main
+from repro.harness.runner import main, run_experiments
 
 
 class TestReporting:
@@ -56,6 +60,20 @@ class TestRunner:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "E1:" in out and "E10:" in out
+
+    def test_module_entry_point_runs_clean_under_warnings_as_errors(self):
+        """Importing the package must not import the runner, or runpy warns
+        that ``repro.harness.runner`` is already in ``sys.modules``."""
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        completed = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "repro.harness.runner", "--list"],
+            env={**os.environ, "PYTHONPATH": source_root},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "E10:" in completed.stdout
 
     def test_cli_runs_and_writes_json(self, tmp_path, capsys):
         path = tmp_path / "out.json"

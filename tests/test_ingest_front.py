@@ -1,9 +1,9 @@
 """One way in: every ingest entry point is a batch through one front.
 
 ``process_record(r)`` is ``process_batch([r])`` minus the batch count, on
-both engines; late ``process_degraded`` records and ``flush`` reach the
-same run loop; and the replan cadence is counted once per batch whichever
-entry point made it.
+both engines; a buffer's releases and ``flush`` reach the same run loop;
+and the replan cadence is counted once per batch whichever entry point
+made it.
 """
 
 import random
@@ -22,7 +22,6 @@ from test_sharded_conformance import (
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
 from repro.streaming.edge_stream import StreamEdge
-from repro.streaming.reorder import LatePolicy
 
 
 def canonical(events):
@@ -107,8 +106,8 @@ def assert_record_equals_batch(records, specs, layout="single", mutate=None, **c
 
 BUFFERS = {
     "none": {},
-    "degraded_0.05": dict(allowed_lateness=0.05, late_policy=LatePolicy.PROCESS_DEGRADED),
-    "degraded_0.5": dict(allowed_lateness=0.5, late_policy=LatePolicy.PROCESS_DEGRADED),
+    "lateness_0.05": dict(allowed_lateness=0.05),
+    "lateness_0.5": dict(allowed_lateness=0.5),
 }
 
 
@@ -235,15 +234,14 @@ class TestEveryEntryPointRunsTheFastPath:
         assert len(ran) == direct.edges_processed == 3
 
         ran.clear()
-        buffered = build(
-            chain_specs, allowed_lateness=1.0, late_policy=LatePolicy.PROCESS_DEGRADED
-        )
+        buffered = build(chain_specs, allowed_lateness=1.0)
         buffered.process_batch([StreamEdge("a", "b", "rel_a", 5.0)])
         buffered.process_record(StreamEdge("b", "c", "rel_b", 10.0))  # releases t=5
-        buffered.process_record(StreamEdge("c", "d", "rel_c", 1.0))  # late: degraded
+        buffered.process_record(StreamEdge("c", "d", "rel_c", 1.0))  # late: dropped
         buffered.process_batch([StreamEdge("d", "e", "rel_a", 12.0)])  # releases t=10
         buffered.flush()  # releases t=12
-        assert [record.timestamp for record in ran] == [5.0, 1.0, 10.0, 12.0]
+        assert [record.timestamp for record in ran] == [5.0, 10.0, 12.0]
+        assert buffered.metrics()["reorder"]["records_late_dropped"] == 1
 
 
 class TestReplanCadenceParity:

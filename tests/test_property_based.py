@@ -534,17 +534,14 @@ class TestCheckpointRecoveryProperty:
 class TestWindowStatisticsProperty:
     """After any stream shape -- per-record and batched feeds mixed, arbitrary
     disorder (run splits, dead-on-arrival records), event-time reordering
-    with dropped or ``process_degraded`` late records, a checkpoint/restore
-    in the middle, one engine or two shards -- every window store's summary
+    with dropped late records, a checkpoint/restore in the middle, one
+    engine or two shards -- every window store's summary
     equals a from-scratch recount over it, and a resumed engine's
     statistics serialise exactly like the uninterrupted run's."""
 
     @staticmethod
-    def build(shard_count, lateness, degraded):
-        config = EngineConfig(
-            allowed_lateness=lateness,
-            late_policy="process_degraded" if degraded and lateness is not None else "drop",
-        )
+    def build(shard_count, lateness):
+        config = EngineConfig(allowed_lateness=lateness)
         if shard_count is None:
             engine = StreamWorksEngine(config=config)
         else:
@@ -568,12 +565,11 @@ class TestWindowStatisticsProperty:
         split_seed=st.integers(min_value=0, max_value=10_000),
         checkpoint_index=st.integers(min_value=0, max_value=1_000),
         lateness=st.one_of(st.none(), st.floats(min_value=0.0, max_value=10.0, allow_nan=False)),
-        degraded=st.booleans(),
         shard_count=st.sampled_from([None, 2]),
     )
     @settings(max_examples=40, deadline=None, suppress_health_check=SUPPRESS)
     def test_statistics_describe_the_window_after_any_stream_shape(
-        self, rows, split_seed, checkpoint_index, lateness, degraded, shard_count
+        self, rows, split_seed, checkpoint_index, lateness, shard_count
     ):
         from differential import assert_statistics_describe_the_window
 
@@ -586,12 +582,12 @@ class TestWindowStatisticsProperty:
         splits = random_splits(random.Random(split_seed), len(records))
         cut = checkpoint_index % (len(splits) + 1)
 
-        oracle = self.build(shard_count, lateness, degraded)
+        oracle = self.build(shard_count, lateness)
         self.feed(oracle, records, splits)
         oracle.flush()
         assert_statistics_describe_the_window(oracle, "uninterrupted")
 
-        crashed = self.build(shard_count, lateness, degraded)
+        crashed = self.build(shard_count, lateness)
         self.feed(crashed, records, splits[:cut])
         handle, path = tempfile.mkstemp(suffix=".snap")
         os.close(handle)

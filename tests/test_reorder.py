@@ -1,9 +1,9 @@
-"""Event-time ingestion tests: reorder buffer, watermarks, late policies.
+"""Event-time ingestion tests: reorder buffer, watermarks, late records.
 
 Covers the reorder subsystem end to end:
 
 * :class:`ReorderBuffer` semantics (watermark arithmetic, stable release
-  order, late-data policies, counters),
+  order, dropped late records, counters),
 * run splitting (:func:`ordered_run_slices`) and the engine-level contract
   that an out-of-order batch equals its ordered runs fed as batches,
 * the engine/sharded-engine event-time paths (``allowed_lateness``), whose
@@ -31,7 +31,6 @@ from repro.core import (
 )
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
-    LatePolicy,
     ReorderBuffer,
     StreamEdge,
     bounded_shuffle,
@@ -77,7 +76,8 @@ def multiset(events):
 class TestReorderBuffer:
     def test_in_order_stream_released_once_watermark_passes(self):
         buffer = ReorderBuffer(allowed_lateness=1.0)
-        assert buffer.offer_all([edge(0.0), edge(0.5), edge(2.0)]) == []
+        buffer.offer_all([edge(0.0), edge(0.5), edge(2.0)])
+        assert buffer.records_late_dropped == 0
         # watermark = 2.0 - 1.0: only the records at/below it are final
         assert buffer.watermark == 1.0
         assert [r.timestamp for r in buffer.drain_ready()] == [0.0, 0.5]
@@ -90,7 +90,7 @@ class TestReorderBuffer:
         buffer.offer_all([edge(3.0), edge(1.0), edge(2.0), edge(7.0)])
         assert [r.timestamp for r in buffer.drain_ready()] == [1.0, 2.0]
         assert buffer.records_reordered == 2  # 1.0 and 2.0 arrived behind 3.0
-        assert buffer.records_late == 0
+        assert buffer.records_late_dropped == 0
         assert [r.timestamp for r in buffer.flush()] == [3.0, 7.0]
 
     def test_release_order_is_stable_for_timestamp_ties(self):
@@ -109,24 +109,14 @@ class TestReorderBuffer:
         assert buffer.records_late_dropped == 1
         assert [r.timestamp for r in buffer.drain_ready()] == [1.0, 1.0]
 
-    def test_drop_policy_counts_and_discards(self):
-        buffer = ReorderBuffer(allowed_lateness=1.0, late_policy=LatePolicy.DROP)
+    def test_late_records_are_dropped_and_counted(self):
+        buffer = ReorderBuffer(allowed_lateness=1.0)
         buffer.offer_all([edge(10.0)])
-        assert buffer.offer_all([edge(2.0)]) == []
+        buffer.offer_all([edge(2.0), edge(9.5)])  # 9.5 is within the horizon
         stats = buffer.stats()
-        assert stats["records_late"] == 1
         assert stats["records_late_dropped"] == 1
-        assert stats["records_late_degraded"] == 0
         assert stats["max_displacement_seen"] == 8.0
-        assert len(buffer) == 1
-
-    def test_degraded_policy_hands_late_records_back(self):
-        buffer = ReorderBuffer(allowed_lateness=1.0, late_policy=LatePolicy.PROCESS_DEGRADED)
-        buffer.offer_all([edge(10.0)])
-        late = buffer.offer_all([edge(2.0), edge(9.5)])
-        assert [r.timestamp for r in late] == [2.0]  # 9.5 is within the horizon
-        assert buffer.records_late_degraded == 1
-        assert len(buffer) == 2
+        assert [r.timestamp for r in buffer.flush()] == [9.5, 10.0]
 
     def test_release_concatenation_is_sorted_and_complete(self):
         rng = random.Random(3)
@@ -146,8 +136,8 @@ class TestReorderBuffer:
             ReorderBuffer(allowed_lateness=-1.0)
         with pytest.raises(ValueError):
             ReorderBuffer(allowed_lateness=float("nan"))
-        with pytest.raises(ValueError):
-            ReorderBuffer(allowed_lateness=1.0, late_policy="bogus")
+        with pytest.raises(ValueError, match="allowed_lateness"):
+            ReorderBuffer(allowed_lateness="bogus")
 
 
 # ----------------------------------------------------------------------
@@ -182,12 +172,11 @@ class TestRunHelpers:
 # ----------------------------------------------------------------------
 # engine integration: event-time path
 # ----------------------------------------------------------------------
-def build_single(allowed_lateness=None, late_policy=LatePolicy.DROP, **config_kwargs):
+def build_single(allowed_lateness=None, **config_kwargs):
     engine = StreamWorksEngine(
         config=EngineConfig(
             collect_statistics=False,
             allowed_lateness=allowed_lateness,
-            late_policy=late_policy,
             **config_kwargs,
         )
     )
@@ -220,10 +209,11 @@ class TestEngineEventTime:
         probe = ReorderBuffer(lateness)
         segments = []
         for start in range(0, len(shuffled), 50):
-            assert probe.offer_all(shuffled[start : start + 50]) == []
+            probe.offer_all(shuffled[start : start + 50])
             segment = probe.drain_ready()
             if segment:
                 segments.append(segment)
+        assert probe.records_late_dropped == 0
         tail = probe.flush()
         if tail:
             segments.append(tail)
@@ -244,7 +234,7 @@ class TestEngineEventTime:
         assert canonical(events) == canonical(oracle_events)
         assert reordered.records_batched == len(shuffled)
         stats = reordered.metrics()["reorder"]
-        assert stats["records_late"] == 0
+        assert stats["records_late_dropped"] == 0
         assert stats["records_released"] == len(shuffled)
 
     def test_drop_policy_drops_and_counts_in_metrics(self):
@@ -257,18 +247,6 @@ class TestEngineEventTime:
         stats = engine.metrics()["reorder"]
         assert stats["records_late_dropped"] == 1
         assert engine.edges_processed == 2  # the dropped record never ingested
-
-    def test_degraded_policy_processes_late_records_per_record(self):
-        engine = build_single(allowed_lateness=1.0, late_policy=LatePolicy.PROCESS_DEGRADED)
-        engine.process_batch([edge(0.0, "x", "y", "rel_a"), edge(10.0, "m", "n", "rel_c")])
-        events = engine.process_batch([edge(0.2, "y", "z", "rel_b")])
-        events.extend(engine.flush())
-        # the late rel_b completes the rel_a partial against retained history
-        assert [event.query_name for event in events] == ["ab"]
-        stats = engine.metrics()["reorder"]
-        assert stats["records_late_degraded"] == 1
-        # the two on-time records and the late one, each run by the engine
-        assert engine.records_batched == 3
 
     def test_process_stream_flushes_the_tail(self):
         rng = random.Random(5)
@@ -383,7 +361,7 @@ class TestShardedEventTime:
             sharded.register_query(chain_query("bc", ["rel_b", "rel_c"]), name="bc", window=4.0)
             assert run(sharded) == reference
             metrics = sharded.metrics()
-            assert metrics["reorder"]["records_late"] == 0
+            assert metrics["reorder"]["records_late_dropped"] == 0
             # shards must not double-buffer: the parent reorders, they
             # ingest -- but every shard is stamped with the parent's
             # event-time watermark so per-shard metrics expose the horizon
@@ -501,9 +479,18 @@ class TestConfigValidation:
     def test_allowed_lateness_and_policy_validated(self):
         with pytest.raises(ValueError, match="allowed_lateness"):
             EngineConfig(allowed_lateness=-0.1)
-        with pytest.raises(ValueError, match="late policy"):
-            EngineConfig(allowed_lateness=1.0, late_policy="bogus")
         assert EngineConfig(allowed_lateness=0.0).allowed_lateness == 0.0
+        assert EngineConfig(allowed_lateness=1, late_policy="drop").late_policy == "drop"
+
+    @pytest.mark.parametrize("lateness", ["adaptive", "ADAPTIVE"])
+    def test_a_string_lateness_names_the_field(self, lateness):
+        with pytest.raises(ValueError, match=f"allowed_lateness .*{lateness!r}"):
+            EngineConfig(allowed_lateness=lateness)
+
+    @pytest.mark.parametrize("policy", ["process_degraded", "bogus"])
+    def test_any_late_policy_but_drop_says_it_was_removed(self, policy):
+        with pytest.raises(ValueError, match=f"late_policy {policy!r} was removed"):
+            EngineConfig(allowed_lateness=1.0, late_policy=policy)
 
 
 # ----------------------------------------------------------------------
@@ -529,10 +516,11 @@ class TestReorderOracleProperty:
         probe = ReorderBuffer(lateness)
         segments = []
         for start in range(0, len(shuffled), batch_size):
-            assert probe.offer_all(shuffled[start : start + batch_size]) == []
+            probe.offer_all(shuffled[start : start + batch_size])
             segment = probe.drain_ready()
             if segment:
                 segments.append(segment)
+        assert probe.records_late_dropped == 0
         tail = probe.flush()
         if tail:
             segments.append(tail)
@@ -561,19 +549,3 @@ class TestReorderOracleProperty:
             events.extend(sharded.process_batch(shuffled[start : start + batch_size]))
         events.extend(sharded.flush())
         assert canonical(events) == reference
-
-
-# ----------------------------------------------------------------------
-# E13 tier-1 smoke (deterministic assertions only; wall-clock lives in
-# benchmarks/bench_out_of_order.py)
-# ----------------------------------------------------------------------
-class TestOutOfOrderExperimentSmoke:
-    def test_small_scale_conformance_and_fast_path_retention(self):
-        from repro.harness.experiments import experiment_out_of_order_throughput
-
-        result = experiment_out_of_order_throughput(scale=0.12)
-        assert result["reordered_exact"]
-        assert result["reordered_sharded_exact"]
-        assert result["fast_path_retained"]
-        assert result["reorder"]["records_late"] == 0
-        assert result["rows"][0]["events"] > 0

@@ -8,8 +8,8 @@ that does the work the old way:
 * **Due-only sweeps** -- a run sweeps partial-match expiry only in matchers
   holding a partial expired at the run's stream clock.  The work pin counts the
   ``expire_partials`` calls per run against a brute-force count of such
-  matchers, over disordered streams with late ``process_degraded`` records
-  and mixed windows; the partials dropped per run equal those of an engine
+  matchers, over disordered streams (watermark-released runs, and
+  unbuffered runs with late records) and mixed windows; the partials dropped per run equal those of an engine
   that sweeps every matcher; and restoring the every-non-idle sweep fails
   the pin.
 * **The bulk cold gate** -- label-rejected records go to the cold ring in
@@ -21,8 +21,8 @@ that does the work the old way:
 * **One admission loop** -- a batch offered to the multi-source reorder
   buffer admits exactly as its records offered one at a time through the
   per-record admission the loop replaced (kept here as the reference):
-  late lists, releases, ``stats()`` and ``state_dict()`` agree under
-  random streams and batchings.  Classifying a batch against the watermark
+  releases, ``stats()`` and ``state_dict()`` agree under random streams
+  and batchings.  Classifying a batch against the watermark
   it started from fails that property.
 """
 
@@ -45,12 +45,7 @@ from repro.core.matcher import ContinuousQueryMatcher
 from repro.core.sjtree import EARLIEST, LATEST, SJTreeNode
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import AttrEquals
-from repro.streaming import (
-    ADAPTIVE_LATENESS,
-    LatePolicy,
-    MultiSourceReorderBuffer,
-    StreamEdge,
-)
+from repro.streaming import MultiSourceReorderBuffer, StreamEdge
 from repro.streaming.sources import DEFAULT_SOURCE, _SourceState
 
 _NEG_INF = float("-inf")
@@ -121,9 +116,10 @@ def partials_expired(engine):
 
 
 FEEDS = {
-    # late records are handed back and run alone, swept at the stream clock
-    "degraded": dict(allowed_lateness=0.2, late_policy=LatePolicy.PROCESS_DEGRADED),
-    # no buffer: each batch runs as its ordered runs
+    # the buffer releases sorted runs; stragglers beyond the horizon drop
+    "reordered": dict(allowed_lateness=0.2),
+    # no buffer: each batch runs as its ordered runs, late records included,
+    # each swept at the stream clock
     "runs": dict(),
 }
 
@@ -177,10 +173,10 @@ def test_a_run_sweeps_exactly_the_matchers_holding_an_expired_partial(feed):
     swept = sum(due for _, due, _, _ in log)
     storing = sum(non_idle for _, _, _, non_idle in log)
     assert swept > 0
-    if feed == "degraded":
-        assert engine.reorder.records_late_degraded > 0
-        # each late record is a one-record run swept at the stream clock, so
-        # a partial is more often due there: over a third still are not
+    if feed == "reordered":
+        assert engine.reorder.records_late_dropped > 0
+        # a released run spans more stream time than a batch's ordered run,
+        # so a partial is more often due there: over a third still are not
         assert 3 * swept < 2 * storing
     else:
         # most matchers storing a partial have nothing due at a given run
@@ -202,7 +198,7 @@ def test_partials_dropped_per_run_equal_the_every_matcher_sweep(feed):
 def test_the_sweep_pin_fails_against_the_every_non_idle_sweep(monkeypatch):
     """Mutation: restoring the every-non-idle sweep fails the work pin."""
     monkeypatch.setattr(StreamWorksEngine, "expire_all_partials", every_non_idle_sweep)
-    log, _ = sweep_log(StreamWorksEngine, "degraded")
+    log, _ = sweep_log(StreamWorksEngine, "reordered")
     assert any(calls != due for calls, due, _, _ in log)
 
 
@@ -480,12 +476,8 @@ class PerRecordReference(MultiSourceReorderBuffer):
     active source in displacement space."""
 
     def _admit(self, records):
-        handed_back = []
         for record in records:
-            late = self._offer_one(record)
-            if late is not None:
-                handed_back.append(late)
-        return handed_back
+            self._offer_one(record)
 
     def _raw_reference(self):
         if not self._sources or self._max_seen == _NEG_INF:
@@ -496,7 +488,7 @@ class PerRecordReference(MultiSourceReorderBuffer):
             if self._is_idle(state):
                 continue
             any_active = True
-            candidate = state.max_seen - state.lateness
+            candidate = state.max_seen - self.allowed_lateness
             if candidate < horizon:
                 horizon = candidate
         return horizon if any_active else _NEG_INF
@@ -513,7 +505,7 @@ class PerRecordReference(MultiSourceReorderBuffer):
                 if self._is_idle(state):
                     continue
                 any_active = True
-                if not state.max_seen - timestamp > state.lateness:
+                if not state.max_seen - timestamp > self.allowed_lateness:
                     late = False
                     break
             late = late and any_active
@@ -525,7 +517,7 @@ class PerRecordReference(MultiSourceReorderBuffer):
         key = record.source_id if record.source_id is not None else DEFAULT_SOURCE
         state = self._sources.get(key)
         if state is None:
-            state = _SourceState(self._initial_lateness())
+            state = _SourceState()
             self._sources[key] = state
         self.records_seen += 1
         state.records_seen += 1
@@ -538,19 +530,13 @@ class PerRecordReference(MultiSourceReorderBuffer):
             own_displacement = 0.0
         if own_displacement > state.max_displacement_seen:
             state.max_displacement_seen = own_displacement
-        if self.adaptive:
-            self._observe_displacement(state, own_displacement)
         late = self._late_reference(timestamp)
         if timestamp > state.max_seen:
             state.max_seen = timestamp
         if late:
-            self.records_late += 1
             state.records_late += 1
-            if self.late_policy == LatePolicy.PROCESS_DEGRADED:
-                self.records_late_degraded += 1
-                return record
             self.records_late_dropped += 1
-            return None
+            return
         if displacement > 0:
             self.records_reordered += 1
         if own_displacement > 0:
@@ -565,7 +551,6 @@ class PerRecordReference(MultiSourceReorderBuffer):
                 for other in self._sources.values():
                     if other.baseline == _NEG_INF:
                         other.baseline = timestamp
-        return None
 
 
 class BatchStartClock(MultiSourceReorderBuffer):
@@ -587,7 +572,7 @@ class BatchStartClock(MultiSourceReorderBuffer):
     def _admit(self, records):
         self._in_batch = True
         try:
-            return super()._admit(records)
+            super()._admit(records)
         finally:
             self._in_batch = False
             self._min_clock = None
@@ -602,13 +587,8 @@ def admission_cases(draw):
     sources = draw(st.lists(st.sampled_from(SOURCE_IDS), min_size=1, max_size=4, unique=True))
     registered = draw(st.lists(st.sampled_from(sources), unique=True))
     settings_ = dict(
-        allowed_lateness=draw(st.sampled_from([0.0, 0.25, 1.0, ADAPTIVE_LATENESS])),
-        late_policy=draw(st.sampled_from(LatePolicy.ALL)),
+        allowed_lateness=draw(st.sampled_from([0.0, 0.25, 1.0])),
         idle_timeout=draw(st.sampled_from([None, None, 0.5, 2.0])),
-        adaptive_quantile=draw(st.sampled_from([0.5, 0.9, 1.0])),
-        adaptive_sample_cap=draw(st.integers(1, 6)),
-        adaptive_refresh=draw(st.integers(1, 4)),
-        adaptive_floor=draw(st.sampled_from([0.0, 0.25])),
     )
     # per-source clocks on a quarter grid, so displacements hit the horizon exactly
     clocks = {source: draw(st.integers(0, 8)) for source in sources}
@@ -641,12 +621,11 @@ def assert_batch_admission_matches(case, buffer_cls):
         size = sizes[index % len(sizes)]
         batch = records[position : position + size]
         if len(batch) == 1:
-            handed_back = batched.offer(batch[0])
-            late = [] if handed_back is None else [handed_back]
+            batched.offer(batch[0])
         else:
-            late = batched.offer_all(batch)
-        expected = [r for r in (reference.offer(record) for record in batch) if r is not None]
-        assert ids(late) == ids(expected)
+            batched.offer_all(batch)
+        for record in batch:
+            reference.offer(record)
         if drains[index % len(drains)]:
             assert ids(batched.drain_ready()) == ids(reference.drain_ready())
         assert batched.stats() == reference.stats()
@@ -680,9 +659,11 @@ def test_a_restored_buffer_admits_as_the_original():
     records = [StreamEdge("a", f"b{i}", "rel", t, source_id=s)
                for i, (t, s) in enumerate([(1.0, "x"), (0.5, "y"), (2.0, "x"), (1.5, "y"),
                                            (0.9, "x"), (3.0, "y"), (1.0, "y"), (2.9, "x")])]
-    original = MultiSourceReorderBuffer(0.5, late_policy=LatePolicy.PROCESS_DEGRADED)
+    original = MultiSourceReorderBuffer(0.5)
     original.offer_all(records[:4])
     restored = MultiSourceReorderBuffer.from_state(original.state_dict())
-    assert ids(original.offer_all(records[4:])) == ids(restored.offer_all(records[4:]))
+    original.offer_all(records[4:])
+    restored.offer_all(records[4:])
     assert original.state_dict() == restored.state_dict()
-    assert original.records_late > 0
+    assert [r.to_dict() for r in original.flush()] == [r.to_dict() for r in restored.flush()]
+    assert original.records_late_dropped > 0

@@ -33,14 +33,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import List
 
 import pytest
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
-from repro.harness.experiments import (
-    _label_disjoint_chain_queries,
-    _multiquery_dispatch_stream,
-)
 from repro.persistence import read_snapshot
 from repro.persistence.state import load_sharded_sections
 from repro.query.predicates import AttrEquals
@@ -143,6 +140,70 @@ def eviction_heavy_records(count, seed=31):
 
 def netflow_records(count, seed=11):
     return list(NetflowGenerator(NetflowConfig(seed=seed)).stream(count))
+
+
+def _label_disjoint_chain_queries(query_count: int, chain_length: int) -> List[QueryGraph]:
+    """Build ``query_count`` path queries over mutually disjoint edge labels."""
+    queries = []
+    for index in range(query_count):
+        query = QueryGraph(f"chain{index}")
+        for position in range(chain_length + 1):
+            query.add_vertex(f"v{position}", "Host")
+        for position in range(chain_length):
+            query.add_edge(f"v{position}", f"v{position + 1}", f"rel{index}_{position}")
+        queries.append(query)
+    return queries
+
+
+def _multiquery_dispatch_stream(
+    query_count: int,
+    edge_count: int,
+    seed: int,
+    chain_length: int,
+    vertex_pool: int = 40,
+    plant_probability: float = 0.08,
+    interarrival: float = 0.02,
+) -> List[StreamEdge]:
+    """Generate a stream whose edges each target exactly one query's labels.
+
+    Most records are single noise edges carrying a random label of a random
+    query; occasionally a complete chain instance is planted so every query
+    fires now and then.
+    """
+    rng = random.Random(seed)
+    records: List[StreamEdge] = []
+    timestamp = 0.0
+    while len(records) < edge_count:
+        query_index = rng.randrange(query_count)
+        if rng.random() < plant_probability:
+            vertices = [
+                f"q{query_index}v{rng.randrange(vertex_pool)}" for _ in range(chain_length + 1)
+            ]
+            for position in range(chain_length):
+                timestamp += interarrival
+                records.append(
+                    StreamEdge(
+                        vertices[position],
+                        vertices[position + 1],
+                        f"rel{query_index}_{position}",
+                        timestamp,
+                        source_label="Host",
+                        target_label="Host",
+                    )
+                )
+        else:
+            timestamp += interarrival
+            records.append(
+                StreamEdge(
+                    f"q{query_index}v{rng.randrange(vertex_pool)}",
+                    f"q{query_index}v{rng.randrange(vertex_pool)}",
+                    f"rel{query_index}_{rng.randrange(chain_length)}",
+                    timestamp,
+                    source_label="Host",
+                    target_label="Host",
+                )
+            )
+    return records[:edge_count]
 
 
 def label_disjoint_queries():
