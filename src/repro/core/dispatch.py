@@ -27,7 +27,10 @@ engine's event order is that of a loop over every leaf of every query.  An
 edge whose label appears in no registered primitive is turned away before
 its endpoints are even looked up: a whole run at once by
 :meth:`DispatchIndex.front_gate` on the engine's hot path, one label by
-:meth:`DispatchIndex.front_rejects`.
+:meth:`DispatchIndex.front_rejects`.  So is an edge whose attrs its label's
+record-only guard rejects (:class:`~repro.core.route_plan.LabelGuard`, kept
+per indexed label in ``label_guards`` with the same lifetime as the route
+plans): each costs one ``lookups`` tick and no candidate entries.
 
 The guards are deliberately *necessary but not sufficient*: attribute
 predicates are dynamic and stay in the local search.  Filtering here can
@@ -54,7 +57,7 @@ from ..query.query_graph import QueryGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..streaming.edge_stream import StreamEdge
-    from .route_plan import RoutePlan
+    from .route_plan import LabelGuard, RoutePlan
 
 __all__ = ["LeafDispatchEntry", "DispatchIndex"]
 
@@ -175,6 +178,10 @@ class DispatchIndex:
         #: on demand, never stored in a snapshot.
         self.plans: Dict[Tuple[int, int, int], "RoutePlan"] = {}
         self.plans_built = 0
+        #: Per indexed edge label, its record-only guard (``None``: it never
+        #: rejects), built lazily by the engine's front gate.  Same lifetime
+        #: as ``plans``: one ``version``, never stored in a snapshot.
+        self.label_guards: Dict[str, Optional["LabelGuard"]] = {}
         self.lookups = 0
         self.entries_matched = 0
         self.entries_skipped = 0
@@ -229,9 +236,10 @@ class DispatchIndex:
         self._invalidate_plans()
 
     def _invalidate_plans(self) -> None:
-        """The index changed: every cached route plan describes the old one."""
+        """The index changed: every cached route plan and guard describes the old one."""
         self.version += 1
         self.plans.clear()
+        self.label_guards.clear()
 
     def registered_owners(self) -> List[str]:
         """Return the names of the queries currently indexed."""
@@ -244,6 +252,10 @@ class DispatchIndex:
     # ------------------------------------------------------------------
     # hot-path lookup
     # ------------------------------------------------------------------
+    def indexes(self, edge_label: str) -> bool:
+        """Whether some registered leaf names ``edge_label`` (wildcards aside)."""
+        return edge_label in self._by_label
+
     def front_rejects(self, edge_label: str) -> bool:
         """Return ``True`` when no registered leaf can bind ``edge_label``.
 

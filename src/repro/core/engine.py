@@ -74,7 +74,7 @@ from .dispatch import DispatchIndex
 from .ingest import IngestFront
 from .matcher import ContinuousQueryMatcher
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
-from .route_plan import RoutePlan, build_route_plan
+from .route_plan import RoutePlan, build_route_plan, label_guard
 from .sjtree import EARLIEST
 
 __all__ = ["EngineConfig", "RegisteredQuery", "StreamWorksEngine", "required_retention"]
@@ -431,15 +431,17 @@ class StreamWorksEngine(IngestFront):
         #: rebuild it deterministically from registration + insertion order.
         self.interning = InternTable()
         #: Columnar hot-path observability: ordered runs routed through
-        #: route plans, records no registered leaf could bind (dropped before
-        #: any matcher work), and records whose route plan was already in
-        #: the cache, i.e. that skipped the dispatch-index probe.
+        #: route plans, records the front gate turned away or whose plan has
+        #: no candidate leaf (dropped before any matcher work), and records
+        #: whose route plan was already in the cache, i.e. that skipped the
+        #: dispatch-index probe.
         self.batches_vectorized = 0
         self.records_prefiltered = 0
         self.dispatch_memo_hits = 0
-        #: SJ-tree leaves skipped per record because every label-compatible
+        #: SJ-tree leaves a route plan skipped because every label-compatible
         #: compiled edge check rejected the record's attrs (local search
-        #: over such a leaf provably finds nothing).
+        #: over such a leaf provably finds nothing).  Records the front gate
+        #: turned away reach no plan and add nothing here.
         self.leaves_pruned = 0
         self.collector = CollectingSink()
         self._sinks = MultiSink([self.collector])
@@ -869,34 +871,29 @@ class StreamWorksEngine(IngestFront):
         the end of the run: evicting against the run's latest timestamp up
         front could remove edges its earlier records can still legally
         match.  Step 2 counts the hot records as observed.  Step 3 sweeps
-        partial-match expiry at the run's stream
-        clock -- the clock before the run, or the run's first timestamp
-        when that is later -- in every matcher holding a partial expired
-        there, whether or not the run routes to it, and in no other
-        (:meth:`expire_all_partials`).  Step 4 searches the hot records with
-        the leaves step 1 chose and applies the window rule
-        (:meth:`_dispatch_run`), and step 5 is one eviction sweep over the
-        store and the cold ring (:meth:`evict_expired`).  Per-record latency
-        samples time step 4 of each hot record only.
+        partial-match expiry at the run's stream clock -- the clock before
+        the run, or its first timestamp when later -- in exactly the
+        matchers holding a partial expired there (:meth:`expire_all_partials`).
+        Step 4 searches the hot records with the leaves step 1 chose and
+        applies the window rule (:meth:`_dispatch_run`); step 5 is one
+        eviction sweep over the store and the cold ring (:meth:`evict_expired`).
+        Per-record latency samples time step 4 of each hot record only.
 
-        A record already outside the retention horizon at its ingest point
-        (``timestamp`` expired against the running stream clock) is *dead on
-        arrival*: it is ingested and immediately evicted, counted in
-        ``records_dead_on_arrival``, and never routed, matched or counted
-        in the statistics.  Every match it could complete fails the window
-        rule, so the skip only prunes.  Within a non-decreasing run dead
-        records precede any record that advances the clock, so the mid-run
-        eviction sweep removes only them.
+        A record already outside the retention horizon at its ingest point is
+        *dead on arrival*: ingested and evicted at once, counted in
+        ``records_dead_on_arrival``, never routed, matched or observed.
+        Every match it could complete fails the window rule, so the skip only
+        prunes; in a non-decreasing run dead records precede any record that
+        advances the clock, so the mid-run sweep removes only them.
         """
         # the run is non-decreasing, so the clock at its first record is the
         # clock at every record of the run still below it
         clock = max(self.graph.current_time, records[0].timestamp)
         # What a route plan stands for per record -- one dispatch probe, one
         # visit of each owner's matcher -- is counted in bulk when the run
-        # ends (also when it ends in an exception: a plan outlives the run,
-        # its tallies must not), so ``metrics()["dispatch"]`` and the
-        # per-matcher edge counters read as if every record had been probed
-        # (``docs/operations.md``).
+        # ends, also when it ends in an exception (a plan outlives the run,
+        # its tallies must not): the counters read as if every record the
+        # front gate passed had been probed (``docs/operations.md``).
         used: List[RoutePlan] = []
         try:
             hot = self._route_run(records, used)
@@ -919,37 +916,28 @@ class StreamWorksEngine(IngestFront):
         """Step 1: route every record of a run, storing only the hot ones.
 
         Records *dead on arrival* (see :meth:`_run_fast_path`) form a prefix
-        of a non-decreasing run and are handled first.  The rest have their
-        labels checked in bulk (:meth:`DispatchIndex.front_gate`): while the
-        cold gate is open, a record whose label no registered leaf binds
-        and that carries no vertex attributes is cold without being looked
-        at again, and only the others enter the per-record loop, where an
-        unbound label skips endpoint resolution and routing.
+        of a non-decreasing run and are handled first.  The rest pass the
+        front gate (:meth:`_gate_run`) in bulk; a record it turns away needs
+        no endpoint resolution and no route.  A record it passes is routed
+        through its *route plan* (:mod:`repro.core.route_plan`), kept in
+        ``dispatch.plans`` under ``(label id, source label id, target label
+        id)`` until the dispatch index next changes (between runs only).
+        An edge label the intern table does not hold routes under
+        :data:`UNBOUND_LABEL`, uninterned; endpoint labels are resolved
+        before ingest (stored vertex label, else the record's own) and
+        interned.  Plans touched are appended to ``used``; the caller
+        settles their per-run tallies.
 
-        A record there is routed through its *route plan*
-        (:mod:`repro.core.route_plan`): found in ``dispatch.plans`` by
-        ``(label id, source label id, target label id)``, built on first
-        use, valid until the dispatch index next changes -- which happens
-        between runs only.  An edge label the intern table does not hold
-        routes under :data:`UNBOUND_LABEL`: no dispatch entry names it, so
-        all such labels route alike and none is interned.  Endpoint labels
-        are resolved before ingest (stored vertex label, else the record's
-        own) and interned, one plan per endpoint-label combination as
-        before.  Plans touched are appended to ``used``; the caller settles
-        their per-run tallies.
-
-        A record is **cold** when its label is unbound or its plan leaves
-        no surviving leaf, it carries no vertex attributes, and no
-        registered query checks vertex attributes (:func:`checks_vertices`,
-        evaluated once per dispatch-index version).  No registered query
-        edge can bind it, so it is never a search seed nor a search
-        partner; it joins the cold ring -- in stream order, whichever way
-        it was found cold -- and is not interned, stored, counted in the
-        statistics, evicted or latency-sampled.  Every other live record is
-        ingested with eviction deferred.  Cold records advance the stream
-        clock once, after the loop: the run is non-decreasing, so its last
-        record carries the clock, and nothing in the loop reads the clock
-        after the first live record.
+        A record is **cold** when the gate turned it away or its plan leaves
+        no surviving leaf, it carries no vertex attributes, and no registered
+        query checks vertex attributes (:meth:`_cold_gate_open`).  No query
+        edge can bind it, so it is neither a search seed nor a partner: it
+        joins the cold ring in stream order, and is not interned, stored,
+        counted in the statistics, evicted or latency-sampled.  Every other
+        live record is ingested with eviction deferred; one the gate turned
+        away searches nothing.  Cold records advance the stream clock once,
+        after the loop, to the run's last timestamp: nothing in the loop
+        reads the clock after the first live record.
 
         Returns ``(position in the run, edge, searches)`` per hot record.
         """
@@ -977,35 +965,31 @@ class StreamWorksEngine(IngestFront):
                 start += 1
             self.records_dead_on_arrival += start
         live = records[start:] if start else records
-        # per live record, whether some registered leaf binds its label
-        bound = dispatch.front_gate(live)
-        rows: Iterable[Tuple[int, StreamEdge, bool]] = zip(
-            range(start, len(records)), live, bound
-        )
+        passed = self._gate_run(live)
+        rows: Iterable[Tuple[int, StreamEdge, bool]] = zip(range(start, len(records)), live, passed)
         cold_mask: Optional[List[bool]] = None
-        label_cold = 0
+        gate_cold = 0
         if self._cold_gate_open():
             cold_mask = [
-                not (is_bound or record.source_attrs or record.target_attrs)
-                for record, is_bound in zip(live, bound)
+                not (is_passed or record.source_attrs or record.target_attrs)
+                for record, is_passed in zip(live, passed)
             ]
-            label_cold = cold_mask.count(True)
-            if label_cold:
+            gate_cold = cold_mask.count(True)
+            if gate_cold:
                 rows = compress(rows, map(not_, cold_mask))
         # endpoint label ids: constant within a run (one label per live
         # vertex id, and nothing is evicted mid-run but dead records)
         endpoint_memo: Dict[VertexId, int] = {}
         hot: List[Tuple[int, Edge, List]] = []
         prefiltered = plan_cold = 0
-        for position, record, is_bound in rows:
-            label = record.label
-            if not is_bound:
-                # no registered leaf has a query edge for this label (the
-                # record carries vertex attributes, or the gate is shut):
-                # skip endpoint resolution and routing altogether
+        for position, record, is_passed in rows:
+            if not is_passed:
+                # turned away by the front gate, yet stored: the record
+                # carries vertex attributes, or the cold gate is shut
                 prefiltered += 1
                 searches: List = []
             else:
+                label = record.label
                 source = record.source
                 sid = endpoint_memo.get(source)
                 if sid is None:
@@ -1034,22 +1018,40 @@ class StreamWorksEngine(IngestFront):
                     used.append(plan)
                 plan.uses += 1
                 searches = plan.route(record.attrs)
-            if (
-                cold_mask is not None
-                and not searches
-                and not record.source_attrs
-                and not record.target_attrs
-            ):
+            if not (searches or cold_mask is None or record.source_attrs or record.target_attrs):
                 cold_mask[position - start] = True
                 plan_cold += 1
                 continue
             hot.append((position, self._ingest(record), searches))
-        if label_cold or plan_cold:
+        if gate_cold or plan_cold:
             cold.extend(compress(live, cold_mask))
         graph.advance_time(records[-1].timestamp)
-        self.records_prefiltered += label_cold + prefiltered
-        self.records_cold += label_cold + plan_cold
+        self.records_prefiltered += gate_cold + prefiltered
+        self.records_cold += gate_cold + plan_cold
         return hot
+
+    def _gate_run(self, live: Sequence[StreamEdge]) -> List[bool]:
+        """The front gate: per live record of a run, whether it may reach a route plan.
+
+        It passes when some registered leaf binds the record's label
+        (:meth:`DispatchIndex.front_gate`) and the label's guard
+        (:class:`~repro.core.route_plan.LabelGuard`, built on the label's
+        first bound record) accepts its attrs.  Both read the record alone;
+        each record turned away counts the ``lookups`` tick of a probe.
+        """
+        dispatch, queries = self.dispatch, self.queries
+        passed = dispatch.front_gate(live)
+        guards = dispatch.label_guards
+        gated = 0
+        for at in compress(range(len(live)), passed):
+            record = live[at]
+            label = record.label
+            guard = guards[label] if label in guards else label_guard(dispatch, queries, label)
+            if guard is not None and guard.rejects(record.attrs):
+                passed[at] = False
+                gated += 1
+        dispatch.lookups += gated
+        return passed
 
     def _cold_gate_open(self) -> bool:
         """Whether cold records may skip the store: no query checks vertex attributes.

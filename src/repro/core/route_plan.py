@@ -26,6 +26,15 @@ yields the few leaves worth checking.  The index only ever *withholds* leaves
 whose check is certain to fail; the original compiled checks run unchanged on
 the rest, so survivors, leaf order and owner order are exactly those of the
 all-leaves loop.
+
+The same segment tables give every indexed edge label a **guard** that reads
+the record alone (:class:`LabelGuard`, built by :func:`label_guard` and kept
+in ``DispatchIndex.label_guards``).  It is built from the label's candidates
+with unresolved endpoint labels -- a superset of every plan's for the label --
+so attrs no leaf of that superset can accept are rejected for every route key.
+The engine's front gate evaluates it before endpoint labels are resolved: a
+record it rejects is turned away like one whose label binds nothing, with no
+plan, no interning and no store read.
 """
 
 from __future__ import annotations
@@ -40,7 +49,14 @@ from .sjtree import SJTreeNode
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import RegisteredQuery
 
-__all__ = ["IntervalIndex", "RouteOwner", "RoutePlan", "build_route_plan"]
+__all__ = [
+    "IntervalIndex",
+    "LabelGuard",
+    "RouteOwner",
+    "RoutePlan",
+    "build_route_plan",
+    "label_guard",
+]
 
 #: An index must spare a record at least this many leaf checks on average,
 #: or the plain list is cheaper than the ``bisect`` in front of it.
@@ -178,6 +194,65 @@ class IntervalIndex:
         return chosen
 
 
+class LabelGuard:
+    """Record-only test for one edge label: attrs that no leaf of the label accepts.
+
+    Built from the label's candidates with unresolved endpoint labels: the
+    vertex guards are skipped (:meth:`LeafDispatchEntry.admits` on ``None``),
+    so its leaves are a superset of every route plan's for the label, and a
+    rejection holds whatever the endpoints' labels turn out to be.  Per key
+    that *every* leaf constrains, it keeps the :class:`IntervalIndex`
+    segment table reduced to one bool per segment -- "some leaf covers it".
+    A key some leaf leaves free covers every segment and cannot reject, so
+    it is not kept; for the same reason a leaf with an always-true check
+    (no intervals at all) leaves no guard.
+    """
+
+    __slots__ = ("tables",)
+
+    def __init__(self, tables: List[Tuple[str, List[float], List[bool]]]) -> None:
+        #: ``(key, bounds, covered)`` per key with a segment no leaf covers.
+        self.tables = tables
+
+    @classmethod
+    def build(
+        cls, entries: List[RouteEntry], intervals: Sequence[Mapping[str, Interval]]
+    ) -> Optional["LabelGuard"]:
+        """The guard of one label's candidates; ``None`` when it could never reject."""
+        tables: List[Tuple[str, List[float], List[bool]]] = []
+        for key in dict.fromkeys(key for constrained in intervals for key in constrained):
+            if not all(key in constrained for constrained in intervals):
+                continue
+            index = IntervalIndex.build(key, entries, intervals)
+            if index is None:
+                continue
+            covered = [bool(members) for members in index.segments]
+            if not all(covered):
+                tables.append((key, index.bounds, covered))
+        # the key with the most uncovered segments first: the first rejection ends the test
+        tables.sort(key=lambda table: table[2].count(False), reverse=True)
+        return cls(tables) if tables else None
+
+    def rejects(self, attrs: Mapping[str, Any]) -> bool:
+        """Whether every leaf's checks are certain to reject ``attrs``.
+
+        The fallbacks are :meth:`IntervalIndex.select`'s: a missing key
+        rejects (every leaf constrains it), anything but a plain non-NaN
+        number passes.
+        """
+        for key, bounds, covered in self.tables:
+            value = attrs.get(key, _MISSING)
+            kind = type(value)
+            if kind is not int and kind is not float:
+                if value is _MISSING:
+                    return True
+            elif value == value:
+                at = bisect_left(bounds, value)
+                if not covered[2 * at + 1 if at < len(bounds) and bounds[at] == value else 2 * at]:
+                    return True
+        return False
+
+
 def _best_index(
     entries: List[RouteEntry], intervals: Sequence[Mapping[str, Interval]]
 ) -> Optional[IntervalIndex]:
@@ -298,16 +373,50 @@ def build_route_plan(
     a leaf with an always-true check never can.
     """
     before = (dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped)
-    grouped = dispatch.candidates(edge_label, source_label, target_label)
+    entries, owners, intervals = _route_entries(
+        dispatch, registrations, edge_label, source_label, target_label
+    )
     counter_deltas = (
         dispatch.lookups - before[0],
         dispatch.entries_matched - before[1],
         dispatch.entries_skipped - before[2],
     )
+    return RoutePlan(entries, owners, intervals, counter_deltas)
+
+
+def label_guard(
+    dispatch: DispatchIndex,
+    registrations: Mapping[str, "RegisteredQuery"],
+    edge_label: str,
+) -> Optional[LabelGuard]:
+    """Return ``edge_label``'s guard, built and kept in ``dispatch.label_guards`` on first use.
+
+    Only labels the index names get one: a label that only a wildcard
+    query edge binds is never guarded, so ``label_guards`` does not grow with
+    the stream's alphabet.  Building is not stream work: the dispatch
+    counters the probe moves are restored.
+    """
+    if not dispatch.indexes(edge_label):
+        return None
+    saved = (dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped)
+    entries, _, intervals = _route_entries(dispatch, registrations, edge_label, None, None)
+    dispatch.lookups, dispatch.entries_matched, dispatch.entries_skipped = saved
+    guard = dispatch.label_guards[edge_label] = LabelGuard.build(entries, intervals)
+    return guard
+
+
+def _route_entries(
+    dispatch: DispatchIndex,
+    registrations: Mapping[str, "RegisteredQuery"],
+    edge_label: str,
+    source_label: Optional[str],
+    target_label: Optional[str],
+) -> Tuple[List[RouteEntry], List[RouteOwner], List[Dict[str, Interval]]]:
+    """One dispatch probe, as ``(entries, owners, per-entry key intervals)``."""
     entries: List[RouteEntry] = []
     owners: List[RouteOwner] = []
     intervals: List[Dict[str, Interval]] = []
-    for name, leaf_ids in grouped:
+    for name, leaf_ids in dispatch.candidates(edge_label, source_label, target_label):
         registration = registrations.get(name)
         if registration is None:  # pragma: no cover - defensive
             continue
@@ -337,4 +446,4 @@ def build_route_plan(
                 )
             entries.append((owner, leaf, None if checks is None else tuple(checks)))
             intervals.append(constrained)
-    return RoutePlan(entries, owners, intervals, counter_deltas)
+    return entries, owners, intervals

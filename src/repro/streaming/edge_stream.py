@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 import json
 import math
+from numbers import Real
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
 
 from ..graph.types import Edge, Timestamp, VertexId
@@ -30,10 +31,11 @@ class StreamEdge:
     watermark per ``source_id`` so independently-skewed collector clocks do
     not push each other's records past the lateness horizon.
 
-    The timestamp must be finite: a NaN compares false against every
-    eviction horizon and would stay in the window store forever, and an
-    infinite one would advance the stream clock past every window.  Either
-    raises ``ValueError`` naming the record.
+    The label must be a ``str``, and the timestamp a finite real number (a
+    ``bool`` or a numeric string is not one): a NaN compares false against
+    every eviction horizon and would stay in the window store forever, and
+    an infinite one would advance the stream clock past every window.  A
+    record breaking either rule raises ``ValueError`` naming it.
     """
 
     __slots__ = (
@@ -62,15 +64,23 @@ class StreamEdge:
         target_attrs: Optional[Mapping[str, Any]] = None,
         source_id: Optional[str] = None,
     ):
+        if not isinstance(label, str):
+            raise ValueError(
+                f"StreamEdge {source!r}-[{label!r}]->{target!r} has a "
+                f"{type(label).__name__} label; an edge label must be a str"
+            )
+        kind = type(timestamp)
+        real = kind is float or kind is int or (kind is not bool and isinstance(timestamp, Real))
+        if not real or not math.isfinite(timestamp):
+            raise ValueError(
+                f"StreamEdge {source!r}-[{label}]->{target!r} has a non-numeric or "
+                f"non-finite timestamp {timestamp!r}; stream time must be a finite "
+                f"real number, not a bool or a string"
+            )
         self.source = source
         self.target = target
         self.label = label
         self.timestamp = float(timestamp)
-        if not math.isfinite(self.timestamp):
-            raise ValueError(
-                f"StreamEdge {source!r}-[{label}]->{target!r} has a non-finite "
-                f"timestamp {timestamp!r}; stream time must be a finite number"
-            )
         self.attrs = dict(attrs or {})
         self.source_label = source_label
         self.target_label = target_label

@@ -248,10 +248,12 @@ class ProbedReferenceEngine(StreamWorksEngine):
     routed; its completions that fit the window as of the stream clock emit
     at it (the rule is applied here, not borrowed from the engine).  So
     this engine stores, counts and evicts every record -- the store the gate
-    must be indistinguishable from.  Routing is not the engine's
-    either: every live record runs :meth:`_collect_matches`, a fresh
-    dispatch-index probe, with no cached plan, compiled leaf check or
-    interval index in front.  The dispatch counters and per-matcher edge
+    must be indistinguishable from.  The run's live records pass the
+    engine's own front gate (``_gate_run``: label and label guard, each
+    turned-away record one ``lookups`` tick); what follows it is not the
+    engine's: every record the gate passes runs :meth:`_collect_matches`,
+    a fresh dispatch-index probe, with no cached plan, compiled leaf check
+    or interval index in front.  The dispatch counters and per-matcher edge
     counters it produces are what the route plans' bulk replay must equal.
     Every ingest entry point reaches this run loop, a single record as a
     one-record run, as in the engine.
@@ -276,8 +278,9 @@ class ProbedReferenceEngine(StreamWorksEngine):
             if not registration.matcher.idle:
                 registration.matcher.expire_partials(clock)
         self.batches_vectorized += 1
+        passed = iter(self._gate_run([r for r, e in zip(records, ingested) if e is not None]))
         for edge in ingested:
-            if edge is not None:
+            if edge is not None and next(passed):
                 found = []
                 self._collect_matches(edge, found)
                 # the window rule, stated on its own: a completion's interval,
@@ -300,8 +303,6 @@ class ProbedReferenceEngine(StreamWorksEngine):
         The dispatch index is probed afresh for this one edge: only the
         (query, leaf) pairs it names are searched.
         """
-        if self.dispatch.front_rejects(edge.label):
-            return
         source_label = self._endpoint_label(edge.source)
         target_label = self._endpoint_label(edge.target)
         for owner, leaf_ids in self.dispatch.candidates(edge.label, source_label, target_label):
@@ -320,6 +321,9 @@ class ExhaustiveReferenceEngine(ProbedReferenceEngine):
     gate may only keep such records out of the store; this engine skips
     and gates nothing, so its events are what routing must reproduce.
     """
+
+    def _gate_run(self, live):
+        return [True] * len(live)
 
     def _collect_matches(self, edge, found):
         for registration in self.queries.values():

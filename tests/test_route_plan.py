@@ -7,19 +7,27 @@ The index is a necessary-condition prefilter, so the contract is equality
 with the loop it replaced -- kept verbatim below as the oracle:
 
 * **index == exhaustive prune**: over random predicate trees and random
-  attribute maps, the ``(owner, leaves)`` searches the engine performs and
-  its ``leaves_pruned`` equal those of the all-leaves loop, order included;
+  attribute maps, the ``(owner, leaves)`` searches the engine performs equal
+  those of the all-leaves loop, order included; every record the front
+  gate's label guard turns away is one the loop prunes every leaf of, and
+  ``leaves_pruned`` equals the loop's count over the records it passes;
 * **mutation meta-tests**: narrowing one extracted interval, or sending a
   value that sits exactly on a bound to the neighbouring open segment, makes
   that differential fail -- a harness that cannot catch the bugs it exists
   for proves nothing;
-* **work pin** (FO+MOD): compiled checks evaluated per out-of-band record
-  stay flat while the registered band queries grow 8 -> 64, and the same pin
-  fails against the all-leaves loop;
+* **label guard soundness**: whenever a label's guard rejects attrs, the
+  loop prunes every leaf for every endpoint-label pair, and flipping one
+  accepting segment or opening an inclusive bound breaks that property;
+* **work pins** (FO+MOD): with the guard off, compiled checks evaluated per
+  out-of-band record stay flat while the registered band queries grow 8 ->
+  64, and the same pin fails against the all-leaves loop; with it on, an
+  out-of-band record resolves no endpoint label, interns nothing and is
+  routed through no plan;
 * **plan lifetime**: plans survive runs and are dropped on register /
   unregister / replan / restore -- events, ``metrics()["dispatch"]`` and the
-  per-query edge counters stay byte-identical to an engine that probes the
-  dispatch index afresh for every record, the
+  per-query edge counters stay byte-identical to an engine that runs the
+  same front gate and then probes the dispatch index afresh for every
+  record it passes, the
   prefilter counters identical to an engine whose plan cache is emptied
   before every run, and plans are built per route key and index version,
   not per run.
@@ -48,6 +56,8 @@ from repro.core import route_plan
 from repro.core.engine import UNBOUND_LABEL, EngineConfig, StreamWorksEngine
 from repro.core.matcher import ContinuousQueryMatcher
 from repro.core.route_plan import build_route_plan
+from repro.graph.interning import InternTable
+from repro.graph.property_graph import PropertyGraph
 from repro.query.builder import QueryBuilder
 from repro.query.compile import key_intervals
 from repro.query.predicates import (
@@ -124,19 +134,22 @@ def legacy_prune(route_groups, attrs):
 LABEL = "link"
 
 
-def build_queries(edge_predicates):
+def build_queries(edge_predicates, ends=(("Host", "Host"),)):
     """One query per entry; a pair of predicates makes a two-check leaf.
 
     ``primitive_size`` is 2, so a two-edge path over one label decomposes to
     a single leaf with two label-compatible query edges: the leaf survives
-    when *either* check accepts the record.
+    when *either* check accepts the record.  Query ``n``'s first and last
+    vertex take the labels ``ends[n % len(ends)]``, the others ``Host``.
     """
     queries = []
     for number, predicates in enumerate(edge_predicates):
         builder = QueryBuilder(f"q{number}")
+        first, last = ends[number % len(ends)]
+        labels = [first] + ["Host"] * (len(predicates) - 1) + [last]
         for position, predicate in enumerate(predicates):
-            builder.vertex(f"v{position}", "Host")
-            builder.vertex(f"v{position + 1}", "Host")
+            builder.vertex(f"v{position}", labels[position])
+            builder.vertex(f"v{position + 1}", labels[position + 1])
             builder.edge(f"v{position}", f"v{position + 1}", LABEL, predicate=predicate)
         queries.append(builder.build())
     return queries
@@ -192,24 +205,46 @@ def always_index():
         route_plan._MIN_LEAVES_SPARED, route_plan._MAX_SEGMENT_FANOUT = saved
 
 
+def log_gate(engine, log):
+    """Append the engine's front-gate verdicts (``_gate_run``) to ``log``."""
+    gate = engine._gate_run
+
+    def logged(live):
+        passed = gate(live)
+        log.extend(passed)
+        return passed
+
+    engine._gate_run = logged
+
+
 def assert_engine_matches_all_leaves_loop(edge_predicates, attr_maps):
-    """The differential: real engine, real plans, against the verbatim loop."""
+    """The differential: real engine, real plans, against the verbatim loop.
+
+    The front gate's label guard turns records away before any plan: each
+    one must be a record the loop prunes every leaf of, and the plans'
+    ``leaves_pruned`` counts the records the gate passed.
+    """
     queries = build_queries(edge_predicates)
     engine = fresh_engine(queries)
     oracle_engine = fresh_engine(queries)  # same leaf ids: planning is deterministic
     groups = legacy_route(oracle_engine, LABEL, "Host", "Host")
-    expected, expected_pruned = [], 0
+    leaves = sum(len(leaf_checks) for _, leaf_checks in groups)
+    expected, pruned_per_record = [], []
     for position, attrs in enumerate(attr_maps):
         searches, pruned = legacy_prune(groups, attrs)
         expected.extend((position, owner, leaf_ids) for owner, leaf_ids in searches)
-        expected_pruned += pruned
-    observed = []
+        pruned_per_record.append(pruned)
+    observed, passed = [], []
+    log_gate(engine, passed)
     with always_index(), spied_searches(observed):
         engine.process_batch(records_for(attr_maps))
     assert observed == expected
-    assert engine.leaves_pruned == expected_pruned
-    plan = next(iter(engine.dispatch.plans.values()))
-    return plan
+    assert len(passed) == len(attr_maps)
+    assert all(pruned == leaves for pruned, ok in zip(pruned_per_record, passed) if not ok)
+    assert engine.leaves_pruned == sum(
+        pruned for pruned, ok in zip(pruned_per_record, passed) if ok
+    )
+    return next(iter(engine.dispatch.plans.values()), None)
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +409,68 @@ def test_mutation_inclusive_bound_treated_as_exclusive_is_caught(monkeypatch):
 
 
 # ----------------------------------------------------------------------
+# the label guard: a rejection must hold for every route key of the label
+# ----------------------------------------------------------------------
+ENDPOINT_PAIRS = (("Host", "Host"), ("Other", "Host"), ("Host", "Other"))
+
+
+def assert_label_guard_sound(edge_predicates, attr_maps):
+    """Whenever ``LABEL``'s guard rejects attrs, the all-leaves loop prunes
+    every leaf of every endpoint-label pair; return the rejection count."""
+    engine = fresh_engine(build_queries(edge_predicates, ends=ENDPOINT_PAIRS))
+    before = engine.dispatch.stats()
+    guard = route_plan.label_guard(engine.dispatch, engine.queries, LABEL)
+    assert engine.dispatch.stats() == before  # building is not stream work
+    assert engine.dispatch.label_guards == {LABEL: guard}
+    routes = [legacy_route(engine, LABEL, source, target) for source, target in ENDPOINT_PAIRS]
+    rejected = 0
+    for attrs in attr_maps:
+        if guard is not None and guard.rejects(attrs):
+            rejected += 1
+            for groups in routes:
+                assert legacy_prune(groups, attrs)[0] == []
+    return rejected
+
+
+@given(edge_predicates=QUERY_EDGES, attr_maps=st.lists(ATTR_MAPS, min_size=1, max_size=10))
+@settings(max_examples=150, deadline=None, suppress_health_check=SUPPRESS)
+def test_a_label_guard_rejects_only_what_every_route_key_prunes(edge_predicates, attr_maps):
+    assert_label_guard_sound(edge_predicates, attr_maps)
+
+
+def test_the_guard_property_accepts_the_real_guard():
+    # below, between and above the bands; every value on a bound is accepted
+    assert assert_label_guard_sound(BANDS, ON_AND_AROUND_BOUNDS) == 3
+
+
+def test_guard_mutation_accepting_segment_flipped_to_reject_is_caught(monkeypatch):
+    original = route_plan.IntervalIndex.build
+
+    def flipped(cls, *args):
+        index = original(*args)
+        if index is not None:
+            first = next(at for at, members in enumerate(index.segments) if members)
+            index.segments[first] = []
+        return index
+
+    monkeypatch.setattr(route_plan.IntervalIndex, "build", classmethod(flipped))
+    with pytest.raises(AssertionError):
+        assert_label_guard_sound(BANDS, ON_AND_AROUND_BOUNDS)
+
+
+def test_guard_mutation_inclusive_bound_treated_as_exclusive_is_caught(monkeypatch):
+    original = route_plan._covers_point
+
+    def open_ended(interval, point):
+        low, _, high, _ = interval
+        return original((low, True, high, True), point)
+
+    monkeypatch.setattr(route_plan, "_covers_point", open_ended)
+    with pytest.raises(AssertionError):
+        assert_label_guard_sound(BANDS, ON_AND_AROUND_BOUNDS)
+
+
+# ----------------------------------------------------------------------
 # FO+MOD work pin: per-record check work independent of the query count
 # ----------------------------------------------------------------------
 def checks_per_out_of_band_record(bands, record_count=60):
@@ -408,7 +505,13 @@ def checks_per_out_of_band_record(bands, record_count=60):
     return calls[0] / record_count, selected / record_count, engine
 
 
-def test_work_pin_checks_per_record_do_not_grow_with_registered_queries():
+def unguarded(monkeypatch):
+    """No label guards: every hot record reaches its route plan (the index's pins)."""
+    monkeypatch.setattr(route_plan.LabelGuard, "build", classmethod(lambda cls, *args: None))
+
+
+def test_work_pin_checks_per_record_do_not_grow_with_registered_queries(monkeypatch):
+    unguarded(monkeypatch)
     few, few_selected, _ = checks_per_out_of_band_record(8)
     many, many_selected, engine = checks_per_out_of_band_record(64)
     assert all(plan.index is not None for plan in engine.dispatch.plans.values())
@@ -417,11 +520,60 @@ def test_work_pin_checks_per_record_do_not_grow_with_registered_queries():
 
 
 def test_work_pin_fails_against_the_all_leaves_loop(monkeypatch):
+    unguarded(monkeypatch)
     monkeypatch.setattr(route_plan, "_MIN_LEAVES_SPARED", INF)  # never index
     few, _, _ = checks_per_out_of_band_record(8)
     many, _, engine = checks_per_out_of_band_record(64)
     assert all(plan.index is None for plan in engine.dispatch.plans.values())
     assert many >= 8 * few > 0  # one conjunction per registered band, per record
+
+
+def in_band(record, bands):
+    """Whether a band query's checks accept ``record`` (label and attrs alone)."""
+    size = record.attrs.get("bytes")
+    return record.label in HOT and any(
+        band * 1000 <= size <= band * 1000 + 60 for band in range(bands)
+    )
+
+
+def test_work_pin_an_out_of_band_record_resolves_no_endpoint_and_routes_nowhere(monkeypatch):
+    """Guards before lookups: the front gate turns a hot record outside every
+    band away on its own attrs.  Before the guard each one cost two
+    ``vertex_label``, two ``intern`` and one ``RoutePlan.route`` call."""
+    engine = fresh_engine([band_query(index) for index in range(8)])
+    calls = {"vertex_label": 0, "intern": 0, "route": 0}
+    for owner in (PropertyGraph, InternTable, route_plan.RoutePlan):
+        for name in calls:
+            if hasattr(owner, name):
+                original = getattr(owner, name)
+
+                def counted(*args, _original=original, _name=name):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(owner, name, counted)
+    rng = random.Random(4)
+    records = [
+        StreamEdge(f"a{position}", f"b{position}", label, position * 0.01,
+                   {"proto": "tcp", "port": 80, "bytes": 8500 + position}
+                   if label in HOT else {"bytes": 30},
+                   source_label="Host", target_label="Host")
+        for position, label in enumerate(rng.choice(HOT + ["cold"]) for _ in range(80))
+    ]
+    engine.process_batch(records)
+    assert calls == {"vertex_label": 0, "intern": 0, "route": 0}
+    assert engine.records_prefiltered == engine.records_cold == len(records)
+    assert engine.dispatch.lookups == len(records) and not engine.dispatch.plans
+    # a stream with in-band chains: the gate passes exactly those, and only
+    # those are routed
+    records = banded_records(600, 8)
+    engine = fresh_engine([band_query(index) for index in range(8)])
+    calls["route"] = 0
+    engine.process_batch(records)
+    routed = sum(in_band(record, 8) for record in records)
+    assert 0 < routed < len(records)
+    assert calls["route"] == routed
+    assert engine.records_prefiltered == len(records) - routed
 
 
 # ----------------------------------------------------------------------
@@ -582,6 +734,12 @@ def test_register_unregister_and_replan_between_batches_drop_the_plans(tmp_path)
     for plan in dispatch.plans.values():  # rebuilt against the final query set
         owners = [owner.registration.name for owner in plan.owners]
         assert "late" in owners and "band3" not in owners
+    # so are the label guards: the replanned "late" band is no longer rejected
+    assert set(dispatch.label_guards) == set(HOT)
+    late_bytes = {"proto": "tcp", "port": 80, "bytes": BANDS_REGISTERED * 1000 + 30}
+    assert not any(guard.rejects(late_bytes) for guard in dispatch.label_guards.values())
+    assert all(guard.rejects({"proto": "tcp", "port": 80, "bytes": 3030})
+               for guard in dispatch.label_guards.values())  # band3 is gone
 
 
 def test_automatic_replans_invalidate_plans(tmp_path):
@@ -629,8 +787,15 @@ def test_a_wildcard_query_switches_the_label_gate_off(tmp_path):
     } | {(UNBOUND_LABEL, host, host)}
     unbound = engine.dispatch.plans[UNBOUND_LABEL, host, host]
     assert [owner.registration.name for owner in unbound.owners] == ["any_big"]
+    # guards are kept for the labels the index names only; each includes
+    # the wildcard leaf, whose ``bytes >= 80 000`` they must accept
+    guards = engine.dispatch.label_guards
+    assert set(guards) == set(HOT)
+    assert not any(guard.rejects({"proto": "x", "bytes": 90_000}) for guard in guards.values())
+    assert all(guard.rejects({"proto": "tcp", "bytes": 50_000}) for guard in guards.values())
     engine.unregister_query("any_big")
     assert engine.dispatch.front_rejects("cold_never_seen") and not engine.dispatch.plans
+    assert not engine.dispatch.label_guards
 
 
 def test_short_watermark_released_runs_share_plans(tmp_path):

@@ -2,6 +2,8 @@
 
 import math
 import os
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -54,6 +56,30 @@ class TestStreamEdge:
             StreamEdge.from_dict(
                 {"source": "q", "target": "r", "label": "a", "timestamp": timestamp}
             )
+
+    @pytest.mark.parametrize(
+        "timestamp", ["3", True, False, None, b"1", [1.0], Decimal("1")],
+        ids=["text", "true", "false", "none", "bytes", "list", "decimal"],
+    )
+    def test_a_timestamp_that_is_no_real_number_is_rejected_naming_the_record(self, timestamp):
+        with pytest.raises(ValueError, match=r"'q'-\[a\]->'r'.*non-numeric or non-finite"):
+            StreamEdge("q", "r", "a", timestamp)
+
+    @pytest.mark.parametrize(
+        "timestamp", [3, 2.5, Fraction(1, 2), -1], ids=["int", "float", "fraction", "negative"]
+    )
+    def test_any_finite_real_timestamp_is_accepted(self, timestamp):
+        assert StreamEdge("q", "r", "a", timestamp).timestamp == float(timestamp)
+
+    @pytest.mark.parametrize(
+        "label", [None, 7, ("a",), ["a"], {"a": 1}],
+        ids=["none", "int", "tuple", "list", "dict"],
+    )
+    def test_a_label_that_is_not_a_str_is_rejected_naming_the_record(self, label):
+        with pytest.raises(ValueError, match=r"'q'-\[.*\]->'r' has a \w+ label"):
+            StreamEdge("q", "r", label, 1.0)
+        with pytest.raises(ValueError, match="label must be a str"):
+            StreamEdge.from_dict({"source": "q", "target": "r", "label": label, "timestamp": 1})
 
 
 @pytest.mark.parametrize("allowed_lateness", [None, 2.0], ids=["no_buffer", "lateness"])
