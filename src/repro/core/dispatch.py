@@ -237,9 +237,21 @@ class DispatchIndex:
 
     def _invalidate_plans(self) -> None:
         """The index changed: every cached route plan and guard describes the old one."""
+        self.replay_owner_visits()
         self.version += 1
         self.plans.clear()
         self.label_guards.clear()
+
+    def replay_owner_visits(self) -> None:
+        """Bring every matcher's ``edges_processed`` up to date with the cached plans.
+
+        A run settles only its dispatch counters; the per-owner visits its
+        route plans stand for are added here (:meth:`RoutePlan.replay_owners`),
+        which the engine calls before it reads or snapshots the matchers'
+        counters and which runs before the plans are dropped.
+        """
+        for plan in self.plans.values():
+            plan.replay_owners()
 
     def registered_owners(self) -> List[str]:
         """Return the names of the queries currently indexed."""

@@ -72,7 +72,7 @@ from ..streaming.metrics import LatencyRecorder, ThroughputMeter, replan_summary
 from .decomposition import Decomposition, Strategy
 from .dispatch import DispatchIndex
 from .ingest import IngestFront
-from .matcher import ContinuousQueryMatcher
+from .matcher import ContinuousQueryMatcher, SweepQueues
 from .planner import PlannerConfig, QueryPlan, QueryPlanner
 from .route_plan import RoutePlan, build_route_plan, label_guard
 from .sjtree import EARLIEST
@@ -443,6 +443,8 @@ class StreamWorksEngine(IngestFront):
         #: over such a leaf provably finds nothing).  Records the front gate
         #: turned away reach no plan and add nothing here.
         self.leaves_pruned = 0
+        #: Matchers holding a partial, by ``next_expiry`` (:meth:`expire_all_partials`).
+        self.sweeps = SweepQueues()
         self.collector = CollectingSink()
         self._sinks = MultiSink([self.collector])
         self._sequence = 0
@@ -830,34 +832,34 @@ class StreamWorksEngine(IngestFront):
         """Sweep the stored partial matches expired at ``now``; return the count dropped.
 
         Only matchers with a partial due (:meth:`ContinuousQueryMatcher.expiry_due`)
-        are swept, so a sweep costs one comparison per registered query
-        plus the partials it drops.  Every run sweeps this way, at the
-        stream clock (:meth:`_run_fast_path`).  A sweep is pure pruning: a
-        partial expired at the clock can only complete into a match that
-        fails the window check at every later record, so sweeping more or
-        less often never changes the events.
+        are visited: :attr:`sweeps` queues them per window by ``next_expiry``
+        and is rebuilt when the dispatch index changes version.  Every run
+        sweeps this way, at the stream clock (:meth:`_run_fast_path`).  A
+        sweep is pure pruning: a partial expired at the clock can only
+        complete into a match that fails the window check at every later
+        record, so sweeping more or less often never changes the events.
         """
-        dropped = 0
-        for registration in self.queries.values():
-            matcher = registration.matcher
-            if matcher.expiry_due(now):
-                dropped += matcher.expire_partials(now)
-        return dropped
+        if self.sweeps.version != self.dispatch.version:
+            self.sweeps.rebuild([r.matcher for r in self.queries.values()], self.dispatch.version)
+        return self.sweeps.sweep(now)
 
-    def _run_batch(self, records: List[StreamEdge]) -> List[MatchEvent]:
+    def _run_batch(self, records: List[StreamEdge], ordered: bool = False) -> List[MatchEvent]:
         """Run a batch as its maximal ordered runs, then the replan checks it made due.
 
         Every ingest entry point ends here (:mod:`repro.core.ingest`): a
         record is a one-record batch.  Each maximal non-decreasing run is
         one :meth:`_run_fast_path`, in arrival order, so a disordered batch
-        is exactly its ordered runs fed as batches.
+        is exactly its ordered runs fed as batches; a sorted reorder-buffer
+        release (``ordered``) is one run, unscanned.  A raising run stops the meter too.
         """
         self.throughput.start()
         events: List[MatchEvent] = []
-        for start, end in ordered_run_slices(records):
-            self._run_fast_path(records[start:end], events)
-        self.throughput.add(len(records))
-        self.throughput.stop()
+        try:
+            for start, end in [(0, len(records))] if ordered else ordered_run_slices(records):
+                self._run_fast_path(records[start:end], events)
+            self.throughput.add(len(records))
+        finally:
+            self.throughput.stop()
         for _ in range(self._due_replan_checks()):
             self.run_replan_check()
         return events
@@ -890,10 +892,9 @@ class StreamWorksEngine(IngestFront):
         # clock at every record of the run still below it
         clock = max(self.graph.current_time, records[0].timestamp)
         # What a route plan stands for per record -- one dispatch probe, one
-        # visit of each owner's matcher -- is counted in bulk when the run
-        # ends, also when it ends in an exception (a plan outlives the run,
-        # its tallies must not): the counters read as if every record the
-        # front gate passed had been probed (``docs/operations.md``).
+        # visit of each owner's matcher -- is settled in bulk when the run
+        # ends, also on an exception (a plan outlives the run, its tallies must
+        # not), the visits when counters are read (``docs/operations.md``).
         used: List[RoutePlan] = []
         try:
             hot = self._route_run(records, used)
@@ -1105,9 +1106,12 @@ class StreamWorksEngine(IngestFront):
             for owner, leaves in searches:
                 owner.searched += 1
                 registration = owner.registration
-                completions = registration.matcher.process_edge_leaves(edge, leaves)
+                matcher = registration.matcher
+                completions = matcher.process_edge_leaves(edge, leaves)
+                if matcher.next_expiry < matcher.queued_expiry:
+                    self.sweeps.push(matcher)  # a store made it due sooner
                 if late:
-                    window = registration.matcher.window
+                    window = matcher.window
                     completions = [
                         c for c in completions if window.admits_interval(c[EARLIEST], clock)
                     ]
@@ -1220,13 +1224,9 @@ class StreamWorksEngine(IngestFront):
         if self.summarizer is not None:
             self.summarizer.observe_batch(edges)
 
-    def _endpoint_label(self, vertex: VertexId) -> Optional[str]:
-        """Stored label of an edge endpoint (``None`` when it is not retained)."""
-        return self.graph.graph.vertex_label(vertex)
-
     def _route_label(self, vertex: VertexId, record_label: str) -> str:
         """An endpoint's label for routing: stored vertex label, else the record's own."""
-        label = self._endpoint_label(vertex)
+        label = self.graph.graph.vertex_label(vertex)
         return record_label if label is None else label
 
     def _build_route_plan(
@@ -1319,7 +1319,8 @@ class StreamWorksEngine(IngestFront):
 
     def metrics(self) -> Dict[str, Any]:
         """Return engine metrics: throughput, latency percentiles, store sizes."""
-        result: Dict[str, Any] = {
+        self.dispatch.replay_owner_visits()
+        return {
             "edges_processed": self.edges_processed,
             "events_emitted": self._sequence,
             "graph_vertices": self.graph.vertex_count(),
@@ -1361,7 +1362,6 @@ class StreamWorksEngine(IngestFront):
             "sketch": {"dedup_memory": dict(RETIRED_DEDUP_METRICS)},
             "columnar": self._columnar_metrics(),
         }
-        return result
 
     def _columnar_metrics(self) -> Dict[str, Any]:
         """Aggregate compiled hot-path counters for ``metrics()["columnar"]``.

@@ -74,8 +74,8 @@ class IngestFront:
     # ------------------------------------------------------------------
     # what each engine supplies
     # ------------------------------------------------------------------
-    def _run_batch(self, records: List[StreamEdge]) -> List[MatchEvent]:
-        """Run one batch through the engine."""
+    def _run_batch(self, records: List[StreamEdge], ordered: bool = False) -> List[MatchEvent]:
+        """Run one batch through the engine (``ordered``: it is non-decreasing)."""
         raise NotImplementedError
 
     def checkpoint(self, path: str) -> Dict[str, Any]:
@@ -183,10 +183,15 @@ class IngestFront:
         return self.reorder.drain_ready()
 
     def _process_released(self, ready: List[StreamEdge]) -> List[MatchEvent]:
-        """Process one release, stamped with the reorder buffer's watermark."""
+        """Process one release, stamped with the reorder buffer's watermark.
+
+        A reorder buffer releases in timestamp order (``drain_ready`` and
+        ``flush`` sort what they release), so its release runs as one
+        ordered run, not re-scanned for inversions.
+        """
         if self.reorder is not None:
             self.event_time_watermark = self.reorder.watermark
-        return self._run_batch(ready) if ready else []
+        return self._run_batch(ready, ordered=self.reorder is not None) if ready else []
 
     def _due_replan_checks(self) -> int:
         """Count the automatic replan checks the record cadence has earned.

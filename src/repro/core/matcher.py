@@ -47,7 +47,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..graph.types import Edge
-from ..graph.window import TimeWindow
+from ..graph.window import ExpiryQueue, TimeWindow
 from ..isomorphism.match import Match
 from ..query.compile import CompiledQuery
 from ..query.query_graph import QueryGraph
@@ -56,7 +56,9 @@ from .join import try_join
 from .local_search import LocalSearcher
 from .sjtree import EARLIEST, LATEST, Partial, SJTree, SJTreeNode
 
-__all__ = ["MatcherStats", "ContinuousQueryMatcher"]
+__all__ = ["MatcherStats", "ContinuousQueryMatcher", "SweepQueues"]
+
+_INF = float("inf")
 
 
 def _repr_order(names: Iterable[Any]) -> List[Any]:
@@ -185,6 +187,11 @@ class ContinuousQueryMatcher:
         #: sweep that drops something; derived, so restore recomputes it
         #: from the restored tree.
         self.next_expiry = float("inf")  # repro-lint: ignore[snapshot-coverage]
+        #: The ``next_expiry`` this matcher was last queued at by the
+        #: engine's :class:`SweepQueues` (``inf``: not queued; ``-inf``: an
+        #: unbounded window, never queued).  Derived: the queues are rebuilt
+        #: from ``next_expiry`` after a restore.
+        self.queued_expiry = _INF if self.window.bounded else -_INF  # repro-lint: ignore[snapshot-coverage]
 
     # ------------------------------------------------------------------
     # main entry points
@@ -443,3 +450,64 @@ class ContinuousQueryMatcher:
         self._tree_stored = self.tree.total_stored_matches()
         self.next_expiry = self.tree.earliest_stored()
         self.stats = MatcherStats.from_dict(state["stats"])
+
+
+class SweepQueues:
+    """The matchers holding a partial, on one min-queue per window, keyed by ``next_expiry``.
+
+    ``window.is_expired(t, now)`` is monotone in ``t``, so inside one
+    window's queue the head decides the whole queue: a sweep at ``now`` pops
+    exactly the entries expired there (:meth:`ExpiryQueue.pop_expired_at`)
+    and never looks at a matcher with nothing due, nor at an idle one.
+
+    A matcher is queued at its ``next_expiry`` when a search lowers it below
+    the value it was last queued at (``queued_expiry``; the engine tests
+    that after each search, :meth:`push` queues), and again after a sweep
+    leaves it with partials.  An entry pushed before a lower one for the
+    same matcher is *stale*: when it pops, the matcher's ``queued_expiry``
+    is not expired yet and the entry is dropped.  A popped live entry is
+    re-checked with the exact :meth:`ContinuousQueryMatcher.expiry_due`
+    test, so a matcher swept some other way is re-queued, not swept again.
+
+    The queues describe one set of registered matchers, named by the
+    dispatch index's ``version``; registering, unregistering, a replan that
+    rebuilds a tree and a restore all change it, and the owner then calls
+    :meth:`rebuild` -- O(queries), never per run.
+    """
+
+    def __init__(self) -> None:
+        self.queues: Dict[TimeWindow, ExpiryQueue[ContinuousQueryMatcher]] = {}
+        #: The dispatch-index version the queues were built for (``-1``: never).
+        self.version = -1
+
+    def rebuild(self, matchers: Iterable[ContinuousQueryMatcher], version: int) -> None:
+        """Queue every bounded matcher that holds a partial, and nothing else."""
+        self.queues = {}
+        self.version = version
+        for matcher in matchers:
+            if matcher.window.bounded:
+                matcher.queued_expiry = _INF
+                if matcher.next_expiry < _INF:
+                    self.push(matcher)
+
+    def push(self, matcher: ContinuousQueryMatcher) -> None:
+        """Queue ``matcher`` at its ``next_expiry`` (callers test ``next_expiry < queued_expiry``)."""
+        queue = self.queues.get(matcher.window)
+        if queue is None:
+            queue = self.queues[matcher.window] = ExpiryQueue()
+        queue.push(matcher.next_expiry, matcher)
+        matcher.queued_expiry = matcher.next_expiry
+
+    def sweep(self, now: float) -> int:
+        """Sweep every queued matcher with a partial expired at ``now``; return the count dropped."""
+        dropped = 0
+        for window, queue in self.queues.items():
+            for matcher in queue.pop_expired_at(window, now):
+                if not window.is_expired(matcher.queued_expiry, now):
+                    continue  # stale: the matcher is queued lower, or was swept already
+                matcher.queued_expiry = _INF
+                if matcher.expiry_due(now):
+                    dropped += matcher.expire_partials(now)
+                if matcher.next_expiry < _INF:
+                    self.push(matcher)
+        return dropped

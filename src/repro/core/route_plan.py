@@ -75,8 +75,9 @@ class RouteOwner:
 
     def __init__(self, registration: "RegisteredQuery") -> None:
         self.registration = registration
-        #: Records of the current run that reached the matcher (it counted
-        #: those visits itself); :meth:`RoutePlan.settle` counts the rest.
+        #: Records routed through the plan since its owners were last
+        #: replayed that reached the matcher (it counted those visits
+        #: itself); :meth:`RoutePlan.replay_owners` counts the rest.
         self.searched = 0
 
 
@@ -275,7 +276,16 @@ def _best_index(
 class RoutePlan:
     """Candidate leaves for one route key, with an optional interval index."""
 
-    __slots__ = ("entries", "owners", "index", "counter_deltas", "uses", "fresh", "pruned")
+    __slots__ = (
+        "entries",
+        "owners",
+        "index",
+        "counter_deltas",
+        "uses",
+        "fresh",
+        "pruned",
+        "unreplayed",
+    )
 
     def __init__(
         self,
@@ -299,6 +309,9 @@ class RoutePlan:
         self.fresh = 1
         #: Leaf visits :meth:`route` skipped in the current run.
         self.pruned = 0
+        #: Records routed through the plan by settled runs whose owner
+        #: visits are not replayed yet (:meth:`replay_owners`).
+        self.unreplayed = 0
 
     def route(self, attrs: Mapping[str, Any]) -> List[Tuple[RouteOwner, List[SJTreeNode]]]:
         """Return ``[(owner, surviving leaves)]`` for one record, in plan order.
@@ -329,27 +342,40 @@ class RoutePlan:
         return searches
 
     def settle(self, dispatch: DispatchIndex) -> int:
-        """Replay the run's deferred counters; return records served from cache.
+        """Replay the run's deferred dispatch counters; return records served from cache.
 
         Every record routed through the plan stands for one dispatch probe
-        and one visit of each owner's matcher.  The probe that built the plan
-        and the visits that reached ``process_edge_leaves`` counted
-        themselves; the rest are added here, in bulk, once per run.  The
-        run's :attr:`pruned` tally is reset too: the caller reads it first.
+        and one visit of each owner's matcher.  The probe that built the
+        plan counted itself; the rest are added to the dispatch counters
+        here, in bulk, once per run.  The owner visits are only tallied
+        (:attr:`unreplayed`): :meth:`replay_owners` adds them when the
+        counters are read.  The run's :attr:`pruned` tally is reset too:
+        the caller reads it first.
         """
         uses, self.uses = self.uses, 0
         hits = uses - self.fresh
         self.fresh = 0
         self.pruned = 0
+        self.unreplayed += uses
         if hits:
             lookups, matched, skipped = self.counter_deltas
             dispatch.lookups += lookups * hits
             dispatch.entries_matched += matched * hits
             dispatch.entries_skipped += skipped * hits
+        return hits
+
+    def replay_owners(self) -> None:
+        """Add the settled runs' owner visits to each owner's ``edges_processed``.
+
+        The visits that reached ``process_edge_leaves`` counted themselves;
+        every other record routed through the plan is one visit the route
+        pruned.  Costs one pass over the owners, whatever the number of
+        runs since the last replay (:meth:`DispatchIndex.replay_owner_visits`).
+        """
+        uses, self.unreplayed = self.unreplayed, 0
         for owner in self.owners:
             owner.registration.matcher.stats.edges_processed += uses - owner.searched
             owner.searched = 0
-        return hits
 
 
 def build_route_plan(

@@ -562,66 +562,70 @@ class ShardedStreamEngine(IngestFront):
     # ------------------------------------------------------------------
     # stream processing
     # ------------------------------------------------------------------
-    def _run_batch(self, records: List[StreamEdge]) -> List[MatchEvent]:
+    def _run_batch(self, records: List[StreamEdge], ordered: bool = False) -> List[MatchEvent]:
         """Route one batch to the shards, run it there, merge the events.
 
         Every ingest entry point of the front ends here
         (:mod:`repro.core.ingest`), a single record included.  A shard runs
         only when the batch routed it records or a replan check is due;
         each record carries the global stream clock its ordered run began
-        at (see :func:`_execute_sub_batch`).
+        at (see :func:`_execute_sub_batch`); a reorder-buffer release
+        (``ordered``) is one run.  The throughput meter stops also when a
+        shard raises.
         """
         self.throughput.start()
-        base_index = self.edges_processed
-        self.edges_processed += len(records)
-        # the parent decides WHEN replan checks run (the front's global
-        # record cadence); every shard applies that many checks at its
-        # quiescent post-batch boundary, including shards this batch routed
-        # nothing to -- the single engine checks every registered query
-        # regardless of which records arrived
-        replan_checks = self._due_replan_checks()
-        # the global stream clock each ordered run starts at: what a shard
-        # whose own clock lags must judge and evict against (see
-        # _execute_sub_batch)
-        clock = self._clock
-        run_clock: List[float] = []
-        for start, end in ordered_run_slices(records):
-            run_clock.extend([clock] * (end - start))
-            clock = max(clock, records[end - 1].timestamp)
-        self._clock = clock
-        per_shard = self.router.route(records, base_index)
-        #: ``(global trigger index, query registration order, event)``
-        tagged: List[Tuple[int, int, MatchEvent]] = []
-        for shard_id in range(self.config.shard_count):
-            entries = per_shard.get(shard_id, [])
-            if not entries and not replan_checks:
-                continue
-            batch = ShardBatch(
-                shard_id,
-                entries,
-                run_clock=[run_clock[index - base_index] for index, _ in entries],
-                end_clock=clock,
-                replan_checks=replan_checks,
-            )
-            # the shard's local record base maps its events' trigger
-            # indices back into this sub-batch
-            local_base = self._records_sent[shard_id]
-            self._records_sent[shard_id] += len(entries)
-            tagged.extend(self._run_shard_serial(batch, local_base))
-        # a query lives in exactly one shard, so events tied on (trigger,
-        # registration order) all come from one shard and the stable sort
-        # preserves their emission order -- this is precisely the order the
-        # single engine emits in
-        tagged.sort(key=lambda item: (item[0], item[1]))
-        merged: List[MatchEvent] = []
-        for _, _, event in tagged:
-            event.sequence = self._sequence
-            self._sequence += 1
-            self.queries[event.query_name].match_count += 1
-            self._sinks.deliver(event)
-            merged.append(event)
-        self.throughput.add(len(records))
-        self.throughput.stop()
+        try:
+            base_index = self.edges_processed
+            self.edges_processed += len(records)
+            # the parent decides WHEN replan checks run (the front's global
+            # record cadence); every shard applies that many checks at its
+            # quiescent post-batch boundary, including shards this batch routed
+            # nothing to -- the single engine checks every registered query
+            # regardless of which records arrived
+            replan_checks = self._due_replan_checks()
+            # the global stream clock each ordered run starts at: what a shard
+            # whose own clock lags must judge and evict against (see
+            # _execute_sub_batch)
+            clock = self._clock
+            run_clock: List[float] = []
+            for start, end in [(0, len(records))] if ordered else ordered_run_slices(records):
+                run_clock.extend([clock] * (end - start))
+                clock = max(clock, records[end - 1].timestamp)
+            self._clock = clock
+            per_shard = self.router.route(records, base_index)
+            #: ``(global trigger index, query registration order, event)``
+            tagged: List[Tuple[int, int, MatchEvent]] = []
+            for shard_id in range(self.config.shard_count):
+                entries = per_shard.get(shard_id, [])
+                if not entries and not replan_checks:
+                    continue
+                batch = ShardBatch(
+                    shard_id,
+                    entries,
+                    run_clock=[run_clock[index - base_index] for index, _ in entries],
+                    end_clock=clock,
+                    replan_checks=replan_checks,
+                )
+                # the shard's local record base maps its events' trigger
+                # indices back into this sub-batch
+                local_base = self._records_sent[shard_id]
+                self._records_sent[shard_id] += len(entries)
+                tagged.extend(self._run_shard_serial(batch, local_base))
+            # a query lives in exactly one shard, so events tied on (trigger,
+            # registration order) all come from one shard and the stable sort
+            # preserves their emission order -- this is precisely the order the
+            # single engine emits in
+            tagged.sort(key=lambda item: (item[0], item[1]))
+            merged: List[MatchEvent] = []
+            for _, _, event in tagged:
+                event.sequence = self._sequence
+                self._sequence += 1
+                self.queries[event.query_name].match_count += 1
+                self._sinks.deliver(event)
+                merged.append(event)
+            self.throughput.add(len(records))
+        finally:
+            self.throughput.stop()
         return merged
 
     def _run_shard_serial(

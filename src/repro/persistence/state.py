@@ -308,6 +308,9 @@ def _dispatch_counters(dispatch: DispatchIndex) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
     """Capture a single engine's full state as ordered snapshot sections."""
+    # the matchers' edges_processed counters are exact only once the route
+    # plans' deferred owner visits are replayed
+    engine.dispatch.replay_owner_visits()
     queries = []
     for name, registration in engine.queries.items():
         matcher = registration.matcher

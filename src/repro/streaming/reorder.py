@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from operator import attrgetter
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .edge_stream import StreamEdge
 
@@ -136,7 +136,7 @@ class ReorderBuffer:
     is exactly the stable timestamp sort of the arrival sequence.
     """
 
-    def __init__(self, allowed_lateness: float):
+    def __init__(self, allowed_lateness: float) -> None:
         if isinstance(allowed_lateness, str):
             raise ValueError(
                 f"allowed_lateness must be a number of stream-time units, "
@@ -279,7 +279,7 @@ class ReorderBuffer:
             "max_displacement_seen": self.max_displacement_seen,
         }
 
-    def _load_base_state(self, state: Dict[str, object]) -> None:
+    def _load_base_state(self, state: Mapping[str, Any]) -> None:
         """Restore the base-class fields from a :meth:`state_dict` payload.
 
         The single shared restoration block: subclasses' loaders call this
@@ -298,7 +298,7 @@ class ReorderBuffer:
         self.max_displacement_seen = float(state["max_displacement_seen"])
 
     @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "ReorderBuffer":
+    def from_state(cls, state: Mapping[str, Any]) -> "ReorderBuffer":
         """Rebuild a buffer from :meth:`state_dict` output (exact resume:
         the restored buffer releases future records identically).  Loaders
         that may encounter either buffer kind should dispatch through

@@ -105,6 +105,19 @@ class _SourceState:
         self.max_displacement_seen = 0.0
 
 
+def _idle(state: _SourceState, max_seen: float, timeout: Optional[float]) -> bool:
+    """Whether ``state``'s source is idle when the stream clock is ``max_seen``."""
+    if timeout is None:
+        return False
+    # a never-spoke source's silence is measured from its baseline (its
+    # registration epoch, or the stream's first record); its clock once it
+    # has spoken
+    reference = state.max_seen if state.max_seen != _NEG_INF else state.baseline
+    if reference == _NEG_INF:
+        return False  # no stream time has passed that it could have missed
+    return max_seen - reference > timeout
+
+
 class MultiSourceReorderBuffer(ReorderBuffer):
     """Bounded-lateness reorder buffer with one watermark per stream source.
 
@@ -188,49 +201,21 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         """Return the known source keys in registration/first-seen order."""
         return list(self._sources)
 
-    def _is_idle(self, state: _SourceState) -> bool:
-        if self.idle_timeout is None:
-            return False
-        # a never-spoke source's silence is measured from its baseline (its
-        # registration epoch, or the stream's first record); its clock once
-        # it has spoken
-        reference = state.max_seen if state.max_seen != _NEG_INF else state.baseline
-        if reference == _NEG_INF:
-            return False  # no stream time has passed that it could have missed
-        return self._max_seen - reference > self.idle_timeout
-
     # ------------------------------------------------------------------
     # watermark arithmetic
     # ------------------------------------------------------------------
-    def _active_min_clock(self) -> Optional[float]:
-        """The least clock among the sources not idle (``None`` when every one is)."""
-        clocks = [state.max_seen for state in self._sources.values() if not self._is_idle(state)]
-        return min(clocks) if clocks else None
+    def _active_min_clock(self, max_seen: float) -> Optional[float]:
+        """The least clock among the sources not idle at stream clock ``max_seen``.
 
-    def _raw_watermark(self) -> float:
-        clock = self._active_min_clock() if self._max_seen != _NEG_INF else None
-        # the source holding the global maximum is never idle, so with any
-        # record seen at least one source is active; defensive nonetheless
-        return _NEG_INF if clock is None else clock - self.allowed_lateness
-
-    def _current_watermark(self) -> float:
-        raw = self._raw_watermark()
-        if raw > self._watermark_floor:
-            self._watermark_floor = raw
-        return self._watermark_floor
-
-    def _apply_floor(self, raw: float, late: bool, timestamp: float) -> bool:
-        """Raise the monotone watermark floor to ``raw``; return the final lateness.
-
-        The floor is consulted only when it strictly exceeds the raw
-        minimum (a source (re)appeared with an old clock); in steady state
-        the raw minimum is monotone and the floor clause never fires.
+        ``None`` when every source is idle.  The admission loop passes its
+        own running clock, which it writes back to the buffer only when it
+        ends.
         """
-        if raw > self._watermark_floor:
-            self._watermark_floor = raw
-        if not late and self._watermark_floor > raw and timestamp < self._watermark_floor:
-            late = True
-        return late
+        timeout = self.idle_timeout
+        clocks = [
+            state.max_seen for state in self._sources.values() if not _idle(state, max_seen, timeout)
+        ]
+        return min(clocks) if clocks else None
 
     @property
     def watermark(self) -> float:
@@ -238,9 +223,25 @@ class MultiSourceReorderBuffer(ReorderBuffer):
 
         Each source's watermark is its largest delivered timestamp minus the
         lateness horizon; idle sources (see ``idle_timeout``) are excluded;
-        the result never regresses (see the class docstring).
+        the result never regresses (see the class docstring).  Without an
+        idle timeout every source is active, so the least clock is the one
+        :meth:`_admit` caches.
         """
-        return self._current_watermark()
+        if self._max_seen == _NEG_INF:
+            clock: Optional[float] = None
+        elif self.idle_timeout is None:
+            clock = self._min_clock
+            if clock is None:
+                clock = self._min_clock = min(
+                    [state.max_seen for state in self._sources.values()], default=None
+                )
+        else:
+            clock = self._active_min_clock(self._max_seen)
+        # the source holding the global maximum is never idle, so with any
+        # record seen at least one source is active; defensive nonetheless
+        if clock is not None and clock - self.allowed_lateness > self._watermark_floor:
+            self._watermark_floor = clock - self.allowed_lateness
+        return self._watermark_floor
 
     # ------------------------------------------------------------------
     # admission
@@ -269,66 +270,97 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         it.  Without an idle timeout every source is active, so the least
         clock is cached and recomputed only when the source holding it
         advances or a source joins; with one, it is taken over the sources
-        active at each record.  Either way the watermark floor
-        (:meth:`_apply_floor`) applies last.
+        active at each record.  Either way the monotone watermark floor
+        applies last: it is consulted only when it strictly exceeds the raw
+        minimum (a source (re)appeared with an old clock); in steady state
+        the raw minimum is monotone and the floor clause never fires.
+
+        The buffer's counters, clocks, floor and cached least clock live in
+        locals for the loop and are written back when it ends, also when a
+        record raises, so the records admitted before it are not lost.
         """
         sources = self._sources
         cached = self.idle_timeout is None
         lateness = self.allowed_lateness
-        pending = self._pending
-        for record in records:
-            key = record.source_id if record.source_id is not None else DEFAULT_SOURCE
-            state = sources.get(key)
-            if state is None:
-                state = sources[key] = _SourceState()
-                self._min_clock = _NEG_INF  # the newcomer's clock
-            self.records_seen += 1
-            state.records_seen += 1
-            timestamp = record.timestamp
-            # global displacement keeps the single-buffer counter semantics
-            displacement = self._max_seen - timestamp
-            if displacement > self.max_displacement_seen:
-                self.max_displacement_seen = displacement
-            own_displacement = state.max_seen - timestamp
-            if own_displacement < 0.0:
-                own_displacement = 0.0
-            if own_displacement > state.max_displacement_seen:
-                state.max_displacement_seen = own_displacement
-            if cached:
-                clock = self._min_clock
-                if clock is None:
-                    clock = self._min_clock = min(source.max_seen for source in sources.values())
-            else:
-                clock = self._active_min_clock()
-            if clock is None or self._max_seen == _NEG_INF:
-                raw, late = _NEG_INF, False
-            else:
-                raw, late = clock - lateness, clock - timestamp > lateness
-            late = self._apply_floor(raw, late, timestamp)
-            if timestamp > state.max_seen:
-                if state.max_seen == self._min_clock:
-                    self._min_clock = None  # the source holding the minimum advanced
-                state.max_seen = timestamp
-            if late:
-                state.records_late += 1
-                self.records_late_dropped += 1
-                continue
-            if displacement > 0:
-                self.records_reordered += 1
-            if own_displacement > 0:
-                state.records_reordered += 1
-            pending.append(record)
-            if timestamp < self._min_pending:
-                self._min_pending = timestamp
-            if timestamp > self._max_seen:
-                first_data = self._max_seen == _NEG_INF
-                self._max_seen = timestamp
-                if first_data:
-                    # stream time starts now: sources registered before any
-                    # data begin their idle-timeout silence at the first record
-                    for other in sources.values():
-                        if other.baseline == _NEG_INF:
-                            other.baseline = timestamp
+        append = self._pending.append
+        seen = self.records_seen
+        reordered = self.records_reordered
+        late_dropped = self.records_late_dropped
+        max_displacement = self.max_displacement_seen
+        max_seen = self._max_seen
+        min_pending = self._min_pending
+        floor = self._watermark_floor
+        min_clock = self._min_clock
+        try:
+            for record in records:
+                key = record.source_id
+                if key is None:
+                    key = DEFAULT_SOURCE
+                state = sources.get(key)
+                if state is None:
+                    state = sources[key] = _SourceState()
+                    min_clock = _NEG_INF  # the newcomer's clock
+                seen += 1
+                state.records_seen += 1
+                timestamp = record.timestamp
+                # global displacement keeps the single-buffer counter semantics
+                displacement = max_seen - timestamp
+                if displacement > max_displacement:
+                    max_displacement = displacement
+                own_clock = state.max_seen
+                if timestamp < own_clock:
+                    if own_clock - timestamp > state.max_displacement_seen:
+                        state.max_displacement_seen = own_clock - timestamp
+                if max_seen == _NEG_INF:
+                    late = timestamp < floor
+                else:
+                    if cached:
+                        clock = min_clock
+                        if clock is None:
+                            clock = min_clock = min([source.max_seen for source in sources.values()])
+                    else:
+                        clock = self._active_min_clock(max_seen)
+                    if clock is None:
+                        late = timestamp < floor
+                    else:
+                        raw = clock - lateness
+                        late = clock - timestamp > lateness
+                        if raw > floor:
+                            floor = raw
+                        elif not late and floor > raw and timestamp < floor:
+                            late = True
+                if timestamp > own_clock:
+                    if own_clock == min_clock:
+                        min_clock = None  # the source holding the minimum advanced
+                    state.max_seen = timestamp
+                if late:
+                    state.records_late += 1
+                    late_dropped += 1
+                    continue
+                if timestamp < max_seen:
+                    reordered += 1
+                if timestamp < own_clock:
+                    state.records_reordered += 1
+                append(record)
+                if timestamp < min_pending:
+                    min_pending = timestamp
+                if timestamp > max_seen:
+                    if max_seen == _NEG_INF:
+                        # stream time starts now: sources registered before any
+                        # data begin their idle-timeout silence at the first record
+                        for other in sources.values():
+                            if other.baseline == _NEG_INF:
+                                other.baseline = timestamp
+                    max_seen = timestamp
+        finally:
+            self.records_seen = seen
+            self.records_reordered = reordered
+            self.records_late_dropped = late_dropped
+            self.max_displacement_seen = max_displacement
+            self._max_seen = max_seen
+            self._min_pending = min_pending
+            self._watermark_floor = floor
+            self._min_clock = min_clock
 
     # ------------------------------------------------------------------
     # introspection / persistence
@@ -344,7 +376,11 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         data = super().stats()
         data["kind"] = "multisource"
         data["idle_timeout"] = self.idle_timeout
-        idle = [key for key, state in self._sources.items() if self._is_idle(state)]
+        idle = [
+            key
+            for key, state in self._sources.items()
+            if _idle(state, self._max_seen, self.idle_timeout)
+        ]
         data["source_count"] = len(self._sources)
         data["idle_sources"] = idle
         data["sources"] = {

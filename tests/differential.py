@@ -27,6 +27,9 @@ the conformance suite (``tests/test_reference_conformance.py``) drives:
   compiled predicate tables), and the suite asserts the differential
   REJECTS the faulty engine.  A harness that cannot catch the bugs it
   exists for proves nothing.
+* :func:`mutant_admit` -- the multi-source reorder buffer's admission loop
+  recompiled with source edits: the loop keeps its state in locals, so its
+  meta-tests' faults cannot be patched in from outside.
 * :func:`assert_statistics_describe_the_window` — the statistics-side
   invariant every stream shape must leave behind: the planner's summary
   equals a from-scratch one (quadratic wedge census included) over the
@@ -42,7 +45,9 @@ Everything here is deterministic: same records + same config = same
 canonical event list, byte for byte.
 """
 
+import inspect
 import random
+import textwrap
 
 from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
     canonical,
@@ -67,6 +72,7 @@ from repro.query.builder import QueryBuilder
 from repro.query.compile import _never
 from repro.query.predicates import And, AttrCompare, AttrIn, AttrRange
 from repro.stats import GraphSummary
+from repro.streaming import sources as sources_module
 from repro.streaming.edge_stream import StreamEdge
 
 #: Records per process_batch call -- matches the sharded-conformance suite.
@@ -303,8 +309,8 @@ class ProbedReferenceEngine(StreamWorksEngine):
         The dispatch index is probed afresh for this one edge: only the
         (query, leaf) pairs it names are searched.
         """
-        source_label = self._endpoint_label(edge.source)
-        target_label = self._endpoint_label(edge.target)
+        source_label = self.graph.graph.vertex_label(edge.source)
+        target_label = self.graph.graph.vertex_label(edge.target)
         for owner, leaf_ids in self.dispatch.candidates(edge.label, source_label, target_label):
             registration = self.queries[owner]
             matcher = registration.matcher
@@ -443,3 +449,18 @@ def sabotage_recompile(engine):
         return registration
 
     engine._replan = patched
+
+
+def mutant_admit(*edits):
+    """``MultiSourceReorderBuffer._admit`` recompiled with ``(old, new)`` source edits.
+
+    Each ``old`` must occur exactly once in the method's source, so a
+    mutant never silently stops applying when the loop changes.
+    """
+    source = textwrap.dedent(inspect.getsource(sources_module.MultiSourceReorderBuffer._admit))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(compile(source, "<mutant _admit>", "exec"), vars(sources_module), namespace)
+    return namespace["_admit"]

@@ -196,9 +196,9 @@ class TestDispatchEquivalence:
         engine.process_edge("a", "b", "unknown_label", 1.0)
         # only the query with a wildcard edge label can bind the edge; every
         # label-bound matcher is skipped entirely
-        for name, registration in engine.queries.items():
+        for name, stats in engine.metrics()["queries"].items():
             expected = 1 if name == "wild" else 0
-            assert registration.matcher.stats.edges_processed == expected
+            assert stats["edges_processed"] == expected
         assert engine.edges_processed == 1
 
     def test_dispatch_stats_exposed_in_metrics(self):

@@ -1,12 +1,14 @@
 """One way in: every ingest entry point is a batch through one front.
 
 ``process_record(r)`` is ``process_batch([r])`` minus the batch count, on
-both engines; a buffer's releases and ``flush`` reach the same run loop;
-and the replan cadence is counted once per batch whichever entry point
-made it.
+both engines; a buffer's releases and ``flush`` reach the same run loop,
+each as one ordered run; the replan cadence is counted once per batch
+whichever entry point made it; and a batch that raises stops the
+throughput meter.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -19,8 +21,12 @@ from test_sharded_conformance import (
     rmat_queries,
 )
 
+from repro.core import engine as engine_module
+from repro.core import sharded as sharded_module
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
+from repro.query.builder import QueryBuilder
+from repro.query.predicates import CustomPredicate
 from repro.streaming.edge_stream import StreamEdge
 
 
@@ -242,6 +248,51 @@ class TestEveryEntryPointRunsTheFastPath:
         buffered.flush()  # releases t=12
         assert [record.timestamp for record in ran] == [5.0, 10.0, 12.0]
         assert buffered.metrics()["reorder"]["records_late_dropped"] == 1
+
+
+@pytest.mark.parametrize("layout", ["single", "sharded"])
+def test_a_buffer_release_is_one_run_not_rescanned_for_inversions(layout, monkeypatch):
+    # the engine the front feeds: the single engine, or the sharded parent
+    module = engine_module if layout == "single" else sharded_module
+    scanned = []
+    split = module.ordered_run_slices
+    monkeypatch.setattr(
+        module, "ordered_run_slices", lambda records: scanned.append(len(records)) or split(records)
+    )
+    buffered = build(chain_specs, layout, allowed_lateness=1.0)
+    for timestamp in (5.0, 4.5, 10.0, 9.0, 12.0):
+        buffered.process_record(StreamEdge("a", "b", "rel_a", timestamp))
+    buffered.flush()
+    assert buffered.edges_processed == 5 and scanned == []
+    direct = build(chain_specs, layout)
+    direct.process_batch([StreamEdge("a", "b", "rel_a", t) for t in (5.0, 4.5, 10.0)])
+    assert scanned and scanned[0] == 3
+
+
+def exploding_specs():
+    def explode(attrs):
+        if attrs.get("boom"):
+            raise RuntimeError("boom")
+        return True
+
+    query = (
+        QueryBuilder("boom").vertex("u").vertex("v")
+        .edge("u", "v", "rel_a", predicate=CustomPredicate(explode)).build()
+    )
+    return [("boom", query, 5.0)]
+
+
+@pytest.mark.parametrize("layout", ["single", "sharded"])
+def test_a_batch_that_raises_stops_the_throughput_meter(layout):
+    engine = build(exploding_specs, layout)
+    engine.process_batch([StreamEdge("a", "b", "rel_a", 1.0)])
+    with pytest.raises(RuntimeError):
+        engine.process_batch([StreamEdge("b", "c", "rel_a", 2.0, {"boom": True})])
+    before = engine.metrics()["throughput"]
+    time.sleep(0.05)  # idle: no processing time may accrue
+    after = engine.metrics()["throughput"]
+    assert after["elapsed_s"] == before["elapsed_s"] < 0.05
+    assert after["items"] == 1  # the batch that raised is not counted as processed
 
 
 class TestReplanCadenceParity:

@@ -20,7 +20,11 @@ Covers the multi-source subsystem end to end:
   horizon, and an idle timeout that keeps a silent collector's held tail
   bounded;
 * checkpoint/restore of the multi-source buffer, including a snapshot from
-  before it existed.
+  before it existed;
+* the admission loop against the one it replaced (kept here as
+  :class:`LoopReference`): releases, the watermark after every offer,
+  ``stats()`` and ``state_dict()`` agree exactly under random multi-source
+  streams, and a loop that forgets to write its watermark floor back fails.
 """
 
 from __future__ import annotations
@@ -28,8 +32,10 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
+
+from differential import mutant_admit
 
 from repro.core import (
     EngineConfig,
@@ -47,8 +53,10 @@ from repro.streaming import (
     split_by_source,
     tag_sources,
 )
+from repro.streaming.sources import DEFAULT_SOURCE, _idle, _SourceState
 
 SUPPRESS = [HealthCheck.too_slow]
+_NEG_INF = float("-inf")
 
 
 def edge(ts, source="a", target="b", label="rel_a", source_id=None):
@@ -756,3 +764,173 @@ class TestMultiSourceCheckpointRestore:
         assert [r.to_dict() for r in buffer.flush()] == [
             r.to_dict() for r in restored.flush()
         ]
+
+
+# ----------------------------------------------------------------------
+# the admission loop against the loop it replaced
+# ----------------------------------------------------------------------
+class LoopReference(MultiSourceReorderBuffer):
+    """The admission loop and watermark before the loop kept its state in locals.
+
+    Every counter and clock is read and written on the buffer per record,
+    the least clock is rebuilt by a generator, and the watermark is derived
+    from every source on each read.
+    """
+
+    def _reference_min_clock(self):
+        clocks = [
+            state.max_seen
+            for state in self._sources.values()
+            if not _idle(state, self._max_seen, self.idle_timeout)
+        ]
+        return min(clocks) if clocks else None
+
+    @property
+    def watermark(self):
+        clock = self._reference_min_clock() if self._max_seen != _NEG_INF else None
+        raw = _NEG_INF if clock is None else clock - self.allowed_lateness
+        if raw > self._watermark_floor:
+            self._watermark_floor = raw
+        return self._watermark_floor
+
+    def _reference_floor(self, raw, late, timestamp):
+        if raw > self._watermark_floor:
+            self._watermark_floor = raw
+        if not late and self._watermark_floor > raw and timestamp < self._watermark_floor:
+            late = True
+        return late
+
+    def _admit(self, records):
+        sources = self._sources
+        cached = self.idle_timeout is None
+        lateness = self.allowed_lateness
+        pending = self._pending
+        for record in records:
+            key = record.source_id if record.source_id is not None else DEFAULT_SOURCE
+            state = sources.get(key)
+            if state is None:
+                state = sources[key] = _SourceState()
+                self._min_clock = _NEG_INF
+            self.records_seen += 1
+            state.records_seen += 1
+            timestamp = record.timestamp
+            displacement = self._max_seen - timestamp
+            if displacement > self.max_displacement_seen:
+                self.max_displacement_seen = displacement
+            own_displacement = state.max_seen - timestamp
+            if own_displacement < 0.0:
+                own_displacement = 0.0
+            if own_displacement > state.max_displacement_seen:
+                state.max_displacement_seen = own_displacement
+            if cached:
+                clock = self._min_clock
+                if clock is None:
+                    clock = self._min_clock = min(source.max_seen for source in sources.values())
+            else:
+                clock = self._reference_min_clock()
+            if clock is None or self._max_seen == _NEG_INF:
+                raw, late = _NEG_INF, False
+            else:
+                raw, late = clock - lateness, clock - timestamp > lateness
+            late = self._reference_floor(raw, late, timestamp)
+            if timestamp > state.max_seen:
+                if state.max_seen == self._min_clock:
+                    self._min_clock = None
+                state.max_seen = timestamp
+            if late:
+                state.records_late += 1
+                self.records_late_dropped += 1
+                continue
+            if displacement > 0:
+                self.records_reordered += 1
+            if own_displacement > 0:
+                state.records_reordered += 1
+            pending.append(record)
+            if timestamp < self._min_pending:
+                self._min_pending = timestamp
+            if timestamp > self._max_seen:
+                first_data = self._max_seen == _NEG_INF
+                self._max_seen = timestamp
+                if first_data:
+                    for other in sources.values():
+                        if other.baseline == _NEG_INF:
+                            other.baseline = timestamp
+
+
+class NoFloorWriteBack(MultiSourceReorderBuffer):
+    """Mutant: the loop raises its floor in a local and never writes it back."""
+
+    _admit = mutant_admit(("self._watermark_floor = floor", "pass"))
+
+
+LOOP_SOURCES = [None, "s1", "s2", "s3"]
+
+
+@st.composite
+def loop_cases(draw):
+    """Sources registered before data, after some batches, or never; random cuts."""
+    sources = draw(st.lists(st.sampled_from(LOOP_SOURCES), min_size=1, max_size=4, unique=True))
+    # per source: register before data (0), before batch k (k >= 1), or never (None)
+    register_at = {
+        source: draw(st.one_of(st.none(), st.integers(0, 4))) for source in sources
+    }
+    settings_ = dict(
+        allowed_lateness=draw(st.sampled_from([0.0, 0.25, 1.0])),
+        idle_timeout=draw(st.sampled_from([None, 0.5, 2.0])),
+    )
+    clocks = {source: draw(st.integers(0, 8)) for source in sources}
+    records = []
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(sources), st.integers(0, 4), st.integers(0, 14)),
+        min_size=1, max_size=60,
+    ))
+    for position, (source, advance, back) in enumerate(steps):
+        clocks[source] += advance
+        # back > 8 is a straggler far behind its own source's clock
+        timestamp = max(clocks[source] - (back if back > 8 else max(back - 5, 0)), 0) * 0.25
+        records.append(StreamEdge("a", f"b{position}", "rel", timestamp, source_id=source))
+    cuts = draw(st.lists(st.sampled_from([1, 1, 2, 3, 5, 8, 13, 60]), min_size=1, max_size=12))
+    drains = draw(st.lists(st.booleans(), min_size=len(cuts), max_size=len(cuts)))
+    return register_at, settings_, records, cuts, drains
+
+
+def assert_loop_matches_reference(case, buffer_cls):
+    register_at, settings_, records, cuts, drains = case
+    buffer, reference = buffer_cls(**settings_), LoopReference(**settings_)
+    position, batch = 0, 0
+    while position < len(records):
+        for source, at in register_at.items():
+            if at == batch:
+                buffer.register_source(source)
+                reference.register_source(source)
+        size = cuts[batch % len(cuts)]
+        chunk = records[position : position + size]
+        buffer.offer_all(chunk)
+        reference.offer_all(chunk)
+        assert buffer.watermark == reference.watermark
+        if drains[batch % len(drains)]:
+            assert [id(r) for r in buffer.drain_ready()] == [id(r) for r in reference.drain_ready()]
+        assert buffer.stats() == reference.stats()
+        assert buffer.state_dict() == reference.state_dict()
+        position += size
+        batch += 1
+    assert [id(r) for r in buffer.flush()] == [id(r) for r in reference.flush()]
+    assert buffer.stats() == reference.stats()
+    assert buffer.state_dict() == reference.state_dict()
+
+
+class TestAdmissionLoopDifferential:
+    @settings(max_examples=300, deadline=None, suppress_health_check=SUPPRESS)
+    @given(loop_cases())
+    def test_the_loop_admits_as_the_loop_it_replaced(self, case):
+        assert_loop_matches_reference(case, MultiSourceReorderBuffer)
+
+    def test_a_loop_that_drops_its_floor_write_back_fails_the_property(self):
+        # no shrinking: the meta-test needs a failure, not the smallest one
+        mutated = settings(
+            max_examples=300, deadline=None, derandomize=True, database=None,
+            report_multiple_bugs=False, suppress_health_check=list(HealthCheck),
+            phases=[Phase.generate],
+        )(given(loop_cases())(lambda case: assert_loop_matches_reference(case, NoFloorWriteBack)))
+        with pytest.raises(AssertionError):
+            mutated()

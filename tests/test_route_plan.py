@@ -825,9 +825,31 @@ def test_a_run_that_raises_still_settles_its_plan_tallies():
     with pytest.raises(RuntimeError):
         engine.process_batch(records_for([{"x": 1}, {"boom": True}, {"x": 1}]))
     assert all(plan.uses == 0 for plan in engine.dispatch.plans.values())
-    assert all(owner.searched == 0
-               for plan in engine.dispatch.plans.values() for owner in plan.owners)
+
+    def visits():
+        return {name: stats["edges_processed"] for name, stats in engine.metrics()["queries"].items()}
+
+    # each routed record is one visit of every owner, searched or pruned: the
+    # two clean records and the two routed before the raise
+    assert visits() == {"q0": 4, "q1": 4}
     assert engine.dispatch.lookups == 4  # two clean records + the two that were routed
+    engine.process_batch(records_for([{"x": 9}]))
+    assert visits() == {"q0": 5, "q1": 5}
+
+
+def test_a_snapshot_carries_the_visits_its_route_plans_pruned(tmp_path):
+    """A run settles only its dispatch counters; the pruned owner visits its
+    plans stand for are replayed when the engine is snapshotted, so a
+    restored engine (which starts with no plans) reads the same counts."""
+    engine = fresh_engine(build_queries([[band(0)], [band(4)]]))
+    engine.process_batch(records_for([{"x": 1}, {"x": 5}]))  # one band each
+    path = str(tmp_path / "visits.snap")
+    engine.checkpoint(path)
+    restored = StreamWorksEngine.restore(path)
+    counts = {name: stats["edges_processed"] for name, stats in restored.metrics()["queries"].items()}
+    # every routed record is one visit of each owner, searched or pruned
+    assert counts == {"q0": 2, "q1": 2}
+    assert restored.metrics()["queries"] == engine.metrics()["queries"]
 
 
 # ----------------------------------------------------------------------

@@ -9,9 +9,12 @@ that does the work the old way:
   holding a partial expired at the run's stream clock.  The work pin counts the
   ``expire_partials`` calls per run against a brute-force count of such
   matchers, over disordered streams (watermark-released runs, and
-  unbuffered runs with late records) and mixed windows; the partials dropped per run equal those of an engine
-  that sweeps every matcher; and restoring the every-non-idle sweep fails
-  the pin.
+  unbuffered runs with late records) and mixed windows, also across a
+  checkpoint -> restore and a replan that rebuilds a tree; the partials
+  dropped per run equal those of an engine that sweeps every matcher, also
+  after an unregister; and restoring the every-non-idle sweep fails the
+  pin.  A sweep visits only the due-queues' heads: its window tests do not
+  grow with queries that never bind, which the scan over every query fails.
 * **The bulk cold gate** -- label-rejected records go to the cold ring in
   bulk, plan-rejected ones from the per-record loop, and the ring stays in
   stream order across both kinds; the gate's vertex-check verdict is cached
@@ -23,7 +26,7 @@ that does the work the old way:
   per-record admission the loop replaced (kept here as the reference):
   releases, ``stats()`` and ``state_dict()`` agree under random streams
   and batchings.  Classifying a batch against the watermark
-  it started from fails that property.
+  it started from (a source-level mutant of the loop) fails that property.
 """
 
 from __future__ import annotations
@@ -32,10 +35,10 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from differential import BAND_WINDOW, HOT, band_query, chain_query
+from differential import BAND_WINDOW, HOT, band_query, banded_records, chain_query, mutant_admit
 
 from repro.core import engine as engine_module
 from repro.core import matcher as matcher_module
@@ -43,10 +46,11 @@ from repro.core.decomposition import Strategy
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.matcher import ContinuousQueryMatcher
 from repro.core.sjtree import EARLIEST, LATEST, SJTreeNode
+from repro.graph.window import TimeWindow
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import AttrEquals
 from repro.streaming import MultiSourceReorderBuffer, StreamEdge
-from repro.streaming.sources import DEFAULT_SOURCE, _SourceState
+from repro.streaming.sources import DEFAULT_SOURCE, _idle, _SourceState
 
 _NEG_INF = float("-inf")
 
@@ -124,9 +128,31 @@ FEEDS = {
 }
 
 
-def sweep_log(engine_cls, feed, batch=9):
+def restore_midway(engine, tmp_path):
+    path = str(tmp_path / "midway.snap")
+    engine.checkpoint(path)
+    return StreamWorksEngine.restore(path)
+
+
+def replan_midway(engine, tmp_path):
+    """Replan every query onto edge-by-edge trees; at least one is rebuilt."""
+    versions = {name: registration.plan_version for name, registration in engine.queries.items()}
+    for name in engine.queries:
+        engine.replan_query(name, strategy=Strategy.EDGE_BY_EDGE)
+    assert any(
+        registration.plan_version > versions[name] for name, registration in engine.queries.items()
+    )
+    return engine
+
+
+#: What happens to the engine halfway through the stream.
+MIDWAY = {"none": None, "restore": restore_midway, "replan": replan_midway}
+
+
+def sweep_log(engine_cls, feed, batch=9, midway=None, tmp_path=None):
     """Run the stream; per run, ``(expire_partials calls, matchers due,
-    partials dropped, matchers storing a partial)``."""
+    partials dropped, matchers storing a partial)``.  ``midway`` maps the
+    engine to the one that runs the second half of the stream."""
     engine = engine_cls(config=EngineConfig(**FEEDS[feed]))
     for name, query, window in sweep_specs():
         engine.register_query(query, name=name, window=window)
@@ -157,6 +183,8 @@ def sweep_log(engine_cls, feed, batch=9):
         patch.setattr(ContinuousQueryMatcher, "expire_partials", counted_expire)
         patch.setattr(StreamWorksEngine, "_run_fast_path", logged_run)
         for start in range(0, len(records), batch):
+            if midway is not None and start == batch * (len(records) // batch // 2):
+                engine = midway(engine, tmp_path)
             engine.process_batch(records[start : start + batch])
         engine.flush()
     return log, engine
@@ -166,13 +194,16 @@ def events_of(engine):
     return [(e.query_name, e.match.portable_identity(), e.trigger_index) for e in engine.events()]
 
 
+@pytest.mark.parametrize("midway", sorted(MIDWAY))
 @pytest.mark.parametrize("feed", sorted(FEEDS))
-def test_a_run_sweeps_exactly_the_matchers_holding_an_expired_partial(feed):
-    log, engine = sweep_log(StreamWorksEngine, feed)
+def test_a_run_sweeps_exactly_the_matchers_holding_an_expired_partial(feed, midway, tmp_path):
+    log, engine = sweep_log(StreamWorksEngine, feed, midway=MIDWAY[midway], tmp_path=tmp_path)
     assert [calls for calls, _, _, _ in log] == [due for _, due, _, _ in log]
     swept = sum(due for _, due, _, _ in log)
     storing = sum(non_idle for _, _, _, non_idle in log)
     assert swept > 0
+    if midway != "none":
+        return  # the shares below describe the registration plans' partials
     if feed == "reordered":
         assert engine.reorder.records_late_dropped > 0
         # a released run spans more stream time than a batch's ordered run,
@@ -203,7 +234,8 @@ def test_the_sweep_pin_fails_against_the_every_non_idle_sweep(monkeypatch):
 
 
 def test_next_expiry_is_the_earliest_stored_partial_after_restore_and_replan(tmp_path):
-    """The due test's input is derived state: restore and replan rebuild it."""
+    """The due test's input is derived state: restore and replan rebuild it,
+    and the due-queues hold every matcher storing a partial at it."""
     engine = StreamWorksEngine(config=EngineConfig())
     for name, query, window in sweep_specs():
         engine.register_query(query, name=name, window=window)
@@ -214,18 +246,122 @@ def test_next_expiry_is_the_earliest_stored_partial_after_restore_and_replan(tmp
         stored = [p[EARLIEST] for node in matcher.tree.nodes.values() for p in node.partials()]
         return min(stored, default=float("inf"))
 
+    def queued(candidate):
+        candidate.expire_all_partials(candidate.graph.current_time)  # rebuilds stale queues
+        return {
+            (id(matcher), timestamp)
+            for queue in candidate.sweeps.queues.values()
+            for timestamp, _, matcher in queue._heap
+        }
+
     path = str(tmp_path / "due.snap")
     engine.checkpoint(path)
     restored = StreamWorksEngine.restore(path)
-    engine.replan_all()
+    replan_midway(engine, tmp_path)
     for candidate in (engine, restored):
         matchers = [registration.matcher for registration in candidate.queries.values()]
         assert any(not matcher.idle for matcher in matchers)
+        entries = queued(candidate)
         for matcher in matchers:
             assert matcher.next_expiry == earliest(matcher)
+            if matcher.window.bounded and not matcher.idle:
+                assert (id(matcher), matcher.next_expiry) in entries
     for candidate in (engine, restored):
         candidate.process_batch(records[150:])
     assert events_of(engine)[-5:] == events_of(restored)[-5:]
+
+
+def test_unregistering_a_query_with_due_partials_leaves_no_stale_sweep():
+    """The unregistered matcher is never swept again, and every other one
+    drops what the every-matcher sweep drops."""
+    records = sweep_records()
+    cut = len(records) // 2
+    engines = []
+    chosen = None
+    for engine_cls in (StreamWorksEngine, EveryMatcherSweep):
+        engine = engine_cls(config=EngineConfig(**FEEDS["runs"]))
+        for name, query, window in sweep_specs():
+            engine.register_query(query, name=name, window=window)
+        for start in range(0, cut, 9):
+            engine.process_batch(records[start : min(start + 9, cut)])
+        if chosen is None:
+            # a bounded query holding partials, which fall due after the cut
+            chosen = next(
+                name for name, registration in engine.queries.items()
+                if registration.window.bounded and not registration.matcher.idle
+            )
+        gone = engine.queries[chosen].matcher
+        assert not gone.idle
+        expired_at_unregister = gone.stats.partial_matches_expired
+        engine.unregister_query(chosen)
+        for start in range(cut, len(records), 9):
+            engine.process_batch(records[start : start + 9])
+        assert gone.stats.partial_matches_expired == expired_at_unregister
+        engines.append(engine)
+    engine, reference = engines
+    assert {
+        name: stats["partial_matches_expired"] for name, stats in engine.metrics()["queries"].items()
+    } == {
+        name: stats["partial_matches_expired"]
+        for name, stats in reference.metrics()["queries"].items()
+    }
+    assert partials_expired(engine) > 0
+    assert events_of(engine) == events_of(reference) != []
+
+
+def every_query_scan(self, now):
+    """The sweep before the due-queues: one ``expiry_due`` test per registered query."""
+    dropped = 0
+    for registration in self.queries.values():
+        if registration.matcher.expiry_due(now):
+            dropped += registration.matcher.expire_partials(now)
+    return dropped
+
+
+def window_tests_per_run(idle_queries, sweep=None):
+    """Per run, the ``TimeWindow.is_expired`` calls its expiry sweep made."""
+    engine = StreamWorksEngine(config=EngineConfig(allowed_lateness=0.05))
+    for index in range(4):
+        engine.register_query(band_query(index), window=BAND_WINDOW)
+    for index in range(idle_queries):
+        # its labels never occur in the stream, so it never stores a partial
+        engine.register_query(
+            chain_query(f"idle{index}", [f"never{index}", f"nowhere{index}"]),
+            name=f"idle{index}", window=BAND_WINDOW * (1 + index % 3),
+        )
+    tests = []
+    is_expired = TimeWindow.is_expired
+    sweep = sweep or StreamWorksEngine.expire_all_partials
+
+    def counted_is_expired(window, timestamp, now):
+        tests[-1] += 1
+        return is_expired(window, timestamp, now)
+
+    def counted_sweep(self, now):
+        tests.append(0)
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(TimeWindow, "is_expired", counted_is_expired)
+            return sweep(self, now)
+
+    records = banded_records(1500, 4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(StreamWorksEngine, "expire_all_partials", counted_sweep)
+        for start in range(0, len(records), 32):
+            engine.process_batch(records[start : start + 32])
+        engine.flush()
+    assert partials_expired(engine) > 0
+    return tests
+
+
+def test_queries_that_never_bind_cost_a_sweep_no_window_test():
+    banded = window_tests_per_run(0)
+    assert sum(banded) > 0
+    assert window_tests_per_run(32) == banded
+
+
+def test_the_idle_query_pin_fails_against_the_every_query_scan():
+    """Mutation: one ``expiry_due`` test per registered query grows with them."""
+    assert window_tests_per_run(32, every_query_scan) != window_tests_per_run(0, every_query_scan)
 
 
 # ----------------------------------------------------------------------
@@ -479,13 +615,20 @@ class PerRecordReference(MultiSourceReorderBuffer):
         for record in records:
             self._offer_one(record)
 
+    @property
+    def watermark(self):
+        raw = self._raw_reference()
+        if raw > self._watermark_floor:
+            self._watermark_floor = raw
+        return self._watermark_floor
+
     def _raw_reference(self):
         if not self._sources or self._max_seen == _NEG_INF:
             return _NEG_INF
         horizon = float("inf")
         any_active = False
         for state in self._sources.values():
-            if self._is_idle(state):
+            if _idle(state, self._max_seen, self.idle_timeout):
                 continue
             any_active = True
             candidate = state.max_seen - self.allowed_lateness
@@ -502,7 +645,7 @@ class PerRecordReference(MultiSourceReorderBuffer):
             any_active = False
             late = True
             for state in self._sources.values():
-                if self._is_idle(state):
+                if _idle(state, self._max_seen, self.idle_timeout):
                     continue
                 any_active = True
                 if not state.max_seen - timestamp > self.allowed_lateness:
@@ -557,25 +700,10 @@ class BatchStartClock(MultiSourceReorderBuffer):
     """Mutant: the minimum source clock is read once per batch, so a batch
     is classified against the watermark it started from."""
 
-    _in_batch = False
-
-    @property
-    def _min_clock(self):
-        return self.__dict__["frozen_clock"]
-
-    @_min_clock.setter
-    def _min_clock(self, value):
-        if value is None and self._in_batch:
-            return  # the holder advanced mid-batch: ignored
-        self.__dict__["frozen_clock"] = value
-
-    def _admit(self, records):
-        self._in_batch = True
-        try:
-            super()._admit(records)
-        finally:
-            self._in_batch = False
-            self._min_clock = None
+    _admit = mutant_admit(
+        ("min_clock = None  # the source holding the minimum advanced", "pass"),
+        ("self._min_clock = min_clock", "self._min_clock = None"),
+    )
 
 
 SOURCE_IDS = [None, "s1", "s2", "s3"]
@@ -644,8 +772,10 @@ def test_batch_admission_equals_per_record_admission(case):
 
 def test_classifying_against_the_batch_start_watermark_fails_the_property():
     """Mutation: a batch classified against the watermark it started from."""
+    # no shrinking: the meta-test needs a failure, not the smallest one
     mutated = settings(max_examples=300, deadline=None, derandomize=True, database=None,
-                       report_multiple_bugs=False, suppress_health_check=list(HealthCheck))(
+                       report_multiple_bugs=False, suppress_health_check=list(HealthCheck),
+                       phases=[Phase.generate])(
         given(admission_cases())(
             lambda case: assert_batch_admission_matches(case, BatchStartClock)
         )
