@@ -11,10 +11,12 @@ that violate the engine's byte-for-byte determinism contract:
 
 This package catches those classes (and their relatives: unseeded RNG,
 wall-clock reads on the hot path, ``state_dict`` fields that skip
-persistence, ``EngineConfig`` fields that skip ``_CONFIG_FIELDS``) at
-*analysis time* instead of via hypothesis shrinking after the fact.
+persistence, state torn by a mid-update raise, undocumented metrics
+keys) at *analysis time* instead of via hypothesis shrinking after the
+fact.
 
-Run it over a tree::
+Run it over a tree (one full pass: every file is parsed, nothing is
+written)::
 
     PYTHONPATH=src python -m repro.analysis src/repro
 

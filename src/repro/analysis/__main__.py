@@ -2,15 +2,8 @@
 
 Exit status: 0 clean, 1 findings, 2 usage/parse errors -- the same
 convention as the test suite and ``scripts/check_docs.py``, so CI can
-wire it in without adapters.
-
-Caching: the CLI keeps a project-model cache at
-``<root>/.repro-lint-cache.json`` (the root is found by walking up from
-the first analysed path to a ``docs/`` or ``.git`` directory) so a run
-over an unchanged tree parses nothing.  ``--no-cache`` disables it,
-``--cache-path`` relocates it, and ``--changed-only`` additionally
-replays the cached whole-program findings when no file changed at all --
-the mode CI uses for pull-request runs.
+wire it in without adapters.  Every run parses every file and writes
+nothing.
 """
 
 from __future__ import annotations
@@ -18,14 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Optional, Sequence
 
-from .core import AnalysisError, detect_root, run_analysis
+from .core import AnalysisError, run_analysis
 from .rules import ALL_RULES
-
-#: Cache file name, rooted at the repository root (gitignored).
-CACHE_FILENAME = ".repro-lint-cache.json"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -54,25 +43,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="print the rule catalogue and exit",
     )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the project-model cache (always parse everything)",
-    )
-    parser.add_argument(
-        "--cache-path",
-        default=None,
-        help=f"cache file location (default: <root>/{CACHE_FILENAME})",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help=(
-            "only analyse files whose content hash differs from the cache; "
-            "whole-program rules still re-run whenever any model input "
-            "changed, and are replayed from cache when nothing did"
-        ),
-    )
     options = parser.parse_args(argv)
 
     if options.list_rules:
@@ -80,28 +50,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"{rule_class.id}: {rule_class.description}")
         return 0
 
-    cache_path: Optional[Path] = None
-    if not options.no_cache:
-        if options.cache_path is not None:
-            cache_path = Path(options.cache_path)
-        else:
-            root = detect_root(options.paths)
-            if root is not None:
-                cache_path = root / CACHE_FILENAME
-    if options.changed_only and cache_path is None:
-        print(
-            "repro-lint: error: --changed-only needs the cache "
-            "(drop --no-cache or pass --cache-path)",
-            file=sys.stderr,
-        )
-        return 2
-
     try:
-        report = run_analysis(
-            options.paths,
-            cache_path=cache_path,
-            changed_only=options.changed_only,
-        )
+        report = run_analysis(options.paths)
     except AnalysisError as error:
         print(f"repro-lint: error: {error}", file=sys.stderr)
         return 2
@@ -112,13 +62,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for finding in report.findings:
             print(finding.format())
         status = "clean" if report.clean else f"{len(report.findings)} finding(s)"
-        cached = (
-            f" ({report.files_parsed} parsed, rest cached)"
-            if report.files_parsed < report.files_analyzed
-            else ""
-        )
         print(
-            f"repro-lint: {status} -- {report.files_analyzed} files{cached}, "
+            f"repro-lint: {status} -- {report.files_analyzed} files, "
             f"{len(report.rules_run)} rules, {report.duration_seconds:.2f}s"
         )
     return 0 if report.clean else 1

@@ -11,8 +11,7 @@ into the interprocedural facts the whole-program rules consume:
   its caller (a ``raise`` outside any ``try``/``except`` in the node
   itself, or transitively through an unguarded call).
 
-Everything here is derived data: it is rebuilt from summaries on each run
-(cheap -- no parsing) and never cached on disk.
+Everything here is derived data, rebuilt from the summaries on each run.
 """
 
 from __future__ import annotations

@@ -1,28 +1,21 @@
-"""The repro-lint framework: files, suppressions, the incremental rule runner.
+"""The repro-lint framework: files, suppressions, the rule runner.
 
 The moving parts, in the order the runner uses them:
 
 * :class:`SourceFile` -- one parsed module: path, text, AST, and the
   per-line ``# repro-lint: ignore[rule-id]`` suppressions found in it.
 * :class:`~repro.analysis.model.FileSummary` -- the parsed file reduced
-  to the JSON-serializable facts the whole-program rules need (built by
-  :func:`~repro.analysis.model.build_file_summary`, cached on disk by
-  :mod:`repro.analysis.cache` keyed by content hash).
-* :class:`Project` -- one run's view: the files that were actually
-  parsed this run, the repository root, and the
-  :class:`~repro.analysis.model.ProjectModel` covering *every* file
-  (parsed or replayed from cache).  Per-file rules implement
-  ``check_file`` and must be pure functions of the file text (that is
-  what makes their findings cacheable); whole-program rules implement
-  ``check_project`` and read the model.
-* :func:`run_analysis` -- hash every file, parse only cache misses, run
-  per-file rules on what was parsed and replay cached findings for the
-  rest, always rebuild the model indexes (cheap -- no parsing), run the
-  whole-program rules (or, under ``changed_only``, replay their cached
-  findings when the model key proves nothing they can see changed), then
-  apply suppressions and report *unused* suppressions as findings of
-  their own (rule id ``unused-suppression``), so a fixed finding's stale
-  ignore comment fails the run until it is deleted.
+  to the facts the whole-program rules need (built by
+  :func:`~repro.analysis.model.build_file_summary`).
+* :class:`Project` -- one run's view: the parsed files, the repository
+  root, and the :class:`~repro.analysis.model.ProjectModel` built from
+  every file's summary.  Per-file rules implement ``check_file``;
+  whole-program rules implement ``check_project`` and read the model.
+* :func:`run_analysis` -- parse every file, run the per-file rules on
+  each and the whole-program rules once, then apply suppressions and
+  report *unused* suppressions as findings of their own (rule id
+  ``unused-suppression``), so a fixed finding's stale ignore comment
+  fails the run until it is deleted.
 
 Suppressions are line-scoped: the comment must sit on the exact line the
 finding is reported at (for multi-line statements, the line of the
@@ -42,13 +35,7 @@ import tokenize
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .cache import AnalysisCache, model_key, text_hash
-from .model import (
-    FileSummary,
-    ProjectModel,
-    build_file_summary,
-    optional_inner_names,
-)
+from .model import ProjectModel, build_file_summary, optional_inner_names
 
 __all__ = [
     "AnalysisError",
@@ -93,15 +80,6 @@ class Finding:
             "line": self.line,
             "message": self.message,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "Finding":
-        return cls(
-            str(payload["rule"]),
-            str(payload["path"]),
-            int(payload["line"]),  # type: ignore[call-overload]
-            str(payload["message"]),
-        )
 
     def format(self) -> str:
         """Human one-liner: ``path:line: [rule] message``."""
@@ -150,29 +128,15 @@ class SourceFile:
 
 
 class Project:
-    """One run's view: parsed files, repository root, the whole-tree model.
+    """One run's view: parsed files, repository root, the whole-tree model."""
 
-    ``files`` holds only the files *parsed this run* -- under a warm
-    cache that may be a strict subset of the analysed tree (or empty).
-    Whole-program rules must therefore read :attr:`model`, never iterate
-    ``files``; per-file rules receive each parsed file explicitly.
-    """
-
-    def __init__(
-        self,
-        files: Sequence[SourceFile],
-        root: Optional[Path] = None,
-        model: Optional[ProjectModel] = None,
-    ):
+    def __init__(self, files: Sequence[SourceFile], root: Optional[Path] = None):
         self.files = list(files)
         #: Directory the analysed tree lives under (used to locate ``docs/``
-        #: for the drift rule by walking upward); ``None`` disables checks
-        #: that need the repository layout.
+        #: for the metrics-docs rule); ``None`` disables checks that need
+        #: the repository layout.
         self.root = root
-        #: Summaries for *every* analysed file, parsed or cache-replayed.
-        self.model = model if model is not None else ProjectModel(
-            [build_file_summary(source) for source in self.files]
-        )
+        self.model = ProjectModel([build_file_summary(source) for source in self.files])
 
     @property
     def len_classes(self) -> Set[str]:
@@ -195,11 +159,8 @@ class Project:
 class Rule:
     """Base class: subclass and override ``check_file`` and/or ``check_project``.
 
-    ``check_file`` implementations must be pure functions of the file's
-    text: their findings are cached by content hash and replayed without
-    re-running them.  Anything that reads cross-file state belongs in
-    ``check_project``, which runs (or is cache-replayed as a whole) every
-    run.
+    ``check_file`` sees one file; anything that reads cross-file state
+    belongs in ``check_project``, which runs once per run over the model.
     """
 
     id: str = ""
@@ -221,17 +182,11 @@ class AnalysisReport:
         files_analyzed: int,
         rules_run: Sequence[str],
         duration_seconds: float,
-        files_parsed: Optional[int] = None,
-        cache_hits: Optional[int] = None,
     ):
         self.findings = findings
         self.files_analyzed = files_analyzed
         self.rules_run = list(rules_run)
         self.duration_seconds = duration_seconds
-        #: Files actually parsed this run (< files_analyzed under a warm
-        #: cache); ``None`` when no cache was in play.
-        self.files_parsed = files_analyzed if files_parsed is None else files_parsed
-        self.cache_hits = cache_hits
 
     @property
     def clean(self) -> bool:
@@ -239,18 +194,14 @@ class AnalysisReport:
 
     def to_dict(self) -> Dict[str, object]:
         """Machine-readable report (the ``--format json`` payload)."""
-        payload: Dict[str, object] = {
+        return {
             "clean": self.clean,
             "files_analyzed": self.files_analyzed,
-            "files_parsed": self.files_parsed,
             "rules_run": self.rules_run,
             "duration_seconds": round(self.duration_seconds, 3),
             "finding_count": len(self.findings),
             "findings": [finding.to_dict() for finding in self.findings],
         }
-        if self.cache_hits is not None:
-            payload["cache_hits"] = self.cache_hits
-        return payload
 
 
 def detect_root(paths: Sequence[str]) -> Optional[Path]:
@@ -296,68 +247,17 @@ def collect_files(paths: Sequence[str]) -> List[SourceFile]:
     ]
 
 
-class _FileState:
-    """One analysed file's state for this run: parsed or replayed."""
-
-    __slots__ = ("display_path", "sha", "source", "summary", "findings", "suppressions")
-
-    def __init__(
-        self,
-        display_path: str,
-        sha: str,
-        source: Optional[SourceFile],
-        summary: FileSummary,
-        findings: List[Finding],
-        suppressions: Dict[int, Set[str]],
-    ):
-        self.display_path = display_path
-        self.sha = sha
-        #: ``None`` for cache hits -- the file was never parsed this run.
-        self.source = source
-        self.summary = summary
-        #: Raw (pre-suppression) per-file findings.
-        self.findings = findings
-        self.suppressions = suppressions
-
-
-def _replay_entry(
-    display_path: str, sha: str, entry: Dict[str, object]
-) -> Optional[_FileState]:
-    """Rebuild a :class:`_FileState` from a cache entry; ``None`` if bogus."""
-    try:
-        summary = FileSummary.from_dict(entry["summary"])  # type: ignore[arg-type]
-        findings = [
-            Finding.from_dict(item)  # type: ignore[arg-type]
-            for item in entry["findings"]  # type: ignore[union-attr,index]
-        ]
-        suppressions = {
-            int(line): set(ids)
-            for line, ids in entry["suppressions"].items()  # type: ignore[union-attr,index]
-        }
-    except (KeyError, TypeError, ValueError, AttributeError, IndexError):
-        return None
-    if summary.display_path != display_path:
-        return None  # an entry copied across paths would mislabel findings
-    return _FileState(display_path, sha, None, summary, findings, suppressions)
-
-
 def run_analysis(
     paths: Sequence[str],
     rules: Optional[Sequence[Rule]] = None,
     sources: Optional[Sequence[SourceFile]] = None,
     root: Optional[Path] = None,
-    cache_path: Optional[Path] = None,
-    changed_only: bool = False,
 ) -> AnalysisReport:
     """Run every rule over ``paths`` and return the suppression-filtered report.
 
     ``sources`` bypasses the filesystem (tests hand in synthetic
-    :class:`SourceFile` objects) and disables the cache; ``root``
-    overrides the repository-root guess used to locate ``docs/`` for the
-    drift rule.  ``cache_path`` enables the on-disk cache (the library
-    default is *no* cache -- the CLI opts in); ``changed_only``
-    additionally replays the cached whole-program findings when the model
-    key proves no input of the whole-program rules changed.
+    :class:`SourceFile` objects); ``root`` overrides the repository-root
+    guess used to locate ``docs/`` for the metrics-docs rule.
     """
     from .rules import ALL_RULES
 
@@ -365,151 +265,49 @@ def run_analysis(
     if rules is None:
         rules = [rule_class() for rule_class in ALL_RULES]
     rule_ids = [rule.id for rule in rules]
-
-    cache: Optional[AnalysisCache] = None
-    if cache_path is not None and sources is None:
-        cache = AnalysisCache(cache_path, rule_ids)
-
+    if sources is None:
+        sources = collect_files(paths)
     if root is None:
         root = detect_root(paths)
+    project = Project(sources, root=root)
 
-    # ------------------------------------------------------------------
-    # assemble per-file state: parse misses, replay hits
-    # ------------------------------------------------------------------
-    states: List[_FileState] = []
-    if sources is not None:
-        for source in sources:
-            states.append(
-                _FileState(
-                    source.display_path,
-                    text_hash(source.text),
-                    source,
-                    build_file_summary(source),
-                    [],
-                    dict(source.suppressions),
-                )
-            )
-    else:
-        for path in _expand_paths(paths):
-            display_path = str(path)
-            text = _read_text(path)
-            sha = text_hash(text)
-            state: Optional[_FileState] = None
-            if cache is not None:
-                entry = cache.lookup_file(display_path, sha)
-                if entry is not None:
-                    state = _replay_entry(display_path, sha, entry)
-            if state is not None:
-                states.append(state)
-            else:
-                source = SourceFile(path, display_path, text)
-                states.append(
-                    _FileState(
-                        display_path,
-                        sha,
-                        source,
-                        build_file_summary(source),
-                        [],
-                        dict(source.suppressions),
-                    )
-                )
-
-    parsed = [state.source for state in states if state.source is not None]
-    cache_hits = len(states) - len(parsed)
-    model = ProjectModel([state.summary for state in states])
-    project = Project(parsed, root=root, model=model)
-
-    # ------------------------------------------------------------------
-    # per-file rules on what was parsed; cached findings cover the rest
-    # ------------------------------------------------------------------
-    by_display = {state.display_path: state for state in states}
+    raw: List[Finding] = []
     for rule in rules:
-        for source in parsed:
-            by_display[source.display_path].findings.extend(
-                rule.check_file(source, project)
-            )
-
-    # ------------------------------------------------------------------
-    # whole-program rules: replay under --changed-only, else run
-    # ------------------------------------------------------------------
-    extra_inputs: List[str] = []
-    if root is not None:
-        operations = root / "docs" / "operations.md"
-        if operations.is_file():
-            extra_inputs.append(text_hash(operations.read_text()))
-    project_key = model_key(
-        [(state.display_path, state.sha) for state in states], rule_ids, extra_inputs
-    )
-    project_findings: Optional[List[Finding]] = None
-    if changed_only and cache is not None:
-        cached = cache.lookup_project(project_key)
-        if cached is not None:
-            try:
-                project_findings = [Finding.from_dict(item) for item in cached]
-            except (KeyError, TypeError, ValueError):
-                project_findings = None
-    if project_findings is None:
-        project_findings = []
-        for rule in rules:
-            project_findings.extend(rule.check_project(project))
-
-    # ------------------------------------------------------------------
-    # persist the cache (parsed entries + project findings)
-    # ------------------------------------------------------------------
-    if cache is not None:
-        for state in states:
-            if state.source is None:
-                continue  # the hit entry is already stored
-            cache.store_file(
-                state.display_path,
-                state.sha,
-                state.summary.to_dict(),
-                [finding.to_dict() for finding in state.findings],
-                {str(line): sorted(ids) for line, ids in state.suppressions.items()},
-            )
-        cache.store_project(
-            project_key, [finding.to_dict() for finding in project_findings]
-        )
-        cache.prune([state.display_path for state in states])
-        cache.save()
+        for source in project.files:
+            raw.extend(rule.check_file(source, project))
+        raw.extend(rule.check_project(project))
 
     # ------------------------------------------------------------------
     # suppressions, stale-suppression findings, the report
     # ------------------------------------------------------------------
-    raw: List[Finding] = []
-    for state in states:
-        raw.extend(state.findings)
-    raw.extend(project_findings)
-
+    by_path = {source.display_path: source for source in project.files}
     used: Set[Tuple[str, int, str]] = set()
     findings: List[Finding] = []
     for finding in raw:
-        state_for = by_display.get(finding.path)
-        if state_for is not None and finding.rule in state_for.suppressions.get(
-            finding.line, set()
-        ):
+        source_for = by_path.get(finding.path)
+        if source_for is not None and source_for.is_suppressed(finding.rule, finding.line):
             used.add((finding.path, finding.line, finding.rule))
             continue
         findings.append(finding)
 
     known_ids = set(rule_ids)
-    for state in states:
-        for line, ids in sorted(state.suppressions.items()):
+    for source in project.files:
+        for line, ids in sorted(source.suppressions.items()):
             for rule_id in sorted(ids):
                 if rule_id not in known_ids:
                     findings.append(
                         Finding(
                             UNUSED_SUPPRESSION,
-                            state.display_path,
+                            source.display_path,
                             line,
                             f"suppression names unknown rule {rule_id!r}",
                         )
                     )
-                elif (state.display_path, line, rule_id) not in used:
+                elif (source.display_path, line, rule_id) not in used:
                     findings.append(
                         Finding(
                             UNUSED_SUPPRESSION,
-                            state.display_path,
+                            source.display_path,
                             line,
                             f"suppression for {rule_id!r} matches no finding; delete it",
                         )
@@ -518,9 +316,7 @@ def run_analysis(
     findings.sort(key=lambda finding: (finding.path, finding.line, finding.rule))
     return AnalysisReport(
         findings=findings,
-        files_analyzed=len(states),
+        files_analyzed=len(project.files),
         rules_run=rule_ids,
         duration_seconds=time.perf_counter() - started,
-        files_parsed=len(parsed),
-        cache_hits=cache_hits if cache is not None else None,
     )

@@ -1,7 +1,7 @@
 """Shared doc-parsing helpers for repro-lint and ``scripts/check_docs.py``.
 
-Both the static drift rules (:mod:`repro.analysis.rules.drift`) and the
-runtime docs checker parse the same Markdown structures -- relative
+Both the static metrics-docs rule (:mod:`repro.analysis.rules.drift`) and
+the runtime docs checker parse the same Markdown structures -- relative
 links, GitHub heading anchors, backticked ``repro.*`` symbols and the
 backticked first column of config tables.  The regexes and slug logic
 live here once so the two checkers cannot themselves drift apart.

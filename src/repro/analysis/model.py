@@ -1,17 +1,12 @@
-"""The project model: per-file interprocedural summaries, JSON-cacheable.
+"""The project model: per-file interprocedural summaries.
 
-PR 6's repro-lint rules are per-file and syntactic; the rule classes this
-package grew next (exception-atomicity, config drift, optional
-truthiness) need the *whole program*: who calls whom, which calls can
-raise, which attributes a class persists.  Re-deriving that from every AST on every run
-would blow the tier-1 runtime budget, so the model follows the same
-incremental-maintenance discipline as the engine it checks (small
-per-update work, never a full recompute): each file reduces to a
-:class:`FileSummary` that is a **pure function of the file's text**, and
-:mod:`repro.analysis.cache` stores summaries on disk keyed by content
-hash.  A whole-program run then parses only the files whose hash changed
-and rebuilds the cheap derived indexes (:class:`ProjectModel`,
-:class:`~repro.analysis.callgraph.CallGraph`) from the summaries.
+The per-file repro-lint rules are syntactic; exception-atomicity,
+snapshot coverage and optional truthiness need the *whole program*: who
+calls whom, which calls can raise, which attributes a class persists.
+Each file reduces to a :class:`FileSummary` built in one pass over its
+AST, and the cross-file indexes (:class:`ProjectModel`,
+:class:`~repro.analysis.callgraph.CallGraph`) are derived from the
+summaries.
 
 What a summary records, per method (:class:`MethodSummary`):
 
@@ -33,7 +28,6 @@ from __future__ import annotations
 import ast
 from typing import (
     TYPE_CHECKING,
-    Any,
     Dict,
     Iterator,
     List,
@@ -274,7 +268,7 @@ def module_name_of(path_parts: Sequence[str]) -> str:
 
 
 # ----------------------------------------------------------------------
-# summary containers (plain dicts in, plain dicts out -- JSON-cacheable)
+# summary containers
 # ----------------------------------------------------------------------
 class MethodSummary:
     """Everything the interprocedural rules need to know about one method."""
@@ -299,33 +293,12 @@ class MethodSummary:
         #: ``(key, line)`` dict keys emitted by metrics()/stats() methods.
         self.emitted_keys: List[Tuple[str, int]] = []
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "raises_directly": self.raises_directly,
-            "events": [list(item) for item in self.events],
-            "emitted_keys": [list(item) for item in self.emitted_keys],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "MethodSummary":
-        summary = cls(payload["name"], payload.get("line", 0))
-        summary.raises_directly = bool(payload["raises_directly"])
-        summary.events = [
-            (kind, value, line, bool(in_try), tuple((int(at), arm) for at, arm in path))
-            for kind, value, line, in_try, path in payload["events"]
-        ]
-        summary.emitted_keys = [(key, line) for key, line in payload["emitted_keys"]]
-        return summary
-
-
 class FunctionSummary(MethodSummary):
     """A module-level function: a method summary without a ``self``."""
 
 
 class ClassSummary:
-    """Class-level facts: bases, persistence surface, constructor, methods."""
+    """Class-level facts: bases, persistence surface, ``__init__`` state, methods."""
 
     __slots__ = (
         "name",
@@ -336,8 +309,6 @@ class ClassSummary:
         "has_loader",
         "captured_keys",
         "restored_keys",
-        "init_params",
-        "init_line",
         "init_attrs",
         "methods",
     )
@@ -351,47 +322,9 @@ class ClassSummary:
         self.has_loader = False
         self.captured_keys: List[str] = []
         self.restored_keys: List[str] = []
-        #: ``__init__`` parameter names (config-drift compares these).
-        self.init_params: List[str] = []
-        self.init_line = 0
         #: Stateful ``(attr, line)`` pairs from ``__init__`` (snapshot rule).
         self.init_attrs: List[Tuple[str, int]] = []
         self.methods: Dict[str, MethodSummary] = {}
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "line": self.line,
-            "bases": list(self.bases),
-            "defines_len": self.defines_len,
-            "has_state_dict": self.has_state_dict,
-            "has_loader": self.has_loader,
-            "captured_keys": list(self.captured_keys),
-            "restored_keys": list(self.restored_keys),
-            "init_params": list(self.init_params),
-            "init_line": self.init_line,
-            "init_attrs": [list(item) for item in self.init_attrs],
-            "methods": {name: method.to_dict() for name, method in self.methods.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "ClassSummary":
-        summary = cls(payload["name"], payload.get("line", 0))
-        summary.bases = list(payload["bases"])
-        summary.defines_len = bool(payload["defines_len"])
-        summary.has_state_dict = bool(payload["has_state_dict"])
-        summary.has_loader = bool(payload["has_loader"])
-        summary.captured_keys = list(payload["captured_keys"])
-        summary.restored_keys = list(payload["restored_keys"])
-        summary.init_params = list(payload["init_params"])
-        summary.init_line = int(payload["init_line"])
-        summary.init_attrs = [(attr, line) for attr, line in payload["init_attrs"]]
-        summary.methods = {
-            name: MethodSummary.from_dict(method)
-            for name, method in payload["methods"].items()
-        }
-        return summary
-
 
 class FileSummary:
     """One file's contribution to the project model."""
@@ -400,7 +333,6 @@ class FileSummary:
         "display_path",
         "module",
         "imports",
-        "constants",
         "classes",
         "functions",
         "optional_attrs",
@@ -412,9 +344,6 @@ class FileSummary:
         self.module = module
         #: ``{local name: (module, original name)}`` for project imports.
         self.imports: Dict[str, Tuple[str, str]] = {}
-        #: ``{name: (string elements, line)}`` for module-level tuple/list
-        #: string constants (``_CONFIG_FIELDS`` and friends).
-        self.constants: Dict[str, Tuple[List[str], int]] = {}
         self.classes: Dict[str, ClassSummary] = {}
         self.functions: Dict[str, FunctionSummary] = {}
         #: ``(attr, [Optional inner class names])`` from every annotated
@@ -425,52 +354,6 @@ class FileSummary:
         #: with kind ``attr`` (attribute operand, inner names empty) or
         #: ``param`` (bare parameter operand).
         self.truthiness_sites: List[Tuple[str, str, List[str], str, int]] = []
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "display_path": self.display_path,
-            "module": self.module,
-            "imports": {name: list(target) for name, target in self.imports.items()},
-            "constants": {
-                name: [list(values), line]
-                for name, (values, line) in self.constants.items()
-            },
-            "classes": {name: cls.to_dict() for name, cls in self.classes.items()},
-            "functions": {name: fn.to_dict() for name, fn in self.functions.items()},
-            "optional_attrs": [[attr, list(inner)] for attr, inner in self.optional_attrs],
-            "truthiness_sites": [
-                [kind, name, list(inner), spelled, line]
-                for kind, name, inner, spelled, line in self.truthiness_sites
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "FileSummary":
-        summary = cls(payload["display_path"], payload["module"])
-        summary.imports = {
-            name: (target[0], target[1]) for name, target in payload["imports"].items()
-        }
-        summary.constants = {
-            name: (list(values), line)
-            for name, (values, line) in payload["constants"].items()
-        }
-        summary.classes = {
-            name: ClassSummary.from_dict(item)
-            for name, item in payload["classes"].items()
-        }
-        summary.functions = {
-            name: FunctionSummary.from_dict(item)  # type: ignore[arg-type]
-            for name, item in payload["functions"].items()
-        }
-        summary.optional_attrs = [
-            (attr, list(inner)) for attr, inner in payload["optional_attrs"]
-        ]
-        summary.truthiness_sites = [
-            (kind, name, list(inner), spelled, line)
-            for kind, name, inner, spelled, line in payload["truthiness_sites"]
-        ]
-        return summary
-
 
 # ----------------------------------------------------------------------
 # the summary builder
@@ -593,7 +476,6 @@ def _scan_function(func: ast.AST, summary: MethodSummary, self_name: Optional[st
 
 def _summarize_class(node: ast.ClassDef) -> ClassSummary:
     summary = ClassSummary(node.name, node.lineno)
-    summary.init_line = node.lineno
     for base in node.bases:
         if isinstance(base, ast.Name):
             summary.bases.append(base.id)
@@ -612,15 +494,6 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
         if item.name in LOADER_NAMES and isinstance(item, ast.FunctionDef):
             summary.has_loader = True
             restored |= restored_keys(item)
-        if item.name == "__init__":
-            summary.init_line = item.lineno
-            args = item.args
-            self_name = args.args[0].arg if args.args else "self"
-            summary.init_params = [
-                arg.arg
-                for arg in list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-                if arg.arg != self_name
-            ]
         self_name = item.args.args[0].arg if item.args.args else None
         method = MethodSummary(item.name, item.lineno)
         _scan_function(item, method, self_name)
@@ -632,7 +505,7 @@ def _summarize_class(node: ast.ClassDef) -> ClassSummary:
 
 
 def build_file_summary(source: "SourceFile") -> FileSummary:
-    """Reduce one parsed file to its cacheable :class:`FileSummary`."""
+    """Reduce one parsed file to its :class:`FileSummary`."""
     summary = FileSummary(source.display_path, module_name_of(source.path.parts))
     for node in source.tree.body:
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -645,16 +518,6 @@ def build_file_summary(source: "SourceFile") -> FileSummary:
             elif isinstance(node, ast.Import):
                 for alias in node.names:
                     summary.imports[alias.asname or alias.name] = (alias.name, "*")
-        elif isinstance(node, ast.Assign):
-            if isinstance(node.value, (ast.Tuple, ast.List)):
-                values = [
-                    element.value
-                    for element in node.value.elts
-                    if isinstance(element, ast.Constant) and isinstance(element.value, str)
-                ]
-                for target in node.targets:
-                    if isinstance(target, ast.Name) and values:
-                        summary.constants[target.id] = (values, node.lineno)
         elif isinstance(node, ast.ClassDef):
             summary.classes[node.name] = _summarize_class(node)
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):

@@ -6,8 +6,7 @@ implement it in a module here, import it below, append it to
 ``ALL_RULES``, and give it good/bad fixtures in
 ``tests/fixtures/analysis/``.
 
-Per-file rules (``check_file``) must be pure functions of the file text
--- the cache replays their findings by content hash.  Anything that
+Per-file rules (``check_file``) see one parsed file.  Anything that
 reads another file, the project model or the repository belongs in a
 whole-program rule (``check_project``).
 """
@@ -19,7 +18,7 @@ from .determinism import (
     UnseededRandomRule,
     WallClockRule,
 )
-from .drift import ConfigDriftRule, MetricsDocsRule
+from .drift import MetricsDocsRule
 from .snapshots import SnapshotCoverageRule
 from .truthiness import OptionalTruthinessRule
 
@@ -33,6 +32,5 @@ ALL_RULES = [
     SnapshotCoverageRule,
     OptionalTruthinessRule,
     ExceptionAtomicityRule,
-    ConfigDriftRule,
     MetricsDocsRule,
 ]

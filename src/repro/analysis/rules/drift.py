@@ -1,94 +1,24 @@
-"""Drift rules: config fields vs persistence, metrics keys vs docs.
+"""Drift rule: metrics keys vs docs.
 
-Two registries shadow ``EngineConfig`` and the metrics surfaces, and both
-have historically been updated by hand:
-
-* ``config-drift`` -- ``persistence.state._CONFIG_FIELDS`` lists the
-  config fields a snapshot carries.  A constructor parameter missing
-  from it silently resets to its default on restore (the same failure
-  shape as a missed ``state_dict`` key, one level up); a stale entry
-  crashes ``load`` on old snapshots.  The rule statically compares the
-  ``EngineConfig.__init__`` signature against the tuple literal.
-* ``metrics-docs`` -- ``docs/operations.md`` documents every metrics
-  key.  ``scripts/check_docs.py`` already verifies this at *runtime* by
-  instantiating engines; this rule does it statically from the dict
-  literals inside ``metrics()`` / ``stats()`` methods, so a plain lint
-  run (no engine construction, no workload) catches the drift too, and
-  so the check covers classes the runtime harness never instantiates.
-
-Both are whole-program rules reading the project model: the constant
-tuple contents, ``__init__`` signatures and emitted metrics keys all
-live in the per-file summaries, so neither rule forces unchanged files
-to be re-parsed.  (``metrics-docs`` additionally reads
-``docs/operations.md``; its content hash is part of the cache's project
-key, so a docs edit re-fires the rule too.)
+``metrics-docs`` -- ``docs/operations.md`` documents every metrics key.
+``scripts/check_docs.py`` already verifies this at *runtime* by
+instantiating engines; this rule does it statically from the dict
+literals inside ``metrics()`` / ``stats()`` methods, so a plain lint run
+(no engine construction, no workload) catches the drift too, and so the
+check covers nested keys and classes the runtime harness never reaches.
+It is a whole-program rule: the emitted keys live in the per-file
+summaries, and the rule reads ``docs/operations.md`` once per run.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from ..core import Finding, Project, Rule
 from ..docsync import backticked_terms
 from ..model import FileSummary
 
-__all__ = ["ConfigDriftRule", "MetricsDocsRule"]
-
-
-def _find_constant(
-    project: Project, name: str
-) -> Optional[Tuple[FileSummary, List[str], int]]:
-    """Locate the module-level ``name = (...)`` string tuple, if any file has one."""
-    for summary in project.model.summaries:
-        if name in summary.constants:
-            values, line = summary.constants[name]
-            return summary, values, line
-    return None
-
-
-class ConfigDriftRule(Rule):
-    """Compare ``EngineConfig.__init__`` parameters against ``_CONFIG_FIELDS``."""
-
-    id = "config-drift"
-    description = (
-        "persistence.state._CONFIG_FIELDS must list exactly the EngineConfig "
-        "constructor parameters; a missing field resets to its default on "
-        "restore, a stale one breaks loading"
-    )
-
-    def check_project(self, project: Project) -> Iterable[Finding]:
-        located = _find_constant(project, "_CONFIG_FIELDS")
-        if located is None or "EngineConfig" not in project.model.classes:
-            # nothing to compare against in this tree (e.g. fixture runs)
-            return []
-        fields_summary, values, fields_line = located
-        fields = set(values)
-
-        config_file, config_class = project.model.classes["EngineConfig"]
-        params = set(config_class.init_params)
-
-        findings: List[Finding] = []
-        for missing in sorted(params - fields):
-            findings.append(
-                Finding(
-                    self.id,
-                    fields_summary.display_path,
-                    fields_line,
-                    f"EngineConfig parameter {missing!r} is not in _CONFIG_FIELDS: "
-                    f"it would silently reset to its default on restore",
-                )
-            )
-        for stale in sorted(fields - params):
-            findings.append(
-                Finding(
-                    self.id,
-                    config_file.display_path,
-                    config_class.init_line,
-                    f"_CONFIG_FIELDS lists {stale!r}, which is not an "
-                    f"EngineConfig constructor parameter",
-                )
-            )
-        return findings
+__all__ = ["MetricsDocsRule"]
 
 
 class MetricsDocsRule(Rule):

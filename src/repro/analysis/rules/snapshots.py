@@ -39,9 +39,7 @@ suppressions are errors, the ignore dies with the attribute.
 
 Since the base-class chain can live in *other* files, this runs as a
 whole-program rule over the project model (``ClassSummary.init_attrs``,
-``captured_keys``/``restored_keys`` per chain link); a base-class edit
-re-fires the check for every subclass even when the subclass file's own
-cache entry is warm.
+``captured_keys``/``restored_keys`` per chain link).
 """
 
 from __future__ import annotations

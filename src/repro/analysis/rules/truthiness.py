@@ -19,8 +19,8 @@ y``, ``a if x else b``, ``not x`` -- whose operand is
 
 The candidate sites are extracted into each file's summary at parse time
 (:func:`repro.analysis.model._truthiness_sites`), so this is a
-whole-program rule: it cross-references the cached sites against the
-project-wide indexes without re-parsing unchanged files.
+whole-program rule: it cross-references the recorded sites against the
+project-wide indexes.
 
 The fix is to spell the intent: ``if x is not None:`` (configured?) or
 ``if x is not None and len(x):`` (configured *and* non-empty?).

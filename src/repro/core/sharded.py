@@ -213,6 +213,8 @@ def _execute_sub_batch(engine: StreamWorksEngine, batch: ShardBatch) -> List[Mat
     single engine does.  After its records the shard evicts at the clock
     the whole batch ended at (``batch.end_clock``), so its store enters
     the replan checks and the next batch as the single engine's does.
+    A sub-batch of a sorted parent batch (``batch.ordered``) has one run
+    clock and is sorted itself, so it runs as one run, unscanned.
 
     ``batch.replan_checks`` is the number of selectivity-drift checks the
     parent's *global* cadence (``EngineConfig.replan_check_every`` against
@@ -230,13 +232,13 @@ def _execute_sub_batch(engine: StreamWorksEngine, batch: ShardBatch) -> List[Mat
         if clock <= previous:
             continue
         if position > start:
-            events.extend(engine._run_batch(records[start:position]))
+            events.extend(engine._run_batch(records[start:position], batch.ordered))
         engine.graph.advance_time(clock)
         engine.evict_expired(clock)
         start = position
         previous = clock
     if start < len(records):
-        events.extend(engine._run_batch(records[start:]))
+        events.extend(engine._run_batch(records[start:], batch.ordered))
     engine.graph.advance_time(batch.end_clock)
     engine.evict_expired(batch.end_clock)
     for _ in range(batch.replan_checks):
@@ -605,6 +607,7 @@ class ShardedStreamEngine(IngestFront):
                     run_clock=[run_clock[index - base_index] for index, _ in entries],
                     end_clock=clock,
                     replan_checks=replan_checks,
+                    ordered=ordered,
                 )
                 # the shard's local record base maps its events' trigger
                 # indices back into this sub-batch

@@ -22,9 +22,9 @@ queue from the window store -- and the planning statistics are never
 stored: they are computed from the window store whenever a plan is made.  Two things are deliberately *not*
 captured:
 
-* wall-clock measurements (latency samples, throughput elapsed time) are
-  carried over as recorded but obviously cannot be byte-identical across a
-  crash;
+* wall-clock measurements (the latency recorder and the throughput
+  meter) are process-local: a restored engine starts fresh ones, so two
+  runs of one stream write byte-identical snapshots;
 * ``on_match`` callbacks and custom sinks are arbitrary Python callables --
   the caller re-attaches them after ``restore()`` (the engine-owned
   collector, with its full event history, *is* restored).
@@ -43,6 +43,7 @@ naming the query.
 
 from __future__ import annotations
 
+import inspect
 import logging
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
@@ -66,7 +67,6 @@ from ..stats.plan_monitor import PlanMonitor
 from ..stats.summarizer import StreamSummarizer
 from ..streaming.edge_stream import StreamEdge
 from ..streaming.events import MatchEvent
-from ..streaming.metrics import LatencyRecorder, ThroughputMeter
 from ..streaming.sources import reorder_buffer_from_state
 from .snapshot import SnapshotCorruptError, SnapshotError
 
@@ -88,24 +88,6 @@ ENGINE_KIND = "streamworks-engine"
 SHARDED_KIND = "streamworks-sharded-engine"
 
 _LOG = logging.getLogger("repro.persistence")
-
-#: EngineConfig attributes persisted verbatim (constructor keyword names).
-_CONFIG_FIELDS = (
-    "default_window",
-    "collect_statistics",
-    "track_triads",
-    "dedupe_structural",
-    "plan_strategy",
-    "primitive_size",
-    "record_latency",
-    "replan_threshold",
-    "replan_check_every",
-    "allowed_lateness",
-    "late_policy",
-    "idle_source_timeout",
-    "checkpoint_every",
-    "checkpoint_path",
-)
 
 #: Knobs that earlier versions persisted and that no longer exist; a
 #: snapshot carrying them loads with the key ignored.  A snapshot written
@@ -133,7 +115,14 @@ _RETIRED_CONFIG_FIELDS = (
 # small shared codecs
 # ----------------------------------------------------------------------
 def _config_state(config: EngineConfig) -> Dict[str, Any]:
-    return {name: getattr(config, name) for name in _CONFIG_FIELDS}
+    """Every ``EngineConfig`` constructor parameter, read back under its own name.
+
+    The field list is the constructor's signature, so a new knob is
+    persisted without a second list to keep in step with it.
+    """
+    return {
+        name: getattr(config, name) for name in inspect.signature(EngineConfig).parameters
+    }
 
 
 #: Summarizer fields that earlier versions persisted and that are derivable
@@ -293,6 +282,23 @@ def _event_from_state(state: Mapping[str, Any]) -> MatchEvent:
     )
 
 
+#: Wall-clock meters that earlier versions persisted in the ``counters``
+#: section.  They are process-local now (a restored engine starts fresh
+#: ones), so two runs of one stream write byte-identical snapshots; a
+#: section carrying them loads with them ignored, and logs a warning naming
+#: them.
+_PROCESS_LOCAL_COUNTERS = ("latency", "throughput")
+
+
+def _warn_process_local_meters(counters: Mapping[str, Any]) -> None:
+    meters = [name for name in _PROCESS_LOCAL_COUNTERS if name in counters]
+    if meters:
+        _LOG.warning(
+            "snapshot counters section carries process-local meters, ignored on load: %s",
+            ", ".join(meters),
+        )
+
+
 def _dispatch_counters(dispatch: DispatchIndex) -> Dict[str, int]:
     # Only the counters travel: the index itself is rebuilt by the
     # register() calls the loader replays (same queries, same order).
@@ -353,8 +359,6 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
             "event_time_watermark": engine.event_time_watermark,
             "batches_processed": engine.batches_processed,
             "checkpoint_epoch": engine.checkpoint_epoch,
-            "throughput": engine.throughput.state_dict(),
-            "latency": engine.latency.state_dict(),
             "dispatch": _dispatch_counters(engine.dispatch),
             "plan_monitor": engine.plan_monitor.state_dict(),
             "replan_next_check": engine._next_replan_check,
@@ -431,6 +435,7 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
             for edge in engine.graph.edges():
                 engine.interning.intern(edge.label)
         counters = sections["counters"]
+        _warn_process_local_meters(counters)
         engine._sequence = counters["sequence"]
         engine.edges_processed = counters["edges_processed"]
         engine.records_batched = counters["records_batched"]
@@ -443,8 +448,6 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         engine.event_time_watermark = float(counters["event_time_watermark"])
         engine.batches_processed = counters["batches_processed"]
         engine.checkpoint_epoch = counters["checkpoint_epoch"]
-        engine.throughput = ThroughputMeter.from_state(counters["throughput"])
-        engine.latency = LatencyRecorder.from_state(counters["latency"])
         dispatch_counters = counters["dispatch"]
         engine.dispatch.lookups = dispatch_counters["lookups"]
         engine.dispatch.entries_matched = dispatch_counters["entries_matched"]
@@ -515,7 +518,6 @@ def sharded_sections(
             "batches_processed": engine.batches_processed,
             "checkpoint_epoch": engine.checkpoint_epoch,
             "replan_next_check": engine._next_replan_check,
-            "throughput": engine.throughput.state_dict(),
             "router": {
                 "records_seen": engine.router.records_seen,
                 "records_dropped": engine.router.records_dropped,
@@ -579,6 +581,7 @@ def load_sharded_sections(sections: Mapping[str, Any]) -> "ShardedStreamEngine":
             reorder_buffer_from_state(reorder_state) if reorder_state is not None else None
         )
         counters = sections["counters"]
+        _warn_process_local_meters(counters)
         engine._sequence = counters["sequence"]
         engine.edges_processed = counters["edges_processed"]
         engine._clock = float(counters["clock"])
@@ -590,7 +593,6 @@ def load_sharded_sections(sections: Mapping[str, Any]) -> "ShardedStreamEngine":
         # pre-replan snapshots: keep the constructor's cadence marker
         if "replan_next_check" in counters:
             engine._next_replan_check = counters["replan_next_check"]
-        engine.throughput = ThroughputMeter.from_state(counters["throughput"])
         router_counters = counters["router"]
         engine.router.records_seen = router_counters["records_seen"]
         engine.router.records_dropped = router_counters["records_dropped"]

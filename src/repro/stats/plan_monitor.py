@@ -129,23 +129,6 @@ class PlanMonitor:
             return 0.0
         return self.error_sum / self.error_count
 
-    def merge_counts(self, other: "PlanMonitor") -> None:
-        """Fold ``other``'s counters into this monitor (sharded-parent rollup).
-
-        ``threshold`` is not touched; ``last_errors`` merges per query name
-        (query names are unique across shards, so no collision policy needed).
-        """
-        self.checks_run += other.checks_run
-        self.triggers_fired += other.triggers_fired
-        self.plans_applied += other.plans_applied
-        self.partials_migrated += other.partials_migrated
-        self.partials_dropped += other.partials_dropped
-        self.error_sum += other.error_sum
-        self.error_count += other.error_count
-        if other.max_error_seen > self.max_error_seen:
-            self.max_error_seen = other.max_error_seen
-        self.last_errors.update(other.last_errors)
-
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------

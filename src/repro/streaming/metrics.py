@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
 __all__ = ["LatencyRecorder", "ThroughputMeter", "Stopwatch", "replan_summary"]
 
@@ -92,6 +92,9 @@ class LatencyRecorder:
     which is exact until the cap is first exceeded and an unbiased estimate
     afterwards.
 
+    Samples are wall-clock readings, so the recorder is process-local: a
+    snapshot does not carry it, and a restored engine starts an empty one.
+
     Parameters
     ----------
     cap:
@@ -108,7 +111,7 @@ class LatencyRecorder:
         self._rng = random.Random(seed)
         self._samples: List[float] = []
         # lazily-computed percentile cache, rebuilt on first read
-        self._sorted: Optional[List[float]] = None  # repro-lint: ignore[snapshot-coverage]
+        self._sorted: Optional[List[float]] = None
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
@@ -175,59 +178,18 @@ class LatencyRecorder:
             "max": self.max(),
         }
 
-    def state_dict(self) -> Dict[str, object]:
-        """Serialise the recorder: exact totals, reservoir and RNG state."""
-        rng_version, rng_internal, rng_gauss = self._rng.getstate()
-        return {
-            "cap": self._cap,
-            "samples": list(self._samples),
-            "count": self._count,
-            "sum": self._sum,
-            "max": self._max,
-            "rng_state": [rng_version, list(rng_internal), rng_gauss],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict[str, object]) -> "LatencyRecorder":
-        """Rebuild a recorder from :meth:`state_dict` output."""
-        recorder = cls(cap=state["cap"])
-        rng_version, rng_internal, rng_gauss = state["rng_state"]
-        recorder._rng.setstate((rng_version, tuple(rng_internal), rng_gauss))
-        recorder._samples = list(state["samples"])
-        recorder._count = state["count"]
-        recorder._sum = state["sum"]
-        recorder._max = state["max"]
-        return recorder
-
-    def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """Return a new recorder combining both sample sets.
-
-        The merged reservoir re-records every retained sample from both
-        inputs (capped at the larger of the two caps); exact totals (count,
-        sum, max) are carried over so mean/max stay exact.
-        """
-        if self._cap is None or other._cap is None:
-            cap: Optional[int] = None
-        else:
-            cap = max(self._cap, other._cap)
-        merged = LatencyRecorder(cap=cap)
-        for sample in self._samples + other._samples:
-            merged.record(sample)
-        # replace the approximate totals accumulated above with exact ones
-        merged._count = self._count + other._count
-        merged._sum = self._sum + other._sum
-        merged._max = max(self._max, other._max)
-        return merged
-
 
 class ThroughputMeter:
-    """Track items processed against wall-clock time."""
+    """Track items processed against wall-clock time.
+
+    Process-local like :class:`LatencyRecorder`: a snapshot does not carry
+    it, and a restored engine counts from zero.
+    """
 
     def __init__(self) -> None:
         self._items = 0
-        # wall-clock interval start; snapshots are taken between
-        # intervals (state_dict stores accumulated elapsed only)
-        self._started: Optional[float] = None  # repro-lint: ignore[snapshot-coverage]
+        # wall-clock start of the running interval, if any
+        self._started: Optional[float] = None
         self._elapsed = 0.0
 
     def start(self) -> None:
@@ -268,15 +230,3 @@ class ThroughputMeter:
     def summary(self) -> Dict[str, float]:
         """Return items/elapsed/rate in a dict."""
         return {"items": float(self._items), "elapsed_s": self.elapsed, "rate_per_s": self.rate()}
-
-    def state_dict(self) -> Dict[str, float]:
-        """Serialise the meter (items + accumulated seconds; never mid-interval)."""
-        return {"items": self._items, "elapsed": self.elapsed}
-
-    @classmethod
-    def from_state(cls, state: Dict[str, float]) -> "ThroughputMeter":
-        """Rebuild a meter from :meth:`state_dict` output."""
-        meter = cls()
-        meter._items = int(state["items"])
-        meter._elapsed = float(state["elapsed"])
-        return meter

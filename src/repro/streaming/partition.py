@@ -68,10 +68,12 @@ class ShardBatch:
     global time it cannot derive.  ``replan_checks`` is how many
     selectivity-drift replan checks the parent's global cadence says are
     due after this sub-batch -- the parent decides *when*, the shard engine
-    applies them (opaque to the stream layer).
+    applies them (opaque to the stream layer).  ``ordered`` says the parent
+    batch was known sorted (a reorder-buffer release); the sub-batch, a
+    subsequence of it, is then sorted too and needs no inversion scan.
     """
 
-    __slots__ = ("shard_id", "entries", "run_clock", "end_clock", "replan_checks")
+    __slots__ = ("shard_id", "entries", "run_clock", "end_clock", "replan_checks", "ordered")
 
     def __init__(
         self,
@@ -80,12 +82,14 @@ class ShardBatch:
         run_clock: List[float],
         end_clock: float,
         replan_checks: int = 0,
+        ordered: bool = False,
     ) -> None:
         self.shard_id = shard_id
         self.entries = entries
         self.run_clock = run_clock
         self.end_clock = end_clock
         self.replan_checks = replan_checks
+        self.ordered = ordered
 
     def records(self) -> List[StreamEdge]:
         """Return the batch's records without their global indices."""

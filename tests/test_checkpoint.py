@@ -27,6 +27,7 @@ mismatches are rejected with a clear message.
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import random
@@ -1326,7 +1327,11 @@ def test_loading_retired_fields_logs_one_warning_naming_them(fixture, caplog):
         section, fields = record.getMessage().split(" carries ", 1)
         assert section not in named
         named[section] = set(fields.split(": ", 1)[1].split(", "))
-    expected = {"snapshot summarizer": FIXTURE_DERIVED_FIELDS[fixture]}
+    expected = {
+        "snapshot summarizer": FIXTURE_DERIVED_FIELDS[fixture],
+        # every fixture predates the process-local wall-clock meters
+        "snapshot counters section": {"latency", "throughput"},
+    }
     if fixture in FIXTURE_RETIRED_FIELDS:
         expected["snapshot config"] = FIXTURE_RETIRED_FIELDS[fixture]
     assert named == expected
@@ -1339,7 +1344,8 @@ def test_sharded_snapshot_from_a_worker_pool_restores_serially(tmp_path, caplog)
     two-shard engine running two worker processes (``workers: 2``), after
     seven batches of 8 of the retired-knob stream.  The pool no longer
     exists: the snapshot restores with one ``repro.persistence`` warning
-    naming it, and the rest of the stream gives the event history of an
+    naming it (then one per ``counters`` section for the wall-clock meters
+    it carries), and the rest of the stream gives the event history of an
     uninterrupted serial run.
     """
     path = os.path.join(
@@ -1352,9 +1358,15 @@ def test_sharded_snapshot_from_a_worker_pool_restores_serially(tmp_path, caplog)
     with caplog.at_level("WARNING", logger="repro.persistence"):
         resumed = ShardedStreamEngine.restore(path)
     warnings = [record for record in caplog.records if record.name == "repro.persistence"]
-    assert len(warnings) == 1 and warnings[0].levelname == "WARNING"
+    assert {record.levelname for record in warnings} == {"WARNING"}
     assert "worker pool" in warnings[0].getMessage()
     assert "workers=2" in warnings[0].getMessage()
+    # the two shards' and the parent's counters carry the wall-clock meters
+    assert [record.getMessage().rsplit(": ", 1)[1] for record in warnings[1:]] == [
+        "latency, throughput",
+        "latency, throughput",
+        "throughput",
+    ]
     assert len(resumed.events()) == 50
     oracle = register_retired_knob_queries(ShardedStreamEngine(shard_count=2))
     single = retired_knob_engine()
@@ -1422,8 +1434,9 @@ def test_snapshot_with_adaptive_lateness_and_degraded_policy_restores_fixed_and_
     by an engine with two registered collectors, after twelve batches of 8,
     with six records still buffered.  It restores with the largest
     per-source horizon it recorded (1.5) and on ``"drop"``, logging one
-    ``repro.persistence`` warning for each, and the rest of the stream
-    gives the event history of an uninterrupted run at that horizon.
+    ``repro.persistence`` warning for each (and a third for the wall-clock
+    meters it carries), and the rest of the stream gives the event history
+    of an uninterrupted run at that horizon.
     """
     path = os.path.join(
         os.path.dirname(__file__), "fixtures", "persistence", "engine_adaptive_degraded.snap"
@@ -1434,9 +1447,10 @@ def test_snapshot_with_adaptive_lateness_and_degraded_policy_restores_fixed_and_
     with caplog.at_level("WARNING", logger="repro.persistence"):
         resumed = StreamWorksEngine.restore(path)
     warnings = [record.getMessage() for record in caplog.records if record.name == "repro.persistence"]
-    assert len(warnings) == 2
+    assert len(warnings) == 3
     assert "allowed_lateness='adaptive'" in warnings[0] and "allowed_lateness=1.5" in warnings[0]
     assert "late_policy='process_degraded'" in warnings[1] and "'drop'" in warnings[1]
+    assert warnings[2].endswith("process-local meters, ignored on load: latency, throughput")
     assert resumed.config.allowed_lateness == resumed.reorder.allowed_lateness == 1.5
     assert resumed.config.late_policy == "drop"
     assert resumed.reorder.sources() == list(ADAPTIVE_DEGRADED_SOURCES)
@@ -1520,6 +1534,64 @@ def test_loading_a_current_snapshot_logs_nothing(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="repro.persistence"):
         StreamWorksEngine.restore(path)
     assert not [record for record in caplog.records if record.name == "repro.persistence"]
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_two_runs_of_one_stream_write_byte_identical_snapshot_files(tmp_path, sharded):
+    """The wall-clock meters are process-local, so a snapshot is a function
+    of the stream alone: two engines fed the same records write the same
+    bytes."""
+    paths = []
+    for run in ("first", "second"):
+        (tmp_path / run).mkdir()
+        paths.append(_snapshot_engine(tmp_path / run, sharded=sharded))
+    with open(paths[0], "rb") as first, open(paths[1], "rb") as second:
+        assert first.read() == second.read()
+    sections = read_snapshot(paths[0])[1]
+    assert not {"throughput", "latency"} & set(sections["counters"])
+
+
+#: ``EngineConfig`` values off the default, for every parameter but
+#: ``late_policy`` (``"drop"`` is the only value it accepts).
+_OFF_DEFAULT = dict(
+    default_window=5.0,
+    track_triads=False,
+    dedupe_structural=True,
+    plan_strategy=Strategy.EDGE_BY_EDGE,
+    primitive_size=3,
+    record_latency=False,
+    allowed_lateness=0.5,
+    idle_source_timeout=2.0,
+    checkpoint_every=7,
+    checkpoint_path="autosave.snap",
+)
+#: ``collect_statistics=False`` rules out a replan threshold, so two configs
+#: between them move every parameter off its default.
+OFF_DEFAULT_CONFIGS = [
+    dict(_OFF_DEFAULT, collect_statistics=False),
+    dict(_OFF_DEFAULT, replan_threshold=0.5, replan_check_every=100),
+]
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+@pytest.mark.parametrize("values", OFF_DEFAULT_CONFIGS, ids=["no-statistics", "replanning"])
+def test_every_config_parameter_reads_back_equal_after_a_restore(tmp_path, values, sharded):
+    """The persisted config fields are the constructor's parameters, read by
+    name; a parameter stored under another attribute name fails here."""
+    parameters = inspect.signature(EngineConfig).parameters
+    assert set().union(*OFF_DEFAULT_CONFIGS) | {"late_policy"} == set(parameters)
+    assert all(value != parameters[name].default for name, value in values.items())
+    expected = {name: parameter.default for name, parameter in parameters.items()}
+    expected.update(values)
+    path = str(tmp_path / "config.snap")
+    if sharded:
+        config = ShardConfig(shard_count=2, engine=EngineConfig(**values))
+        ShardedStreamEngine(config=config).checkpoint(path)
+        restored = ShardedStreamEngine.restore(path).config.engine
+    else:
+        StreamWorksEngine(config=EngineConfig(**values)).checkpoint(path)
+        restored = StreamWorksEngine.restore(path).config
+    assert {name: getattr(restored, name) for name in parameters} == expected
 
 
 def test_restore_rejects_missing_file(tmp_path):

@@ -252,21 +252,29 @@ class TestEveryEntryPointRunsTheFastPath:
 
 @pytest.mark.parametrize("layout", ["single", "sharded"])
 def test_a_buffer_release_is_one_run_not_rescanned_for_inversions(layout, monkeypatch):
-    # the engine the front feeds: the single engine, or the sharded parent
-    module = engine_module if layout == "single" else sharded_module
-    scanned = []
-    split = module.ordered_run_slices
-    monkeypatch.setattr(
-        module, "ordered_run_slices", lambda records: scanned.append(len(records)) or split(records)
-    )
+    # the engine the front feeds (the single engine, or the sharded parent),
+    # and on the sharded layout the shard engines its sub-batches run on
+    scanned = {"front": [], "shards": []}
+    patched = {"front": engine_module if layout == "single" else sharded_module}
+    if layout == "sharded":
+        patched["shards"] = engine_module
+    for where, module in patched.items():
+        split = module.ordered_run_slices
+        monkeypatch.setattr(
+            module,
+            "ordered_run_slices",
+            lambda records, seen=scanned[where], split=split: seen.append(len(records))
+            or split(records),
+        )
     buffered = build(chain_specs, layout, allowed_lateness=1.0)
     for timestamp in (5.0, 4.5, 10.0, 9.0, 12.0):
         buffered.process_record(StreamEdge("a", "b", "rel_a", timestamp))
     buffered.flush()
-    assert buffered.edges_processed == 5 and scanned == []
+    assert buffered.edges_processed == 5
+    assert scanned == {"front": [], "shards": []}
     direct = build(chain_specs, layout)
     direct.process_batch([StreamEdge("a", "b", "rel_a", t) for t in (5.0, 4.5, 10.0)])
-    assert scanned and scanned[0] == 3
+    assert scanned["front"] and scanned["front"][0] == 3
 
 
 def exploding_specs():

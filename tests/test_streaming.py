@@ -327,14 +327,6 @@ class TestMetrics:
         assert recorder.percentile(0.5) == 0.0
         assert recorder.max() == 0.0
 
-    def test_latency_merge(self):
-        first, second = LatencyRecorder(), LatencyRecorder()
-        first.record(1.0)
-        second.record(3.0)
-        merged = first.merge(second)
-        assert merged.count == 2
-        assert merged.mean() == pytest.approx(2.0)
-
     def test_latency_reservoir_bounds_memory(self):
         recorder = LatencyRecorder(cap=100)
         for index in range(10_000):
