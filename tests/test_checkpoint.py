@@ -1594,6 +1594,41 @@ def test_every_config_parameter_reads_back_equal_after_a_restore(tmp_path, value
     assert {name: getattr(restored, name) for name in parameters} == expected
 
 
+@pytest.mark.parametrize("sharded", [False, True])
+def test_snapshot_config_keys_are_the_engine_config_signature_in_order(tmp_path, sharded):
+    """The persisted config is derived from ``EngineConfig``'s signature:
+    its keys are exactly the constructor's parameters, in their order."""
+    sections = read_snapshot(_snapshot_engine(tmp_path, sharded=sharded))[1]
+    config = sections["config"]["engine"] if sharded else sections["config"]
+    assert list(config) == list(inspect.signature(EngineConfig).parameters)
+
+
+@pytest.mark.parametrize("sharded", [False, True])
+def test_a_restored_engine_meters_only_its_own_records(tmp_path, sharded):
+    """The throughput meter and the latency samples are process-local: a
+    restored engine starts both empty and counts only what it processes."""
+    path = _snapshot_engine(tmp_path, sharded=sharded)
+    restore = ShardedStreamEngine.restore if sharded else StreamWorksEngine.restore
+    resumed = restore(path)
+
+    def latency_counts(metrics):
+        engines = metrics["shards"].values() if sharded else [metrics]
+        return [engine_metrics["latency"]["count"] for engine_metrics in engines]
+
+    metrics = resumed.metrics()
+    assert metrics["throughput"]["items"] == 0
+    assert metrics["throughput"]["elapsed_s"] == 0.0
+    assert set(latency_counts(metrics)) == {0}
+
+    remainder = rmat_records(160)[120:]
+    resumed.process_batch(remainder)
+    metrics = resumed.metrics()
+    assert metrics["throughput"]["items"] == len(remainder)
+    # a record routed to several shards is sampled on each of them
+    counts = latency_counts(metrics)
+    assert sum(counts) > 0 and max(counts) <= len(remainder)
+
+
 def test_restore_rejects_missing_file(tmp_path):
     with pytest.raises(SnapshotError):
         StreamWorksEngine.restore(str(tmp_path / "does_not_exist.snap"))

@@ -277,6 +277,38 @@ def test_a_buffer_release_is_one_run_not_rescanned_for_inversions(layout, monkey
     assert scanned["front"] and scanned["front"][0] == 3
 
 
+@pytest.mark.parametrize("entry", ["direct", "released"])
+def test_shard_sub_batches_carry_the_parent_batch_order(entry, monkeypatch):
+    """A sub-batch runs unscanned only when its parent batch was a sorted
+    release; a direct batch may be disordered, so every shard scans it."""
+    orders, shard_scans = [], []
+    execute = sharded_module._execute_sub_batch
+    monkeypatch.setattr(
+        sharded_module,
+        "_execute_sub_batch",
+        lambda engine, batch: orders.append(batch.ordered) or execute(engine, batch),
+    )
+    split = engine_module.ordered_run_slices
+    monkeypatch.setattr(
+        engine_module,
+        "ordered_run_slices",
+        lambda records: shard_scans.append(len(records)) or split(records),
+    )
+    stamps = (5.0, 4.5, 10.0, 9.0, 12.0)
+    records = [StreamEdge(f"v{i % 4}", f"v{i % 3}", "rel_a", t) for i, t in enumerate(stamps)]
+    if entry == "direct":
+        engine = build(chain_specs, "sharded")
+        engine.process_batch(records)
+    else:
+        engine = build(chain_specs, "sharded", allowed_lateness=1.0)
+        for record in records:
+            engine.process_record(record)
+        engine.flush()
+    assert engine.edges_processed == 5
+    assert orders and set(orders) == {entry == "released"}
+    assert bool(shard_scans) == (entry == "direct")
+
+
 def exploding_specs():
     def explode(attrs):
         if attrs.get("boom"):
