@@ -1349,6 +1349,10 @@ class StreamWorksEngine(IngestFront):
                 name: registration.matcher.stored_partial_matches()
                 for name, registration in self.queries.items()
             },
+            "leaves": {
+                name: registration.matcher.leaf_work()
+                for name, registration in self.queries.items()
+            },
             "replan": replan_summary(
                 self.plan_monitor,
                 enabled=self._next_replan_check is not None,

@@ -19,6 +19,11 @@ memory of what was already found is needed.  Ingest ids, not timestamps,
 order the edges, so a late record is simply the newest edge of whatever
 embeddings it completes.
 
+A lazy SJ-tree leaf (:mod:`repro.core.matcher`) is also searched the other
+way round: :meth:`LocalSearcher.find_directed` lists the embeddings that
+bind the leaf's cut vertices to a sibling partial's, reading only edges
+older (by ingest id) than that partial's newest edge.
+
 The enumeration seeds the generic backtracking matcher with a binding of the
 new edge onto each query edge of the primitive it can legally play, then lets
 the matcher complete the rest of the primitive within the window.  Every
@@ -35,7 +40,7 @@ stores.  The probes build it directly; the generic search lays out each
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..graph.types import Edge, VertexId
 from ..graph.window import TimeWindow
@@ -44,7 +49,7 @@ from ..isomorphism.match import Match, MatchConflictError
 from ..isomorphism.vf2 import SubgraphMatcher
 from ..query.compile import CompiledQuery
 from ..query.query_graph import QueryGraph, QueryVertex
-from .probe import Probe, compile_probe, run_role
+from .probe import DirectedProbe, Probe, compile_directed, compile_probe, run_role
 from .sjtree import Partial, SlotLayout
 
 __all__ = ["LocalSearcher", "find_primitive_matches"]
@@ -84,6 +89,9 @@ class LocalSearcher:
         self.candidates_examined = 0
         # keyed by the primitive object itself: the owning tree keeps it alive
         self._probes: Dict[QueryGraph, Probe] = {}
+        # directed searches lowered onto a role, per primitive, built at
+        # first use (``None``: the primitive keeps the generic search)
+        self._directed: Dict[QueryGraph, Optional[DirectedProbe]] = {}
         # the caller's map is adopted, and completed below where it lacks one
         self._layouts: Dict[QueryGraph, SlotLayout] = {} if layouts is None else layouts
         for primitive in primitives:
@@ -142,13 +150,68 @@ class LocalSearcher:
             for spec in probe.get(new_edge.label, ()):
                 run_role(self, spec, new_edge, results)
             return results
-        layout = self._layouts.get(primitive) or SlotLayout.of(primitive)
+        layout = self._layout(primitive)
         for seed in self.seeds(primitive, new_edge):
             self.searches_started += 1
             for match in self._matcher.find_matches(primitive, seed=seed, id_bound=new_edge.id):
                 results.append(layout.from_maps(match.vertex_map, match.edge_map))
                 self.matches_found += 1
         return results
+
+    def find_directed(
+        self,
+        primitive: QueryGraph,
+        key_vertices: Tuple[str, ...],
+        key: Any,
+        id_bound: int,
+        low: float,
+        high: float,
+    ) -> List[Partial]:
+        """Embeddings of ``primitive`` binding the key's first vertex, every edge below ``id_bound``.
+
+        ``key`` is a bucket key over ``key_vertices`` (a bare vertex id for
+        one vertex, else a tuple).  The search starts from the first key
+        vertex's data vertex: the edges there that can play the first
+        query edge touching it are each completed with partners below
+        ``id_bound``.  So every embedding binding that vertex whose edges
+        all precede ``id_bound`` is returned once; one binding another key
+        vertex elsewhere may be among them, and the caller's key test drops
+        it.  A lowered primitive reads only the starting edges with
+        timestamps in ``[low, high]`` (an inclusive prefilter: the caller's
+        join decides), the generic search all of them.
+        """
+        anchors = dict(zip(key_vertices, key)) if len(key_vertices) > 1 else {key_vertices[0]: key}
+        results: List[Partial] = []
+        if primitive in self._directed:
+            plan = self._directed[primitive]
+        else:
+            plan = self._directed[primitive] = compile_directed(
+                self, primitive, self._layout(primitive), key_vertices[0]
+            )
+        if plan is not None:
+            anchor, direction, label, spec = plan
+            vertex = anchors[anchor]
+            candidates: Optional[List[Edge]] = None
+            if self.window.bounded:
+                candidates = self.graph.incident_edges_in_range(vertex, direction, label, low, high)
+            if candidates is None:
+                if not self.graph.has_vertex(vertex):
+                    return results
+                candidates = list(self.graph.incident_edges(vertex, direction, label))
+            for edge in candidates:
+                if edge.id < id_bound:
+                    run_role(self, spec, edge, results, id_bound)
+            return results
+        layout = self._layout(primitive)
+        self.searches_started += 1
+        seed = Match._from_parts(anchors, {}, float("inf"), float("-inf"))
+        for match in self._matcher.find_matches(primitive, seed=seed, id_bound=id_bound):
+            results.append(layout.from_maps(match.vertex_map, match.edge_map))
+            self.matches_found += 1
+        return results
+
+    def _layout(self, primitive: QueryGraph) -> SlotLayout:
+        return self._layouts.get(primitive) or SlotLayout.of(primitive)
 
 
 def find_primitive_matches(

@@ -40,10 +40,33 @@ has reported.  With ``dedupe_structural`` the automorphic variants of one
 embedding bind the same edge set, so they share a newest edge and complete
 in the same :meth:`ContinuousQueryMatcher.process_edge_leaves` call, which
 keeps the one with the least :meth:`ContinuousQueryMatcher.completion_key`.
+
+**Lazy leaves.**  Where both children of a join are leaves and one of them
+sees many times the records its sibling does, searching the busy leaf
+eagerly mostly stores partials no partner ever joins.  The matcher counts
+the records routed to each leaf and, once per window-long epoch, marks the
+busy leaf *lazy* (:data:`LAZY_ENTER`, :data:`LAZY_EXIT`, :data:`LAZY_MIN`):
+
+* a record seeding a lazy leaf first asks the sibling's bucket for a
+  partner under the cut-vertex key the record binds; with none waiting it
+  is neither searched nor stored.  Otherwise (or where the record leaves a
+  cut vertex unbound) the leaf is searched and each embedding joined with
+  the partners waiting, and nothing is stored;
+* a partial the sibling stores runs a *directed search* for the lazy
+  primitive from its cut vertices, binding only edges older (by ingest id)
+  than the partial's newest edge, and joins what it finds.
+
+A pair of embeddings joins at the newer one's newest edge either way: when
+the lazy side is newer its record finds the stored partner, when the
+sibling's is newer the directed search finds the lazy side, and neither
+finds the other case, so every completion is still found exactly once,
+at its newest edge.  Going lazy drops the leaf's bucket; going back to
+eager rebuilds it, store-only, from the window store.
 """
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..graph.types import Edge
@@ -52,13 +75,36 @@ from ..isomorphism.match import Match
 from ..query.compile import CompiledQuery
 from ..query.query_graph import QueryGraph
 from .decomposition import Decomposition
-from .join import try_join
+from .join import JoinPlan, try_join
 from .local_search import LocalSearcher
-from .sjtree import EARLIEST, LATEST, Partial, SJTree, SJTreeNode
+from .probe import CutKeys, cut_keys
+from .sjtree import EARLIEST, LATEST, MatchKey, Partial, SJTree, SJTreeNode
 
-__all__ = ["MatcherStats", "ContinuousQueryMatcher", "SweepQueues"]
+__all__ = [
+    "LAZY_ENTER",
+    "LAZY_EXIT",
+    "LAZY_MIN",
+    "MatcherStats",
+    "ContinuousQueryMatcher",
+    "SweepQueues",
+]
 
 _INF = float("inf")
+
+#: A leaf goes lazy when, over one epoch (a window's length of stream
+#: time), it was routed at least this many times the records its sibling
+#: was: each of the sibling's partials then costs one directed search where
+#: eager search paid for this many records.
+LAZY_ENTER = 8
+#: A lazy leaf goes back to eager when it was routed fewer than this many
+#: times its sibling's records over an epoch.  The gap to
+#: :data:`LAZY_ENTER` is the hysteresis: a ratio hovering near either
+#: bound does not flip the mode every epoch, and each flip back costs a
+#: rebuild of the leaf's bucket from the window store.
+LAZY_EXIT = 2
+#: Fewest records routed to a leaf in one epoch for it to go lazy: below
+#: this the eager search costs little, and a ratio of small counts is noise.
+LAZY_MIN = 64
 
 
 def _repr_order(names: Iterable[Any]) -> List[Any]:
@@ -192,6 +238,24 @@ class ContinuousQueryMatcher:
         #: unbounded window, never queued).  Derived: the queues are rebuilt
         #: from ``next_expiry`` after a restore.
         self.queued_expiry = _INF if self.window.bounded else -_INF  # repro-lint: ignore[snapshot-coverage]
+        #: The joins whose two children are both leaves, ``(left, right)``:
+        #: where a leaf may go lazy.  Only under a bounded window (the
+        #: epoch is the window's length) and a non-empty cut (the partner
+        #: probe's key).  Derived from the plan.
+        self._pairs: List[Tuple[SJTreeNode, SJTreeNode]] = []  # repro-lint: ignore[snapshot-coverage]
+        #: Per leaf that has been lazy, its partner probe (:func:`cut_keys`),
+        #: built at the leaf's first lazy record.
+        self._cut_keys: Dict[int, Optional[CutKeys]] = {}  # repro-lint: ignore[snapshot-coverage]
+        if self.window.bounded:
+            for node in self.tree.nodes.values():
+                if node.left_id is None or node.right_id is None or not node.cut_vertices:
+                    continue
+                left, right = self.tree.node(node.left_id), self.tree.node(node.right_id)
+                if left.is_leaf and right.is_leaf:
+                    self._pairs.append((left, right))
+        #: Stream time at which the current marking epoch ends: ``-inf``
+        #: before the first record has opened one, ``inf`` with no pair.
+        self.epoch_end = -_INF if self._pairs else _INF
 
     # ------------------------------------------------------------------
     # main entry points
@@ -246,14 +310,23 @@ class ContinuousQueryMatcher:
         replays the window store that way, over history already reported.
         """
         self.stats.edges_processed += 1
+        # a replan's replay (emit=False) re-searches history: it marks nothing
+        if edge.timestamp >= self.epoch_end and emit:
+            self._close_epoch(edge)
         completions: List[Partial] = []
         found_any = False
         find = self.local_searcher.find
         for leaf in leaves:
+            leaf.routed += 1
+            if leaf.lazy:
+                if self._search_lazy(leaf, edge, completions):
+                    found_any = True
+                continue
             primitive_matches = find(leaf.subgraph, edge)
             if not primitive_matches:
                 continue
             found_any = True
+            leaf.found += len(primitive_matches)
             self.stats.leaf_matches_found += len(primitive_matches)
             for partial in primitive_matches:
                 self._insert(leaf, partial, completions)
@@ -287,16 +360,31 @@ class ContinuousQueryMatcher:
         self._tree_stored += 1
         if partial[EARLIEST] < self.next_expiry:
             self.next_expiry = partial[EARLIEST]
-        buckets, parent, plan, left = join
+        buckets, parent, plan, left, lazy_sibling = join
         bucket = buckets.get(key)
-        if not bucket:
-            return
+        if bucket:
+            # the cascade stores only into ancestors, never into the
+            # sibling, so its bucket is read in place
+            self._join(partial, bucket.values(), parent, plan, left, out)
+        if lazy_sibling is not None:
+            # a lazy sibling's bucket is empty: what it would hold is
+            # searched for instead
+            self._join_directed(node, partial, key, lazy_sibling, out)
+
+    def _join(
+        self,
+        partial: Partial,
+        partners: Iterable[Partial],
+        parent: SJTreeNode,
+        plan: Optional[JoinPlan],
+        left: bool,
+        out: List[Partial],
+    ) -> None:
+        """Join ``partial`` (the left child's when ``left``) with each partner; insert what joins."""
         if plan is None:
             plan = self.tree.compile_join(parent, self.window)
         stats = self.stats
-        # the cascade stores only into ancestors, never into the sibling,
-        # so its bucket is read in place
-        for candidate in bucket.values():
+        for candidate in partners:
             stats.joins_attempted += 1
             if left:
                 joined = try_join(partial, candidate, plan)
@@ -306,6 +394,156 @@ class ContinuousQueryMatcher:
                 continue
             stats.joins_succeeded += 1
             self._insert(parent, joined, out)
+
+    # ------------------------------------------------------------------
+    # lazy leaves
+    # ------------------------------------------------------------------
+    def _search_lazy(self, leaf: SJTreeNode, edge: Edge, out: List[Partial]) -> bool:
+        """Search lazy ``leaf`` for ``edge`` only where its sibling holds a partner; store nothing.
+
+        Returns whether an embedding was found.
+        """
+        join = leaf.join
+        assert join is not None
+        buckets = join[0]
+        try:
+            table = self._cut_keys[leaf.id]
+        except KeyError:
+            table = self._cut_keys[leaf.id] = cut_keys(leaf.subgraph, leaf.key_vertices)
+        if table is not None:
+            pickers = table.get(edge.label, ())
+            if pickers is not None:
+                ends = (edge.source, edge.target)
+                for pick in pickers:
+                    if buckets.get(pick(ends)):
+                        break
+                else:
+                    leaf.lazy_misses += 1
+                    return False
+        parent, plan, left = join[1], join[2], join[3]
+        primitive_matches = self.local_searcher.find(leaf.subgraph, edge)
+        if not primitive_matches:
+            return False
+        leaf.found += len(primitive_matches)
+        self.stats.leaf_matches_found += len(primitive_matches)
+        key_of = leaf.key_of
+        for partial in primitive_matches:
+            bucket = buckets.get(key_of(partial))
+            if not bucket:
+                continue
+            if plan is None:
+                plan = self.tree.compile_join(parent, self.window)
+            # the cascade stores only into ancestors: the bucket is read in place
+            self._join(partial, bucket.values(), parent, plan, left, out)
+        return True
+
+    def _join_directed(
+        self,
+        node: SJTreeNode,
+        partial: Partial,
+        key: MatchKey,
+        lazy: SJTreeNode,
+        out: List[Partial],
+    ) -> None:
+        """Join a partial ``node`` just stored with what a directed search finds for ``lazy``.
+
+        The search binds the lazy primitive's cut vertices as ``partial``
+        does and reads only edges below ``partial``'s newest edge, bounded
+        by the window around ``partial``'s extent.
+        """
+        lazy.directed_searches += 1
+        newest = max(edge.id for edge in node.layout.edges_of(partial))
+        duration = self.window.duration
+        found = self.local_searcher.find_directed(
+            lazy.subgraph,
+            lazy.key_vertices,
+            key,
+            newest,
+            partial[LATEST] - duration,
+            partial[EARLIEST] + duration,
+        )
+        if len(lazy.key_vertices) > 1:
+            key_of = lazy.key_of
+            found = [match for match in found if key_of(match) == key]
+        if not found:
+            return
+        lazy.found += len(found)
+        self.stats.leaf_matches_found += len(found)
+        join = node.join
+        assert join is not None
+        self._join(partial, found, join[1], join[2], join[3], out)
+
+    def _close_epoch(self, edge: Edge) -> None:
+        """End the marking epoch ``edge`` falls past: re-mark each pair, open the next epoch.
+
+        Each pair compares the records routed to its two leaves during the
+        epoch just ended; the first epoch only opens.  Runs before ``edge``
+        is searched, so a rebuilt bucket holds exactly the embeddings whose
+        newest edge precedes it.
+        """
+        if self.epoch_end > -_INF:
+            for left, right in self._pairs:
+                self._mark(left, right, edge.id)
+        for left, right in self._pairs:
+            left.routed_mark = left.routed
+            right.routed_mark = right.routed
+        self.epoch_end = edge.timestamp + self.window.duration
+
+    def _mark(self, left: SJTreeNode, right: SJTreeNode, bound: int) -> None:
+        """Switch one pair's modes from its epoch counts (at most one leaf is lazy)."""
+        routed_left = left.routed - left.routed_mark
+        routed_right = right.routed - right.routed_mark
+        if left.lazy:
+            if routed_left < LAZY_EXIT * routed_right:
+                self._go_eager(left, bound)
+        elif right.lazy:
+            if routed_right < LAZY_EXIT * routed_left:
+                self._go_eager(right, bound)
+        elif routed_left >= LAZY_MIN and routed_left >= LAZY_ENTER * routed_right:
+            self._go_lazy(left)
+        elif routed_right >= LAZY_MIN and routed_right >= LAZY_ENTER * routed_left:
+            self._go_lazy(right)
+
+    def _go_lazy(self, leaf: SJTreeNode) -> None:
+        """Mark ``leaf`` lazy and drop its bucket: the directed search stands in for it."""
+        leaf.flips += 1
+        self._tree_stored -= leaf.clear_matches()
+        self.tree.set_lazy(leaf, True)
+        self.next_expiry = self.tree.earliest_stored()
+
+    def _go_eager(self, leaf: SJTreeNode, bound: int) -> None:
+        """Mark ``leaf`` eager and rebuild its bucket, store-only, from the window store.
+
+        Every retained edge of the leaf's labels below ``bound`` (the
+        record about to be searched) is searched again in ingest order, as
+        the eager leaf would have searched it, and what it finds is stored
+        without joining: those pairs were joined while the leaf was lazy.
+        """
+        leaf.flips += 1
+        self.tree.set_lazy(leaf, False)
+        labels = {edge.label for edge in leaf.subgraph.edges()}
+        graph = self.graph
+        if None in labels:
+            history = [edge for edge in graph.edges() if edge.id < bound]
+        else:
+            history = [
+                edge
+                for label in sorted(labels, key=str)
+                for edge in graph.edges(label)
+                if edge.id < bound
+            ]
+        history.sort(key=attrgetter("id"))
+        find = self.local_searcher.find
+        primitive = leaf.subgraph
+        for edge in history:
+            for partial in find(primitive, edge):
+                leaf.store_partial(partial)
+                leaf.found += 1
+                self._tree_stored += 1
+                if partial[EARLIEST] < self.next_expiry:
+                    self.next_expiry = partial[EARLIEST]
+        if self._tree_stored > self.stats.peak_stored_matches:
+            self.stats.peak_stored_matches = self._tree_stored
 
     def _complete(self, completions: List[Partial]) -> List[Partial]:
         """Report one call's completions: filter and count.
@@ -388,6 +626,8 @@ class ContinuousQueryMatcher:
         This is the Fig. 7 progress measure: "the fraction of query graph
         being matched as measured by the number of edges".  Completions are
         not stored, so once the matcher has reported one the fraction is 1.0.
+        It reads stored partials only: a lazy leaf stores none, so while it
+        is lazy its primitive counts only through partials joined above it.
         """
         total = self.query.edge_count()
         if total == 0:
@@ -401,7 +641,10 @@ class ContinuousQueryMatcher:
         return best / total
 
     def node_progress(self) -> Dict[int, Dict[str, float]]:
-        """Return per-node progress: stored matches and edge-coverage fraction."""
+        """Return per-node progress: stored matches and edge-coverage fraction.
+
+        A lazy leaf stores nothing, so it reports 0 matches while lazy.
+        """
         total = max(1, self.query.edge_count())
         return {
             node.id: {
@@ -411,6 +654,10 @@ class ContinuousQueryMatcher:
             }
             for node in self.tree.nodes.values()
         }
+
+    def leaf_work(self) -> List[Dict[str, Any]]:
+        """Each leaf's work counters and mode, in decomposition order (``metrics()["leaves"]``)."""
+        return [leaf.work() for leaf in self.tree.leaves()]
 
     def reset(self) -> None:
         """Drop all stored matches and counters (keeps the plan)."""
@@ -433,12 +680,17 @@ class ContinuousQueryMatcher:
         return {
             "tree": self.tree.state_dict(),
             "stats": self.stats.to_dict(),
+            # the leaves' modes are in the tree's state; the epoch in progress
+            # is here (``None``: none opened yet, or no pair to mark)
+            "epoch_end": self.epoch_end if abs(self.epoch_end) < _INF else None,
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore state captured by :meth:`state_dict` onto a freshly-built matcher.
 
-        Keys of retired state, if present, are ignored: the duplicate
+        A snapshot older than lazy leaves restores every leaf eager, with
+        its work counters at zero and no marking epoch open.  Keys of
+        retired state, if present, are ignored: the duplicate
         memory older snapshots carry (``dedup_identities`` /
         ``dedup_edge_sets``, or ``reported_identities`` /
         ``reported_edge_sets`` before that) -- exactly-once discovery never
@@ -447,9 +699,15 @@ class ContinuousQueryMatcher:
         snapshots stored at the root (:meth:`SJTree.load_state`).
         """
         self.tree.load_state(state["tree"])
+        for leaf in self.tree.leaves():
+            if leaf.lazy:
+                self.tree.set_lazy(leaf, True)
         self._tree_stored = self.tree.total_stored_matches()
         self.next_expiry = self.tree.earliest_stored()
         self.stats = MatcherStats.from_dict(state["stats"])
+        epoch_end = state.get("epoch_end")
+        if epoch_end is not None:
+            self.epoch_end = epoch_end
 
 
 class SweepQueues:

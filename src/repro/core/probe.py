@@ -52,7 +52,16 @@ from .sjtree import Partial, SlotLayout
 if TYPE_CHECKING:
     from .local_search import LocalSearcher
 
-__all__ = ["Probe", "RoleSpec", "compile_probe", "run_role"]
+__all__ = [
+    "CutKeys",
+    "DirectedProbe",
+    "Probe",
+    "RoleSpec",
+    "compile_directed",
+    "compile_probe",
+    "cut_keys",
+    "run_role",
+]
 
 #: Everything static about "the new edge plays this query edge": the window,
 #: the seed edge's checks and, for a two-edge primitive, how the partner edge
@@ -64,6 +73,31 @@ RoleSpec = Tuple[Any, ...]
 #: each list in ``primitive.edges()`` order (the generic path's seed order).
 Probe = Dict[str, List[RoleSpec]]
 
+#: A lazy leaf's partner probe: per edge label, one picker per role a record
+#: of that label can play, each turning ``(source, target)`` into the bucket
+#: key the role binds; ``None`` where some role leaves a cut vertex unbound.
+CutKeys = Dict[str, Optional[Tuple["itemgetter[Any]", ...]]]
+
+#: A directed search lowered onto one role: ``(anchor vertex name,
+#: direction, label, spec)`` -- the anchor's incident edges of that label
+#: and direction are the candidates for the role's query edge.
+DirectedProbe = Tuple[str, str, str, RoleSpec]
+
+
+def _lowered(primitive: QueryGraph) -> Optional[List[QueryEdge]]:
+    """The primitive's edges when it is a lowered shape, else ``None``."""
+    edges = list(primitive.edges())
+    if len(edges) not in (1, 2):
+        return None
+    for edge in edges:
+        if not edge.directed or edge.label is None:
+            return None
+    if len(edges) == 2:
+        first, second = edges
+        if first.source not in second.endpoints and first.target not in second.endpoints:
+            return None
+    return edges
+
 
 def compile_probe(
     searcher: "LocalSearcher", primitive: QueryGraph, layout: Optional[SlotLayout] = None
@@ -73,27 +107,77 @@ def compile_probe(
     The probe builds partials in ``layout``, ``SlotLayout.of(primitive)``
     unless the caller already holds it.
     """
-    edges = list(primitive.edges())
-    if len(edges) not in (1, 2):
+    edges = _lowered(primitive)
+    if edges is None:
         return None
-    labels: List[str] = []
-    for edge in edges:
-        if not edge.directed or edge.label is None:
-            return None
-        labels.append(edge.label)
-    if len(edges) == 2:
-        first, second = edges
-        if first.source not in second.endpoints and first.target not in second.endpoints:
-            return None
     probe: Probe = {}
     if layout is None:
         layout = SlotLayout.of(primitive)
     for index, seed in enumerate(edges):
         partner = edges[1 - index] if len(edges) == 2 else None
-        probe.setdefault(labels[index], []).append(
+        assert seed.label is not None  # a lowered shape's edges are labelled
+        probe.setdefault(seed.label, []).append(
             _role_spec(searcher, primitive, layout, seed, partner)
         )
     return probe
+
+
+def compile_directed(
+    searcher: "LocalSearcher", primitive: QueryGraph, layout: SlotLayout, anchor: str
+) -> Optional[DirectedProbe]:
+    """Lower the search for ``primitive``'s embeddings that bind ``anchor`` to a given vertex.
+
+    The primitive's first query edge touching ``anchor`` is the role: every
+    embedding binds it to exactly one data edge incident to the anchor's
+    vertex, so running the role from each such edge (:func:`run_role` with
+    an ``id_bound``) lists every embedding once.  ``None`` when the
+    primitive is not a lowered shape.
+    """
+    edges = _lowered(primitive)
+    if edges is None:
+        return None
+    for index, seed in enumerate(edges):
+        if anchor in seed.endpoints:
+            partner = edges[1 - index] if len(edges) == 2 else None
+            assert seed.label is not None  # a lowered shape's edges are labelled
+            direction = Direction.OUT if seed.source == anchor else Direction.IN
+            spec = _role_spec(searcher, primitive, layout, seed, partner)
+            return anchor, direction, seed.label, spec
+    return None
+
+
+def cut_keys(primitive: QueryGraph, key_vertices: Tuple[str, ...]) -> Optional[CutKeys]:
+    """Per edge label, the bucket keys a record of that label binds in ``primitive``.
+
+    A record playing a query edge whose endpoints include every key vertex
+    binds the whole key through its own endpoints (both orientations for an
+    undirected edge), so a lazy leaf can ask its sibling for a partner
+    before searching.  A label with a role that leaves a key vertex to the
+    search maps to ``None``; a primitive with an unlabelled edge, which any
+    record may play, or an empty key gives ``None`` outright.
+    """
+    if not key_vertices:
+        return None
+    table: CutKeys = {}
+    for edge in primitive.edges():
+        label = edge.label
+        if label is None:
+            return None
+        ends = (edge.source, edge.target)
+        if any(name not in ends for name in key_vertices):
+            table[label] = None
+            continue
+        held = table.get(label, ())
+        if held is None:
+            continue
+        # each orientation: the record endpoint (0 source, 1 target) playing
+        # the query edge's source and target
+        orientations: Tuple[Tuple[int, int], ...] = ((0, 1),) if edge.directed else ((0, 1), (1, 0))
+        for orientation in orientations:
+            picks = [orientation[ends.index(name)] for name in key_vertices]
+            held += (itemgetter(*picks),)
+        table[label] = held
+    return table
 
 
 def _shape(
@@ -189,12 +273,19 @@ def _role_spec(
 
 
 def run_role(
-    searcher: "LocalSearcher", spec: RoleSpec, new_edge: Edge, results: List[Partial]
+    searcher: "LocalSearcher",
+    spec: RoleSpec,
+    new_edge: Edge,
+    results: List[Partial],
+    id_bound: Optional[int] = None,
 ) -> None:
     """Append the embeddings in which ``new_edge`` plays ``spec``'s query edge.
 
     Each is appended as a partial in the primitive's slot layout.  The edge
-    label is already known to match (specs are looked up by it).
+    label is already known to match (specs are looked up by it).  Partners
+    are bound only below ``id_bound`` -- by default ``new_edge.id``, the
+    newest-edge rule; a directed search passes its own bound, which may
+    lie above ``new_edge``.
     """
     (
         bounded,
@@ -265,9 +356,13 @@ def run_role(
         )
     if candidates is None:
         candidates = list(graph.incident_edges(anchor, direction, partner_label))
+    new_id = new_edge.id
+    if id_bound is not None:
+        # the seed edge itself now passes the id test: it may not be its partner
+        candidates = [candidate for candidate in candidates if candidate.id != new_id]
+        new_id = id_bound
     searcher.candidates_examined += len(candidates)
     far_bound = target if far_is_target else source
-    new_id = new_edge.id
     found = 0
     for candidate in candidates:
         # newest-edge rule: an embedding is found only at its newest edge

@@ -72,9 +72,13 @@ LATEST = -1
 MatchKey = Any
 #: A node's join wiring: ``(sibling's buckets, parent, the parent's merge
 #: plan or ``None`` until :meth:`SJTree.compile_join` runs, whether this
-#: node is the left child)``.  The sibling is reached through its bucket
-#: dict, not the node, so no two nodes point at each other.
-NodeJoin = Tuple[Dict[MatchKey, Dict[int, Partial]], "SJTreeNode", Optional[JoinPlan], bool]
+#: node is the left child, the sibling leaf while it is lazy or ``None``)``.
+#: The sibling is reached through its bucket dict; only a lazy sibling is
+#: named, and a lazy leaf's own wiring never names its eager sibling, so no
+#: two nodes point at each other.
+NodeJoin = Tuple[
+    Dict[MatchKey, Dict[int, Partial]], "SJTreeNode", Optional[JoinPlan], bool, Optional["SJTreeNode"]
+]
 
 
 #: The key of a partial whose parent's cut is empty (and of the root's).
@@ -173,6 +177,23 @@ class SJTreeNode:
         self._match_count = 0  # repro-lint: ignore[snapshot-coverage]
         self.total_inserted = 0
         self.total_expired = 0
+        # per-leaf work (``metrics()["leaves"]``); zero on internal nodes.
+        # ``total_inserted`` counts the partials stored.
+        #: Records routed to this leaf.
+        self.routed = 0
+        #: Embeddings of the primitive found (eager, lazy and directed searches).
+        self.found = 0
+        #: Records a lazy leaf turned away: no partner waiting in the sibling.
+        self.lazy_misses = 0
+        #: Searches for this (lazy) primitive run from a sibling partial's cut vertices.
+        self.directed_searches = 0
+        #: Mode switches, eager to lazy and back.
+        self.flips = 0
+        #: ``True`` while the leaf is lazy: searched only where its sibling
+        #: holds a partner, and storing nothing (its bucket is empty).
+        self.lazy = False
+        #: ``routed`` when the matcher's current marking epoch began.
+        self.routed_mark = 0
 
     # ------------------------------------------------------------------
     # structure
@@ -259,11 +280,29 @@ class SJTreeNode:
                 del self._matches[key]
         return dropped
 
-    def clear_matches(self) -> None:
-        """Remove every stored partial (used by tests and by plan switching)."""
+    def clear_matches(self) -> int:
+        """Remove every stored partial; return how many there were.
+
+        The bucket dict is emptied in place: the sibling's join wiring
+        holds it.
+        """
+        dropped = self._match_count
         self._matches.clear()
         self._expiry = ExpiryQueue()
         self._match_count = 0
+        return dropped
+
+    def work(self) -> Dict[str, Any]:
+        """This leaf's work counters and mode, as ``metrics()["leaves"]`` lists them."""
+        return {
+            "records_routed": self.routed,
+            "embeddings_found": self.found,
+            "partials_stored": self.total_inserted,
+            "lazy_misses": self.lazy_misses,
+            "directed_searches": self.directed_searches,
+            "mode_flips": self.flips,
+            "lazy": self.lazy,
+        }
 
     # ------------------------------------------------------------------
     # persistence support
@@ -279,7 +318,7 @@ class SJTreeNode:
         tree in, so :meth:`load_state` re-inserts in exactly this order.
         """
         layout = self.layout
-        return {
+        state: Dict[str, object] = {
             "matches": [
                 {
                     "v": [list(pair) for pair in zip(layout.vertices, partial)],
@@ -293,6 +332,17 @@ class SJTreeNode:
             "total_inserted": self.total_inserted,
             "total_expired": self.total_expired,
         }
+        if self.is_leaf:
+            state["work"] = {
+                "lazy": self.lazy,
+                "routed": self.routed,
+                "routed_mark": self.routed_mark,
+                "found": self.found,
+                "lazy_misses": self.lazy_misses,
+                "directed_searches": self.directed_searches,
+                "flips": self.flips,
+            }
+        return state
 
     def load_state(self, state: Mapping[str, Any]) -> None:
         """Restore the partials captured by :meth:`state_dict`.
@@ -314,6 +364,15 @@ class SJTreeNode:
             )
         self.total_inserted = state["total_inserted"]
         self.total_expired = state["total_expired"]
+        # snapshots older than lazy leaves carry no work: the leaf is eager
+        work = state.get("work") or {}
+        self.lazy = bool(work.get("lazy", False))
+        self.routed = work.get("routed", 0)
+        self.routed_mark = work.get("routed_mark", 0)
+        self.found = work.get("found", 0)
+        self.lazy_misses = work.get("lazy_misses", 0)
+        self.directed_searches = work.get("directed_searches", 0)
+        self.flips = work.get("flips", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else ("root" if self.is_root else "internal")
@@ -425,7 +484,7 @@ class SJTree:
             left = parent.left_id == node.id
             sibling_id = parent.right_id if left else parent.left_id
             assert sibling_id is not None  # an internal node has two children
-            node.join = (self.nodes[sibling_id]._matches, parent, None, left)
+            node.join = (self.nodes[sibling_id]._matches, parent, None, left, None)
 
     def compile_join(self, parent: SJTreeNode, window: TimeWindow) -> JoinPlan:
         """Compile ``parent``'s merge plan under ``window`` into both children's joins.
@@ -439,9 +498,23 @@ class SJTree:
         plan = compile_join(
             left.subgraph, left.layout, right.subgraph, right.layout, parent.layout, window
         )
-        left.join = (right._matches, parent, plan, True)
-        right.join = (left._matches, parent, plan, False)
+        left.join = (right._matches, parent, plan, True, right if right.lazy else None)
+        right.join = (left._matches, parent, plan, False, left if left.lazy else None)
         return plan
+
+    def set_lazy(self, leaf: SJTreeNode, lazy: bool) -> None:
+        """Mark ``leaf`` lazy or eager and rewire its sibling's join to match.
+
+        A lazy leaf's sibling names it in its wiring, so a partial the
+        sibling stores runs a directed search for the leaf's primitive
+        instead of probing the leaf's (empty) bucket.  The buckets
+        themselves are the caller's: it drops or rebuilds them.
+        """
+        leaf.lazy = lazy
+        sibling = self.sibling(leaf)
+        assert sibling is not None and sibling.join is not None
+        buckets, parent, plan, left, _ = sibling.join
+        sibling.join = (buckets, parent, plan, left, leaf if lazy else None)
 
     # ------------------------------------------------------------------
     # navigation
@@ -518,11 +591,15 @@ class SJTree:
 
         The retired ``last_expiry_sweep`` key, if present, is ignored, and
         so is the root's collection: older snapshots stored completions
-        there, which are already events.
+        there, which are already events.  A root that is a leaf gets its
+        work counters back.
         """
         for node_id, node_state in state["nodes"]:
             if node_id != self.root_id:
                 self.nodes[node_id].load_state(node_state)
+            elif self.nodes[node_id].is_leaf:
+                # a one-leaf tree's leaf is its root: only its work counters
+                self.nodes[node_id].load_state(dict(node_state, matches=[]))
 
     # ------------------------------------------------------------------
     # invariants (Properties 1, 2, 4 and decomposition sanity)

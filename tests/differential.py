@@ -30,6 +30,15 @@ the conformance suite (``tests/test_reference_conformance.py``) drives:
 * :func:`mutant_admit` -- the multi-source reorder buffer's admission loop
   recompiled with source edits: the loop keeps its state in locals, so its
   meta-tests' faults cannot be patched in from outside.
+* :func:`lazy_run` and :func:`repeated_search` -- the lazy-leaf leg: the
+  engine, free to mark SJ-tree leaves lazy, against
+  :class:`~repro.baselines.RepeatedSearchEngine` (a full re-search of the
+  window after every record), which shares no matcher, SJ-tree or
+  local-search code with it.  :func:`exfil_records`
+  is a stream on which one leaf really goes lazy and comes back;
+  :func:`flippy_marking` makes the marking flip on any stream; and
+  :func:`skip_directed_search`, :func:`directed_past_newest` and
+  :func:`lazy_keeps_bucket` are the faults its meta-tests must catch.
 * :func:`assert_statistics_describe_the_window` — the statistics-side
   invariant every stream shape must leave behind: the planner's summary
   equals a from-scratch one (quadratic wedge census included) over the
@@ -39,7 +48,9 @@ Engine and reference share the matcher, the SJ-tree and the local search,
 so a bug there is invisible to this differential; the oracles that share
 none of it are ``SubgraphMatcher(graph).find_all(query)`` (interpreted
 predicates, no probes) in ``tests/test_property_based.py`` and the
-repeated-search baseline.
+repeated-search baseline (:func:`repeated_search`).  The reference keeps
+every leaf eager (:meth:`ExhaustiveReferenceEngine._collect_matches`), so
+the engine's lazy leaves are held against eager search here as well.
 
 Everything here is deterministic: same records + same config = same
 canonical event list, byte for byte.
@@ -48,6 +59,7 @@ canonical event list, byte for byte.
 import inspect
 import random
 import textwrap
+from collections import Counter
 
 from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
     canonical,
@@ -64,13 +76,15 @@ from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
     rmat_records,
 )
 
+from repro.baselines import RepeatedSearchEngine
+from repro.core import matcher as matcher_module
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.route_plan import RoutePlan
 from repro.core.sjtree import EARLIEST
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
 from repro.query.builder import QueryBuilder
 from repro.query.compile import _never
-from repro.query.predicates import And, AttrCompare, AttrIn, AttrRange
+from repro.query.predicates import And, AttrCompare, AttrEquals, AttrIn, AttrRange
 from repro.stats import GraphSummary
 from repro.streaming import sources as sources_module
 from repro.streaming.edge_stream import StreamEdge
@@ -334,6 +348,8 @@ class ExhaustiveReferenceEngine(ProbedReferenceEngine):
     def _collect_matches(self, edge, found):
         for registration in self.queries.values():
             matcher = registration.matcher
+            # every leaf stays eager: no marking epoch ever closes
+            matcher.epoch_end = float("inf")
             for completion in matcher.process_edge_leaves(edge, matcher.tree.leaves()):
                 found.append((registration, completion))
 
@@ -464,3 +480,187 @@ def mutant_admit(*edits):
     namespace = {}
     exec(compile(source, "<mutant _admit>", "exec"), vars(sources_module), namespace)
     return namespace["_admit"]
+
+
+# ----------------------------------------------------------------------
+# lazy leaves: the engine against the repeated-search baseline
+# ----------------------------------------------------------------------
+#: Window of the exfil-shaped query: one marking epoch, 100 records of
+#: :func:`exfil_records` (they are 0.01 apart), off the timestamp grid.
+EXFIL_WINDOW = 1.0 + 0.005
+
+
+def exfil_query():
+    """The benchmark's ``exfil`` shape: a login and an internal connection, then a big upload.
+
+    The planner puts the selective upload in one leaf and the login /
+    internal-connection pair in the other, joined on ``staging``.
+    """
+    return (
+        QueryBuilder("exfil")
+        .vertex("user", "User")
+        .vertex("staging", "IP")
+        .vertex("internal", "IP")
+        .vertex("external", "IP")
+        .edge("user", "staging", "loginTo", attrs={"success": True})
+        .edge("staging", "internal", "connectsTo")
+        .edge(
+            "staging",
+            "external",
+            "connectsTo",
+            predicate=AttrEquals("external", True) & AttrCompare("bytes", ">=", 1_000_000),
+        )
+        .build()
+    )
+
+
+def exfil_queries():
+    return [("exfil", exfil_query(), EXFIL_WINDOW)]
+
+
+def exfil_records(count, seed=3, calm=None, hosts=20, strays=0.03):
+    """A busy login / internal-connection background with rare planted exfiltrations.
+
+    Records are 0.01 apart.  The background keeps the login /
+    connection leaf routed many times as often as the upload leaf, which
+    goes lazy after the first epoch.  ``calm`` is a ``(start, stop)``
+    record range in which uploads dominate instead, so the lazy leaf
+    turns eager again, and lazy once more after it.  Each plant's three
+    edges come in a random order within a few records, so the upload is
+    sometimes older and sometimes newer than its login and connection;
+    stray uploads from any of the ``hosts`` servers (a ``strays`` share of
+    the records) join the background too.
+    """
+    rng = random.Random(seed)
+    servers = [f"10.0.0.{index}" for index in range(hosts)]
+    hubs = servers[:4]
+    users = [f"user{index}" for index in range(30)]
+    records, pending = [], []
+    for position in range(count):
+        timestamp = (position + 1) * 0.01
+        in_calm = calm is not None and calm[0] <= position < calm[1]
+        if pending and rng.random() < 0.6:
+            source, target, label, attrs, labels = pending.pop(0)
+        elif not pending and rng.random() < (0.0 if in_calm else 0.006):
+            staging = rng.choice(servers[4:])
+            plant = [
+                (rng.choice(users), staging, "loginTo", {"success": True}, ("User", "IP")),
+                (staging, rng.choice(hubs), "connectsTo",
+                 {"bytes": 9000, "external": False}, ("IP", "IP")),
+                (staging, f"203.0.113.{rng.randrange(8)}", "connectsTo",
+                 {"bytes": 1_000_000 + rng.randrange(9_000_000), "external": True}, ("IP", "IP")),
+            ]
+            rng.shuffle(plant)
+            pending.extend(plant)
+            source, target, label, attrs, labels = pending.pop(0)
+        elif rng.random() < (0.75 if in_calm else strays):
+            source, label = rng.choice(servers), "connectsTo"
+            target = f"203.0.113.{rng.randrange(8)}"
+            attrs, labels = {"bytes": 2_000_000, "external": True}, ("IP", "IP")
+        elif rng.random() < 0.25:
+            source, target, label = rng.choice(users), rng.choice(servers), "loginTo"
+            attrs, labels = {"success": rng.random() < 0.8}, ("User", "IP")
+        else:
+            source = rng.choice(servers)
+            target = rng.choice(servers)
+            if target == source:
+                target = hubs[0] if source != hubs[0] else hubs[1]
+            label, labels = "connectsTo", ("IP", "IP")
+            attrs = {"bytes": rng.randrange(200, 60_000), "external": False}
+        records.append(StreamEdge(source, target, label, timestamp, attrs, *labels))
+    return records
+
+
+def flippy_marking(monkeypatch):
+    """Make the marking flip on any stream: lazy at any majority, eager again at any minority."""
+    monkeypatch.setattr(matcher_module, "LAZY_MIN", 1)
+    monkeypatch.setattr(matcher_module, "LAZY_ENTER", 1)
+    monkeypatch.setattr(matcher_module, "LAZY_EXIT", 1)
+
+
+def _edge_set(match):
+    edges = match.edge_map.values()
+    return tuple(sorted((edge.source, edge.target, edge.label, edge.timestamp) for edge in edges))
+
+
+def _identity(match, dedupe_structural):
+    # with dedupe_structural each side keeps one variant per edge set, not
+    # necessarily the same one: compare the edge sets
+    return _edge_set(match) if dedupe_structural else match.portable_identity()
+
+
+def lazy_run(records, query_specs, *, batch_size, dedupe_structural=False, mutate=None):
+    """The engine, free to mark leaves lazy; return ``(event multiset, engine)``."""
+    engine = StreamWorksEngine(config=EngineConfig(dedupe_structural=dedupe_structural))
+    for name, query, window in query_specs():
+        engine.register_query(query, name=name, window=window)
+    if mutate is not None:
+        mutate(engine)
+    events = []
+    for start in range(0, len(records), batch_size):
+        events.extend(engine.process_batch(records[start : start + batch_size]))
+    events.extend(engine.flush())
+    found = Counter(
+        (event.query_name, _identity(event.match, dedupe_structural), event.detected_at)
+        for event in events
+    )
+    return found, engine
+
+
+def repeated_search(records, query_specs, *, dedupe_structural=False):
+    """The baseline: every query re-searched over its window after every record.
+
+    A match is reported at the record that completes it, judged against
+    the window as of the stream clock there: the engine's rule, whatever
+    batch size :func:`lazy_run` feeds it.
+    """
+    found = Counter()
+    for name, query, window in query_specs():
+        baseline = RepeatedSearchEngine(query, window=window, dedupe_structural=dedupe_structural)
+        for record in records:
+            for match in baseline.process_batch([record]):
+                found[(name, _identity(match, dedupe_structural), record.timestamp)] += 1
+    return found
+
+
+def skip_directed_search(engine):
+    """Fault: a partial stored beside a lazy leaf joins nothing the leaf would have held.
+
+    Models forgetting the other half of lazy search: a pair whose lazy
+    side is the older one never joins.
+    """
+    for registration in engine.queries.values():
+        registration.matcher._join_directed = lambda *args: None
+
+
+def directed_past_newest(engine):
+    """Fault: the directed search binds edges at or above the stored partial's newest edge.
+
+    Models dropping the ingest-id bound: an embedding whose newest edge is
+    younger than the partial is joined by the search and again when its own
+    record probes the partial's bucket.
+    """
+    for registration in engine.queries.values():
+        searcher = registration.matcher.local_searcher
+        original = searcher.find_directed
+
+        def unbounded(primitive, key_vertices, key, id_bound, low, high, _original=original):
+            return _original(primitive, key_vertices, key, 1 << 62, low, high)
+
+        searcher.find_directed = unbounded
+
+
+def lazy_keeps_bucket(engine):
+    """Fault: a leaf goes lazy without dropping its bucket.
+
+    The sibling still joins what the bucket holds, and the directed search
+    finds the same embeddings again.
+    """
+    for registration in engine.queries.values():
+        matcher = registration.matcher
+
+        def keep(leaf, _matcher=matcher):
+            leaf.flips += 1
+            _matcher.tree.set_lazy(leaf, True)
+
+        matcher._go_lazy = keep

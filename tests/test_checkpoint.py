@@ -927,7 +927,7 @@ def assert_duplicate_memory_ignored(sections, resumed):
     assert all("dedup_edge_sets" in payload["matcher"] for payload in sections["queries"])
     assert not hasattr(resumed.config, "dedup_memory_budget")
     for registration in resumed.queries.values():
-        assert set(registration.matcher.state_dict()) == {"tree", "stats"}
+        assert set(registration.matcher.state_dict()) == {"tree", "stats", "epoch_end"}
 
 
 def test_snapshot_from_before_the_exact_census_restores(tmp_path):

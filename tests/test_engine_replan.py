@@ -193,3 +193,34 @@ def test_same_tree_compares_shape_and_ordered_primitives():
     assert not base.same_tree(
         Decomposition(query, [pair, third], tree_shape=SJTree.BALANCED)
     )
+
+
+def test_a_replan_migrates_a_matcher_holding_a_lazy_leaf_without_losing_or_repeating_events():
+    """The lazy leaf's bucket is empty; the migration replays the window store instead."""
+    from differential import EXFIL_WINDOW, exfil_query, exfil_records
+
+    records = exfil_records(1200, calm=(600, 900))
+
+    def build():
+        engine = StreamWorksEngine()
+        engine.register_query(exfil_query(), name="exfil", window=EXFIL_WINDOW)
+        return engine
+
+    def feed(engine, rows):
+        for start in range(0, len(rows), 50):
+            engine.process_batch(rows[start : start + 50])
+
+    never = build()
+    feed(never, records)
+    engine = build()
+    feed(engine, records[:400])
+    registration = engine.queries["exfil"]
+    old = registration.matcher
+    assert [leaf.lazy for leaf in old.tree.leaves()] == [True, False]
+    engine.replan_query("exfil", strategy=Strategy.ANTI_SELECTIVE)
+    assert registration.matcher is not old
+    assert engine.metrics()["replan"]["partials_migrated"] > 0
+    # the rebuilt tree starts eager, and its leaves hold what eager search would
+    assert not any(leaf.lazy for leaf in registration.matcher.tree.leaves())
+    feed(engine, records[400:])
+    assert canonical(engine.events()) == canonical(never.events()) != []

@@ -382,7 +382,7 @@ def full_scan_insert(self, node, partial, out):
     key = node.store_partial(partial)
     self._tree_stored += 1
     self.next_expiry = min(self.next_expiry, partial[EARLIEST])
-    buckets, parent, plan, left = join
+    buckets, parent, plan, left, _ = join
     if plan is None:
         plan = self.tree.compile_join(parent, self.window)
     under_key = {id(held) for held in buckets.get(key, {}).values()}
