@@ -66,6 +66,7 @@ eager rebuilds it, store-only, from the window store.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
@@ -78,7 +79,7 @@ from .decomposition import Decomposition
 from .join import JoinPlan, try_join
 from .local_search import LocalSearcher
 from .probe import CutKeys, cut_keys
-from .sjtree import EARLIEST, LATEST, MatchKey, Partial, SJTree, SJTreeNode
+from .sjtree import EARLIEST, LATEST, LeafWork, MatchKey, Partial, SJTree, SJTreeNode
 
 __all__ = [
     "LAZY_ENTER",
@@ -240,8 +241,10 @@ class ContinuousQueryMatcher:
         self.queued_expiry = _INF if self.window.bounded else -_INF  # repro-lint: ignore[snapshot-coverage]
         #: The joins whose two children are both leaves, ``(left, right)``:
         #: where a leaf may go lazy.  Only under a bounded window (the
-        #: epoch is the window's length) and a non-empty cut (the partner
-        #: probe's key).  Derived from the plan.
+        #: epoch is the window's length), a non-empty cut (the partner
+        #: probe's key) and no vertex-attribute check on either leaf: a
+        #: lazy leaf is searched later than its records arrive, and a
+        #: vertex's attributes may change in between.  Derived from the plan.
         self._pairs: List[Tuple[SJTreeNode, SJTreeNode]] = []  # repro-lint: ignore[snapshot-coverage]
         #: Per leaf that has been lazy, its partner probe (:func:`cut_keys`),
         #: built at the leaf's first lazy record.
@@ -251,11 +254,16 @@ class ContinuousQueryMatcher:
                 if node.left_id is None or node.right_id is None or not node.cut_vertices:
                     continue
                 left, right = self.tree.node(node.left_id), self.tree.node(node.right_id)
-                if left.is_leaf and right.is_leaf:
+                if left.is_leaf and right.is_leaf and not self._checks_vertices(node):
                     self._pairs.append((left, right))
         #: Stream time at which the current marking epoch ends: ``-inf``
         #: before the first record has opened one, ``inf`` with no pair.
         self.epoch_end = -_INF if self._pairs else _INF
+
+    def _checks_vertices(self, node: SJTreeNode) -> bool:
+        """Whether the query checks the attributes of a vertex of ``node``'s subgraph."""
+        checks = self.compiled.vertex_checks
+        return any(checks[vertex.name] is not None for vertex in node.subgraph.vertices())
 
     # ------------------------------------------------------------------
     # main entry points
@@ -317,8 +325,9 @@ class ContinuousQueryMatcher:
         found_any = False
         find = self.local_searcher.find
         for leaf in leaves:
-            leaf.routed += 1
-            if leaf.lazy:
+            work = leaf.work
+            work.records_routed += 1
+            if work.lazy:
                 if self._search_lazy(leaf, edge, completions):
                     found_any = True
                 continue
@@ -326,7 +335,7 @@ class ContinuousQueryMatcher:
             if not primitive_matches:
                 continue
             found_any = True
-            leaf.found += len(primitive_matches)
+            work.embeddings_found += len(primitive_matches)
             self.stats.leaf_matches_found += len(primitive_matches)
             for partial in primitive_matches:
                 self._insert(leaf, partial, completions)
@@ -418,13 +427,13 @@ class ContinuousQueryMatcher:
                     if buckets.get(pick(ends)):
                         break
                 else:
-                    leaf.lazy_misses += 1
+                    leaf.work.lazy_misses += 1
                     return False
         parent, plan, left = join[1], join[2], join[3]
         primitive_matches = self.local_searcher.find(leaf.subgraph, edge)
         if not primitive_matches:
             return False
-        leaf.found += len(primitive_matches)
+        leaf.work.embeddings_found += len(primitive_matches)
         self.stats.leaf_matches_found += len(primitive_matches)
         key_of = leaf.key_of
         for partial in primitive_matches:
@@ -451,7 +460,7 @@ class ContinuousQueryMatcher:
         does and reads only edges below ``partial``'s newest edge, bounded
         by the window around ``partial``'s extent.
         """
-        lazy.directed_searches += 1
+        lazy.work.directed_searches += 1
         newest = max(edge.id for edge in node.layout.edges_of(partial))
         duration = self.window.duration
         found = self.local_searcher.find_directed(
@@ -467,7 +476,7 @@ class ContinuousQueryMatcher:
             found = [match for match in found if key_of(match) == key]
         if not found:
             return
-        lazy.found += len(found)
+        lazy.work.embeddings_found += len(found)
         self.stats.leaf_matches_found += len(found)
         join = node.join
         assert join is not None
@@ -485,18 +494,18 @@ class ContinuousQueryMatcher:
             for left, right in self._pairs:
                 self._mark(left, right, edge.id)
         for left, right in self._pairs:
-            left.routed_mark = left.routed
-            right.routed_mark = right.routed
+            left.routed_mark = left.work.records_routed
+            right.routed_mark = right.work.records_routed
         self.epoch_end = edge.timestamp + self.window.duration
 
     def _mark(self, left: SJTreeNode, right: SJTreeNode, bound: int) -> None:
         """Switch one pair's modes from its epoch counts (at most one leaf is lazy)."""
-        routed_left = left.routed - left.routed_mark
-        routed_right = right.routed - right.routed_mark
-        if left.lazy:
+        routed_left = left.work.records_routed - left.routed_mark
+        routed_right = right.work.records_routed - right.routed_mark
+        if left.work.lazy:
             if routed_left < LAZY_EXIT * routed_right:
                 self._go_eager(left, bound)
-        elif right.lazy:
+        elif right.work.lazy:
             if routed_right < LAZY_EXIT * routed_left:
                 self._go_eager(right, bound)
         elif routed_left >= LAZY_MIN and routed_left >= LAZY_ENTER * routed_right:
@@ -506,7 +515,7 @@ class ContinuousQueryMatcher:
 
     def _go_lazy(self, leaf: SJTreeNode) -> None:
         """Mark ``leaf`` lazy and drop its bucket: the directed search stands in for it."""
-        leaf.flips += 1
+        leaf.work.mode_flips += 1
         self._tree_stored -= leaf.clear_matches()
         self.tree.set_lazy(leaf, True)
         self.next_expiry = self.tree.earliest_stored()
@@ -519,7 +528,7 @@ class ContinuousQueryMatcher:
         the eager leaf would have searched it, and what it finds is stored
         without joining: those pairs were joined while the leaf was lazy.
         """
-        leaf.flips += 1
+        leaf.work.mode_flips += 1
         self.tree.set_lazy(leaf, False)
         labels = {edge.label for edge in leaf.subgraph.edges()}
         graph = self.graph
@@ -538,7 +547,7 @@ class ContinuousQueryMatcher:
         for edge in history:
             for partial in find(primitive, edge):
                 leaf.store_partial(partial)
-                leaf.found += 1
+                leaf.work.embeddings_found += 1
                 self._tree_stored += 1
                 if partial[EARLIEST] < self.next_expiry:
                     self.next_expiry = partial[EARLIEST]
@@ -657,14 +666,29 @@ class ContinuousQueryMatcher:
 
     def leaf_work(self) -> List[Dict[str, Any]]:
         """Each leaf's work counters and mode, in decomposition order (``metrics()["leaves"]``)."""
-        return [leaf.work() for leaf in self.tree.leaves()]
+        return [
+            dict(asdict(leaf.work), partials_stored=leaf.total_inserted)
+            for leaf in self.tree.leaves()
+        ]
 
     def reset(self) -> None:
-        """Drop all stored matches and counters (keeps the plan)."""
+        """Drop all stored matches and counters (keeps the plan).
+
+        Every leaf is eager again, with its work counters at zero, and no
+        marking epoch is open.
+        """
+        for leaf in self.tree.leaves():
+            if leaf.work.lazy:
+                self.tree.set_lazy(leaf, False)
+            leaf.work = LeafWork()
+            leaf.routed_mark = 0
+        for node in self.tree.nodes.values():
+            node.total_inserted = node.total_expired = 0
         self.tree.clear_matches()
         self._tree_stored = 0
         self.next_expiry = float("inf")
         self.stats = MatcherStats()
+        self.epoch_end = -_INF if self._pairs else _INF
 
     # ------------------------------------------------------------------
     # persistence support
@@ -700,7 +724,7 @@ class ContinuousQueryMatcher:
         """
         self.tree.load_state(state["tree"])
         for leaf in self.tree.leaves():
-            if leaf.lazy:
+            if leaf.work.lazy:
                 self.tree.set_lazy(leaf, True)
         self._tree_stored = self.tree.total_stored_matches()
         self.next_expiry = self.tree.earliest_stored()

@@ -41,6 +41,7 @@ parent; :meth:`SJTree.compile_join` gives an internal node the merge plan
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -53,6 +54,7 @@ from .join import JoinPlan, compile_join
 __all__ = [
     "EARLIEST",
     "LATEST",
+    "LeafWork",
     "Partial",
     "SlotLayout",
     "SJTreeNode",
@@ -145,6 +147,25 @@ class SJTreeInvariantError(AssertionError):
     """Raised by :meth:`SJTree.validate` when a structural property is violated."""
 
 
+@dataclass
+class LeafWork:
+    """A leaf's work counters and mode, by the names ``metrics()["leaves"]`` and snapshots use."""
+
+    #: Records routed to the leaf.
+    records_routed: int = 0
+    #: Embeddings of the primitive found (eager, lazy and directed searches).
+    embeddings_found: int = 0
+    #: Records a lazy leaf turned away: no partner waiting in the sibling.
+    lazy_misses: int = 0
+    #: Searches for the (lazy) primitive run from a sibling partial's cut vertices.
+    directed_searches: int = 0
+    #: Mode switches, eager to lazy and back.
+    mode_flips: int = 0
+    #: ``True`` while the leaf is lazy: searched only where its sibling
+    #: holds a partner, and storing nothing (its bucket is empty).
+    lazy: bool = False
+
+
 class SJTreeNode:
     """One node of an SJ-Tree: a query subgraph plus its collection of partials."""
 
@@ -177,22 +198,9 @@ class SJTreeNode:
         self._match_count = 0  # repro-lint: ignore[snapshot-coverage]
         self.total_inserted = 0
         self.total_expired = 0
-        # per-leaf work (``metrics()["leaves"]``); zero on internal nodes.
-        # ``total_inserted`` counts the partials stored.
-        #: Records routed to this leaf.
-        self.routed = 0
-        #: Embeddings of the primitive found (eager, lazy and directed searches).
-        self.found = 0
-        #: Records a lazy leaf turned away: no partner waiting in the sibling.
-        self.lazy_misses = 0
-        #: Searches for this (lazy) primitive run from a sibling partial's cut vertices.
-        self.directed_searches = 0
-        #: Mode switches, eager to lazy and back.
-        self.flips = 0
-        #: ``True`` while the leaf is lazy: searched only where its sibling
-        #: holds a partner, and storing nothing (its bucket is empty).
-        self.lazy = False
-        #: ``routed`` when the matcher's current marking epoch began.
+        #: This leaf's work and mode (zero and eager on internal nodes).
+        self.work = LeafWork()
+        #: ``work.records_routed`` when the matcher's current marking epoch began.
         self.routed_mark = 0
 
     # ------------------------------------------------------------------
@@ -292,18 +300,6 @@ class SJTreeNode:
         self._match_count = 0
         return dropped
 
-    def work(self) -> Dict[str, Any]:
-        """This leaf's work counters and mode, as ``metrics()["leaves"]`` lists them."""
-        return {
-            "records_routed": self.routed,
-            "embeddings_found": self.found,
-            "partials_stored": self.total_inserted,
-            "lazy_misses": self.lazy_misses,
-            "directed_searches": self.directed_searches,
-            "mode_flips": self.flips,
-            "lazy": self.lazy,
-        }
-
     # ------------------------------------------------------------------
     # persistence support
     # ------------------------------------------------------------------
@@ -333,15 +329,8 @@ class SJTreeNode:
             "total_expired": self.total_expired,
         }
         if self.is_leaf:
-            state["work"] = {
-                "lazy": self.lazy,
-                "routed": self.routed,
-                "routed_mark": self.routed_mark,
-                "found": self.found,
-                "lazy_misses": self.lazy_misses,
-                "directed_searches": self.directed_searches,
-                "flips": self.flips,
-            }
+            state["work"] = asdict(self.work)
+            state["routed_mark"] = self.routed_mark
         return state
 
     def load_state(self, state: Mapping[str, Any]) -> None:
@@ -365,14 +354,8 @@ class SJTreeNode:
         self.total_inserted = state["total_inserted"]
         self.total_expired = state["total_expired"]
         # snapshots older than lazy leaves carry no work: the leaf is eager
-        work = state.get("work") or {}
-        self.lazy = bool(work.get("lazy", False))
-        self.routed = work.get("routed", 0)
-        self.routed_mark = work.get("routed_mark", 0)
-        self.found = work.get("found", 0)
-        self.lazy_misses = work.get("lazy_misses", 0)
-        self.directed_searches = work.get("directed_searches", 0)
-        self.flips = work.get("flips", 0)
+        self.work = LeafWork(**state.get("work", {}))
+        self.routed_mark = state.get("routed_mark", 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else ("root" if self.is_root else "internal")
@@ -498,8 +481,8 @@ class SJTree:
         plan = compile_join(
             left.subgraph, left.layout, right.subgraph, right.layout, parent.layout, window
         )
-        left.join = (right._matches, parent, plan, True, right if right.lazy else None)
-        right.join = (left._matches, parent, plan, False, left if left.lazy else None)
+        left.join = (right._matches, parent, plan, True, right if right.work.lazy else None)
+        right.join = (left._matches, parent, plan, False, left if left.work.lazy else None)
         return plan
 
     def set_lazy(self, leaf: SJTreeNode, lazy: bool) -> None:
@@ -510,7 +493,7 @@ class SJTree:
         instead of probing the leaf's (empty) bucket.  The buckets
         themselves are the caller's: it drops or rebuilds them.
         """
-        leaf.lazy = lazy
+        leaf.work.lazy = lazy
         sibling = self.sibling(leaf)
         assert sibling is not None and sibling.join is not None
         buckets, parent, plan, left, _ = sibling.join

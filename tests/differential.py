@@ -660,7 +660,7 @@ def lazy_keeps_bucket(engine):
         matcher = registration.matcher
 
         def keep(leaf, _matcher=matcher):
-            leaf.flips += 1
+            leaf.work.mode_flips += 1
             _matcher.tree.set_lazy(leaf, True)
 
         matcher._go_lazy = keep

@@ -216,11 +216,11 @@ def test_a_replan_migrates_a_matcher_holding_a_lazy_leaf_without_losing_or_repea
     feed(engine, records[:400])
     registration = engine.queries["exfil"]
     old = registration.matcher
-    assert [leaf.lazy for leaf in old.tree.leaves()] == [True, False]
+    assert [leaf.work.lazy for leaf in old.tree.leaves()] == [True, False]
     engine.replan_query("exfil", strategy=Strategy.ANTI_SELECTIVE)
     assert registration.matcher is not old
     assert engine.metrics()["replan"]["partials_migrated"] > 0
     # the rebuilt tree starts eager, and its leaves hold what eager search would
-    assert not any(leaf.lazy for leaf in registration.matcher.tree.leaves())
+    assert not any(leaf.work.lazy for leaf in registration.matcher.tree.leaves())
     feed(engine, records[400:])
     assert canonical(engine.events()) == canonical(never.events()) != []

@@ -42,6 +42,7 @@ from differential import (
 )
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.core.local_search import LocalSearcher
+from repro.core.matcher import ContinuousQueryMatcher
 from repro.core.probe import cut_keys
 from repro.core.sjtree import SlotLayout
 from repro.graph.dynamic_graph import DynamicGraph
@@ -51,6 +52,8 @@ from repro.persistence import read_snapshot
 from repro.persistence.snapshot import write_snapshot
 from repro.query.builder import QueryBuilder
 from repro.query.compile import CompiledQuery
+from repro.query.predicates import AttrCompare, AttrEquals
+from repro.streaming.edge_stream import StreamEdge
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "persistence")
 
@@ -178,6 +181,57 @@ def test_the_lazy_leaf_searches_and_stores_a_tenth_of_what_eager_does(monkeypatc
     assert lazy_events == eager_events and sum(lazy_events.values()) > 0
     assert eager_finds >= 10 * lazy_finds
     assert eager_stored >= 10 * lazy_stored
+
+
+def clearance_query():
+    """``exfil`` with a vertex predicate on the busy leaf: the user must hold low clearance."""
+    return (
+        QueryBuilder("exfil")
+        .vertex("user", "User", attrs={"clearance": "low"})
+        .vertex("staging", "IP")
+        .vertex("internal", "IP")
+        .vertex("external", "IP")
+        .edge("user", "staging", "loginTo", attrs={"success": True})
+        .edge("staging", "internal", "connectsTo")
+        .edge(
+            "staging",
+            "external",
+            "connectsTo",
+            predicate=AttrEquals("external", True) & AttrCompare("bytes", ">=", 1_000_000),
+        )
+        .build()
+    )
+
+
+def clearance_records():
+    """The exfil stream whose every login rewrites its user's clearance at random."""
+    rng = random.Random(5)
+    return [
+        StreamEdge(
+            record.source, record.target, record.label, record.timestamp, record.attrs,
+            record.source_label, record.target_label,
+            source_attrs={"clearance": rng.choice(["low", "high"])}
+            if record.label == "loginTo" else None,
+        )
+        for record in exfil_records(1200, calm=(600, 900))
+    ]
+
+
+@pytest.mark.parametrize("batch_size", [1, 50])
+def test_a_vertex_predicate_keeps_its_leaves_eager(batch_size, monkeypatch):
+    """A lazy leaf would check its user's clearance when the upload arrives, not at the login."""
+    specs = lambda: [("exfil", clearance_query(), EXFIL_WINDOW)]  # noqa: E731
+    records = clearance_records()
+    eager, _ = lazy_run(records, specs, batch_size=batch_size, mutate=force_eager)
+    found, engine = lazy_run(records, specs, batch_size=batch_size)
+    assert found == eager and sum(found.values()) > 0
+    assert flips(engine) == 0
+    # the exclusion is what keeps them equal: marked anyway, the leaf goes
+    # lazy and the events move
+    monkeypatch.setattr(ContinuousQueryMatcher, "_checks_vertices", lambda self, node: False)
+    found, engine = lazy_run(records, specs, batch_size=batch_size)
+    assert flips(engine) > 0
+    assert found != eager
 
 
 def test_banded_leaves_see_the_same_traffic_and_never_flip():
@@ -323,6 +377,7 @@ def test_a_snapshot_without_leaf_modes_restores_eager_and_matches(tmp_path):
         payload["matcher"].pop("epoch_end")
         for _, node in payload["matcher"]["tree"]["nodes"]:
             node.pop("work", None)
+            node.pop("routed_mark", None)
     write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
     restored = StreamWorksEngine.restore(path)
     assert not any(leaf["lazy"] for leaf in leaf_work(restored)["exfil"])

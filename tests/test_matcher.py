@@ -1,9 +1,12 @@
 """Tests for the incremental continuous-query matcher (paper section 4.2)."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.decomposition import Strategy, decompose
 from repro.core.matcher import ContinuousQueryMatcher
+from repro.core.sjtree import LeafWork
 from repro.graph import DynamicGraph, TimeWindow
 from repro.isomorphism import SubgraphMatcher
 from repro.query import QueryBuilder
@@ -204,6 +207,23 @@ class TestIntrospection:
         matcher.reset()
         assert matcher.stored_partial_matches() == 0
         assert matcher.stats.edges_processed == 0
+
+    def test_reset_leaves_every_leaf_eager_with_its_work_at_zero(self):
+        from differential import EXFIL_WINDOW, exfil_records, exfil_query, lazy_run
+
+        _, engine = lazy_run(
+            exfil_records(600), lambda: [("exfil", exfil_query(), EXFIL_WINDOW)], batch_size=50
+        )
+        matcher = engine.queries["exfil"].matcher
+        busy, upload = matcher.tree.leaves()
+        assert busy.work.lazy and busy.routed_mark > 0
+        assert upload.join[4] is busy  # the upload leaf searches for it
+        matcher.reset()
+        zero = dict(asdict(LeafWork()), partials_stored=0)
+        assert matcher.leaf_work() == [zero, zero]
+        assert (busy.routed_mark, upload.routed_mark) == (0, 0)
+        assert upload.join[4] is None
+        assert matcher.epoch_end == float("-inf")
 
     def test_peak_follows_a_running_count_equal_to_the_recount(self, pair_query):
         graph, matcher = build_matcher(pair_query, window=5.0)
