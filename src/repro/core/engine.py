@@ -434,7 +434,8 @@ class StreamWorksEngine(IngestFront):
         #: route plans, records the front gate turned away or whose plan has
         #: no candidate leaf (dropped before any matcher work), and records
         #: whose route plan was already in the cache, i.e. that skipped the
-        #: dispatch-index probe.
+        #: dispatch-index probe (process-local like the cache: a restored
+        #: engine rebuilds its plans and counts from zero).
         self.batches_vectorized = 0
         self.records_prefiltered = 0
         self.dispatch_memo_hits = 0
@@ -879,7 +880,8 @@ class StreamWorksEngine(IngestFront):
         Step 4 searches the hot records with the leaves step 1 chose and
         applies the window rule (:meth:`_dispatch_run`); step 5 is one
         eviction sweep over the store and the cold ring (:meth:`evict_expired`).
-        Per-record latency samples time step 4 of each hot record only.
+        The latency meter times step 4 once per run with a hot record, and
+        records the run's mean per hot record as one sample.
 
         A record already outside the retention horizon at its ingest point is
         *dead on arrival*: ingested and evicted at once, counted in
@@ -1096,11 +1098,10 @@ class StreamWorksEngine(IngestFront):
         registered queries, nor on how the stream was cut into runs.
         """
         base = self.edges_processed
-        record_latency = self.config.record_latency
         self.batches_vectorized += 1
+        started = perf_counter() if hot and self.config.record_latency else None
         for position, edge, searches in hot:
             self.edges_processed = base + position
-            stopwatch_start = perf_counter() if record_latency else None
             late = edge.timestamp < clock
             found: List = []
             for owner, leaves in searches:
@@ -1119,8 +1120,8 @@ class StreamWorksEngine(IngestFront):
                     found.append((registration, completion))
             if found:
                 self._emit_trigger(found, edge.timestamp, base + position, events)
-            if stopwatch_start is not None:
-                self.latency.record(perf_counter() - stopwatch_start)
+        if started is not None:
+            self.latency.record(perf_counter() - started, len(hot))
         self.edges_processed = base + run_length
 
     def _ingest(self, record: StreamEdge) -> Edge:
@@ -1370,8 +1371,9 @@ class StreamWorksEngine(IngestFront):
     def _columnar_metrics(self) -> Dict[str, Any]:
         """Aggregate compiled hot-path counters for ``metrics()["columnar"]``.
 
-        ``range_scans`` / ``range_scan_fallbacks`` are process-local like
-        the latency samples: they restart from zero after a restore.
+        ``dispatch_memo_hits``, ``range_scans`` and ``range_scan_fallbacks``
+        are process-local like the latency samples: they restart from zero
+        after a restore.
         """
         range_stats = self.graph.range_scan_stats()
         return {

@@ -531,16 +531,12 @@ class ContinuousQueryMatcher:
         leaf.work.mode_flips += 1
         self.tree.set_lazy(leaf, False)
         labels = {edge.label for edge in leaf.subgraph.edges()}
-        graph = self.graph
-        if None in labels:
-            history = [edge for edge in graph.edges() if edge.id < bound]
-        else:
-            history = [
-                edge
-                for label in sorted(labels, key=str)
-                for edge in graph.edges(label)
-                if edge.id < bound
-            ]
+        any_label = None in labels
+        history = [
+            edge
+            for edge in self.graph.edges()
+            if edge.id < bound and (any_label or edge.label in labels)
+        ]
         history.sort(key=attrgetter("id"))
         find = self.local_searcher.find
         primitive = leaf.subgraph

@@ -6,8 +6,8 @@ matches the next query edge of a search primitive.  To keep that lookup
 proportional to the size of the local neighbourhood -- and never a scan of the
 whole graph -- the store keeps, per vertex, one :class:`VertexRecord` whose
 ``out`` / ``in_`` maps file the incident edges by label into
-:class:`EdgeSlot` objects.  The store's per-label edge index is made of
-:class:`EdgeSlot` objects too.
+:class:`EdgeSlot` objects.  These are the only slots: an edge is filed
+twice, in its source's out-slot and its target's in-slot.
 
 Slots hold edges in insertion order.  That is a correctness property, not a
 nicety: the sharded engine compares and merges matches across engines whose

@@ -193,7 +193,8 @@ class DynamicGraph:
         Edges leave in (timestamp, ingest) order: the queue's head and the
         late heap's top are merged, so on in-order input the sweep is a run
         of ``popleft`` calls, and every slot it touches gives up its head.
-        Edges already removed out of band are skipped.
+        One :meth:`PropertyGraph.discard_edges` call unfiles them all,
+        skipping edges already removed out of band.
         """
         window = self.window
         if not window.bounded:
@@ -206,27 +207,21 @@ class DynamicGraph:
         keep_at_threshold = not window.strict
         fifo = self._fifo
         late = self._late
-        discard = self.graph.discard_edge
-        drop_isolated = self.evict_isolated_vertices
-        evicted: List[Edge] = []
-        while True:
+        due: List[Edge] = []
+        while late or fifo:
             if late and (
                 not fifo or (late[0][0], late[0][1]) < (fifo[0].timestamp, fifo[0].id)
             ):
                 stamp = late[0][0]
                 if stamp > threshold or (stamp == threshold and keep_at_threshold):
                     break
-                edge = heappop(late)[2]
-            elif fifo:
-                edge = fifo[0]
-                stamp = edge.timestamp
+                due.append(heappop(late)[2])
+            else:
+                stamp = fifo[0].timestamp
                 if stamp > threshold or (stamp == threshold and keep_at_threshold):
                     break
-                fifo.popleft()
-            else:
-                break
-            if discard(edge, drop_isolated):
-                evicted.append(edge)
+                due.append(fifo.popleft())
+        evicted = self.graph.discard_edges(due, self.evict_isolated_vertices)
         self._edges_evicted += len(evicted)
         return evicted
 
@@ -257,8 +252,8 @@ class DynamicGraph:
         """Iterate over retained vertices."""
         return self.graph.vertices(label)
 
-    def edges_in_range(self, label: str, low: float, high: float) -> Optional[List[Edge]]:
-        """Sorted-array label range scan (see :meth:`PropertyGraph.edges_in_range`)."""
+    def edges_in_range(self, label: str, low: float, high: float) -> List[Edge]:
+        """Retained ``label`` edges in a timestamp range (see :meth:`PropertyGraph.edges_in_range`)."""
         return self.graph.edges_in_range(label, low, high)
 
     def incident_edges_in_range(

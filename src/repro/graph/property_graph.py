@@ -54,8 +54,9 @@ class PropertyGraph:
     def __init__(self) -> None:
         self._vertices: Dict[VertexId, VertexRecord] = {}
         self._edges: Dict[EdgeId, Edge] = {}
-        # replayed from the persisted edges: from_state re-adds them in order
-        self._label_slots: Dict[str, EdgeSlot] = {}  # repro-lint: ignore[snapshot-coverage]
+        # live edges per label, recounted by from_state's replay; the
+        # label-filtered reads derive from ``_edges`` (see :meth:`edges`)
+        self._label_counts: Dict[str, int] = {}  # repro-lint: ignore[snapshot-coverage]
         self._vertices_by_label: Dict[str, Dict[VertexId, None]] = {}
         self._next_edge_id: int = 0
         #: Range-scan observability (process-local, like wall-clock latency:
@@ -150,9 +151,8 @@ class PropertyGraph:
         record = self._vertices.get(vertex_id)
         if record is None:
             raise VertexNotFoundError(vertex_id)
-        for edge in list(self.incident_edges(vertex_id)):
-            # a self loop is listed twice, OUT and IN
-            self.discard_edge(edge)
+        # a self loop is listed twice, OUT and IN: the second is skipped
+        self.discard_edges(list(self.incident_edges(vertex_id)))
         self._drop_vertex(record)
         return record
 
@@ -213,10 +213,8 @@ class PropertyGraph:
 
         edge = Edge(edge_id, source, target, label, timestamp, attrs)
         self._edges[edge_id] = edge
-        slot = self._label_slots.get(label)
-        if slot is None:
-            slot = self._label_slots[label] = EdgeSlot()
-        slot.append(edge)
+        counts = self._label_counts
+        counts[label] = counts.get(label, 0) + 1
         slot = source_record.out.get(label)
         if slot is None:
             slot = source_record.out[label] = EdgeSlot()
@@ -261,11 +259,14 @@ class PropertyGraph:
             raise EdgeNotFoundError(edge_id) from None
 
     def edges(self, label: Optional[str] = None) -> Iterator[Edge]:
-        """Iterate over stored edges, optionally restricted to one label."""
+        """Iterate over stored edges in ingest order, optionally of one label only.
+
+        A label filter walks every edge (only static searches read by label)
+        into a list, so the store may change while the result is consumed.
+        """
         if label is None:
             return iter(self._edges.values())
-        slot = self._label_slots.get(label)
-        return iter(() if slot is None else slot.live())
+        return iter([edge for edge in self._edges.values() if edge.label == label])
 
     def edge_ids(self, label: Optional[str] = None) -> Iterator[EdgeId]:
         """Iterate over stored edge identifiers."""
@@ -277,12 +278,11 @@ class PropertyGraph:
         """Return the number of edges (optionally of a single label)."""
         if label is None:
             return len(self._edges)
-        slot = self._label_slots.get(label)
-        return 0 if slot is None else len(slot)
+        return self._label_counts.get(label, 0)
 
     def edge_labels(self) -> Set[str]:
         """Return the set of edge labels present in the graph."""
-        return set(self._label_slots)
+        return set(self._label_counts)
 
     def remove_edge(self, edge_id: EdgeId) -> Edge:
         """Remove an edge by id and return it."""
@@ -291,37 +291,47 @@ class PropertyGraph:
         return edge
 
     def discard_edge(self, edge: Edge, drop_isolated: bool = False) -> bool:
-        """Remove ``edge`` if it is the stored edge of its id; say whether.
+        """Remove ``edge`` if it is the stored edge of its id; say whether."""
+        return bool(self.discard_edges((edge,), drop_isolated))
 
-        Window eviction's path: the edge object is in hand, so each endpoint
-        record is looked up once, and with ``drop_isolated`` an endpoint
-        left without edges is removed on the spot (there is nothing for
-        :meth:`remove_vertex` to cascade to).
+    def discard_edges(self, edges: Iterable[Edge], drop_isolated: bool = False) -> List[Edge]:
+        """Remove each of ``edges`` that is the stored edge of its id; return those removed.
+
+        Window eviction's path: the edge objects are in hand, so each
+        endpoint record is looked up once per edge, and with
+        ``drop_isolated`` an endpoint left without edges is removed on the
+        spot (there is nothing for :meth:`remove_vertex` to cascade to).
         """
-        edge_id = edge.id
-        if self._edges.get(edge_id) is not edge:
-            return False
-        del self._edges[edge_id]
-        label = edge.label
-        source_record = self._vertices[edge.source]
-        target_record = self._vertices[edge.target]
-        slots = self._label_slots
-        if not slots[label].remove(edge):
-            del slots[label]
-        slots = source_record.out
-        if not slots[label].remove(edge):
-            del slots[label]
-        slots = target_record.in_
-        if not slots[label].remove(edge):
-            del slots[label]
-        source_record.degree -= 1
-        target_record.degree -= 1
-        if drop_isolated:
-            if not source_record.degree:
-                self._drop_vertex(source_record)
-            if target_record is not source_record and not target_record.degree:
-                self._drop_vertex(target_record)
-        return True
+        stored = self._edges
+        vertices = self._vertices
+        counts = self._label_counts
+        removed: List[Edge] = []
+        for edge in edges:
+            edge_id = edge.id
+            if stored.get(edge_id) is not edge:
+                continue
+            del stored[edge_id]
+            removed.append(edge)
+            label = edge.label
+            counts[label] -= 1
+            if not counts[label]:
+                del counts[label]
+            source_record = vertices[edge.source]
+            target_record = vertices[edge.target]
+            slots = source_record.out
+            if not slots[label].remove(edge):
+                del slots[label]
+            slots = target_record.in_
+            if not slots[label].remove(edge):
+                del slots[label]
+            source_record.degree -= 1
+            target_record.degree -= 1
+            if drop_isolated:
+                if not source_record.degree:
+                    self._drop_vertex(source_record)
+                if target_record is not source_record and not target_record.degree:
+                    self._drop_vertex(target_record)
+        return removed
 
     def edges_between(
         self,
@@ -347,27 +357,17 @@ class PropertyGraph:
     # ------------------------------------------------------------------
     # columnar range scans
     # ------------------------------------------------------------------
-    def edges_in_range(
-        self, label: str, low: Timestamp, high: Timestamp
-    ) -> Optional[List[Edge]]:
-        """Edges with ``label`` and timestamp in ``[low, high]``, insertion order.
+    def edges_in_range(self, label: str, low: Timestamp, high: Timestamp) -> List[Edge]:
+        """Edges with ``label`` and timestamp in ``[low, high]``, in ingest order.
 
-        Two bisections over the label's slot: while its entries are
-        time-sorted (the normal case -- the batched fast path ingests
-        non-decreasing runs) the range is one contiguous slice whose order
-        equals the plain ``edges(label)`` enumeration restricted to the
-        range.  Returns ``None`` when the slot is unsorted (disordered
-        ingest for this label); callers fall back to ``edges(label)``,
-        which is always correct.  Bounds are inclusive -- callers use the
-        scan as a superset prefilter ahead of their exact window checks.
+        The :meth:`edges` walk filtered by timestamp, so exact on any ingest
+        order; not counted in ``range_scans`` (per-vertex slot scans only).
         """
-        slot = self._label_slots.get(label)
-        found = [] if slot is None else slot.between(low, high)
-        if found is None:
-            self.range_scan_fallbacks += 1
-            return None
-        self.range_scans += 1
-        return found
+        return [
+            edge
+            for edge in self._edges.values()
+            if edge.label == label and low <= edge.timestamp <= high
+        ]
 
     def incident_edges_in_range(
         self,
@@ -380,10 +380,12 @@ class PropertyGraph:
         """Incident ``label`` edges with timestamp in ``[low, high]``, ingest order.
 
         Timestamp-bounded adjacency enumeration over the vertex record's
-        slots; order and fallback semantics mirror :meth:`edges_in_range`
-        (``None`` = unsorted slot, fall back to :meth:`incident_edges`).
-        ``Direction.BOTH`` lists OUT then IN, a self loop (filed under
-        both) once, with OUT.
+        slots: two bisections and a slice per slot while its entries are
+        time-sorted (the normal case -- the engine ingests non-decreasing
+        runs).  Returns ``None`` when a slot is unsorted (disordered ingest
+        into it); callers fall back to :meth:`incident_edges`, which is
+        always correct.  Bounds are inclusive.  ``Direction.BOTH`` lists
+        OUT then IN, a self loop (filed under both) once, with OUT.
         """
         record = self._vertices.get(vertex_id)
         found: Optional[List[Edge]] = []
@@ -584,7 +586,7 @@ class PropertyGraph:
         """Remove every vertex and edge."""
         self._vertices.clear()
         self._edges.clear()
-        self._label_slots.clear()
+        self._label_counts.clear()
         self._vertices_by_label.clear()
         self._next_edge_id = 0
 

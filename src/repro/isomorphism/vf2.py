@@ -330,8 +330,6 @@ class SubgraphMatcher:
         if self._compiled is not None and query_edge.label is not None:
             bounds = self._time_bounds(match)
             if bounds is not None:
-                scanned = self.graph.edges_in_range(query_edge.label, bounds[0], bounds[1])
-                if scanned is not None:
-                    yield from scanned
-                    return
+                yield from self.graph.edges_in_range(query_edge.label, bounds[0], bounds[1])
+                return
         yield from self.graph.edges(query_edge.label)

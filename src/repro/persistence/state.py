@@ -364,7 +364,6 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
             "replan_next_check": engine._next_replan_check,
             "batches_vectorized": engine.batches_vectorized,
             "records_prefiltered": engine.records_prefiltered,
-            "dispatch_memo_hits": engine.dispatch_memo_hits,
             "leaves_pruned": engine.leaves_pruned,
         },
     }
@@ -461,7 +460,9 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         # pre-columnar snapshots: the hot path started from zero there too
         engine.batches_vectorized = counters.get("batches_vectorized", 0)
         engine.records_prefiltered = counters.get("records_prefiltered", 0)
-        engine.dispatch_memo_hits = counters.get("dispatch_memo_hits", 0)
+        # an older snapshot's dispatch_memo_hits is ignored: it counts the
+        # writing process's route-plan cache hits, and a restored engine
+        # starts with no plans
         engine.leaves_pruned = counters.get("leaves_pruned", 0)
         engine.collector.events.extend(
             _event_from_state(payload) for payload in sections["events"]

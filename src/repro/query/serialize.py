@@ -113,7 +113,13 @@ def predicate_from_dict(payload: Mapping[str, Any]) -> Predicate:
 # query graphs
 # ----------------------------------------------------------------------
 def query_to_dict(query: QueryGraph) -> Dict[str, Any]:
-    """Convert a query graph into a JSON-friendly dictionary."""
+    """Convert a query graph into a JSON-friendly dictionary.
+
+    Vertices are written in declaration order, which :func:`query_from_dict`
+    replays: a plan's slot layouts and a ``Match``'s ``vertex_map`` follow
+    it, so a restored engine lays out and reports exactly as the one that
+    wrote the snapshot.  Edges are written by id.
+    """
     return {
         "name": query.name,
         "vertices": [
@@ -122,7 +128,7 @@ def query_to_dict(query: QueryGraph) -> Dict[str, Any]:
                 "label": vertex.label,
                 "predicate": predicate_to_dict(vertex.predicate),
             }
-            for vertex in sorted(query.vertices(), key=lambda v: v.name)
+            for vertex in query.vertices()
         ],
         "edges": [
             {

@@ -61,7 +61,7 @@ class Stopwatch:
         self._start = time.perf_counter()
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, *exc_info: object) -> None:
         assert self._start is not None
         self.elapsed = time.perf_counter() - self._start
         self._start = None
@@ -82,15 +82,17 @@ class Stopwatch:
 class LatencyRecorder:
     """Collect per-operation latencies and report percentiles.
 
-    Latencies are recorded in seconds.  Storage is a bounded reservoir
-    (Vitter's Algorithm R with a deterministic seed): the first ``cap``
-    samples are kept verbatim, after which each new sample replaces a random
-    retained one with probability ``cap / count`` -- a uniform sample of the
-    whole stream, so memory stays bounded on arbitrarily long runs.  Mean,
-    max and count are tracked exactly over *all* recorded samples;
-    percentiles use the nearest-rank method on the (cached) sorted reservoir,
-    which is exact until the cap is first exceeded and an unbiased estimate
-    afterwards.
+    Latencies are recorded in seconds.  A sample may stand for several
+    operations timed together (``record(seconds, operations)``): it is then
+    their mean.  Storage is a bounded reservoir of samples (Vitter's
+    Algorithm R with a deterministic seed): the first ``cap`` samples are
+    kept verbatim, after which each new sample replaces a random retained
+    one with probability ``cap / samples`` -- a uniform sample of all
+    samples, so memory stays bounded on arbitrarily long runs.  Count and
+    mean are exact over *all* operations recorded, max is over the samples;
+    percentiles use the nearest-rank method on the (cached) sorted
+    reservoir, which is exact until the cap is first exceeded and an
+    unbiased estimate afterwards.
 
     Samples are wall-clock readings, so the recorder is process-local: a
     snapshot does not carry it, and a restored engine starts an empty one.
@@ -112,21 +114,24 @@ class LatencyRecorder:
         self._samples: List[float] = []
         # lazily-computed percentile cache, rebuilt on first read
         self._sorted: Optional[List[float]] = None
+        self._samples_seen = 0
         self._count = 0
         self._sum = 0.0
         self._max = 0.0
 
-    def record(self, seconds: float) -> None:
-        """Record one latency sample."""
-        self._count += 1
+    def record(self, seconds: float, operations: int = 1) -> None:
+        """Record ``operations`` that took ``seconds`` together, as one sample of their mean."""
+        self._count += operations
         self._sum += seconds
+        seconds /= operations
         if seconds > self._max:
             self._max = seconds
+        self._samples_seen += 1
         if self._cap is None or len(self._samples) < self._cap:
             self._samples.append(seconds)
             self._sorted = None
             return
-        slot = self._rng.randrange(self._count)
+        slot = self._rng.randrange(self._samples_seen)
         if slot < self._cap:
             self._samples[slot] = seconds
             self._sorted = None
@@ -137,7 +142,7 @@ class LatencyRecorder:
 
     @property
     def count(self) -> int:
-        """Total number of samples recorded (not just those retained)."""
+        """Total number of operations recorded (not just those retained)."""
         return self._count
 
     @property
@@ -146,13 +151,13 @@ class LatencyRecorder:
         return len(self._samples)
 
     def mean(self) -> float:
-        """Mean latency in seconds over all recorded samples (0.0 with none)."""
+        """Mean latency in seconds over all recorded operations (0.0 with none)."""
         if self._count == 0:
             return 0.0
         return self._sum / self._count
 
     def max(self) -> float:
-        """Maximum latency in seconds over all recorded samples (0.0 with none)."""
+        """Maximum sample in seconds (0.0 with none)."""
         return self._max
 
     def percentile(self, q: float) -> float:

@@ -84,12 +84,13 @@ def _run_single(records, query_specs, *, engine_cls=StreamWorksEngine):
 
 def _pre_interning_sections(engine):
     """``engine``'s snapshot sections minus everything added with the intern
-    table: exactly what an old snapshot lacks."""
+    table: exactly what an old snapshot lacks (``dispatch_memo_hits``, the
+    third counter added with it, is process-local and never written now)."""
     sections = engine_sections(engine)
     del sections["interning"]
     for payload in sections["queries"]:
         del payload["compiled_plan"]
-    for counter in ("batches_vectorized", "records_prefiltered", "dispatch_memo_hits"):
+    for counter in ("batches_vectorized", "records_prefiltered"):
         del sections["counters"][counter]
     return sections
 
