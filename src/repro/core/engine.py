@@ -91,7 +91,8 @@ def intern_query_vocabulary(table: InternTable, query: QueryGraph) -> None:
     attribute names in first-mention order -- so every engine that registers
     the same queries in the same order assigns the same dense ids.  The
     sharded parent relies on this when pushing its table to every shard, and
-    pre-columnar snapshot restores rely on it to rebuild ids.
+    the snapshot upgrade step on it to rebuild the ids of a format-1
+    snapshot written before the table was persisted.
     """
     for query_edge in query.edges():
         if query_edge.label is not None:
@@ -427,8 +428,7 @@ class StreamWorksEngine(IngestFront):
         #: vertex labels of the records it routes but only looks edge labels
         #: up (:data:`UNBOUND_LABEL` when absent), so the table does not grow
         #: with the stream's edge-label alphabet.  Ids are engine-internal
-        #: -- snapshots persist the table, and pre-columnar snapshots
-        #: rebuild it deterministically from registration + insertion order.
+        #: -- snapshots persist the table.
         self.interning = InternTable()
         #: Columnar hot-path observability: ordered runs routed through
         #: route plans, records the front gate turned away or whose plan has
@@ -1278,16 +1278,20 @@ class StreamWorksEngine(IngestFront):
         uninterrupted run -- the crash-at-every-boundary differential suite
         (``tests/test_checkpoint.py``) holds this at every batch boundary.
         ``on_match`` callbacks and custom sinks are not serialisable and
-        must be re-attached (:meth:`add_sink`) after restore.  Raises
-        :class:`~repro.persistence.snapshot.SnapshotCorruptError` on any
-        torn or damaged snapshot and
+        must be re-attached (:meth:`add_sink`) after restore.  A format-1
+        snapshot is upgraded first (:mod:`repro.persistence.upgrade`).
+        Raises :class:`~repro.persistence.snapshot.SnapshotCorruptError` on
+        any torn or damaged snapshot and
         :class:`~repro.persistence.snapshot.SnapshotVersionError` on a
-        format-version mismatch -- never a silent partial load.
+        format it cannot read -- never a silent partial load.
         """
-        from ..persistence.snapshot import read_snapshot
+        from ..persistence.snapshot import SNAPSHOT_FORMAT_VERSION, read_snapshot
         from ..persistence.state import ENGINE_KIND, load_engine_sections
+        from ..persistence.upgrade import upgrade
 
         manifest, sections = read_snapshot(path, kind=ENGINE_KIND)
+        if manifest["format_version"] < SNAPSHOT_FORMAT_VERSION:
+            sections = upgrade(ENGINE_KIND, sections)
         engine = load_engine_sections(sections)
         engine.checkpoint_epoch = manifest["epoch"]
         return engine

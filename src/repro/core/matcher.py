@@ -146,11 +146,15 @@ class MatcherStats:
         }
 
     @classmethod
-    def from_dict(cls, payload: Dict[str, int]) -> "MatcherStats":
-        """Rebuild counters from :meth:`to_dict` output."""
+    def from_dict(cls, payload: Mapping[str, int]) -> "MatcherStats":
+        """Rebuild counters from :meth:`to_dict` output: each counter, and nothing else."""
         stats = cls()
-        for name, value in payload.items():
-            setattr(stats, name, value)
+        names = stats.to_dict()
+        unknown = sorted(set(payload) - set(names))
+        if unknown:
+            raise ValueError(f"matcher stats carry unknown counters: {', '.join(unknown)}")
+        for name in names:
+            setattr(stats, name, payload[name])
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -706,18 +710,7 @@ class ContinuousQueryMatcher:
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        """Restore state captured by :meth:`state_dict` onto a freshly-built matcher.
-
-        A snapshot older than lazy leaves restores every leaf eager, with
-        its work counters at zero and no marking epoch open.  Keys of
-        retired state, if present, are ignored: the duplicate
-        memory older snapshots carry (``dedup_identities`` /
-        ``dedup_edge_sets``, or ``reported_identities`` /
-        ``reported_edge_sets`` before that) -- exactly-once discovery never
-        re-derives a reported match, so there is nothing for it to catch --
-        and ``expiry_min_interval``.  So are the completions older
-        snapshots stored at the root (:meth:`SJTree.load_state`).
-        """
+        """Restore state captured by :meth:`state_dict` onto a freshly-built matcher."""
         self.tree.load_state(state["tree"])
         for leaf in self.tree.leaves():
             if leaf.work.lazy:
@@ -725,7 +718,7 @@ class ContinuousQueryMatcher:
         self._tree_stored = self.tree.total_stored_matches()
         self.next_expiry = self.tree.earliest_stored()
         self.stats = MatcherStats.from_dict(state["stats"])
-        epoch_end = state.get("epoch_end")
+        epoch_end = state["epoch_end"]
         if epoch_end is not None:
             self.epoch_end = epoch_end
 

@@ -677,19 +677,22 @@ class ShardedStreamEngine(IngestFront):
         The restored engine resumes exactly at its watermark: feeding it
         the remainder of the stream yields byte-for-byte the events
         (matches, order, sequence numbers) of the uninterrupted run.  A
-        snapshot written by a worker-pool engine (``workers > 0``) restores
-        as a serial one, with one ``repro.persistence`` warning.
-        ``on_match`` callbacks and custom sinks are not serialisable and
-        must be re-attached via :meth:`add_sink`.  Raises
+        format-1 snapshot is upgraded first (:mod:`repro.persistence.upgrade`;
+        one a worker-pool engine wrote restores serially).  ``on_match``
+        callbacks and custom sinks are not serialisable and must be
+        re-attached via :meth:`add_sink`.  Raises
         :class:`~repro.persistence.snapshot.SnapshotCorruptError` on any
         torn or damaged snapshot and
         :class:`~repro.persistence.snapshot.SnapshotVersionError` on a
-        format-version mismatch -- never a silent partial load.
+        format it cannot read -- never a silent partial load.
         """
-        from ..persistence.snapshot import read_snapshot
+        from ..persistence.snapshot import SNAPSHOT_FORMAT_VERSION, read_snapshot
         from ..persistence.state import SHARDED_KIND, load_sharded_sections
+        from ..persistence.upgrade import upgrade
 
         manifest, sections = read_snapshot(path, kind=SHARDED_KIND)
+        if manifest["format_version"] < SNAPSHOT_FORMAT_VERSION:
+            sections = upgrade(SHARDED_KIND, sections)
         engine = load_sharded_sections(sections)
         engine.checkpoint_epoch = manifest["epoch"]
         return engine

@@ -340,8 +340,7 @@ class SJTreeNode:
         re-inserting through :meth:`store_partial` reproduces the bucket
         layout and the expiry queue's tie-break order.  Serials restart from
         zero; only their order within a bucket is ever read.  Entries are
-        read by name, so an entry's own binding order (older snapshots
-        wrote whatever order the match was built in) does not matter.
+        read by name, so an entry's own binding order does not matter.
         """
         from_maps = self.layout.from_maps
         for payload in state["matches"]:
@@ -353,9 +352,9 @@ class SJTreeNode:
             )
         self.total_inserted = state["total_inserted"]
         self.total_expired = state["total_expired"]
-        # snapshots older than lazy leaves carry no work: the leaf is eager
-        self.work = LeafWork(**state.get("work", {}))
-        self.routed_mark = state.get("routed_mark", 0)
+        if self.is_leaf:
+            self.work = LeafWork(**state["work"])
+            self.routed_mark = state["routed_mark"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else ("root" if self.is_root else "internal")
@@ -570,19 +569,9 @@ class SJTree:
         }
 
     def load_state(self, state: Mapping[str, Any]) -> None:
-        """Restore per-node collections captured by :meth:`state_dict`.
-
-        The retired ``last_expiry_sweep`` key, if present, is ignored, and
-        so is the root's collection: older snapshots stored completions
-        there, which are already events.  A root that is a leaf gets its
-        work counters back.
-        """
+        """Restore per-node collections captured by :meth:`state_dict`."""
         for node_id, node_state in state["nodes"]:
-            if node_id != self.root_id:
-                self.nodes[node_id].load_state(node_state)
-            elif self.nodes[node_id].is_leaf:
-                # a one-leaf tree's leaf is its root: only its work counters
-                self.nodes[node_id].load_state(dict(node_state, matches=[]))
+            self.nodes[node_id].load_state(node_state)
 
     # ------------------------------------------------------------------
     # invariants (Properties 1, 2, 4 and decomposition sanity)

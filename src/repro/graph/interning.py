@@ -10,19 +10,15 @@ in first-seen order, so:
   an edge label no query names is never admitted);
 * the table round-trips through snapshots (``state_dict`` serialises the
   labels *in id order*; ``from_state`` re-interns them, reproducing the
-  exact ids);
-* a table restored from a snapshot older than the table -- which carries
-  no interning section -- is rebuilt deterministically by re-interning the
-  restored graph's edges in insertion order, because the property graph
-  itself serialises edges in insertion order.
+  exact ids).
 
 Ids are engine-internal: nothing about event output depends on them, only
 internal consistency within one engine's lifetime matters.  The sharded
 parent still pushes its query-label ids to every shard at registration
 (:meth:`adopt`) so the per-shard tables agree on the hot query labels;
-labels admitted later (a shard's own registrations, or stream labels in a
-table restored from an older snapshot) may receive different ids on
-different shards, which is harmless for the same reason.
+labels admitted later (a shard's own registrations, or stream labels) may
+receive different ids on different shards, which is harmless for the same
+reason.
 """
 
 from __future__ import annotations

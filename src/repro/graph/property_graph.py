@@ -558,9 +558,8 @@ class PropertyGraph:
     def from_state(cls, state: Mapping[str, Any]) -> "PropertyGraph":
         """Rebuild a store from :meth:`state_dict` output (exact slots and orders).
 
-        Labels named by ``adjacency_label_order`` but absent from the
-        rebuilt record are skipped; rebuilt labels it does not name keep
-        their replay order after the named ones.
+        Raises ``KeyError`` or ``ValueError`` when ``adjacency_label_order``
+        names other vertices or labels than the replay rebuilt.
         """
         graph = cls()
         for vertex_id, label, attrs in state["vertices"]:
@@ -568,14 +567,15 @@ class PropertyGraph:
         for edge_id, source, target, label, timestamp, attrs in state["edges"]:
             graph.add_edge(source, target, label, timestamp, attrs, edge_id=edge_id)
         graph._next_edge_id = state["next_edge_id"]
-        for vertex_id, direction, labels in state.get("adjacency_label_order", ()):
-            record = graph._vertices.get(vertex_id)
-            if record is None:
-                continue
+        for vertex_id, direction, labels in state["adjacency_label_order"]:
+            record = graph._vertices[vertex_id]
             slots = record.out if direction == Direction.OUT else record.in_
-            ordered = {label: slots[label] for label in labels if label in slots}
-            for label, slot in slots.items():
-                ordered.setdefault(label, slot)
+            ordered = {label: slots[label] for label in labels}
+            if len(ordered) != len(slots):
+                raise ValueError(
+                    f"vertex {vertex_id!r}: the recorded {direction} label order "
+                    f"{labels} leaves out some of {list(slots)}"
+                )
             if direction == Direction.OUT:
                 record.out = ordered
             else:

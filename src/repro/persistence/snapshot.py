@@ -20,9 +20,10 @@ The format is deliberately dependency-free and explicit about failure:
 * **Torn/corrupt reads are typed errors** -- every way a snapshot can be
   damaged (missing manifest, truncated section, checksum mismatch, trailing
   garbage, undecodable payload) raises :class:`SnapshotCorruptError`;
-  a snapshot written by an incompatible format raises
-  :class:`SnapshotVersionError`.  ``restore()`` therefore either returns a
-  fully-reconstructed engine or raises -- there is no silent partial load.
+  a snapshot of a format this build cannot read (anything but 1 and 2)
+  raises :class:`SnapshotVersionError`.  ``restore()`` therefore either
+  returns a fully-reconstructed engine or raises -- there is no silent
+  partial load.
 
 Payloads must be JSON-serialisable values (the engine state codecs in
 :mod:`repro.persistence.state` guarantee that for engine-owned state;
@@ -51,7 +52,9 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = "streamworks-snapshot"
-SNAPSHOT_FORMAT_VERSION = 1
+#: The shape :mod:`repro.persistence.state` writes and reads.  Format-1
+#: snapshots are read too; ``restore()`` upgrades their sections first.
+SNAPSHOT_FORMAT_VERSION = 2
 
 
 class SnapshotError(Exception):
@@ -160,9 +163,11 @@ def read_snapshot(
     """Read, verify and decode a snapshot; return ``(manifest, sections)``.
 
     Every integrity violation raises :class:`SnapshotCorruptError`; a
-    format-version mismatch raises :class:`SnapshotVersionError`; a ``kind``
-    mismatch (restoring a sharded snapshot through the single engine, or
-    vice versa) raises plain :class:`SnapshotError` naming both kinds.
+    format version other than 1 or 2 raises :class:`SnapshotVersionError`;
+    a ``kind`` mismatch (restoring a sharded snapshot through the single
+    engine, or vice versa) raises plain :class:`SnapshotError` naming both
+    kinds.  Sections come back as written: a format-1 snapshot's are
+    upgraded by the caller (:func:`repro.persistence.upgrade.upgrade`).
     """
     try:
         with open(path, "rb") as handle:
@@ -171,11 +176,11 @@ def read_snapshot(
         raise SnapshotError(f"cannot read snapshot {path}: {error}") from error
     manifest, body = _parse_manifest(data, path)
     version = manifest.get("format_version")
-    if version != SNAPSHOT_FORMAT_VERSION:
+    if type(version) is not int or not 1 <= version <= SNAPSHOT_FORMAT_VERSION:
         raise SnapshotVersionError(
             f"{path}: snapshot format version {version!r} is not supported by this "
-            f"build (expected {SNAPSHOT_FORMAT_VERSION}); re-create the snapshot with "
-            f"checkpoint() from a matching version"
+            f"build (it reads 1 to {SNAPSHOT_FORMAT_VERSION}); re-create the snapshot "
+            f"with checkpoint() from a matching version"
         )
     if kind is not None and manifest.get("kind") != kind:
         raise SnapshotError(

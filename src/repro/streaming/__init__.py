@@ -23,7 +23,6 @@ from .reorder import (
 from .sources import (
     DEFAULT_SOURCE,
     MultiSourceReorderBuffer,
-    reorder_buffer_from_state,
     skewed_interleave,
     split_by_source,
     tag_sources,
@@ -59,7 +58,6 @@ __all__ = [
     "merge_events",
     "merge_streams",
     "ordered_run_slices",
-    "reorder_buffer_from_state",
     "skewed_interleave",
     "split_by_source",
     "tag_sources",

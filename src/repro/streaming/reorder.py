@@ -263,8 +263,7 @@ class ReorderBuffer:
         prefix followed by new arrivals -- because the next drain's stable
         sort depends on it: two records with equal timestamps release in
         arrival order, and a restored buffer must release them identically.
-        The ``kind`` key tells the loader which buffer class to rebuild
-        (:func:`repro.streaming.sources.reorder_buffer_from_state`).
+        The ``kind`` key names the buffer class that wrote the payload.
         """
         return {
             "kind": "single",
@@ -284,9 +283,7 @@ class ReorderBuffer:
 
         The single shared restoration block: subclasses' loaders call this
         for the pending list and counters so a field added to
-        :meth:`state_dict` only needs one matching loader change.  The
-        ``records_late`` count of older payloads, always at least
-        ``records_late_dropped``, is ignored.
+        :meth:`state_dict` only needs one matching loader change.
         """
         self._pending = [StreamEdge.from_dict(payload) for payload in state["pending"]]
         self._min_pending = float(state["min_pending"])
@@ -300,9 +297,7 @@ class ReorderBuffer:
     @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "ReorderBuffer":
         """Rebuild a buffer from :meth:`state_dict` output (exact resume:
-        the restored buffer releases future records identically).  Loaders
-        that may encounter either buffer kind should dispatch through
-        :func:`repro.streaming.sources.reorder_buffer_from_state` instead."""
+        the restored buffer releases future records identically)."""
         buffer = cls(state["allowed_lateness"])
         buffer._load_base_state(state)
         return buffer

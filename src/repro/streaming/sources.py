@@ -63,7 +63,6 @@ from .reorder import ReorderBuffer
 __all__ = [
     "DEFAULT_SOURCE",
     "MultiSourceReorderBuffer",
-    "reorder_buffer_from_state",
     "skewed_interleave",
     "split_by_source",
     "tag_sources",
@@ -426,32 +425,6 @@ class MultiSourceReorderBuffer(ReorderBuffer):
         return state
 
     @classmethod
-    def from_single_state(cls, state: Mapping[str, Any]) -> "MultiSourceReorderBuffer":
-        """Upgrade a single-watermark :class:`ReorderBuffer` payload in place.
-
-        Engines now always own the multi-source buffer, but snapshots
-        written before it existed carry a plain single-buffer state.  The
-        upgrade is behaviour-preserving: the whole history is attributed to
-        the implicit default source (its clock is the old global maximum,
-        and the watermark floor is the old watermark), so a sourceless
-        resumed stream releases byte-for-byte as the old buffer would --
-        while ``register_source`` and ``source_id``-tagged records work on
-        the restored engine exactly as on a fresh one.
-        """
-        buffer = cls(state["allowed_lateness"])
-        buffer._load_base_state(state)
-        if buffer._max_seen != _NEG_INF:
-            source = _SourceState(baseline=buffer._max_seen)
-            source.max_seen = buffer._max_seen
-            source.records_seen = buffer.records_seen
-            source.records_reordered = buffer.records_reordered
-            source.records_late = buffer.records_late_dropped
-            source.max_displacement_seen = buffer.max_displacement_seen
-            buffer._sources[DEFAULT_SOURCE] = source
-            buffer._watermark_floor = buffer._max_seen - buffer.allowed_lateness
-        return buffer
-
-    @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "MultiSourceReorderBuffer":
         """Rebuild a buffer from :meth:`state_dict` output (exact resume)."""
         buffer = cls(state["allowed_lateness"], idle_timeout=state["idle_timeout"])
@@ -473,27 +446,6 @@ class MultiSourceReorderBuffer(ReorderBuffer):
             f"sources={len(self._sources)}, buffered={len(self._pending)}, "
             f"watermark={self.watermark})"
         )
-
-
-def reorder_buffer_from_state(state: Mapping[str, Any]) -> "MultiSourceReorderBuffer":
-    """Rebuild an *engine-owned* reorder buffer from a ``state_dict`` payload.
-
-    Dispatches on the payload's ``kind`` tag.  Engines always own the
-    multi-source buffer, so a single-watermark payload (written before the
-    tag existed, or tagged ``"single"``) is **upgraded** via
-    :meth:`MultiSourceReorderBuffer.from_single_state` -- the restored
-    engine then supports ``register_source`` and ``source_id``-tagged
-    records exactly like a fresh one, while sourceless streams resume
-    byte-for-byte.  (To reconstruct a standalone ``ReorderBuffer`` as-is,
-    call its own ``from_state``.)  Raises ``ValueError`` on an unknown
-    kind.
-    """
-    kind = state.get("kind", "single")
-    if kind == "single":
-        return MultiSourceReorderBuffer.from_single_state(state)
-    if kind == "multisource":
-        return MultiSourceReorderBuffer.from_state(state)
-    raise ValueError(f"unknown reorder buffer kind {kind!r} in snapshot state")
 
 
 # ----------------------------------------------------------------------

@@ -45,7 +45,7 @@ from differential import (
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.core.decomposition import Strategy
-from repro.core.matcher import ContinuousQueryMatcher
+from repro.core.matcher import ContinuousQueryMatcher, MatcherStats
 from repro.persistence import (
     SnapshotCorruptError,
     SnapshotError,
@@ -54,9 +54,11 @@ from repro.persistence import (
     read_snapshot,
 )
 from repro.persistence.snapshot import write_snapshot
-from repro.persistence.state import _RETIRED_CONFIG_FIELDS
+from repro.persistence.state import ENGINE_KIND, SHARDED_KIND, engine_sections
+from repro.persistence.upgrade import _RETIRED_CONFIG_FIELDS, upgrade
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
+    DEFAULT_SOURCE,
     MultiSourceReorderBuffer,
     StreamEdge,
     bounded_shuffle,
@@ -750,18 +752,34 @@ def test_trailing_garbage_rejected(tmp_path):
         StreamWorksEngine.restore(path)
 
 
-def test_version_mismatch_rejected_with_clear_message(tmp_path):
-    path = _snapshot_engine(tmp_path)
+def restamp(path, format_version):
+    """Rewrite the manifest of the snapshot at ``path`` to claim ``format_version``."""
     with open(path, "rb") as handle:
         data = handle.read()
     newline = data.find(b"\n")
     manifest = json.loads(data[:newline])
-    manifest["format_version"] = 999
+    manifest["format_version"] = format_version
     with open(path, "wb") as handle:
         handle.write(json.dumps(manifest, separators=(",", ":")).encode() + b"\n")
         handle.write(data[newline + 1 :])
+
+
+def test_version_mismatch_rejected_with_clear_message(tmp_path):
+    path = _snapshot_engine(tmp_path)
+    restamp(path, 999)
     with pytest.raises(SnapshotVersionError, match="format version 999"):
         StreamWorksEngine.restore(path)
+
+
+@pytest.mark.parametrize("format_version", [0, 3, "2", True])
+@pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
+def test_only_formats_1_and_2_are_read(tmp_path, sharded, format_version):
+    path = _snapshot_engine(tmp_path, sharded)
+    assert read_manifest(path)["format_version"] == 2
+    restamp(path, format_version)
+    restore = ShardedStreamEngine.restore if sharded else StreamWorksEngine.restore
+    with pytest.raises(SnapshotVersionError, match=f"format version {format_version!r}"):
+        restore(path)
 
 
 def test_kind_mismatch_rejected(tmp_path):
@@ -1332,8 +1350,9 @@ def test_loading_retired_fields_logs_one_warning_naming_them(fixture, caplog):
         named[section] = set(fields.split(": ", 1)[1].split(", "))
     expected = {
         "snapshot summarizer": FIXTURE_DERIVED_FIELDS[fixture],
-        # every fixture predates the process-local wall-clock meters
-        "snapshot counters section": {"latency", "throughput"},
+        # every fixture predates the process-local wall-clock meters and
+        # carries the writing process's route-plan cache hits
+        "snapshot counters section": {"dispatch_memo_hits", "latency", "throughput"},
     }
     if fixture in FIXTURE_RETIRED_FIELDS:
         expected["snapshot config"] = FIXTURE_RETIRED_FIELDS[fixture]
@@ -1347,8 +1366,8 @@ def test_sharded_snapshot_from_a_worker_pool_restores_serially(tmp_path, caplog)
     two-shard engine running two worker processes (``workers: 2``), after
     seven batches of 8 of the retired-knob stream.  The pool no longer
     exists: the snapshot restores with one ``repro.persistence`` warning
-    naming it (then one per ``counters`` section for the wall-clock meters
-    it carries), and the rest of the stream gives the event history of an
+    naming it (then one per ``counters`` section for the process-local
+    counters it carries), and the rest of the stream gives the event history of an
     uninterrupted serial run.
     """
     path = os.path.join(
@@ -1364,10 +1383,10 @@ def test_sharded_snapshot_from_a_worker_pool_restores_serially(tmp_path, caplog)
     assert {record.levelname for record in warnings} == {"WARNING"}
     assert "worker pool" in warnings[0].getMessage()
     assert "workers=2" in warnings[0].getMessage()
-    # the two shards' and the parent's counters carry the wall-clock meters
+    # the two shards' and the parent's counters carry process-local counters
     assert [record.getMessage().rsplit(": ", 1)[1] for record in warnings[1:]] == [
-        "latency, throughput",
-        "latency, throughput",
+        "dispatch_memo_hits, latency, throughput",
+        "dispatch_memo_hits, latency, throughput",
         "throughput",
     ]
     assert len(resumed.events()) == 50
@@ -1437,8 +1456,8 @@ def test_snapshot_with_adaptive_lateness_and_degraded_policy_restores_fixed_and_
     by an engine with two registered collectors, after twelve batches of 8,
     with six records still buffered.  It restores with the largest
     per-source horizon it recorded (1.5) and on ``"drop"``, logging one
-    ``repro.persistence`` warning for each (and a third for the wall-clock
-    meters it carries), and the rest of the stream gives the event history
+    ``repro.persistence`` warning for each (and a third for the process-local
+    counters it carries), and the rest of the stream gives the event history
     of an uninterrupted run at that horizon.
     """
     path = os.path.join(
@@ -1453,7 +1472,9 @@ def test_snapshot_with_adaptive_lateness_and_degraded_policy_restores_fixed_and_
     assert len(warnings) == 3
     assert "allowed_lateness='adaptive'" in warnings[0] and "allowed_lateness=1.5" in warnings[0]
     assert "late_policy='process_degraded'" in warnings[1] and "'drop'" in warnings[1]
-    assert warnings[2].endswith("process-local meters, ignored on load: latency, throughput")
+    assert warnings[2].endswith(
+        "process-local meters, ignored on load: dispatch_memo_hits, latency, throughput"
+    )
     assert resumed.config.allowed_lateness == resumed.reorder.allowed_lateness == 1.5
     assert resumed.config.late_policy == "drop"
     assert resumed.reorder.sources() == list(ADAPTIVE_DEGRADED_SOURCES)
@@ -1517,6 +1538,7 @@ def test_sharded_snapshot_with_retired_event_time_values_restores(tmp_path, capl
     for (_, source), lateness in zip(reorder["sources"], (0.05, 0.01)):
         source.update(lateness=lateness, samples=[0.0, lateness], since_refresh=2)
     write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
+    restamp(path, 1)
 
     with caplog.at_level("WARNING", logger="repro.persistence"):
         resumed = ShardedStreamEngine.restore(path)
@@ -1537,6 +1559,360 @@ def test_loading_a_current_snapshot_logs_nothing(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="repro.persistence"):
         StreamWorksEngine.restore(path)
     assert not [record for record in caplog.records if record.name == "repro.persistence"]
+
+
+# ----------------------------------------------------------------------
+# format 1: every rewrite of the upgrade step, one row each
+# ----------------------------------------------------------------------
+#: Batches of ``disordered_rmat_records()`` fed before the checkpoint: by
+#: then there are events, partials in the multi-leaf tree, a buffered tail
+#: and recorded adjacency label orders.
+UPGRADE_CUT = 3
+
+
+def upgrade_engine(sharded):
+    config = EngineConfig(allowed_lateness=1.0)
+    if sharded:
+        engine = ShardedStreamEngine(config=ShardConfig(shard_count=2, engine=config))
+    else:
+        engine = StreamWorksEngine(config=config)
+    register_all(engine, rmat_queries())
+    return engine
+
+
+def key_paths(payload, path="", found=None):
+    """Every dict's keys in ``payload``, by path (``[]`` stands for any list item)."""
+    found = {} if found is None else found
+    if isinstance(payload, dict):
+        found.setdefault(path, set()).update(payload)
+        for key, value in payload.items():
+            key_paths(value, f"{path}.{key}", found)
+    elif isinstance(payload, list):
+        for item in payload:
+            key_paths(item, f"{path}[]", found)
+    return found
+
+
+def as_single_buffer(tagged):
+    """Rewrite the reorder payload as the single-watermark buffer wrote it."""
+
+    def edit(sections):
+        reorder = sections["reorder"]
+        ((source, _),) = reorder["sources"]
+        assert source == DEFAULT_SOURCE  # a sourceless stream: one implicit source
+        assert reorder["watermark_floor"] == reorder["max_seen"] - reorder["allowed_lateness"]
+        for name in ("idle_timeout", "watermark_floor", "sources"):
+            del reorder[name]
+        reorder["records_late"] = reorder["records_late_dropped"]
+        if tagged:
+            reorder["kind"] = "single"
+        else:
+            del reorder["kind"]
+
+    return edit
+
+
+def as_adaptive(sections):
+    sections["config"]["allowed_lateness"] = "adaptive"
+    reorder = sections["reorder"]
+    reorder.update(
+        allowed_lateness="adaptive", adaptive_quantile=0.99, adaptive_sample_cap=256,
+        adaptive_refresh=32, adaptive_floor=0.0,
+    )
+    for _, source in reorder["sources"]:
+        source.update(lateness=1.0, samples=[0.25, 1.0], since_refresh=2)
+
+
+def as_degraded(sections):
+    sections["config"]["late_policy"] = "process_degraded"
+    sections["reorder"].update(late_policy="process_degraded", records_late_degraded=0)
+
+
+def with_root_completions(sections):
+    """Each SJ-tree root -- the last node built -- holds its query's completions."""
+    stored = 0
+    for payload in sections["queries"]:
+        _, root = payload["matcher"]["tree"]["nodes"][-1]
+        root["matches"] = [
+            event["m"] for event in sections["events"] if event["q"] == payload["name"]
+        ]
+        root["total_inserted"] = len(root["matches"])
+        stored += len(root["matches"])
+    assert stored, "no completion before the cut -- vacuous"
+
+
+def before_lazy_leaves(sections):
+    for payload in sections["queries"]:
+        del payload["matcher"]["epoch_end"]
+        for _, node in payload["matcher"]["tree"]["nodes"]:
+            node.pop("work", None)
+            node.pop("routed_mark", None)
+
+
+def before_replanning(sections):
+    del sections["counters"]["plan_monitor"], sections["counters"]["replan_next_check"]
+    for name in ("replan_threshold", "replan_check_every"):
+        del sections["config"][name]
+    for payload in sections["queries"]:
+        del payload["plan_version"]
+
+
+def for_each_query(edit):
+    def apply(sections):
+        for payload in sections["queries"]:
+            edit(payload)
+
+    return apply
+
+
+def for_each_shard(edit):
+    def apply(sections):
+        for shard_id in range(sections["config"]["shard_count"]):
+            edit(sections[f"shard_{shard_id}"])
+
+    return apply
+
+
+PROCESS_LOCAL = "snapshot counters section carries process-local meters, ignored on load: "
+
+#: One row per rewrite of :func:`repro.persistence.upgrade.upgrade`: whether
+#: the snapshot is sharded, the edit that turns a current snapshot into the
+#: format-1 shape, and the ``repro.persistence`` warnings its restore logs.
+UPGRADE_ROWS = {
+    "config: retired fields": (
+        False,
+        lambda sections: sections["config"].update(columnar=False, sketch_stats=True),
+        ["snapshot config carries retired fields, ignored on load: columnar, sketch_stats"],
+    ),
+    "config: adaptive lateness": (
+        False,
+        as_adaptive,
+        [
+            "snapshot config sets allowed_lateness='adaptive', restored with the largest "
+            "per-source horizon it recorded: allowed_lateness=1.0"
+        ],
+    ),
+    "config: degraded late policy": (
+        False,
+        as_degraded,
+        ["snapshot config sets late_policy='process_degraded', restored on 'drop': "
+         "late records are dropped"],
+    ),
+    "summarizer: derived fields": (
+        False,
+        lambda sections: sections["summarizer"].update(edge_labels={}, triads={}),
+        ["snapshot summarizer carries derived fields, ignored on load: edge_labels, triads"],
+    ),
+    "reorder: single-watermark buffer": (False, as_single_buffer(tagged=True), []),
+    "reorder: untagged buffer": (False, as_single_buffer(tagged=False), []),
+    "graph: no adjacency label order": (
+        False, lambda sections: sections["graph"]["graph"].pop("adjacency_label_order"), [],
+    ),
+    "cold: no ring": (False, lambda sections: sections.pop("cold"), []),
+    "interning: no table": (False, lambda sections: sections.pop("interning"), []),
+    "queries: stored-completions flag": (
+        False, for_each_query(lambda payload: payload.update(store_complete_matches=True)), [],
+    ),
+    "queries: interpreted plan marker": (
+        False, for_each_query(lambda payload: payload.update(compiled_plan=None)), [],
+    ),
+    "matcher: duplicate memory and sweep throttle": (
+        False,
+        for_each_query(
+            lambda payload: payload["matcher"].update(
+                dedup_identities={"entries": [], "front": {}},
+                dedup_edge_sets={"entries": [], "front": {}},
+                reported_identities=[],
+                reported_edge_sets=[],
+                expiry_min_interval=0.0,
+            )
+        ),
+        [],
+    ),
+    "matcher: before lazy leaves": (False, before_lazy_leaves, []),
+    "tree: last expiry sweep": (
+        False,
+        for_each_query(lambda payload: payload["matcher"]["tree"].update(last_expiry_sweep=0.0)),
+        [],
+    ),
+    "tree: root completions": (False, with_root_completions, []),
+    "counters: process-local": (
+        False,
+        lambda sections: sections["counters"].update(
+            latency={"count": 3}, throughput={"records": 120}, dispatch_memo_hits=7
+        ),
+        [PROCESS_LOCAL + "dispatch_memo_hits, latency, throughput"],
+    ),
+    "counters: retired paths": (
+        False,
+        lambda sections: (
+            sections["counters"].update(records_per_record=0),
+            sections["counters"]["dispatch"].update(
+                front_probes=0, front_rejections=0, front_false_positives=0
+            ),
+        ),
+        [],
+    ),
+    "counters: added at zero": (
+        False,
+        lambda sections: [
+            sections["counters"].pop(name)
+            for name in (
+                "records_cold", "batches_vectorized", "records_prefiltered", "leaves_pruned"
+            )
+        ],
+        [],
+    ),
+    "counters: before replanning": (False, before_replanning, []),
+    "sharded: worker pool": (
+        True,
+        lambda sections: sections["config"].update(workers=2),
+        ["snapshot sharded config carries a worker pool, restored serially: workers=2"],
+    ),
+    "sharded: retired config fields": (
+        True,
+        lambda sections: sections["config"]["engine"].update(columnar=False),
+        ["snapshot config carries retired fields, ignored on load: columnar"],
+    ),
+    "sharded: process-local counters": (
+        True,
+        lambda sections: sections["counters"].update(throughput={"records": 120}),
+        [PROCESS_LOCAL + "throughput"],
+    ),
+    "sharded: before replanning": (
+        True, lambda sections: sections["counters"].pop("replan_next_check"), [],
+    ),
+    "sharded: shard sections": (
+        True,
+        for_each_shard(lambda shard: shard["counters"].update(dispatch_memo_hits=7)),
+        [PROCESS_LOCAL + "dispatch_memo_hits"] * 2,
+    ),
+}
+
+
+@pytest.mark.parametrize("row", sorted(UPGRADE_ROWS))
+def test_each_format_1_rewrite_restores_and_resumes(row, tmp_path, caplog):
+    """A format-1 snapshot restores through the upgrade step, warns as listed,
+    and resumes to the uninterrupted run's events; upgraded, its sections have
+    exactly the keys of the format-2 snapshot it was made from."""
+    sharded, edit, expected = UPGRADE_ROWS[row]
+    batches = batches_of(disordered_rmat_records())
+    oracle = upgrade_engine(sharded)
+    for batch in batches:
+        oracle.process_batch(batch)
+    oracle.flush()
+    engine = upgrade_engine(sharded)
+    for batch in batches[:UPGRADE_CUT]:
+        engine.process_batch(batch)
+    path = str(tmp_path / "format1.snap")
+    engine.checkpoint(path)
+    manifest, sections = read_snapshot(path)
+    current = key_paths(sections)
+    edit(sections)
+    write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
+    restamp(path, 1)
+
+    engine_cls = ShardedStreamEngine if sharded else StreamWorksEngine
+    with caplog.at_level("WARNING", logger="repro.persistence"):
+        resumed = engine_cls.restore(path)
+    assert [r.getMessage() for r in caplog.records if r.name == "repro.persistence"] == expected
+    assert key_paths(upgrade(manifest["kind"], sections)) == current
+    for batch in batches[UPGRADE_CUT:]:
+        resumed.process_batch(batch)
+    resumed.flush()
+    assert canonical(resumed.events()) == canonical(oracle.events())
+    assert resumed.match_counts() == oracle.match_counts()
+
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "persistence")
+
+#: Key paths whose keys are the snapshot's schema, not its data (attribute
+#: maps and plan estimates are data), compared across different engines.
+SCHEMA_PATHS = (
+    "", ".config", ".summarizer", ".graph", ".graph.graph", ".reorder", ".reorder.sources[][]",
+    ".queries[]", ".queries[].plan", ".queries[].matcher", ".queries[].matcher.stats",
+    ".queries[].matcher.tree", ".queries[].matcher.tree.nodes[][]",
+    ".queries[].matcher.tree.nodes[][].work", ".interning", ".events[]", ".counters",
+    ".counters.dispatch", ".counters.plan_monitor",
+)
+
+
+def schema_keys(sections):
+    found = key_paths(sections)
+    return {path: found[path] for path in SCHEMA_PATHS if path in found}
+
+
+@pytest.mark.parametrize(
+    "fixture", sorted(name for name in os.listdir(FIXTURES) if name.endswith(".snap"))
+)
+def test_every_fixture_upgrades_to_the_current_shape(fixture, tmp_path):
+    """Upgraded, each format-1 fixture carries the keys a format-2 snapshot does."""
+    manifest, sections = read_snapshot(os.path.join(FIXTURES, fixture))
+    assert manifest["format_version"] == 1
+    engine = upgrade_engine(sharded=False)
+    for batch in batches_of(disordered_rmat_records())[:UPGRADE_CUT]:
+        engine.process_batch(batch)
+    current = engine_sections(engine)
+    upgraded = upgrade(manifest["kind"], sections)
+    if manifest["kind"] == SHARDED_KIND:
+        sharded = upgrade_engine(sharded=True)
+        path = str(tmp_path / "sharded.snap")
+        sharded.checkpoint(path)
+        parent = read_snapshot(path)[1]
+        assert set(upgraded) == set(parent)
+        for name in ("config", "counters"):
+            assert set(upgraded[name]) == set(parent[name])
+        shards = [upgraded[name] for name in upgraded if name.startswith("shard_")]
+    else:
+        shards = [upgraded]
+    want = schema_keys(current)
+    for shard in shards:
+        have = schema_keys(shard)
+        assert have == {path: want[path] for path in have}
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
+def test_a_format_2_snapshot_restores_without_the_upgrade_step(
+    sharded, tmp_path, caplog, monkeypatch
+):
+    """The upgrade step stays out of the current path: a snapshot this build
+    writes restores without it and logs nothing on ``repro.persistence``."""
+    import repro.persistence.upgrade as upgrade_module
+
+    def refuse(kind, sections):
+        raise AssertionError("a format-2 snapshot went through the upgrade step")
+
+    monkeypatch.setattr(upgrade_module, "upgrade", refuse)
+    engine = upgrade_engine(sharded)
+    for batch in batches_of(disordered_rmat_records())[:UPGRADE_CUT]:
+        engine.process_batch(batch)
+    path = str(tmp_path / "current.snap")
+    engine.checkpoint(path)
+    assert read_manifest(path)["format_version"] == 2
+    with caplog.at_level("DEBUG", logger="repro.persistence"):
+        resumed = type(engine).restore(path)
+    assert not [record for record in caplog.records if record.name == "repro.persistence"]
+    assert canonical(resumed.events()) == canonical(engine.events())
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda stats: stats.update(to_dict=1),  # names a method, not a counter
+        lambda stats: stats.update(reported_matches=3),  # names nothing
+        lambda stats: stats.pop("edges_processed"),
+    ],
+    ids=["method-name", "unknown", "missing"],
+)
+def test_matcher_stats_read_only_their_declared_counters(edit, tmp_path):
+    path = _snapshot_engine(tmp_path)
+    manifest, sections = read_snapshot(path)
+    edit(sections["queries"][0]["matcher"]["stats"])
+    with pytest.raises((KeyError, ValueError)):
+        MatcherStats.from_dict(sections["queries"][0]["matcher"]["stats"])
+    write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
+    with pytest.raises(SnapshotCorruptError):
+        StreamWorksEngine.restore(path)
 
 
 @pytest.mark.parametrize("sharded", [False, True])

@@ -65,7 +65,8 @@ from repro.graph import DynamicGraph, TimeWindow
 from repro.graph.types import Edge
 from repro.isomorphism import SubgraphMatcher
 from repro.isomorphism.match import Match
-from repro.persistence.state import engine_sections, load_engine_sections
+from repro.persistence.state import ENGINE_KIND, engine_sections, load_engine_sections
+from repro.persistence.upgrade import upgrade
 from repro.query.query_graph import QueryGraph
 from repro.streaming import StreamEdge
 
@@ -476,7 +477,9 @@ def test_snapshot_with_duplicate_memory_loads_with_it_ignored():
     prefix_events = interrupted.events()
     assert prefix_events, "no events before the cut -- vacuous"
 
-    resumed = load_engine_sections(_with_retired_duplicate_memory(interrupted, prefix_events))
+    resumed = load_engine_sections(
+        upgrade(ENGINE_KIND, _with_retired_duplicate_memory(interrupted, prefix_events))
+    )
     assert "dedup_memory_budget" not in vars(resumed.config)
     for name, registration in resumed.queries.items():
         assert registration.matcher.state_dict() == interrupted.queries[name].matcher.state_dict()

@@ -25,7 +25,8 @@ from test_sharded_conformance import (
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.sharded import ShardConfig, ShardedStreamEngine
 from repro.graph.interning import InternTable
-from repro.persistence.state import engine_sections, load_engine_sections
+from repro.persistence.state import ENGINE_KIND, engine_sections, load_engine_sections
+from repro.persistence.upgrade import upgrade
 
 
 class TestInternTableUnit:
@@ -84,8 +85,10 @@ def _run_single(records, query_specs, *, engine_cls=StreamWorksEngine):
 
 def _pre_interning_sections(engine):
     """``engine``'s snapshot sections minus everything added with the intern
-    table: exactly what an old snapshot lacks (``dispatch_memo_hits``, the
-    third counter added with it, is process-local and never written now)."""
+    table: exactly what a format-1 snapshot from before it lacks
+    (``dispatch_memo_hits``, the third counter added with it, is
+    process-local and never written now).  The format-2 loader does not
+    read that shape, so callers pass it through :func:`upgrade` first."""
     sections = engine_sections(engine)
     del sections["interning"]
     for payload in sections["queries"]:
@@ -145,7 +148,7 @@ class TestEngineIdStability:
         records = netflow_records(300)
         cut = 150
         engine, _ = _run_single(records[:cut], netflow_queries)
-        restored = load_engine_sections(_pre_interning_sections(engine))
+        restored = load_engine_sections(upgrade(ENGINE_KIND, _pre_interning_sections(engine)))
         # rebuilt table: query vocabulary in registration order first, then
         # graph edge labels in insertion order -- and every graph label known
         assert restored.interning.labels()
@@ -156,7 +159,7 @@ class TestEngineIdStability:
         records = netflow_records(300)
         cut = 150
         engine, _ = _run_single(records[:cut], netflow_queries)
-        restored = load_engine_sections(_pre_interning_sections(engine))
+        restored = load_engine_sections(upgrade(ENGINE_KIND, _pre_interning_sections(engine)))
         replay_batched(restored, records[cut:])
         resumed = canonical(list(restored.collector.events))
 

@@ -49,7 +49,8 @@ from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.window import TimeWindow
 from repro.isomorphism.vf2 import SubgraphMatcher
 from repro.persistence import read_snapshot
-from repro.persistence.snapshot import write_snapshot
+from repro.persistence.state import ENGINE_KIND, load_engine_sections
+from repro.persistence.upgrade import upgrade
 from repro.query.builder import QueryBuilder
 from repro.query.compile import CompiledQuery
 from repro.query.predicates import AttrCompare, AttrEquals
@@ -371,15 +372,15 @@ def test_a_snapshot_without_leaf_modes_restores_eager_and_matches(tmp_path):
     assert not leaf_work(engine)["exfil"][0]["lazy"]  # eager again, in the calm
     path = str(tmp_path / "old.snap")
     engine.checkpoint(path)
-    # rewrite it as a writer before lazy leaves left it: no modes, no epoch
-    manifest, sections = read_snapshot(path)
+    # rewrite it as a format-1 writer before lazy leaves left it: no modes,
+    # no epoch
+    _, sections = read_snapshot(path)
     for payload in sections["queries"]:
         payload["matcher"].pop("epoch_end")
         for _, node in payload["matcher"]["tree"]["nodes"]:
             node.pop("work", None)
             node.pop("routed_mark", None)
-    write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
-    restored = StreamWorksEngine.restore(path)
+    restored = load_engine_sections(upgrade(ENGINE_KIND, sections))
     assert not any(leaf["lazy"] for leaf in leaf_work(restored)["exfil"])
     _feed(restored, records[750:])
     # the marking starts afresh and still reaches the busy stretch that follows

@@ -43,6 +43,9 @@ from repro.core import (
     ShardedStreamEngine,
     StreamWorksEngine,
 )
+from repro.persistence import read_snapshot
+from repro.persistence.state import ENGINE_KIND, load_engine_sections
+from repro.persistence.upgrade import upgrade
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
     MultiSourceReorderBuffer,
@@ -700,12 +703,14 @@ class TestMultiSourceCheckpointRestore:
             engine.process_batch(shuffled[start : start + 20])
         path = str(tmp_path / "legacy.snap")
         engine.checkpoint(path)  # writes a "kind": "single" reorder section
+        # a format-1 writer's shape: the format-2 loader reads it upgraded
+        _, sections = read_snapshot(path)
 
         oracle = build_engine(allowed_lateness=float("inf"))
         oracle.reorder = ReorderBuffer(float("inf"))
         reference = canonical(run_batches(oracle, shuffled, 20))
 
-        resumed = StreamWorksEngine.restore(path)
+        resumed = load_engine_sections(upgrade(ENGINE_KIND, sections))
         assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
         resumed.register_source("new-collector")  # must not AttributeError
         assert "new-collector" in resumed.reorder.sources()

@@ -39,7 +39,8 @@ import pytest
 
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.persistence import read_snapshot
-from repro.persistence.state import load_sharded_sections
+from repro.persistence.state import SHARDED_KIND, load_sharded_sections
+from repro.persistence.upgrade import upgrade
 from repro.query.predicates import AttrEquals
 from repro.query.query_graph import QueryGraph
 from repro.streaming import Routing, StreamEdge
@@ -455,7 +456,7 @@ def with_retired_knobs(sections, completions):
 
 
 def resume_from_retired_knobs(engine, path):
-    """Checkpoint ``engine`` and restore it as a retired-knob snapshot."""
+    """Checkpoint ``engine`` and restore it as a format-1 retired-knob snapshot."""
     engine.checkpoint(path)
     _, sections = read_snapshot(path)
     sections["config"]["engine"].update(RETIRED_KNOBS)
@@ -468,7 +469,7 @@ def resume_from_retired_knobs(engine, path):
         for shard_id in range(sections["config"]["shard_count"])
     )
     assert stored, "no completion reached a root before the cut -- vacuous"
-    return load_sharded_sections(sections)
+    return load_sharded_sections(upgrade(SHARDED_KIND, sections))
 
 
 @pytest.mark.parametrize("case", sorted(RETIRED_KNOB_CASES))

@@ -153,17 +153,19 @@ class TestMatchCollections:
         leaf.store_partial(self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0))
         assert leaf.expire_matches(TimeWindow(None), now=1e9) == 0
 
-    def test_load_state_ignores_a_stored_root_collection(self, tree_and_query):
-        # older snapshots stored completions at the root, the last node built
+    def test_load_state_restores_every_node_and_an_empty_root(self, tree_and_query):
+        # the root, the last node built, stores nothing: its collection is
+        # written empty and loaded like every other node's (a format-1
+        # snapshot's root completions are dropped by the upgrade step)
         tree, query = tree_and_query
         leaf = tree.leaves()[0]
         leaf.store_partial(self.make_partial(leaf, ("kw1", "loc1"), 0, 1.0))
         state = tree.state_dict()
         root_id, root_state = state["nodes"][-1]
         assert root_id == tree.root_id and root_state["matches"] == []
-        root_state["matches"] = [leaf.layout.to_match(self.make_partial(leaf, ("kw2", "loc2"), 1, 2.0)).state_dict()]
         restored = SJTree(query, [node.subgraph for node in tree.leaves()])
         restored.load_state(state)
+        assert restored.state_dict() == state
         assert restored.root.match_count() == 0
         assert restored.total_stored_matches() == 1
         assert restored.match_counts_by_node() == tree.match_counts_by_node()

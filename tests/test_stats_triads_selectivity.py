@@ -186,10 +186,12 @@ class TestStreamSummarizer:
     def test_a_section_with_folded_statistics_loads_them_ignored(
         self, small_news_stream, track_triads, caplog
     ):
-        # snapshots written while statistics were folded per record carry
-        # the folded counts (count-min tables, in some); the store derives
-        # all of them, so they are ignored and only the counter is kept
-        from repro.persistence.state import _summarizer_from_state
+        # format-1 snapshots written while statistics were folded per record
+        # carry the folded counts (count-min tables, in some); the store
+        # derives all of them, so the upgrade drops them and only the
+        # counter is kept
+        from repro.persistence.state import ENGINE_KIND, engine_sections
+        from repro.persistence.upgrade import upgrade
 
         graph = DynamicGraph(TimeWindow(None))
         summarizer = StreamSummarizer(graph, track_triads=track_triads)
@@ -203,9 +205,13 @@ class TestStreamSummarizer:
                 "heavy": [],
                 "total_count": 0,
             }
+        engine = StreamWorksEngine(config=EngineConfig(track_triads=track_triads))
+        sections = engine_sections(engine)
+        sections["summarizer"] = state
         with caplog.at_level("WARNING", logger="repro.persistence"):
-            restored = _summarizer_from_state(state, graph)
+            upgrade(ENGINE_KIND, sections)
         (record,) = caplog.records
+        restored = StreamSummarizer.from_state(sections["summarizer"], graph)
         assert record.getMessage().endswith("edge_labels, signatures, sketch_stats, vertex_labels")
         assert restored.summary().edge_labels.count("mentions") == 50
         assert restored.state_dict() == summarizer.state_dict()
