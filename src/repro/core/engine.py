@@ -579,15 +579,17 @@ class StreamWorksEngine(IngestFront):
         self._sinks.add(sink)
 
     def _make_planner(self, strategy: Optional[str]) -> QueryPlanner:
-        """Build a planner over the current statistics.
+        """Build a planner over a fresh view of the window store's counts.
 
         Shared by registration, replanning and the plan monitor so all three
         score selectivity with the *same* estimator construction -- the
         monitor's post-replan error is exactly zero only because its numbers
-        reproduce the planner's.
+        reproduce the planner's.  The view
+        (:meth:`StreamSummarizer.statistics`) counts only what the estimator
+        asks for, once per planner.
         """
         return QueryPlanner(
-            summary=self.summarizer.summary() if self.summarizer else None,
+            summary=self.summarizer.statistics() if self.summarizer else None,
             config=PlannerConfig(
                 strategy=strategy or self.config.plan_strategy,
                 primitive_size=self.config.primitive_size,
@@ -711,7 +713,8 @@ class StreamWorksEngine(IngestFront):
         statistics existed scores infinite, so it is replaced at the first
         check with data).  Queries whose error exceeds
         ``EngineConfig.replan_threshold`` are re-planned in registration
-        order via :meth:`replan_query`, all from one summary of the window.
+        order via :meth:`replan_query`, all from one view of the window
+        store's counts (each count read once per check).
         Only plans produced by the
         selectivity-aware strategies are scored -- the other strategies never
         chose by cardinality, so there is no estimate to drift from.
@@ -1278,7 +1281,7 @@ class StreamWorksEngine(IngestFront):
         uninterrupted run -- the crash-at-every-boundary differential suite
         (``tests/test_checkpoint.py``) holds this at every batch boundary.
         ``on_match`` callbacks and custom sinks are not serialisable and
-        must be re-attached (:meth:`add_sink`) after restore.  A format-1
+        must be re-attached (:meth:`add_sink`) after restore.  An older
         snapshot is upgraded first (:mod:`repro.persistence.upgrade`).
         Raises :class:`~repro.persistence.snapshot.SnapshotCorruptError` on
         any torn or damaged snapshot and
@@ -1291,7 +1294,7 @@ class StreamWorksEngine(IngestFront):
 
         manifest, sections = read_snapshot(path, kind=ENGINE_KIND)
         if manifest["format_version"] < SNAPSHOT_FORMAT_VERSION:
-            sections = upgrade(ENGINE_KIND, sections)
+            sections = upgrade(ENGINE_KIND, sections, manifest["format_version"])
         engine = load_engine_sections(sections)
         engine.checkpoint_epoch = manifest["epoch"]
         return engine

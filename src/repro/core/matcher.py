@@ -42,10 +42,11 @@ in the same :meth:`ContinuousQueryMatcher.process_edge_leaves` call, which
 keeps the one with the least :meth:`ContinuousQueryMatcher.completion_key`.
 
 **Lazy leaves.**  Where both children of a join are leaves and one of them
-sees many times the records its sibling does, searching the busy leaf
-eagerly mostly stores partials no partner ever joins.  The matcher counts
-the records routed to each leaf and, once per window-long epoch, marks the
-busy leaf *lazy* (:data:`LAZY_ENTER`, :data:`LAZY_EXIT`, :data:`LAZY_MIN`):
+is routed many times the partials its sibling stores, searching the busy
+leaf eagerly mostly stores partials no partner ever joins.  The matcher
+counts the records routed to each leaf and the partials each stores and,
+once per window-long epoch, marks the busy leaf *lazy*
+(:data:`LAZY_ENTER`, :data:`LAZY_EXIT`, :data:`LAZY_MIN`):
 
 * a record seeding a lazy leaf first asks the sibling's bucket for a
   partner under the cut-vertex key the record binds; with none waiting it
@@ -93,12 +94,12 @@ __all__ = [
 _INF = float("inf")
 
 #: A leaf goes lazy when, over one epoch (a window's length of stream
-#: time), it was routed at least this many times the records its sibling
-#: was: each of the sibling's partials then costs one directed search where
+#: time), it was routed at least this many times the partials its sibling
+#: stored: each of those partials then costs one directed search where
 #: eager search paid for this many records.
 LAZY_ENTER = 8
 #: A lazy leaf goes back to eager when it was routed fewer than this many
-#: times its sibling's records over an epoch.  The gap to
+#: times the partials its sibling stored over an epoch.  The gap to
 #: :data:`LAZY_ENTER` is the hysteresis: a ratio hovering near either
 #: bound does not flip the mode every epoch, and each flip back costs a
 #: rebuild of the leaf's bucket from the window store.
@@ -489,32 +490,42 @@ class ContinuousQueryMatcher:
     def _close_epoch(self, edge: Edge) -> None:
         """End the marking epoch ``edge`` falls past: re-mark each pair, open the next epoch.
 
-        Each pair compares the records routed to its two leaves during the
-        epoch just ended; the first epoch only opens.  Runs before ``edge``
-        is searched, so a rebuilt bucket holds exactly the embeddings whose
-        newest edge precedes it.
+        Each pair compares, during the epoch just ended, the records routed
+        to each leaf with the partials its sibling stored; the first epoch
+        only opens.  Runs before ``edge`` is searched, so a rebuilt bucket
+        holds exactly the embeddings whose newest edge precedes it.
         """
         if self.epoch_end > -_INF:
             for left, right in self._pairs:
                 self._mark(left, right, edge.id)
-        for left, right in self._pairs:
-            left.routed_mark = left.work.records_routed
-            right.routed_mark = right.work.records_routed
+        for pair in self._pairs:
+            for leaf in pair:
+                leaf.routed_mark = leaf.work.records_routed
+                leaf.stored_mark = leaf.total_inserted
         self.epoch_end = edge.timestamp + self.window.duration
 
     def _mark(self, left: SJTreeNode, right: SJTreeNode, bound: int) -> None:
-        """Switch one pair's modes from its epoch counts (at most one leaf is lazy)."""
+        """Switch one pair's modes from its epoch counts (at most one leaf is lazy).
+
+        A lazy leaf costs one directed search per partial its sibling
+        stores, an eager one a search per record routed to it, so each
+        leaf's routed records are weighed against its sibling's stored
+        partials.  Both are counted in either mode: a lazy leaf's records
+        are still routed to it, and its sibling stays eager.
+        """
         routed_left = left.work.records_routed - left.routed_mark
         routed_right = right.work.records_routed - right.routed_mark
+        stored_left = left.total_inserted - left.stored_mark
+        stored_right = right.total_inserted - right.stored_mark
         if left.work.lazy:
-            if routed_left < LAZY_EXIT * routed_right:
+            if routed_left < LAZY_EXIT * stored_right:
                 self._go_eager(left, bound)
         elif right.work.lazy:
-            if routed_right < LAZY_EXIT * routed_left:
+            if routed_right < LAZY_EXIT * stored_left:
                 self._go_eager(right, bound)
-        elif routed_left >= LAZY_MIN and routed_left >= LAZY_ENTER * routed_right:
+        elif routed_left >= LAZY_MIN and routed_left >= LAZY_ENTER * stored_right:
             self._go_lazy(left)
-        elif routed_right >= LAZY_MIN and routed_right >= LAZY_ENTER * routed_left:
+        elif routed_right >= LAZY_MIN and routed_right >= LAZY_ENTER * stored_left:
             self._go_lazy(right)
 
     def _go_lazy(self, leaf: SJTreeNode) -> None:
@@ -681,7 +692,7 @@ class ContinuousQueryMatcher:
             if leaf.work.lazy:
                 self.tree.set_lazy(leaf, False)
             leaf.work = LeafWork()
-            leaf.routed_mark = 0
+            leaf.routed_mark = leaf.stored_mark = 0
         for node in self.tree.nodes.values():
             node.total_inserted = node.total_expired = 0
         self.tree.clear_matches()

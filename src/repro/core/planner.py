@@ -8,8 +8,9 @@ matches."
 
 The planner wires together the pieces built elsewhere:
 
-* a :class:`~repro.stats.summarizer.GraphSummary` (degree / type / triad
-  statistics collected from the stream, section 4.3),
+* the stream's statistics (section 4.3): a
+  :class:`~repro.stats.summarizer.GraphSummary`, or the engine's
+  :class:`~repro.stats.store_stats.StoreStatistics` view of its window store,
 * the :class:`~repro.stats.selectivity.SelectivityEstimator`,
 * the decomposition strategies of :mod:`repro.core.decomposition`,
 
@@ -23,8 +24,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence
 
 from ..query.query_graph import QueryGraph
-from ..stats.selectivity import SelectivityEstimator
-from ..stats.summarizer import GraphSummary
+from ..stats.selectivity import PlanningStatistics, SelectivityEstimator
 from .decomposition import Decomposition, Strategy, decompose
 from .sjtree import SJTree
 
@@ -96,7 +96,9 @@ class QueryPlan:
 class QueryPlanner:
     """Produce :class:`QueryPlan` objects from stream statistics."""
 
-    def __init__(self, summary: Optional[GraphSummary] = None, config: Optional[PlannerConfig] = None):
+    def __init__(
+        self, summary: Optional[PlanningStatistics] = None, config: Optional[PlannerConfig] = None
+    ):
         self.summary = summary
         self.config = config or PlannerConfig()
 
@@ -106,20 +108,10 @@ class QueryPlanner:
     def _estimator(self) -> Optional[SelectivityEstimator]:
         if self.summary is None or self.summary.edge_count == 0:
             return None
-        summary = self.summary
-        if not self.config.use_triads:
-            summary = GraphSummary(
-                vertex_labels=summary.vertex_labels,
-                edge_labels=summary.edge_labels,
-                signatures=summary.signatures,
-                degrees=summary.degrees,
-                triads=None,
-                vertex_count=summary.vertex_count,
-                edge_count=summary.edge_count,
-            )
         return SelectivityEstimator(
-            summary,
+            self.summary,
             attribute_equality_selectivity=self.config.attribute_equality_selectivity,
+            use_triads=self.config.use_triads,
         )
 
     def plan(

@@ -676,8 +676,8 @@ class ShardedStreamEngine(IngestFront):
 
         The restored engine resumes exactly at its watermark: feeding it
         the remainder of the stream yields byte-for-byte the events
-        (matches, order, sequence numbers) of the uninterrupted run.  A
-        format-1 snapshot is upgraded first (:mod:`repro.persistence.upgrade`;
+        (matches, order, sequence numbers) of the uninterrupted run.  An
+        older snapshot is upgraded first (:mod:`repro.persistence.upgrade`;
         one a worker-pool engine wrote restores serially).  ``on_match``
         callbacks and custom sinks are not serialisable and must be
         re-attached via :meth:`add_sink`.  Raises
@@ -692,7 +692,7 @@ class ShardedStreamEngine(IngestFront):
 
         manifest, sections = read_snapshot(path, kind=SHARDED_KIND)
         if manifest["format_version"] < SNAPSHOT_FORMAT_VERSION:
-            sections = upgrade(SHARDED_KIND, sections)
+            sections = upgrade(SHARDED_KIND, sections, manifest["format_version"])
         engine = load_sharded_sections(sections)
         engine.checkpoint_epoch = manifest["epoch"]
         return engine

@@ -202,6 +202,8 @@ class SJTreeNode:
         self.work = LeafWork()
         #: ``work.records_routed`` when the matcher's current marking epoch began.
         self.routed_mark = 0
+        #: ``total_inserted`` when the matcher's current marking epoch began.
+        self.stored_mark = 0
 
     # ------------------------------------------------------------------
     # structure
@@ -331,6 +333,7 @@ class SJTreeNode:
         if self.is_leaf:
             state["work"] = asdict(self.work)
             state["routed_mark"] = self.routed_mark
+            state["stored_mark"] = self.stored_mark
         return state
 
     def load_state(self, state: Mapping[str, Any]) -> None:
@@ -355,6 +358,7 @@ class SJTreeNode:
         if self.is_leaf:
             self.work = LeafWork(**state["work"])
             self.routed_mark = state["routed_mark"]
+            self.stored_mark = state["stored_mark"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "leaf" if self.is_leaf else ("root" if self.is_root else "internal")

@@ -53,8 +53,9 @@ __all__ = [
 
 SNAPSHOT_MAGIC = "streamworks-snapshot"
 #: The shape :mod:`repro.persistence.state` writes and reads.  Format-1
-#: snapshots are read too; ``restore()`` upgrades their sections first.
-SNAPSHOT_FORMAT_VERSION = 2
+#: and format-2 snapshots are read too; ``restore()`` upgrades their
+#: sections first.
+SNAPSHOT_FORMAT_VERSION = 3
 
 
 class SnapshotError(Exception):

@@ -27,8 +27,8 @@ deliberately *not* captured:
   the caller re-attaches them after ``restore()`` (the engine-owned
   collector, with its full event history, *is* restored).
 
-The loaders read the shape the writers here write (snapshot format 2) and
-no other: every key is read as written.  A format-1 snapshot's sections
+The loaders read the shape the writers here write (snapshot format 3) and
+no other: every key is read as written.  An older snapshot's sections
 reach them through :func:`repro.persistence.upgrade.upgrade`, the one
 place that knows the older shapes.
 

@@ -1,11 +1,13 @@
 """One upgrade step from every older snapshot shape to the current one.
 
 The manifest's ``format_version`` names the shape of a snapshot's sections.
-Format 2 is what :mod:`repro.persistence.state` writes and the only shape
-its loaders read; format 1 is every snapshot written before that stamp.
-``restore()`` passes a format-1 file's sections through :func:`upgrade`
-before loading them, so this module is the one place that knows the older
-shapes (``docs/operations.md``, "Older snapshots", lists every rewrite).
+Format 3 is what :mod:`repro.persistence.state` writes and the only shape
+its loaders read; format 2 lacks the leaves' ``stored_mark``, and format 1
+is every snapshot written before the version was stamped.  ``restore()``
+passes an older file's sections through :func:`upgrade` before loading
+them, one step per format, so this module is the one place that knows the
+older shapes (``docs/operations.md``, "Older snapshots", lists every
+rewrite).
 A rewrite that changes what the restored engine does, or drops state a
 caller may miss, logs one warning on the ``repro.persistence`` logger.
 """
@@ -68,19 +70,29 @@ _RETIRED_MATCHER_FIELDS = (
 )
 
 
-def upgrade(kind: str, sections: Dict[str, Any]) -> Dict[str, Any]:
-    """Rewrite a format-1 snapshot's ``sections``, in place, into the format-2 shape.
+def upgrade(kind: str, sections: Dict[str, Any], version: int) -> Dict[str, Any]:
+    """Rewrite format-``version`` ``sections``, in place, into the current shape.
 
-    ``kind`` is the manifest's; a sharded snapshot's ``shard_N`` sections
-    are upgraded as single-engine ones.  Returns ``sections``.
+    ``kind`` and ``version`` are the manifest's; a sharded snapshot's
+    ``shard_N`` sections are upgraded as single-engine ones.  Returns
+    ``sections``.
     """
+    if kind == ENGINE_KIND:
+        engines = [sections]
+    elif kind == SHARDED_KIND:
+        engines = [sections[name] for name in sections if name.startswith("shard_")]
+    else:
+        raise ValueError(f"unknown snapshot kind {kind!r}")
     with loading():
-        if kind == ENGINE_KIND:
-            _upgrade_engine(sections)
-        elif kind == SHARDED_KIND:
-            _upgrade_sharded(sections)
-        else:
-            raise ValueError(f"unknown snapshot kind {kind!r}")
+        if version < 2:
+            if kind == SHARDED_KIND:
+                _upgrade_sharded(sections)
+            else:
+                _upgrade_engine(sections)
+        if version < 3:
+            for engine in engines:
+                for payload in engine["queries"]:
+                    _restart_epoch(payload["matcher"])
     return sections
 
 
@@ -170,8 +182,22 @@ def _upgrade_query(payload: Dict[str, Any]) -> None:
             node.setdefault("routed_mark", 0)
         if node_id == root_id:  # completions stored at the root are events already
             node["matches"] = []
-            if node_id >= leaves:
-                node["total_inserted"] = node["total_expired"] = 0
+            # no root stores a partial, a one-leaf root included: its
+            # counters counted the completions
+            node["total_inserted"] = node["total_expired"] = 0
+
+
+def _restart_epoch(matcher: Dict[str, Any]) -> None:
+    """Format 2 to 3: the marking epoch in progress restarts at the restore.
+
+    A format-2 leaf records the records routed since its epoch began but
+    not the partials stored since: the next record opens a new epoch, and
+    each leaf keeps the mode it was written in until that epoch ends.
+    """
+    matcher["epoch_end"] = None
+    for _, node in matcher["tree"]["nodes"]:
+        if "work" in node:
+            node["stored_mark"] = node["total_inserted"]
 
 
 def _interning(sections: Dict[str, Any]) -> Dict[str, List[str]]:

@@ -11,7 +11,7 @@ Evaluation" makes the underlying point — ordering decisions must follow the
 :class:`PlanMonitor` is the drift detector that closes the loop.  It owns no
 statistics of its own; it re-scores a registered plan's recorded estimates
 against a fresh :class:`~repro.stats.selectivity.SelectivityEstimator` built
-from the engine's *current* summarizer state, and reports the worst relative
+over the engine's *current* window store, and reports the worst relative
 error across the plan's primitives.  The engine compares that error against
 ``EngineConfig(replan_threshold=...)`` and calls ``replan_query()`` when it
 is exceeded.  All counters live here so both engines (single-process and
@@ -85,7 +85,7 @@ class PlanMonitor:
 
         ``plan`` is a ``core.planner.QueryPlan`` accepted duck-typed.  Each
         primitive's recorded estimate (``plan.estimates``) is compared with a
-        fresh estimate from ``estimator`` (built off the live summary);
+        fresh estimate from ``estimator`` (built over the live window store);
         relative error is ``|live - planned| / max(|planned|, 1e-9)``.  A plan
         made before any statistics existed (``summary_edge_count == 0`` or no
         recorded estimates) scores :data:`_UNKNOWN_ERROR` so it is replaced at

@@ -20,23 +20,43 @@ getting the ranking right, which is what the ablation experiment E8 checks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Protocol, Tuple
 
 from ..query.predicates import Predicate
 from ..query.query_graph import QueryEdge, QueryGraph
-from .summarizer import GraphSummary
-from .triads import wedge_key_for_query
+from .labels import EdgeSignature
+from .triads import TriadKey, wedge_key_for_query
 
-__all__ = ["SelectivityEstimator"]
+__all__ = ["PlanningStatistics", "SelectivityEstimator"]
+
+
+class PlanningStatistics(Protocol):
+    """The counts an estimator reads: a :class:`GraphSummary` or a
+    :class:`~repro.stats.store_stats.StoreStatistics` view of the store."""
+
+    @property
+    def edge_count(self) -> int: ...
+
+    def signature_count(self, signature: EdgeSignature) -> int: ...
+
+    def edge_label_count(self, label: Optional[str]) -> int: ...
+
+    def vertex_label_count(self, label: Optional[str]) -> int: ...
+
+    def total_wedges(self) -> int: ...
+
+    def wedge_count(self, key: TriadKey) -> int: ...
+
+    def wedge_count_wildcard(self, key: TriadKey) -> int: ...
 
 
 class SelectivityEstimator:
-    """Estimate expected match counts of query subgraphs from a :class:`GraphSummary`.
+    """Estimate expected match counts of query subgraphs from planning statistics.
 
     Parameters
     ----------
     summary:
-        The statistics bundle to estimate against.
+        The statistics to estimate against (:class:`PlanningStatistics`).
     attribute_equality_selectivity:
         Multiplicative discount applied per attribute-equality constraint on
         a vertex or edge (default 0.1).  A query edge whose endpoint pins
@@ -45,19 +65,24 @@ class SelectivityEstimator:
     smoothing:
         Added to raw counts so unseen signatures do not produce hard zeros
         (which would make every plan containing them look equally perfect).
+    use_triads:
+        Read the wedge counts for two-edge primitives; ``False`` estimates
+        every wedge by independence.
     """
 
     def __init__(
         self,
-        summary: GraphSummary,
+        summary: PlanningStatistics,
         attribute_equality_selectivity: float = 0.1,
         smoothing: float = 0.5,
+        use_triads: bool = True,
     ):
         if not 0.0 < attribute_equality_selectivity <= 1.0:
             raise ValueError("attribute_equality_selectivity must be in (0, 1]")
         self.summary = summary
         self.attribute_equality_selectivity = attribute_equality_selectivity
         self.smoothing = smoothing
+        self.use_triads = use_triads
 
     # ------------------------------------------------------------------
     # single edges
@@ -66,9 +91,9 @@ class SelectivityEstimator:
         """Return the expected number of data edges that can bind ``edge``."""
         source_label = query.vertex(edge.source).label
         target_label = query.vertex(edge.target).label
-        count = float(self.summary.signatures.count((source_label, edge.label, target_label)))
+        count = float(self.summary.signature_count((source_label, edge.label, target_label)))
         if not edge.directed:
-            count += float(self.summary.signatures.count((target_label, edge.label, source_label)))
+            count += float(self.summary.signature_count((target_label, edge.label, source_label)))
         if count == 0.0:
             # fall back to the edge-label count when endpoint labels were never
             # seen together (e.g. statistics collected on a different prefix)
@@ -130,8 +155,8 @@ class SelectivityEstimator:
         first: QueryEdge,
         second: QueryEdge,
     ) -> Optional[float]:
-        triads = self.summary.triads
-        if triads is None or triads.total_wedges() == 0:
+        summary = self.summary
+        if not self.use_triads or summary.total_wedges() == 0:
             return None
         first_leg = (
             first.label,
@@ -144,9 +169,9 @@ class SelectivityEstimator:
             query.vertex(second.other_endpoint(center)).label,
         )
         key = wedge_key_for_query(center_label, first_leg, second_leg)
-        count = triads.count(key)
-        if count == 0.0:
-            count = triads.count_wildcard(key)
+        count = summary.wedge_count(key)
+        if count == 0:
+            count = summary.wedge_count_wildcard(key)
         return count
 
     def _independence_wedge(

@@ -17,8 +17,9 @@ from ..graph.dynamic_graph import DynamicGraph
 from ..graph.property_graph import PropertyGraph
 from ..graph.types import Edge, VertexId
 from .degree import DegreeDistribution
-from .labels import LabelDistribution, SignatureDistribution
-from .triads import TriadCensus
+from .labels import EdgeSignature, LabelDistribution, SignatureDistribution
+from .store_stats import StoreStatistics
+from .triads import TriadCensus, TriadKey
 
 __all__ = ["GraphSummary", "StreamSummarizer"]
 
@@ -97,6 +98,22 @@ class GraphSummary:
             return self.edge_count
         return self.edge_labels.count(label)
 
+    def signature_count(self, signature: EdgeSignature) -> int:
+        """Return the edges matching ``signature`` (``None`` components are wildcards)."""
+        return self.signatures.count(signature)
+
+    def total_wedges(self) -> int:
+        """Return the number of wedges in the census."""
+        return self.triads.total_wedges()
+
+    def wedge_count(self, key: TriadKey) -> int:
+        """Return the census count of the typed wedge ``key``."""
+        return self.triads.count(key)
+
+    def wedge_count_wildcard(self, key: TriadKey) -> int:
+        """Return the census count of ``key`` with ``None`` components as wildcards."""
+        return self.triads.count_wildcard(key)
+
     def describe(self) -> str:
         """Return a multi-line human-readable summary report."""
         lines = [
@@ -123,19 +140,25 @@ class GraphSummary:
 
 
 class StreamSummarizer:
-    """Compute the :class:`GraphSummary` of a window store on demand.
+    """The window store's planning statistics, computed on demand.
 
-    Nothing is folded per record.  :meth:`summary` reads the store's
-    retained edges and their endpoint vertex records each time the planner
-    asks -- at registration, at a replan and from
-    ``engine.statistics_summary()`` -- so the statistics describe the
-    retention window.  Records the store never kept (cold ones, and dead
-    ones evicted by their own ingest) take no part.  A call costs
-    O(live edges + the sum over vertices of their distinct leg types
-    squared), and O(1) on an empty store.
+    Nothing is folded per record, and the statistics describe the retention
+    window.  Records the store never kept (cold ones, and dead ones evicted
+    by their own ingest) take no part.  Two ways to read them:
 
-    ``observe_batch`` only counts the edges the engine stores, for
-    :attr:`edges_observed`.
+    * :meth:`statistics` -- what the planner and the plan monitor read at
+      registration, ``replan_query`` and ``run_replan_check``: a
+      :class:`~repro.stats.store_stats.StoreStatistics` view that counts
+      only the signatures, labels and wedge keys the estimator asks for,
+      from the store's typed edge slots, once each per view.  A check that
+      scores a few plans costs a few slot walks, not a census.
+    * :meth:`summary` -- ``engine.statistics_summary()``: the whole
+      :class:`GraphSummary`, materialised, in O(live edges + the sum over
+      vertices of their distinct leg types squared), and O(1) on an empty
+      store.
+
+    Both give the same counts.  ``observe_batch`` only counts the edges the
+    engine stores, for :attr:`edges_observed`.
     """
 
     def __init__(self, graph: GraphLike, track_triads: bool = True) -> None:
@@ -151,6 +174,10 @@ class StreamSummarizer:
     def edges_observed(self) -> int:
         """Total number of edges the engine has stored and counted so far."""
         return self._edge_count
+
+    def statistics(self) -> StoreStatistics:
+        """Return a fresh view of the store's counts for one planning decision."""
+        return StoreStatistics(self.graph, self.track_triads)
 
     def summary(self) -> GraphSummary:
         """Return the statistics of the edges the store retains right now.

@@ -771,11 +771,11 @@ def test_version_mismatch_rejected_with_clear_message(tmp_path):
         StreamWorksEngine.restore(path)
 
 
-@pytest.mark.parametrize("format_version", [0, 3, "2", True])
+@pytest.mark.parametrize("format_version", [0, 4, "3", True])
 @pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
-def test_only_formats_1_and_2_are_read(tmp_path, sharded, format_version):
+def test_only_formats_1_to_3_are_read(tmp_path, sharded, format_version):
     path = _snapshot_engine(tmp_path, sharded)
-    assert read_manifest(path)["format_version"] == 2
+    assert read_manifest(path)["format_version"] == 3
     restamp(path, format_version)
     restore = ShardedStreamEngine.restore if sharded else StreamWorksEngine.restore
     with pytest.raises(SnapshotVersionError, match=f"format version {format_version!r}"):
@@ -1200,6 +1200,24 @@ def test_snapshot_with_count_min_statistics_and_stored_completions_resumes():
         resumed.process_batch(records[start : start + 8])
     assert canonical(resumed.events()) == canonical(oracle.events())
     assert resumed.match_counts() == oracle.match_counts() != {"ab": 0, "la": 0}
+
+
+def test_a_one_leaf_root_restores_with_its_completion_counters_zeroed():
+    """Each query of ``engine_sketch_stats.snap`` is one leaf that is also the
+    root, and its counters counted the completions it stored: restored, it
+    stores none and reports none stored."""
+    path = os.path.join(
+        os.path.dirname(__file__), "fixtures", "persistence", "engine_sketch_stats.snap"
+    )
+    _, sections = read_snapshot(path)
+    for payload in sections["queries"]:
+        ((_, root),) = payload["matcher"]["tree"]["nodes"]
+        assert root["total_inserted"] > 0  # the completions it kept
+    restored = StreamWorksEngine.restore(path)
+    leaves = restored.metrics()["leaves"]
+    for name, registration in restored.queries.items():
+        assert registration.matcher.stored_partial_matches() == 0
+        assert [leaf["partials_stored"] for leaf in leaves[name]] == [0]
 
 
 @pytest.mark.parametrize(
@@ -1647,6 +1665,7 @@ def before_lazy_leaves(sections):
         for _, node in payload["matcher"]["tree"]["nodes"]:
             node.pop("work", None)
             node.pop("routed_mark", None)
+            node.pop("stored_mark", None)
 
 
 def before_replanning(sections):
@@ -1794,7 +1813,7 @@ UPGRADE_ROWS = {
 def test_each_format_1_rewrite_restores_and_resumes(row, tmp_path, caplog):
     """A format-1 snapshot restores through the upgrade step, warns as listed,
     and resumes to the uninterrupted run's events; upgraded, its sections have
-    exactly the keys of the format-2 snapshot it was made from."""
+    exactly the keys of the format-3 snapshot it was made from."""
     sharded, edit, expected = UPGRADE_ROWS[row]
     batches = batches_of(disordered_rmat_records())
     oracle = upgrade_engine(sharded)
@@ -1816,7 +1835,7 @@ def test_each_format_1_rewrite_restores_and_resumes(row, tmp_path, caplog):
     with caplog.at_level("WARNING", logger="repro.persistence"):
         resumed = engine_cls.restore(path)
     assert [r.getMessage() for r in caplog.records if r.name == "repro.persistence"] == expected
-    assert key_paths(upgrade(manifest["kind"], sections)) == current
+    assert key_paths(upgrade(manifest["kind"], sections, 1)) == current
     for batch in batches[UPGRADE_CUT:]:
         resumed.process_batch(batch)
     resumed.flush()
@@ -1846,14 +1865,14 @@ def schema_keys(sections):
     "fixture", sorted(name for name in os.listdir(FIXTURES) if name.endswith(".snap"))
 )
 def test_every_fixture_upgrades_to_the_current_shape(fixture, tmp_path):
-    """Upgraded, each format-1 fixture carries the keys a format-2 snapshot does."""
+    """Upgraded, each format-1 fixture carries the keys a format-3 snapshot does."""
     manifest, sections = read_snapshot(os.path.join(FIXTURES, fixture))
     assert manifest["format_version"] == 1
     engine = upgrade_engine(sharded=False)
     for batch in batches_of(disordered_rmat_records())[:UPGRADE_CUT]:
         engine.process_batch(batch)
     current = engine_sections(engine)
-    upgraded = upgrade(manifest["kind"], sections)
+    upgraded = upgrade(manifest["kind"], sections, 1)
     if manifest["kind"] == SHARDED_KIND:
         sharded = upgrade_engine(sharded=True)
         path = str(tmp_path / "sharded.snap")
@@ -1872,15 +1891,15 @@ def test_every_fixture_upgrades_to_the_current_shape(fixture, tmp_path):
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
-def test_a_format_2_snapshot_restores_without_the_upgrade_step(
+def test_a_format_3_snapshot_restores_without_the_upgrade_step(
     sharded, tmp_path, caplog, monkeypatch
 ):
     """The upgrade step stays out of the current path: a snapshot this build
     writes restores without it and logs nothing on ``repro.persistence``."""
     import repro.persistence.upgrade as upgrade_module
 
-    def refuse(kind, sections):
-        raise AssertionError("a format-2 snapshot went through the upgrade step")
+    def refuse(kind, sections, version):
+        raise AssertionError("a format-3 snapshot went through the upgrade step")
 
     monkeypatch.setattr(upgrade_module, "upgrade", refuse)
     engine = upgrade_engine(sharded)
@@ -1888,7 +1907,7 @@ def test_a_format_2_snapshot_restores_without_the_upgrade_step(
         engine.process_batch(batch)
     path = str(tmp_path / "current.snap")
     engine.checkpoint(path)
-    assert read_manifest(path)["format_version"] == 2
+    assert read_manifest(path)["format_version"] == 3
     with caplog.at_level("DEBUG", logger="repro.persistence"):
         resumed = type(engine).restore(path)
     assert not [record for record in caplog.records if record.name == "repro.persistence"]

@@ -478,7 +478,7 @@ def test_snapshot_with_duplicate_memory_loads_with_it_ignored():
     assert prefix_events, "no events before the cut -- vacuous"
 
     resumed = load_engine_sections(
-        upgrade(ENGINE_KIND, _with_retired_duplicate_memory(interrupted, prefix_events))
+        upgrade(ENGINE_KIND, _with_retired_duplicate_memory(interrupted, prefix_events), 1)
     )
     assert "dedup_memory_budget" not in vars(resumed.config)
     for name, registration in resumed.queries.items():

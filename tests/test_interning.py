@@ -148,7 +148,7 @@ class TestEngineIdStability:
         records = netflow_records(300)
         cut = 150
         engine, _ = _run_single(records[:cut], netflow_queries)
-        restored = load_engine_sections(upgrade(ENGINE_KIND, _pre_interning_sections(engine)))
+        restored = load_engine_sections(upgrade(ENGINE_KIND, _pre_interning_sections(engine), 1))
         # rebuilt table: query vocabulary in registration order first, then
         # graph edge labels in insertion order -- and every graph label known
         assert restored.interning.labels()
@@ -159,7 +159,7 @@ class TestEngineIdStability:
         records = netflow_records(300)
         cut = 150
         engine, _ = _run_single(records[:cut], netflow_queries)
-        restored = load_engine_sections(upgrade(ENGINE_KIND, _pre_interning_sections(engine)))
+        restored = load_engine_sections(upgrade(ENGINE_KIND, _pre_interning_sections(engine), 1))
         replay_batched(restored, records[cut:])
         resumed = canonical(list(restored.collector.events))
 

@@ -1,6 +1,6 @@
 """Lazy SJ-tree leaves: exact against a baseline that shares none of their code.
 
-A leaf whose sibling sees a fraction of its records is marked lazy
+A leaf routed many times the partials its sibling stores is marked lazy
 (``repro.core.matcher``): it is searched only where the sibling holds a
 partner, stores nothing, and the sibling's partials run a directed search
 for it instead.  The events must not move.  The oracle here is the
@@ -12,6 +12,7 @@ pin to the saving that is the point of the mechanism.
 """
 
 import glob
+import json
 import os
 import random
 from collections import Counter
@@ -42,13 +43,13 @@ from differential import (
 )
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.core.local_search import LocalSearcher
-from repro.core.matcher import ContinuousQueryMatcher
+from repro.core.matcher import LAZY_ENTER, ContinuousQueryMatcher
 from repro.core.probe import cut_keys
 from repro.core.sjtree import SlotLayout
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.window import TimeWindow
 from repro.isomorphism.vf2 import SubgraphMatcher
-from repro.persistence import read_snapshot
+from repro.persistence import read_manifest, read_snapshot, write_snapshot
 from repro.persistence.state import ENGINE_KIND, load_engine_sections
 from repro.persistence.upgrade import upgrade
 from repro.query.builder import QueryBuilder
@@ -235,6 +236,105 @@ def test_a_vertex_predicate_keeps_its_leaves_eager(batch_size, monkeypatch):
     assert found != eager
 
 
+SPARSE_WINDOW = 1.0 + 0.005
+
+
+def sparse_sibling_specs():
+    return [("chain", chain_query("chain", ["a", "b", "c", "d"]), SPARSE_WINDOW)]
+
+
+def sparse_sibling_records(count, seed=7):
+    """The ``a``/``b`` leaf is routed about three records for each ``c``/``d`` one,
+    but the ``c``/``d`` records rarely meet: its leaf stores a partial for
+    some fifty ``a``/``b`` records.  Records are 0.01 apart."""
+    rng = random.Random(seed)
+    records = []
+    for position in range(count):
+        if rng.random() < 0.75:
+            label = rng.choice("ab")
+            source, target = f"h{rng.randrange(12)}", f"h{rng.randrange(12)}"
+        elif rng.random() < 0.5:
+            label, source, target = "c", f"h{rng.randrange(12)}", f"w{rng.randrange(150)}"
+        else:
+            label, source, target = "d", f"w{rng.randrange(150)}", f"x{rng.randrange(50)}"
+        records.append(StreamEdge(source, target, label, (position + 1) * 0.01,
+                                  source_label="N", target_label="N"))
+    return records
+
+
+@pytest.mark.parametrize("batch_size", [1, 50])
+def test_a_leaf_goes_lazy_on_its_siblings_stored_partials_not_its_routed_records(batch_size):
+    records = sparse_sibling_records(1200)
+    found, engine = lazy_run(records, sparse_sibling_specs, batch_size=batch_size)
+    assert found == repeated_search(records, sparse_sibling_specs)
+    assert sum(found.values()) > 0
+    busy, sparse = engine.queries["chain"].matcher.tree.leaves()
+    # over the run the routed ratio stays under half LAZY_ENTER; the stored one passes it
+    assert busy.work.records_routed < LAZY_ENTER * sparse.work.records_routed / 2
+    assert busy.work.records_routed >= LAZY_ENTER * sparse.total_inserted
+    assert (busy.work.mode_flips, busy.work.lazy) == (1, True)
+    assert (sparse.work.mode_flips, sparse.work.lazy) == (0, False)
+    assert busy.work.lazy_misses > 0
+
+
+def sparse_sibling_engine(layout="single"):
+    if layout == "single":
+        engine = StreamWorksEngine()
+    else:
+        engine = ShardedStreamEngine(config=ShardConfig(shard_count=2, engine=EngineConfig()))
+    ((name, query, window),) = sparse_sibling_specs()
+    engine.register_query(query, name=name, window=window)
+    return engine
+
+
+@pytest.mark.parametrize("layout", ["single", "sharded"])
+def test_checkpoint_while_lazy_on_stored_partials_resumes_as_uninterrupted(layout, tmp_path):
+    records = sparse_sibling_records(1200)
+    uninterrupted = sparse_sibling_engine(layout)
+    whole = _canonical(_feed(uninterrupted, records))
+    engine = sparse_sibling_engine(layout)
+    _feed(engine, records[:550])
+    assert leaf_work(engine)["chain"][0]["lazy"]
+    path = str(tmp_path / f"{layout}.snap")
+    engine.checkpoint(path)
+    restored = type(engine).restore(path)
+    assert leaf_work(restored) == leaf_work(engine)
+    _feed(restored, records[550:])
+    assert _canonical(restored.collector.events) == whole
+    assert leaf_work(restored) == leaf_work(uninterrupted)
+
+
+def test_a_format_2_snapshot_restores_through_the_upgrade_with_a_fresh_epoch(tmp_path):
+    """Format 2 kept no stored-partials mark: the open epoch restarts at the restore."""
+    records = sparse_sibling_records(1200)
+    whole = _canonical(_feed(sparse_sibling_engine(), records))
+    engine = sparse_sibling_engine()
+    _feed(engine, records[:550])
+    path = str(tmp_path / "format2.snap")
+    engine.checkpoint(path)
+    manifest, sections = read_snapshot(path)
+    for _, node in sections["queries"][0]["matcher"]["tree"]["nodes"]:
+        node.pop("stored_mark", None)
+    write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
+    with open(path, "rb") as handle:
+        data = handle.read()
+    newline = data.find(b"\n")
+    stamped = json.loads(data[:newline])
+    stamped["format_version"] = 2
+    with open(path, "wb") as handle:
+        handle.write(json.dumps(stamped, separators=(",", ":")).encode() + data[newline:])
+    assert read_manifest(path)["format_version"] == 2
+    restored = StreamWorksEngine.restore(path)
+    matcher = restored.queries["chain"].matcher
+    assert matcher.epoch_end == float("-inf")  # the next record opens an epoch
+    busy, sparse = matcher.tree.leaves()
+    assert busy.work.lazy and (busy.stored_mark, sparse.stored_mark) == (
+        busy.total_inserted, sparse.total_inserted
+    )
+    _feed(restored, records[550:])
+    assert _canonical(restored.collector.events) == whole
+
+
 def test_banded_leaves_see_the_same_traffic_and_never_flip():
     found, engine = lazy_run(banded_records(3000, 4), banded_queries, batch_size=64)
     assert sum(found.values()) > 0
@@ -380,7 +480,8 @@ def test_a_snapshot_without_leaf_modes_restores_eager_and_matches(tmp_path):
         for _, node in payload["matcher"]["tree"]["nodes"]:
             node.pop("work", None)
             node.pop("routed_mark", None)
-    restored = load_engine_sections(upgrade(ENGINE_KIND, sections))
+            node.pop("stored_mark", None)
+    restored = load_engine_sections(upgrade(ENGINE_KIND, sections, 1))
     assert not any(leaf["lazy"] for leaf in leaf_work(restored)["exfil"])
     _feed(restored, records[750:])
     # the marking starts afresh and still reaches the busy stretch that follows

@@ -216,12 +216,13 @@ class TestIntrospection:
         )
         matcher = engine.queries["exfil"].matcher
         busy, upload = matcher.tree.leaves()
-        assert busy.work.lazy and busy.routed_mark > 0
+        assert busy.work.lazy and busy.routed_mark > 0 and upload.stored_mark > 0
         assert upload.join[4] is busy  # the upload leaf searches for it
         matcher.reset()
         zero = dict(asdict(LeafWork()), partials_stored=0)
         assert matcher.leaf_work() == [zero, zero]
         assert (busy.routed_mark, upload.routed_mark) == (0, 0)
+        assert (busy.stored_mark, upload.stored_mark) == (0, 0)
         assert upload.join[4] is None
         assert matcher.epoch_end == float("-inf")
 

@@ -710,7 +710,7 @@ class TestMultiSourceCheckpointRestore:
         oracle.reorder = ReorderBuffer(float("inf"))
         reference = canonical(run_batches(oracle, shuffled, 20))
 
-        resumed = load_engine_sections(upgrade(ENGINE_KIND, sections))
+        resumed = load_engine_sections(upgrade(ENGINE_KIND, sections, 1))
         assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
         resumed.register_source("new-collector")  # must not AttributeError
         assert "new-collector" in resumed.reorder.sources()

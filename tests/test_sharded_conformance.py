@@ -469,7 +469,7 @@ def resume_from_retired_knobs(engine, path):
         for shard_id in range(sections["config"]["shard_count"])
     )
     assert stored, "no completion reached a root before the cut -- vacuous"
-    return load_sharded_sections(upgrade(SHARDED_KIND, sections))
+    return load_sharded_sections(upgrade(SHARDED_KIND, sections, 1))
 
 
 @pytest.mark.parametrize("case", sorted(RETIRED_KNOB_CASES))

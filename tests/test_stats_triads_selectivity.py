@@ -209,7 +209,7 @@ class TestStreamSummarizer:
         sections = engine_sections(engine)
         sections["summarizer"] = state
         with caplog.at_level("WARNING", logger="repro.persistence"):
-            upgrade(ENGINE_KIND, sections)
+            upgrade(ENGINE_KIND, sections, 1)
         (record,) = caplog.records
         restored = StreamSummarizer.from_state(sections["summarizer"], graph)
         assert record.getMessage().endswith("edge_labels, signatures, sketch_stats, vertex_labels")
