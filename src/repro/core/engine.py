@@ -46,7 +46,7 @@ from __future__ import annotations
 import copy
 from collections import deque
 from itertools import compress
-from operator import attrgetter, not_
+from operator import not_
 from time import perf_counter
 from typing import Any, Deque, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -147,20 +147,19 @@ def required_retention(
 class EngineConfig:
     """Engine-level tunables (also the per-shard template of the sharded engine).
 
-    Every parameter is validated at construction and raises ``ValueError``
-    naming the offending field; the full reference table -- each field, its
+    Every numeric and string parameter is validated at construction and
+    raises ``ValueError`` naming the offending field (the three flags are
+    read by truth value); the full reference table -- each field, its
     default, and how fields interact -- is ``docs/operations.md``.  The
     headline groups:
 
     * **storage/semantics**: ``default_window`` (fallback query window,
       drives graph retention), ``dedupe_structural``;
     * **planning**: ``collect_statistics`` / ``track_triads`` (the
-      statistics the planner consumes), ``plan_strategy``,
-      ``primitive_size``, ``replan_threshold`` / ``replan_check_every``
-      (error-driven replanning);
-    * **ingest**: ``record_latency`` (the ingest path itself is always the
-      compiled one: interned labels, route plans, compiled predicates and
-      probes -- ``docs/architecture.md``);
+      statistics the planner consumes), ``replan_threshold`` /
+      ``replan_check_every`` (error-driven replanning).  Queries are
+      planned by ``Strategy.SELECTIVITY`` over 2-edge primitives unless
+      ``register_query`` / ``replan_query`` name another strategy;
     * **event time**: ``allowed_lateness`` (float or ``None``),
       ``late_policy``, ``idle_source_timeout`` -- see the
       per-attribute comments below and
@@ -175,9 +174,6 @@ class EngineConfig:
         collect_statistics: bool = True,
         track_triads: bool = True,
         dedupe_structural: bool = False,
-        plan_strategy: str = Strategy.SELECTIVITY,
-        primitive_size: int = 2,
-        record_latency: bool = True,
         allowed_lateness: Optional[float] = None,
         late_policy: str = "drop",
         idle_source_timeout: Optional[float] = None,
@@ -190,9 +186,6 @@ class EngineConfig:
         self.collect_statistics = collect_statistics
         self.track_triads = track_triads
         self.dedupe_structural = dedupe_structural
-        self.plan_strategy = plan_strategy
-        self.primitive_size = primitive_size
-        self.record_latency = record_latency
         #: Event-time ingestion: when set, the engine owns a
         #: :class:`~repro.streaming.sources.MultiSourceReorderBuffer` with
         #: this lateness horizon (one watermark per record ``source_id``,
@@ -468,7 +461,6 @@ class StreamWorksEngine(IngestFront):
         strategy: Optional[str] = None,
         decomposition: Optional[Decomposition] = None,
         on_match: Optional[callable] = None,
-        dedupe_structural: Optional[bool] = None,
     ) -> RegisteredQuery:
         """Register a continuous query and return its handle.
 
@@ -487,9 +479,6 @@ class StreamWorksEngine(IngestFront):
             Fully manual decomposition; overrides ``strategy``.
         on_match:
             Optional callback invoked with each :class:`MatchEvent`.
-        dedupe_structural:
-            Override the engine-level structural-deduplication setting for
-            this query.
         """
         query_name = name or query.name
         if query_name in self.queries:
@@ -513,11 +502,7 @@ class StreamWorksEngine(IngestFront):
             decomposition=plan.decomposition,
             graph=self.graph,
             window=query_window,
-            dedupe_structural=(
-                dedupe_structural
-                if dedupe_structural is not None
-                else self.config.dedupe_structural
-            ),
+            dedupe_structural=self.config.dedupe_structural,
         )
         registration = RegisteredQuery(query_name, query, query_window, plan, matcher)
         self.add_registration(registration)
@@ -591,8 +576,7 @@ class StreamWorksEngine(IngestFront):
         return QueryPlanner(
             summary=self.summarizer.statistics() if self.summarizer else None,
             config=PlannerConfig(
-                strategy=strategy or self.config.plan_strategy,
-                primitive_size=self.config.primitive_size,
+                strategy=strategy or Strategy.SELECTIVITY,
                 conditional_ordering=self.config.replan_threshold is not None,
             ),
         )
@@ -640,7 +624,7 @@ class StreamWorksEngine(IngestFront):
             decomposition=new_plan.decomposition,
             graph=self.graph,
             window=registration.window,
-            dedupe_structural=old_matcher.dedupe_structural,
+            dedupe_structural=self.config.dedupe_structural,
         )
         migrated, dropped = self._migrate_matcher_state(old_matcher, new_matcher)
         registration.matcher = new_matcher
@@ -661,10 +645,12 @@ class StreamWorksEngine(IngestFront):
         The new tree's shape need not resemble the old one's, so partials are
         not copied node-for-node; instead the retained window store is
         *replayed* through the new plan's leaves in ascending edge-id order,
-        the order the edges were first searched in.  Under the newest-edge
-        rule each edge finds only embeddings whose other edges precede it,
-        so the replay rebuilds every admissible partial the new tree can
-        hold exactly once, and window-inadmissible combinations are
+        the order the edges were first searched in, each edge through only
+        the leaves whose labels can bind it
+        (:meth:`ContinuousQueryMatcher.history`).  Under the newest-edge rule
+        each edge finds only embeddings whose other edges precede it, so the
+        replay rebuilds every admissible partial the new tree can hold
+        exactly once, and window-inadmissible combinations are
         re-rejected by the same span checks that rejected them live.  The
         replay runs with emission off: every complete match over retained
         edges was already reported at its newest edge, and no tree keeps
@@ -686,8 +672,7 @@ class StreamWorksEngine(IngestFront):
             for partial in node.partials():
                 if not all(has_edge(edge.id) for edge in edges_of(partial)):
                     dropped += 1
-        leaves = new_matcher.tree.leaves()
-        for edge in sorted(self.graph.edges(), key=attrgetter("id")):
+        for edge, leaves in new_matcher.history(new_matcher.tree.leaves()):
             new_matcher.process_edge_leaves(edge, leaves, emit=False)
         migrated = sum(
             node.match_count()
@@ -1102,7 +1087,7 @@ class StreamWorksEngine(IngestFront):
         """
         base = self.edges_processed
         self.batches_vectorized += 1
-        started = perf_counter() if hot and self.config.record_latency else None
+        started = perf_counter() if hot else None
         for position, edge, searches in hot:
             self.edges_processed = base + position
             late = edge.timestamp < clock
@@ -1145,10 +1130,10 @@ class StreamWorksEngine(IngestFront):
     def evict_expired(self, now: Optional[Timestamp] = None) -> None:
         """Evict what the retention window has expired: store and cold ring alike.
 
-        ``now`` defaults to the stream clock.  The ring is trimmed with the
-        store's threshold and strictness, so it holds exactly the cold
-        records a store that kept every record would still hold -- what
-        :meth:`register_query` may need to promote.
+        ``now`` defaults to the stream clock.  The ring is trimmed at the
+        store's threshold, so it holds exactly the cold records a store that
+        kept every record would still hold -- what :meth:`register_query` may
+        need to promote.
         """
         self.graph.evict_expired(now)
         self._trim_cold(now)
@@ -1160,23 +1145,11 @@ class StreamWorksEngine(IngestFront):
         if not cold or not window.bounded:
             return
         threshold = window.expiry_threshold(self.graph.current_time if now is None else now)
-        # the store's test: ExpiryQueue.pop_expired(threshold, inclusive=strict)
-        inclusive = window.strict
         if self._cold_disordered:
             # a late run appended behind newer records: trim the whole ring
-            self.reset_cold(
-                [
-                    record
-                    for record in cold
-                    if record.timestamp > threshold
-                    or (not inclusive and record.timestamp == threshold)
-                ]
-            )
-        elif inclusive:
-            while cold and cold[0].timestamp <= threshold:
-                cold.popleft()
+            self.reset_cold([record for record in cold if record.timestamp > threshold])
         else:
-            while cold and cold[0].timestamp < threshold:
+            while cold and cold[0].timestamp <= threshold:
                 cold.popleft()
 
     def reset_cold(self, records: List[StreamEdge]) -> None:

@@ -42,12 +42,12 @@ if TYPE_CHECKING:
 
 __all__ = ["JoinPlan", "compile_join", "try_join"]
 
-#: ``(bounded, duration, strict, vertex pairs, edge pairs, assemble)``: the
+#: ``(bounded, duration, vertex pairs, edge pairs, assemble)``: the
 #: window, the ``(left slot, right slot)`` pairs that must differ, and the
 #: picker of the parent's partial.  Field order is that of the one
 #: unpacking statement in :func:`try_join`.
 JoinPlan = Tuple[
-    bool, float, bool, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], "itemgetter[Any]"
+    bool, float, Tuple[Tuple[int, int], ...], Tuple[Tuple[int, int], ...], "itemgetter[Any]"
 ]
 
 
@@ -86,7 +86,6 @@ def compile_join(
     return (
         window.bounded,
         window.duration,
-        window.strict,
         vertex_pairs,
         edge_pairs,
         itemgetter(*picks),
@@ -99,7 +98,7 @@ def try_join(left: "Partial", right: "Partial", plan: JoinPlan) -> Optional["Par
     The window test runs first, on the merged extent, so most rejections
     cost a couple of float comparisons; the slot tests follow.
     """
-    bounded, duration, strict, vertex_pairs, edge_pairs, assemble = plan
+    bounded, duration, vertex_pairs, edge_pairs, assemble = plan
     earliest = left[-2]
     other = right[-2]
     if other < earliest:
@@ -108,10 +107,8 @@ def try_join(left: "Partial", right: "Partial", plan: JoinPlan) -> Optional["Par
     other = right[-1]
     if other > latest:
         latest = other
-    if bounded:
-        span = latest - earliest
-        if (span >= duration) if strict else (span > duration):
-            return None
+    if bounded and latest - earliest >= duration:
+        return None
     for mine, theirs in vertex_pairs:
         if left[mine] == right[theirs]:
             return None

@@ -68,7 +68,6 @@ eager rebuilds it, store-only, from the window store.
 from __future__ import annotations
 
 from dataclasses import asdict
-from operator import attrgetter
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..graph.types import Edge
@@ -545,17 +544,9 @@ class ContinuousQueryMatcher:
         """
         leaf.work.mode_flips += 1
         self.tree.set_lazy(leaf, False)
-        labels = {edge.label for edge in leaf.subgraph.edges()}
-        any_label = None in labels
-        history = [
-            edge
-            for edge in self.graph.edges()
-            if edge.id < bound and (any_label or edge.label in labels)
-        ]
-        history.sort(key=attrgetter("id"))
         find = self.local_searcher.find
         primitive = leaf.subgraph
-        for edge in history:
+        for edge, _ in self.history([leaf], bound):
             for partial in find(primitive, edge):
                 leaf.store_partial(partial)
                 leaf.work.embeddings_found += 1
@@ -564,6 +555,30 @@ class ContinuousQueryMatcher:
                     self.next_expiry = partial[EARLIEST]
         if self._tree_stored > self.stats.peak_stored_matches:
             self.stats.peak_stored_matches = self._tree_stored
+
+    def history(
+        self, leaves: List[SJTreeNode], bound: float = _INF
+    ) -> List[Tuple[Edge, List[SJTreeNode]]]:
+        """The retained edges below ``bound`` some of ``leaves`` can bind, with the leaves that can.
+
+        Edges come in ingest order, each with the leaves (in ``leaves``
+        order) that carry its label or an unlabelled query edge: the
+        others cannot bind it, so a replay of the window store searches
+        only these.
+        """
+        labels = [(leaf, {edge.label for edge in leaf.subgraph.edges()}) for leaf in leaves]
+        binders: Dict[str, List[SJTreeNode]] = {}
+        found: List[Tuple[Edge, List[SJTreeNode]]] = []
+        for edge in self.graph.edges():
+            if edge.id >= bound:
+                continue
+            label = edge.label
+            if label not in binders:
+                binders[label] = [leaf for leaf, own in labels if label in own or None in own]
+            if binders[label]:
+                found.append((edge, binders[label]))
+        found.sort(key=lambda item: item[0].id)
+        return found
 
     def _complete(self, completions: List[Partial]) -> List[Partial]:
         """Report one call's completions: filter and count.

@@ -249,8 +249,7 @@ def _role_spec(
     return (
         window.bounded,
         window.duration,
-        window.strict,
-        # a lone edge has span 0, which only a strict zero-length window refuses
+        # a lone edge has span 0, which only a zero-length window refuses
         window.admits_span(0.0),
         compiled.edge_checks[seed.id],
         source_var == target_var,
@@ -290,7 +289,6 @@ def run_role(
     (
         bounded,
         duration,
-        strict,
         seed_admitted,
         seed_check,
         seed_loop,
@@ -377,10 +375,8 @@ def run_role(
             earliest, latest = stamp, timestamp
         else:
             earliest, latest = timestamp, stamp
-        if bounded:
-            span = latest - earliest
-            if (span >= duration) if strict else (span > duration):
-                continue
+        if bounded and latest - earliest >= duration:
+            continue
         if between:
             partial = (source, target, new_edge, candidate, earliest, latest)
         else:

@@ -86,6 +86,7 @@ from ..streaming.partition import (
     least_loaded_shard,
 )
 from ..streaming.reorder import ordered_run_slices
+from .decomposition import Strategy
 from .engine import (
     RETIRED_DEDUP_METRICS,
     EngineConfig,
@@ -346,7 +347,6 @@ class ShardedStreamEngine(IngestFront):
         window: Optional[float] = None,
         strategy: Optional[str] = None,
         on_match: Optional[callable] = None,
-        dedupe_structural: Optional[bool] = None,
         shard: Optional[int] = None,
         _cost: Optional[float] = None,
     ) -> ShardedQuery:
@@ -395,7 +395,6 @@ class ShardedStreamEngine(IngestFront):
             name=query_name,
             window=window,
             strategy=strategy,
-            dedupe_structural=dedupe_structural,
         )
         self.router.add_query(shard, query)
         # push the parent table to ALL shards, not just the owner, keeping
@@ -424,7 +423,7 @@ class ShardedStreamEngine(IngestFront):
         ``queries`` is a sequence of :class:`QueryGraph` objects or
         ``(query, kwargs)`` pairs, where ``kwargs`` are forwarded to
         :meth:`register_query` (``name``, ``window``, ``strategy``,
-        ``on_match``, ``dedupe_structural``).  Unlike one-at-a-time
+        ``on_match``).  Unlike one-at-a-time
         registration -- which greedily places each arrival on the currently
         lightest shard -- the whole set is costed first and partitioned with
         :func:`~repro.streaming.partition.greedy_partition` (sorted by
@@ -432,7 +431,7 @@ class ShardedStreamEngine(IngestFront):
         better.  Event ordering follows the sequence order, exactly as if
         each query had been registered individually.
         """
-        allowed_kwargs = {"name", "window", "strategy", "on_match", "dedupe_structural"}
+        allowed_kwargs = {"name", "window", "strategy", "on_match"}
         specs: List[Tuple[QueryGraph, Dict[str, Any]]] = []
         for item in queries:
             if isinstance(item, tuple):
@@ -492,12 +491,7 @@ class ShardedStreamEngine(IngestFront):
         force the shard's plan to record the MANUAL strategy, corrupting
         plan metadata, and registration is not a hot path.
         """
-        planner = QueryPlanner(
-            config=PlannerConfig(
-                strategy=strategy or self.config.engine.plan_strategy,
-                primitive_size=self.config.engine.primitive_size,
-            ),
-        )
+        planner = QueryPlanner(config=PlannerConfig(strategy=strategy or Strategy.SELECTIVITY))
         return plan_cost(planner.plan(query, strategy=strategy))
 
     def unregister_query(self, name: str) -> None:

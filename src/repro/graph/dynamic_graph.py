@@ -6,7 +6,7 @@ and adds the temporal behaviour StreamWorks relies on:
 * edges arrive from a stream in (approximately) timestamp order and carry the
   current *stream time* forward;
 * edges older than the retention window are evicted so memory stays bounded;
-* vertices that lose their last incident edge are optionally evicted too.
+* vertices that lose their last incident edge are evicted with it.
 
 The retention window defaults to the query window ``tW`` -- an edge that has
 aged out of the query window can never contribute to a new match, so keeping
@@ -34,9 +34,6 @@ class DynamicGraph:
     window:
         Retention window.  ``None`` keeps the full history (useful for the
         repeated-search baseline and for tests).
-    evict_isolated_vertices:
-        When ``True`` (default) vertices with no remaining incident edges are
-        removed during eviction.
     out_of_order_tolerance:
         Maximum allowed lateness (in time units) for an incoming edge.  Edges
         older than ``current_time - tolerance`` are rejected with
@@ -47,12 +44,10 @@ class DynamicGraph:
     def __init__(
         self,
         window: Optional[TimeWindow] = None,
-        evict_isolated_vertices: bool = True,
         out_of_order_tolerance: Optional[float] = None,
     ) -> None:
         self.graph = PropertyGraph()
         self.window = window if window is not None else TimeWindow(None)
-        self.evict_isolated_vertices = evict_isolated_vertices
         self.out_of_order_tolerance = out_of_order_tolerance
         # the expiry order: edges whose timestamp does not decrease queue
         # here, the late ones go to a side heap keyed (timestamp, edge id);
@@ -193,8 +188,10 @@ class DynamicGraph:
         Edges leave in (timestamp, ingest) order: the queue's head and the
         late heap's top are merged, so on in-order input the sweep is a run
         of ``popleft`` calls, and every slot it touches gives up its head.
-        One :meth:`PropertyGraph.discard_edges` call unfiles them all,
-        skipping edges already removed out of band.
+        An edge at the threshold has span ``tW``, which the window does not
+        admit, so it leaves too.  One :meth:`PropertyGraph.discard_edges`
+        call unfiles them all, skipping edges already removed out of band,
+        and drops the vertices left with no incident edge.
         """
         window = self.window
         if not window.bounded:
@@ -202,9 +199,6 @@ class DynamicGraph:
         if now is None:
             now = self._current_time
         threshold = window.expiry_threshold(now)
-        # strict window: an edge exactly at the threshold has span == tW which
-        # is inadmissible, so it is evicted when ``strict`` is set.
-        keep_at_threshold = not window.strict
         fifo = self._fifo
         late = self._late
         due: List[Edge] = []
@@ -212,16 +206,14 @@ class DynamicGraph:
             if late and (
                 not fifo or (late[0][0], late[0][1]) < (fifo[0].timestamp, fifo[0].id)
             ):
-                stamp = late[0][0]
-                if stamp > threshold or (stamp == threshold and keep_at_threshold):
+                if late[0][0] > threshold:
                     break
                 due.append(heappop(late)[2])
             else:
-                stamp = fifo[0].timestamp
-                if stamp > threshold or (stamp == threshold and keep_at_threshold):
+                if fifo[0].timestamp > threshold:
                     break
                 due.append(fifo.popleft())
-        evicted = self.graph.discard_edges(due, self.evict_isolated_vertices)
+        evicted = self.graph.discard_edges(due, drop_isolated=True)
         self._edges_evicted += len(evicted)
         return evicted
 
@@ -311,11 +303,7 @@ class DynamicGraph:
         """
         return {
             "graph": self.graph.state_dict(),
-            "window": {
-                "duration": self.window.duration if self.window.bounded else None,
-                "strict": self.window.strict,
-            },
-            "evict_isolated_vertices": self.evict_isolated_vertices,
+            "window": {"duration": self.window.duration if self.window.bounded else None},
             "out_of_order_tolerance": self.out_of_order_tolerance,
             "current_time": self._current_time,
             "edges_ingested": self._edges_ingested,
@@ -325,10 +313,8 @@ class DynamicGraph:
     @classmethod
     def from_state(cls, state: dict) -> "DynamicGraph":
         """Rebuild a windowed store from :meth:`state_dict` output."""
-        window_state = state["window"]
         graph = cls(
-            window=TimeWindow(window_state["duration"], strict=window_state["strict"]),
-            evict_isolated_vertices=state["evict_isolated_vertices"],
+            window=TimeWindow(state["window"]["duration"]),
             out_of_order_tolerance=state["out_of_order_tolerance"],
         )
         graph.graph = PropertyGraph.from_state(state["graph"])

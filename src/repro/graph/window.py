@@ -7,9 +7,10 @@ than ``tW``.  The same window also bounds how much history the dynamic graph
 store needs to retain -- an edge older than ``now - tW`` can never participate
 in a *new* match, so it may be evicted.
 
-:class:`TimeWindow` captures the policy (window length, strict comparison) and
-:class:`ExpiryQueue` tracks stored items in timestamp order so that eviction
-is amortised O(1) per item.
+:class:`TimeWindow` captures the policy -- a span is admissible when it is
+strictly shorter than ``tW``, and an item expires once its span reaches
+``tW`` -- and :class:`ExpiryQueue` tracks stored items in timestamp order so
+that eviction is amortised O(1) per item.
 """
 
 from __future__ import annotations
@@ -34,18 +35,16 @@ class TimeWindow:
     duration:
         The window length ``tW``.  ``None`` (or ``float("inf")``) means an
         unbounded window: nothing ever expires and every span is admissible.
-    strict:
-        When ``True`` (the paper's definition) a subgraph is admissible only
-        if its span is *strictly* smaller than ``duration``.
+        A subgraph is admissible only if its span is *strictly* smaller than
+        ``duration`` (the paper's definition).
     """
 
-    __slots__ = ("duration", "strict")
+    __slots__ = ("duration",)
 
-    def __init__(self, duration: Optional[float] = None, strict: bool = True):
+    def __init__(self, duration: Optional[float] = None):
         if duration is not None and duration < 0:
             raise ValueError("window duration must be non-negative")
         self.duration = float("inf") if duration is None else float(duration)
-        self.strict = strict
 
     @property
     def bounded(self) -> bool:
@@ -54,11 +53,7 @@ class TimeWindow:
 
     def admits_span(self, span: float) -> bool:
         """Return ``True`` when a subgraph with temporal extent ``span`` is admissible."""
-        if not self.bounded:
-            return True
-        if self.strict:
-            return span < self.duration
-        return span <= self.duration
+        return span < self.duration
 
     def admits_interval(self, earliest: Timestamp, latest: Timestamp) -> bool:
         """Return ``True`` when the interval ``[earliest, latest]`` fits in the window."""
@@ -77,24 +72,18 @@ class TimeWindow:
 
     def is_expired(self, timestamp: Timestamp, now: Timestamp) -> bool:
         """Return ``True`` when an item stamped ``timestamp`` is expired at ``now``."""
-        if self.duration == _INF:  # self.bounded inlined: this runs per query per run
-            return False
-        span = now - timestamp
-        if self.strict:
-            return span >= self.duration
-        return span > self.duration
+        return now - timestamp >= self.duration
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        op = "<" if self.strict else "<="
-        return f"TimeWindow(span {op} {self.duration})"
+        return f"TimeWindow(span < {self.duration})"
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TimeWindow):
             return NotImplemented
-        return self.duration == other.duration and self.strict == other.strict
+        return self.duration == other.duration
 
     def __hash__(self) -> int:
-        return hash((self.duration, self.strict))
+        return hash(self.duration)
 
 
 class ExpiryQueue(Generic[T]):
@@ -102,8 +91,8 @@ class ExpiryQueue(Generic[T]):
 
     The dynamic graph and the SJ-Tree match collections both need to answer
     "which items are now older than the window?" cheaply after every batch.
-    Items are pushed with their timestamp; :meth:`pop_expired` pops every item
-    whose timestamp is at or before the supplied threshold.
+    Items are pushed with their timestamp; :meth:`pop_expired_at` pops every
+    item the window has expired.
 
     The queue tolerates logically-removed items: callers that delete items
     out of band can simply ignore stale pops (the queue hands back whatever
@@ -123,21 +112,6 @@ class ExpiryQueue(Generic[T]):
         """Add many ``(timestamp, item)`` pairs."""
         for timestamp, item in pairs:
             self.push(timestamp, item)
-
-    def pop_expired(self, threshold: Timestamp, inclusive: bool = True) -> List[T]:
-        """Pop and return every item with ``timestamp <= threshold``.
-
-        With ``inclusive=False`` the comparison is strict (``<``).
-        """
-        expired: List[T] = []
-        while self._heap:
-            timestamp, _, item = self._heap[0]
-            if timestamp < threshold or (inclusive and timestamp == threshold):
-                heapq.heappop(self._heap)
-                expired.append(item)
-            else:
-                break
-        return expired
 
     def pop_expired_at(self, window: TimeWindow, now: Timestamp) -> List[T]:
         """Pop and return every item ``window.is_expired`` at ``now``."""

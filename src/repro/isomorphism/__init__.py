@@ -12,7 +12,6 @@ from .candidates import (
     vertex_candidates,
     vertex_satisfies,
 )
-from .filters import degree_feasible, label_feasible, prefilter_candidates
 from .match import Match, MatchConflictError
 from .vf2 import SubgraphMatcher
 
@@ -21,11 +20,8 @@ __all__ = [
     "MatchConflictError",
     "SubgraphMatcher",
     "count_label_candidates",
-    "degree_feasible",
     "edge_orientations",
     "edge_satisfies",
-    "label_feasible",
-    "prefilter_candidates",
     "vertex_candidates",
     "vertex_satisfies",
 ]

@@ -271,9 +271,9 @@ class SubgraphMatcher:
         Any edge joining a non-empty partial under a bounded window must have
         ``max(latest, ts) - min(earliest, ts)`` admissible, so its timestamp
         lies inside ``[latest - W, earliest + W]``.  The bounds are inclusive
-        -- a *superset* of the admissible range for strict windows -- because
-        the exact span check in :meth:`_try_bind` still runs on every
-        candidate; the range only skips edges that could never pass it.
+        -- a *superset* of the admissible range -- because the exact span
+        check in :meth:`_try_bind` still runs on every candidate; the range
+        only skips edges that could never pass it.
         """
         if not self.window.bounded or not match.edge_map:
             return None

@@ -23,6 +23,7 @@ differential suite in ``tests/test_checkpoint.py``.
 from .snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SNAPSHOT_MAGIC,
+    RemovedOptionError,
     SnapshotCorruptError,
     SnapshotError,
     SnapshotVersionError,
@@ -44,6 +45,7 @@ __all__ = [
     "SHARDED_KIND",
     "SNAPSHOT_FORMAT_VERSION",
     "SNAPSHOT_MAGIC",
+    "RemovedOptionError",
     "SnapshotCorruptError",
     "SnapshotError",
     "SnapshotVersionError",

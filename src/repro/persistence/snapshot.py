@@ -20,10 +20,10 @@ The format is deliberately dependency-free and explicit about failure:
 * **Torn/corrupt reads are typed errors** -- every way a snapshot can be
   damaged (missing manifest, truncated section, checksum mismatch, trailing
   garbage, undecodable payload) raises :class:`SnapshotCorruptError`;
-  a snapshot of a format this build cannot read (anything but 1 and 2)
-  raises :class:`SnapshotVersionError`.  ``restore()`` therefore either
-  returns a fully-reconstructed engine or raises -- there is no silent
-  partial load.
+  a snapshot of a format this build cannot read (anything but 1 to
+  :data:`SNAPSHOT_FORMAT_VERSION`) raises :class:`SnapshotVersionError`.
+  ``restore()`` therefore either returns a fully-reconstructed engine or
+  raises -- there is no silent partial load.
 
 Payloads must be JSON-serialisable values (the engine state codecs in
 :mod:`repro.persistence.state` guarantee that for engine-owned state;
@@ -46,16 +46,16 @@ __all__ = [
     "SnapshotError",
     "SnapshotCorruptError",
     "SnapshotVersionError",
+    "RemovedOptionError",
     "write_snapshot",
     "read_snapshot",
     "read_manifest",
 ]
 
 SNAPSHOT_MAGIC = "streamworks-snapshot"
-#: The shape :mod:`repro.persistence.state` writes and reads.  Format-1
-#: and format-2 snapshots are read too; ``restore()`` upgrades their
-#: sections first.
-SNAPSHOT_FORMAT_VERSION = 3
+#: The shape :mod:`repro.persistence.state` writes and reads.  Formats 1
+#: to 3 are read too; ``restore()`` upgrades their sections first.
+SNAPSHOT_FORMAT_VERSION = 4
 
 
 class SnapshotError(Exception):
@@ -72,6 +72,13 @@ class SnapshotCorruptError(SnapshotError):
 
 class SnapshotVersionError(SnapshotError):
     """The snapshot was written by an incompatible format version."""
+
+
+class RemovedOptionError(SnapshotError):
+    """The snapshot sets an option this build removed, and dropping it would change the events.
+
+    The message names the option and the one behaviour that replaced it.
+    """
 
 
 def _encode_section(name: str, payload: Any) -> bytes:
@@ -164,10 +171,11 @@ def read_snapshot(
     """Read, verify and decode a snapshot; return ``(manifest, sections)``.
 
     Every integrity violation raises :class:`SnapshotCorruptError`; a
-    format version other than 1 or 2 raises :class:`SnapshotVersionError`;
+    format version outside 1 to :data:`SNAPSHOT_FORMAT_VERSION` raises
+    :class:`SnapshotVersionError`;
     a ``kind`` mismatch (restoring a sharded snapshot through the single
     engine, or vice versa) raises plain :class:`SnapshotError` naming both
-    kinds.  Sections come back as written: a format-1 snapshot's are
+    kinds.  Sections come back as written: an older format's are
     upgraded by the caller (:func:`repro.persistence.upgrade.upgrade`).
     """
     try:

@@ -27,7 +27,7 @@ deliberately *not* captured:
   the caller re-attaches them after ``restore()`` (the engine-owned
   collector, with its full event history, *is* restored).
 
-The loaders read the shape the writers here write (snapshot format 3) and
+The loaders read the shape the writers here write (snapshot format 4) and
 no other: every key is read as written.  An older snapshot's sections
 reach them through :func:`repro.persistence.upgrade.upgrade`, the one
 place that knows the older shapes.
@@ -106,14 +106,11 @@ def _config_state(config: EngineConfig) -> Dict[str, Any]:
 
 
 def _window_state(window: TimeWindow) -> Dict[str, Any]:
-    return {
-        "duration": window.duration if window.bounded else None,
-        "strict": window.strict,
-    }
+    return {"duration": window.duration if window.bounded else None}
 
 
 def _window_from_state(state: Mapping[str, Any]) -> TimeWindow:
-    return TimeWindow(state["duration"], strict=state["strict"])
+    return TimeWindow(state["duration"])
 
 
 def _query_to_dict_checked(query: QueryGraph, owner: str) -> Dict[str, Any]:
@@ -221,7 +218,6 @@ def engine_sections(engine: StreamWorksEngine) -> Dict[str, Any]:
                 "query": _query_to_dict_checked(registration.query, name),
                 "window": _window_state(registration.window),
                 "plan": _plan_state(registration.plan, name),
-                "dedupe_structural": matcher.dedupe_structural,
                 "match_count": registration.match_count,
                 "plan_version": registration.plan_version,
                 # shape marker only: compiled closures are never serialised.
@@ -286,7 +282,7 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
                 decomposition=plan.decomposition,
                 graph=engine.graph,
                 window=window,
-                dedupe_structural=payload["dedupe_structural"],
+                dedupe_structural=engine.config.dedupe_structural,
             )
             # construction is the compile point: the restored matcher runs on
             # freshly compiled tables, never deserialised ones

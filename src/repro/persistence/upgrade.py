@@ -1,15 +1,18 @@
 """One upgrade step from every older snapshot shape to the current one.
 
 The manifest's ``format_version`` names the shape of a snapshot's sections.
-Format 3 is what :mod:`repro.persistence.state` writes and the only shape
-its loaders read; format 2 lacks the leaves' ``stored_mark``, and format 1
-is every snapshot written before the version was stamped.  ``restore()``
-passes an older file's sections through :func:`upgrade` before loading
-them, one step per format, so this module is the one place that knows the
-older shapes (``docs/operations.md``, "Older snapshots", lists every
-rewrite).
+Format 4 is what :mod:`repro.persistence.state` writes and the only shape
+its loaders read; format 3 still carries the removed window, eviction,
+dedupe and planning options, format 2 also lacks the leaves'
+``stored_mark``, and format 1 is every snapshot written before the version
+was stamped.  ``restore()`` passes an older file's sections through
+:func:`upgrade` before loading them, one step per format, so this module is
+the one place that knows the older shapes (``docs/operations.md``, "Older
+snapshots", lists every rewrite).
 A rewrite that changes what the restored engine does, or drops state a
-caller may miss, logs one warning on the ``repro.persistence`` logger.
+caller may miss, logs one warning on the ``repro.persistence`` logger; an
+option whose removal would change the restored engine's events raises
+:class:`~repro.persistence.snapshot.RemovedOptionError` instead.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import inspect
 import logging
 from dataclasses import asdict
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List, Optional, Set
 
 from ..core.engine import EngineConfig, intern_query_vocabulary
 from ..core.sjtree import LeafWork
@@ -26,6 +29,7 @@ from ..query.compile import CompiledQuery
 from ..query.serialize import query_from_dict
 from ..stats.plan_monitor import PlanMonitor
 from ..streaming.sources import DEFAULT_SOURCE
+from .snapshot import RemovedOptionError
 from .state import ENGINE_KIND, SHARDED_KIND, loading
 
 __all__ = ["upgrade"]
@@ -68,6 +72,13 @@ _RETIRED_MATCHER_FIELDS = (
     "dedup_identities", "dedup_edge_sets", "reported_identities", "reported_edge_sets",
     "expiry_min_interval",
 )
+#: ``EngineConfig`` knobs whose default is now the one behaviour, with that
+#: default: latency is always recorded, and registration plans by
+#: selectivity over 2-edge primitives.  None of them decides an event, so
+#: an off-default value is dropped with a warning.
+_DEFAULTED_CONFIG_FIELDS = {
+    "record_latency": True, "plan_strategy": "selectivity", "primitive_size": 2,
+}
 
 
 def upgrade(kind: str, sections: Dict[str, Any], version: int) -> Dict[str, Any]:
@@ -93,6 +104,8 @@ def upgrade(kind: str, sections: Dict[str, Any], version: int) -> Dict[str, Any]
             for engine in engines:
                 for payload in engine["queries"]:
                     _restart_epoch(payload["matcher"])
+        if version < 4:
+            _retire_options(kind, sections, engines)
     return sections
 
 
@@ -198,6 +211,58 @@ def _restart_epoch(matcher: Dict[str, Any]) -> None:
     for _, node in matcher["tree"]["nodes"]:
         if "work" in node:
             node["stored_mark"] = node["total_inserted"]
+
+
+def _retire_options(kind: str, sections: Dict[str, Any], engines: List[Dict[str, Any]]) -> None:
+    """Format 3 to 4: drop the options whose default became the only behaviour.
+
+    Those are three config knobs, each window's ``strict`` flag, the graph's
+    ``evict_isolated_vertices`` flag and each query's ``dedupe_structural``
+    override.  A config knob off its default costs one warning per
+    snapshot.  A non-strict bounded window, kept isolated vertices, or a
+    query deduplicating otherwise than its engine would change the events,
+    so they raise.
+    """
+    configs = [engine["config"] for engine in engines]
+    windows: List[Dict[str, Any]] = []
+    if kind == SHARDED_KIND:
+        configs.append(sections["config"]["engine"])
+        windows = [payload["window"] for payload in sections["queries"]]
+    changed: Set[str] = set()  # a sharded snapshot's shards repeat the parent's values
+    for config in configs:
+        for name, default in _DEFAULTED_CONFIG_FIELDS.items():
+            value = config.pop(name, default)
+            if value != default:
+                changed.add(f"{name}={value!r}")
+    if changed:
+        _LOG.warning(
+            "snapshot config sets removed fields, restored on their defaults "
+            "(record_latency=True, plan_strategy='selectivity', primitive_size=2): %s",
+            ", ".join(sorted(changed)),
+        )
+    for engine in engines:
+        graph = engine["graph"]
+        if not graph.pop("evict_isolated_vertices", True):
+            raise RemovedOptionError(
+                "snapshot graph sets evict_isolated_vertices=False, which was removed: "
+                "eviction always drops the vertices it leaves with no edge"
+            )
+        windows.append(graph["window"])
+        dedupe = engine["config"]["dedupe_structural"]
+        for payload in engine["queries"]:
+            windows.append(payload["window"])
+            if payload.pop("dedupe_structural", dedupe) != dedupe:
+                raise RemovedOptionError(
+                    f"snapshot query {payload['name']!r} overrides dedupe_structural, which "
+                    f"was removed from register_query: every query follows "
+                    f"EngineConfig.dedupe_structural={dedupe!r}"
+                )
+    for window in windows:
+        if not window.pop("strict", True) and window["duration"] is not None:
+            raise RemovedOptionError(
+                f"snapshot holds a non-strict window (span <= {window['duration']}), which was "
+                f"removed: a match's span must be strictly shorter than the window"
+            )
 
 
 def _interning(sections: Dict[str, Any]) -> Dict[str, List[str]]:

@@ -1,8 +1,5 @@
-"""Tests for candidate enumeration helpers and pruning filters."""
+"""Tests for candidate enumeration helpers."""
 
-import pytest
-
-from repro.graph import PropertyGraph
 from repro.graph.types import Edge
 from repro.isomorphism.candidates import (
     count_label_candidates,
@@ -11,7 +8,6 @@ from repro.isomorphism.candidates import (
     vertex_candidates,
     vertex_satisfies,
 )
-from repro.isomorphism.filters import degree_feasible, label_feasible, prefilter_candidates
 from repro.query import QueryBuilder
 from repro.query.predicates import AttrEquals
 from repro.query.query_graph import QueryEdge, QueryVertex
@@ -60,64 +56,3 @@ class TestCandidates:
         wildcard_edge = next(iter(wildcard_query.edges()))
         assert count_label_candidates(news_graph, wildcard_query, wildcard_edge) == news_graph.edge_count()
 
-
-class TestFilters:
-    @pytest.fixture
-    def hub_graph(self):
-        graph = PropertyGraph()
-        graph.add_vertex("hub", "Host")
-        for index in range(3):
-            graph.add_vertex(f"leaf{index}", "Host")
-            graph.add_edge("hub", f"leaf{index}", "link", float(index))
-        graph.add_vertex("lonely", "Host")
-        return graph
-
-    def test_degree_feasible(self, hub_graph):
-        query = (
-            QueryBuilder("fanout2")
-            .vertex("c", "Host")
-            .vertex("l1", "Host")
-            .vertex("l2", "Host")
-            .edge("c", "l1", "link")
-            .edge("c", "l2", "link")
-            .build()
-        )
-        center = query.vertex("c")
-        assert degree_feasible(hub_graph, "hub", query, center)
-        assert not degree_feasible(hub_graph, "leaf0", query, center)
-        assert not degree_feasible(hub_graph, "lonely", query, center)
-
-    def test_label_feasible(self, hub_graph):
-        query = (
-            QueryBuilder("q")
-            .vertex("c", "Host")
-            .vertex("x", "Host")
-            .edge("c", "x", "link")
-            .edge("x", "c", "reverse_link")
-            .build()
-        )
-        # no vertex has an incident reverse_link edge
-        assert not label_feasible(hub_graph, "hub", query, query.vertex("c"))
-        simple = QueryBuilder("s").vertex("c", "Host").vertex("x", "Host").edge("c", "x", "link").build()
-        assert label_feasible(hub_graph, "hub", simple, simple.vertex("c"))
-        assert not label_feasible(hub_graph, "lonely", simple, simple.vertex("c"))
-
-    def test_prefilter_candidates(self, hub_graph):
-        query = (
-            QueryBuilder("fanout2")
-            .vertex("c", "Host")
-            .vertex("l1", "Host")
-            .vertex("l2", "Host")
-            .edge("c", "l1", "link")
-            .edge("c", "l2", "link")
-            .build()
-        )
-        candidates = prefilter_candidates(hub_graph, query)
-        assert candidates["c"] == {"hub"}
-        assert "lonely" not in candidates["l1"]
-        assert candidates["l1"] == {"leaf0", "leaf1", "leaf2"}
-
-    def test_prefilter_empty_set_proves_no_match(self, hub_graph):
-        query = QueryBuilder("q").vertex("u", "User").vertex("h", "Host").edge("u", "h", "loginTo").build()
-        candidates = prefilter_candidates(hub_graph, query)
-        assert candidates["u"] == set()

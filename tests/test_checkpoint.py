@@ -46,7 +46,10 @@ from differential import (
 from repro.core import EngineConfig, ShardConfig, ShardedStreamEngine, StreamWorksEngine
 from repro.core.decomposition import Strategy
 from repro.core.matcher import ContinuousQueryMatcher, MatcherStats
+from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.window import TimeWindow
 from repro.persistence import (
+    RemovedOptionError,
     SnapshotCorruptError,
     SnapshotError,
     SnapshotVersionError,
@@ -54,8 +57,8 @@ from repro.persistence import (
     read_snapshot,
 )
 from repro.persistence.snapshot import write_snapshot
-from repro.persistence.state import ENGINE_KIND, SHARDED_KIND, engine_sections
-from repro.persistence.upgrade import _RETIRED_CONFIG_FIELDS, upgrade
+from repro.persistence.state import ENGINE_KIND, SHARDED_KIND, engine_sections, load_engine_sections
+from repro.persistence.upgrade import _DEFAULTED_CONFIG_FIELDS, _RETIRED_CONFIG_FIELDS, upgrade
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
     DEFAULT_SOURCE,
@@ -771,11 +774,11 @@ def test_version_mismatch_rejected_with_clear_message(tmp_path):
         StreamWorksEngine.restore(path)
 
 
-@pytest.mark.parametrize("format_version", [0, 4, "3", True])
+@pytest.mark.parametrize("format_version", [0, 5, "4", True])
 @pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
-def test_only_formats_1_to_3_are_read(tmp_path, sharded, format_version):
+def test_only_formats_1_to_4_are_read(tmp_path, sharded, format_version):
     path = _snapshot_engine(tmp_path, sharded)
-    assert read_manifest(path)["format_version"] == 3
+    assert read_manifest(path)["format_version"] == 4
     restamp(path, format_version)
     restore = ShardedStreamEngine.restore if sharded else StreamWorksEngine.restore
     with pytest.raises(SnapshotVersionError, match=f"format version {format_version!r}"):
@@ -1239,6 +1242,45 @@ def test_retired_knob_is_not_an_option(name, value):
     with pytest.raises(TypeError, match=name):
         EngineConfig(**{name: value})
     assert name in _RETIRED_CONFIG_FIELDS
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [("record_latency", False), ("plan_strategy", "anti_selective"), ("primitive_size", 1)],
+)
+def test_a_knob_whose_default_is_the_one_behaviour_is_not_an_option(name, value):
+    # latency is always recorded, and queries are planned by selectivity over
+    # 2-edge primitives unless register_query names another strategy
+    with pytest.raises(TypeError, match=name):
+        EngineConfig(**{name: value})
+    assert name in _DEFAULTED_CONFIG_FIELDS
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda: TimeWindow(5.0, strict=False), "strict"),
+        (lambda: DynamicGraph(evict_isolated_vertices=False), "evict_isolated_vertices"),
+        (
+            lambda: StreamWorksEngine().register_query(
+                chain_query("q", ["a"]), dedupe_structural=True
+            ),
+            "dedupe_structural",
+        ),
+        (
+            lambda: ShardedStreamEngine().register_query(
+                chain_query("q", ["a"]), dedupe_structural=True
+            ),
+            "dedupe_structural",
+        ),
+    ],
+    ids=["window-strict", "graph-isolated-vertices", "engine-dedupe", "sharded-dedupe"],
+)
+def test_the_window_eviction_and_dedupe_rules_have_no_switch(build, name):
+    # a window admits spans strictly shorter than it, eviction drops the
+    # vertices it isolates, and every query deduplicates as its engine does
+    with pytest.raises(TypeError, match=name):
+        build()
 
 
 def live_partials_records():
@@ -1809,36 +1851,63 @@ UPGRADE_ROWS = {
 }
 
 
-@pytest.mark.parametrize("row", sorted(UPGRADE_ROWS))
-def test_each_format_1_rewrite_restores_and_resumes(row, tmp_path, caplog):
-    """A format-1 snapshot restores through the upgrade step, warns as listed,
-    and resumes to the uninterrupted run's events; upgraded, its sections have
-    exactly the keys of the format-3 snapshot it was made from."""
-    sharded, edit, expected = UPGRADE_ROWS[row]
-    batches = batches_of(disordered_rmat_records())
-    oracle = upgrade_engine(sharded)
-    for batch in batches:
-        oracle.process_batch(batch)
-    oracle.flush()
+def checkpoint_as(tmp_path, sharded, version, edit):
+    """Checkpoint an upgrade engine at the cut, rewrite the file with ``edit``
+    and stamp ``version``; return the path and the key paths as written."""
     engine = upgrade_engine(sharded)
-    for batch in batches[:UPGRADE_CUT]:
+    for batch in batches_of(disordered_rmat_records())[:UPGRADE_CUT]:
         engine.process_batch(batch)
-    path = str(tmp_path / "format1.snap")
+    path = str(tmp_path / f"format{version}.snap")
     engine.checkpoint(path)
     manifest, sections = read_snapshot(path)
     current = key_paths(sections)
     edit(sections)
     write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
-    restamp(path, 1)
+    restamp(path, version)
+    return path, current
 
+
+def restore_logged(path, sharded, caplog):
+    """Restore the snapshot at ``path``; return the engine and its ``repro.persistence`` warnings."""
     engine_cls = ShardedStreamEngine if sharded else StreamWorksEngine
     with caplog.at_level("WARNING", logger="repro.persistence"):
-        resumed = engine_cls.restore(path)
-    assert [r.getMessage() for r in caplog.records if r.name == "repro.persistence"] == expected
-    assert key_paths(upgrade(manifest["kind"], sections, 1)) == current
-    for batch in batches[UPGRADE_CUT:]:
-        resumed.process_batch(batch)
-    resumed.flush()
+        engine = engine_cls.restore(path)
+    return engine, [r.getMessage() for r in caplog.records if r.name == "repro.persistence"]
+
+
+def resume(engine):
+    """Feed an engine restored at the cut the rest of the stream."""
+    for batch in batches_of(disordered_rmat_records())[UPGRADE_CUT:]:
+        engine.process_batch(batch)
+    engine.flush()
+    return engine
+
+
+def uninterrupted(sharded):
+    engine = upgrade_engine(sharded)
+    for batch in batches_of(disordered_rmat_records()):
+        engine.process_batch(batch)
+    engine.flush()
+    return engine
+
+
+def upgraded_key_paths(path, version):
+    manifest, sections = read_snapshot(path)
+    return key_paths(upgrade(manifest["kind"], sections, version))
+
+
+@pytest.mark.parametrize("row", sorted(UPGRADE_ROWS))
+def test_each_format_1_rewrite_restores_and_resumes(row, tmp_path, caplog):
+    """A format-1 snapshot restores through the upgrade step, warns as listed,
+    and resumes to the uninterrupted run's events; upgraded, its sections have
+    exactly the keys of the format-4 snapshot it was made from."""
+    sharded, edit, expected = UPGRADE_ROWS[row]
+    path, current = checkpoint_as(tmp_path, sharded, 1, edit)
+    resumed, warnings = restore_logged(path, sharded, caplog)
+    assert warnings == expected
+    assert upgraded_key_paths(path, 1) == current
+    resume(resumed)
+    oracle = uninterrupted(sharded)
     assert canonical(resumed.events()) == canonical(oracle.events())
     assert resumed.match_counts() == oracle.match_counts()
 
@@ -1865,7 +1934,7 @@ def schema_keys(sections):
     "fixture", sorted(name for name in os.listdir(FIXTURES) if name.endswith(".snap"))
 )
 def test_every_fixture_upgrades_to_the_current_shape(fixture, tmp_path):
-    """Upgraded, each format-1 fixture carries the keys a format-3 snapshot does."""
+    """Upgraded, each format-1 fixture carries the keys a format-4 snapshot does."""
     manifest, sections = read_snapshot(os.path.join(FIXTURES, fixture))
     assert manifest["format_version"] == 1
     engine = upgrade_engine(sharded=False)
@@ -1891,7 +1960,7 @@ def test_every_fixture_upgrades_to_the_current_shape(fixture, tmp_path):
 
 
 @pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
-def test_a_format_3_snapshot_restores_without_the_upgrade_step(
+def test_a_format_4_snapshot_restores_without_the_upgrade_step(
     sharded, tmp_path, caplog, monkeypatch
 ):
     """The upgrade step stays out of the current path: a snapshot this build
@@ -1899,7 +1968,7 @@ def test_a_format_3_snapshot_restores_without_the_upgrade_step(
     import repro.persistence.upgrade as upgrade_module
 
     def refuse(kind, sections, version):
-        raise AssertionError("a format-3 snapshot went through the upgrade step")
+        raise AssertionError("a format-4 snapshot went through the upgrade step")
 
     monkeypatch.setattr(upgrade_module, "upgrade", refuse)
     engine = upgrade_engine(sharded)
@@ -1907,11 +1976,168 @@ def test_a_format_3_snapshot_restores_without_the_upgrade_step(
         engine.process_batch(batch)
     path = str(tmp_path / "current.snap")
     engine.checkpoint(path)
-    assert read_manifest(path)["format_version"] == 3
+    assert read_manifest(path)["format_version"] == 4
     with caplog.at_level("DEBUG", logger="repro.persistence"):
         resumed = type(engine).restore(path)
     assert not [record for record in caplog.records if record.name == "repro.persistence"]
     assert canonical(resumed.events()) == canonical(engine.events())
+
+
+# ----------------------------------------------------------------------
+# format 3: options whose default became the one behaviour
+# ----------------------------------------------------------------------
+#: The config knobs format 3 still wrote, at the defaults every engine runs.
+RETIRED_DEFAULTS = dict(record_latency=True, plan_strategy=Strategy.SELECTIVITY, primitive_size=2)
+REMOVED_FIELDS = (
+    "snapshot config sets removed fields, restored on their defaults "
+    "(record_latency=True, plan_strategy='selectivity', primitive_size=2): "
+)
+
+
+def as_format_3(sections, **config):
+    """Add the option keys format 3 wrote, at their defaults unless ``config`` says otherwise."""
+    values = dict(RETIRED_DEFAULTS, **config)
+    if "engine" in sections["config"]:  # a sharded parent
+        sections["config"]["engine"].update(values)
+        engines = [sections[name] for name in sections if name.startswith("shard_")]
+        windows = [payload["window"] for payload in sections["queries"]]
+    else:
+        engines, windows = [sections], []
+    for engine in engines:
+        engine["config"].update(values)
+        engine["graph"]["evict_isolated_vertices"] = True
+        windows.append(engine["graph"]["window"])
+        for payload in engine["queries"]:
+            payload["dedupe_structural"] = engine["config"]["dedupe_structural"]
+            windows.append(payload["window"])
+    for window in windows:
+        window["strict"] = True
+    return sections
+
+
+def without_stored_marks(sections):
+    """The format-2 shape: no leaf records the partials stored when its epoch began."""
+    engines = [sections[name] for name in sections if name.startswith("shard_")] or [sections]
+    for engine in engines:
+        for payload in engine["queries"]:
+            for _, node in payload["matcher"]["tree"]["nodes"]:
+                node.pop("stored_mark", None)
+
+
+@pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
+def test_a_format_3_snapshot_with_off_default_knobs_warns_once_and_resumes(
+    sharded, tmp_path, caplog
+):
+    """Latency recording and the planning defaults decide no event: a format-3
+    snapshot that set them otherwise restores on the defaults, with one
+    warning naming what it set, and resumes to the uninterrupted run."""
+    path, current = checkpoint_as(
+        tmp_path, sharded, 3,
+        lambda sections: as_format_3(
+            sections, record_latency=False, plan_strategy=Strategy.ANTI_SELECTIVE,
+            primitive_size=1,
+        ),
+    )
+    resumed, warnings = restore_logged(path, sharded, caplog)
+    assert warnings == [
+        REMOVED_FIELDS + "plan_strategy='anti_selective', primitive_size=1, record_latency=False"
+    ]
+    assert upgraded_key_paths(path, 3) == current
+    assert canonical(resume(resumed).events()) == canonical(uninterrupted(sharded).events())
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
+def test_formats_1_to_3_restore_through_the_chained_steps(version, sharded, tmp_path, caplog):
+    """An older snapshot takes every step from its format on, in order: a
+    format-1 config's retired knob and a format-2 tree's missing marks are
+    rewritten before the format-3 options are dropped."""
+    retired = "snapshot config carries retired fields, ignored on load: columnar"
+
+    def edit(sections):
+        as_format_3(sections, primitive_size=1)
+        if version < 3:
+            without_stored_marks(sections)
+        if version < 2:
+            config = sections["config"]
+            (config["engine"] if sharded else config).update(columnar=False)
+
+    path, current = checkpoint_as(tmp_path, sharded, version, edit)
+    resumed, warnings = restore_logged(path, sharded, caplog)
+    expected = [retired] if version < 2 else []
+    expected.append(REMOVED_FIELDS + "primitive_size=1")
+    assert warnings == expected
+    assert upgraded_key_paths(path, version) == current
+    assert canonical(resume(resumed).events()) == canonical(uninterrupted(sharded).events())
+
+
+#: Per removed option, whether the snapshot is sharded, the value that set
+#: it otherwise, and the words the error names it by.
+EVENT_CHANGING_OPTIONS = {
+    "graph window not strict": (
+        False, lambda sections: sections["graph"]["window"].update(strict=False), "non-strict",
+    ),
+    "query window not strict": (
+        False, lambda sections: sections["queries"][0]["window"].update(strict=False),
+        "non-strict",
+    ),
+    "isolated vertices kept": (
+        False,
+        lambda sections: sections["graph"].update(evict_isolated_vertices=False),
+        "evict_isolated_vertices=False",
+    ),
+    "query dedupe override": (
+        False,
+        lambda sections: sections["queries"][0].update(dedupe_structural=True),
+        "overrides dedupe_structural",
+    ),
+    "sharded: parent query window not strict": (
+        True, lambda sections: sections["queries"][0]["window"].update(strict=False),
+        "non-strict",
+    ),
+    "sharded: a shard keeps isolated vertices": (
+        True,
+        lambda sections: sections["shard_1"]["graph"].update(evict_isolated_vertices=False),
+        "evict_isolated_vertices=False",
+    ),
+}
+
+
+@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("option", sorted(EVENT_CHANGING_OPTIONS))
+def test_a_removed_option_that_would_change_events_refuses_to_restore(
+    option, version, tmp_path
+):
+    """A snapshot that ran a removed option off its default would emit other
+    events on the one behaviour left, so its restore raises a typed error
+    naming the option instead of resuming differently."""
+    sharded, set_it, named = EVENT_CHANGING_OPTIONS[option]
+
+    def edit(sections):
+        as_format_3(sections)
+        set_it(sections)
+
+    path, _ = checkpoint_as(tmp_path, sharded, version, edit)
+    engine_cls = ShardedStreamEngine if sharded else StreamWorksEngine
+    with pytest.raises(RemovedOptionError, match=named):
+        engine_cls.restore(path)
+
+
+def test_a_non_strict_unbounded_window_restores():
+    """Strictness decides nothing on an unbounded window, so a format-3
+    snapshot holding one restores."""
+    engine = StreamWorksEngine()
+    register_all(engine, [(name, query, float("inf")) for name, query, _ in rmat_queries()])
+    records = disordered_rmat_records()
+    engine.process_batch(records[:100])
+    sections = as_format_3(engine_sections(engine))
+    for payload in sections["queries"] + [sections["graph"]]:
+        payload["window"]["strict"] = False
+    restored = load_engine_sections(upgrade(ENGINE_KIND, sections, 3))
+    assert not restored.graph.window.bounded
+    restored.process_batch(records[100:])
+    engine.process_batch(records[100:])
+    assert canonical(restored.events()) == canonical(engine.events())
 
 
 @pytest.mark.parametrize(
@@ -2005,9 +2231,6 @@ _OFF_DEFAULT = dict(
     default_window=5.0,
     track_triads=False,
     dedupe_structural=True,
-    plan_strategy=Strategy.EDGE_BY_EDGE,
-    primitive_size=3,
-    record_latency=False,
     allowed_lateness=0.5,
     idle_source_timeout=2.0,
     checkpoint_every=7,

@@ -368,7 +368,7 @@ def disjoint_chain_workload(query_count, record_count=300, seed=53):
 def dispatch_work_per_record(engine_cls, query_count, monkeypatch):
     """``(index entries examined, matcher searches)`` per record, batched ingest."""
     queries, records = disjoint_chain_workload(query_count)
-    engine = engine_cls(config=EngineConfig(collect_statistics=False, record_latency=False))
+    engine = engine_cls(config=EngineConfig(collect_statistics=False))
     for query in queries:
         engine.register_query(query, window=1.0)
     searches = []

@@ -130,10 +130,12 @@ def generic_shape(shape):
     return pattern, Decomposition(pattern, primitives)
 
 
-def run_engine(specs, records, batch, decomposition=None, **config):
+def run_engine(specs, records, batch, decomposition=None, strategy=None, **config):
     engine = StreamWorksEngine(config=EngineConfig(**config))
     for name, graph, window in specs:
-        engine.register_query(graph, name=name, window=window, decomposition=decomposition)
+        engine.register_query(
+            graph, name=name, window=window, strategy=strategy, decomposition=decomposition
+        )
     for start in range(0, len(records), batch):
         engine.process_batch(records[start : start + batch])
     return engine
@@ -374,7 +376,7 @@ def unswept_on_grid_events():
 @pytest.mark.parametrize("batch", [1, 64])
 @pytest.mark.parametrize("strategy", STRATEGIES)
 def test_on_grid_window_expiry_agrees_with_the_span_test(strategy, batch, unswept_on_grid_events):
-    engine = run_engine(on_grid_specs(), on_grid_records(), batch, plan_strategy=strategy)
+    engine = run_engine(on_grid_specs(), on_grid_records(), batch, strategy=strategy)
     assert unswept_on_grid_events
     assert events_of(engine) == unswept_on_grid_events
     assert engine.queries["grid"].matcher.stats.partial_matches_expired > 0
@@ -411,9 +413,9 @@ def least_variant_per_edge_set():
 )
 def test_dedupe_structural_keeps_the_least_variant(strategy, batch, replan_at, least_variant_per_edge_set):
     records = automorphic_records()
-    engine = StreamWorksEngine(config=EngineConfig(plan_strategy=strategy, dedupe_structural=True))
+    engine = StreamWorksEngine(config=EngineConfig(dedupe_structural=True))
     for name, pattern, window in automorphic_specs():
-        engine.register_query(pattern, name=name, window=window)
+        engine.register_query(pattern, name=name, window=window, strategy=strategy)
     for start in range(0, len(records), batch):
         if start == replan_at:
             engine.replan_query("auto", strategy=Strategy.ANTI_SELECTIVE)
@@ -620,9 +622,9 @@ PLANS = (
 
 def declaration_order_events(strategy, whole_batch):
     records = rmat_records(400)
-    engine = StreamWorksEngine(config=EngineConfig(plan_strategy=strategy))
+    engine = StreamWorksEngine()
     for name, pattern, window in rmat_queries():
-        engine.register_query(pattern, name=name, window=window)
+        engine.register_query(pattern, name=name, window=window, strategy=strategy)
     if whole_batch:
         engine.process_batch(records)
     else:

@@ -80,12 +80,6 @@ def test_each_ordered_run_of_a_batch_takes_its_own_sample():
     assert (engine.latency.count, engine.latency.retained) == (8, 2)
 
 
-def test_record_latency_off_takes_nothing():
-    engine = chain_engine(record_latency=False)
-    engine.process_batch([hop(index) for index in range(6)])
-    assert (engine.latency.count, engine.latency.retained) == (0, 0)
-
-
 def test_a_sample_is_the_mean_and_the_totals_stay_exact():
     recorder = LatencyRecorder()
     recorder.record(0.008, 4)

@@ -224,14 +224,8 @@ SHAPES = [
     [("b", "a"), ("a", "a")],
     [("a", "a"), ("a", "a")],
 ]
-WINDOWS = [
-    TimeWindow(2.0),
-    TimeWindow(3.0, strict=False),
-    TimeWindow(0.0),
-    TimeWindow(0.0, strict=False),
-    TimeWindow(None),
-]
-WINDOW_WEIGHTS = [4, 4, 1, 1, 2]
+WINDOWS = [TimeWindow(2.0), TimeWindow(3.0), TimeWindow(0.0), TimeWindow(None)]
+WINDOW_WEIGHTS = [4, 4, 1, 2]
 VERTEX_LABELS = {0: "A", 1: "A", 2: "B", 3: "B"}
 
 
@@ -373,7 +367,7 @@ class TestProbeEqualsGenericSearch:
     @pytest.mark.parametrize(
         "old, new",
         [
-            ("if (span >= duration) if strict else (span > duration):", "if False:"),
+            ("if bounded and latest - earliest >= duration:", "if False:"),
             ("if far == other:", "if False:"),
         ],
         ids=["no-span-test", "no-injectivity-test"],
@@ -610,14 +604,14 @@ class TestSlotJoinEqualsMatchJoin:
         compile_join = join_module.compile_join
 
         def weakened(plan):
-            bounded, duration, strict, vertex_pairs, edge_pairs, assemble = plan
+            bounded, duration, vertex_pairs, edge_pairs, assemble = plan
             if mutant == "no-vertex-pairs":
                 vertex_pairs = ()
             elif mutant == "no-edge-pairs":
                 edge_pairs = ()
             else:
                 bounded = False
-            return bounded, duration, strict, vertex_pairs, edge_pairs, assemble
+            return bounded, duration, vertex_pairs, edge_pairs, assemble
 
         def mutated(*args):
             return weakened(compile_join(*args))

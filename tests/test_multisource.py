@@ -116,7 +116,7 @@ def round_robin_sources(records, source_names):
 
 
 def build_engine(shards=None, **config_kwargs):
-    config = EngineConfig(collect_statistics=False, record_latency=False, **config_kwargs)
+    config = EngineConfig(collect_statistics=False, **config_kwargs)
     if shards is None:
         engine = StreamWorksEngine(config=config)
     else:

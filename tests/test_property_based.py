@@ -49,8 +49,8 @@ class TestWindowProperties:
     @given(duration=st.floats(min_value=0.1, max_value=1e6),
            span=st.floats(min_value=0.0, max_value=1e7))
     @settings(max_examples=60, suppress_health_check=SUPPRESS)
-    def test_strict_window_admission_matches_definition(self, duration, span):
-        window = TimeWindow(duration, strict=True)
+    def test_window_admission_matches_definition(self, duration, span):
+        window = TimeWindow(duration)
         assert window.admits_span(span) == (span < duration)
 
     @given(duration=st.floats(min_value=0.1, max_value=1e6),
@@ -64,14 +64,16 @@ class TestWindowProperties:
             assert not window.admits_interval(timestamp, now)
 
     @given(items=st.lists(st.tuples(st.floats(min_value=0, max_value=1000), st.integers()), max_size=50),
-           threshold=st.floats(min_value=0, max_value=1000))
+           duration=st.floats(min_value=0.1, max_value=1000),
+           now=st.floats(min_value=0, max_value=2000))
     @settings(max_examples=60, suppress_health_check=SUPPRESS)
-    def test_expiry_queue_pops_exactly_items_at_or_below_threshold(self, items, threshold):
+    def test_expiry_queue_pops_exactly_the_expired_items(self, items, duration, now):
         queue = ExpiryQueue()
         queue.push_all(items)
-        popped = queue.pop_expired(threshold)
-        assert len(popped) == sum(1 for timestamp, _ in items if timestamp <= threshold)
-        remaining = queue.pop_expired(float("inf"))
+        window = TimeWindow(duration)
+        popped = queue.pop_expired_at(window, now)
+        assert len(popped) == sum(1 for timestamp, _ in items if window.is_expired(timestamp, now))
+        remaining = queue.pop_expired_at(TimeWindow(0.0), float("inf"))
         assert len(popped) + len(remaining) == len(items)
 
 

@@ -412,9 +412,9 @@ def join_ledger(insert=None, strategy=Strategy.EDGE_BY_EDGE, count=700):
     Returns ``(engine, per-store (sibling bucket size, joins attempted),
     partials stored)``.
     """
-    engine = StreamWorksEngine(config=EngineConfig(plan_strategy=strategy))
+    engine = StreamWorksEngine()
     for name, query, window in sweep_specs():
-        engine.register_query(query, name=name, window=window)
+        engine.register_query(query, name=name, window=window, strategy=strategy)
     stored = []  # (partial, sibling bucket size when it was stored)
     id_order = {}  # id(partial) -> its position in ``stored``
     attempts = Counter()

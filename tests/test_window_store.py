@@ -129,7 +129,7 @@ class ReferenceStore:
         due = sorted(
             (timestamp, edge_id)
             for timestamp, edge_id in self.pending
-            if timestamp < threshold or (self.window.strict and timestamp == threshold)
+            if timestamp <= threshold
         )
         self.pending = [entry for entry in self.pending if entry not in set(due)]
         evicted = [edge_id for _, edge_id in due if edge_id in self.edges]
@@ -263,7 +263,7 @@ def assert_store_matches(graph, reference, rng):
 def run_store_case(seed, steps=60):
     """Drive the store and the reference with one random operation mix."""
     rng = random.Random(seed)
-    window = TimeWindow(rng.choice([3.0, 4.0, 6.0]), strict=rng.random() < 0.7)
+    window = TimeWindow(rng.choice([3.0, 4.0, 6.0]))
     graph = DynamicGraph(window=window)
     reference = ReferenceStore(window)
     late_share = rng.choice([0.0, 0.15, 0.4])
