@@ -147,11 +147,11 @@ def required_retention(
 class EngineConfig:
     """Engine-level tunables (also the per-shard template of the sharded engine).
 
-    Every numeric and string parameter is validated at construction and
-    raises ``ValueError`` naming the offending field (the three flags are
-    read by truth value); the full reference table -- each field, its
-    default, and how fields interact -- is ``docs/operations.md``.  The
-    headline groups:
+    Every numeric, string and flag parameter is validated at construction
+    and raises ``ValueError`` naming the offending field (a flag must be
+    ``True`` or ``False``, not merely truthy); the full reference table --
+    each field, its default, and how fields interact -- is
+    ``docs/operations.md``.  The headline groups:
 
     * **storage/semantics**: ``default_window`` (fallback query window,
       drives graph retention), ``dedupe_structural``;
@@ -183,6 +183,13 @@ class EngineConfig:
         replan_check_every: Optional[int] = None,
     ):
         self.default_window = self.validate_default_window(default_window)
+        for field, flag in (
+            ("collect_statistics", collect_statistics),
+            ("track_triads", track_triads),
+            ("dedupe_structural", dedupe_structural),
+        ):
+            if type(flag) is not bool:
+                raise ValueError(f"{field} must be True or False, got {flag!r}")
         self.collect_statistics = collect_statistics
         self.track_triads = track_triads
         self.dedupe_structural = dedupe_structural

@@ -150,7 +150,7 @@ class DynamicGraph:
         return edge
 
     def ingest_edge(self, edge: Edge, source_label: str = "node", target_label: str = "node") -> Edge:
-        """Ingest a pre-built :class:`Edge` (its id may be reassigned)."""
+        """Ingest a pre-built :class:`Edge` (its id may be reassigned; its attrs dict is shared)."""
         return self.ingest(
             edge.source,
             edge.target,

@@ -231,7 +231,8 @@ class PropertyGraph:
         """Insert a pre-built :class:`Edge` object (used by stream replay).
 
         A fresh edge id is assigned when the supplied one collides with an
-        existing edge.
+        existing edge.  The stored edge shares ``edge.attrs`` (see
+        :class:`~repro.graph.types.Edge`).
         """
         edge_id: Optional[EdgeId] = edge.id
         if edge_id is None or edge_id in self._edges:

@@ -83,13 +83,6 @@ class Direction:
         raise ValueError(f"unknown direction: {direction!r}")
 
 
-def _freeze_attrs(attrs: Optional[Mapping[str, Any]]) -> Dict[str, Any]:
-    """Normalise an attribute mapping into a plain (possibly empty) dict."""
-    if attrs is None:
-        return {}
-    return dict(attrs)
-
-
 class Vertex:
     """A typed, attributed vertex.
 
@@ -101,7 +94,10 @@ class Vertex:
     label:
         The vertex type, e.g. ``"IP"``, ``"Article"`` or ``"Keyword"``.
     attrs:
-        Optional attribute mapping (e.g. ``{"country": "US"}``).
+        Optional attribute mapping (e.g. ``{"country": "US"}``).  It is
+        always copied: a stored vertex merges later attributes into its own
+        dict (:meth:`~repro.graph.property_graph.PropertyGraph.add_vertex`),
+        which must not write into the mapping it was built from.
     """
 
     __slots__ = ("id", "label", "attrs")
@@ -109,7 +105,7 @@ class Vertex:
     def __init__(self, vertex_id: VertexId, label: str, attrs: Optional[Mapping[str, Any]] = None):
         self.id = vertex_id
         self.label = label
-        self.attrs = _freeze_attrs(attrs)
+        self.attrs: Dict[str, Any] = {} if attrs is None else dict(attrs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Vertex({self.id!r}, label={self.label!r})"
@@ -157,6 +153,12 @@ class Edge:
         Event time of the edge.
     attrs:
         Optional attribute mapping (e.g. ``{"bytes": 1400, "port": 53}``).
+        A plain ``dict`` is adopted, not copied: the edge the window store
+        keeps for a stream record shares that record's ``attrs``, and so
+        does every match holding the edge, so a record's attributes are
+        stored once.  The caller hands the dict over and must not change
+        it afterwards.  Any other mapping is copied into a new dict;
+        :meth:`copy` and :meth:`to_dict` return dicts of their own.
     """
 
     __slots__ = ("id", "source", "target", "label", "timestamp", "attrs")
@@ -175,7 +177,13 @@ class Edge:
         self.target = target
         self.label = label
         self.timestamp = float(timestamp)
-        self.attrs = _freeze_attrs(attrs)
+        if attrs is None:
+            owned: Dict[str, Any] = {}
+        elif type(attrs) is dict:
+            owned = attrs
+        else:
+            owned = dict(attrs)
+        self.attrs = owned
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -13,7 +13,20 @@ import heapq
 import json
 import math
 from numbers import Real
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+    overload,
+)
 
 from ..graph.types import Edge, Timestamp, VertexId
 
@@ -36,6 +49,14 @@ class StreamEdge:
     every eviction horizon and would stay in the window store forever, and
     an infinite one would advance the stream clock past every window.  A
     record breaking either rule raises ``ValueError`` naming it.
+
+    The record copies the mappings it is given and owns the copies.  Once
+    it is offered to an engine it is read-only: the edge the window store
+    keeps adopts ``attrs`` itself (:class:`~repro.graph.types.Edge` does
+    not copy a plain dict), so the store, the SJ-tree partials and every
+    emitted match share that one dict, and a change to it would change
+    them all.  ``source_attrs`` / ``target_attrs`` are merged into copies
+    held by the endpoint vertices and stay the record's own.
     """
 
     __slots__ = (
@@ -63,7 +84,7 @@ class StreamEdge:
         source_attrs: Optional[Mapping[str, Any]] = None,
         target_attrs: Optional[Mapping[str, Any]] = None,
         source_id: Optional[str] = None,
-    ):
+    ) -> None:
         if not isinstance(label, str):
             raise ValueError(
                 f"StreamEdge {source!r}-[{label!r}]->{target!r} has a "
@@ -89,7 +110,7 @@ class StreamEdge:
         self.source_id = source_id
 
     def to_edge(self, edge_id: int = -1) -> Edge:
-        """Convert to a bare :class:`Edge` (mostly for tests)."""
+        """Convert to a bare :class:`Edge` sharing this record's ``attrs`` (mostly for tests)."""
         return Edge(edge_id, self.source, self.target, self.label, self.timestamp, self.attrs)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -141,7 +162,7 @@ class EdgeStream:
     run the same stream through several engine configurations.
     """
 
-    def __init__(self, edges: Iterable[StreamEdge], name: str = "stream"):
+    def __init__(self, edges: Iterable[StreamEdge], name: str = "stream") -> None:
         self._edges: List[StreamEdge] = list(edges)
         self.name = name
 
@@ -151,13 +172,13 @@ class EdgeStream:
     @classmethod
     def from_tuples(
         cls,
-        rows: Iterable[Sequence],
+        rows: Iterable[Sequence[Any]],
         source_label: str = "node",
         target_label: str = "node",
         name: str = "stream",
     ) -> "EdgeStream":
         """Build a stream from ``(source, target, label, timestamp[, attrs])`` tuples."""
-        edges = []
+        edges: List[StreamEdge] = []
         for row in rows:
             attrs = row[4] if len(row) > 4 else None
             edges.append(
@@ -168,7 +189,7 @@ class EdgeStream:
     @classmethod
     def from_jsonl(cls, path: str, name: Optional[str] = None) -> "EdgeStream":
         """Load a stream from a JSON-lines file written by :meth:`to_jsonl`."""
-        edges = []
+        edges: List[StreamEdge] = []
         with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
@@ -238,7 +259,13 @@ class EdgeStream:
     def __len__(self) -> int:
         return len(self._edges)
 
-    def __getitem__(self, index):
+    @overload
+    def __getitem__(self, index: int) -> StreamEdge: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> "EdgeStream": ...
+
+    def __getitem__(self, index: Union[int, slice]) -> Union[StreamEdge, "EdgeStream"]:
         if isinstance(index, slice):
             return EdgeStream(self._edges[index], name=f"{self.name}[{index}]")
         return self._edges[index]
@@ -259,7 +286,9 @@ def merge_streams(*streams: EdgeStream, name: str = "merged") -> EdgeStream:
     engines derive event sequence numbers from the merged record order.
     """
 
-    def keyed(stream_index: int, stream: EdgeStream) -> Iterator[tuple]:
+    def keyed(
+        stream_index: int, stream: EdgeStream
+    ) -> Iterator[Tuple[Tuple[float, int, int], StreamEdge]]:
         for position, edge in enumerate(stream.sorted_by_time()):
             yield (edge.timestamp, stream_index, position), edge
 

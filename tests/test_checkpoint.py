@@ -2160,6 +2160,19 @@ def test_matcher_stats_read_only_their_declared_counters(edit, tmp_path):
         StreamWorksEngine.restore(path)
 
 
+@pytest.mark.parametrize("sharded", [False, True], ids=["engine", "sharded"])
+@pytest.mark.parametrize("field", ["collect_statistics", "track_triads", "dedupe_structural"])
+def test_a_snapshot_config_flag_that_is_not_a_bool_is_a_typed_error(tmp_path, field, sharded):
+    path = _snapshot_engine(tmp_path, sharded)
+    manifest, sections = read_snapshot(path)
+    config = sections["config"]["engine"] if sharded else sections["config"]
+    config[field] = "no"
+    write_snapshot(path, manifest["kind"], manifest["epoch"], sections)
+    restore = ShardedStreamEngine.restore if sharded else StreamWorksEngine.restore
+    with pytest.raises(SnapshotCorruptError, match=field):
+        restore(path)
+
+
 @pytest.mark.parametrize("sharded", [False, True])
 def test_two_runs_of_one_stream_write_byte_identical_snapshot_files(tmp_path, sharded):
     """The wall-clock meters are process-local, so a snapshot is a function

@@ -492,6 +492,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"late_policy {policy!r} was removed"):
             EngineConfig(allowed_lateness=1.0, late_policy=policy)
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None], ids=repr)
+    @pytest.mark.parametrize("field", ["collect_statistics", "track_triads", "dedupe_structural"])
+    def test_a_flag_that_is_not_a_bool_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be True or False, got {value!r}"):
+            EngineConfig(**{field: value})
+
 
 # ----------------------------------------------------------------------
 # property: shuffled + reorder == sorted oracle, across shard counts
