@@ -606,7 +606,12 @@ class ContinuousQueryMatcher:
     # completions
     # ------------------------------------------------------------------
     def to_match(self, partial: Partial) -> Match:
-        """Build the :class:`Match` of a completion, maps in query declaration order."""
+        """The :class:`Match` of a completion: the root layout and the tuple itself.
+
+        An emitted event retains just that (:class:`~repro.core.sjtree.LaidOutMatch`);
+        its ``vertex_map`` and ``edge_map`` are read-only copies, built in
+        query declaration order on each read.
+        """
         return self._root.to_match(partial)
 
     def completion_key(self, partial: Partial) -> List[str]:

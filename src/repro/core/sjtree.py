@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from operator import itemgetter
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..graph.types import Edge
+from ..graph.types import Edge, EdgeId
 from ..graph.window import ExpiryQueue, TimeWindow
 from ..isomorphism.match import Match
 from ..query.query_graph import QueryGraph
@@ -54,6 +54,7 @@ from .join import JoinPlan, compile_join
 __all__ = [
     "EARLIEST",
     "LATEST",
+    "LaidOutMatch",
     "LeafWork",
     "Partial",
     "SlotLayout",
@@ -130,17 +131,67 @@ class SlotLayout:
             max(stamps),
         )
 
-    def to_match(self, partial: Partial) -> Match:
-        """Build the :class:`Match` of a partial, maps in layout order."""
-        return Match._from_parts(
-            dict(zip(self.vertices, partial)),
-            dict(zip(self.edges, partial[self.first_edge :])),
-            partial[EARLIEST],
-            partial[LATEST],
-        )
+    def to_match(self, partial: Partial) -> "LaidOutMatch":
+        """The :class:`Match` of a partial: the layout and the tuple, nothing copied.
+
+        Its ``vertex_map`` and ``edge_map`` are read-only copies, built in
+        layout order on each read (:class:`LaidOutMatch`).
+        """
+        return LaidOutMatch(self, partial)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SlotLayout({self.vertices}, {self.edges})"
+
+
+class LaidOutMatch(Match):
+    """A :class:`Match` that keeps a partial in its layout instead of two dicts.
+
+    It holds the :class:`SlotLayout` and the tuple and nothing else: an
+    emitted event retains its completion tuple, whose data
+    :class:`~repro.graph.types.Edge` values are the stored edges
+    themselves.  ``vertex_map`` and ``edge_map`` are read-only: each read
+    builds a fresh dict in layout order, so changing one leaves the match
+    as it was.  The extent, the size and the data edge ids are read off
+    the tuple.  ``Match``'s own storage slots stay unset.  A copy or a
+    pickle is a dict-backed :class:`Match` equal to this one.
+    """
+
+    __slots__ = ("layout", "partial")
+
+    def __init__(self, layout: SlotLayout, partial: Partial) -> None:
+        self.layout = layout
+        self.partial = partial
+
+    # read-only views of the tuple override Match's writable slots
+    @property
+    def vertex_map(self) -> Dict[str, Any]:  # type: ignore[override]
+        return dict(zip(self.layout.vertices, self.partial))
+
+    @property
+    def edge_map(self) -> Dict[int, Edge]:  # type: ignore[override]
+        layout = self.layout
+        return dict(zip(layout.edges, layout.edges_of(self.partial)))
+
+    @property
+    def earliest(self) -> float:  # type: ignore[override]
+        return self.partial[EARLIEST]  # type: ignore[no-any-return]
+
+    @property
+    def latest(self) -> float:  # type: ignore[override]
+        return self.partial[LATEST]  # type: ignore[no-any-return]
+
+    @property
+    def span(self) -> float:
+        return self.latest - self.earliest
+
+    def data_edge_ids(self) -> FrozenSet[EdgeId]:
+        return frozenset(edge.id for edge in self.layout.edges_of(self.partial))
+
+    def __len__(self) -> int:
+        return len(self.layout.edges)
+
+    def __reduce__(self) -> Tuple[Any, ...]:
+        return (Match, (self.vertex_map, self.edge_map))
 
 
 class SJTreeInvariantError(AssertionError):

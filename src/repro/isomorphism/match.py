@@ -6,7 +6,11 @@ return: every emitted event carries one, and the VF2 matcher
 continuous matcher a partial match is not a ``Match`` but a flat tuple in
 its SJ-tree node's slot layout (:mod:`repro.core.sjtree`), joined by a
 compiled plan (:mod:`repro.core.join`); it becomes a ``Match`` when it
-completes at the root and is emitted.  A match records
+completes at the root and is emitted.  That ``Match`` is a
+:class:`~repro.core.sjtree.LaidOutMatch`: it keeps the root's slot layout
+and the completion tuple, and its ``vertex_map`` and ``edge_map`` are
+read-only copies built on each read, so an event retains no dict of its
+own.  A match records
 
 * the vertex binding (query variable -> data vertex id),
 * the edge binding (query edge id -> data :class:`Edge` object), and
@@ -87,7 +91,7 @@ class Match:
     @property
     def size(self) -> int:
         """Return the number of bound query edges."""
-        return len(self.edge_map)
+        return len(self)
 
     def vertex_binding(self, query_vertex: str) -> Optional[VertexId]:
         """Return the data vertex bound to ``query_vertex`` (``None`` if unbound)."""

@@ -41,7 +41,7 @@ class MatchEvent:
         detected_at: float,
         sequence: int,
         trigger_index: Optional[int] = None,
-    ):
+    ) -> None:
         self.query_name = query_name
         self.match = match
         #: Stream time (timestamp of the edge that completed the match).
@@ -117,7 +117,7 @@ class CollectingSink(EventSink):
 class CallbackSink(EventSink):
     """Invoke a user callback per event (errors propagate to the caller)."""
 
-    def __init__(self, callback: Callable[[MatchEvent], None]):
+    def __init__(self, callback: Callable[[MatchEvent], None]) -> None:
         self.callback = callback
 
     def deliver(self, event: MatchEvent) -> None:
@@ -132,7 +132,7 @@ class QueryFilterSink(EventSink):
     detached as a unit when A is unregistered).
     """
 
-    def __init__(self, query_name: str, inner: EventSink):
+    def __init__(self, query_name: str, inner: EventSink) -> None:
         self.query_name = query_name
         self.inner = inner
 
@@ -181,7 +181,7 @@ def merge_events(*event_lists: Sequence[MatchEvent]) -> List[MatchEvent]:
 class MultiSink(EventSink):
     """Fan an event out to several sinks."""
 
-    def __init__(self, sinks: Optional[Iterable[EventSink]] = None):
+    def __init__(self, sinks: Optional[Iterable[EventSink]] = None) -> None:
         self.sinks: List[EventSink] = list(sinks or [])
 
     def add(self, sink: EventSink) -> None:
