@@ -42,7 +42,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-from ..graph.types import Edge, VertexId
+from ..graph.adjacency import VertexRecord
+from ..graph.dynamic_graph import DynamicGraph
+from ..graph.property_graph import PropertyGraph
+from ..graph.types import Edge, EdgeNotFoundError, VertexId
 from ..graph.window import TimeWindow
 from ..isomorphism.candidates import edge_orientations
 from ..isomorphism.match import Match, MatchConflictError
@@ -65,6 +68,12 @@ class LocalSearcher:
     SJ-tree's leaves): each lowerable one gets its probe here, once.
     ``layouts`` gives their slot layouts where the caller already holds
     them; any other primitive's is derived here.
+
+    ``graph`` is a :class:`~repro.graph.dynamic_graph.DynamicGraph` or a
+    bare :class:`~repro.graph.property_graph.PropertyGraph`.  The
+    searches read the property graph underneath (:attr:`store`) directly:
+    its vertex records by id, and its adjacency slots through one call per
+    partner scan.
     """
 
     def __init__(
@@ -75,7 +84,11 @@ class LocalSearcher:
         primitives: Iterable[QueryGraph] = (),
         layouts: Optional[Dict[QueryGraph, SlotLayout]] = None,
     ) -> None:
-        self.graph = graph
+        #: The property graph the searches read (``graph`` itself, or the one
+        #: a windowed store wraps).  Its record map is never rebound, only
+        #: mutated, so :attr:`vertices` stays the live map.
+        self.store: PropertyGraph = graph.graph if isinstance(graph, DynamicGraph) else graph
+        self.vertices: Dict[VertexId, VertexRecord] = self.store._vertices
         self.window = window if window is not None else TimeWindow(None)
         self.compiled = compiled
         self._matcher = SubgraphMatcher(graph, self.window, compiled=compiled)
@@ -103,10 +116,10 @@ class LocalSearcher:
                 self._probes[primitive] = probe
 
     def _vertex_ok(self, query_vertex: QueryVertex, vertex_id: VertexId) -> bool:
-        """Compiled-table vertex check against the stored vertex."""
-        if not self.graph.has_vertex(vertex_id):
+        """Compiled-table vertex check against the stored vertex (one record read)."""
+        vertex = self.vertices.get(vertex_id)
+        if vertex is None:
             return False
-        vertex = self.graph.vertex(vertex_id)
         return self.compiled.vertex_ok(query_vertex, vertex.label, vertex.attrs)
 
     def seeds(self, primitive: QueryGraph, new_edge: Edge) -> Iterator[Match]:
@@ -143,6 +156,10 @@ class LocalSearcher:
         plays (or in its orientation), the completions of one seed differ in
         a data edge (or its orientation), and candidate enumeration lists
         every data edge once.
+
+        ``new_edge`` must be an edge of the searched store (the object
+        ingest returned, not yet evicted): the probes read its endpoints as
+        stored vertices without checking (:func:`~repro.core.probe.run_role`).
         """
         results: List[Partial] = []
         probe = self._probes.get(primitive)
@@ -191,13 +208,12 @@ class LocalSearcher:
         if plan is not None:
             anchor, direction, label, spec = plan
             vertex = anchors[anchor]
+            store = self.store
             candidates: Optional[List[Edge]] = None
             if self.window.bounded:
-                candidates = self.graph.incident_edges_in_range(vertex, direction, label, low, high)
+                candidates = store.incident_edges_in_range(vertex, direction, label, low, high)
             if candidates is None:
-                if not self.graph.has_vertex(vertex):
-                    return results
-                candidates = list(self.graph.incident_edges(vertex, direction, label))
+                candidates = list(store.incident_edges(vertex, direction, label))
             for edge in candidates:
                 if edge.id < id_bound:
                     run_role(self, spec, edge, results, id_bound)
@@ -220,7 +236,14 @@ def find_primitive_matches(
     new_edge: Edge,
     window: Optional[TimeWindow] = None,
 ) -> List[Match]:
-    """Convenience wrapper: one-shot local search, embeddings as :class:`Match` objects."""
+    """Convenience wrapper: one-shot local search, embeddings as :class:`Match` objects.
+
+    ``new_edge`` must be the edge ``graph`` stores under its id (what
+    ingest returned); anything else raises
+    :class:`~repro.graph.types.EdgeNotFoundError`.
+    """
+    if graph.edge(new_edge.id) is not new_edge:
+        raise EdgeNotFoundError(new_edge.id)
     layout = SlotLayout.of(primitive)
     searcher = LocalSearcher(graph, window, CompiledQuery(primitive))
     return [layout.to_match(partial) for partial in searcher.find(primitive, new_edge)]

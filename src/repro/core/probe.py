@@ -44,7 +44,7 @@ from __future__ import annotations
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from ..graph.types import Direction, Edge, VertexNotFoundError
+from ..graph.types import Direction, Edge
 from ..query.compile import AttrCheck
 from ..query.query_graph import QueryEdge, QueryGraph
 from .sjtree import Partial, SlotLayout
@@ -285,6 +285,11 @@ def run_role(
     are bound only below ``id_bound`` -- by default ``new_edge.id``, the
     newest-edge rule; a directed search passes its own bound, which may
     lie above ``new_edge``.
+
+    ``new_edge`` must be an edge of the searcher's store.  Every stored
+    edge's endpoints are stored vertices, so a vertex is read with one
+    lookup in the store's record map and no missing-vertex path, and an
+    endpoint the role neither labels nor checks is not read at all.
     """
     (
         bounded,
@@ -313,20 +318,15 @@ def run_role(
     source, target = new_edge.source, new_edge.target
     if (source == target) != seed_loop:
         return
-    graph = searcher.graph
-    try:
-        vertex = graph.vertex(source)
-    except VertexNotFoundError:
-        return
-    if source_label is not None and vertex.label != source_label:
-        return
-    if source_check is not None and not source_check(vertex.attrs):
-        return
-    if not seed_loop:
-        try:
-            vertex = graph.vertex(target)
-        except VertexNotFoundError:
+    vertices = searcher.vertices
+    if source_label is not None or source_check is not None:
+        vertex = vertices[source]
+        if source_label is not None and vertex.label != source_label:
             return
+        if source_check is not None and not source_check(vertex.attrs):
+            return
+    if not seed_loop and (target_label is not None or target_check is not None):
+        vertex = vertices[target]
         if target_label is not None and vertex.label != target_label:
             return
         if target_check is not None and not target_check(vertex.attrs):
@@ -345,15 +345,16 @@ def run_role(
         anchor, other = target, source
     else:
         anchor, other = source, target
+    store = searcher.store
     candidates: Optional[List[Edge]] = None
     if bounded and not between:
         # inclusive superset of the admissible range; the span test
         # below is the exact one
-        candidates = graph.incident_edges_in_range(
+        candidates = store.incident_edges_in_range(
             anchor, direction, partner_label, timestamp - duration, timestamp + duration
         )
     if candidates is None:
-        candidates = list(graph.incident_edges(anchor, direction, partner_label))
+        candidates = list(store.incident_edges(anchor, direction, partner_label))
     new_id = new_edge.id
     if id_bound is not None:
         # the seed edge itself now passes the id test: it may not be its partner
@@ -361,6 +362,7 @@ def run_role(
         new_id = id_bound
     searcher.candidates_examined += len(candidates)
     far_bound = target if far_is_target else source
+    reads_far = free_label is not None or free_check is not None
     found = 0
     for candidate in candidates:
         # newest-edge rule: an embedding is found only at its newest edge
@@ -384,14 +386,13 @@ def run_role(
             # a non-loop query edge cannot take a data self loop
             if far == anchor:
                 continue
-            try:
-                vertex = graph.vertex(far)
-            except VertexNotFoundError:
-                continue
-            if free_label is not None and vertex.label != free_label:
-                continue
-            if free_check is not None and not free_check(vertex.attrs):
-                continue
+            if reads_far:
+                # a stored candidate's far end is a stored vertex
+                vertex = vertices[far]
+                if free_label is not None and vertex.label != free_label:
+                    continue
+                if free_check is not None and not free_check(vertex.attrs):
+                    continue
             # injectivity: the free vertex may not reuse the seed's other end
             if far == other:
                 continue

@@ -27,6 +27,13 @@ whose check is certain to fail; the original compiled checks run unchanged on
 the rest, so survivors, leaf order and owner order are exactly those of the
 all-leaves loop.
 
+What a record is routed to depends only on *which* entries survive, so a
+plan hands out one shared ``[(owner, leaves)]`` list per distinct survivor
+set (:meth:`RoutePlan.route`): built from the plan's entries the first time
+the set occurs and kept in the plan's memo, up to :data:`ROUTE_MEMO_CAP`
+sets.  A record then allocates nothing that outlives its routing, and the
+engine's run holds shared lists instead of one fresh list per hot record.
+
 The same segment tables give every indexed edge label a **guard** that reads
 the record alone (:class:`LabelGuard`, built by :func:`label_guard` and kept
 in ``DispatchIndex.label_guards``).  It is built from the label's candidates
@@ -52,6 +59,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "IntervalIndex",
     "LabelGuard",
+    "ROUTE_MEMO_CAP",
     "RouteOwner",
     "RoutePlan",
     "build_route_plan",
@@ -64,6 +72,11 @@ _MIN_LEAVES_SPARED = 4.0
 #: Build no index whose segment lists hold more than this many entries per
 #: leaf: wide overlapping intervals would trade the saved checks for memory.
 _MAX_SEGMENT_FANOUT = 8
+
+#: Survivor sets one plan keeps routed lists for.  Past the cap a new set's
+#: list is built the same way and not kept, so the memo stays bounded on
+#: plans whose checks split records into many sets.
+ROUTE_MEMO_CAP = 64
 
 _MISSING: Any = object()
 
@@ -81,8 +94,12 @@ class RouteOwner:
         self.searched = 0
 
 
-#: ``(owner, leaf, checks)``; ``checks`` of ``None`` = never prunable.
-RouteEntry = Tuple[RouteOwner, SJTreeNode, Optional[Tuple[AttrCheck, ...]]]
+#: ``(owner, leaf, checks, bit)``; ``checks`` of ``None`` = never prunable;
+#: ``bit`` (``1 << position`` in the plan) stands for the entry in a survivor set.
+RouteEntry = Tuple[RouteOwner, SJTreeNode, Optional[Tuple[AttrCheck, ...]], int]
+
+#: What :meth:`RoutePlan.route` returns: ``[(owner, surviving leaves)]``.
+Searches = List[Tuple[RouteOwner, List[SJTreeNode]]]
 
 
 def _covers_point(interval: Interval, point: float) -> bool:
@@ -285,6 +302,8 @@ class RoutePlan:
         "fresh",
         "pruned",
         "unreplayed",
+        "memo",
+        "whole",
     )
 
     def __init__(
@@ -312,33 +331,70 @@ class RoutePlan:
         #: Records routed through the plan by settled runs whose owner
         #: visits are not replayed yet (:meth:`replay_owners`).
         self.unreplayed = 0
+        #: Routed lists by survivor set (the OR of the survivors' bits);
+        #: ``None`` until the first :meth:`route`, which derives it from
+        #: :attr:`entries` as they stand then.
+        self.memo: Optional[Dict[int, Searches]] = None
+        #: The one routed list of a plan no record can prune (no checks, no
+        #: index), set by the first :meth:`route`; ``None`` otherwise.
+        self.whole: Optional[Searches] = None
 
-    def route(self, attrs: Mapping[str, Any]) -> List[Tuple[RouteOwner, List[SJTreeNode]]]:
+    def route(self, attrs: Mapping[str, Any]) -> Searches:
         """Return ``[(owner, surviving leaves)]`` for one record, in plan order.
 
         A leaf survives unless every one of its compiled checks rejects
         ``attrs`` (or the interval index proves they would).  An empty result
         means no registered query edge can bind the record.
+
+        The result is shared and read-only: every record with the same
+        survivors gets the same list object (inner lists included), kept in
+        the plan's memo for up to :data:`ROUTE_MEMO_CAP` survivor sets.
         """
-        searches: List[Tuple[RouteOwner, List[SJTreeNode]]] = []
-        survivors = 0
-        last_owner = None
-        leaves: List[SJTreeNode]
-        for owner, leaf, checks in self.entries if self.index is None else self.index.select(attrs):
+        memo = self.memo
+        if memo is None:
+            memo = self._open_memo()
+        whole = self.whole
+        if whole is not None:
+            return whole
+        survived = survivors = 0
+        for _, _, checks, bit in self.entries if self.index is None else self.index.select(attrs):
             if checks is not None:
                 for check in checks:
                     if check(attrs):
                         break
                 else:
                     continue
+            survived |= bit
             survivors += 1
+        self.pruned += len(self.entries) - survivors
+        searches = memo.get(survived)
+        if searches is None:
+            searches = self._searches(survived)
+            if len(memo) < ROUTE_MEMO_CAP:
+                memo[survived] = searches
+        return searches
+
+    def _open_memo(self) -> Dict[int, Searches]:
+        """Start the memo from :attr:`entries`; set :attr:`whole` if nothing can be pruned."""
+        self.memo = {}
+        if self.index is None and all(checks is None for _, _, checks, _ in self.entries):
+            self.whole = self._searches(sum(bit for _, _, _, bit in self.entries))
+        return self.memo
+
+    def _searches(self, survived: int) -> Searches:
+        """The routed list of one survivor set: its entries grouped by owner, in plan order."""
+        searches: Searches = []
+        last_owner = None
+        leaves: List[SJTreeNode] = []
+        for owner, leaf, _, bit in self.entries:
+            if not survived & bit:
+                continue
             if owner is last_owner:
                 leaves.append(leaf)
             else:
                 last_owner = owner
                 leaves = [leaf]
                 searches.append((owner, leaves))
-        self.pruned += len(self.entries) - survivors
         return searches
 
     def settle(self, dispatch: DispatchIndex) -> int:
@@ -470,6 +526,7 @@ def _route_entries(
                 constrained = union_intervals(
                     key_intervals(query_edge.predicate) for query_edge in bound_edges
                 )
-            entries.append((owner, leaf, None if checks is None else tuple(checks)))
+            bit = 1 << len(entries)
+            entries.append((owner, leaf, None if checks is None else tuple(checks), bit))
             intervals.append(constrained)
     return entries, owners, intervals

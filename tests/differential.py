@@ -19,12 +19,13 @@ the conformance suite (``tests/test_reference_conformance.py``) drives:
 * :class:`ProbedReferenceEngine` — the same store-everything skeleton with
   the real dispatch index probed afresh per record: the reference for the
   counters route plans replay in bulk.
-* :func:`skew_expiry`, :func:`drop_a_route_leaf`, :func:`gate_last_survivor`
-  and :func:`sabotage_recompile` — deliberate faults for the *meta*-tests:
-  each simulates a realistic implementation bug (an off-by-one window-expiry
-  sweep; a route plan that loses a candidate leaf; a gate that keeps a
-  bindable record out of the store; a replan that installs stale/corrupted
-  compiled predicate tables), and the suite asserts the differential
+* :func:`skew_expiry`, :func:`drop_a_route_leaf`, :func:`gate_last_survivor`,
+  :func:`memo_by_survivor_count` and :func:`sabotage_recompile` — deliberate
+  faults for the *meta*-tests: each simulates a realistic implementation bug
+  (an off-by-one window-expiry sweep; a route plan that loses a candidate
+  leaf; a gate that keeps a bindable record out of the store; a route memo
+  that tells survivor sets apart by their size only; a replan that installs
+  stale/corrupted compiled predicate tables), and the suite asserts the differential
   REJECTS the faulty engine.  A harness that cannot catch the bugs it
   exists for proves nothing.
 * :func:`mutant_admit` -- the multi-source reorder buffer's admission loop
@@ -78,6 +79,7 @@ from test_sharded_conformance import (  # noqa: F401  (re-exported catalogue)
 
 from repro.baselines import RepeatedSearchEngine
 from repro.core import matcher as matcher_module
+from repro.core import route_plan as route_plan_module
 from repro.core.engine import EngineConfig, StreamWorksEngine
 from repro.core.route_plan import RoutePlan
 from repro.core.sjtree import EARLIEST
@@ -441,6 +443,35 @@ def gate_last_survivor(engine):
     def patched(route_key, *labels):
         plan = original(route_key, *labels)
         plan.__class__ = _LastSurvivorGatedPlan
+        return plan
+
+    engine._build_route_plan = patched
+
+
+def memo_by_survivor_count(engine):
+    """Fault: route plans key their routed-list memo by how many entries survive.
+
+    Models a memo keyed by a summary of the survivor set instead of the set
+    itself: a record whose survivors differ from an earlier record's, but
+    number the same, is sent to the earlier record's leaves.  Built from
+    ``RoutePlan.route``'s own source with the key replaced, so the fault
+    follows the real method.
+    """
+    source = textwrap.dedent(inspect.getsource(RoutePlan.route))
+    for old, new in (
+        ("memo.get(survived)", "memo.get(survivors)"),
+        ("memo[survived] = searches", "memo[survivors] = searches"),
+    ):
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = {}
+    exec(compile(source, "<mutant route>", "exec"), vars(route_plan_module), namespace)
+    plan_class = type("_CountKeyedPlan", (RoutePlan,), {"__slots__": (), "route": namespace["route"]})
+    original = engine._build_route_plan
+
+    def patched(route_key, *labels):
+        plan = original(route_key, *labels)
+        plan.__class__ = plan_class
         return plan
 
     engine._build_route_plan = patched

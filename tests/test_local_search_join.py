@@ -23,7 +23,8 @@ from repro.core.join import try_join
 from repro.core.local_search import LocalSearcher, find_primitive_matches
 from repro.core.sjtree import SJTree
 from repro.graph import DynamicGraph, TimeWindow
-from repro.graph.types import Edge
+from repro.graph.property_graph import PropertyGraph
+from repro.graph.types import Edge, EdgeNotFoundError
 from repro.isomorphism import Match
 from repro.isomorphism.match import MatchConflictError
 from repro.query import QueryBuilder, QueryGraph
@@ -377,6 +378,126 @@ class TestProbeEqualsGenericSearch:
         assert all(probe_disagreement(*case) is None for case in cases)
         monkeypatch.setattr(local_search_module, "run_role", mutated_probe_module(old, new).run_role)
         assert any(probe_disagreement(*case) is not None for case in cases)
+
+
+def probe_trace(graph, primitive, window):
+    """Everything a lowered searcher reports over ``graph``: seeded and directed.
+
+    Per stored edge, the seeded probe's partials and the range-scan counter
+    moves of that ``find``; per data vertex, the same for a directed search
+    anchored on the primitive's first vertex; then the searcher's counters.
+    """
+    searcher = LocalSearcher(graph, window, CompiledQuery(primitive), primitives=[primitive])
+    assert searcher._probes, "draw_case draws lowered shapes only"
+    anchor = next(iter(primitive.edges())).source
+    store = graph.graph
+    trace = []
+
+    def moved(before):
+        return store.range_scans - before[0], store.range_scan_fallbacks - before[1]
+
+    for edge in list(graph.edges()):
+        before = store.range_scans, store.range_scan_fallbacks
+        found = searcher.find(primitive, edge)
+        trace.append(("seeded", edge.id, partial_signature(found), moved(before)))
+    for vertex in range(4):
+        for bound in (3, 12):
+            before = store.range_scans, store.range_scan_fallbacks
+            found = searcher.find_directed(primitive, (anchor,), vertex, bound, 1.0, 4.0)
+            trace.append(("directed", vertex, partial_signature(found), moved(before)))
+    trace.append((searcher.searches_started, searcher.matches_found, searcher.candidates_examined))
+    return trace
+
+
+class TestProbesReadTheStoreDirectly:
+    """The lowered probes read the property graph's records and slots, nothing above them.
+
+    With the delegating reads of the windowed store and the raising vertex
+    read of the property graph made to fail, the seeded and directed probes
+    return what they return through them, and move the range-scan counters
+    exactly as before.
+    """
+
+    FORBIDDEN = [
+        (DynamicGraph, "vertex"),
+        (DynamicGraph, "has_vertex"),
+        (DynamicGraph, "incident_edges"),
+        (DynamicGraph, "incident_edges_in_range"),
+        (PropertyGraph, "vertex"),
+    ]
+
+    def test_same_partials_and_scans_without_the_delegating_reads(self, monkeypatch):
+        cases = [draw_case(random.Random(seed)) for seed in range(150)]
+        expected = [probe_trace(*case) for case in cases]
+        assert any(row[2] for trace in expected for row in trace[:-1]), "vacuous: nothing found"
+        moves = {row[3] for trace in expected for row in trace[:-1]}
+        assert (1, 0) in moves and (0, 1) in moves, "vacuous: no scan or no fallback"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a probe read the store through a delegating call")
+
+        for owner, name in self.FORBIDDEN:
+            monkeypatch.setattr(owner, name, forbidden)
+        assert [probe_trace(*case) for case in cases] == expected
+
+    def test_an_endpoint_nobody_labels_or_checks_is_not_read(self):
+        class CountingRecords(dict):
+            reads = 0
+
+            def __getitem__(self, key):
+                CountingRecords.reads += 1
+                return dict.__getitem__(self, key)
+
+        graph = DynamicGraph()
+        edge = graph.ingest("a", "b", "p", 1.0)
+        reads = {}
+        for name, builder in [
+            ("loose", QueryBuilder("loose")),
+            ("source", QueryBuilder("source").vertex("x", "node")),
+            ("both", QueryBuilder("both").vertex("x", "node").vertex("y", "node")),
+        ]:
+            primitive = builder.edge("x", "y", "p").build()
+            searcher = LocalSearcher(graph, None, CompiledQuery(primitive), primitives=[primitive])
+            searcher.vertices = CountingRecords(searcher.vertices)
+            CountingRecords.reads = 0
+            assert len(searcher.find(primitive, edge)) == 1
+            reads[name] = CountingRecords.reads
+        assert reads == {"loose": 0, "source": 1, "both": 2}
+
+
+class TestFindPrimitiveMatchesTakesStoredEdgesOnly:
+    """The one public entry where the seed edge comes from the caller."""
+
+    def test_an_edge_the_graph_does_not_store_is_a_typed_error(self, article_pair_primitive):
+        graph = DynamicGraph()
+        graph.ingest("art1", "kw1", "mentions", 1.0, source_label="Article", target_label="Keyword")
+        stored = graph.ingest("art1", "loc1", "locatedIn", 2.0,
+                              source_label="Article", target_label="Location")
+        absent = Edge(stored.id + 1, "art9", "loc9", "locatedIn", 2.0)
+        with pytest.raises(EdgeNotFoundError):
+            find_primitive_matches(graph, article_pair_primitive, absent)
+        # an equal copy is not the stored edge of its id either
+        with pytest.raises(EdgeNotFoundError):
+            find_primitive_matches(graph, article_pair_primitive, stored.copy())
+        assert len(find_primitive_matches(graph, article_pair_primitive, stored)) == 1
+
+    def test_an_evicted_edge_is_a_typed_error(self, article_pair_primitive):
+        graph = DynamicGraph(TimeWindow(1.0))
+        old = graph.ingest("art1", "loc1", "locatedIn", 1.0,
+                           source_label="Article", target_label="Location")
+        graph.ingest("art2", "kw1", "mentions", 5.0, source_label="Article", target_label="Keyword")
+        assert not graph.has_edge(old.id)
+        with pytest.raises(EdgeNotFoundError):
+            find_primitive_matches(graph, article_pair_primitive, old)
+
+    def test_a_bare_property_graph_is_searched_too(self, article_pair_primitive):
+        graph = PropertyGraph()
+        graph.add_edge("art1", "kw1", "mentions", 1.0,
+                       source_label="Article", target_label="Keyword")
+        new_edge = graph.add_edge("art1", "loc1", "locatedIn", 2.0,
+                                  source_label="Article", target_label="Location")
+        (match,) = find_primitive_matches(graph, article_pair_primitive, new_edge)
+        assert match.uses_data_edge(new_edge.id)
 
 
 class TestProbeWorkIsBoundedByTheWindow:

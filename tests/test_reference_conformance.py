@@ -27,6 +27,7 @@ from differential import (
     drifting_records,
     drop_a_route_leaf,
     gate_last_survivor,
+    memo_by_survivor_count,
     run,
     sabotage_recompile,
     skew_expiry,
@@ -188,6 +189,20 @@ def test_oracle_catches_a_gate_that_drops_the_last_survivor():
     assert candidate != oracle, (
         "a gate that drops bindable records was not detected: the "
         "differential cannot see cold-gate bugs"
+    )
+
+
+def test_oracle_catches_a_route_memo_keyed_by_survivor_count():
+    """A route plan that reuses a routed list for any record with as many
+    surviving leaves -- not the same ones -- must diverge from the
+    reference: the banded workload's records each survive one band's leaf."""
+    make_records, query_specs = WORKLOADS["banded"]
+    candidate, oracle = differential(
+        make_records(), query_specs, candidate_kwargs={"mutate": memo_by_survivor_count}
+    )
+    assert candidate != oracle, (
+        "a route memo keyed by the survivor count was not detected: the "
+        "differential cannot see a memo that confuses survivor sets"
     )
 
 

@@ -604,6 +604,71 @@ def test_no_index_when_it_cannot_beat_the_plain_list():
 
 
 # ----------------------------------------------------------------------
+# shared route results: one list per survivor set
+# ----------------------------------------------------------------------
+def routed_names(searches):
+    """``[(owner name, [leaf ids])]``, the shape :func:`legacy_prune` returns."""
+    return [(owner.registration.name, [leaf.id for leaf in leaves]) for owner, leaves in searches]
+
+
+def test_records_with_the_same_survivors_share_one_routed_list():
+    engine = fresh_engine(build_queries(BANDS))
+    plan = build_route_plan(engine.dispatch, engine.queries, LABEL, "Host", "Host")
+    assert plan.index is not None
+    first, second, other = plan.route({"x": 1}), plan.route({"x": 5.5}), plan.route({"x": 11})
+    assert routed_names(first) == [("q0", [first[0][1][0].id])]
+    assert second is first and second[0][1] is first[0][1]
+    assert other is not first and routed_names(other)[0][0] == "q1"
+    # no survivor at all is one shared empty list too
+    assert plan.route({"x": 8}) == [] and plan.route({"x": 9}) is plan.route({"x": 8})
+    assert len(plan.memo) == 3
+
+
+def test_a_plan_with_no_checks_routes_every_record_to_one_list():
+    queries = [
+        QueryBuilder(f"free{number}").edge("a", "b", LABEL).edge("b", "c", LABEL).build()
+        for number in range(3)
+    ]
+    engine = fresh_engine(queries)
+    plan = build_route_plan(engine.dispatch, engine.queries, LABEL, "node", "node")
+    assert plan.index is None and all(checks is None for _, _, checks, _ in plan.entries)
+    whole = plan.route({})
+    expected, _ = legacy_prune(legacy_route(engine, LABEL, "node", "node"), {})
+    assert routed_names(whole) == expected
+    assert [name for name, _ in expected] == ["free0", "free1", "free2"]
+    # whatever the attrs, the same list, and no loop over the entries
+    plan.entries = None
+    for attrs in ({"x": 1}, {"y": "s"}, {"x": float("nan")}, {}):
+        assert plan.route(attrs) is whole
+    assert plan.pruned == 0
+
+
+def test_the_memo_is_capped_and_routing_stays_exact_past_the_cap():
+    keys = [f"k{index}" for index in range(8)]
+    queries = build_queries([[AttrExists(key)] for key in keys])
+    engine, oracle = fresh_engine(queries), fresh_engine(queries)
+    plan = build_route_plan(engine.dispatch, engine.queries, LABEL, "Host", "Host")
+    groups = legacy_route(oracle, LABEL, "Host", "Host")
+    subsets = [
+        {key: 1 for bit, key in enumerate(keys) if mask >> bit & 1} for mask in range(2 ** len(keys))
+    ]
+    assert len(subsets) > 2 * route_plan.ROUTE_MEMO_CAP
+    pruned = 0
+    for attrs in subsets + subsets:  # the second pass reads the memo where it kept a set
+        expected, leaves_pruned = legacy_prune(groups, attrs)
+        searches = plan.route(attrs)
+        assert routed_names(searches) == expected
+        pruned += leaves_pruned
+        assert len(plan.memo) <= route_plan.ROUTE_MEMO_CAP
+    assert len(plan.memo) == route_plan.ROUTE_MEMO_CAP
+    assert plan.pruned == pruned
+    kept, dropped = subsets[1], subsets[-1]  # the first sets met are the ones kept
+    assert plan.route(kept) is plan.route(kept)
+    assert plan.route(dropped) == plan.route(dropped)
+    assert plan.route(dropped) is not plan.route(dropped)
+
+
+# ----------------------------------------------------------------------
 # plan lifetime
 # ----------------------------------------------------------------------
 BANDS_REGISTERED = 12

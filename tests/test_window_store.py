@@ -210,6 +210,10 @@ def assert_store_matches(graph, reference, rng):
     store = graph.graph
     assert list(store.vertex_ids()) == list(reference.vertices)
     assert list(store.edge_ids()) == list(reference.edges)
+    # the compiled probes read a stored edge's endpoints with no
+    # missing-vertex path: every stored edge's endpoints must be stored
+    for edge in store.edges():
+        assert store.has_vertex(edge.source) and store.has_vertex(edge.target), edge
     assert store.edge_labels() == set(reference.by_label)
     for label in EDGE_LABELS:
         expected = reference.by_label.get(label, [])
