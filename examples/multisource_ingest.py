@@ -23,7 +23,7 @@ Run with::
 
 from repro.core import EngineConfig, StreamWorksEngine
 from repro.query import QueryBuilder
-from repro.streaming import StreamEdge, skewed_interleave
+from repro.streaming import ReorderBuffer, StreamEdge, skewed_interleave, tag_sources
 
 
 def build_query():
@@ -86,10 +86,10 @@ def main():
           {name: s["watermark"] for name, s in stats["sources"].items()})
     print()
 
-    # contrast: one global watermark at the same lateness drops B's records
-    from repro.streaming import ReorderBuffer
+    # contrast: the same arrivals without collector names share one global
+    # watermark, which at the same lateness drops B's records
     global_buffer = ReorderBuffer(0.0)
-    global_buffer.offer_all(arrival)
+    global_buffer.offer_all(tag_sources(arrival, lambda index, record: None))
     global_buffer.flush()
     print(f"Global watermark at the same lateness would have dropped "
           f"{global_buffer.records_late_dropped} of {len(arrival)} records.")

@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 #: Loader method names the snapshot rules accept (kept in one place).
-LOADER_NAMES = ("from_state", "load_state", "_load_base_state")
+LOADER_NAMES = ("from_state", "load_state")
 
 
 # ----------------------------------------------------------------------

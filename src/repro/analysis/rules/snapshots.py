@@ -15,7 +15,7 @@ For every class defining ``state_dict`` plus a loader (``from_state`` /
 * a key captured somewhere in the ``state_dict`` chain (the class's own
   method plus project-resolvable base classes'), and
 * a key read somewhere in the loader chain (``from_state`` /
-  ``load_state`` / ``_load_base_state``).
+  ``load_state``).
 
 Key matching strips the attribute's leading underscores and accepts an
 underscore-boundary prefix either way, so ``self._pending`` is covered by

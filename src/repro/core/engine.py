@@ -59,7 +59,7 @@ from ..query.query_graph import QueryGraph
 from ..stats.plan_monitor import PlanMonitor
 from ..stats.summarizer import StreamSummarizer
 from ..streaming.edge_stream import StreamEdge
-from ..streaming.reorder import ordered_run_slices
+from ..streaming.reorder import check_idle_timeout, check_lateness, ordered_run_slices
 from ..streaming.events import (
     CallbackSink,
     CollectingSink,
@@ -163,7 +163,7 @@ class EngineConfig:
     * **event time**: ``allowed_lateness`` (float or ``None``),
       ``late_policy``, ``idle_source_timeout`` -- see the
       per-attribute comments below and
-      :class:`~repro.streaming.sources.MultiSourceReorderBuffer`;
+      :class:`~repro.streaming.reorder.ReorderBuffer`;
     * **persistence**: ``checkpoint_every`` + ``checkpoint_path``
       (batch-cadence autosave).
     """
@@ -194,26 +194,16 @@ class EngineConfig:
         self.track_triads = track_triads
         self.dedupe_structural = dedupe_structural
         #: Event-time ingestion: when set, the engine owns a
-        #: :class:`~repro.streaming.sources.MultiSourceReorderBuffer` with
-        #: this lateness horizon (one watermark per record ``source_id``,
-        #: released on the minimum across active sources; sourceless streams
-        #: behave exactly as a single global watermark).  ``process_record``
-        #: / ``process_batch`` then admit records into the buffer and
-        #: process watermark-closed prefixes as in-order batches on the
-        #: batched fast path; genuinely-late records are dropped and counted.
-        #: ``None`` (default) processes records exactly as they arrive.
+        #: :class:`~repro.streaming.reorder.ReorderBuffer` with this lateness
+        #: horizon (one watermark per record ``source_id``, released on the
+        #: minimum across active sources; a sourceless stream has one global
+        #: watermark).  ``process_record`` / ``process_batch`` then admit
+        #: records into the buffer and process watermark-closed prefixes as
+        #: in-order batches on the batched fast path; genuinely-late records
+        #: are dropped and counted.  ``None`` (default) processes records
+        #: exactly as they arrive.
         if allowed_lateness is not None:
-            if isinstance(allowed_lateness, str):
-                raise ValueError(
-                    f"allowed_lateness must be a number of stream-time units or "
-                    f"None, got {allowed_lateness!r}"
-                )
-            allowed_lateness = float(allowed_lateness)
-            if not allowed_lateness >= 0.0:  # also rejects NaN
-                raise ValueError(
-                    "allowed_lateness must be >= 0 in stream-time units, "
-                    "or None to disable event-time reordering"
-                )
+            allowed_lateness = check_lateness(allowed_lateness)
         self.allowed_lateness = allowed_lateness
         #: What happens to a record below the watermark: it is dropped and
         #: counted (``records_late_dropped``).  The field accepts that one
@@ -236,12 +226,7 @@ class EngineConfig:
                     "idle_source_timeout requires allowed_lateness (event-time "
                     "ingestion must be enabled for sources to have watermarks)"
                 )
-            idle_source_timeout = float(idle_source_timeout)
-            if not idle_source_timeout > 0.0:  # also rejects NaN
-                raise ValueError(
-                    "idle_source_timeout must be a positive duration in "
-                    "stream-time units (or None to wait for slow sources)"
-                )
+            idle_source_timeout = check_idle_timeout(idle_source_timeout, "idle_source_timeout")
         self.idle_source_timeout = idle_source_timeout
         #: Batch-cadence autosave: after every N ``process_batch`` calls the
         #: engine checkpoints itself to ``checkpoint_path`` (atomic write,

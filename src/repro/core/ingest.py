@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Optional, Sequence
 from ..streaming.batching import batch_by_count
 from ..streaming.edge_stream import StreamEdge
 from ..streaming.events import MatchEvent
-from ..streaming.sources import MultiSourceReorderBuffer
+from ..streaming.reorder import ReorderBuffer
 
 if TYPE_CHECKING:
     from .engine import EngineConfig
@@ -42,12 +42,12 @@ class IngestFront:
         #: single engine's own config, the sharded engine's shard template.
         self.engine_config = engine_config
         #: Event-time reorder buffer (``None`` unless ``allowed_lateness`` is
-        #: set).  Always the multi-source buffer: with no ``source_id`` on
-        #: the records it is byte-for-byte the single global watermark.  On
-        #: the sharded engine it lives in the parent, before routing.
-        self.reorder: Optional[MultiSourceReorderBuffer] = None
+        #: set): one watermark per record ``source_id``, so with no
+        #: ``source_id`` on the records it is one global watermark.  On the
+        #: sharded engine it lives in the parent, before routing.
+        self.reorder: Optional[ReorderBuffer] = None
         if engine_config.allowed_lateness is not None:
-            self.reorder = MultiSourceReorderBuffer(
+            self.reorder = ReorderBuffer(
                 engine_config.allowed_lateness,
                 idle_timeout=engine_config.idle_source_timeout,
             )
@@ -95,7 +95,7 @@ class IngestFront:
         condition for sorted-merge-exact results regardless of arrival
         interleaving.  Unregistered sources join on their first record
         instead (see
-        :meth:`repro.streaming.sources.MultiSourceReorderBuffer.register_source`).
+        :meth:`repro.streaming.reorder.ReorderBuffer.register_source`).
         Raises ``RuntimeError`` when event-time ingestion is not configured.
         """
         if self.reorder is None:

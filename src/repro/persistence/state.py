@@ -70,7 +70,7 @@ from ..stats.plan_monitor import PlanMonitor
 from ..stats.summarizer import StreamSummarizer
 from ..streaming.edge_stream import StreamEdge
 from ..streaming.events import MatchEvent
-from ..streaming.sources import MultiSourceReorderBuffer
+from ..streaming.reorder import ReorderBuffer
 from .snapshot import SnapshotCorruptError, SnapshotError
 
 if TYPE_CHECKING:  # imported lazily at runtime to avoid a circular import
@@ -269,7 +269,7 @@ def load_engine_sections(sections: Mapping[str, Any]) -> StreamWorksEngine:
         if sections["summarizer"] is not None:
             engine.summarizer = StreamSummarizer.from_state(sections["summarizer"], engine.graph)
         reorder = sections["reorder"]  # `None`: written without event-time ingestion
-        engine.reorder = None if reorder is None else MultiSourceReorderBuffer.from_state(reorder)
+        engine.reorder = None if reorder is None else ReorderBuffer.from_state(reorder)
         # the table holds the registered vocabulary and every label the
         # stream admitted, with the ids the pre-crash engine assigned
         engine.interning = InternTable.from_state(sections["interning"])
@@ -413,7 +413,7 @@ def load_sharded_sections(sections: Mapping[str, Any]) -> "ShardedStreamEngine":
             # exactly; the shards' own tables were restored verbatim above
             intern_query_vocabulary(engine.interning, query)
         reorder = sections["reorder"]  # `None`: written without event-time ingestion
-        engine.reorder = None if reorder is None else MultiSourceReorderBuffer.from_state(reorder)
+        engine.reorder = None if reorder is None else ReorderBuffer.from_state(reorder)
         counters = sections["counters"]
         engine._sequence = counters["sequence"]
         engine.edges_processed = counters["edges_processed"]

@@ -28,7 +28,7 @@ from ..graph.interning import InternTable
 from ..query.compile import CompiledQuery
 from ..query.serialize import query_from_dict
 from ..stats.plan_monitor import PlanMonitor
-from ..streaming.sources import DEFAULT_SOURCE
+from ..streaming.reorder import DEFAULT_SOURCE
 from .snapshot import RemovedOptionError
 from .state import ENGINE_KIND, SHARDED_KIND, loading
 

@@ -15,18 +15,13 @@ from .events import (
 from .metrics import LatencyRecorder, Stopwatch, ThroughputMeter
 from .partition import BatchRouter, LabelShardMap, Routing, ShardBatch, greedy_partition
 from .reorder import (
+    DEFAULT_SOURCE,
     ReorderBuffer,
     bounded_shuffle,
     max_time_displacement,
     ordered_run_slices,
 )
-from .sources import (
-    DEFAULT_SOURCE,
-    MultiSourceReorderBuffer,
-    skewed_interleave,
-    split_by_source,
-    tag_sources,
-)
+from .sources import skewed_interleave, split_by_source, tag_sources
 
 __all__ = [
     "BatchReplay",
@@ -42,7 +37,6 @@ __all__ = [
     "LatencyRecorder",
     "MatchEvent",
     "MultiSink",
-    "MultiSourceReorderBuffer",
     "QueryFilterSink",
     "ReorderBuffer",
     "Routing",

@@ -39,8 +39,8 @@ class StreamEdge:
     ``source_id`` names the *collector* (feed, ingestion pipeline) the record
     arrived from -- not to be confused with ``source``, the source *vertex*
     of the edge.  It is optional: records without one belong to a single
-    implicit default source.  The multi-source event-time layer
-    (:class:`~repro.streaming.sources.MultiSourceReorderBuffer`) tracks one
+    implicit default source.  The event-time reorder buffer
+    (:class:`~repro.streaming.reorder.ReorderBuffer`) tracks one
     watermark per ``source_id`` so independently-skewed collector clocks do
     not push each other's records past the lateness horizon.
 

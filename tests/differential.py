@@ -28,7 +28,7 @@ the conformance suite (``tests/test_reference_conformance.py``) drives:
   stale/corrupted compiled predicate tables), and the suite asserts the differential
   REJECTS the faulty engine.  A harness that cannot catch the bugs it
   exists for proves nothing.
-* :func:`mutant_admit` -- the multi-source reorder buffer's admission loop
+* :func:`mutant_admit` -- the reorder buffer's admission loop
   recompiled with source edits: the loop keeps its state in locals, so its
   meta-tests' faults cannot be patched in from outside.
 * :func:`lazy_run` and :func:`repeated_search` -- the lazy-leaf leg: the
@@ -88,7 +88,7 @@ from repro.query.builder import QueryBuilder
 from repro.query.compile import _never
 from repro.query.predicates import And, AttrCompare, AttrEquals, AttrIn, AttrRange
 from repro.stats import GraphSummary
-from repro.streaming import sources as sources_module
+from repro.streaming import reorder as reorder_module
 from repro.streaming.edge_stream import StreamEdge
 
 #: Records per process_batch call -- matches the sharded-conformance suite.
@@ -499,17 +499,17 @@ def sabotage_recompile(engine):
 
 
 def mutant_admit(*edits):
-    """``MultiSourceReorderBuffer._admit`` recompiled with ``(old, new)`` source edits.
+    """``ReorderBuffer._admit`` recompiled with ``(old, new)`` source edits.
 
     Each ``old`` must occur exactly once in the method's source, so a
     mutant never silently stops applying when the loop changes.
     """
-    source = textwrap.dedent(inspect.getsource(sources_module.MultiSourceReorderBuffer._admit))
+    source = textwrap.dedent(inspect.getsource(reorder_module.ReorderBuffer._admit))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
     namespace = {}
-    exec(compile(source, "<mutant _admit>", "exec"), vars(sources_module), namespace)
+    exec(compile(source, "<mutant _admit>", "exec"), vars(reorder_module), namespace)
     return namespace["_admit"]
 
 

@@ -17,6 +17,7 @@ Four layers, mirroring the guarantees the suite makes:
 
 import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -235,13 +236,21 @@ def _analyse_mutated_reorder(mutate):
     return _analyse_mutated("src/repro/streaming/reorder.py", mutate)
 
 
+def _drop_buffer_state_key(text, key):
+    """Delete ``key``'s line from ``ReorderBuffer.state_dict`` (the file's last)."""
+    head, marker, tail = text.rpartition("    def state_dict(")
+    return head + marker + re.sub(rf'\n *"{key}": self\.\w+,', "", tail, count=1)
+
+
 def test_deleting_a_state_dict_key_from_reorder_buffer_fails_the_suite():
-    report = _analyse_mutated_reorder(
-        lambda text: text.replace('"records_seen": self.records_seen,', "")
-    )
-    findings = [f for f in report.findings if f.rule == "snapshot-coverage"]
-    assert findings, "dropping a captured key must raise snapshot-coverage"
-    assert any("records_seen" in f.message for f in findings)
+    """Each per-source payload repeats four of the buffer's own keys; it is
+    written by the source's own ``state_dict``, so dropping the buffer's
+    key is still reported."""
+    for key in ("records_seen", "records_reordered", "max_seen", "max_displacement_seen"):
+        report = _analyse_mutated_reorder(lambda text: _drop_buffer_state_key(text, key))
+        findings = [f for f in report.findings if f.rule == "snapshot-coverage"]
+        assert findings, f"dropping the captured key {key!r} must raise snapshot-coverage"
+        assert any(key in f.message for f in findings)
 
 
 def test_adding_an_unpersisted_init_attribute_to_reorder_buffer_fails_the_suite():
@@ -273,18 +282,18 @@ def test_unsuppressing_a_derived_sjtree_counter_fails_the_suite():
 
 
 def test_raising_between_persisted_writes_fails_the_suite():
-    """Inserting a validation raise after the admission loop's first
-    persisted write opens a torn-checkpoint window the exception-atomicity
-    rule must report."""
+    """Inserting a validation raise between the two persisted writes that
+    empty the buffer in ``flush`` opens a torn-checkpoint window the
+    exception-atomicity rule must report."""
     report = _analyse_mutated_reorder(
         lambda text: text.replace(
-            "            self.records_seen += 1\n            timestamp",
-            "            self.records_seen += 1\n"
-            "            if record.timestamp < 0:\n"
-            '                raise ValueError("negative timestamp")\n'
-            "            timestamp",
+            "        self._pending = []\n        self._min_pending",
+            "        self._pending = []\n"
+            "        if remainder and remainder[0].timestamp < 0:\n"
+            '            raise ValueError("negative timestamp")\n'
+            "        self._min_pending",
         )
     )
     findings = [f for f in report.findings if f.rule == "exception-atomicity"]
     assert findings, "a raise between persisted writes must raise exception-atomicity"
-    assert any("records_seen" in f.message for f in findings)
+    assert any("_pending" in f.message for f in findings)

@@ -62,7 +62,7 @@ from repro.persistence.upgrade import _DEFAULTED_CONFIG_FIELDS, _RETIRED_CONFIG_
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
     DEFAULT_SOURCE,
-    MultiSourceReorderBuffer,
+    ReorderBuffer,
     StreamEdge,
     bounded_shuffle,
     skewed_interleave,
@@ -2380,7 +2380,7 @@ def test_multisource_buffer_state_survives_crash_at_every_boundary(tmp_path, sha
         sources = engine.reorder.sources()
         del engine
         resumed = engine_cls.restore(path)
-        assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
+        assert isinstance(resumed.reorder, ReorderBuffer)
         assert len(resumed.reorder) == buffered  # the held tail crossed over
         assert resumed.reorder.sources() == sources  # silent sources too
         for batch in batches[crash_after + 1 :]:

@@ -2,13 +2,15 @@
 
 Covers the multi-source subsystem end to end:
 
-* :class:`MultiSourceReorderBuffer` semantics -- min-watermark release
-  across sources, registered/silent sources, idle-source timeout, the
-  monotone watermark floor (a source appearing with an old clock must not
-  make released output regress), per-source counters;
-* the **single-source regression pin**: with no ``source_id`` on the
-  records the multi-source buffer -- and the engines built on it -- behave
-  byte-for-byte like the PR-3 single-watermark :class:`ReorderBuffer`;
+* :class:`ReorderBuffer` semantics -- min-watermark release across
+  sources, registered/silent sources, idle-source timeout, the monotone
+  watermark floor (a source appearing with an old clock must not make
+  released output regress), per-source counters;
+* the **sourceless oracle**: with no ``source_id`` on the records the
+  buffer is one global watermark -- releases and counters equal
+  :func:`sourceless_oracle`, which shares no code with the buffer, under
+  random arrival orders and batch cuts, and a loop whose late test keeps
+  the horizon's edge fails it;
 * engine-level conformance: per-source skewed interleavings, released by
   min-watermark, equal the sorted-merge oracle byte-for-byte (matches,
   event order, sequence numbers) across shard counts 1/2/4 --
@@ -19,8 +21,8 @@ Covers the multi-source subsystem end to end:
   at per-source lateness, fresher release than a worst-case global
   horizon, and an idle timeout that keeps a silent collector's held tail
   bounded;
-* checkpoint/restore of the multi-source buffer, including a snapshot from
-  before it existed;
+* checkpoint/restore of the buffer, including a snapshot whose buffer
+  was written as a single-watermark payload (``"kind": "single"``);
 * the admission loop against the one it replaced (kept here as
   :class:`LoopReference`): releases, the watermark after every offer,
   ``stats()`` and ``state_dict()`` agree exactly under random multi-source
@@ -36,6 +38,7 @@ from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
 from differential import mutant_admit
+from test_checkpoint import as_single_buffer
 
 from repro.core import (
     EngineConfig,
@@ -48,15 +51,15 @@ from repro.persistence.state import ENGINE_KIND, load_engine_sections
 from repro.persistence.upgrade import upgrade
 from repro.query.query_graph import QueryGraph
 from repro.streaming import (
-    MultiSourceReorderBuffer,
     ReorderBuffer,
     StreamEdge,
+    bounded_shuffle,
     max_time_displacement,
     skewed_interleave,
     split_by_source,
     tag_sources,
 )
-from repro.streaming.sources import DEFAULT_SOURCE, _idle, _SourceState
+from repro.streaming.reorder import DEFAULT_SOURCE, _idle, _SourceState
 
 SUPPRESS = [HealthCheck.too_slow]
 _NEG_INF = float("-inf")
@@ -128,6 +131,11 @@ def build_engine(shards=None, **config_kwargs):
     return engine
 
 
+def strip_sources(records):
+    """Copies of ``records`` without a ``source_id``: one global watermark."""
+    return tag_sources(records, lambda index, record: None)
+
+
 def run_batches(engine, records, batch_size):
     events = []
     for start in range(0, len(records), batch_size):
@@ -138,7 +146,7 @@ def run_batches(engine, records, batch_size):
 
 def release_segments(arrival, batch_size, sources=(), **buffer_kwargs):
     """Probe the release boundaries a multi-source buffer produces for a feed."""
-    probe = MultiSourceReorderBuffer(buffer_kwargs.pop("allowed_lateness", 0.0), **buffer_kwargs)
+    probe = ReorderBuffer(buffer_kwargs.pop("allowed_lateness", 0.0), **buffer_kwargs)
     for source in sources:
         probe.register_source(source)
     segments = []
@@ -165,11 +173,11 @@ def segment_oracle_events(segments):
 
 
 # ----------------------------------------------------------------------
-# MultiSourceReorderBuffer semantics
+# ReorderBuffer semantics
 # ----------------------------------------------------------------------
 class TestMultiSourceBuffer:
     def test_slow_source_holds_the_release_horizon(self):
-        buffer = MultiSourceReorderBuffer(0.0)
+        buffer = ReorderBuffer(0.0)
         buffer.register_source("fast")
         buffer.register_source("slow")
         buffer.offer_all([edge(t, source_id="fast") for t in (1.0, 2.0, 3.0)])
@@ -190,7 +198,7 @@ class TestMultiSourceBuffer:
         assert flat == sorted(r.timestamp for r in arrival)
 
     def test_registered_silent_source_blocks_until_it_speaks(self):
-        buffer = MultiSourceReorderBuffer(0.0)
+        buffer = ReorderBuffer(0.0)
         buffer.register_source("present")
         buffer.register_source("silent")
         buffer.offer_all([edge(t, source_id="present") for t in (1.0, 5.0)])
@@ -205,7 +213,7 @@ class TestMultiSourceBuffer:
         so a skewed-but-live collector's first records arrived behind an
         already-advanced floor and were dropped.  Silence must be measured
         in stream time from the first record (or the registration epoch)."""
-        buffer = MultiSourceReorderBuffer(0.0, idle_timeout=60.0)
+        buffer = ReorderBuffer(0.0, idle_timeout=60.0)
         buffer.register_source("fast")
         buffer.register_source("skewed")
         buffer.offer_all([edge(t, source_id="fast") for t in (1.0, 2.0)])
@@ -218,7 +226,7 @@ class TestMultiSourceBuffer:
         assert [r.timestamp for r in buffer.drain_ready()] == [0.5]
 
     def test_source_registered_mid_stream_counts_silence_from_registration(self):
-        buffer = MultiSourceReorderBuffer(0.0, idle_timeout=3.0)
+        buffer = ReorderBuffer(0.0, idle_timeout=3.0)
         buffer.offer(edge(10.0, source_id="a"))
         buffer.register_source("late_joiner")  # baseline = current clock (10.0)
         buffer.offer(edge(12.0, source_id="a"))
@@ -228,7 +236,7 @@ class TestMultiSourceBuffer:
         assert [r.timestamp for r in buffer.drain_ready()] == [10.0, 12.0, 14.0]
 
     def test_idle_timeout_excludes_silent_source_from_the_minimum(self):
-        buffer = MultiSourceReorderBuffer(0.0, idle_timeout=2.0)
+        buffer = ReorderBuffer(0.0, idle_timeout=2.0)
         buffer.register_source("fast")
         buffer.register_source("silent")
         buffer.offer_all([edge(t, source_id="fast") for t in (1.0, 2.0, 5.0)])
@@ -237,7 +245,7 @@ class TestMultiSourceBuffer:
         assert "silent" in buffer.stats()["idle_sources"]
 
     def test_source_going_quiet_mid_stream_times_out(self):
-        buffer = MultiSourceReorderBuffer(0.0, idle_timeout=3.0)
+        buffer = ReorderBuffer(0.0, idle_timeout=3.0)
         buffer.offer_all(
             [edge(1.0, source_id="a"), edge(1.5, source_id="b"), edge(2.0, source_id="a")]
         )
@@ -248,7 +256,7 @@ class TestMultiSourceBuffer:
         assert [r.timestamp for r in released] == [2.0, 3.0, 4.0, 6.0]
 
     def test_idle_source_returning_behind_the_floor_is_late(self):
-        buffer = MultiSourceReorderBuffer(0.0, idle_timeout=2.0)
+        buffer = ReorderBuffer(0.0, idle_timeout=2.0)
         buffer.offer_all([edge(t, source_id="a") for t in (1.0, 6.0)])
         assert [r.timestamp for r in buffer.drain_ready()] == [1.0, 6.0]
         # b appears with an old clock, below the already-released horizon:
@@ -261,7 +269,7 @@ class TestMultiSourceBuffer:
         assert [r.timestamp for r in buffer.flush()] == [7.0]
 
     def test_watermark_never_regresses_when_a_source_appears(self):
-        buffer = MultiSourceReorderBuffer(0.0)
+        buffer = ReorderBuffer(0.0)
         buffer.offer_all([edge(t, source_id="a") for t in (1.0, 4.0)])
         assert [r.timestamp for r in buffer.drain_ready()] == [1.0, 4.0]
         watermark_before = buffer.watermark
@@ -271,7 +279,7 @@ class TestMultiSourceBuffer:
         assert buffer.records_late_dropped == 1  # cannot be released in order any more
 
     def test_new_source_appearing_ahead_of_the_watermark_joins_cleanly(self):
-        buffer = MultiSourceReorderBuffer(0.0)
+        buffer = ReorderBuffer(0.0)
         buffer.offer_all([edge(t, source_id="a") for t in (1.0, 2.0)])
         assert [r.timestamp for r in buffer.drain_ready()] == [1.0, 2.0]
         buffer.offer(edge(3.0, source_id="b"))
@@ -282,7 +290,7 @@ class TestMultiSourceBuffer:
         assert [r.timestamp for r in buffer.flush()] == [5.0]
 
     def test_per_source_counters_in_stats(self):
-        buffer = MultiSourceReorderBuffer(5.0)
+        buffer = ReorderBuffer(5.0)
         buffer.offer_all(
             [
                 edge(1.0, source_id="a"),
@@ -302,7 +310,7 @@ class TestMultiSourceBuffer:
         assert stats["records_reordered"] == 2.0
 
     def test_sources_listed_in_registration_order(self):
-        buffer = MultiSourceReorderBuffer(1.0)
+        buffer = ReorderBuffer(1.0)
         buffer.register_source("z")
         buffer.offer(edge(1.0, source_id="a"))
         buffer.register_source("z")  # idempotent
@@ -320,71 +328,96 @@ class TestMultiSourceBuffer:
 
     def test_validation_errors(self):
         with pytest.raises(ValueError, match="allowed_lateness"):
-            MultiSourceReorderBuffer(-1.0)
+            ReorderBuffer(-1.0)
         with pytest.raises(ValueError, match="allowed_lateness"):
-            MultiSourceReorderBuffer("bogus")
+            ReorderBuffer("bogus")
         with pytest.raises(ValueError, match="idle_timeout"):
-            MultiSourceReorderBuffer(1.0, idle_timeout=0.0)
+            ReorderBuffer(1.0, idle_timeout=0.0)
 
 
 # ----------------------------------------------------------------------
-# single-source regression pin: multi-source buffer == PR-3 buffer
+# sourceless streams: one global watermark, against an independent oracle
 # ----------------------------------------------------------------------
-class TestSingleSourceRegressionPin:
-    @pytest.mark.parametrize("lateness", [0.0, 1.0, 7.5, float("inf")])
-    @pytest.mark.parametrize("admission", ["batch", "per_record"])
-    def test_buffer_differential_on_sourceless_streams(self, lateness, admission):
-        rng = random.Random(int(lateness if lateness != float("inf") else 99) + len(admission))
-        stream = [
-            edge(max(0.0, t - rng.random() * 4.0))
-            for t in (i * 0.3 for i in range(250))
-        ]
-        single = ReorderBuffer(lateness)
-        multi = MultiSourceReorderBuffer(lateness)
-        for start in range(0, len(stream), 23):
-            chunk = stream[start : start + 23]
-            for buffer in (single, multi):
-                if admission == "batch":
-                    buffer.offer_all(chunk)
-                else:
-                    for record in chunk:
-                        buffer.offer(record)
-            assert single.records_late_dropped == multi.records_late_dropped
-            assert single.watermark == multi.watermark
-            assert [r.to_dict() for r in single.drain_ready()] == [
-                r.to_dict() for r in multi.drain_ready()
-            ]
-        assert [r.to_dict() for r in single.flush()] == [r.to_dict() for r in multi.flush()]
-        single_stats, multi_stats = single.stats(), multi.stats()
-        for key, value in single_stats.items():
-            if key != "kind":
-                assert multi_stats[key] == value, key
+def sourceless_oracle(timestamps, lateness):
+    """What a buffer with lateness ``L`` must do with a sourceless arrival sequence.
 
-    def test_engine_events_identical_to_single_watermark_buffer(self):
-        """The engine's default (multi-source) buffer must reproduce the
-        pre-multi-source engine byte-for-byte on sourceless streams."""
-        rng = random.Random(17)
-        records = host_records(rng, 300)
-        shuffled = list(records)
-        rng.shuffle(shuffled)  # unbounded disorder: lateness inf buffers all
-        legacy = build_engine(allowed_lateness=float("inf"))
-        legacy.reorder = ReorderBuffer(float("inf"))  # force the PR-3 buffer
-        current = build_engine(allowed_lateness=float("inf"))
-        assert isinstance(current.reorder, MultiSourceReorderBuffer)
-        assert canonical(run_batches(legacy, shuffled, 31)) == canonical(
-            run_batches(current, shuffled, 31)
-        )
-        # bounded-lateness variant with genuinely-late records
-        late_stream = [edge(t) for t in (1.0, 5.0, 0.2, 6.0, 2.0, 9.0)]
-        legacy = build_engine(allowed_lateness=2.0)
-        legacy.reorder = ReorderBuffer(2.0)
-        current = build_engine(allowed_lateness=2.0)
-        assert canonical(run_batches(legacy, late_stream, 2)) == canonical(
-            run_batches(current, late_stream, 2)
-        )
-        assert legacy.metrics()["reorder"]["records_late_dropped"] == (
-            current.metrics()["reorder"]["records_late_dropped"]
-        )
+    A record is late exactly when the largest earlier timestamp exceeds it by
+    more than ``L``; the releases concatenate to the stable timestamp sort of
+    the rest.  Returns ``(release order as arrival indices, late,
+    reordered, max displacement)``.
+    """
+    kept, late, reordered, displacement, clock = [], 0, 0, 0.0, float("-inf")
+    for index, timestamp in enumerate(timestamps):
+        behind = clock - timestamp
+        displacement = max(displacement, behind)
+        clock = max(clock, timestamp)
+        if behind > lateness:
+            late += 1
+        else:
+            reordered += behind > 0
+            kept.append(index)
+    return sorted(kept, key=lambda index: timestamps[index]), late, reordered, displacement
+
+
+@st.composite
+def sourceless_cases(draw):
+    """A sourceless arrival sequence on a quarter grid, batch cuts, and per
+    batch whether it is offered record by record."""
+    clock, timestamps = 0, []
+    for advance, back in draw(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 12)),
+                                       min_size=1, max_size=60)):
+        clock += advance
+        timestamps.append(max(clock - max(back - 4, 0), 0) * 0.25)
+    cuts = draw(st.lists(st.integers(1, 13), min_size=1, max_size=8))
+    per_record = draw(st.lists(st.booleans(), min_size=1, max_size=8))
+    return timestamps, cuts, per_record
+
+
+def assert_matches_sourceless_oracle(buffer_cls, lateness, timestamps, cuts, per_record):
+    records = [edge(timestamp, target=f"b{index}") for index, timestamp in enumerate(timestamps)]
+    buffer, released, position, batch = buffer_cls(lateness), [], 0, 0
+    while position < len(records):
+        chunk = records[position : position + cuts[batch % len(cuts)]]
+        if per_record[batch % len(per_record)]:
+            for record in chunk:
+                buffer.offer(record)
+        else:
+            buffer.offer_all(chunk)
+        released += buffer.drain_ready()
+        position, batch = position + len(chunk), batch + 1
+    released += buffer.flush()
+    arrival_index = {id(record): index for index, record in enumerate(records)}
+    order, late, reordered, displacement = sourceless_oracle(timestamps, lateness)
+    assert [arrival_index[id(record)] for record in released] == order
+    assert buffer.records_late_dropped == late
+    assert buffer.records_reordered == reordered
+    assert buffer.max_displacement_seen == displacement
+    assert buffer.records_released == len(order) and buffer.records_seen == len(records)
+    assert buffer.watermark == max(timestamps) - lateness
+
+
+class InclusiveLateTest(ReorderBuffer):
+    """Mutant: a record exactly ``L`` behind the least clock is late."""
+
+    _admit = mutant_admit(
+        ("late = clock - timestamp > lateness", "late = clock - timestamp >= lateness")
+    )
+
+
+class TestSourcelessOracle:
+    @pytest.mark.parametrize("lateness", [0.0, 0.25, 1.0, 7.5, float("inf")])
+    @pytest.mark.parametrize("admission", ["offer", "offer_all", "mixed"])
+    @settings(max_examples=100, deadline=None, suppress_health_check=SUPPRESS)
+    @given(case=sourceless_cases())
+    def test_sourceless_buffer_matches_the_oracle(self, lateness, admission, case):
+        timestamps, cuts, per_record = case
+        per_record = {"offer": [True], "offer_all": [False], "mixed": per_record}[admission]
+        assert_matches_sourceless_oracle(ReorderBuffer, lateness, timestamps, cuts, per_record)
+
+    def test_a_late_test_that_includes_the_horizon_fails_the_oracle(self):
+        assert_matches_sourceless_oracle(ReorderBuffer, 1.0, [1.0, 3.0, 2.0], [3], [False])
+        with pytest.raises(AssertionError):
+            assert_matches_sourceless_oracle(InclusiveLateTest, 1.0, [1.0, 3.0, 2.0], [3], [False])
 
 
 # ----------------------------------------------------------------------
@@ -415,9 +448,9 @@ class TestEngineMultiSource:
         the skewed source's records, per-source watermarks lose nothing."""
         arrival = self.make_arrival(11)
         global_buffer = ReorderBuffer(0.0)
-        global_buffer.offer_all(arrival)
+        global_buffer.offer_all(strip_sources(arrival))
         assert global_buffer.records_late_dropped > 0
-        multi = MultiSourceReorderBuffer(0.0)
+        multi = ReorderBuffer(0.0)
         for source in ("a", "b", "c"):
             multi.register_source(source)
         multi.offer_all(arrival)
@@ -485,7 +518,7 @@ def spiking_arrival(seed=79, count=400):
 
 
 def registered_buffer(**kwargs):
-    buffer = MultiSourceReorderBuffer(0.0, **kwargs)
+    buffer = ReorderBuffer(0.0, **kwargs)
     for source in COLLECTORS:
         buffer.register_source(source)
     return buffer
@@ -497,13 +530,13 @@ class TestPerSourceWatermarksPay:
         the time; per-source watermarks trail by the collectors' current lag."""
         arrival, _ = spiking_arrival()
         releases = {}
-        for name, buffer in (
-            ("global", ReorderBuffer(max_time_displacement(arrival))),
-            ("per_source", registered_buffer()),
+        for name, buffer, records in (
+            ("global", ReorderBuffer(max_time_displacement(arrival)), strip_sources(arrival)),
+            ("per_source", registered_buffer(), arrival),
         ):
             clock, staleness, peak = float("-inf"), [], 0
-            for start in range(0, len(arrival), 100):
-                chunk = arrival[start : start + 100]
+            for start in range(0, len(records), 100):
+                chunk = records[start : start + 100]
                 buffer.offer_all(chunk)
                 clock = max([clock] + [record.timestamp for record in chunk])
                 peak = max(peak, len(buffer))
@@ -675,7 +708,7 @@ class TestMultiSourceIngestPath:
         del engine
         engine_cls = StreamWorksEngine if shards is None else ShardedStreamEngine
         resumed = engine_cls.restore(path)
-        assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
+        assert isinstance(resumed.reorder, ReorderBuffer)
         assert resumed.batches_processed == 3
         events = list(resumed.events())
         for batch in batches[3:]:
@@ -685,33 +718,34 @@ class TestMultiSourceIngestPath:
 
 
 # ----------------------------------------------------------------------
-# checkpoint/restore of the multi-source buffer
+# checkpoint/restore of the buffer
 # ----------------------------------------------------------------------
+def restored_from_single_payload(engine, path):
+    """``engine``, checkpointed to ``path`` and restored as a format-1 snapshot
+    whose reorder section is the single-watermark payload (``"kind":
+    "single"``) of its sourceless buffer."""
+    engine.checkpoint(path)
+    _, sections = read_snapshot(path)
+    as_single_buffer(tagged=True)(sections)
+    return load_engine_sections(upgrade(ENGINE_KIND, sections, 1))
+
+
 class TestMultiSourceCheckpointRestore:
     def test_legacy_single_buffer_snapshot_upgrades_on_restore(self, tmp_path):
-        """A pre-multisource snapshot (plain ReorderBuffer payload) must
-        restore into an engine whose buffer supports the new API --
+        """A format-1 snapshot whose buffer is a single-watermark payload must
+        restore into an engine whose buffer supports the source API --
         register_source works, sourced records get per-source watermarks --
         while a sourceless resumed stream releases byte-for-byte."""
         rng = random.Random(59)
         records = host_records(rng, 120)
         shuffled = list(records)
         rng.shuffle(shuffled)
+        reference = canonical(run_batches(build_engine(allowed_lateness=float("inf")), shuffled, 20))
         engine = build_engine(allowed_lateness=float("inf"))
-        engine.reorder = ReorderBuffer(float("inf"))  # the pre-PR5 engine
         for start in range(0, 60, 20):
             engine.process_batch(shuffled[start : start + 20])
-        path = str(tmp_path / "legacy.snap")
-        engine.checkpoint(path)  # writes a "kind": "single" reorder section
-        # a format-1 writer's shape: the format-2 loader reads it upgraded
-        _, sections = read_snapshot(path)
-
-        oracle = build_engine(allowed_lateness=float("inf"))
-        oracle.reorder = ReorderBuffer(float("inf"))
-        reference = canonical(run_batches(oracle, shuffled, 20))
-
-        resumed = load_engine_sections(upgrade(ENGINE_KIND, sections, 1))
-        assert isinstance(resumed.reorder, MultiSourceReorderBuffer)
+        resumed = restored_from_single_payload(engine, str(tmp_path / "legacy.snap"))
+        assert isinstance(resumed.reorder, ReorderBuffer)
         resumed.register_source("new-collector")  # must not AttributeError
         assert "new-collector" in resumed.reorder.sources()
         events = list(resumed.events())
@@ -719,6 +753,24 @@ class TestMultiSourceCheckpointRestore:
             events.extend(resumed.process_batch(shuffled[start : start + 20]))
         events.extend(resumed.flush())
         assert canonical(events) == reference
+
+    def test_engine_events_identical_to_single_watermark_buffer(self, tmp_path):
+        """An engine restored mid-stream from a single-watermark payload with
+        genuinely-late records behind it runs on to the uninterrupted
+        engine's events and late count."""
+        arrival = bounded_shuffle(host_records(random.Random(17), 300), 12, seed=17)
+        reference = build_engine(allowed_lateness=0.5)
+        expected = canonical(run_batches(reference, arrival, 25))
+        engine = build_engine(allowed_lateness=0.5)
+        for start in range(0, 150, 25):
+            engine.process_batch(arrival[start : start + 25])
+        assert engine.metrics()["reorder"]["records_late_dropped"] > 0
+        resumed = restored_from_single_payload(engine, str(tmp_path / "late.snap"))
+        events = list(resumed.events()) + run_batches(resumed, arrival[150:], 25)
+        assert canonical(events) == expected
+        assert resumed.metrics()["reorder"]["records_late_dropped"] == (
+            reference.metrics()["reorder"]["records_late_dropped"]
+        )
 
     @pytest.mark.parametrize("shards", [None, 2])
     def test_mid_stream_checkpoint_resumes_per_record(self, shards, tmp_path):
@@ -749,14 +801,14 @@ class TestMultiSourceCheckpointRestore:
         assert canonical(resumed.events()) == reference
 
     def test_multisource_buffer_state_round_trips_exactly(self, tmp_path):
-        buffer = MultiSourceReorderBuffer(0.5, idle_timeout=4.0)
+        buffer = ReorderBuffer(0.5, idle_timeout=4.0)
         buffer.register_source("silent")
         rng = random.Random(47)
         for i in range(30):
             buffer.offer(edge(max(0.0, i * 0.5 - rng.random()), source_id="a"))
             buffer.offer(edge(i * 0.5, source_id="b"))
             buffer.drain_ready()
-        restored = MultiSourceReorderBuffer.from_state(buffer.state_dict())
+        restored = ReorderBuffer.from_state(buffer.state_dict())
         assert restored.stats() == buffer.stats()
         assert restored.sources() == buffer.sources()
         # both must release identically from here on
@@ -774,7 +826,7 @@ class TestMultiSourceCheckpointRestore:
 # ----------------------------------------------------------------------
 # the admission loop against the loop it replaced
 # ----------------------------------------------------------------------
-class LoopReference(MultiSourceReorderBuffer):
+class LoopReference(ReorderBuffer):
     """The admission loop and watermark before the loop kept its state in locals.
 
     Every counter and clock is read and written on the buffer per record,
@@ -862,7 +914,7 @@ class LoopReference(MultiSourceReorderBuffer):
                             other.baseline = timestamp
 
 
-class NoFloorWriteBack(MultiSourceReorderBuffer):
+class NoFloorWriteBack(ReorderBuffer):
     """Mutant: the loop raises its floor in a local and never writes it back."""
 
     _admit = mutant_admit(("self._watermark_floor = floor", "pass"))
@@ -928,7 +980,7 @@ class TestAdmissionLoopDifferential:
     @settings(max_examples=300, deadline=None, suppress_health_check=SUPPRESS)
     @given(loop_cases())
     def test_the_loop_admits_as_the_loop_it_replaced(self, case):
-        assert_loop_matches_reference(case, MultiSourceReorderBuffer)
+        assert_loop_matches_reference(case, ReorderBuffer)
 
     def test_a_loop_that_drops_its_floor_write_back_fails_the_property(self):
         # no shrinking: the meta-test needs a failure, not the smallest one

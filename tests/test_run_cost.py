@@ -49,8 +49,8 @@ from repro.core.sjtree import EARLIEST, LATEST, SJTreeNode
 from repro.graph.window import TimeWindow
 from repro.query.builder import QueryBuilder
 from repro.query.predicates import AttrEquals
-from repro.streaming import MultiSourceReorderBuffer, StreamEdge
-from repro.streaming.sources import DEFAULT_SOURCE, _idle, _SourceState
+from repro.streaming import ReorderBuffer, StreamEdge
+from repro.streaming.reorder import DEFAULT_SOURCE, _idle, _SourceState
 
 _NEG_INF = float("-inf")
 
@@ -606,7 +606,7 @@ def test_the_gate_verdict_is_computed_once_per_index_version(monkeypatch):
 # ----------------------------------------------------------------------
 # one admission loop: batch admission equals per-record admission
 # ----------------------------------------------------------------------
-class PerRecordReference(MultiSourceReorderBuffer):
+class PerRecordReference(ReorderBuffer):
     """The per-record admission the batch loop replaced: each record
     re-derives the raw min-watermark, then tests lateness against every
     active source in displacement space."""
@@ -696,7 +696,7 @@ class PerRecordReference(MultiSourceReorderBuffer):
                         other.baseline = timestamp
 
 
-class BatchStartClock(MultiSourceReorderBuffer):
+class BatchStartClock(ReorderBuffer):
     """Mutant: the minimum source clock is read once per batch, so a batch
     is classified against the watermark it started from."""
 
@@ -767,7 +767,7 @@ def assert_batch_admission_matches(case, buffer_cls):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(admission_cases())
 def test_batch_admission_equals_per_record_admission(case):
-    assert_batch_admission_matches(case, MultiSourceReorderBuffer)
+    assert_batch_admission_matches(case, ReorderBuffer)
 
 
 def test_classifying_against_the_batch_start_watermark_fails_the_property():
@@ -789,9 +789,9 @@ def test_a_restored_buffer_admits_as_the_original():
     records = [StreamEdge("a", f"b{i}", "rel", t, source_id=s)
                for i, (t, s) in enumerate([(1.0, "x"), (0.5, "y"), (2.0, "x"), (1.5, "y"),
                                            (0.9, "x"), (3.0, "y"), (1.0, "y"), (2.9, "x")])]
-    original = MultiSourceReorderBuffer(0.5)
+    original = ReorderBuffer(0.5)
     original.offer_all(records[:4])
-    restored = MultiSourceReorderBuffer.from_state(original.state_dict())
+    restored = ReorderBuffer.from_state(original.state_dict())
     original.offer_all(records[4:])
     restored.offer_all(records[4:])
     assert original.state_dict() == restored.state_dict()
